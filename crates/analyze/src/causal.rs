@@ -296,15 +296,7 @@ pub fn why(rep: &Report, proc_sel: Option<&str>, loc_sel: Option<&str>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::path::PathBuf;
-
-    fn write_temp(name: &str, body: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("nscc_causal_{name}"));
-        let mut f = std::fs::File::create(&path).unwrap();
-        f.write_all(body.as_bytes()).unwrap();
-        path
-    }
+    use crate::report::write_temp;
 
     /// A v3 report with two locations, two readers, and one retransmitted
     /// releasing frame — shared by the golden tests below.

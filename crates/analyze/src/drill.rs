@@ -121,15 +121,7 @@ pub fn drill(rep: &Report) -> (String, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-    use std::path::PathBuf;
-
-    fn write_temp(name: &str, body: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("nscc_drill_{name}_{}", std::process::id()));
-        let mut f = std::fs::File::create(&path).unwrap();
-        f.write_all(body.as_bytes()).unwrap();
-        path
-    }
+    use crate::report::write_temp;
 
     fn report(body: &str) -> Report {
         let p = write_temp("rep.json", body);

@@ -227,17 +227,21 @@ fn flatten_into(v: &Json, prefix: String, out: &mut BTreeMap<String, f64>) {
     }
 }
 
+/// Write `body` to a fresh temp file for a test. The path is unique per
+/// call: tests run on parallel threads, share fixtures, and each deletes
+/// its file when done.
+#[cfg(test)]
+pub(crate) fn write_temp(name: &str, body: &str) -> PathBuf {
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("nscc_analyze_{}_{n}_{name}", std::process::id()));
+    std::fs::write(&path, body).unwrap();
+    path
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write as _;
-
-    fn write_temp(name: &str, body: &str) -> PathBuf {
-        let path = std::env::temp_dir().join(format!("nscc_analyze_{name}"));
-        let mut f = std::fs::File::create(&path).unwrap();
-        f.write_all(body.as_bytes()).unwrap();
-        path
-    }
 
     #[test]
     fn loads_and_flattens_a_report() {

@@ -130,6 +130,7 @@ struct HubInner {
     sched_events: AtomicU64,
     sched_parks: AtomicU64,
     sched_unparks: AtomicU64,
+    sched_handoffs: AtomicU64,
     sched_exec_ns: AtomicU64,
     sched_wall_ns: AtomicU64,
     /// Per-pid `(exec_ns, slices)` scheduler accounting.
@@ -210,6 +211,7 @@ impl Hub {
                 sched_events: AtomicU64::new(0),
                 sched_parks: AtomicU64::new(0),
                 sched_unparks: AtomicU64::new(0),
+                sched_handoffs: AtomicU64::new(0),
                 sched_exec_ns: AtomicU64::new(0),
                 sched_wall_ns: AtomicU64::new(0),
                 sched_procs: Mutex::new(BTreeMap::new()),
@@ -568,6 +570,9 @@ impl Hub {
             .sched_unparks
             .fetch_add(d.unparks, Ordering::Relaxed);
         self.inner
+            .sched_handoffs
+            .fetch_add(d.handoffs, Ordering::Relaxed);
+        self.inner
             .sched_exec_ns
             .fetch_add(d.exec_ns, Ordering::Relaxed);
         self.inner
@@ -596,6 +601,7 @@ impl Hub {
             events: o.sched_events.load(Ordering::Relaxed),
             parks: o.sched_parks.load(Ordering::Relaxed),
             unparks: o.sched_unparks.load(Ordering::Relaxed),
+            handoffs: o.sched_handoffs.load(Ordering::Relaxed),
             exec_ns: o.sched_exec_ns.load(Ordering::Relaxed),
             wall_ns: o.sched_wall_ns.load(Ordering::Relaxed),
             per_proc: o
@@ -621,6 +627,7 @@ impl Hub {
             events,
             parks: self.inner.sched_parks.load(Ordering::Relaxed),
             unparks: self.inner.sched_unparks.load(Ordering::Relaxed),
+            handoffs: self.inner.sched_handoffs.load(Ordering::Relaxed),
             exec_ns: self.inner.sched_exec_ns.load(Ordering::Relaxed),
             wall_ns,
             events_per_sec: if wall_ns == 0 {
@@ -2125,6 +2132,7 @@ mod tests {
             events: 100,
             parks: 10,
             unparks: 12,
+            handoffs: 4,
             exec_ns: 4_000,
             wall_ns: 500_000_000,
             park: {
@@ -2139,6 +2147,7 @@ mod tests {
             events: 100,
             parks: 5,
             unparks: 5,
+            handoffs: 3,
             exec_ns: 1_000,
             wall_ns: 500_000_000,
             park: {
@@ -2152,6 +2161,7 @@ mod tests {
         assert_eq!(s.events, 200);
         assert_eq!(s.parks, 15);
         assert_eq!(s.unparks, 17);
+        assert_eq!(s.handoffs, 7);
         assert_eq!(s.exec_ns, 5_000);
         assert_eq!(s.wall_ns, 1_000_000_000);
         assert!((s.events_per_sec - 200.0).abs() < 1e-9);
@@ -2177,6 +2187,7 @@ mod tests {
             events: 50,
             parks: 1,
             unparks: 1,
+            handoffs: 1,
             exec_ns: 500,
             wall_ns: 1_000,
             park: crate::hist::Histogram::new(),
@@ -2185,6 +2196,7 @@ mod tests {
         hub.adopt_sched(&other);
         let s = hub.sched();
         assert_eq!(s.events, 250);
+        assert_eq!(s.handoffs, 8);
         assert_eq!(s.procs.len(), 3);
         assert_eq!(s.procs[2].pid, 2);
     }

@@ -60,15 +60,20 @@ pub const FEED_VERSION: u32 = 1;
 pub struct SchedSummary {
     /// Queue entries executed (events + process resumptions).
     pub events: u64,
-    /// Times a process thread re-parked on its reply channel at the end
-    /// of a slice (advance or block) — one OS-level context switch each.
+    /// Slices that ended with the process yielding (advance or block)
+    /// rather than exiting. Logical: whether the OS thread actually
+    /// changed is what `handoffs` counts.
     pub parks: u64,
-    /// Resume dispatches: times the scheduler unparked a process thread
-    /// and handed it a slice.
+    /// Resume dispatches: slices handed to a process, whether or not its
+    /// thread had to be woken for it.
     pub unparks: u64,
-    /// Wall ns spent inside process slices (the scheduler waiting on the
-    /// running process). The remainder of `wall_ns` is queue management
-    /// and channel overhead.
+    /// Resume dispatches that really changed the OS thread (a process
+    /// resuming itself costs none). In-memory only: kept out of the live
+    /// feed and the report's `wall` section, whose schemas are pinned.
+    #[serde(skip)]
+    pub handoffs: u64,
+    /// Wall ns spent inside process slices. The remainder of `wall_ns` is
+    /// queue management, event closures and hand-off overhead.
     pub exec_ns: u64,
     /// Total wall ns spent inside scheduler event loops.
     pub wall_ns: u64,
@@ -110,6 +115,8 @@ pub struct SchedDelta {
     pub parks: u64,
     /// Resume dispatches since the last flush.
     pub unparks: u64,
+    /// Of those, baton transfers to a different OS thread.
+    pub handoffs: u64,
     /// Wall ns spent in process slices since the last flush.
     pub exec_ns: u64,
     /// Wall ns elapsed in the event loop since the last flush.

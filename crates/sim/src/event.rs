@@ -1,15 +1,17 @@
 //! Events: the unit of work on the virtual-time queue.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::process::Pid;
 use crate::time::SimTime;
 
 /// A deferred action that fires at a scheduled virtual instant.
 ///
-/// Events run on the scheduler thread with exclusive access to the engine
-/// through an [`EventCtx`]; they may deliver messages, wake blocked
-/// processes, and schedule further events.
+/// Events run inline on whichever thread holds the scheduler's baton — the
+/// process thread that yielded last, or `run()`'s caller — with exclusive
+/// access to the engine through an [`EventCtx`]; they may deliver messages,
+/// wake blocked processes, and schedule further events.
 pub struct Event(pub(crate) Box<dyn FnOnce(&mut EventCtx<'_>) + Send>);
 
 impl Event {
@@ -64,13 +66,33 @@ impl Ord for QueueEntry {
     }
 }
 
+/// The event queue: earliest `(time, seq)` first, `seq` handed out in push
+/// order.
+#[derive(Default)]
+pub(crate) struct Queue {
+    heap: BinaryHeap<QueueEntry>,
+    seq: u64,
+}
+
+impl Queue {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(QueueEntry { time, seq, kind });
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<QueueEntry> {
+        self.heap.pop()
+    }
+}
+
 /// The capabilities an [`Event`] has while it is firing.
 ///
 /// Only the scheduler constructs an `EventCtx`; events cannot block, so
 /// everything here completes inline at the current instant.
 pub struct EventCtx<'a> {
     pub(crate) now: SimTime,
-    pub(crate) pending: &'a mut Vec<(SimTime, EventKind)>,
+    pub(crate) queue: &'a mut Queue,
     pub(crate) wakes: &'a mut Vec<Pid>,
 }
 
@@ -82,8 +104,7 @@ impl EventCtx<'_> {
 
     /// Schedule another event `delay` after the current instant.
     pub fn schedule(&mut self, delay: SimTime, event: Event) {
-        self.pending
-            .push((self.now + delay, EventKind::Fire(event)));
+        self.queue.push(self.now + delay, EventKind::Fire(event));
     }
 
     /// Schedule a closure `delay` after the current instant.
@@ -94,8 +115,9 @@ impl EventCtx<'_> {
         self.schedule(delay, Event::new(f));
     }
 
-    /// Wake a blocked process at the current instant. A wake targeting a
-    /// process that is not blocked is ignored (this makes wake-ups idempotent
+    /// Wake a blocked process at the current instant: its resume is queued
+    /// when this event returns, behind everything the event scheduled. A
+    /// wake targeting a process that is not blocked is ignored (this makes wake-ups idempotent
     /// and tolerant of races between multiple deliveries at one instant).
     pub fn wake(&mut self, pid: Pid) {
         self.wakes.push(pid);
@@ -131,7 +153,6 @@ mod tests {
 
     #[test]
     fn heap_pops_earliest_first() {
-        use std::collections::BinaryHeap;
         let mut heap = BinaryHeap::new();
         for (t, s) in [(3u64, 0u64), (1, 1), (2, 2), (1, 0)] {
             heap.push(QueueEntry {

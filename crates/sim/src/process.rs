@@ -1,19 +1,25 @@
 //! Simulated processes and the process-side context handle.
 //!
 //! Every simulated process runs its application code on a dedicated OS
-//! thread, but threads execute strictly one at a time: control is handed
-//! back and forth between the scheduler and the running process through
-//! rendezvous channels. This lets application code be written in natural,
-//! blocking style (the real GA loop, the real sampler) while time remains
-//! fully virtual and deterministic.
+//! thread, but threads execute strictly one at a time: exactly one thread
+//! holds the *baton* (the right to step the scheduler core), and every
+//! other one waits at its [`Gate`]. A process that yields keeps the baton
+//! and steps the core itself until some process — possibly itself — must
+//! run. This lets application code be written in natural, blocking style
+//! (the real GA loop, the real sampler) while time remains fully virtual
+//! and deterministic.
 
-use std::panic;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicU64, AtomicU8};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, Thread};
 
-use crossbeam::channel::{Receiver, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::event::Event;
+use crate::event::{Event, EventKind};
+use crate::scheduler::Shared;
 use crate::time::SimTime;
 
 /// Identifier of a simulated process; assigned densely in spawn order.
@@ -27,8 +33,8 @@ impl Pid {
     }
 }
 
-/// A request sent from a running process thread to the scheduler.
-pub(crate) enum ProcCall {
+/// How a running process ends its slice.
+pub(crate) enum Yield {
     /// Charge `dur` of virtual compute time; resume the process afterwards.
     Advance(SimTime),
     /// Block until some event wakes this process. The reason string is used
@@ -38,49 +44,90 @@ pub(crate) enum ProcCall {
         reason: String,
         probe: Option<Box<dyn Fn() -> usize + Send>>,
     },
-    /// Schedule an event `delay` in the future; the scheduler replies
-    /// immediately and the process keeps running at the same instant.
-    Schedule { delay: SimTime, event: Event },
     /// The process body returned normally.
     Done,
     /// The process body panicked with the given message.
     Panicked(String),
 }
 
-/// Scheduler -> process replies.
-pub(crate) enum Reply {
-    /// Resume execution; the process's local clock becomes `now`.
-    Resume { now: SimTime },
-    /// Acknowledge a non-yielding call such as [`ProcCall::Schedule`].
-    Ack,
-}
-
 /// Sentinel panic payload used to unwind process threads at shutdown.
 pub(crate) struct ShutdownToken;
+
+const CLOSED: u8 = 0; // what `Gate::default()` starts as
+const OPEN: u8 = 1;
+const SHUTDOWN: u8 = 2;
+
+/// Where one thread waits for the baton: a flag plus `park`/`unpark`.
+/// Opening stores the flag (release) before unparking, and waiting
+/// re-checks it after every return from `park`, so a spurious wake-up or a
+/// stale unpark token left by an open that won the race just loops.
+#[derive(Default)]
+pub(crate) struct Gate {
+    state: AtomicU8,
+    /// Virtual ns the opener resumed the waiter at.
+    now_ns: AtomicU64,
+    thread: OnceLock<Thread>,
+}
+
+impl Gate {
+    /// Name the thread that waits here; done once, before anyone opens it.
+    pub(crate) fn bind(&self, thread: Thread) {
+        let _ = self.thread.set(thread);
+    }
+
+    /// Wait until opened and close the gate again; `None` once shut down
+    /// (which is permanent).
+    pub(crate) fn wait(&self) -> Option<SimTime> {
+        loop {
+            // Acquire pairs with the release in `signal`: everything the
+            // opener did, `now_ns` included, is visible past this point.
+            match self.state.compare_exchange(OPEN, CLOSED, Acquire, Acquire) {
+                Ok(_) => return Some(SimTime::from_nanos(self.now_ns.load(Relaxed))),
+                Err(SHUTDOWN) => return None,
+                Err(_) => thread::park(),
+            }
+        }
+    }
+
+    /// Let the waiter through, at virtual time `now`.
+    pub(crate) fn open(&self, now: SimTime) {
+        self.now_ns.store(now.as_nanos(), Relaxed);
+        self.signal(OPEN);
+    }
+
+    /// Answer this and every later `wait` with `None`.
+    pub(crate) fn shutdown(&self) {
+        self.signal(SHUTDOWN);
+    }
+
+    fn signal(&self, state: u8) {
+        self.state.store(state, Release);
+        if let Some(thread) = self.thread.get() {
+            thread.unpark();
+        }
+    }
+}
 
 /// The handle a simulated process uses to interact with virtual time.
 ///
 /// A `Ctx` is passed by the engine to the process closure. All methods that
-/// "take time" ([`advance`](Ctx::advance), [`Mailbox::recv`]) suspend the
-/// calling thread and hand control to the scheduler; everything else runs
-/// inline at the current virtual instant.
+/// "take time" ([`advance`](Ctx::advance), [`Mailbox::recv`]) end the
+/// calling process's slice and let the scheduler step on; everything else
+/// runs inline at the current virtual instant.
 ///
 /// [`Mailbox::recv`]: crate::Mailbox::recv
 pub struct Ctx {
     pid: Pid,
     now: SimTime,
     rng: StdRng,
-    call_tx: Sender<(Pid, ProcCall)>,
-    reply_rx: Receiver<Reply>,
+    shared: Arc<Shared>,
+    /// Events scheduled during the current slice, in call order; spliced
+    /// into the queue when the slice ends.
+    outbox: Vec<(SimTime, EventKind)>,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        pid: Pid,
-        seed: u64,
-        call_tx: Sender<(Pid, ProcCall)>,
-        reply_rx: Receiver<Reply>,
-    ) -> Self {
+    pub(crate) fn new(pid: Pid, seed: u64, shared: Arc<Shared>) -> Self {
         // Derive a per-process stream from the global seed; SplitMix64-style
         // mixing keeps the streams decorrelated.
         let mut z = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(pid.0 as u64 + 1));
@@ -91,8 +138,8 @@ impl Ctx {
             pid,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(z),
-            call_tx,
-            reply_rx,
+            shared,
+            outbox: Vec::new(),
         }
     }
 
@@ -114,11 +161,7 @@ impl Ctx {
     /// Charge `dur` of virtual time (e.g. a compute phase) and resume
     /// afterwards. Other processes and events run in the meantime.
     pub fn advance(&mut self, dur: SimTime) {
-        let reply = self.roundtrip(ProcCall::Advance(dur));
-        match reply {
-            Reply::Resume { now } => self.now = now,
-            Reply::Ack => unreachable!("Advance must be answered with Resume"),
-        }
+        self.yield_and_wait(Yield::Advance(dur));
     }
 
     /// Yield to the scheduler without consuming virtual time. Equivalent to
@@ -149,21 +192,15 @@ impl Ctx {
     }
 
     fn block_inner(&mut self, reason: String, probe: Option<Box<dyn Fn() -> usize + Send>>) {
-        let reply = self.roundtrip(ProcCall::Block { reason, probe });
-        match reply {
-            Reply::Resume { now } => self.now = now,
-            Reply::Ack => unreachable!("Block must be answered with Resume"),
-        }
+        self.yield_and_wait(Yield::Block { reason, probe });
     }
 
     /// Schedule `event` to fire `delay` after the current instant. Returns
     /// immediately; the process keeps running at the same virtual time.
+    /// The event joins the queue when this slice ends, ahead of the slice's
+    /// own resume and after everything scheduled earlier in the slice.
     pub fn schedule(&mut self, delay: SimTime, event: Event) {
-        let reply = self.roundtrip(ProcCall::Schedule { delay, event });
-        match reply {
-            Reply::Ack => {}
-            Reply::Resume { .. } => unreachable!("Schedule must be answered with Ack"),
-        }
+        self.outbox.push((self.now + delay, EventKind::Fire(event)));
     }
 
     /// Schedule a closure to fire `delay` after the current instant.
@@ -181,37 +218,93 @@ impl Ctx {
         self.schedule_fn(SimTime::ZERO, move |ec| ec.wake(pid));
     }
 
-    /// Park until the scheduler issues the first `Resume`; `Err` means the
-    /// scheduler was torn down before this process ever ran.
-    pub(crate) fn await_first_resume(&mut self) -> Result<(), ()> {
-        match self.reply_rx.recv() {
-            Ok(Reply::Resume { now }) => {
-                self.now = now;
-                Ok(())
+    /// The whole life of a process thread: wait for the first slice, run
+    /// the body, report how it ended.
+    pub(crate) fn run(mut self, body: Box<dyn FnOnce(&mut Ctx) + Send>) {
+        // Torn down before it ever ran? (The first resume is at t = 0.)
+        if self.gate().wait().is_none() {
+            return;
+        }
+        // Stepping on after the body returns is inside the guard too: a
+        // panic there (a deadlock probe's, say) must end the run as this
+        // process's panic, not strand `run()` waiting on a dead thread.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            body(&mut self);
+            self.end_slice(Yield::Done);
+        }));
+        if let Err(payload) = result {
+            // A shutdown token is teardown unwinding the body, not a panic.
+            if !payload.is::<ShutdownToken>() {
+                self.end_slice(Yield::Panicked(panic_message(payload.as_ref())));
             }
-            Ok(Reply::Ack) | Err(_) => Err(()),
         }
     }
 
-    fn roundtrip(&mut self, call: ProcCall) -> Reply {
-        if self.call_tx.send((self.pid, call)).is_err() {
-            // Scheduler has gone away: unwind this thread quietly.
-            panic::panic_any(ShutdownToken);
-        }
-        match self.reply_rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => panic::panic_any(ShutdownToken),
-        }
+    fn gate(&self) -> &Gate {
+        &self.shared.gates[self.pid.index()]
+    }
+
+    /// End the slice and keep stepping the scheduler on this thread;
+    /// `Some(now)` if this process's own resume came up first.
+    fn end_slice(&mut self, how: Yield) -> Option<SimTime> {
+        let mut core = self.shared.core.lock();
+        core.end_slice(self.pid, &mut self.outbox, how);
+        self.shared.drive(core, Some(self.pid))
+    }
+
+    /// End the slice; if the baton goes elsewhere, wait at the gate for it
+    /// to come back. A run that ends meanwhile (whoever detects it) never
+    /// returns into the body: the thread unwinds quietly at teardown.
+    fn yield_and_wait(&mut self, how: Yield) {
+        let resumed = self.end_slice(how).or_else(|| self.gate().wait());
+        self.now = resumed.unwrap_or_else(|| panic::panic_any(ShutdownToken));
     }
 }
 
 /// Extract a readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    #[test]
+    fn gate_ignores_stale_tokens_and_answers_shutdown_forever() {
+        let gate = Arc::new(Gate::default());
+        let ready = Arc::new(AtomicBool::new(false));
+        let (progress_tx, progress_rx) = mpsc::channel();
+        let (g, r) = (Arc::clone(&gate), Arc::clone(&ready));
+        let waiter = thread::spawn(move || {
+            // A stale token: the first `park` inside `wait` returns at
+            // once, with the gate still closed.
+            thread::current().unpark();
+            progress_tx.send(()).unwrap();
+            let first = g.wait();
+            assert!(r.load(Ordering::SeqCst), "wait returned before open");
+            progress_tx.send(()).unwrap();
+            // `open` may have left a token behind as well; the next wait
+            // must not mistake it for a second opening.
+            (first, g.wait(), g.wait())
+        });
+        gate.bind(waiter.thread().clone());
+        progress_rx.recv().unwrap();
+        waiter.thread().unpark(); // a spurious wake-up, gate still closed
+        ready.store(true, Ordering::SeqCst);
+        gate.open(SimTime::from_nanos(42));
+        progress_rx.recv().unwrap();
+        gate.shutdown();
+        let (first, second, third) = waiter.join().unwrap();
+        assert_eq!(first, Some(SimTime::from_nanos(42)));
+        assert_eq!((second, third), (None, None));
     }
 }

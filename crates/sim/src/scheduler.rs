@@ -1,17 +1,26 @@
-//! The virtual-time scheduler: owns the event queue and the process table,
-//! and executes exactly one thing (event or process slice) at a time.
+//! The virtual-time scheduler: one [`Core`] owning the event queue, the
+//! clock and the process table, stepped by whichever thread holds the
+//! baton, executing exactly one thing (event or process slice) at a time.
+//!
+//! There is no scheduler thread. `run()`'s caller takes the first steps;
+//! afterwards the process that ends a slice keeps stepping on its own
+//! stack: events fire inline, and when a `Resume(pid)` surfaces it either
+//! returns into its own body (no thread switch) or opens `pid`'s [`Gate`]
+//! and waits at its own (one switch). The core mutex is never contended:
+//! only the baton holder locks it, and unlocks before the next gate opens.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::thread::JoinHandle;
+use std::sync::Arc;
+use std::thread;
 use std::time::Instant;
 
-use crossbeam::channel::{self, Receiver, Sender};
 use nscc_obs::{Hub, SchedDelta, SpanKind};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::{DeadlockInfo, SimError};
-use crate::event::{Event, EventCtx, EventKind, QueueEntry};
-use crate::process::{panic_message, Ctx, Pid, ProcCall, Reply, ShutdownToken};
+use crate::event::{Event, EventCtx, EventKind, Queue};
+use crate::process::{Ctx, Gate, Pid, ShutdownToken, Yield};
 use crate::time::SimTime;
 
 /// Lifecycle state of a simulated process.
@@ -31,14 +40,13 @@ struct ProcSlot {
     name: String,
     daemon: bool,
     state: ProcState,
-    reply_tx: Sender<Reply>,
-    body: Option<Box<dyn FnOnce(&mut Ctx) + Send>>,
-    join: Option<JoinHandle<()>>,
     /// Virtual time this process last started a run slice.
     last_progress: SimTime,
     /// Depth probe registered by the current block, if any.
     probe: Option<Box<dyn Fn() -> usize + Send>>,
 }
+
+type Body = Box<dyn FnOnce(&mut Ctx) + Send>;
 
 /// Summary statistics for a completed simulation run.
 #[derive(Debug, Clone)]
@@ -65,43 +73,46 @@ pub struct SimReport {
 /// ```
 pub struct SimBuilder {
     seed: u64,
-    procs: Vec<ProcSlot>,
-    time_limit: SimTime,
-    event_limit: u64,
-    call_tx: Sender<(Pid, ProcCall)>,
-    call_rx: Receiver<(Pid, ProcCall)>,
-    ctxs: Vec<Option<Ctx>>,
-    obs: Option<Hub>,
     wall: Option<Hub>,
-    diag: Vec<Box<dyn Fn() -> Vec<String> + Send>>,
+    /// Process bodies by pid; each moves onto its thread in `run`.
+    bodies: Vec<Body>,
+    core: Core,
 }
 
 impl SimBuilder {
     /// Create a simulation whose randomness derives entirely from `seed`.
     pub fn new(seed: u64) -> Self {
-        let (call_tx, call_rx) = channel::unbounded();
-        SimBuilder {
-            seed,
+        let core = Core {
             procs: Vec::new(),
             time_limit: SimTime::MAX,
             event_limit: u64::MAX,
-            call_tx,
-            call_rx,
-            ctxs: Vec::new(),
             obs: None,
-            wall: None,
+            acct: None,
             diag: Vec::new(),
+            queue: Queue::default(),
+            now: SimTime::ZERO,
+            executed: 0,
+            live_nondaemons: 0,
+            wakes: Vec::new(),
+            outcome: None,
+        };
+        SimBuilder {
+            seed,
+            wall: None,
+            bodies: Vec::new(),
+            core,
         }
     }
 
     /// Register a deadlock breadcrumb probe: should the run wedge, `f` is
     /// invoked once and every line it returns is appended to the
     /// [`SimError::Deadlock`] report (and the flight ring, when armed).
-    /// Probes run on the scheduler thread after all processes stopped, so
-    /// they may freely lock shared state (e.g. a snapshot board) to report
-    /// open marker waves and per-channel in-flight recording depths.
+    /// Probes run on the thread holding the baton, with every other
+    /// process stopped at its gate, so they may freely lock shared state
+    /// (e.g. a snapshot board) to report open marker waves and per-channel
+    /// in-flight recording depths.
     pub fn deadlock_note(&mut self, f: impl Fn() -> Vec<String> + Send + 'static) -> &mut Self {
-        self.diag.push(Box::new(f));
+        self.core.diag.push(Box::new(f));
         self
     }
 
@@ -110,17 +121,17 @@ impl SimBuilder {
     /// per block/wake pair, and registers process names for trace exports.
     /// Detached (the default) costs one branch per scheduling decision.
     pub fn attach_obs(&mut self, hub: Hub) -> &mut Self {
-        self.obs = Some(hub);
+        self.core.obs = Some(hub);
         self
     }
 
     /// Attach wall-clock scheduler self-accounting: the event loop counts
-    /// entries executed, park/unpark transitions, and real (host-clock)
-    /// nanoseconds spent inside process slices vs. total, flushing
-    /// [`SchedDelta`] batches into `hub` (see `Hub::sched`). Unlike
-    /// [`attach_obs`](SimBuilder::attach_obs) this records **no** spans or
-    /// events, so it never perturbs deterministic report output — but its
-    /// numbers are real time and differ run to run, which is why callers
+    /// entries executed, park/unpark transitions, real thread hand-offs,
+    /// and real (host-clock) nanoseconds spent inside process slices vs.
+    /// total, flushing [`SchedDelta`] batches into `hub` (see `Hub::sched`).
+    /// Unlike [`attach_obs`](SimBuilder::attach_obs) this records **no**
+    /// spans or events, so it never perturbs deterministic report output —
+    /// but its times are real and differ run to run, which is why callers
     /// gate it on `Hub::wants_wall` rather than attaching unconditionally.
     /// Detached (the default) costs one `Option` check per entry.
     pub fn attach_wall(&mut self, hub: Hub) -> &mut Self {
@@ -131,14 +142,14 @@ impl SimBuilder {
     /// Abort the run with [`SimError::TimeLimitExceeded`] if virtual time
     /// passes `limit` (a safety net against livelock).
     pub fn time_limit(&mut self, limit: SimTime) -> &mut Self {
-        self.time_limit = limit;
+        self.core.time_limit = limit;
         self
     }
 
     /// Abort the run with [`SimError::EventLimitExceeded`] after `limit`
     /// queue entries (a safety net against runaway event loops).
     pub fn event_limit(&mut self, limit: u64) -> &mut Self {
-        self.event_limit = limit;
+        self.core.event_limit = limit;
         self
     }
 
@@ -160,355 +171,343 @@ impl SimBuilder {
         self.spawn_inner(name.into(), true, Box::new(body))
     }
 
-    fn spawn_inner(
-        &mut self,
-        name: String,
-        daemon: bool,
-        body: Box<dyn FnOnce(&mut Ctx) + Send>,
-    ) -> Pid {
-        let pid = Pid(self.procs.len() as u32);
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let ctx = Ctx::new(pid, self.seed, self.call_tx.clone(), reply_rx);
-        self.ctxs.push(Some(ctx));
-        self.procs.push(ProcSlot {
+    fn spawn_inner(&mut self, name: String, daemon: bool, body: Body) -> Pid {
+        let pid = Pid(self.bodies.len() as u32);
+        self.bodies.push(body);
+        self.core.procs.push(ProcSlot {
             name,
             daemon,
             state: ProcState::Runnable,
-            reply_tx,
-            body: Some(body),
-            join: None,
             last_progress: SimTime::ZERO,
             probe: None,
         });
+        self.core.live_nondaemons += usize::from(!daemon);
+        // The initial resume; spawn order is queue order.
+        self.core.queue.push(SimTime::ZERO, EventKind::Resume(pid));
         pid
     }
 
     /// Run the simulation to completion.
     ///
     /// Returns a [`SimReport`] when every non-daemon process finishes, or a
-    /// [`SimError`] on deadlock, process panic, or a safety cap.
+    /// [`SimError`] on deadlock, process panic, or a safety cap. A panic
+    /// inside an event closure is re-raised here, on the caller.
     pub fn run(mut self) -> Result<SimReport, SimError> {
         install_quiet_shutdown_hook();
-        if let Some(hub) = &self.obs {
-            for (i, slot) in self.procs.iter().enumerate() {
-                hub.set_proc_name(i as u32, slot.name.clone());
+        let names: Vec<String> = self.core.procs.iter().map(|p| p.name.clone()).collect();
+        if let Some(hub) = &self.core.obs {
+            for (i, name) in names.iter().enumerate() {
+                hub.set_proc_name(i as u32, name.clone());
             }
         }
-        // Start every process thread parked on its reply channel.
-        for (i, slot) in self.procs.iter_mut().enumerate() {
-            let body = slot.body.take().expect("process body consumed twice");
-            let mut ctx = self.ctxs[i].take().expect("process ctx consumed twice");
-            let call_tx = self.call_tx.clone();
-            let pid = Pid(i as u32);
-            let name = slot.name.clone();
-            slot.join = Some(
-                std::thread::Builder::new()
-                    .name(format!("sim-{}-{}", i, name))
-                    .spawn(move || {
-                        // Wait for the first Resume before running the body.
-                        match ctx_first_resume(&mut ctx) {
-                            Ok(()) => {}
-                            Err(()) => return, // shutdown before start
-                        }
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                            (body)(&mut ctx);
-                        }));
-                        match result {
-                            Ok(()) => {
-                                let _ = call_tx.send((pid, ProcCall::Done));
-                            }
-                            Err(payload) => {
-                                if payload.downcast_ref::<ShutdownToken>().is_none() {
-                                    let msg = panic_message(payload.as_ref());
-                                    let _ = call_tx.send((pid, ProcCall::Panicked(msg)));
-                                }
-                            }
-                        }
-                    })
-                    .expect("failed to spawn simulation thread"),
-            );
+        let shared = Arc::new(Shared {
+            core: Mutex::new(self.core),
+            gates: names.iter().map(|_| Gate::default()).collect(),
+            main: Gate::default(),
+        });
+        shared.main.bind(thread::current());
+        // Start every process thread waiting at its gate.
+        let mut joins = Vec::with_capacity(names.len());
+        for (i, (name, body)) in names.iter().zip(self.bodies).enumerate() {
+            let ctx = Ctx::new(Pid(i as u32), self.seed, Arc::clone(&shared));
+            let handle = thread::Builder::new()
+                .name(format!("sim-{i}-{name}"))
+                .spawn(move || ctx.run(body))
+                .expect("failed to spawn simulation thread");
+            shared.gates[i].bind(handle.thread().clone());
+            joins.push(handle);
         }
 
-        let result = self.event_loop();
+        // Take the first steps here, then wait for whichever thread ends
+        // the run to say so.
+        let mut core = shared.core.lock();
+        core.acct = self.wall.map(WallAcct::new);
+        shared.drive(core, None);
+        shared.main.wait();
 
-        // Tear down: drop reply senders so parked threads unwind, then join.
-        for slot in &mut self.procs {
-            let (dead_tx, _) = channel::unbounded();
-            slot.reply_tx = dead_tx; // drop the real sender
+        // Tear down: every gate now answers "shut down", so a thread
+        // waiting at one unwinds its body (or never starts it); then join.
+        shared.gates.iter().for_each(Gate::shutdown);
+        for handle in joins {
+            let _ = handle.join();
         }
-        for slot in &mut self.procs {
-            if let Some(handle) = slot.join.take() {
-                let _ = handle.join();
-            }
+        let outcome = shared.core.lock().outcome.take();
+        match outcome.expect("run ended without an outcome") {
+            Ok(result) => result,
+            Err(payload) => panic::resume_unwind(payload),
         }
-        result
     }
+}
 
-    fn event_loop(&mut self) -> Result<SimReport, SimError> {
-        let mut acct = self.wall.take().map(WallAcct::new);
-        let result = self.event_loop_inner(&mut acct);
-        if let Some(mut a) = acct {
+/// Everything the threads of one run share.
+pub(crate) struct Shared {
+    pub(crate) core: Mutex<Core>,
+    /// Where each process's thread waits for a slice, by pid.
+    pub(crate) gates: Box<[Gate]>,
+    /// Where `run()`'s caller waits for the outcome.
+    main: Gate,
+}
+
+impl Shared {
+    /// Step until a process must run or the run ends. `Some(now)`: `me`'s
+    /// own resume surfaced and it continues at `now` with no thread switch.
+    /// `None`: the baton went to another thread, or the run ended — the
+    /// guard is dropped before that gate opens, so nobody finds it locked.
+    pub(crate) fn drive(&self, mut core: MutexGuard<'_, Core>, me: Option<Pid>) -> Option<SimTime> {
+        loop {
+            let (gate, now) = match core.step() {
+                Step::Ran => continue,
+                Step::Resume(pid) if Some(pid) == me => return Some(core.now),
+                Step::Resume(pid) => {
+                    if let Some(a) = core.acct.as_mut() {
+                        a.handoffs += 1;
+                    }
+                    (&self.gates[pid.index()], core.now)
+                }
+                Step::Ended => (&self.main, core.now),
+            };
+            drop(core);
+            gate.open(now);
+            return None;
+        }
+    }
+}
+
+/// What [`Core::step`] did.
+pub(crate) enum Step {
+    /// An event fired (or a stale resume was skipped); step again.
+    Ran,
+    /// This process's slice starts now: its thread must run next.
+    Resume(Pid),
+    /// The run is over and its outcome recorded.
+    Ended,
+}
+
+/// The single stepper: queue, clock, process table, limits and hooks.
+pub(crate) struct Core {
+    procs: Vec<ProcSlot>,
+    time_limit: SimTime,
+    event_limit: u64,
+    obs: Option<Hub>,
+    acct: Option<WallAcct>,
+    diag: Vec<Box<dyn Fn() -> Vec<String> + Send>>,
+    queue: Queue,
+    now: SimTime,
+    executed: u64,
+    live_nondaemons: usize,
+    /// Processes the firing event woke, resumed in order once it returns.
+    wakes: Vec<Pid>,
+    /// The run's single outcome; `Err` carries an event closure's panic.
+    outcome: Option<thread::Result<Result<SimReport, SimError>>>,
+}
+
+impl Core {
+    /// Record the run's outcome and stop stepping.
+    fn end(&mut self, outcome: thread::Result<Result<SimReport, SimError>>) -> Step {
+        if let Some(a) = self.acct.as_mut() {
             a.flush();
         }
-        result
+        self.outcome = Some(outcome);
+        Step::Ended
     }
 
-    fn event_loop_inner(&mut self, acct: &mut Option<WallAcct>) -> Result<SimReport, SimError> {
-        let mut queue: BinaryHeap<QueueEntry> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut now = SimTime::ZERO;
-        let mut executed: u64 = 0;
-        let mut live_nondaemons = self.procs.iter().filter(|p| !p.daemon).count();
-
-        // Initial resume for every process, in spawn order.
-        for i in 0..self.procs.len() {
-            queue.push(QueueEntry {
-                time: SimTime::ZERO,
-                seq,
-                kind: EventKind::Resume(Pid(i as u32)),
-            });
-            seq += 1;
+    /// Execute one queue entry on the calling thread.
+    pub(crate) fn step(&mut self) -> Step {
+        if self.outcome.is_some() {
+            return Step::Ended;
+        }
+        if self.live_nondaemons == 0 {
+            return self.end(Ok(Ok(SimReport {
+                end_time: self.now,
+                events_executed: self.executed,
+                processes: self.procs.len(),
+            })));
+        }
+        let Some(entry) = self.queue.pop() else {
+            let deadlock = self.diagnose_deadlock();
+            return self.end(Ok(Err(deadlock)));
+        };
+        debug_assert!(entry.time >= self.now, "event queue went backwards in time");
+        let now = entry.time;
+        self.now = now;
+        self.executed += 1;
+        if let Some(a) = self.acct.as_mut() {
+            a.event();
+        }
+        if now > self.time_limit {
+            let limit = self.time_limit;
+            return self.end(Ok(Err(SimError::TimeLimitExceeded { limit })));
+        }
+        if self.executed > self.event_limit {
+            let limit = self.event_limit;
+            return self.end(Ok(Err(SimError::EventLimitExceeded { limit })));
         }
 
-        let mut pending: Vec<(SimTime, EventKind)> = Vec::new();
-        let mut wakes: Vec<Pid> = Vec::new();
-
-        loop {
-            if live_nondaemons == 0 {
-                return Ok(SimReport {
-                    end_time: now,
-                    events_executed: executed,
-                    processes: self.procs.len(),
-                });
-            }
-            let entry = match queue.pop() {
-                Some(e) => e,
-                None => {
-                    let blocked: Vec<DeadlockInfo> = self
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, p)| match &p.state {
-                            ProcState::Blocked { reason, since } if !p.daemon => {
-                                Some(DeadlockInfo {
-                                    pid: Pid(i as u32),
-                                    name: p.name.clone(),
-                                    reason: reason.clone(),
-                                    since: *since,
-                                    last_progress: p.last_progress,
-                                    mailbox_depth: p.probe.as_ref().map(|probe| probe()),
-                                })
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    let notes: Vec<String> =
-                        self.diag.iter().flat_map(|probe| probe()).collect();
-                    // Leave the diagnosis in the flight ring (a side
-                    // channel: never touches counters or the report) so a
-                    // post-mortem dump explains the hang per process.
-                    if let Some(hub) = &self.obs {
-                        if hub.flight_enabled() {
-                            hub.flight_note(nscc_obs::ObsEvent::Custom {
-                                t_ns: now.as_nanos(),
-                                label: format!("deadlock: {} process(es) blocked", blocked.len())
-                                    .into(),
-                            });
-                            for b in &blocked {
-                                hub.flight_note(nscc_obs::ObsEvent::Custom {
-                                    t_ns: now.as_nanos(),
-                                    label: format!(
-                                        "deadlock: pid {} ({}) blocked on {} since {} ns{}",
-                                        b.pid.0,
-                                        b.name,
-                                        b.reason,
-                                        b.since.as_nanos(),
-                                        match b.mailbox_depth {
-                                            Some(d) => format!(", mailbox depth {d}"),
-                                            None => String::new(),
-                                        }
-                                    )
-                                    .into(),
-                                });
-                            }
-                            for note in &notes {
-                                hub.flight_note(nscc_obs::ObsEvent::Custom {
-                                    t_ns: now.as_nanos(),
-                                    label: format!("deadlock: {note}").into(),
-                                });
-                            }
-                        }
-                    }
-                    return Err(SimError::Deadlock {
-                        at: now,
-                        blocked,
-                        notes,
-                    });
+        match entry.kind {
+            EventKind::Fire(Event(f)) => {
+                let mut ec = EventCtx {
+                    now,
+                    queue: &mut self.queue,
+                    wakes: &mut self.wakes,
+                };
+                // Caught where it fires: the payload is re-raised on
+                // `run()`'s caller, never charged to the baton holder.
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ec))) {
+                    return self.end(Err(payload));
                 }
+                self.resume_woken();
+                Step::Ran
+            }
+            EventKind::Resume(pid) => {
+                let slot = &mut self.procs[pid.index()];
+                match slot.state {
+                    ProcState::Runnable => {}
+                    // A wake raced with completion, or a stale resume:
+                    // skip quietly.
+                    ProcState::Done | ProcState::Blocked { .. } => return Step::Ran,
+                }
+                slot.last_progress = now;
+                if let Some(a) = self.acct.as_mut() {
+                    a.slice_start = Instant::now();
+                }
+                Step::Resume(pid)
+            }
+        }
+    }
+
+    /// The running process `pid` yields. What it scheduled during the
+    /// slice is queued first, in call order, then its own `Resume` — the
+    /// `seq` order a queue push per `schedule` call would have produced.
+    pub(crate) fn end_slice(
+        &mut self,
+        pid: Pid,
+        outbox: &mut Vec<(SimTime, EventKind)>,
+        how: Yield,
+    ) {
+        let now = self.now;
+        for (time, kind) in outbox.drain(..) {
+            self.queue.push(time, kind);
+        }
+        let mut parked = true;
+        match how {
+            Yield::Advance(d) => {
+                let until = now + d;
+                if let Some(hub) = &self.obs {
+                    let (t0, t1) = (now.as_nanos(), until.as_nanos());
+                    hub.span(pid.0, t0, t1, SpanKind::Compute, "run");
+                    let period = hub.profile_period();
+                    if period > 0 {
+                        hub.profile_add(pid.0, "compute", "", profile_samples(t0, t1, period));
+                    }
+                }
+                self.queue.push(until, EventKind::Resume(pid));
+            }
+            Yield::Block { reason, probe } => {
+                let slot = &mut self.procs[pid.index()];
+                slot.probe = probe;
+                slot.state = ProcState::Blocked { reason, since: now };
+            }
+            Yield::Done => {
+                let slot = &mut self.procs[pid.index()];
+                slot.state = ProcState::Done;
+                self.live_nondaemons -= usize::from(!slot.daemon);
+                parked = false;
+            }
+            Yield::Panicked(message) => {
+                let name = self.procs[pid.index()].name.clone();
+                self.end(Ok(Err(SimError::ProcessPanicked { pid, name, message })));
+                return;
+            }
+        }
+        if let Some(a) = self.acct.as_mut() {
+            a.slice(pid.0, parked);
+        }
+    }
+
+    /// Queue one `Resume` per blocked process the event that just fired
+    /// woke, in wake order (behind whatever the event itself scheduled).
+    fn resume_woken(&mut self) {
+        let now = self.now;
+        let mut wakes = std::mem::take(&mut self.wakes);
+        for w in wakes.drain(..) {
+            let slot = &mut self.procs[w.index()];
+            if !matches!(slot.state, ProcState::Blocked { .. }) {
+                continue;
+            }
+            slot.probe = None;
+            if let (ProcState::Blocked { reason, since }, Some(hub)) = (
+                std::mem::replace(&mut slot.state, ProcState::Runnable),
+                &self.obs,
+            ) {
+                let (t0, t1) = (since.as_nanos(), now.as_nanos());
+                let period = hub.profile_period();
+                if period > 0 && profile_samples(t0, t1, period) > 0 {
+                    // A layer that annotated the wait (e.g. a DSM
+                    // `Global_Read` naming its location) wins over the raw
+                    // blocking reason.
+                    let (phase, detail) = hub
+                        .phase_of(w.0)
+                        .unwrap_or_else(|| ("blocked".into(), reason.clone()));
+                    hub.profile_add(w.0, &phase, &detail, profile_samples(t0, t1, period));
+                }
+                hub.span(w.0, t0, t1, SpanKind::Blocked, reason);
+            }
+            self.queue.push(now, EventKind::Resume(w));
+        }
+        self.wakes = wakes; // keep the allocation
+    }
+
+    /// The queue ran dry with non-daemons alive: name every blocked
+    /// process and collect the registered breadcrumbs.
+    fn diagnose_deadlock(&self) -> SimError {
+        let now = self.now;
+        let blocked: Vec<DeadlockInfo> = self
+            .procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| match &p.state {
+                ProcState::Blocked { reason, since } if !p.daemon => Some(DeadlockInfo {
+                    pid: Pid(i as u32),
+                    name: p.name.clone(),
+                    reason: reason.clone(),
+                    since: *since,
+                    last_progress: p.last_progress,
+                    mailbox_depth: p.probe.as_ref().map(|probe| probe()),
+                }),
+                _ => None,
+            })
+            .collect();
+        let notes: Vec<String> = self.diag.iter().flat_map(|probe| probe()).collect();
+        // Leave the diagnosis in the flight ring (a side channel: never
+        // touches counters or the report) so a post-mortem dump explains
+        // the hang per process.
+        if let Some(hub) = self.obs.as_ref().filter(|hub| hub.flight_enabled()) {
+            let note = |label: String| {
+                hub.flight_note(nscc_obs::ObsEvent::Custom {
+                    t_ns: now.as_nanos(),
+                    label: label.into(),
+                });
             };
-            debug_assert!(entry.time >= now, "event queue went backwards in time");
-            now = entry.time;
-            executed += 1;
-            if let Some(a) = acct.as_mut() {
-                a.event();
+            note(format!("deadlock: {} process(es) blocked", blocked.len()));
+            for b in &blocked {
+                let depth = b.mailbox_depth.map(|d| format!(", mailbox depth {d}"));
+                note(format!(
+                    "deadlock: pid {} ({}) blocked on {} since {} ns{}",
+                    b.pid.0,
+                    b.name,
+                    b.reason,
+                    b.since.as_nanos(),
+                    depth.unwrap_or_default()
+                ));
             }
-            if now > self.time_limit {
-                return Err(SimError::TimeLimitExceeded {
-                    limit: self.time_limit,
-                });
+            for n in &notes {
+                note(format!("deadlock: {n}"));
             }
-            if executed > self.event_limit {
-                return Err(SimError::EventLimitExceeded {
-                    limit: self.event_limit,
-                });
-            }
-
-            match entry.kind {
-                EventKind::Fire(Event(f)) => {
-                    let mut ec = EventCtx {
-                        now,
-                        pending: &mut pending,
-                        wakes: &mut wakes,
-                    };
-                    f(&mut ec);
-                }
-                EventKind::Resume(pid) => {
-                    let slot = &mut self.procs[pid.index()];
-                    match slot.state {
-                        ProcState::Runnable => {}
-                        // A wake raced with completion, or a stale resume:
-                        // skip quietly.
-                        ProcState::Done | ProcState::Blocked { .. } => continue,
-                    }
-                    slot.last_progress = now;
-                    let slice_start = acct.as_ref().map(|_| Instant::now());
-                    let mut parked = false;
-                    if slot.reply_tx.send(Reply::Resume { now }).is_err() {
-                        // Thread died without reporting: treat as panic.
-                        return Err(SimError::ProcessPanicked {
-                            pid,
-                            name: slot.name.clone(),
-                            message: "process thread terminated unexpectedly".into(),
-                        });
-                    }
-                    // Serve the process until it yields control.
-                    loop {
-                        let (from, call) = match self.call_rx.recv() {
-                            Ok(c) => c,
-                            Err(_) => {
-                                unreachable!("call channel cannot close while we hold a sender")
-                            }
-                        };
-                        debug_assert_eq!(from, pid, "call from a process that is not running");
-                        match call {
-                            ProcCall::Advance(d) => {
-                                if let Some(hub) = &self.obs {
-                                    hub.span(
-                                        pid.0,
-                                        now.as_nanos(),
-                                        (now + d).as_nanos(),
-                                        SpanKind::Compute,
-                                        "run",
-                                    );
-                                    let period = hub.profile_period();
-                                    if period > 0 {
-                                        hub.profile_add(
-                                            pid.0,
-                                            "compute",
-                                            "",
-                                            profile_samples(
-                                                now.as_nanos(),
-                                                (now + d).as_nanos(),
-                                                period,
-                                            ),
-                                        );
-                                    }
-                                }
-                                pending.push((now + d, EventKind::Resume(pid)));
-                                parked = true;
-                                break;
-                            }
-                            ProcCall::Block { reason, probe } => {
-                                let slot = &mut self.procs[pid.index()];
-                                slot.probe = probe;
-                                slot.state = ProcState::Blocked { reason, since: now };
-                                parked = true;
-                                break;
-                            }
-                            ProcCall::Schedule { delay, event } => {
-                                pending.push((now + delay, EventKind::Fire(event)));
-                                let slot = &self.procs[pid.index()];
-                                if slot.reply_tx.send(Reply::Ack).is_err() {
-                                    return Err(SimError::ProcessPanicked {
-                                        pid,
-                                        name: slot.name.clone(),
-                                        message: "process thread terminated unexpectedly".into(),
-                                    });
-                                }
-                            }
-                            ProcCall::Done => {
-                                let slot = &mut self.procs[pid.index()];
-                                slot.state = ProcState::Done;
-                                if !slot.daemon {
-                                    live_nondaemons -= 1;
-                                }
-                                break;
-                            }
-                            ProcCall::Panicked(message) => {
-                                return Err(SimError::ProcessPanicked {
-                                    pid,
-                                    name: self.procs[pid.index()].name.clone(),
-                                    message,
-                                });
-                            }
-                        }
-                    }
-                    if let (Some(a), Some(t0)) = (acct.as_mut(), slice_start) {
-                        a.slice(pid.0, t0, parked);
-                    }
-                }
-            }
-
-            // Flush effects produced by the entry we just executed, in order.
-            for w in wakes.drain(..) {
-                let slot = &mut self.procs[w.index()];
-                if matches!(slot.state, ProcState::Blocked { .. }) {
-                    slot.probe = None;
-                    if let ProcState::Blocked { reason, since } =
-                        std::mem::replace(&mut slot.state, ProcState::Runnable)
-                    {
-                        if let Some(hub) = &self.obs {
-                            let period = hub.profile_period();
-                            if period > 0 {
-                                let samples =
-                                    profile_samples(since.as_nanos(), now.as_nanos(), period);
-                                if samples > 0 {
-                                    // A layer that annotated the wait (e.g.
-                                    // a DSM `Global_Read` naming its
-                                    // location) wins over the raw blocking
-                                    // reason.
-                                    let (phase, detail) = hub
-                                        .phase_of(w.0)
-                                        .unwrap_or_else(|| ("blocked".into(), reason.clone()));
-                                    hub.profile_add(w.0, &phase, &detail, samples);
-                                }
-                            }
-                            hub.span(
-                                w.0,
-                                since.as_nanos(),
-                                now.as_nanos(),
-                                SpanKind::Blocked,
-                                reason,
-                            );
-                        }
-                    }
-                    pending.push((now, EventKind::Resume(w)));
-                }
-            }
-            for (t, kind) in pending.drain(..) {
-                queue.push(QueueEntry { time: t, seq, kind });
-                seq += 1;
-            }
+        }
+        SimError::Deadlock {
+            at: now,
+            blocked,
+            notes,
         }
     }
 }
@@ -516,18 +515,24 @@ impl SimBuilder {
 /// Wall-clock self-accounting for the event loop, active only when a hub
 /// requested it via [`SimBuilder::attach_wall`]. Counts are batched
 /// locally and flushed into the hub as [`SchedDelta`]s every
-/// `FLUSH_EVERY` entries (and once at loop exit), so the steady-state
+/// `FLUSH_EVERY` entries (and once when the run ends), so the steady-state
 /// cost per entry is a handful of integer adds — the hub's atomics are
-/// touched ~once per 4096 events.
+/// touched ~once per 4096 events. `parks`/`unparks` are *logical*: a
+/// slice served and a slice ended by a yield, whether or not the OS
+/// thread actually changed; `handoffs` counts the resumes that did
+/// change it.
 struct WallAcct {
     hub: Hub,
     started: Instant,
+    /// When the slice now running was handed out.
+    slice_start: Instant,
     /// Wall ns already attributed to the hub by previous flushes.
     last_wall_flushed: u64,
     events: u64,
     since_flush: u64,
     parks: u64,
     unparks: u64,
+    handoffs: u64,
     exec_ns: u64,
     per_proc: BTreeMap<u32, (u64, u64)>,
     /// When each parked process re-parked, for park-duration sampling.
@@ -540,14 +545,17 @@ impl WallAcct {
     const FLUSH_EVERY: u64 = 4096;
 
     fn new(hub: Hub) -> WallAcct {
+        let started = Instant::now();
         WallAcct {
             hub,
-            started: Instant::now(),
+            started,
+            slice_start: started,
             last_wall_flushed: 0,
             events: 0,
             since_flush: 0,
             parks: 0,
             unparks: 0,
+            handoffs: 0,
             exec_ns: 0,
             per_proc: BTreeMap::new(),
             parked_at: BTreeMap::new(),
@@ -564,16 +572,15 @@ impl WallAcct {
         }
     }
 
-    /// One process slice served: `t0` is the real instant the scheduler
-    /// handed the thread its `Resume`; the slice ran until now. `parked`
-    /// is true when the slice ended with the thread re-parking on its
-    /// reply channel (advance/block) rather than exiting.
-    fn slice(&mut self, pid: u32, t0: Instant, parked: bool) {
-        let end = Instant::now();
+    /// One process slice served: it ran from `slice_start` (the real
+    /// instant its `Resume` surfaced) until now. `parked` is true when the
+    /// slice ended with the process yielding (advance/block) rather than
+    /// exiting.
+    fn slice(&mut self, pid: u32, parked: bool) {
+        let (t0, end) = (self.slice_start, Instant::now());
         let ns = end.saturating_duration_since(t0).as_nanos() as u64;
-        // The gap between this process's previous re-park and this
-        // slice's start is one park-duration sample: the hand-off tail
-        // the coroutine-scheduler rewrite must shrink.
+        // The gap between this process's previous yield and this slice's
+        // start is one park-duration sample: the hand-off tail.
         if let Some(p) = self.parked_at.remove(&pid) {
             self.park
                 .record(t0.saturating_duration_since(p).as_nanos() as u64);
@@ -599,6 +606,7 @@ impl WallAcct {
             events: std::mem::take(&mut self.events),
             parks: std::mem::take(&mut self.parks),
             unparks: std::mem::take(&mut self.unparks),
+            handoffs: std::mem::take(&mut self.handoffs),
             exec_ns: std::mem::take(&mut self.exec_ns),
             wall_ns,
             per_proc: std::mem::take(&mut self.per_proc)
@@ -616,11 +624,6 @@ impl WallAcct {
 /// same-seed runs produce byte-identical profiles.
 fn profile_samples(start_ns: u64, end_ns: u64, period: u64) -> u64 {
     (end_ns / period).saturating_sub(start_ns / period)
-}
-
-/// Park a fresh process thread until its first `Resume` arrives.
-fn ctx_first_resume(ctx: &mut Ctx) -> Result<(), ()> {
-    ctx.await_first_resume()
 }
 
 /// Teardown of daemon processes unwinds their threads with a

@@ -4,6 +4,9 @@
 # directory; workspace crates are compiled with plain rustc in dependency
 # order, and each crate's unit tests are built and run.
 #
+# The last step hands over to crates/perf/build-offline.sh (--test), which
+# builds the workspace again at opt-level 3 for the nscc-perf benchmark.
+#
 # This is NOT the real tier-1 build (`cargo build --release && cargo test
 # -q`) — criterion benches are skipped, proptest-based integration tests
 # run against a deterministic 3-samples-per-axis shim instead of a random
@@ -52,6 +55,8 @@ $RUSTC --crate-type rlib --crate-name serde tools/offline/serde_shim.rs \
 step stub parking_lot
 $RUSTC --crate-type rlib --crate-name parking_lot \
     tools/offline/parking_lot_shim.rs --out-dir "$OUT" || exit 1
+# Nothing in the workspace depends on crossbeam any more; the stub stays
+# because crates/perf/build-offline.sh (frozen) still compiles this shim.
 step stub crossbeam
 $RUSTC --crate-type rlib --crate-name crossbeam \
     tools/offline/crossbeam_shim.rs --out-dir "$OUT" || exit 1
@@ -64,7 +69,6 @@ $RUSTC --crate-type rlib --crate-name proptest tools/offline/proptest_shim.rs \
 
 EXT_SERDE="--extern serde=$OUT/libserde.rlib"
 EXT_PL="--extern parking_lot=$OUT/libparking_lot.rlib"
-EXT_CB="--extern crossbeam=$OUT/libcrossbeam.rlib"
 EXT_RAND="--extern rand=$OUT/librand.rlib"
 
 # build <crate> <src> <externs...>: rlib + unit-test binary (run).
@@ -125,7 +129,8 @@ E_ANALYZE="--extern nscc_analyze=$OUT/libnscc_analyze.rlib"
 build nscc_ckpt crates/ckpt/src/lib.rs
 build nscc_obs crates/obs/src/lib.rs $EXT_PL $EXT_SERDE $E_CKPT
 build nscc_audit crates/audit/src/lib.rs $EXT_PL $EXT_SERDE $E_OBS
-build nscc_sim crates/sim/src/lib.rs $EXT_CB $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
+build nscc_sim crates/sim/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
+itest nscc_sim crates/sim/tests/baton.rs $E_SIM
 build nscc_net crates/net/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM
 build nscc_faults crates/faults/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_SIM $E_NET
 build nscc_msg crates/msg/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_FAULTS
@@ -148,7 +153,7 @@ for t in tests/*.rs; do
     itest nscc "$t" $E_NSCC $E_PROPTEST $EXT_RAND
 done
 
-ALL="$EXT_PL $EXT_RAND $EXT_SERDE $EXT_CB $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH"
+ALL="$EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH"
 if want nscc_bench; then
     for b in crates/bench/src/bin/*.rs; do
         binary "bench-$(basename "$b" .rs)" "$b" $ALL
@@ -159,6 +164,15 @@ if want nscc_hunt; then
 fi
 if want nscc_analyze; then
     binary nscc-cli crates/analyze/src/bin/nscc.rs $E_ANALYZE $E_CKPT
+fi
+
+# nscc-perf builds optimised, in its own out-dir (a benchmark must not
+# measure unoptimised code); with tests on, its unit tests and smoke test run.
+if [ ${#ONLY[@]} -eq 0 ]; then
+    step "perf build-offline.sh"
+    perf_test=()
+    [ "$RUN_TESTS" = 1 ] && perf_test=(--test)
+    crates/perf/build-offline.sh "${perf_test[@]}" "$OUT/perf" >/dev/null || fail=1
 fi
 
 if [ "$fail" = 0 ]; then

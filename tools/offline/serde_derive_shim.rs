@@ -3,7 +3,8 @@
 //! A `#[derive(Serialize)]` that handles exactly the shapes this workspace
 //! uses — non-generic structs (named, tuple, unit) and enums (unit,
 //! newtype, tuple, struct variants), plus `#[serde(rename = "…")]` on
-//! fields and `#[serde(untagged)]` on enums of newtype variants. Anything
+//! fields, `#[serde(skip)]` on named struct fields and
+//! `#[serde(untagged)]` on enums of newtype variants. Anything
 //! else panics loudly at expansion time rather than miscompiling.
 
 extern crate proc_macro;
@@ -180,8 +181,9 @@ fn split_top_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Named field chunk → `(field_ident, serialized_key)`.
-fn parse_named_field(chunk: &[TokenTree]) -> (String, String) {
+/// Named field chunk → `(field_ident, serialized_key)`; `None` for a
+/// `#[serde(skip)]` field.
+fn parse_named_field(chunk: &[TokenTree]) -> Option<(String, String)> {
     let mut i = 0;
     let attrs = collect_attrs(chunk, &mut i);
     skip_visibility(chunk, &mut i);
@@ -190,8 +192,11 @@ fn parse_named_field(chunk: &[TokenTree]) -> (String, String) {
         Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
         other => panic!("offline serde derive: expected `:` after field, got {other:?}"),
     }
+    if attrs.iter().any(|a| a.replace(' ', "") == "[serde(skip)]") {
+        return None;
+    }
     let key = rename_of(&attrs).unwrap_or_else(|| field.clone());
-    (field, key)
+    Some((field, key))
 }
 
 fn gen_struct(name: &str, body: Option<&TokenTree>) -> String {
@@ -203,7 +208,7 @@ fn gen_struct(name: &str, body: Option<&TokenTree>) -> String {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
             let fields: Vec<(String, String)> = split_top_commas(g.stream())
                 .iter()
-                .map(|c| parse_named_field(c))
+                .filter_map(|c| parse_named_field(c))
                 .collect();
             let mut s = format!(
                 "let mut __state = __serializer.serialize_struct(\"{name}\", {})?;\n",
@@ -296,7 +301,7 @@ fn gen_enum(name: &str, body: Option<&TokenTree>, untagged: bool) -> String {
                 }
                 let fields: Vec<(String, String)> = split_top_commas(vg.stream())
                     .iter()
-                    .map(|c| parse_named_field(c))
+                    .map(|c| parse_named_field(c).expect("offline serde derive: skip in a variant"))
                     .collect();
                 let pat: Vec<String> = fields.iter().map(|(f, _)| f.clone()).collect();
                 let mut s = format!(
