@@ -147,9 +147,10 @@ pub struct ParallelBayesResult {
 struct IterRecord {
     /// Owned node values, owned-major (`owned_pos * block + s`).
     values: Vec<Value>,
-    /// Per incoming batch: `Some(batch values)` actually used, or `None`
-    /// when defaults were used.
-    used: HashMap<BatchId, Option<BatchValues>>,
+    /// Per incoming batch: `Some(batch values)` actually used (shared
+    /// with the DSM version window, never copied), or `None` when
+    /// defaults were used.
+    used: HashMap<BatchId, Option<Arc<BatchValues>>>,
     /// Outgoing batch values as last published.
     published: HashMap<BatchId, BatchValues>,
     /// Query-owner only: per sample, `Some(query value)` if the evidence
@@ -355,8 +356,8 @@ impl PartRuntime {
     fn changed_cells(
         &self,
         bid: BatchId,
-        used: &Option<BatchValues>,
-        current: &Option<BatchValues>,
+        used: &Option<Arc<BatchValues>>,
+        current: &Option<Arc<BatchValues>>,
     ) -> Vec<(usize, Vec<usize>)> {
         let block = self.cfg.block;
         let nodes = &self.plan.batches[bid].nodes;

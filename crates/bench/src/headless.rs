@@ -125,7 +125,10 @@ pub struct HeadlessOutcome {
 /// panics on a simulation error; the worst outcome is an
 /// [`HeadlessOutcome::sim_error`].
 pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
-    let hub = Hub::new();
+    // Only derived state is read back (the staleness summary, the audit
+    // tap), so the hub retains no raw events: a fuzzing trial must not
+    // hold a quarter-million `ObsEvent`s it never looks at.
+    let hub = Hub::with_event_capacity(0);
     // The hop tracer is free under fuzzing and turns every trial into a
     // conservation check: stage sums must equal observed ages exactly.
     hub.enable_staleness();

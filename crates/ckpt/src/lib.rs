@@ -31,6 +31,7 @@ pub mod store;
 pub mod wire;
 
 use std::fmt;
+use std::sync::Arc;
 
 pub use cut::{load_latest_cut, save_cut, CutFrame, GlobalCut};
 pub use store::{CkptKind, CkptStore, GenerationInfo};
@@ -220,6 +221,17 @@ impl<T: Snapshot> Snapshot for Option<T> {
     }
 }
 
+/// A shared value encodes as the value itself (no pointer identity is
+/// kept), so the same bytes come out whether a field is owned or shared.
+impl<T: Snapshot> Snapshot for Arc<T> {
+    fn encode(&self, enc: &mut Enc) {
+        T::encode(self, enc);
+    }
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        T::decode(dec).map(Arc::new)
+    }
+}
+
 impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
     fn encode(&self, enc: &mut Enc) {
         self.0.encode(enc);
@@ -304,6 +316,18 @@ mod tests {
         assert_eq!(back[0], (1, Some("a".into()), 0.5));
         assert!(back[1].1.is_none() && back[1].2.is_nan());
         assert_eq!(back[2].2.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn shared_values_encode_as_the_value() {
+        let owned: Vec<(u32, Vec<u64>)> = vec![(7, vec![1, 2, 3]), (9, Vec::new())];
+        let shared: Vec<(u32, Arc<Vec<u64>>)> = owned
+            .iter()
+            .map(|(k, v)| (*k, Arc::new(v.clone())))
+            .collect();
+        assert_eq!(to_bytes(&shared), to_bytes(&owned));
+        let back: Vec<(u32, Arc<Vec<u64>>)> = from_bytes(&to_bytes(&owned)).unwrap();
+        assert_eq!(back, shared);
     }
 
     #[test]

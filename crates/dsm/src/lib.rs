@@ -14,6 +14,14 @@
 //!   whole computation (program-level flow control): a blocked process
 //!   sends nothing, so runaway nodes cannot flood the network.
 //!
+//! **Ownership.** A written value is immutable and shared: `write` wraps it
+//! in an [`Arc`](std::sync::Arc) once, and every multicast copy, retransmit,
+//! cache entry, version-window slot and read result is that same `Arc<T>`.
+//! Readers that want to change a value mutate their own copy
+//! (`Arc::make_mut`, or clone the `T`). Only the checkpoint boundary
+//! ([`DsmNode::export_cache`] / [`DsmNode::restore_cache`]) deals in owned
+//! values.
+//!
 //! Three disciplines ([`Coherence`]) cover the paper's comparison points:
 //! synchronous (barrier per iteration), fully asynchronous (never block),
 //! and partially asynchronous (`Global_Read` with a chosen age).

@@ -14,7 +14,7 @@ use nscc_sim::{Ctx, SimTime};
 use crate::directory::{Directory, LocId};
 
 /// Wire messages exchanged by DSM nodes.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Serialize)]
 pub enum DsmMsg<T> {
     /// A new value of a shared location, stamped with the writer's
     /// iteration number ("age" in the paper's sense).
@@ -23,8 +23,10 @@ pub enum DsmMsg<T> {
         loc: LocId,
         /// The writer's iteration number when the value was generated.
         age: u64,
-        /// The value itself.
-        value: T,
+        /// The value itself: packed once by the writer and shared by every
+        /// copy of the message (multicast fan-out, retransmits) and every
+        /// cache it lands in. Serializes as a plain `T`.
+        value: Arc<T>,
     },
     /// Barrier protocol: a rank announcing it reached barrier `epoch`.
     BarrierArrive {
@@ -40,6 +42,23 @@ pub enum DsmMsg<T> {
     /// [`DsmWorld::spawn_heartbeats`](crate::DsmWorld::spawn_heartbeats)).
     /// Carries no data; receipt refreshes the sender's last-heard stamp.
     Heartbeat,
+}
+
+// Not derived: copying a message shares its value, so `T: Clone` is not
+// needed (and a derive would demand it).
+impl<T> Clone for DsmMsg<T> {
+    fn clone(&self) -> Self {
+        match self {
+            DsmMsg::Update { loc, age, value } => DsmMsg::Update {
+                loc: *loc,
+                age: *age,
+                value: Arc::clone(value),
+            },
+            DsmMsg::BarrierArrive { epoch } => DsmMsg::BarrierArrive { epoch: *epoch },
+            DsmMsg::BarrierRelease { epoch } => DsmMsg::BarrierRelease { epoch: *epoch },
+            DsmMsg::Heartbeat => DsmMsg::Heartbeat,
+        }
+    }
 }
 
 /// Per-node DSM counters, readable after a run via
@@ -143,8 +162,10 @@ pub struct Retired;
 pub struct ReadOutcome<T> {
     /// Iteration in which the returned value was generated.
     pub age: u64,
-    /// The value.
-    pub value: T,
+    /// The value, shared with the cache (and with every other reader of
+    /// the same update). Written values are immutable; to change one,
+    /// mutate a copy (`Arc::make_mut` or an explicit clone).
+    pub value: Arc<T>,
     /// Whether the read had to block.
     pub blocked: bool,
     /// How long it blocked (zero when served from cache).
@@ -168,13 +189,13 @@ impl<T> ReadOutcome<T> {
 
 /// One rank's DSM state. Move it into the rank's process closure; it is not
 /// shared (each node has exactly one owner process).
-pub struct DsmNode<T: Send + 'static> {
+pub struct DsmNode<T: Send + Sync + 'static> {
     rank: usize,
     ep: Endpoint<DsmMsg<T>>,
     dir: Arc<Directory>,
-    cache: HashMap<LocId, (u64, T)>,
+    cache: HashMap<LocId, (u64, Arc<T>)>,
     /// Per-location window of recent versions (only when `history > 0`).
-    versions: HashMap<LocId, std::collections::VecDeque<(u64, T)>>,
+    versions: HashMap<LocId, std::collections::VecDeque<(u64, Arc<T>)>>,
     /// How many past versions to retain per location.
     history: usize,
     /// Applied-update log (history mode only): rollback consumers drain it
@@ -216,21 +237,21 @@ pub struct DsmNode<T: Send + 'static> {
 
 /// In-progress marker-protocol recording for one cut (see
 /// [`DsmNode::snap_begin`]). The node keeps serving reads and writes
-/// throughout — recording is a copy on the apply path, never a pause.
+/// throughout — recording shares the applied value, it never pauses.
 struct SnapRec<T> {
     id: u64,
     /// Incoming channels whose closing marker has not arrived yet.
     open: HashSet<usize>,
     /// Updates recorded from open channels, in arrival order.
-    recorded: Vec<(LocId, u64, T)>,
+    recorded: Vec<(LocId, u64, Arc<T>)>,
 }
 
-impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
+impl<T: Serialize + Send + Sync + 'static> DsmNode<T> {
     pub(crate) fn new(
         rank: usize,
         ep: Endpoint<DsmMsg<T>>,
         dir: Arc<Directory>,
-        initial: HashMap<LocId, (u64, T)>,
+        initial: HashMap<LocId, (u64, Arc<T>)>,
         history: usize,
         shared_stats: Arc<Mutex<Vec<DsmStats>>>,
         obs: Option<Hub>,
@@ -283,7 +304,12 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     /// amortization the paper credits to Mermera (§2.1): multiple updates
     /// of one location collapse into a single message carrying the
     /// latest value.
+    ///
+    /// This is the one allocation a value costs: it is wrapped in an
+    /// `Arc` here and that same `Arc` travels in every copy of the update
+    /// and sits in every cache, version window and read result.
     pub fn write(&mut self, ctx: &mut Ctx, loc: LocId, value: T, iter: u64) {
+        let value = Arc::new(value);
         let meta = self.dir.meta(loc);
         assert_eq!(
             meta.writer, self.rank,
@@ -305,7 +331,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
         let due = *pending >= self.coalesce || iter == RETIRE_AGE;
         if due {
             *pending = 0;
-            let readers = meta.readers.clone();
+            let readers = &meta.readers;
             if !readers.is_empty() {
                 self.stats.updates_sent += readers.len() as u64;
                 // One pack, one wire frame on broadcast media (pvm_mcast).
@@ -314,11 +340,11 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                 // exists when a hub is attached.
                 self.ep.multicast_tagged(
                     ctx,
-                    &readers,
+                    readers,
                     DsmMsg::Update {
                         loc,
                         age: iter,
-                        value: value.clone(),
+                        value: Arc::clone(&value),
                     },
                     loc.0,
                     iter,
@@ -399,7 +425,13 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     /// value if it was generated no earlier than iteration
     /// `curr_iter − age` of the writer, else block until such a value
     /// arrives. Returns `(generation_age, value)`.
-    pub fn global_read(&mut self, ctx: &mut Ctx, loc: LocId, curr_iter: u64, age: u64) -> (u64, T) {
+    pub fn global_read(
+        &mut self,
+        ctx: &mut Ctx,
+        loc: LocId,
+        curr_iter: u64,
+        age: u64,
+    ) -> (u64, Arc<T>) {
         let out = self.global_read_ex(ctx, loc, curr_iter, age);
         (out.age, out.value)
     }
@@ -434,7 +466,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                 self.flush_stats();
                 return ReadOutcome {
                     age: *have,
-                    value: v.clone(),
+                    value: Arc::clone(v),
                     blocked: false,
                     block_time: SimTime::ZERO,
                     required,
@@ -487,7 +519,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                 self.flush_stats();
                 return ReadOutcome {
                     age: *have,
-                    value: v.clone(),
+                    value: Arc::clone(v),
                     blocked: false,
                     block_time: SimTime::ZERO,
                     required,
@@ -545,7 +577,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                             self.flush_stats();
                             return ReadOutcome {
                                 age: *have,
-                                value: v.clone(),
+                                value: Arc::clone(v),
                                 blocked: true,
                                 block_time,
                                 required,
@@ -571,7 +603,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                     self.stats.block_time += block_time;
                     let out = ReadOutcome {
                         age: *have,
-                        value: v.clone(),
+                        value: Arc::clone(v),
                         blocked: true,
                         block_time,
                         required,
@@ -664,14 +696,14 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     /// Fully asynchronous read: drain pending updates and return whatever
     /// the cache holds, never blocking. Panics if the location was never
     /// initialized (give every readable location an initial value).
-    pub fn read_relaxed(&mut self, ctx: &mut Ctx, loc: LocId) -> (u64, T) {
+    pub fn read_relaxed(&mut self, ctx: &mut Ctx, loc: LocId) -> (u64, Arc<T>) {
         self.drain(ctx);
         let (have, v) = self
             .cache
             .get(&loc)
             .unwrap_or_else(|| panic!("location `{}` has no value", self.dir.meta(loc).name));
         self.stats.cache_hits += 1;
-        let out = (*have, v.clone());
+        let out = (*have, Arc::clone(v));
         self.flush_stats();
         out
     }
@@ -683,7 +715,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
         loc: LocId,
         curr_iter: u64,
         mode: crate::Coherence,
-    ) -> (u64, T) {
+    ) -> (u64, Arc<T>) {
         match mode {
             crate::Coherence::FullyAsync => {
                 let (have, v) = self.read_relaxed(ctx, loc);
@@ -722,7 +754,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     /// in the retained window (requires a world built
     /// [`with_history`](crate::DsmWorld::with_history)). Non-blocking and
     /// local; drains nothing.
-    pub fn get_version(&self, loc: LocId, age: u64) -> Option<&T> {
+    pub fn get_version(&self, loc: LocId, age: u64) -> Option<&Arc<T>> {
         if let Some(w) = self.versions.get(&loc) {
             if let Some((_, v)) = w.iter().find(|(a, _)| *a == age) {
                 return Some(v);
@@ -738,7 +770,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     /// returning it — or [`Retired`] if the writer published its
     /// retirement sentinel instead. Used by the synchronous logic-sampling
     /// discipline, which needs per-iteration values.
-    pub fn wait_version(&mut self, ctx: &mut Ctx, loc: LocId, age: u64) -> Result<T, Retired> {
+    pub fn wait_version(&mut self, ctx: &mut Ctx, loc: LocId, age: u64) -> Result<Arc<T>, Retired> {
         self.drain(ctx);
         let entry = ctx.now();
         let mut waited = false;
@@ -949,8 +981,9 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     }
 
     /// Finish (or abandon) the recording, returning the in-flight updates
-    /// captured from then-open channels, in arrival order.
-    pub fn snap_finish(&mut self) -> Vec<(LocId, u64, T)> {
+    /// captured from then-open channels, in arrival order (each one the
+    /// very value that was applied, not a copy; it encodes as a plain `T`).
+    pub fn snap_finish(&mut self) -> Vec<(LocId, u64, Arc<T>)> {
         self.snap.take().map(|s| s.recorded).unwrap_or_default()
     }
 
@@ -966,18 +999,6 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
         self.obs.as_ref()
     }
 
-    /// Export the age-tagged cache, sorted by location for deterministic
-    /// encoding: the DSM half of a node checkpoint.
-    pub fn export_cache(&self) -> Vec<(LocId, u64, T)> {
-        let mut entries: Vec<(LocId, u64, T)> = self
-            .cache
-            .iter()
-            .map(|(loc, (age, v))| (*loc, *age, v.clone()))
-            .collect();
-        entries.sort_by_key(|(loc, _, _)| loc.0);
-        entries
-    }
-
     /// Restore cache entries from a checkpoint, replacing whatever is
     /// cached for those locations. In history mode the restored values
     /// also enter the version window, so exact-version readers stay
@@ -987,12 +1008,13 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
     /// makes recovery indistinguishable from staleness.
     pub fn restore_cache(&mut self, entries: Vec<(LocId, u64, T)>) {
         for (loc, age, value) in entries {
+            let value = Arc::new(value);
             if self.history > 0 {
                 let w = self.versions.entry(loc).or_default();
                 if let Some(slot) = w.iter_mut().find(|(a, _)| *a == age) {
-                    slot.1 = value.clone();
+                    slot.1 = Arc::clone(&value);
                 } else {
-                    w.push_back((age, value.clone()));
+                    w.push_back((age, Arc::clone(&value)));
                     while w.len() > self.history {
                         w.pop_front();
                     }
@@ -1023,7 +1045,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                 // node never stops serving for a snapshot.
                 if let Some(s) = &mut self.snap {
                     if s.open.contains(&env.src) {
-                        s.recorded.push((loc, age, value.clone()));
+                        s.recorded.push((loc, age, Arc::clone(&value)));
                     }
                 }
                 if self.history > 0 {
@@ -1034,9 +1056,9 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
                     self.update_log.push((loc, age));
                     let w = self.versions.entry(loc).or_default();
                     if let Some(slot) = w.iter_mut().find(|(a, _)| *a == age) {
-                        slot.1 = value.clone();
+                        slot.1 = Arc::clone(&value);
                     } else {
-                        w.push_back((age, value.clone()));
+                        w.push_back((age, Arc::clone(&value)));
                         while w.len() > self.history {
                             w.pop_front();
                         }
@@ -1086,6 +1108,21 @@ impl<T: Clone + Serialize + Send + 'static> DsmNode<T> {
 
     fn flush_stats(&self) {
         self.shared_stats.lock()[self.rank] = self.stats;
+    }
+}
+
+impl<T: Clone + Send + Sync + 'static> DsmNode<T> {
+    /// Export the age-tagged cache, sorted by location for deterministic
+    /// encoding: the DSM half of a node checkpoint. The one place the DSM
+    /// copies values out — a checkpoint owns its data (cold path).
+    pub fn export_cache(&self) -> Vec<(LocId, u64, T)> {
+        let mut entries: Vec<(LocId, u64, T)> = self
+            .cache
+            .iter()
+            .map(|(loc, (age, v))| (*loc, *age, T::clone(v)))
+            .collect();
+        entries.sort_by_key(|(loc, _, _)| loc.0);
+        entries
     }
 }
 

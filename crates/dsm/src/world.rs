@@ -19,10 +19,10 @@ use crate::node::{DsmMsg, DsmNode, DsmStats};
 ///
 /// Build it once, hand each rank its [`DsmNode`] via
 /// [`node`](DsmWorld::node), then read aggregate statistics after the run.
-pub struct DsmWorld<T: Send + 'static> {
+pub struct DsmWorld<T: Send + Sync + 'static> {
     comm: CommWorld<DsmMsg<T>>,
     dir: Arc<Directory>,
-    initial: HashMap<LocId, T>,
+    initial: HashMap<LocId, Arc<T>>,
     history: usize,
     coalesce: u64,
     read_timeout: Option<SimTime>,
@@ -31,7 +31,7 @@ pub struct DsmWorld<T: Send + 'static> {
     obs: Option<Hub>,
 }
 
-impl<T: Clone + Serialize + Send + 'static> DsmWorld<T> {
+impl<T: Serialize + Send + Sync + 'static> DsmWorld<T> {
     /// Create a world of `ranks` nodes over `net` with the given directory.
     pub fn new(net: Network, ranks: usize, cfg: MsgConfig, dir: Directory) -> Self {
         DsmWorld {
@@ -128,9 +128,10 @@ impl<T: Clone + Serialize + Send + 'static> DsmWorld<T> {
     }
 
     /// Seed `loc` with an initial value (age 0) in every cache that can see
-    /// it. Reads with a requirement of age ≥ 0 succeed immediately on it.
+    /// it (one shared copy). Reads with a requirement of age ≥ 0 succeed
+    /// immediately on it.
     pub fn set_initial(&mut self, loc: LocId, value: T) {
-        self.initial.insert(loc, value);
+        self.initial.insert(loc, Arc::new(value));
     }
 
     /// The static directory.
@@ -150,7 +151,7 @@ impl<T: Clone + Serialize + Send + 'static> DsmWorld<T> {
         for (loc, meta) in self.dir.iter() {
             if meta.writer == rank || meta.readers.contains(&rank) {
                 if let Some(v) = self.initial.get(&loc) {
-                    cache.insert(loc, (0u64, v.clone()));
+                    cache.insert(loc, (0u64, Arc::clone(v)));
                 }
             }
         }

@@ -36,7 +36,7 @@ fn fresh_enough_cache_is_an_ordinary_read() {
         ctx.advance(SimTime::from_millis(50));
         let t0 = ctx.now();
         let (age, v) = reader.global_read(ctx, loc, 1, 0);
-        assert_eq!((age, v), (1, 100));
+        assert_eq!((age, *v), (1, 100));
         // Satisfied from cache: no blocking beyond the recv CPU overhead.
         assert!(ctx.now() - t0 < SimTime::from_millis(1));
     });
@@ -66,7 +66,7 @@ fn read_blocks_until_acceptable_age_arrives() {
         // Needs age >= 3 immediately; writer reaches iteration 3 at ~30ms.
         let (age, v) = reader.global_read(ctx, loc, 3, 0);
         assert!(age >= 3, "returned age {age} violates the staleness bound");
-        assert_eq!(v, age * 100);
+        assert_eq!(*v, age * 100);
         assert!(ctx.now() >= SimTime::from_millis(30));
     });
     sim.run().unwrap();
@@ -86,7 +86,7 @@ fn age_zero_initial_value_satisfies_iteration_zero() {
     sim.spawn("reader", move |ctx| {
         // required = saturating(0 - 10) = 0 -> initial value acceptable.
         let (age, v) = reader.global_read(ctx, loc, 0, 10);
-        assert_eq!((age, v), (0, 7));
+        assert_eq!((age, *v), (0, 7));
     });
     sim.spawn("writer-idle", |_ctx| {});
     sim.run().unwrap();
@@ -252,7 +252,7 @@ fn sync_mode_matches_global_read_age_zero_values() {
                     node.write(ctx, my_loc, iter * 10, iter);
                     let (age, v) = node.read(ctx, peer_loc, iter, mode);
                     assert_eq!(age, iter, "{mode}: exact-iteration value required");
-                    assert_eq!(v, iter * 10);
+                    assert_eq!(*v, iter * 10);
                     if mode.uses_barrier() {
                         node.barrier(ctx, iter);
                     }
@@ -333,12 +333,12 @@ fn versioned_world_retains_and_serves_exact_versions() {
     sim.spawn("reader", move |ctx| {
         // Wait for a mid-stream version even after later ones arrive.
         let v = reader.wait_version(ctx, loc, 4).unwrap();
-        assert_eq!(v, 28);
+        assert_eq!(*v, 28);
         ctx.advance(SimTime::from_millis(100));
         // All ten versions remain available in the window.
         reader.drain(ctx);
         for iter in 1..=10u64 {
-            assert_eq!(reader.get_version(loc, iter), Some(&(iter * 7)));
+            assert_eq!(reader.get_version(loc, iter).map(|v| **v), Some(iter * 7));
         }
     });
     sim.run().unwrap();
@@ -368,8 +368,8 @@ fn corrections_replace_versions_in_place() {
     sim.spawn("reader", move |ctx| {
         ctx.advance(SimTime::from_millis(50));
         reader.drain(ctx);
-        assert_eq!(reader.get_version(loc, 1), Some(&11));
-        assert_eq!(reader.get_version(loc, 2), Some(&20));
+        assert_eq!(reader.get_version(loc, 1).map(|v| **v), Some(11));
+        assert_eq!(reader.get_version(loc, 2).map(|v| **v), Some(20));
         // Latest pointer still refers to the newest age.
         assert_eq!(reader.cached_age(loc), Some(2));
     });

@@ -32,7 +32,7 @@ fn silent_writer_degrades_read_to_cached_value() {
         // read must hand back the seeded value and say so.
         assert!(out.degraded);
         assert!(out.blocked);
-        assert_eq!((out.age, out.value), (0, 7));
+        assert_eq!((out.age, *out.value), (0, 7));
         assert_eq!(out.required, 4);
         assert!(ctx.now() >= SimTime::from_millis(20));
     });

@@ -84,10 +84,16 @@ impl Genome {
         assert!(point <= self.bits);
         let mut a = self.clone();
         let mut b = other.clone();
-        for i in point..self.bits {
-            let (sa, sb) = (self.get(i), other.get(i));
-            a.set(i, sb);
-            b.set(i, sa);
+        // Bits are LSB-first within a byte: the byte holding `point` keeps
+        // its low `point % 8` bits and swaps the rest; every later byte
+        // swaps whole. Padding is zero on both sides, so it stays zero.
+        let cut = point / 8;
+        if cut < self.bytes.len() {
+            let keep = (1u8 << (point % 8)) - 1;
+            a.bytes[cut] = (self.bytes[cut] & keep) | (other.bytes[cut] & !keep);
+            b.bytes[cut] = (other.bytes[cut] & keep) | (self.bytes[cut] & !keep);
+            a.bytes[cut + 1..].copy_from_slice(&other.bytes[cut + 1..]);
+            b.bytes[cut + 1..].copy_from_slice(&self.bytes[cut + 1..]);
         }
         (a, b)
     }
@@ -229,6 +235,24 @@ mod tests {
         for i in 0..10 {
             assert_eq!(c.get(i), i < 4);
             assert_eq!(d.get(i), i >= 4);
+        }
+    }
+
+    #[test]
+    fn crossover_matches_the_bit_by_bit_definition_at_every_point() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for bits in [1, 7, 8, 9, 30, 64, 100] {
+            let a = Genome::random(bits, &mut rng);
+            let b = Genome::random(bits, &mut rng);
+            for point in 0..=bits {
+                let (mut c, mut d) = (Genome::zeros(bits), Genome::zeros(bits));
+                for i in 0..bits {
+                    let (head, tail) = if i < point { (&a, &b) } else { (&b, &a) };
+                    c.set(i, head.get(i));
+                    d.set(i, tail.get(i));
+                }
+                assert_eq!(a.crossover(&b, point), (c, d), "{bits} bits at {point}");
+            }
         }
     }
 

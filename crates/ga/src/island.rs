@@ -1037,6 +1037,107 @@ mod tests {
         assert!(nscc_ckpt::unseal(&sealed).is_err());
     }
 
+    /// A migrant batch built without a single RNG draw (an LCG picks the
+    /// bits), so pinned bytes hold under any `rand` implementation.
+    fn fixed_batch(count: usize, salt: u64) -> MigrantBatch {
+        let func = TestFn::F1Sphere;
+        let mut x = salt;
+        (0..count)
+            .map(|_| {
+                let mut genome = crate::encoding::Genome::zeros(func.genome_bits());
+                for i in 0..genome.len() {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    genome.set(i, (x >> 33) & 1 == 1);
+                }
+                let fitness = crate::encoding::eval_genome(func, &genome);
+                Individual { genome, fitness }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checkpoint_bytes_match_the_by_value_dsm() {
+        // Rank 0 publishes, rank 1 caches the batch, then checkpoints as
+        // `run_island` does. Both digests were captured on the commit
+        // before DSM values became shared `Arc`s; the frame layout must
+        // not have moved.
+        let mut dir = Directory::new();
+        let locs = dir.add_per_rank("best", 2);
+        let mut world: DsmWorld<MigrantBatch> = DsmWorld::new(
+            Network::new(IdealMedium::new(SimTime::from_millis(1))),
+            2,
+            MsgConfig::default(),
+            dir,
+        );
+        for &l in &locs {
+            world.set_initial(l, Vec::new());
+        }
+        let (mut writer, mut reader) = (world.node(0), world.node(1));
+        let (peer, own) = (locs[0], locs[1]);
+        let digests = Arc::new(Mutex::new((0u64, 0u64)));
+        let sink = Arc::clone(&digests);
+        let mut sim = SimBuilder::new(0);
+        sim.spawn("writer", move |ctx| {
+            writer.write(ctx, peer, fixed_batch(25, 1), 3);
+        });
+        sim.spawn("reader", move |ctx| {
+            reader.write(ctx, own, fixed_batch(25, 2), 4);
+            let (age, _) = reader.global_read(ctx, peer, 3, 0);
+            assert_eq!(age, 3);
+            let cache = reader.export_cache();
+            let cache_digest = nscc_ckpt::fnv1a(&nscc_ckpt::to_bytes(&cache));
+            let pop = fixed_batch(50, 3);
+            let ck = IslandCkpt {
+                gen: 4,
+                reseed: 0xfeed,
+                deme: DemeState {
+                    best_ever: pop[7].clone(),
+                    pop,
+                    window: vec![9.5, 7.25],
+                    generation: 4,
+                    total_work: GenWork {
+                        evals: 130,
+                        cache_hits: 20,
+                        individuals: 150,
+                    },
+                },
+                last_incorporated: vec![3, 0],
+                best_seen: 0.25,
+                last_improvement: SimTime::from_millis(42),
+                time_to_target: Some(SimTime::from_millis(77)),
+                cache,
+            };
+            let sealed = nscc_ckpt::seal(&nscc_ckpt::to_bytes(&ck));
+            *sink.lock() = (cache_digest, nscc_ckpt::fnv1a(&sealed));
+        });
+        sim.run().unwrap();
+        let (cache_digest, frame_digest) = *digests.lock();
+        assert_eq!(
+            cache_digest, 2703879985682540472,
+            "export_cache() bytes moved"
+        );
+        assert_eq!(
+            frame_digest, 9835009931790374194,
+            "sealed IslandCkpt frame moved"
+        );
+    }
+
+    #[test]
+    fn update_wire_size_is_pinned() {
+        // 4 (variant tag) + 4 (loc) + 8 (age) + 4 (batch length) +
+        // 25 × (8 bits + 4 length + 4 genome bytes + 8 fitness): what
+        // `msg.payload_bytes` charges per migrant update. Sharing the value
+        // must not change what the wire model sees.
+        let msg = nscc_dsm::DsmMsg::Update {
+            loc: LocId(3),
+            age: 9,
+            value: Arc::new(fixed_batch(25, 1)),
+        };
+        assert_eq!(nscc_msg::wire_size(&msg), 620);
+    }
+
     #[test]
     fn convergence_board_counts() {
         let b = ConvergenceBoard::new(3);

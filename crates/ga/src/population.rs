@@ -259,14 +259,17 @@ impl Deme {
             .map(|i| (baseline - i.fitness).max(0.0))
             .collect();
         let total_weight: f64 = weights.iter().sum();
-        // Rank weights (best rank = n, worst = 1), lazily built.
-        let rank_order: Vec<usize> = {
+        let selection = self.params.selection;
+        // Rank weights (best rank = n, worst = 1): only rank selection
+        // reads them, so only rank selection pays for the sort.
+        let rank_order: Vec<usize> = if matches!(selection, Selection::Rank) {
             let mut idx: Vec<usize> = (0..self.pop.len()).collect();
             idx.sort_by(|&a, &b| self.pop[a].fitness.total_cmp(&self.pop[b].fitness));
             idx
+        } else {
+            Vec::new()
         };
 
-        let selection = self.params.selection;
         let pop_ref = &self.pop;
         let select = |rng: &mut StdRng| -> usize {
             match selection {

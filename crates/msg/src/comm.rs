@@ -252,6 +252,7 @@ impl<T: Send + 'static> CommWorld<T> {
         assert!(rank < self.ranks(), "rank {rank} out of range");
         Endpoint {
             rank,
+            peers: (0..self.ranks()).filter(|&d| d != rank).collect(),
             net: self.net.clone(),
             boxes: self.boxes.clone(),
             nodes: self.nodes.clone(),
@@ -279,6 +280,8 @@ impl<T: Send + 'static> CommWorld<T> {
 /// One rank's handle into a [`CommWorld`].
 pub struct Endpoint<T: Send + 'static> {
     rank: usize,
+    /// Every rank but this one, ascending: the broadcast destination list.
+    peers: Vec<usize>,
     net: Network,
     boxes: Vec<Mailbox<Envelope<T>>>,
     nodes: Vec<NodeId>,
@@ -292,6 +295,7 @@ impl<T: Send + 'static> Clone for Endpoint<T> {
     fn clone(&self) -> Self {
         Endpoint {
             rank: self.rank,
+            peers: self.peers.clone(),
             net: self.net.clone(),
             boxes: self.boxes.clone(),
             nodes: self.nodes.clone(),
@@ -490,8 +494,7 @@ impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
     /// sender-side CPU charge — `pvm_mcast` over a bus; elsewhere it
     /// falls back to unicast fan-out.
     pub fn broadcast(&self, ctx: &mut Ctx, payload: T) {
-        let dsts: Vec<usize> = (0..self.boxes.len()).filter(|&d| d != self.rank).collect();
-        self.multicast(ctx, &dsts, payload);
+        self.multicast(ctx, &self.peers, payload);
     }
 
     /// Send `payload` to the given ranks with a single sender-side pack

@@ -72,8 +72,10 @@
 //! sim.spawn("reader", move |ctx| {
 //!     for iter in 1..=20 {
 //!         ctx.advance(SimTime::from_millis(2)); // faster than the writer
-//!         let (age, _value) = reader.global_read(ctx, loc, iter, 3);
+//!         let (age, value) = reader.global_read(ctx, loc, iter, 3);
 //!         assert!(age + 3 >= iter, "Global_Read's staleness bound");
+//!         // Reads share the written value (`Arc<u64>` here), never copy it.
+//!         assert_eq!(*value, age * 100);
 //!     }
 //! });
 //! sim.run().unwrap();

@@ -137,6 +137,8 @@ build nscc_msg crates/msg/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
 build nscc_dsm crates/dsm/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG
 itest nscc_dsm crates/dsm/tests/global_read.rs $EXT_PL $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_dsm crates/dsm/tests/resilience.rs $E_DSM $E_MSG $E_NET $E_SIM
+itest nscc_dsm crates/dsm/tests/zero_copy.rs $EXT_SERDE $E_DSM $E_FAULTS $E_MSG $E_NET $E_SIM
+itest nscc_dsm crates/dsm/tests/alloc_budget.rs $E_DSM $E_MSG $E_NET $E_SIM
 build nscc_partition crates/partition/src/lib.rs $EXT_RAND
 build nscc_ga crates/ga/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_SIM $E_NET $E_MSG $E_DSM
 build nscc_bayes crates/bayes/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG $E_DSM $E_PART
