@@ -14,7 +14,8 @@
 //! * [`run_parallel_inference`] — parallel logic sampling over the DSM in
 //!   three disciplines: synchronous, fully asynchronous with rollback
 //!   (anti-message corrections + counter-based reproducible draws), and
-//!   partially asynchronous (`Global_Read`-throttled speculation).
+//!   partially asynchronous (`Global_Read`-throttled speculation);
+//!   [`run_planned_inference`] is the same over a [`Plan`] built once.
 
 #![warn(missing_docs)]
 
@@ -23,6 +24,7 @@ mod exact;
 mod examples;
 mod gen;
 mod gibbs;
+mod index;
 mod network;
 mod parallel;
 mod plan;
@@ -36,8 +38,8 @@ pub use gen::{hailfinder_like, random_network, RandomNetConfig, Table2Net, TABLE
 pub use gibbs::{gibbs_inference, GibbsResult};
 pub use network::{binary_node, binary_root, BeliefNetwork, Node, NodeIdx, Value};
 pub use parallel::{
-    run_parallel_inference, BatchValues, BayesPartStats, ParallelBayesConfig, ParallelBayesResult,
-    RollbackPolicy,
+    run_parallel_inference, run_planned_inference, BatchValues, BayesPartStats,
+    ParallelBayesConfig, ParallelBayesResult, RollbackPolicy,
 };
 pub use plan::{Batch, BatchId, Plan, RoundPlan};
 pub use sampling::{

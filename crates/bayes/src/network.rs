@@ -129,26 +129,31 @@ impl BeliefNetwork {
     /// The CPT row (distribution over `idx`'s values) selected by the
     /// given full assignment of values to all nodes.
     pub fn cpt_row<'a>(&'a self, idx: NodeIdx, assignment: &[Value]) -> &'a [f64] {
-        let node = &self.nodes[idx];
         let mut combo = 0usize;
-        for &p in &node.parents {
+        for &p in &self.nodes[idx].parents {
             combo = combo * self.nodes[p].arity + assignment[p] as usize;
         }
+        self.cpt_row_at(idx, combo)
+    }
+
+    /// The CPT row of `idx` for parent-value combination `combo` (the
+    /// mixed-radix index [`Node`] documents), for callers that gather the
+    /// parent values themselves.
+    pub fn cpt_row_at(&self, idx: NodeIdx, combo: usize) -> &[f64] {
+        let node = &self.nodes[idx];
         &node.cpt[combo * node.arity..(combo + 1) * node.arity]
     }
 
     /// Sample a value for `idx` given `assignment` (parents must already
     /// be assigned) using the uniform draw `u ∈ [0,1)`.
     pub fn sample_node(&self, idx: NodeIdx, assignment: &[Value], u: f64) -> Value {
-        let row = self.cpt_row(idx, assignment);
-        let mut acc = 0.0;
-        for (v, &p) in row.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                return v as Value;
-            }
-        }
-        (row.len() - 1) as Value
+        inverse_cdf(self.cpt_row(idx, assignment), u)
+    }
+
+    /// [`sample_node`](Self::sample_node) for a precomputed parent
+    /// combination (see [`cpt_row_at`](Self::cpt_row_at)).
+    pub fn sample_combo(&self, idx: NodeIdx, combo: usize, u: f64) -> Value {
+        inverse_cdf(self.cpt_row_at(idx, combo), u)
     }
 
     /// The undirected skeleton (for graph partitioning).
@@ -179,6 +184,19 @@ impl BeliefNetwork {
         }
         defaults
     }
+}
+
+/// The first value whose cumulative probability exceeds `u` (the last one
+/// if rounding leaves the row's sum below `u`).
+fn inverse_cdf(row: &[f64], u: f64) -> Value {
+    let mut acc = 0.0;
+    for (v, &p) in row.iter().enumerate() {
+        acc += p;
+        if u < acc {
+            return v as Value;
+        }
+    }
+    (row.len() - 1) as Value
 }
 
 /// Helper: pad a prefix assignment out to `n` entries (CPT lookup only
@@ -325,6 +343,11 @@ mod tests {
             },
         ]);
         assert_eq!(net.cpt_row(1, &[2, 0]), &[0.1, 0.9]);
+        assert_eq!(net.cpt_row_at(1, 2), net.cpt_row(1, &[2, 0]));
+        assert_eq!(
+            net.sample_combo(1, 2, 0.05),
+            net.sample_node(1, &[2, 0], 0.05)
+        );
         assert_eq!(net.sample_node(0, &[0, 0], 0.45), 1);
     }
 }

@@ -15,21 +15,31 @@
 //! batch under its original age, which is the collapsed form of a
 //! TimeWarp anti-message + replacement message pair; receivers diff
 //! corrected batches against what they *used* and roll back in turn.
+//!
+//! **Layout.** The hot loop touches dense arrays only: the per-rank
+//! `PartIndex` (`index.rs`) resolves nodes to owned positions and batches
+//! to slots once per run, iteration records live in a deque of consecutive
+//! iterations, and a fresh round and a rollback share one sampling loop and
+//! one tally loop (`IterRecord::sample_columns` / `tally_columns`). See
+//! DESIGN.md §3, "Parallel logic sampling".
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nscc_dsm::{Coherence, Directory, DsmNode, DsmStats, DsmWorld, LocId, Retired};
+use nscc_dsm::{Coherence, Directory, DsmNode, DsmStats, DsmWorld};
 use nscc_msg::MsgConfig;
 use nscc_net::Network;
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, SimBuilder, SimError, SimTime};
 
 use crate::cost::BayesCost;
+use crate::index::{PartIndex, Src, NONE};
 use crate::network::{BeliefNetwork, Value};
-use crate::plan::{BatchId, Plan};
+use crate::plan::Plan;
 use crate::sampling::{node_draw, Query, StopRule, Tally};
 
 /// Wire payload: a block of values for one batch (node-major:
@@ -145,368 +155,307 @@ pub struct ParallelBayesResult {
 
 /// One iteration record retained for rollback.
 struct IterRecord {
-    /// Owned node values, owned-major (`owned_pos * block + s`).
+    iter: u64,
+    /// Owned node values, position-major (`pos * block + s`).
     values: Vec<Value>,
-    /// Per incoming batch: `Some(batch values)` actually used (shared
-    /// with the DSM version window, never copied), or `None` when
-    /// defaults were used.
-    used: HashMap<BatchId, Option<Arc<BatchValues>>>,
-    /// Outgoing batch values as last published.
-    published: HashMap<BatchId, BatchValues>,
+    /// Per in-slot: `None` until the record first reads that batch, then
+    /// what it read the DSM window to hold at that moment — the batch
+    /// (shared with the window, never copied) or `None` for defaults.
+    used: Vec<Option<Option<Arc<BatchValues>>>>,
+    /// Per out-slot: the batch as last published (empty before that).
+    published: Vec<BatchValues>,
     /// Query-owner only: per sample, `Some(query value)` if the evidence
     /// matched (accepted), else `None`.
     contribution: Vec<Option<Value>>,
 }
 
-/// Everything one partition's process needs.
+impl IterRecord {
+    /// Value of input `src` in column `s`. A remote batch is fetched from
+    /// the DSM window at its first use by this record and reused
+    /// thereafter; every lookup that falls back to the default counts as
+    /// a default use.
+    fn input(
+        &mut self,
+        idx: &PartIndex,
+        node: &DsmNode<BatchValues>,
+        src: Src,
+        s: usize,
+        default_uses: &mut u64,
+    ) -> Value {
+        match src {
+            Src::Owned(pos) => self.values[pos * idx.block + s],
+            Src::Remote { slot, row, default } => {
+                let fetch = || node.get_version(idx.ins[slot].loc, self.iter).cloned();
+                match self.used[slot].get_or_insert_with(fetch) {
+                    Some(vals) => vals[row * idx.block + s],
+                    None => {
+                        *default_uses += 1;
+                        default
+                    }
+                }
+            }
+        }
+    }
+
+    /// (Re)sample the owned `nodes` (positions, topological order) for
+    /// columns `cols`. The one sampling loop: a round of a fresh iteration
+    /// and a rollback differ only in the nodes and columns they pass.
+    /// Node-major, so one CPT and one parent list stay hot; draws are
+    /// counter-based and nothing yields in here, so the order is
+    /// unobservable.
+    fn sample_columns(
+        &mut self,
+        idx: &PartIndex,
+        node: &DsmNode<BatchValues>,
+        nodes: &[usize],
+        cols: Range<usize>,
+        default_uses: &mut u64,
+    ) {
+        let first_sample = (self.iter - 1) * idx.block as u64 + 1;
+        for &pos in nodes {
+            let v = idx.owned[pos];
+            for s in cols.clone() {
+                let mut combo = 0;
+                for &(src, arity) in &idx.inputs[pos] {
+                    combo = combo * arity + self.input(idx, node, src, s, default_uses) as usize;
+                }
+                let u01 = node_draw(idx.seed, v, first_sample + s as u64);
+                self.values[pos * idx.block + s] = idx.net.sample_combo(v, combo, u01);
+            }
+        }
+    }
+
+    /// Refresh the tally contribution of columns `cols` at the query
+    /// owner: subtract the old contribution, add the new (the anti-sample
+    /// side of rollback; a fresh record has no old one).
+    fn tally_columns(
+        &mut self,
+        idx: &PartIndex,
+        node: &DsmNode<BatchValues>,
+        cols: Range<usize>,
+        tally: &mut Tally,
+        default_uses: &mut u64,
+    ) {
+        let Some((evidence, query)) = &idx.query else {
+            return;
+        };
+        for s in cols {
+            let accepted = evidence
+                .iter()
+                .all(|&(e, want)| self.input(idx, node, e, s, default_uses) == want);
+            let new = accepted.then(|| self.input(idx, node, *query, s, default_uses));
+            let old = std::mem::replace(&mut self.contribution[s], new);
+            if let Some(v) = old {
+                tally.counts[v as usize] -= 1;
+            }
+            if let Some(v) = new {
+                tally.counts[v as usize] += 1;
+            }
+        }
+    }
+
+    /// Gather outgoing batch `slot` into `scratch`; if it differs from
+    /// what the record last published (always, for a fresh record) note
+    /// it as published and return the payload to write.
+    fn publish(
+        &mut self,
+        idx: &PartIndex,
+        slot: usize,
+        scratch: &mut BatchValues,
+    ) -> Option<BatchValues> {
+        scratch.clear();
+        for &pos in &idx.outs[slot].rows {
+            scratch.extend_from_slice(&self.values[pos * idx.block..(pos + 1) * idx.block]);
+        }
+        (self.published[slot] != *scratch).then(|| {
+            self.published[slot].clone_from(scratch);
+            scratch.clone()
+        })
+    }
+}
+
+/// Changed cells of in-batch `slot` at iteration `age`: every
+/// `(age, column, input)` whose *effective* value (actual-or-default)
+/// differs between what the record `used` and what the DSM window holds
+/// `now`, appended to `dirty`.
+fn changed_cells(
+    idx: &PartIndex,
+    (slot, age): (usize, u64),
+    used: Option<&BatchValues>,
+    now: Option<&BatchValues>,
+    dirty: &mut Vec<(u64, usize, usize)>,
+) {
+    let batch = &idx.ins[slot];
+    for (row, &default) in batch.defaults.iter().enumerate() {
+        let at = |vals: Option<&BatchValues>, s| vals.map_or(default, |v| v[row * idx.block + s]);
+        let changed = (0..idx.block).filter(|&s| at(used, s) != at(now, s));
+        dirty.extend(changed.map(|s| (age, s, batch.first_input + row)));
+    }
+}
+
+/// Everything one partition's process mutates (its `PartIndex` travels
+/// beside it, read-only).
 struct PartRuntime {
-    rank: usize,
-    net: Arc<BeliefNetwork>,
-    plan: Arc<Plan>,
-    query: Arc<Query>,
     cfg: ParallelBayesConfig,
-    /// Owned nodes in topological order and their dense positions.
-    owned: Vec<usize>,
-    owned_pos: HashMap<usize, usize>,
-    /// LocId of each batch (index = BatchId) and each heartbeat.
-    batch_locs: Arc<Vec<LocId>>,
-    hb_locs: Arc<Vec<LocId>>,
-    records: BTreeMap<u64, IterRecord>,
+    /// The rollback window: consecutive iterations, oldest first.
+    records: VecDeque<IterRecord>,
+    /// Evicted records, kept for their buffers.
+    spare: Vec<IterRecord>,
     tally: Tally,
     stats: BayesPartStats,
-    /// Shared stop flag (set by the query owner when the CI rule fires).
-    stop_flag: Arc<Mutex<bool>>,
-    /// True when some peer receives no batch traffic from this partition
-    /// and therefore needs explicit heartbeats.
-    hb_needed: bool,
+    /// Shared stop flag: the query owner's `Release` store when the CI
+    /// rule fires pairs with every partition's `Acquire` load at the top
+    /// of its loop.
+    stop_flag: Arc<AtomicBool>,
+    /// Scratch: `(iteration, column, remote input)` cells whose effective
+    /// value changed, the positions one such column must resample, and
+    /// the batch being gathered.
+    dirty: Vec<(u64, usize, usize)>,
+    nodes: Vec<usize>,
+    batch: BatchValues,
 }
 
 impl PartRuntime {
-    /// The location whose age tracks peer `q`'s progress: its first batch
-    /// to us if any (updates double as heartbeats), else its heartbeat.
-    fn throttle_loc(&self, q: usize) -> LocId {
-        self.plan
-            .batches
-            .iter()
-            .enumerate()
-            .find(|(_, b)| b.src == q && b.dst == self.rank)
-            .map(|(bid, _)| self.batch_locs[bid])
-            .unwrap_or(self.hb_locs[q])
-    }
-    fn in_batches(&self) -> impl Iterator<Item = BatchId> + '_ {
-        (0..self.plan.batches.len()).filter(move |&b| self.plan.batches[b].dst == self.rank)
-    }
-
-    fn out_batches(&self) -> impl Iterator<Item = BatchId> + '_ {
-        (0..self.plan.batches.len()).filter(move |&b| self.plan.batches[b].src == self.rank)
-    }
-
-    /// Value of node `u` for sample `s` of iteration `iter`, resolving
-    /// remote nodes through the given record's `used` map (fetching from
-    /// the DSM window on first use).
-    fn lookup(&mut self, node: &DsmNode<BatchValues>, iter: u64, s: usize, u: usize) -> Value {
-        if let Some(&pos) = self.owned_pos.get(&u) {
-            let rec = self
-                .records
-                .get(&iter)
-                .expect("record exists during compute");
-            return rec.values[pos * self.cfg.block + s];
-        }
-        let (bid, idx) = self.plan.value_index[self.rank][&u];
-        let loc = self.batch_locs[bid];
-        let block = self.cfg.block;
-        let rec = self
-            .records
-            .get_mut(&iter)
-            .expect("record exists during compute");
-        let used = rec
-            .used
-            .entry(bid)
-            .or_insert_with(|| node.get_version(loc, iter).cloned());
-        match used {
-            Some(vals) => vals[idx * block + s],
-            None => {
-                self.stats.default_uses += 1;
-                self.plan.defaults[u]
-            }
-        }
-    }
-
-    /// (Re)compute the given sample columns of iteration `iter`: refresh
-    /// remote inputs when `refetch`, resample owned nodes for those
-    /// columns — all of them, or only the per-column `affected` dependent
-    /// sets — refresh their tally contribution, and return the outgoing
-    /// batches whose content changed. The caller charges CPU for the
-    /// node×sample resamples it requested.
-    fn recompute_samples(
-        &mut self,
-        node: &DsmNode<BatchValues>,
-        iter: u64,
-        samples: &[usize],
-        refetch: bool,
-        affected: Option<&BTreeMap<usize, Vec<usize>>>,
-    ) -> Vec<(BatchId, BatchValues)> {
-        let block = self.cfg.block;
-        let owned_len = self.owned.len();
-        if !self.records.contains_key(&iter) {
-            self.records.insert(
+    /// Open the record of iteration `iter` (the one after the newest).
+    fn begin_iteration(&mut self, idx: &PartIndex, iter: u64) {
+        if let Some(newest) = self.records.back() {
+            assert_eq!(
+                newest.iter + 1,
                 iter,
-                IterRecord {
-                    values: vec![0; owned_len * block],
-                    used: HashMap::new(),
-                    published: HashMap::new(),
-                    contribution: vec![None; block],
-                },
+                "the window holds consecutive iterations"
             );
-        } else if refetch {
-            // Rollback: refresh every remote input from the DSM window.
-            let bids: Vec<BatchId> = self.in_batches().collect();
-            let rec = self.records.get_mut(&iter).expect("just checked");
-            rec.used.clear();
-            for bid in bids {
-                let v = node.get_version(self.batch_locs[bid], iter).cloned();
-                rec.used.insert(bid, v);
-            }
         }
-
-        // Resample owned nodes in topological order for the given columns
-        // (dependent subsets are precomputed in topological order too).
-        let owned = self.owned.clone();
-        for &s in samples {
-            let nodes: &[usize] = match affected {
-                Some(map) => map.get(&s).map(|v| v.as_slice()).unwrap_or(&owned),
-                None => &owned,
-            };
-            let sample_index = (iter - 1) * block as u64 + s as u64 + 1;
-            for &v in nodes.to_vec().iter() {
-                // Gather parent values into a scratch assignment.
-                let parents = self.net.node(v).parents.clone();
-                let mut asg = vec![0u8; self.net.len()];
-                for &u in &parents {
-                    asg[u] = self.lookup(node, iter, s, u);
-                }
-                let u01 = node_draw(self.cfg.sample_seed, v, sample_index);
-                let val = self.net.sample_node(v, &asg, u01);
-                let pos = self.owned_pos[&v];
-                let rec = self.records.get_mut(&iter).expect("record exists");
-                rec.values[pos * block + s] = val;
-            }
-        }
-
-        // Tally at the query owner: subtract the old contribution, add
-        // the new (the anti-sample side of rollback).
-        if self.rank == self.plan.query_owner {
-            let evidence = self.query.evidence.clone();
-            let qnode = self.query.node;
-            for &s in samples {
-                let mut ok = true;
-                for &(e, want) in &evidence {
-                    if self.lookup(node, iter, s, e) != want {
-                        ok = false;
-                        break;
-                    }
-                }
-                let new_c = if ok {
-                    Some(self.lookup(node, iter, s, qnode))
-                } else {
-                    None
-                };
-                let rec = self.records.get_mut(&iter).expect("record exists");
-                let old_c = std::mem::replace(&mut rec.contribution[s], new_c);
-                if let Some(v) = old_c {
-                    self.tally.counts[v as usize] -= 1;
-                }
-                if let Some(v) = new_c {
-                    self.tally.counts[v as usize] += 1;
-                }
-            }
-        }
-
-        // Detect changed outgoing batches.
-        let mut changed = Vec::new();
-        let out: Vec<BatchId> = self.out_batches().collect();
-        for bid in out {
-            let vals = self.collect_batch(bid, iter);
-            let rec = self.records.get_mut(&iter).expect("record exists");
-            if rec.published.get(&bid) != Some(&vals) {
-                rec.published.insert(bid, vals.clone());
-                changed.push((bid, vals));
-            }
-        }
-        changed
-    }
-
-    /// Gather the current values of an outgoing batch from the record.
-    fn collect_batch(&self, bid: BatchId, iter: u64) -> BatchValues {
-        let block = self.cfg.block;
-        let rec = self.records.get(&iter).expect("record exists");
-        let b = &self.plan.batches[bid];
-        let mut vals = Vec::with_capacity(b.nodes.len() * block);
-        for &u in &b.nodes {
-            let pos = self.owned_pos[&u];
-            vals.extend_from_slice(&rec.values[pos * block..(pos + 1) * block]);
-        }
-        vals
-    }
-
-    /// Changed cells of batch `bid` at iteration `age`: for each sample
-    /// column whose *effective* value (actual-or-default per node) differs
-    /// between what the record used and what the DSM window now holds,
-    /// the set of input nodes that changed.
-    fn changed_cells(
-        &self,
-        bid: BatchId,
-        used: &Option<Arc<BatchValues>>,
-        current: &Option<Arc<BatchValues>>,
-    ) -> Vec<(usize, Vec<usize>)> {
-        let block = self.cfg.block;
-        let nodes = &self.plan.batches[bid].nodes;
-        (0..block)
-            .filter_map(|s| {
-                let changed: Vec<usize> = nodes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(idx, &u)| {
-                        let uv = used
-                            .as_ref()
-                            .map(|v| v[idx * block + s])
-                            .unwrap_or(self.plan.defaults[u]);
-                        let cv = current
-                            .as_ref()
-                            .map(|v| v[idx * block + s])
-                            .unwrap_or(self.plan.defaults[u]);
-                        (uv != cv).then_some(u)
-                    })
-                    .collect();
-                (!changed.is_empty()).then_some((s, changed))
-            })
-            .collect()
+        let mut rec = self.spare.pop().unwrap_or_else(|| IterRecord {
+            iter,
+            values: vec![0; idx.owned.len() * idx.block],
+            used: vec![None; idx.ins.len()],
+            published: vec![Vec::new(); idx.outs.len()],
+            contribution: vec![None; idx.block],
+        });
+        rec.iter = iter;
+        self.records.push_back(rec);
     }
 
     /// Drain arrived updates; roll back any recorded iteration whose used
     /// inputs no longer match the DSM window. Publishes corrections.
-    fn process_updates(&mut self, ctx: &mut Ctx, node: &mut DsmNode<BatchValues>) {
+    fn process_updates(&mut self, idx: &PartIndex, ctx: &mut Ctx, node: &mut DsmNode<BatchValues>) {
         node.drain(ctx);
         let log = node.take_update_log();
-        if log.is_empty() {
-            return;
-        }
-        let frozen_before = self.records.keys().next().copied().unwrap_or(0);
-        // Iteration -> column -> changed input nodes.
-        let mut dirty: BTreeMap<u64, BTreeMap<usize, Vec<usize>>> = BTreeMap::new();
+        let first = self.records.front().map_or(0, |r| r.iter);
+        self.dirty.clear();
         for (loc, age) in log {
-            let bid = loc.index();
-            if bid >= self.plan.batches.len() {
-                continue; // heartbeat
-            }
+            // Only locations this rank reads are logged: its in-batches
+            // and, past every batch location, the heartbeats.
+            let Some(&slot) = idx.in_slot.get(loc.index()) else {
+                continue;
+            };
             if age == nscc_dsm::RETIRE_AGE {
                 continue;
             }
-            match self.records.get(&age) {
-                Some(rec) => {
-                    if let Some(used) = rec.used.get(&bid) {
-                        let current = node.get_version(loc, age).cloned();
-                        let cells = self.changed_cells(bid, used, &current);
-                        if cells.is_empty() {
-                            // Confirmation: the arrival matches what we
-                            // speculated — mark the input as settled.
-                            if used.is_none() {
-                                self.records
-                                    .get_mut(&age)
-                                    .expect("record exists")
-                                    .used
-                                    .insert(bid, current);
-                            }
-                        } else {
-                            let entry = dirty.entry(age).or_default();
-                            for (c, inputs) in cells {
-                                let slot = entry.entry(c).or_default();
-                                for u in inputs {
-                                    if !slot.contains(&u) {
-                                        slot.push(u);
-                                    }
-                                }
-                            }
-                        }
-                    }
+            let at = age.checked_sub(first).map_or(NONE, |i| i as usize);
+            let Some(rec) = self.records.get_mut(at) else {
+                // Frozen already, or a future iteration that will pick
+                // the value up at compute time.
+                self.stats.late_corrections += u64::from(age < first);
+                continue;
+            };
+            let Some(used) = &rec.used[slot] else {
+                continue;
+            };
+            let now = node.get_version(loc, age);
+            let before = self.dirty.len();
+            let (used, now_vals) = (used.as_deref(), now.map(|v| &**v));
+            changed_cells(idx, (slot, age), used, now_vals, &mut self.dirty);
+            if self.dirty.len() == before && used.is_none() {
+                // Confirmation: the arrival matches what we speculated —
+                // mark the input as settled.
+                rec.used[slot] = Some(now.cloned());
+            }
+        }
+        if self.dirty.is_empty() {
+            return;
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let dirty = std::mem::take(&mut self.dirty);
+        match self.cfg.rollback {
+            RollbackPolicy::Selective => {
+                for cells in dirty.chunk_by(|a, b| a.0 == b.0) {
+                    self.rollback(idx, ctx, node, cells[0].0, Some(cells));
                 }
-                None => {
-                    if age < frozen_before {
-                        self.stats.late_corrections += 1;
-                    }
-                    // Otherwise: a future iteration we have not computed
-                    // yet; it will pick the value up at compute time.
+            }
+            RollbackPolicy::Replay => {
+                // Roll back to the earliest contradiction and replay
+                // every recorded iteration from there forward, in full.
+                let newest = self.records.back().expect("dirty records exist").iter;
+                for age in dirty[0].0..=newest {
+                    self.rollback(idx, ctx, node, age, None);
                 }
             }
         }
-        if dirty.is_empty() {
-            return;
+        self.dirty = dirty;
+    }
+
+    /// Recompute the record of iteration `age` against the DSM window as
+    /// it is now — only the nodes downstream of the changed `cells`, per
+    /// column, or (`None`) every node of every column — and re-publish
+    /// the outgoing batches whose content changed.
+    fn rollback(
+        &mut self,
+        idx: &PartIndex,
+        ctx: &mut Ctx,
+        node: &mut DsmNode<BatchValues>,
+        age: u64,
+        cells: Option<&[(u64, usize, usize)]>,
+    ) {
+        let first = self.records[0].iter;
+        let rec = &mut self.records[(age - first) as usize];
+        let default_uses = &mut self.stats.default_uses;
+        self.stats.rollbacks += 1;
+        for (used, batch) in rec.used.iter_mut().zip(&idx.ins) {
+            *used = Some(node.get_version(batch.loc, age).cloned());
         }
-        // Work list under the chosen policy: per iteration, the columns to
-        // redo and (for Selective) the dependent nodes per column.
-        let work: Vec<(u64, Vec<usize>, Option<BTreeMap<usize, Vec<usize>>>)> =
-            match self.cfg.rollback {
-                RollbackPolicy::Selective => dirty
-                    .into_iter()
-                    .map(|(age, cells)| {
-                        let cols: Vec<usize> = cells.keys().copied().collect();
-                        let affected: BTreeMap<usize, Vec<usize>> = cells
-                            .into_iter()
-                            .map(|(c, inputs)| {
-                                let mut nodes: Vec<usize> = inputs
-                                    .iter()
-                                    .flat_map(|u| {
-                                        self.plan.dependents[self.rank]
-                                            .get(u)
-                                            .cloned()
-                                            .unwrap_or_default()
-                                    })
-                                    .collect();
-                                nodes.sort_unstable();
-                                nodes.dedup();
-                                (c, nodes)
-                            })
-                            .collect();
-                        (age, cols, Some(affected))
-                    })
-                    .collect(),
-                RollbackPolicy::Replay => {
-                    // Roll back to the earliest contradiction and replay
-                    // every recorded iteration from there forward, in full.
-                    let from = *dirty.keys().next().expect("dirty nonempty");
-                    let all: Vec<usize> = (0..self.cfg.block).collect();
-                    self.records
-                        .keys()
-                        .copied()
-                        .filter(|&a| a >= from)
-                        .map(|a| (a, all.clone(), None))
-                        .collect()
+        // Rollback recomputation costs real CPU, proportional to the
+        // node×sample resamples actually performed.
+        let mut resamples = 0;
+        let mut redo = |nodes: &[usize], cols: Range<usize>| {
+            resamples += (nodes.len() * cols.len()) as u64;
+            rec.sample_columns(idx, node, nodes, cols.clone(), default_uses);
+            rec.tally_columns(idx, node, cols, &mut self.tally, default_uses);
+        };
+        match cells {
+            Some(cells) => {
+                for col in cells.chunk_by(|a, b| a.1 == b.1) {
+                    self.nodes.clear();
+                    for &(_, _, input) in col {
+                        self.nodes.extend_from_slice(&idx.deps[input]);
+                    }
+                    self.nodes.sort_unstable();
+                    self.nodes.dedup();
+                    redo(&self.nodes, col[0].1..col[0].1 + 1);
                 }
-            };
-        for (age, mut cols, affected) in work {
-            cols.sort_unstable();
-            self.stats.rollbacks += 1;
-            // Rollback recomputation costs real CPU, proportional to the
-            // node×sample resamples actually performed.
-            let resamples: u64 = match &affected {
-                Some(map) => map.values().map(|v| v.len() as u64).sum(),
-                None => self.owned.len() as u64 * cols.len() as u64,
-            };
-            self.stats.resampled += resamples;
-            let changed = self.recompute_samples(node, age, &cols, true, affected.as_ref());
-            ctx.advance(self.cfg.cost.iteration_cost(resamples));
-            for (bid, vals) in changed {
+            }
+            None => {
+                self.nodes.clear();
+                self.nodes.extend(0..idx.owned.len());
+                redo(&self.nodes, 0..idx.block);
+            }
+        }
+        self.stats.resampled += resamples;
+        ctx.advance(self.cfg.cost.iteration_cost(resamples));
+        for (slot, out) in idx.outs.iter().enumerate() {
+            if let Some(vals) = rec.publish(idx, slot, &mut self.batch) {
                 // Each correction is the collapsed anti-message +
                 // replacement pair of the Time-Warp protocol.
                 if let Some(hub) = &self.cfg.obs {
                     hub.emit(ObsEvent::AntiMessage {
                         t_ns: ctx.now().as_nanos(),
-                        rank: self.rank as u32,
-                        loc: self.batch_locs[bid].0,
+                        rank: idx.rank as u32,
+                        loc: out.loc.0,
                         age,
                     });
                 }
-                node.write(ctx, self.batch_locs[bid], vals, age);
+                node.write(ctx, out.loc, vals, age);
             }
         }
     }
@@ -520,23 +469,19 @@ impl PartRuntime {
     /// trusted.
     fn freeze(&mut self, current: u64) {
         let horizon = current.saturating_sub(self.cfg.window as u64);
-        let in_bids: Vec<BatchId> = self.in_batches().collect();
-        while let Some((&oldest, _)) = self.records.iter().next() {
-            if oldest >= horizon {
-                break;
-            }
-            let rec = self.records.remove(&oldest).expect("entry exists");
-            let settled = in_bids
-                .iter()
-                .all(|b| matches!(rec.used.get(b), Some(Some(_))));
-            if !settled {
+        while self.records.front().is_some_and(|r| r.iter < horizon) {
+            let mut rec = self.records.pop_front().expect("just checked");
+            if !rec.used.iter().all(|u| matches!(u, Some(Some(_)))) {
                 self.stats.discarded += 1;
-                if self.rank == self.plan.query_owner {
-                    for c in rec.contribution.iter().flatten() {
-                        self.tally.counts[*c as usize] -= 1;
-                    }
+                // Only the query owner's records hold contributions.
+                for c in rec.contribution.iter().flatten() {
+                    self.tally.counts[*c as usize] -= 1;
                 }
             }
+            rec.used.fill(None);
+            rec.published.iter_mut().for_each(Vec::clear);
+            rec.contribution.fill(None);
+            self.spare.push(rec);
         }
     }
 }
@@ -553,8 +498,23 @@ pub fn run_parallel_inference(
     msg_cfg: MsgConfig,
     sim_seed: u64,
 ) -> Result<ParallelBayesResult, SimError> {
-    let plan = Arc::new(Plan::new(&net, parts, sim_seed ^ 0x9A97, &query));
-    let query = Arc::new(query);
+    let plan = Plan::new(&net, parts, sim_seed ^ 0x9A97, &query);
+    run_planned_inference(net, &query, &plan, cfg, network, msg_cfg, sim_seed)
+}
+
+/// [`run_parallel_inference`] over a plan the caller already holds (built
+/// for this `net` and `query`), so sweeps that vary only the discipline
+/// partition once.
+pub fn run_planned_inference(
+    net: Arc<BeliefNetwork>,
+    query: &Query,
+    plan: &Plan,
+    cfg: ParallelBayesConfig,
+    network: Network,
+    msg_cfg: MsgConfig,
+    sim_seed: u64,
+) -> Result<ParallelBayesResult, SimError> {
+    let parts = plan.parts;
 
     // Directory: one location per batch, then one heartbeat per partition.
     let mut dir = Directory::new();
@@ -566,8 +526,6 @@ pub fn run_parallel_inference(
     for p in 0..parts {
         hb_locs.push(dir.add(format!("hb{p}"), p, 0..parts));
     }
-    let batch_locs = Arc::new(batch_locs);
-    let hb_locs = Arc::new(hb_locs);
 
     let mut world: DsmWorld<BatchValues> =
         DsmWorld::new(network, parts, msg_cfg, dir).with_history(2 * cfg.window + 8);
@@ -578,7 +536,7 @@ pub fn run_parallel_inference(
         world.set_initial(l, Vec::new());
     }
 
-    let stop_flag = Arc::new(Mutex::new(false));
+    let stop_flag = Arc::new(AtomicBool::new(false));
     let results: Arc<Mutex<Vec<Option<(BayesPartStats, Option<Tally>, bool)>>>> =
         Arc::new(Mutex::new(vec![None; parts]));
 
@@ -596,32 +554,24 @@ pub fn run_parallel_inference(
     }
     for rank in 0..parts {
         let node = world.node(rank);
-        let owned = plan.owned(rank);
-        let owned_pos: HashMap<usize, usize> =
-            owned.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let idx = PartIndex::new(rank, &net, plan, query, &cfg, &batch_locs, &hb_locs);
         let rt = PartRuntime {
-            rank,
-            net: Arc::clone(&net),
-            plan: Arc::clone(&plan),
-            query: Arc::clone(&query),
             cfg: cfg.clone(),
-            owned,
-            owned_pos,
-            batch_locs: Arc::clone(&batch_locs),
-            hb_locs: Arc::clone(&hb_locs),
-            records: BTreeMap::new(),
+            records: VecDeque::new(),
+            spare: Vec::new(),
             tally: Tally::new(net.node(query.node).arity),
             stats: BayesPartStats {
                 rank,
                 ..BayesPartStats::default()
             },
             stop_flag: Arc::clone(&stop_flag),
-            hb_needed: (0..parts)
-                .any(|q| q != rank && !plan.batches.iter().any(|b| b.src == rank && b.dst == q)),
+            dirty: Vec::new(),
+            nodes: Vec::new(),
+            batch: Vec::new(),
         };
         let results = Arc::clone(&results);
         sim.spawn(format!("bayes{rank}"), move |ctx| {
-            let out = partition_body(ctx, node, rt);
+            let out = partition_body(ctx, node, &idx, rt);
             results.lock()[rank] = Some(out);
         });
     }
@@ -654,212 +604,114 @@ pub fn run_parallel_inference(
 fn partition_body(
     ctx: &mut Ctx,
     mut node: DsmNode<BatchValues>,
+    idx: &PartIndex,
     mut rt: PartRuntime,
 ) -> (BayesPartStats, Option<Tally>, bool) {
-    let parts = rt.plan.parts;
-    let rank = rt.rank;
-    let is_query_owner = rank == rt.plan.query_owner;
-    let mode = rt.cfg.mode;
-    let block = rt.cfg.block as u64;
+    let sync = matches!(rt.cfg.mode, Coherence::Synchronous);
+    // The Global_Read gate on every peer's progress; the synchronous
+    // discipline is its age-0 case, the asynchronous one has none.
+    let throttle_age = match rt.cfg.mode {
+        Coherence::Synchronous => Some(0),
+        Coherence::PartialAsync { age } => Some(age),
+        Coherence::FullyAsync => None,
+    };
+    let block = idx.block as u64;
     let mut converged = false;
     let mut iter: u64 = 0;
 
     'outer: while iter < rt.cfg.max_iterations {
-        if *rt.stop_flag.lock() {
+        if rt.stop_flag.load(Ordering::Acquire) {
             break;
         }
         iter += 1;
 
-        // Throttle: the Global_Read gate on every peer's progress. The
-        // synchronous discipline is the age-0 case of the same gate. The
-        // gate reads the peer's first batch location when one exists
-        // (every update doubles as a progress heartbeat), falling back to
-        // a dedicated heartbeat location for peers that send us nothing.
-        if parts > 1 {
-            let throttle_age = match mode {
-                Coherence::Synchronous => Some(0),
-                Coherence::PartialAsync { age } => Some(age),
-                Coherence::FullyAsync => None,
-            };
-            if let Some(a) = throttle_age {
-                for q in 0..parts {
-                    if q != rank {
-                        // Require progress_q >= (iter-1) - a.
-                        let loc = rt.throttle_loc(q);
-                        let (_, _) = node.global_read(ctx, loc, iter.saturating_sub(1), a);
-                    }
-                }
+        // Throttle: require progress_q >= (iter-1) - age of every peer.
+        if let Some(age) = throttle_age {
+            for &loc in &idx.throttle {
+                node.global_read(ctx, loc, iter.saturating_sub(1), age);
             }
         }
 
         // Apply any corrections that arrived while we were away.
-        if !matches!(mode, Coherence::Synchronous) {
-            rt.process_updates(ctx, &mut node);
+        if !sync {
+            rt.process_updates(idx, ctx, &mut node);
         }
 
         // Compute the block round by round.
-        rt.compute_iteration_start(iter);
-        for r in 0..rt.plan.rounds {
+        rt.begin_iteration(idx, iter);
+        for (r, round) in idx.rounds.iter().enumerate() {
             // Wait for (sync) or opportunistically drain (async/partial)
             // the batches produced by peers in earlier rounds.
-            if r > 0 && parts > 1 {
-                let reads: Vec<BatchId> = rt.plan.schedules[rank][r - 1].reads_after.clone();
-                for bid in reads {
-                    if matches!(mode, Coherence::Synchronous) {
-                        match node.wait_version(ctx, rt.batch_locs[bid], iter) {
-                            Ok(_) => {}
-                            Err(Retired) => break 'outer,
-                        }
+            if r > 0 && sync {
+                for &loc in &idx.rounds[r - 1].reads_after {
+                    if node.wait_version(ctx, loc, iter).is_err() {
+                        break 'outer;
                     }
                 }
-                if !matches!(mode, Coherence::Synchronous) {
-                    node.drain(ctx);
-                }
+            } else if r > 0 {
+                node.drain(ctx);
             }
-            let compute: Vec<usize> = rt.plan.schedules[rank][r].compute.clone();
-            if compute.is_empty() {
+            if round.compute.is_empty() {
                 continue;
             }
-            rt.compute_round(&node, iter, &compute);
-            let cost = rt
-                .cfg
-                .cost
-                .iteration_cost_jittered(compute.len() as u64 * block, ctx.rng());
+            let rec = rt.records.back_mut().expect("record open");
+            let default_uses = &mut rt.stats.default_uses;
+            rec.sample_columns(idx, &node, &round.compute, 0..idx.block, default_uses);
+            let resamples = round.compute.len() as u64 * block;
+            let cost = rt.cfg.cost.iteration_cost_jittered(resamples, ctx.rng());
             ctx.advance(cost);
             // Publish this round's outgoing batches.
-            let writes: Vec<BatchId> = rt.plan.schedules[rank][r].writes.clone();
-            for bid in writes {
-                let vals = rt.collect_batch(bid, iter);
-                rt.records
-                    .get_mut(&iter)
-                    .expect("record exists")
-                    .published
-                    .insert(bid, vals.clone());
-                node.write(ctx, rt.batch_locs[bid], vals, iter);
+            for &slot in &round.writes {
+                if let Some(vals) = rec.publish(idx, slot, &mut rt.batch) {
+                    node.write(ctx, idx.outs[slot].loc, vals, iter);
+                }
             }
         }
         // The synchronous discipline must also have the *last* round's
         // incoming batches (evidence forwarded to the query owner is
         // consumed by the tally, not by compute) before tallying.
-        if matches!(mode, Coherence::Synchronous) && parts > 1 {
-            let reads: Vec<BatchId> = rt.plan.schedules[rank][rt.plan.rounds - 1]
-                .reads_after
-                .clone();
-            for bid in reads {
-                match node.wait_version(ctx, rt.batch_locs[bid], iter) {
-                    Ok(_) => {}
-                    Err(Retired) => break 'outer,
+        if sync {
+            for &loc in &idx.rounds[idx.rounds.len() - 1].reads_after {
+                if node.wait_version(ctx, loc, iter).is_err() {
+                    break 'outer;
                 }
             }
             // Sync never rolls back; keep the log from accumulating.
             let _ = node.take_update_log();
         }
-        rt.finish_tally(&node, iter);
+        let rec = rt.records.back_mut().expect("record open");
+        let default_uses = &mut rt.stats.default_uses;
+        rec.tally_columns(idx, &node, 0..idx.block, &mut rt.tally, default_uses);
         rt.stats.iterations = iter;
         rt.freeze(iter);
 
         // Heartbeat: "I completed iteration `iter`" — only sent to peers
         // that receive no batch traffic from us (batches already carry
         // the progress signal).
-        if rt.hb_needed {
-            node.write(ctx, rt.hb_locs[rank], Vec::new(), iter);
+        if idx.hb_needed {
+            node.write(ctx, idx.hb_loc, Vec::new(), iter);
         }
 
         // Convergence detection at the query owner.
-        if is_query_owner {
+        if idx.query.is_some() {
             rt.tally.drawn = iter * block;
             if rt.tally.converged(&rt.cfg.stop) {
                 converged = true;
-                *rt.stop_flag.lock() = true;
+                rt.stop_flag.store(true, Ordering::Release);
             }
         }
     }
 
     // Retire owned locations so blocked peers unblock and observe
     // termination.
-    if parts > 1 {
-        let outs: Vec<BatchId> = rt.out_batches().collect();
-        for bid in outs {
-            node.retire(ctx, rt.batch_locs[bid], Vec::new());
+    if idx.parts > 1 {
+        for out in &idx.outs {
+            node.retire(ctx, out.loc, Vec::new());
         }
-        node.retire(ctx, rt.hb_locs[rank], Vec::new());
+        node.retire(ctx, idx.hb_loc, Vec::new());
     }
     rt.stats.end_time = ctx.now();
 
-    let tally = if is_query_owner {
-        let mut t = rt.tally.clone();
-        t.drawn = rt.stats.iterations * block;
-        Some(t)
-    } else {
-        None
-    };
-    (rt.stats, tally, converged)
-}
-
-impl PartRuntime {
-    /// Ensure the record for `iter` exists (fresh compute path).
-    fn compute_iteration_start(&mut self, iter: u64) {
-        let block = self.cfg.block;
-        let owned_len = self.owned.len();
-        self.records.entry(iter).or_insert_with(|| IterRecord {
-            values: vec![0; owned_len * block],
-            used: HashMap::new(),
-            published: HashMap::new(),
-            contribution: vec![None; block],
-        });
-    }
-
-    /// Sample the given owned nodes (one round) for every sample in the
-    /// block of `iter`.
-    fn compute_round(&mut self, node: &DsmNode<BatchValues>, iter: u64, compute: &[usize]) {
-        let block = self.cfg.block;
-        for s in 0..block {
-            let sample_index = (iter - 1) * block as u64 + s as u64 + 1;
-            for &v in compute {
-                let parents = self.net.node(v).parents.clone();
-                let mut asg = vec![0u8; self.net.len()];
-                for &u in &parents {
-                    asg[u] = self.lookup(node, iter, s, u);
-                }
-                let u01 = node_draw(self.cfg.sample_seed, v, sample_index);
-                let val = self.net.sample_node(v, &asg, u01);
-                let pos = self.owned_pos[&v];
-                let rec = self.records.get_mut(&iter).expect("record exists");
-                rec.values[pos * block + s] = val;
-            }
-        }
-    }
-
-    /// Compute the tally contribution of `iter` at the query owner.
-    fn finish_tally(&mut self, node: &DsmNode<BatchValues>, iter: u64) {
-        if self.rank != self.plan.query_owner {
-            return;
-        }
-        let block = self.cfg.block;
-        let evidence = self.query.evidence.clone();
-        let qnode = self.query.node;
-        let mut newc: Vec<Option<Value>> = vec![None; block];
-        for (s, slot) in newc.iter_mut().enumerate() {
-            let mut ok = true;
-            for &(e, want) in &evidence {
-                if self.lookup(node, iter, s, e) != want {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                *slot = Some(self.lookup(node, iter, s, qnode));
-            }
-        }
-        let rec = self.records.get_mut(&iter).expect("record exists");
-        let old = std::mem::replace(&mut rec.contribution, newc.clone());
-        for s in 0..block {
-            if let Some(v) = old[s] {
-                self.tally.counts[v as usize] -= 1;
-            }
-            if let Some(v) = newc[s] {
-                self.tally.counts[v as usize] += 1;
-            }
-        }
-    }
+    rt.tally.drawn = rt.stats.iterations * block;
+    (rt.stats, idx.query.is_some().then_some(rt.tally), converged)
 }

@@ -61,21 +61,18 @@ pub struct Plan {
     pub batches: Vec<Batch>,
     /// Partition → its per-round schedule.
     pub schedules: Vec<Vec<RoundPlan>>,
-    /// For each partition, a map from remote node to `(batch, index)`
-    /// where its value can be found.
-    pub value_index: Vec<HashMap<NodeIdx, (BatchId, usize)>>,
+    /// Partition → node → the `(batch, row)` carrying that remote node's
+    /// value to the partition (see [`Plan::source_of`]).
+    source: Vec<Vec<Option<(BatchId, usize)>>>,
     /// Edge-cut of the underlying skeleton partition (Table 2 metric).
     pub edge_cut: usize,
     /// The partition that owns the query node and keeps the tally.
     pub query_owner: usize,
     /// Per-node default values for speculative (asynchronous) sampling.
     pub defaults: Vec<Value>,
-    /// For each node, the owned nodes of each partition downstream of it
-    /// (its partition-local dependents, in topological order): what a
-    /// correction to that node's value forces the partition to resample
-    /// (§3.2: "the child node and the values of all the nodes ...
-    /// dependent on this node ... must be invalidated and recomputed").
-    pub dependents: Vec<HashMap<NodeIdx, Vec<NodeIdx>>>,
+    /// Partition → remote input node → the partition's own nodes
+    /// downstream of it (see [`Plan::dependents_of`]).
+    dependents: Vec<Vec<Vec<NodeIdx>>>,
 }
 
 impl Plan {
@@ -84,9 +81,20 @@ impl Plan {
     /// value (it needs them for the accept/reject decision).
     pub fn new(net: &BeliefNetwork, parts: usize, seed: u64, query: &Query) -> Plan {
         assert!(parts >= 1);
-        let skeleton = net.skeleton();
-        let assign = partition(&skeleton, parts, seed);
-        let cut = edge_cut(&skeleton, &assign);
+        let assign = partition(&net.skeleton(), parts, seed);
+        Plan::with_assignment(net, parts, assign, query)
+    }
+
+    /// The plan for a given node → partition assignment (what
+    /// [`Plan::new`] builds once the partitioner has chosen one).
+    pub fn with_assignment(
+        net: &BeliefNetwork,
+        parts: usize,
+        assign: Vec<usize>,
+        query: &Query,
+    ) -> Plan {
+        assert!(assign.len() == net.len() && assign.iter().all(|&p| p < parts));
+        let cut = edge_cut(&net.skeleton(), &assign);
         let query_owner = assign[query.node];
 
         // Stages: one more than the deepest cross-partition hop count.
@@ -151,20 +159,20 @@ impl Plan {
                 round.compute.sort_unstable();
             }
         }
-        let mut value_index: Vec<HashMap<NodeIdx, (BatchId, usize)>> = vec![HashMap::new(); parts];
+        let mut source = vec![vec![None; net.len()]; parts];
         for (bid, b) in batches.iter().enumerate() {
             schedules[b.src][b.round].writes.push(bid);
             schedules[b.dst][b.round].reads_after.push(bid);
             for (i, &u) in b.nodes.iter().enumerate() {
-                value_index[b.dst].insert(u, (bid, i));
+                source[b.dst][u] = Some((bid, i));
             }
         }
 
         // Partition-local transitive dependents of each remote input node.
         let children = net.children();
-        let mut dependents: Vec<HashMap<NodeIdx, Vec<NodeIdx>>> = vec![HashMap::new(); parts];
-        for (part, index) in value_index.iter().enumerate() {
-            for &input in index.keys() {
+        let mut dependents = vec![vec![Vec::new(); net.len()]; parts];
+        for part in 0..parts {
+            for input in (0..net.len()).filter(|&u| source[part][u].is_some()) {
                 let mut affected = vec![false; net.len()];
                 let mut stack = vec![input];
                 while let Some(u) = stack.pop() {
@@ -175,10 +183,9 @@ impl Plan {
                         }
                     }
                 }
-                let deps: Vec<NodeIdx> = (0..net.len())
+                dependents[part][input] = (0..net.len())
                     .filter(|&v| affected[v] && assign[v] == part)
                     .collect();
-                dependents[part].insert(input, deps);
             }
         }
 
@@ -189,7 +196,7 @@ impl Plan {
             rounds,
             batches,
             schedules,
-            value_index,
+            source,
             edge_cut: cut,
             query_owner,
             defaults: net.default_values(),
@@ -202,6 +209,22 @@ impl Plan {
         (0..self.assign.len())
             .filter(|&v| self.assign[v] == part)
             .collect()
+    }
+
+    /// Where partition `part` reads remote node `u` from: the batch
+    /// carrying it and its row in that batch, or `None` if `part` never
+    /// needs `u` from a peer.
+    pub fn source_of(&self, part: usize, u: NodeIdx) -> Option<(BatchId, usize)> {
+        self.source[part][u]
+    }
+
+    /// The nodes of `part` downstream of its remote input `u`, in
+    /// topological order: what a correction to `u`'s value forces the
+    /// partition to resample (§3.2: "the child node and the values of all
+    /// the nodes ... dependent on this node ... must be invalidated and
+    /// recomputed"). Empty for nodes `part` does not read from a peer.
+    pub fn dependents_of(&self, part: usize, u: NodeIdx) -> &[NodeIdx] {
+        &self.dependents[part][u]
     }
 
     /// Messages one full iteration sends (batches + one heartbeat per
@@ -258,12 +281,13 @@ mod tests {
         for v in 0..net.len() {
             for &u in &net.node(v).parents {
                 if plan.assign[u] != plan.assign[v] {
-                    let (bid, idx) = plan.value_index[plan.assign[v]][&u];
+                    let (bid, idx) = plan.source_of(plan.assign[v], u).expect("routed");
                     let b = &plan.batches[bid];
                     assert_eq!(b.nodes[idx], u);
                     assert_eq!(b.src, plan.assign[u]);
                     assert_eq!(b.dst, plan.assign[v]);
                     assert_eq!(b.round, plan.stage[u]);
+                    assert!(plan.dependents_of(plan.assign[v], u).contains(&v));
                 }
             }
         }
@@ -281,7 +305,7 @@ mod tests {
         for &(e, _) in &query.evidence {
             if plan.assign[e] != plan.query_owner {
                 assert!(
-                    plan.value_index[plan.query_owner].contains_key(&e),
+                    plan.source_of(plan.query_owner, e).is_some(),
                     "evidence node {e} must reach the query owner"
                 );
             }

@@ -78,7 +78,7 @@ proptest! {
         for v in 0..net.len() {
             for &u in &net.node(v).parents {
                 if plan.assign[u] != plan.assign[v] {
-                    prop_assert!(plan.value_index[plan.assign[v]].contains_key(&u));
+                    prop_assert!(plan.source_of(plan.assign[v], u).is_some());
                 }
             }
         }

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use nscc_bayes::{
-    run_parallel_inference, sequential_inference, BayesCost, ParallelBayesConfig, Plan, Query,
-    SeqResult, StopRule, Table2Net,
+    run_planned_inference, sequential_inference, BayesCost, BeliefNetwork, ParallelBayesConfig,
+    Plan, Query, SeqResult, StopRule, Table2Net,
 };
 use nscc_dsm::{Coherence, DsmStats};
 use nscc_net::NetStats;
@@ -70,7 +70,12 @@ impl BayesExperiment {
     /// the Hailfinder-alike (whose Table 2 time is short: skewed
     /// posteriors satisfy the ±0.01 CI with far fewer samples).
     pub fn standard_query(&self) -> Query {
-        let net = self.net.build();
+        self.standard_query_on(&self.net.build())
+    }
+
+    /// [`standard_query`](Self::standard_query) over an already built
+    /// copy of this experiment's network.
+    fn standard_query_on(&self, net: &BeliefNetwork) -> Query {
         let defaults = net.default_values();
         // Estimate marginals of the last quarter of nodes with a quick
         // deterministic sweep.
@@ -79,7 +84,7 @@ impl BayesExperiment {
         let mut counts = vec![vec![0u64; 8]; net.len()];
         let mut sample = Vec::new();
         for i in 1..=probe {
-            nscc_bayes::forward_sample(&net, 0xBEEF, i, &mut sample);
+            nscc_bayes::forward_sample(net, 0xBEEF, i, &mut sample);
             for v in start..net.len() {
                 counts[v][sample[v] as usize] += 1;
             }
@@ -170,10 +175,19 @@ impl BayesExpResult {
 /// Run the sequential baseline once (no network, pure virtual compute).
 pub fn run_sequential(exp: &BayesExperiment, seed: u64) -> SeqResult {
     let net = exp.net.build();
-    let query = exp.standard_query();
+    run_sequential_on(exp, &net, &exp.standard_query_on(&net), seed)
+}
+
+/// [`run_sequential`] over the cell's already built network and query.
+fn run_sequential_on(
+    exp: &BayesExperiment,
+    net: &BeliefNetwork,
+    query: &Query,
+    seed: u64,
+) -> SeqResult {
     sequential_inference(
-        &net,
-        &query,
+        net,
+        query,
         &exp.stop,
         &exp.cost,
         seed,
@@ -184,8 +198,8 @@ pub fn run_sequential(exp: &BayesExperiment, seed: u64) -> SeqResult {
 /// Run the full cell: sequential baseline plus every parallel mode.
 pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, SimError> {
     let net = Arc::new(exp.net.build());
-    let query = exp.standard_query();
-    let plan = Plan::new(&net, exp.procs, 42, &query);
+    let query = exp.standard_query_on(&net);
+    let edge_cut = Plan::new(&net, exp.procs, 42, &query).edge_cut;
 
     let modes: Vec<Coherence> = [Coherence::Synchronous, Coherence::FullyAsync]
         .into_iter()
@@ -205,12 +219,15 @@ pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, Sim
 
     for r in 0..exp.runs {
         let seed = exp.base_seed + r as u64;
-        let seq = run_sequential(exp, seed);
+        let seq = run_sequential_on(exp, &net, &query, seed);
         seq_time_sum += seq.time;
         seq_samples_sum += seq.samples as f64;
+        // One partition per run, shared by every mode (the seed is the
+        // one `run_parallel_inference` would derive for each of them).
+        let plan = Plan::new(&net, exp.procs, seed ^ 0x9A97, &query);
 
         for (mi, &mode) in modes.iter().enumerate() {
-            // Loaders (if any) need a SimBuilder; run_parallel_inference
+            // Loaders (if any) need a SimBuilder; run_planned_inference
             // builds its own, so loaded Bayes runs use the network-only
             // build (the paper's loaded experiments are GA-only anyway).
             let network = exp.platform.build_network_only(seed);
@@ -229,10 +246,10 @@ pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, Sim
                 obs: exp.obs.clone(),
                 ..ParallelBayesConfig::new(mode)
             };
-            let res = run_parallel_inference(
+            let res = run_planned_inference(
                 Arc::clone(&net),
-                query.clone(),
-                exp.procs,
+                &query,
+                &plan,
                 cfg,
                 network.clone(),
                 exp.platform.msg.clone(),
@@ -269,7 +286,7 @@ pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, Sim
         procs: exp.procs,
         seq_time,
         seq_samples: seq_samples_sum / runs,
-        edge_cut: plan.edge_cut,
+        edge_cut,
         modes: mode_results,
         dsm: dsm_total,
         net_stats: net_total,

@@ -6,9 +6,12 @@
 //! code path and boundary values; the real proptest (in CI / tier-1)
 //! does the actual searching.
 //!
-//! Supported surface (all this repo uses):
-//! - `proptest! { #![proptest_config(...)] #[test] fn name(x in range, ...) { .. } }`
-//! - `Range`/`RangeInclusive` strategies over common numeric types
+//! Supported surface (what the test files `tools/offline/check.sh` runs use;
+//! the ones it skips need strategies a three-point sampler cannot model):
+//! - `proptest! { [#![proptest_config(...)]] #[test] fn name(x in range, ...) { .. } }`,
+//!   the body free to `return Ok(())` early as under the real macro
+//! - `Range`/`RangeInclusive` strategies over common numeric types, and
+//!   `any::<T>()` for the integer types
 //! - `prop_assert!`, `prop_assert_eq!`, `ProptestConfig::with_cases`
 
 /// Configuration accepted (and ignored) for API compatibility.
@@ -30,6 +33,13 @@ pub trait Sample {
     fn pick(&self, which: usize) -> Self::Value;
 }
 
+/// The strategy `any::<T>()` returns: the whole domain of `T`.
+pub struct Any<T>(core::marker::PhantomData<T>);
+
+pub fn any<T>() -> Any<T> {
+    Any(core::marker::PhantomData)
+}
+
 macro_rules! int_sample {
     ($($t:ty),*) => {$(
         impl Sample for core::ops::Range<$t> {
@@ -40,6 +50,16 @@ macro_rules! int_sample {
                     0 => self.start,
                     1 => self.start + (hi - self.start) / 2,
                     _ => hi,
+                }
+            }
+        }
+        impl Sample for Any<$t> {
+            type Value = $t;
+            fn pick(&self, which: usize) -> $t {
+                match which {
+                    0 => <$t>::MIN,
+                    1 => <$t>::MAX / 2,
+                    _ => <$t>::MAX,
                 }
             }
         }
@@ -84,10 +104,22 @@ macro_rules! proptest {
                 let _ = $cfg;
                 for __which in 0..3usize {
                     $(let $arg = $crate::Sample::pick(&($strat), __which);)*
-                    { $body }
+                    // A closure, as in the real macro: the body may leave
+                    // a case early with `return Ok(())`.
+                    let __case = || -> Result<(), String> {
+                        $body
+                        Ok(())
+                    };
+                    __case().unwrap();
                 }
             }
         )*
+    };
+    ($($rest:tt)*) => {
+        $crate::proptest! {
+            #![proptest_config($crate::ProptestConfig::with_cases(256))]
+            $($rest)*
+        }
     };
 }
 
@@ -107,6 +139,6 @@ macro_rules! prop_assert_ne {
 }
 
 pub mod prelude {
+    pub use crate::{any, ProptestConfig, Sample};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
-    pub use crate::{ProptestConfig, Sample};
 }
