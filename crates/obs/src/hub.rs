@@ -615,7 +615,9 @@ impl Hub {
     }
 
     /// The accumulated scheduler wall-clock accounting (all zeros when no
-    /// simulation ever attached it).
+    /// simulation ever attached it). `parks`/`unparks` count slices and
+    /// repeat exactly per seed; `handoffs` counts changes of process
+    /// between consecutive resumes; the times are host time.
     pub fn sched(&self) -> SchedSummary {
         let events = self.inner.sched_events.load(Ordering::Relaxed);
         let wall_ns = self.inner.sched_wall_ns.load(Ordering::Relaxed);

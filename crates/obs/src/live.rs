@@ -61,15 +61,14 @@ pub struct SchedSummary {
     /// Queue entries executed (events + process resumptions).
     pub events: u64,
     /// Slices that ended with the process yielding (advance or block)
-    /// rather than exiting. Logical: whether the OS thread actually
-    /// changed is what `handoffs` counts.
+    /// rather than exiting. (The names date from thread-backed processes;
+    /// the counts are per slice and never depended on threads.)
     pub parks: u64,
-    /// Resume dispatches: slices handed to a process, whether or not its
-    /// thread had to be woken for it.
+    /// Resume dispatches: slices handed to a process.
     pub unparks: u64,
-    /// Resume dispatches that really changed the OS thread (a process
-    /// resuming itself costs none). In-memory only: kept out of the live
-    /// feed and the report's `wall` section, whose schemas are pinned.
+    /// Resume dispatches whose process differs from the one resumed before
+    /// (a process resuming itself is none). In-memory only: kept out of the
+    /// live feed and the report's `wall` section, whose schemas are pinned.
     #[serde(skip)]
     pub handoffs: u64,
     /// Wall ns spent inside process slices. The remainder of `wall_ns` is
@@ -111,11 +110,11 @@ pub struct ProcSched {
 pub struct SchedDelta {
     /// Queue entries executed since the last flush.
     pub events: u64,
-    /// Thread parks since the last flush.
+    /// Slices ended by a yield since the last flush.
     pub parks: u64,
     /// Resume dispatches since the last flush.
     pub unparks: u64,
-    /// Of those, baton transfers to a different OS thread.
+    /// Of those, resumes of a process other than the one resumed before.
     pub handoffs: u64,
     /// Wall ns spent in process slices since the last flush.
     pub exec_ns: u64,

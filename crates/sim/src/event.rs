@@ -8,10 +8,10 @@ use crate::time::SimTime;
 
 /// A deferred action that fires at a scheduled virtual instant.
 ///
-/// Events run inline on whichever thread holds the scheduler's baton — the
-/// process thread that yielded last, or `run()`'s caller — with exclusive
-/// access to the engine through an [`EventCtx`]; they may deliver messages,
-/// wake blocked processes, and schedule further events.
+/// Events run inline in the stepper loop of
+/// [`SimBuilder::run`](crate::SimBuilder::run), between process slices,
+/// with exclusive access to the engine through an [`EventCtx`]; they may
+/// deliver messages, wake blocked processes, and schedule further events.
 pub struct Event(pub(crate) Box<dyn FnOnce(&mut EventCtx<'_>) + Send>);
 
 impl Event {
@@ -34,7 +34,7 @@ impl std::fmt::Debug for Event {
 pub(crate) enum EventKind {
     /// Run a closure.
     Fire(Event),
-    /// Hand control to a process thread.
+    /// Hand control to a process.
     Resume(Pid),
 }
 

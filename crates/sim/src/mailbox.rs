@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::event::EventCtx;
-use crate::process::{Ctx, Pid};
+use crate::process::{Ctx, DepthProbe, Pid};
 use crate::time::SimTime;
 
 struct Inner<T> {
@@ -58,14 +58,23 @@ impl<T> Inner<T> {
 /// at a time), so the internal lock is uncontended.
 pub struct Mailbox<T> {
     inner: Arc<Mutex<Inner<T>>>,
-    name: String,
+    name: Arc<str>,
+    /// What a blocked receiver hands the scheduler, built once so that
+    /// blocking allocates nothing: the wait reasons of `recv` and
+    /// `recv_deadline`, and the depth probe.
+    recv_reason: Arc<str>,
+    deadline_reason: Arc<str>,
+    depth: DepthProbe,
 }
 
 impl<T> Clone for Mailbox<T> {
     fn clone(&self) -> Self {
         Mailbox {
             inner: Arc::clone(&self.inner),
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
+            recv_reason: Arc::clone(&self.recv_reason),
+            deadline_reason: Arc::clone(&self.deadline_reason),
+            depth: Arc::clone(&self.depth),
         }
     }
 }
@@ -73,18 +82,24 @@ impl<T> Clone for Mailbox<T> {
 impl<T: Send + 'static> Mailbox<T> {
     /// Create an empty mailbox; `name` appears in deadlock diagnostics.
     pub fn new(name: impl Into<String>) -> Self {
+        let name: Arc<str> = name.into().into();
+        let inner = Arc::new(Mutex::new(Inner {
+            queue: VecDeque::new(),
+            waiter: None,
+            delivered: 0,
+            received: 0,
+            high_watermark: 0,
+            warn_at: None,
+            warned: false,
+            warn_pending: None,
+        }));
+        let queue = Arc::clone(&inner);
         Mailbox {
-            inner: Arc::new(Mutex::new(Inner {
-                queue: VecDeque::new(),
-                waiter: None,
-                delivered: 0,
-                received: 0,
-                high_watermark: 0,
-                warn_at: None,
-                warned: false,
-                warn_pending: None,
-            })),
-            name: name.into(),
+            inner,
+            recv_reason: format!("recv on mailbox `{name}`").into(),
+            deadline_reason: format!("recv (deadline) on mailbox `{name}`").into(),
+            depth: Arc::new(move || queue.lock().queue.len()),
+            name,
         }
     }
 
@@ -131,10 +146,7 @@ impl<T: Send + 'static> Mailbox<T> {
                 );
                 inner.waiter = Some(ctx.pid());
             }
-            let depth = Arc::clone(&self.inner);
-            ctx.block_with_probe(format!("recv on mailbox `{}`", self.name), move || {
-                depth.lock().queue.len()
-            });
+            ctx.block_shared(Arc::clone(&self.recv_reason), Some(Arc::clone(&self.depth)));
         }
     }
 
@@ -171,10 +183,9 @@ impl<T: Send + 'static> Mailbox<T> {
                 // is harmless if a message arrives first.
                 ctx.schedule_fn(deadline.saturating_sub(ctx.now()), move |ec| ec.wake(pid));
             }
-            let depth = Arc::clone(&self.inner);
-            ctx.block_with_probe(
-                format!("recv (deadline) on mailbox `{}`", self.name),
-                move || depth.lock().queue.len(),
+            ctx.block_shared(
+                Arc::clone(&self.deadline_reason),
+                Some(Arc::clone(&self.depth)),
             );
         }
     }

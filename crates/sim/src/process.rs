@@ -1,25 +1,26 @@
 //! Simulated processes and the process-side context handle.
 //!
-//! Every simulated process runs its application code on a dedicated OS
-//! thread, but threads execute strictly one at a time: exactly one thread
-//! holds the *baton* (the right to step the scheduler core), and every
-//! other one waits at its [`Gate`]. A process that yields keeps the baton
-//! and steps the core itself until some process — possibly itself — must
-//! run. This lets application code be written in natural, blocking style
-//! (the real GA loop, the real sampler) while time remains fully virtual
-//! and deterministic.
+//! Every simulated process runs its application code as a stackful
+//! coroutine ([`crate::coro`]) on the thread that called
+//! [`SimBuilder::run`](crate::SimBuilder::run): a body that "takes time"
+//! ends its slice in the scheduler core and suspends, and the stepper loop
+//! in `run` resumes it when its entry reaches the head of the queue. This
+//! lets application code be written in natural, blocking style (the real
+//! GA loop, the real sampler) while time remains fully virtual and
+//! deterministic.
 
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicU64, AtomicU8};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
+use std::rc::Rc;
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::coro::{Cancelled, Yielder};
 use crate::event::{Event, EventKind};
-use crate::scheduler::Shared;
+use crate::scheduler::Core;
 use crate::time::SimTime;
 
 /// Identifier of a simulated process; assigned densely in spawn order.
@@ -39,10 +40,11 @@ pub(crate) enum Yield {
     Advance(SimTime),
     /// Block until some event wakes this process. The reason string is used
     /// in deadlock diagnostics; the optional probe reports the depth of the
-    /// queue being waited on if the run deadlocks.
+    /// queue being waited on if the run deadlocks. Both are shared, so a
+    /// waiter that blocks again and again (a mailbox) builds them once.
     Block {
-        reason: String,
-        probe: Option<Box<dyn Fn() -> usize + Send>>,
+        reason: Arc<str>,
+        probe: Option<DepthProbe>,
     },
     /// The process body returned normally.
     Done,
@@ -50,63 +52,8 @@ pub(crate) enum Yield {
     Panicked(String),
 }
 
-/// Sentinel panic payload used to unwind process threads at shutdown.
-pub(crate) struct ShutdownToken;
-
-const CLOSED: u8 = 0; // what `Gate::default()` starts as
-const OPEN: u8 = 1;
-const SHUTDOWN: u8 = 2;
-
-/// Where one thread waits for the baton: a flag plus `park`/`unpark`.
-/// Opening stores the flag (release) before unparking, and waiting
-/// re-checks it after every return from `park`, so a spurious wake-up or a
-/// stale unpark token left by an open that won the race just loops.
-#[derive(Default)]
-pub(crate) struct Gate {
-    state: AtomicU8,
-    /// Virtual ns the opener resumed the waiter at.
-    now_ns: AtomicU64,
-    thread: OnceLock<Thread>,
-}
-
-impl Gate {
-    /// Name the thread that waits here; done once, before anyone opens it.
-    pub(crate) fn bind(&self, thread: Thread) {
-        let _ = self.thread.set(thread);
-    }
-
-    /// Wait until opened and close the gate again; `None` once shut down
-    /// (which is permanent).
-    pub(crate) fn wait(&self) -> Option<SimTime> {
-        loop {
-            // Acquire pairs with the release in `signal`: everything the
-            // opener did, `now_ns` included, is visible past this point.
-            match self.state.compare_exchange(OPEN, CLOSED, Acquire, Acquire) {
-                Ok(_) => return Some(SimTime::from_nanos(self.now_ns.load(Relaxed))),
-                Err(SHUTDOWN) => return None,
-                Err(_) => thread::park(),
-            }
-        }
-    }
-
-    /// Let the waiter through, at virtual time `now`.
-    pub(crate) fn open(&self, now: SimTime) {
-        self.now_ns.store(now.as_nanos(), Relaxed);
-        self.signal(OPEN);
-    }
-
-    /// Answer this and every later `wait` with `None`.
-    pub(crate) fn shutdown(&self) {
-        self.signal(SHUTDOWN);
-    }
-
-    fn signal(&self, state: u8) {
-        self.state.store(state, Release);
-        if let Some(thread) = self.thread.get() {
-            thread.unpark();
-        }
-    }
-}
+/// Reports the depth of the queue a blocked process waits on.
+pub(crate) type DepthProbe = Arc<dyn Fn() -> usize + Send + Sync>;
 
 /// The handle a simulated process uses to interact with virtual time.
 ///
@@ -115,19 +62,29 @@ impl Gate {
 /// calling process's slice and let the scheduler step on; everything else
 /// runs inline at the current virtual instant.
 ///
+/// A `Ctx` is bound to the stack its body runs on, so it is not `Send`: it
+/// cannot be handed to another thread (the body's captures still are).
+///
 /// [`Mailbox::recv`]: crate::Mailbox::recv
 pub struct Ctx {
     pid: Pid,
     now: SimTime,
     rng: StdRng,
-    shared: Arc<Shared>,
+    core: Rc<RefCell<Core>>,
+    /// The way back to the stepper loop in `run()`.
+    stepper: Yielder<SimTime, ()>,
     /// Events scheduled during the current slice, in call order; spliced
     /// into the queue when the slice ends.
     outbox: Vec<(SimTime, EventKind)>,
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: Pid, seed: u64, shared: Arc<Shared>) -> Self {
+    pub(crate) fn new(
+        pid: Pid,
+        seed: u64,
+        core: Rc<RefCell<Core>>,
+        stepper: Yielder<SimTime, ()>,
+    ) -> Self {
         // Derive a per-process stream from the global seed; SplitMix64-style
         // mixing keeps the streams decorrelated.
         let mut z = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(pid.0 as u64 + 1));
@@ -138,7 +95,8 @@ impl Ctx {
             pid,
             now: SimTime::ZERO,
             rng: StdRng::seed_from_u64(z),
-            shared,
+            core,
+            stepper,
             outbox: Vec::new(),
         }
     }
@@ -177,7 +135,7 @@ impl Ctx {
     /// deadlock diagnostics. Wake-ups may be spurious from the caller's
     /// perspective; re-check your condition in a loop.
     pub fn block(&mut self, reason: impl Into<String>) {
-        self.block_inner(reason.into(), None);
+        self.block_shared(reason.into().into(), None);
     }
 
     /// Like [`block`](Ctx::block), but registers a depth probe: if the run
@@ -188,10 +146,18 @@ impl Ctx {
     where
         F: Fn() -> usize + Send + 'static,
     {
-        self.block_inner(reason.into(), Some(Box::new(probe)));
+        // The scheduler's probe slot is `Sync` (a mailbox shares its own
+        // across handles); a mutex makes any `Send` closure fit.
+        let probe = Mutex::new(probe);
+        self.block_shared(
+            reason.into().into(),
+            Some(Arc::new(move || (*probe.lock())())),
+        );
     }
 
-    fn block_inner(&mut self, reason: String, probe: Option<Box<dyn Fn() -> usize + Send>>) {
+    /// [`block_with_probe`](Ctx::block_with_probe) for a caller that keeps
+    /// its reason and probe around: blocking allocates nothing.
+    pub(crate) fn block_shared(&mut self, reason: Arc<str>, probe: Option<DepthProbe>) {
         self.yield_and_wait(Yield::Block { reason, probe });
     }
 
@@ -218,46 +184,30 @@ impl Ctx {
         self.schedule_fn(SimTime::ZERO, move |ec| ec.wake(pid));
     }
 
-    /// The whole life of a process thread: wait for the first slice, run
-    /// the body, report how it ended.
-    pub(crate) fn run(mut self, body: Box<dyn FnOnce(&mut Ctx) + Send>) {
-        // Torn down before it ever ran? (The first resume is at t = 0.)
-        if self.gate().wait().is_none() {
-            return;
-        }
-        // Stepping on after the body returns is inside the guard too: a
-        // panic there (a deadlock probe's, say) must end the run as this
-        // process's panic, not strand `run()` waiting on a dead thread.
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            body(&mut self);
-            self.end_slice(Yield::Done);
-        }));
-        if let Err(payload) = result {
-            // A shutdown token is teardown unwinding the body, not a panic.
-            if !payload.is::<ShutdownToken>() {
-                self.end_slice(Yield::Panicked(panic_message(payload.as_ref())));
-            }
-        }
+    /// The whole life of a process, from its first slice (at `now`):
+    /// run the body, report how it ended.
+    pub(crate) fn run(mut self, now: SimTime, body: Box<dyn FnOnce(&mut Ctx) + Send>) {
+        self.now = now;
+        let how = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut self))) {
+            Ok(()) => Yield::Done,
+            // Teardown unwinding the body, not a panic: on to the entry.
+            Err(payload) if payload.is::<Cancelled>() => panic::resume_unwind(payload),
+            Err(payload) => Yield::Panicked(panic_message(payload.as_ref())),
+        };
+        self.end_slice(how);
     }
 
-    fn gate(&self) -> &Gate {
-        &self.shared.gates[self.pid.index()]
-    }
-
-    /// End the slice and keep stepping the scheduler on this thread;
-    /// `Some(now)` if this process's own resume came up first.
-    fn end_slice(&mut self, how: Yield) -> Option<SimTime> {
-        let mut core = self.shared.core.lock();
+    fn end_slice(&mut self, how: Yield) {
+        let mut core = self.core.borrow_mut();
         core.end_slice(self.pid, &mut self.outbox, how);
-        self.shared.drive(core, Some(self.pid))
     }
 
-    /// End the slice; if the baton goes elsewhere, wait at the gate for it
-    /// to come back. A run that ends meanwhile (whoever detects it) never
-    /// returns into the body: the thread unwinds quietly at teardown.
+    /// End the slice and suspend until the stepper resumes this process.
+    /// A run that ends meanwhile never returns into the body: teardown
+    /// unwinds it from inside `suspend`.
     fn yield_and_wait(&mut self, how: Yield) {
-        let resumed = self.end_slice(how).or_else(|| self.gate().wait());
-        self.now = resumed.unwrap_or_else(|| panic::panic_any(ShutdownToken));
+        self.end_slice(how);
+        self.now = self.stepper.suspend(());
     }
 }
 
@@ -269,42 +219,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::mpsc;
-
-    #[test]
-    fn gate_ignores_stale_tokens_and_answers_shutdown_forever() {
-        let gate = Arc::new(Gate::default());
-        let ready = Arc::new(AtomicBool::new(false));
-        let (progress_tx, progress_rx) = mpsc::channel();
-        let (g, r) = (Arc::clone(&gate), Arc::clone(&ready));
-        let waiter = thread::spawn(move || {
-            // A stale token: the first `park` inside `wait` returns at
-            // once, with the gate still closed.
-            thread::current().unpark();
-            progress_tx.send(()).unwrap();
-            let first = g.wait();
-            assert!(r.load(Ordering::SeqCst), "wait returned before open");
-            progress_tx.send(()).unwrap();
-            // `open` may have left a token behind as well; the next wait
-            // must not mistake it for a second opening.
-            (first, g.wait(), g.wait())
-        });
-        gate.bind(waiter.thread().clone());
-        progress_rx.recv().unwrap();
-        waiter.thread().unpark(); // a spurious wake-up, gate still closed
-        ready.store(true, Ordering::SeqCst);
-        gate.open(SimTime::from_nanos(42));
-        progress_rx.recv().unwrap();
-        gate.shutdown();
-        let (first, second, third) = waiter.join().unwrap();
-        assert_eq!(first, Some(SimTime::from_nanos(42)));
-        assert_eq!((second, third), (None, None));
     }
 }

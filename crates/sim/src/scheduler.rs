@@ -1,26 +1,28 @@
 //! The virtual-time scheduler: one [`Core`] owning the event queue, the
-//! clock and the process table, stepped by whichever thread holds the
-//! baton, executing exactly one thing (event or process slice) at a time.
+//! clock and the process table, stepped by one loop in
+//! [`SimBuilder::run`], executing exactly one thing (event or process
+//! slice) at a time.
 //!
-//! There is no scheduler thread. `run()`'s caller takes the first steps;
-//! afterwards the process that ends a slice keeps stepping on its own
-//! stack: events fire inline, and when a `Resume(pid)` surfaces it either
-//! returns into its own body (no thread switch) or opens `pid`'s [`Gate`]
-//! and waits at its own (one switch). The core mutex is never contended:
-//! only the baton holder locks it, and unlocks before the next gate opens.
+//! Everything happens on `run()`'s caller: events fire inline in the loop,
+//! and when a `Resume(pid)` surfaces the loop switches to that process's
+//! coroutine ([`crate::coro`]) until it ends its slice and suspends. The
+//! core sits in a `RefCell` the loop lets go of while a process runs, so
+//! the process can end its slice in it.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use nscc_obs::{Hub, SchedDelta, SpanKind};
-use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro::Coro;
 use crate::error::{DeadlockInfo, SimError};
 use crate::event::{Event, EventCtx, EventKind, Queue};
-use crate::process::{Ctx, Gate, Pid, ShutdownToken, Yield};
+use crate::process::{Ctx, DepthProbe, Pid, Yield};
 use crate::time::SimTime;
 
 /// Lifecycle state of a simulated process.
@@ -31,7 +33,7 @@ enum ProcState {
     /// Suspended; waiting for an [`EventCtx::wake`]. Carries the reason and
     /// the virtual time the block began, for deadlock diagnostics and
     /// blocked-span observability.
-    Blocked { reason: String, since: SimTime },
+    Blocked { reason: Arc<str>, since: SimTime },
     /// Body returned.
     Done,
 }
@@ -43,7 +45,7 @@ struct ProcSlot {
     /// Virtual time this process last started a run slice.
     last_progress: SimTime,
     /// Depth probe registered by the current block, if any.
-    probe: Option<Box<dyn Fn() -> usize + Send>>,
+    probe: Option<DepthProbe>,
 }
 
 type Body = Box<dyn FnOnce(&mut Ctx) + Send>;
@@ -74,7 +76,7 @@ pub struct SimReport {
 pub struct SimBuilder {
     seed: u64,
     wall: Option<Hub>,
-    /// Process bodies by pid; each moves onto its thread in `run`.
+    /// Process bodies by pid; each moves onto its coroutine in `run`.
     bodies: Vec<Body>,
     core: Core,
 }
@@ -107,10 +109,9 @@ impl SimBuilder {
     /// Register a deadlock breadcrumb probe: should the run wedge, `f` is
     /// invoked once and every line it returns is appended to the
     /// [`SimError::Deadlock`] report (and the flight ring, when armed).
-    /// Probes run on the thread holding the baton, with every other
-    /// process stopped at its gate, so they may freely lock shared state
-    /// (e.g. a snapshot board) to report open marker waves and per-channel
-    /// in-flight recording depths.
+    /// Probes run in the stepper loop, with every process suspended, so
+    /// they may freely lock shared state (e.g. a snapshot board) to report
+    /// open marker waves and per-channel in-flight recording depths.
     pub fn deadlock_note(&mut self, f: impl Fn() -> Vec<String> + Send + 'static) -> &mut Self {
         self.core.diag.push(Box::new(f));
         self
@@ -126,7 +127,9 @@ impl SimBuilder {
     }
 
     /// Attach wall-clock scheduler self-accounting: the event loop counts
-    /// entries executed, park/unpark transitions, real thread hand-offs,
+    /// entries executed, slices ended by a yield and slices served (`parks`
+    /// and `unparks`: the names date from thread-backed processes),
+    /// hand-offs (resumes of a process other than the one resumed before),
     /// and real (host-clock) nanoseconds spent inside process slices vs.
     /// total, flushing [`SchedDelta`] batches into `hub` (see `Hub::sched`).
     /// Unlike [`attach_obs`](SimBuilder::attach_obs) this records **no**
@@ -187,51 +190,54 @@ impl SimBuilder {
         pid
     }
 
-    /// Run the simulation to completion.
+    /// Run the simulation to completion, on the calling thread.
     ///
     /// Returns a [`SimReport`] when every non-daemon process finishes, or a
-    /// [`SimError`] on deadlock, process panic, or a safety cap. A panic
-    /// inside an event closure is re-raised here, on the caller.
+    /// [`SimError`] on deadlock, process panic, or a safety cap. A panic in
+    /// anything the stepper loop itself runs — an event closure, a
+    /// deadlock probe — is re-raised here, on the caller, once every
+    /// process has been unwound.
     pub fn run(mut self) -> Result<SimReport, SimError> {
-        install_quiet_shutdown_hook();
-        let names: Vec<String> = self.core.procs.iter().map(|p| p.name.clone()).collect();
         if let Some(hub) = &self.core.obs {
-            for (i, name) in names.iter().enumerate() {
-                hub.set_proc_name(i as u32, name.clone());
+            for (i, p) in self.core.procs.iter().enumerate() {
+                hub.set_proc_name(i as u32, p.name.clone());
             }
         }
-        let shared = Arc::new(Shared {
-            core: Mutex::new(self.core),
-            gates: names.iter().map(|_| Gate::default()).collect(),
-            main: Gate::default(),
-        });
-        shared.main.bind(thread::current());
-        // Start every process thread waiting at its gate.
-        let mut joins = Vec::with_capacity(names.len());
-        for (i, (name, body)) in names.iter().zip(self.bodies).enumerate() {
-            let ctx = Ctx::new(Pid(i as u32), self.seed, Arc::clone(&shared));
-            let handle = thread::Builder::new()
-                .name(format!("sim-{i}-{name}"))
-                .spawn(move || ctx.run(body))
-                .expect("failed to spawn simulation thread");
-            shared.gates[i].bind(handle.thread().clone());
-            joins.push(handle);
-        }
+        self.core.acct = self.wall.map(WallAcct::new);
+        let shared = Rc::new(RefCell::new(self.core));
+        let seed = self.seed;
+        // Dropped on every way out of here, a panic in the loop included:
+        // that unwinds each body still suspended before its stack goes.
+        let mut coros: Vec<Coro<SimTime, ()>> = (0u32..)
+            .zip(self.bodies)
+            .map(|(i, body)| {
+                let core = Rc::clone(&shared);
+                Coro::new(move |stepper, now| Ctx::new(Pid(i), seed, core, stepper).run(now, body))
+            })
+            .collect();
 
-        // Take the first steps here, then wait for whichever thread ends
-        // the run to say so.
-        let mut core = shared.core.lock();
-        core.acct = self.wall.map(WallAcct::new);
-        shared.drive(core, None);
-        shared.main.wait();
-
-        // Tear down: every gate now answers "shut down", so a thread
-        // waiting at one unwinds its body (or never starts it); then join.
-        shared.gates.iter().for_each(Gate::shutdown);
-        for handle in joins {
-            let _ = handle.join();
+        let mut last = None;
+        let mut core = shared.borrow_mut();
+        loop {
+            match core.step() {
+                Step::Ran => {}
+                Step::Resume(pid) => {
+                    if last.replace(pid) != Some(pid) {
+                        if let Some(a) = core.acct.as_mut() {
+                            a.handoffs += 1;
+                        }
+                    }
+                    let now = core.now;
+                    drop(core);
+                    coros[pid.index()].resume(now);
+                    core = shared.borrow_mut();
+                }
+                Step::Ended => break,
+            }
         }
-        let outcome = shared.core.lock().outcome.take();
+        let outcome = core.outcome.take();
+        drop(core);
+        drop(coros);
         match outcome.expect("run ended without an outcome") {
             Ok(result) => result,
             Err(payload) => panic::resume_unwind(payload),
@@ -239,45 +245,11 @@ impl SimBuilder {
     }
 }
 
-/// Everything the threads of one run share.
-pub(crate) struct Shared {
-    pub(crate) core: Mutex<Core>,
-    /// Where each process's thread waits for a slice, by pid.
-    pub(crate) gates: Box<[Gate]>,
-    /// Where `run()`'s caller waits for the outcome.
-    main: Gate,
-}
-
-impl Shared {
-    /// Step until a process must run or the run ends. `Some(now)`: `me`'s
-    /// own resume surfaced and it continues at `now` with no thread switch.
-    /// `None`: the baton went to another thread, or the run ended — the
-    /// guard is dropped before that gate opens, so nobody finds it locked.
-    pub(crate) fn drive(&self, mut core: MutexGuard<'_, Core>, me: Option<Pid>) -> Option<SimTime> {
-        loop {
-            let (gate, now) = match core.step() {
-                Step::Ran => continue,
-                Step::Resume(pid) if Some(pid) == me => return Some(core.now),
-                Step::Resume(pid) => {
-                    if let Some(a) = core.acct.as_mut() {
-                        a.handoffs += 1;
-                    }
-                    (&self.gates[pid.index()], core.now)
-                }
-                Step::Ended => (&self.main, core.now),
-            };
-            drop(core);
-            gate.open(now);
-            return None;
-        }
-    }
-}
-
 /// What [`Core::step`] did.
-pub(crate) enum Step {
+enum Step {
     /// An event fired (or a stale resume was skipped); step again.
     Ran,
-    /// This process's slice starts now: its thread must run next.
+    /// This process's slice starts now: its coroutine must run next.
     Resume(Pid),
     /// The run is over and its outcome recorded.
     Ended,
@@ -297,7 +269,8 @@ pub(crate) struct Core {
     live_nondaemons: usize,
     /// Processes the firing event woke, resumed in order once it returns.
     wakes: Vec<Pid>,
-    /// The run's single outcome; `Err` carries an event closure's panic.
+    /// The run's single outcome; `Err` carries a panic out of the stepper
+    /// loop's own callees (event closure, deadlock probe).
     outcome: Option<thread::Result<Result<SimReport, SimError>>>,
 }
 
@@ -311,8 +284,8 @@ impl Core {
         Step::Ended
     }
 
-    /// Execute one queue entry on the calling thread.
-    pub(crate) fn step(&mut self) -> Step {
+    /// Execute one queue entry.
+    fn step(&mut self) -> Step {
         if self.outcome.is_some() {
             return Step::Ended;
         }
@@ -324,8 +297,9 @@ impl Core {
             })));
         }
         let Some(entry) = self.queue.pop() else {
-            let deadlock = self.diagnose_deadlock();
-            return self.end(Ok(Err(deadlock)));
+            // The probes are user code: treated like an event closure.
+            let diagnosis = panic::catch_unwind(AssertUnwindSafe(|| self.diagnose_deadlock()));
+            return self.end(diagnosis.map(Err));
         };
         debug_assert!(entry.time >= self.now, "event queue went backwards in time");
         let now = entry.time;
@@ -351,7 +325,7 @@ impl Core {
                     wakes: &mut self.wakes,
                 };
                 // Caught where it fires: the payload is re-raised on
-                // `run()`'s caller, never charged to the baton holder.
+                // `run()`'s caller, never charged to a process.
                 if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(&mut ec))) {
                     return self.end(Err(payload));
                 }
@@ -447,10 +421,10 @@ impl Core {
                     // blocking reason.
                     let (phase, detail) = hub
                         .phase_of(w.0)
-                        .unwrap_or_else(|| ("blocked".into(), reason.clone()));
+                        .unwrap_or_else(|| ("blocked".into(), reason.to_string()));
                     hub.profile_add(w.0, &phase, &detail, profile_samples(t0, t1, period));
                 }
-                hub.span(w.0, t0, t1, SpanKind::Blocked, reason);
+                hub.span(w.0, t0, t1, SpanKind::Blocked, reason.to_string());
             }
             self.queue.push(now, EventKind::Resume(w));
         }
@@ -469,7 +443,7 @@ impl Core {
                 ProcState::Blocked { reason, since } if !p.daemon => Some(DeadlockInfo {
                     pid: Pid(i as u32),
                     name: p.name.clone(),
-                    reason: reason.clone(),
+                    reason: reason.to_string(),
                     since: *since,
                     last_progress: p.last_progress,
                     mailbox_depth: p.probe.as_ref().map(|probe| probe()),
@@ -517,10 +491,10 @@ impl Core {
 /// locally and flushed into the hub as [`SchedDelta`]s every
 /// `FLUSH_EVERY` entries (and once when the run ends), so the steady-state
 /// cost per entry is a handful of integer adds — the hub's atomics are
-/// touched ~once per 4096 events. `parks`/`unparks` are *logical*: a
-/// slice served and a slice ended by a yield, whether or not the OS
-/// thread actually changed; `handoffs` counts the resumes that did
-/// change it.
+/// touched ~once per 4096 events. `parks`/`unparks` count slices: one
+/// served, one ended by a yield; `handoffs` counts the resumes whose
+/// process differs from the one resumed before (a process resuming itself
+/// is none).
 struct WallAcct {
     hub: Hub,
     started: Instant,
@@ -624,22 +598,4 @@ impl WallAcct {
 /// same-seed runs produce byte-identical profiles.
 fn profile_samples(start_ns: u64, end_ns: u64, period: u64) -> u64 {
     (end_ns / period).saturating_sub(start_ns / period)
-}
-
-/// Teardown of daemon processes unwinds their threads with a
-/// [`ShutdownToken`] panic, which is caught — but the default panic hook
-/// would still print a scary message. Install (once) a wrapper hook that
-/// stays silent for shutdown tokens and defers to the previous hook for
-/// everything else.
-fn install_quiet_shutdown_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ShutdownToken>().is_none() {
-                previous(info);
-            }
-        }));
-    });
 }

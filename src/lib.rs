@@ -17,7 +17,7 @@
 //!   staleness/block/delay histograms, warp timelines, span traces and
 //!   Perfetto export.
 //! * [`sim`] — deterministic discrete-event engine (virtual time,
-//!   thread-backed processes, mailboxes).
+//!   processes as stackful coroutines, mailboxes).
 //! * [`net`] — interconnect models (shared Ethernet bus, SP2 switch),
 //!   background-load generation, the warp metric.
 //! * [`faults`] — seeded fault injection: per-link loss/duplication/

@@ -146,7 +146,7 @@ build nscc_ckpt crates/ckpt/src/lib.rs
 build nscc_obs crates/obs/src/lib.rs $EXT_PL $EXT_SERDE $E_CKPT
 build nscc_audit crates/audit/src/lib.rs $EXT_PL $EXT_SERDE $E_OBS
 build nscc_sim crates/sim/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
-itest nscc_sim crates/sim/tests/baton.rs $E_SIM
+itest nscc_sim crates/sim/tests/stepper.rs $E_SIM
 build nscc_net crates/net/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM
 build nscc_faults crates/faults/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_SIM $E_NET
 build nscc_msg crates/msg/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_FAULTS
