@@ -33,8 +33,8 @@ mod flight;
 mod monitors;
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use nscc_obs::{EventSink, ObsEvent};
@@ -131,9 +131,21 @@ struct AuditorInner {
 /// One auditor can serve several hubs in sequence (the bench harness
 /// shares one across per-cell hubs), accumulating a single
 /// [`AuditSummary`] for the whole run.
+///
+/// The mutex is the workspace's last lock around single-threaded state:
+/// a simulation and its hub never leave their thread, but the frozen
+/// `crates/perf` writes `Arc::new(Auditor::new())`, which clippy's
+/// `arc_with_non_send_sync` accepts only for a `Send + Sync` auditor.
+/// It goes (a `RefCell`, callers holding an `Rc`) when ROADMAP item 1
+/// unfreezes that crate.
 pub struct Auditor {
     inner: Mutex<AuditorInner>,
 }
+
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Auditor>();
+};
 
 impl Default for Auditor {
     fn default() -> Self {
@@ -172,14 +184,21 @@ impl Auditor {
         }
     }
 
+    /// A monitor that panicked mid-event poisons nothing worth refusing:
+    /// counts and records are whole after every step, and whoever caught
+    /// the panic still wants them.
+    fn inner(&self) -> MutexGuard<'_, AuditorInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Total violations flagged so far (exact).
     pub fn violation_count(&self) -> u64 {
-        self.inner.lock().counts.values().sum()
+        self.inner().counts.values().sum()
     }
 
     /// Snapshot the audit results for the run report.
     pub fn summary(&self) -> AuditSummary {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         let monitors: Vec<MonitorStat> = inner
             .monitors
             .iter()
@@ -202,13 +221,13 @@ impl Auditor {
 
     /// The recorded violations (capped), for flight dumps.
     pub fn recorded(&self) -> Vec<Violation> {
-        self.inner.lock().recorded.clone()
+        self.inner().recorded.clone()
     }
 }
 
 impl EventSink for Auditor {
     fn on_event(&self, ev: &ObsEvent) {
-        let inner = &mut *self.inner.lock();
+        let inner = &mut *self.inner();
         for m in &mut inner.monitors {
             m.on_event(ev, &mut inner.scratch);
         }
@@ -223,7 +242,7 @@ impl EventSink for Auditor {
     }
 
     fn on_run_boundary(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         for m in &mut inner.monitors {
             m.on_run_boundary();
         }

@@ -23,12 +23,11 @@
 //! one tally loop (`IterRecord::sample_columns` / `tally_columns`). See
 //! DESIGN.md §3, "Parallel logic sampling".
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use nscc_dsm::{Coherence, Directory, DsmNode, DsmStats, DsmWorld};
 use nscc_msg::MsgConfig;
@@ -303,10 +302,9 @@ struct PartRuntime {
     spare: Vec<IterRecord>,
     tally: Tally,
     stats: BayesPartStats,
-    /// Shared stop flag: the query owner's `Release` store when the CI
-    /// rule fires pairs with every partition's `Acquire` load at the top
-    /// of its loop.
-    stop_flag: Arc<AtomicBool>,
+    /// Shared stop flag: set by the query owner when the CI rule fires,
+    /// read by every partition at the top of its loop.
+    stop_flag: Rc<Cell<bool>>,
     /// Scratch: `(iteration, column, remote input)` cells whose effective
     /// value changed, the positions one such column must resample, and
     /// the batch being gathered.
@@ -536,9 +534,9 @@ pub fn run_planned_inference(
         world.set_initial(l, Vec::new());
     }
 
-    let stop_flag = Arc::new(AtomicBool::new(false));
-    let results: Arc<Mutex<Vec<Option<(BayesPartStats, Option<Tally>, bool)>>>> =
-        Arc::new(Mutex::new(vec![None; parts]));
+    let stop_flag = Rc::new(Cell::new(false));
+    let results: Rc<RefCell<Vec<Option<(BayesPartStats, Option<Tally>, bool)>>>> =
+        Rc::new(RefCell::new(vec![None; parts]));
 
     let mut sim = SimBuilder::new(sim_seed);
     // The sampling profiler is driven by the scheduler; only attach it
@@ -564,15 +562,15 @@ pub fn run_planned_inference(
                 rank,
                 ..BayesPartStats::default()
             },
-            stop_flag: Arc::clone(&stop_flag),
+            stop_flag: Rc::clone(&stop_flag),
             dirty: Vec::new(),
             nodes: Vec::new(),
             batch: Vec::new(),
         };
-        let results = Arc::clone(&results);
+        let results = Rc::clone(&results);
         sim.spawn(format!("bayes{rank}"), move |ctx| {
             let out = partition_body(ctx, node, &idx, rt);
-            results.lock()[rank] = Some(out);
+            results.borrow_mut()[rank] = Some(out);
         });
     }
     let report = sim.run()?;
@@ -580,7 +578,7 @@ pub fn run_planned_inference(
     let mut per_part = Vec::with_capacity(parts);
     let mut tally_opt = None;
     let mut converged = false;
-    for slot in results.lock().drain(..) {
+    for slot in results.take() {
         let (stats, t, c) = slot.expect("every partition reports");
         per_part.push(stats);
         if let Some(t) = t {
@@ -620,7 +618,7 @@ fn partition_body(
     let mut iter: u64 = 0;
 
     'outer: while iter < rt.cfg.max_iterations {
-        if rt.stop_flag.load(Ordering::Acquire) {
+        if rt.stop_flag.get() {
             break;
         }
         iter += 1;
@@ -697,7 +695,7 @@ fn partition_body(
             rt.tally.drawn = iter * block;
             if rt.tally.converged(&rt.cfg.stop) {
                 converged = true;
-                rt.stop_flag.store(true, Ordering::Release);
+                rt.stop_flag.set(true);
             }
         }
     }

@@ -20,6 +20,7 @@
 //! is a deterministic discrete-event simulation, so a hunt finding
 //! replays exactly from its spec alone.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use nscc_audit::Auditor;
@@ -121,9 +122,28 @@ pub struct HeadlessOutcome {
     pub conservation_violations: u64,
 }
 
+/// Run `f`; an error it returns, or a panic it raises, comes back as the
+/// text of a [`HeadlessOutcome::sim_error`]. A panic in what the stepper
+/// itself runs (an event closure, a double borrow of a shared world) is
+/// re-raised on `run()`'s caller: left alone it would unwind through the
+/// hunt's worker scope and take every finding of the hunt with it.
+fn caught<T, E: ToString>(f: impl FnOnce() -> Result<T, E>) -> Result<T, String> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic payload>".to_string());
+            Err(format!("panic: {message}"))
+        }
+    }
+}
+
 /// Run one trial and collect every verdict. Never exits and never
-/// panics on a simulation error; the worst outcome is an
-/// [`HeadlessOutcome::sim_error`].
+/// panics, on a simulation error or on a panic inside the trial; the
+/// worst outcome is an [`HeadlessOutcome::sim_error`].
 pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
     // Only derived state is read back (the staleness summary, the audit
     // tap), so the hub retains no raw events: a fuzzing trial must not
@@ -160,7 +180,7 @@ pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
     };
 
     let mut out = HeadlessOutcome::default();
-    match run_ga_experiment(&exp) {
+    match caught(|| run_ga_experiment(&exp)) {
         Ok(res) => {
             let m = &res.modes[0];
             out.success_rate = m.success_rate;
@@ -169,7 +189,7 @@ pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
             out.give_ups = m.comm.give_ups;
             out.fault_summaries = res.fault_reports.iter().map(|f| f.summary()).collect();
         }
-        Err(e) => out.sim_error = Some(e.to_string()),
+        Err(e) => out.sim_error = Some(e),
     }
     let stal = hub.staleness_summary();
     out.traced_releases = stal.released;
@@ -186,6 +206,7 @@ pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nscc_sim::SimError;
 
     #[test]
     fn clean_quick_trial_is_quiet_and_deterministic() {
@@ -202,6 +223,23 @@ mod tests {
         );
         let b = run_headless(&spec);
         assert_eq!(a, b, "same spec must reproduce byte-identically");
+    }
+
+    #[test]
+    fn a_panicking_trial_is_a_structured_error() {
+        let out: Result<(), String> =
+            caught(|| -> Result<(), SimError> { panic!("already mutably borrowed: BorrowError") });
+        assert_eq!(
+            out,
+            Err("panic: already mutably borrowed: BorrowError".to_string())
+        );
+        let out = caught(|| -> Result<(), SimError> { panic!("{} + {}", 1, 2) });
+        assert_eq!(out, Err("panic: 1 + 2".to_string()));
+        // Errors and values pass through as before.
+        let limit = SimTime::from_secs(1);
+        let out = caught(|| -> Result<(), SimError> { Err(SimError::TimeLimitExceeded { limit }) });
+        assert_eq!(out, Err(SimError::TimeLimitExceeded { limit }.to_string()));
+        assert_eq!(caught(|| Ok::<u32, SimError>(7)), Ok(7));
     }
 
     #[test]

@@ -783,7 +783,7 @@ pub fn attach_live(scale: &Scale, hub: &Hub, bench: &str) {
         Some(t) => t,
         None => return,
     };
-    let out: Box<dyn std::io::Write + Send> = match target {
+    let out: Box<dyn std::io::Write> = match target {
         LiveTarget::Path(path) => match std::fs::File::create(path) {
             Ok(f) => Box::new(f),
             Err(e) => die(&format!("cannot open NSCC_LIVE path {path:?}: {e}")),

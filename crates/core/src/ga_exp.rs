@@ -13,9 +13,8 @@
 //!    never flatters the mode (the paper ensured convergence per trial).
 //! 4. Speedup = `T_serial / T_mode`.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nscc_dsm::{Coherence, Directory, DsmStats, DsmWorld, SnapConfig, SnapshotBoard};
 use nscc_faults::FaultReport;
@@ -337,7 +336,7 @@ fn run_parallel_once(
     }
 
     let board = ConvergenceBoard::new(p);
-    let outcomes: Arc<Mutex<Vec<Option<IslandOutcome>>>> = Arc::new(Mutex::new(vec![None; p]));
+    let outcomes: Rc<RefCell<Vec<Option<IslandOutcome>>>> = Rc::new(RefCell::new(vec![None; p]));
     // Consistent snapshots and supervision ride on injected, barrier-free
     // parallel runs only (the synchronous reference must stay exactly the
     // paper's program; under a barrier every generation is already a
@@ -447,10 +446,10 @@ fn run_parallel_once(
         let mut cfg = cfg.clone();
         cfg.recovery = recovery_for(r);
         let board = board.clone();
-        let outcomes = Arc::clone(&outcomes);
+        let outcomes = Rc::clone(&outcomes);
         sim.spawn(format!("island{r}"), move |ctx| {
             let out = run_island(ctx, node, &locs, &cfg, &board);
-            outcomes.lock()[r] = Some(out);
+            outcomes.borrow_mut()[r] = Some(out);
         });
     }
     let report = match sim.run() {
@@ -464,7 +463,7 @@ fn run_parallel_once(
                 SimError::TimeLimitExceeded { limit } => *limit,
                 _ => exp.watchdog.unwrap_or(SimTime::ZERO),
             };
-            let outs = outcomes.lock();
+            let outs = outcomes.borrow();
             let done = outs.iter().flatten().count().max(1) as f64;
             return Ok(RunMeasure {
                 time: at,
@@ -498,7 +497,7 @@ fn run_parallel_once(
         }
         Err(err) => return Err(err),
     };
-    let outs = outcomes.lock();
+    let outs = outcomes.borrow();
     // Quality bar: the mean best-ever across islands (a per-subpopulation
     // criterion, as the paper uses).
     let best = outs.iter().flatten().map(|o| o.best).sum::<f64>() / p as f64;

@@ -1,10 +1,11 @@
 //! The per-rank DSM node: age-tagged cache, update propagation, the
 //! blocking `Global_Read`, and the message barrier.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use nscc_msg::{Endpoint, Envelope};
@@ -189,7 +190,7 @@ impl<T> ReadOutcome<T> {
 
 /// One rank's DSM state. Move it into the rank's process closure; it is not
 /// shared (each node has exactly one owner process).
-pub struct DsmNode<T: Send + Sync + 'static> {
+pub struct DsmNode<T: 'static> {
     rank: usize,
     ep: Endpoint<DsmMsg<T>>,
     dir: Arc<Directory>,
@@ -231,7 +232,7 @@ pub struct DsmNode<T: Send + Sync + 'static> {
     /// branch per applied update.
     snap: Option<SnapRec<T>>,
     stats: DsmStats,
-    shared_stats: Arc<Mutex<Vec<DsmStats>>>,
+    shared_stats: Rc<RefCell<Vec<DsmStats>>>,
     obs: Option<Hub>,
 }
 
@@ -246,14 +247,14 @@ struct SnapRec<T> {
     recorded: Vec<(LocId, u64, Arc<T>)>,
 }
 
-impl<T: Serialize + Send + Sync + 'static> DsmNode<T> {
+impl<T: Serialize + 'static> DsmNode<T> {
     pub(crate) fn new(
         rank: usize,
         ep: Endpoint<DsmMsg<T>>,
         dir: Arc<Directory>,
         initial: HashMap<LocId, (u64, Arc<T>)>,
         history: usize,
-        shared_stats: Arc<Mutex<Vec<DsmStats>>>,
+        shared_stats: Rc<RefCell<Vec<DsmStats>>>,
         obs: Option<Hub>,
     ) -> Self {
         // (coalesce is configured post-construction by the world)
@@ -1107,11 +1108,11 @@ impl<T: Serialize + Send + Sync + 'static> DsmNode<T> {
     }
 
     fn flush_stats(&self) {
-        self.shared_stats.lock()[self.rank] = self.stats;
+        self.shared_stats.borrow_mut()[self.rank] = self.stats;
     }
 }
 
-impl<T: Clone + Send + Sync + 'static> DsmNode<T> {
+impl<T: Clone + 'static> DsmNode<T> {
     /// Export the age-tagged cache, sorted by location for deterministic
     /// encoding: the DSM half of a node checkpoint. The one place the DSM
     /// copies values out — a checkpoint owns its data (cold path).

@@ -17,11 +17,10 @@
 //! reading it never advances simulated time, so snapshot-on runs stay
 //! byte-identical to snapshot-off runs.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use nscc_ckpt::{save_cut, CkptStore, CutFrame, GlobalCut};
 use nscc_msg::MarkerPlane;
@@ -60,12 +59,12 @@ struct BoardInner {
 /// Shared collection point for one world's consistent cuts.
 #[derive(Clone)]
 pub struct SnapshotBoard {
-    inner: Arc<Mutex<BoardInner>>,
+    inner: Rc<RefCell<BoardInner>>,
 }
 
 impl fmt::Debug for SnapshotBoard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         f.debug_struct("SnapshotBoard")
             .field("ranks", &g.ranks)
             .field("pending", &g.pending.len())
@@ -78,7 +77,7 @@ impl SnapshotBoard {
     /// A board for `ranks` processes, in-memory only.
     pub fn new(ranks: usize) -> Self {
         SnapshotBoard {
-            inner: Arc::new(Mutex::new(BoardInner {
+            inner: Rc::new(RefCell::new(BoardInner {
                 ranks,
                 pending: BTreeMap::new(),
                 latest: None,
@@ -93,13 +92,13 @@ impl SnapshotBoard {
     /// Persist completed cuts into `store` as consistent-cut generations
     /// (generation number = cut id).
     pub fn with_store(self, store: CkptStore) -> Self {
-        self.inner.lock().store = Some(store);
+        self.inner.borrow_mut().store = Some(store);
         self
     }
 
     /// Note a new marker wave (called once per cut by its initiator).
     pub fn note_start(&self, _id: u64) {
-        self.inner.lock().counters.started += 1;
+        self.inner.borrow_mut().counters.started += 1;
     }
 
     /// Post one rank's frame for cut `id`, with the number of in-flight
@@ -110,7 +109,7 @@ impl SnapshotBoard {
     ///
     /// [`latest_complete`]: SnapshotBoard::latest_complete
     pub fn post(&self, id: u64, frame: CutFrame, recorded: u64, t_ns: u64) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         g.counters.inflight_recorded += recorded;
         let ranks = g.ranks;
         let slot = g.pending.entry(id).or_default();
@@ -142,29 +141,32 @@ impl SnapshotBoard {
 
     /// The newest completed cut, if any — the warm-restore source.
     pub fn latest_complete(&self) -> Option<GlobalCut> {
-        self.inner.lock().latest.clone()
+        self.inner.borrow().latest.clone()
     }
 
     /// Protocol counters so far.
     pub fn counters(&self) -> SnapCounters {
-        self.inner.lock().counters
+        self.inner.borrow().counters
     }
 
     /// Completed cuts that failed to persist to the attached store.
     pub fn persist_errors(&self) -> u64 {
-        self.inner.lock().persist_errors
+        self.inner.borrow().persist_errors
     }
 
     /// Refresh one rank's live recording state: the cut it is recording,
     /// how many incoming channels still await their closing marker, and
     /// how many in-flight updates it captured so far.
     pub fn note_wave(&self, rank: u32, id: u64, open: usize, recorded: usize) {
-        self.inner.lock().waves.insert(rank, (id, open, recorded));
+        self.inner
+            .borrow_mut()
+            .waves
+            .insert(rank, (id, open, recorded));
     }
 
     /// Clear one rank's live recording state (its local cut finished).
     pub fn clear_wave(&self, rank: u32) {
-        self.inner.lock().waves.remove(&rank);
+        self.inner.borrow_mut().waves.remove(&rank);
     }
 
     /// Deadlock breadcrumbs: one line per rank still mid-recording (cut
@@ -174,7 +176,7 @@ impl SnapshotBoard {
     /// (`SimBuilder::deadlock_note`) so a wedged run explains its marker
     /// plane.
     pub fn wave_notes(&self) -> Vec<String> {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         let mut notes = Vec::new();
         for (rank, (id, open, recorded)) in &g.waves {
             notes.push(format!(

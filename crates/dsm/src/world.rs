@@ -1,10 +1,11 @@
 //! Construction of a DSM world: directory + communication layer + per-rank
 //! nodes with seeded initial values.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use nscc_msg::{CommStats, CommWorld, MsgConfig};
@@ -19,7 +20,13 @@ use crate::node::{DsmMsg, DsmNode, DsmStats};
 ///
 /// Build it once, hand each rank its [`DsmNode`] via
 /// [`node`](DsmWorld::node), then read aggregate statistics after the run.
-pub struct DsmWorld<T: Send + Sync + 'static> {
+/// World and nodes live and die on the simulation's thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nscc_dsm::DsmWorld<u64>>();
+/// ```
+pub struct DsmWorld<T: 'static> {
     comm: CommWorld<DsmMsg<T>>,
     dir: Arc<Directory>,
     initial: HashMap<LocId, Arc<T>>,
@@ -27,11 +34,11 @@ pub struct DsmWorld<T: Send + Sync + 'static> {
     coalesce: u64,
     read_timeout: Option<SimTime>,
     inject_stale: u64,
-    stats: Arc<Mutex<Vec<DsmStats>>>,
+    stats: Rc<RefCell<Vec<DsmStats>>>,
     obs: Option<Hub>,
 }
 
-impl<T: Serialize + Send + Sync + 'static> DsmWorld<T> {
+impl<T: Serialize + 'static> DsmWorld<T> {
     /// Create a world of `ranks` nodes over `net` with the given directory.
     pub fn new(net: Network, ranks: usize, cfg: MsgConfig, dir: Directory) -> Self {
         DsmWorld {
@@ -42,7 +49,7 @@ impl<T: Serialize + Send + Sync + 'static> DsmWorld<T> {
             coalesce: 1,
             read_timeout: None,
             inject_stale: 0,
-            stats: Arc::new(Mutex::new(vec![DsmStats::default(); ranks])),
+            stats: Rc::new(RefCell::new(vec![DsmStats::default(); ranks])),
             obs: None,
         }
     }
@@ -161,7 +168,7 @@ impl<T: Serialize + Send + Sync + 'static> DsmWorld<T> {
             Arc::clone(&self.dir),
             cache,
             self.history,
-            Arc::clone(&self.stats),
+            Rc::clone(&self.stats),
             self.obs.clone(),
         );
         if self.coalesce > 1 {
@@ -178,13 +185,13 @@ impl<T: Serialize + Send + Sync + 'static> DsmWorld<T> {
 
     /// Per-rank DSM counters (updated continuously during the run).
     pub fn stats(&self) -> Vec<DsmStats> {
-        self.stats.lock().clone()
+        self.stats.borrow().clone()
     }
 
     /// Sum of all ranks' DSM counters.
     pub fn total_stats(&self) -> DsmStats {
         let mut total = DsmStats::default();
-        for s in self.stats.lock().iter() {
+        for s in self.stats.borrow().iter() {
             total.merge(s);
         }
         total

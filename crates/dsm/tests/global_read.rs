@@ -1,8 +1,7 @@
 //! Behavioural tests of the Global_Read protocol across simulated ranks.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use nscc_dsm::{Coherence, Directory, DsmWorld};
 use nscc_msg::MsgConfig;
@@ -106,8 +105,8 @@ fn global_read_throttles_a_fast_reader() {
     let iters = 20u64;
     let mut writer = world.node(0);
     let mut reader = world.node(1);
-    let reader_end = Arc::new(Mutex::new(SimTime::ZERO));
-    let reader_end2 = Arc::clone(&reader_end);
+    let reader_end = Rc::new(Cell::new(SimTime::ZERO));
+    let reader_end2 = Rc::clone(&reader_end);
     let mut sim = SimBuilder::new(0);
     sim.spawn("writer", move |ctx| {
         for iter in 1..=iters {
@@ -121,10 +120,10 @@ fn global_read_throttles_a_fast_reader() {
             let (age, _) = reader.global_read(ctx, loc, iter, 2);
             assert!(age + 2 >= iter, "staleness bound violated");
         }
-        *reader_end2.lock() = ctx.now();
+        reader_end2.set(ctx.now());
     });
     sim.run().unwrap();
-    let end = *reader_end.lock();
+    let end = reader_end.get();
     // Unthrottled the reader would finish at ~20 ms; throttled it tracks
     // the writer's iteration 18 at ~360 ms.
     assert!(
@@ -177,20 +176,20 @@ fn barrier_synchronizes_all_ranks() {
     for &l in &locs {
         world.set_initial(l, 0);
     }
-    let after = Arc::new(Mutex::new(Vec::new()));
+    let after = Rc::new(RefCell::new(Vec::new()));
     let mut sim = SimBuilder::new(0);
     for r in 0..ranks {
         let mut node = world.node(r);
-        let after = Arc::clone(&after);
+        let after = Rc::clone(&after);
         sim.spawn(format!("rank{r}"), move |ctx| {
             // Stagger arrival times.
             ctx.advance(SimTime::from_millis(10 * (r as u64 + 1)));
             node.barrier(ctx, 1);
-            after.lock().push((r, ctx.now()));
+            after.borrow_mut().push((r, ctx.now()));
         });
     }
     sim.run().unwrap();
-    let after = after.lock();
+    let after = after.borrow();
     let slowest_arrival = SimTime::from_millis(40);
     for (r, t) in after.iter() {
         assert!(
@@ -206,15 +205,15 @@ fn repeated_barriers_stay_in_lockstep() {
     let dir = Directory::new();
     let world: DsmWorld<u64> = ideal_world(ranks, dir);
     let mut sim = SimBuilder::new(0);
-    let counters = Arc::new(Mutex::new(vec![0u64; ranks]));
+    let counters = Rc::new(RefCell::new(vec![0u64; ranks]));
     for r in 0..ranks {
         let mut node = world.node(r);
-        let counters = Arc::clone(&counters);
+        let counters = Rc::clone(&counters);
         sim.spawn(format!("rank{r}"), move |ctx| {
             for epoch in 1..=10u64 {
                 ctx.advance(SimTime::from_millis((r as u64 + 1) * 3));
                 node.barrier(ctx, epoch);
-                let mut c = counters.lock();
+                let mut c = counters.borrow_mut();
                 c[r] = epoch;
                 // No rank can be more than one epoch ahead of any other
                 // right after leaving a barrier.

@@ -43,9 +43,9 @@ mod plan_json;
 
 pub use plan_json::PLAN_SCHEMA_VERSION;
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -375,13 +375,13 @@ impl FaultStats {
 /// network.
 #[derive(Debug, Clone, Default)]
 pub struct FaultStatsHandle {
-    inner: Arc<Mutex<FaultStats>>,
+    inner: Rc<RefCell<FaultStats>>,
 }
 
 impl FaultStatsHandle {
     /// Snapshot of the counters.
     pub fn snapshot(&self) -> FaultStats {
-        *self.inner.lock()
+        *self.inner.borrow()
     }
 }
 
@@ -469,13 +469,13 @@ impl Medium for FaultyMedium {
         if let Some(f) = floor {
             if f > arrival {
                 arrival = f;
-                self.stats.inner.lock().stalled += 1;
+                self.stats.inner.borrow_mut().stalled += 1;
             }
         }
 
         // Crashed endpoints are fail-silent.
         if self.plan.crashed(src.0, now) || self.plan.crashed(dst.0, now) {
-            self.stats.inner.lock().drops_node_down += 1;
+            self.stats.inner.borrow_mut().drops_node_down += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Drop(DropReason::NodeDown),
@@ -485,7 +485,7 @@ impl Medium for FaultyMedium {
 
         // Partitions drop crossing frames until they heal.
         if self.plan.partitioned(src.0, dst.0, now) {
-            self.stats.inner.lock().drops_partition += 1;
+            self.stats.inner.borrow_mut().drops_partition += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Drop(DropReason::Partitioned),
@@ -497,7 +497,7 @@ impl Medium for FaultyMedium {
         arrival = arrival.saturating_add(self.plan.degraded_delay(now));
 
         if f.drop_prob > 0.0 && self.rng.gen_bool(f.drop_prob) {
-            self.stats.inner.lock().drops_loss += 1;
+            self.stats.inner.borrow_mut().drops_loss += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Drop(DropReason::Loss),
@@ -508,12 +508,12 @@ impl Medium for FaultyMedium {
         if f.delay_prob > 0.0 && self.rng.gen_bool(f.delay_prob) {
             let extra = self.rng.gen_range(0..=f.delay_max.as_nanos());
             arrival = arrival.saturating_add(SimTime::from_nanos(extra));
-            self.stats.inner.lock().delayed += 1;
+            self.stats.inner.borrow_mut().delayed += 1;
         }
 
         if f.dup_prob > 0.0 && self.rng.gen_bool(f.dup_prob) {
             let gap = SimTime::from_micros(self.rng.gen_range(20..400));
-            self.stats.inner.lock().duplicates += 1;
+            self.stats.inner.borrow_mut().duplicates += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Duplicate {

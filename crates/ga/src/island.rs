@@ -3,10 +3,10 @@
 //! `N/2` individuals through the DSM and incorporates migrants from every
 //! peer under the configured coherence discipline.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -240,30 +240,30 @@ pub struct IslandOutcome {
 /// generation count and verified convergence offline for all 25 trials.
 #[derive(Clone)]
 pub struct ConvergenceBoard {
-    done: Arc<Mutex<Vec<bool>>>,
+    done: Rc<RefCell<Vec<bool>>>,
 }
 
 impl ConvergenceBoard {
     /// A board for `ranks` islands.
     pub fn new(ranks: usize) -> Self {
         ConvergenceBoard {
-            done: Arc::new(Mutex::new(vec![false; ranks])),
+            done: Rc::new(RefCell::new(vec![false; ranks])),
         }
     }
 
     /// Mark `rank` as converged.
     pub fn mark(&self, rank: usize) {
-        self.done.lock()[rank] = true;
+        self.done.borrow_mut()[rank] = true;
     }
 
     /// True once every island is marked.
     pub fn all_done(&self) -> bool {
-        self.done.lock().iter().all(|&d| d)
+        self.done.borrow().iter().all(|&d| d)
     }
 
     /// Number of islands marked so far.
     pub fn count(&self) -> usize {
-        self.done.lock().iter().filter(|&&d| d).count()
+        self.done.borrow().iter().filter(|&&d| d).count()
     }
 }
 
@@ -712,6 +712,8 @@ mod tests {
     use nscc_msg::MsgConfig;
     use nscc_net::{IdealMedium, Network};
     use nscc_sim::SimBuilder;
+    use std::cell::Cell;
+    use std::sync::Arc;
 
     fn run_modes(mode: Coherence, seed: u64) -> Vec<IslandOutcome> {
         let ranks = 3;
@@ -727,13 +729,13 @@ mod tests {
             world.set_initial(l, Vec::new());
         }
         let board = ConvergenceBoard::new(ranks);
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
         let mut sim = SimBuilder::new(seed);
         for r in 0..ranks {
             let node = world.node(r);
             let locs = locs.clone();
             let board = board.clone();
-            let outcomes = Arc::clone(&outcomes);
+            let outcomes = Rc::clone(&outcomes);
             let cfg = IslandConfig {
                 cost: CostModel::deterministic(),
                 ..IslandConfig::paper(
@@ -747,13 +749,11 @@ mod tests {
             };
             sim.spawn(format!("island{r}"), move |ctx| {
                 let out = run_island(ctx, node, &locs, &cfg, &board);
-                outcomes.lock().push(out);
+                outcomes.borrow_mut().push(out);
             });
         }
         sim.run().unwrap();
-        let mut v = Arc::try_unwrap(outcomes)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
+        let mut v = outcomes.take();
         v.sort_by_key(|o| o.rank);
         v
     }
@@ -818,13 +818,13 @@ mod tests {
             world.set_initial(l, Vec::new());
         }
         let board = ConvergenceBoard::new(ranks);
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
         let mut sim = SimBuilder::new(seed);
         for r in 0..ranks {
             let node = world.node(r);
             let locs = locs.clone();
             let board = board.clone();
-            let outcomes = Arc::clone(&outcomes);
+            let outcomes = Rc::clone(&outcomes);
             let mut cfg = IslandConfig {
                 cost: CostModel::deterministic(),
                 ..IslandConfig::paper(
@@ -845,13 +845,11 @@ mod tests {
             }
             sim.spawn(format!("island{r}"), move |ctx| {
                 let out = run_island(ctx, node, &locs, &cfg, &board);
-                outcomes.lock().push(out);
+                outcomes.borrow_mut().push(out);
             });
         }
         sim.run().unwrap();
-        let mut v = Arc::try_unwrap(outcomes)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
+        let mut v = outcomes.take();
         v.sort_by_key(|o| o.rank);
         v
     }
@@ -910,13 +908,13 @@ mod tests {
         };
         let cut_board = snap.board.clone();
         let board = ConvergenceBoard::new(ranks);
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let outcomes = Rc::new(RefCell::new(Vec::new()));
         let mut sim = SimBuilder::new(seed);
         for r in 0..ranks {
             let node = world.node(r);
             let locs = locs.clone();
             let board = board.clone();
-            let outcomes = Arc::clone(&outcomes);
+            let outcomes = Rc::clone(&outcomes);
             let mut cfg = IslandConfig {
                 cost: CostModel::deterministic(),
                 ..IslandConfig::paper(
@@ -939,13 +937,11 @@ mod tests {
             }
             sim.spawn(format!("island{r}"), move |ctx| {
                 let out = run_island(ctx, node, &locs, &cfg, &board);
-                outcomes.lock().push(out);
+                outcomes.borrow_mut().push(out);
             });
         }
         sim.run().unwrap();
-        let mut v = Arc::try_unwrap(outcomes)
-            .map(|m| m.into_inner())
-            .unwrap_or_default();
+        let mut v = outcomes.take();
         v.sort_by_key(|o| o.rank);
         (v, cut_board)
     }
@@ -1076,8 +1072,8 @@ mod tests {
         }
         let (mut writer, mut reader) = (world.node(0), world.node(1));
         let (peer, own) = (locs[0], locs[1]);
-        let digests = Arc::new(Mutex::new((0u64, 0u64)));
-        let sink = Arc::clone(&digests);
+        let digests = Rc::new(Cell::new((0u64, 0u64)));
+        let sink = Rc::clone(&digests);
         let mut sim = SimBuilder::new(0);
         sim.spawn("writer", move |ctx| {
             writer.write(ctx, peer, fixed_batch(25, 1), 3);
@@ -1110,10 +1106,10 @@ mod tests {
                 cache,
             };
             let sealed = nscc_ckpt::seal(&nscc_ckpt::to_bytes(&ck));
-            *sink.lock() = (cache_digest, nscc_ckpt::fnv1a(&sealed));
+            sink.set((cache_digest, nscc_ckpt::fnv1a(&sealed)));
         });
         sim.run().unwrap();
-        let (cache_digest, frame_digest) = *digests.lock();
+        let (cache_digest, frame_digest) = digests.get();
         assert_eq!(
             cache_digest, 2703879985682540472,
             "export_cache() bytes moved"

@@ -12,11 +12,11 @@
 //! unblock), the run continues with the survivors, and the report is
 //! marked degraded instead of the simulation dying with a deadlock.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use nscc_sim::SimTime;
@@ -76,12 +76,12 @@ struct SupInner {
 #[derive(Clone)]
 pub struct Supervisor {
     policy: SupervisorPolicy,
-    inner: Arc<Mutex<SupInner>>,
+    inner: Rc<RefCell<SupInner>>,
 }
 
 impl fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         f.debug_struct("Supervisor")
             .field("policy", &self.policy)
             .field("restarts", &g.restarts)
@@ -95,7 +95,7 @@ impl Supervisor {
     pub fn new(policy: SupervisorPolicy) -> Self {
         Supervisor {
             policy,
-            inner: Arc::new(Mutex::new(SupInner::default())),
+            inner: Rc::default(),
         }
     }
 
@@ -107,7 +107,7 @@ impl Supervisor {
     /// Rank `rank` crashed: decide restart (with capped exponential
     /// backoff) or give-up (budget exhausted).
     pub fn on_crash(&self, rank: usize) -> Decision {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         let a = g.attempts.entry(rank).or_insert(0);
         *a += 1;
         let attempt = *a;
@@ -132,12 +132,12 @@ impl Supervisor {
 
     /// Ranks the supervisor has given up on so far.
     pub fn failed_ranks(&self) -> Vec<u32> {
-        self.inner.lock().failed.clone()
+        self.inner.borrow().failed.clone()
     }
 
     /// Fold the supervisor's counters into a [`RecoverySummary`].
     pub fn fill(&self, sum: &mut RecoverySummary) {
-        let g = self.inner.lock();
+        let g = self.inner.borrow();
         sum.restarts_approved = g.restarts;
         sum.give_ups = g.give_ups;
         sum.failed_ranks = g.failed.clone();

@@ -1,9 +1,8 @@
 //! Integration test of the §6 future-work extension: dynamic (runtime)
 //! staleness control for the island GA.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nscc_dsm::{Coherence, Directory, DsmWorld};
 use nscc_ga::{
@@ -28,13 +27,13 @@ fn run(adaptive: Option<(u64, u64)>, seed: u64) -> (Vec<IslandOutcome>, nscc_dsm
         world.set_initial(l, Vec::new());
     }
     let board = ConvergenceBoard::new(ranks);
-    let outcomes = Arc::new(Mutex::new(Vec::new()));
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
     let mut sim = SimBuilder::new(seed);
     for r in 0..ranks {
         let node = world.node(r);
         let locs = locs.clone();
         let board = board.clone();
-        let outcomes = Arc::clone(&outcomes);
+        let outcomes = Rc::clone(&outcomes);
         let cfg = IslandConfig {
             cost: CostModel {
                 // Strong skew: adaptation has something to react to.
@@ -51,11 +50,11 @@ fn run(adaptive: Option<(u64, u64)>, seed: u64) -> (Vec<IslandOutcome>, nscc_dsm
         };
         sim.spawn(format!("island{r}"), move |ctx| {
             let out = run_island(ctx, node, &locs, &cfg, &board);
-            outcomes.lock().push(out);
+            outcomes.borrow_mut().push(out);
         });
     }
     sim.run().expect("simulation runs");
-    let v = outcomes.lock().clone();
+    let v = outcomes.borrow().clone();
     (v, world.total_stats())
 }
 

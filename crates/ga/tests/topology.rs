@@ -1,9 +1,8 @@
 //! Migration-topology integration tests: sparse topologies trade traffic
 //! for mixing speed.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nscc_dsm::{Coherence, DsmWorld};
 use nscc_ga::{
@@ -26,13 +25,13 @@ fn run(topology: Topology, ranks: usize, seed: u64) -> (Vec<IslandOutcome>, u64)
         world.set_initial(l, Vec::new());
     }
     let board = ConvergenceBoard::new(ranks);
-    let outcomes = Arc::new(Mutex::new(Vec::new()));
+    let outcomes = Rc::new(RefCell::new(Vec::new()));
     let mut sim = SimBuilder::new(seed);
     for r in 0..ranks {
         let node = world.node(r);
         let locs = locs.clone();
         let board = board.clone();
-        let outcomes = Arc::clone(&outcomes);
+        let outcomes = Rc::clone(&outcomes);
         let cfg = IslandConfig {
             cost: CostModel::deterministic(),
             ..IslandConfig::paper(
@@ -43,11 +42,11 @@ fn run(topology: Topology, ranks: usize, seed: u64) -> (Vec<IslandOutcome>, u64)
         };
         sim.spawn(format!("island{r}"), move |ctx| {
             let out = run_island(ctx, node, &locs, &cfg, &board);
-            outcomes.lock().push(out);
+            outcomes.borrow_mut().push(out);
         });
     }
     sim.run().expect("simulation runs");
-    let v = outcomes.lock().clone();
+    let v = outcomes.borrow().clone();
     (v, world.comm_stats().sent)
 }
 

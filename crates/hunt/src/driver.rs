@@ -15,6 +15,19 @@ use nscc_bench::headless::{run_headless, HeadlessSpec};
 use crate::generate::{generate, Envelope};
 use crate::oracle::{judge, Verdict};
 
+// What crosses a worker's boundary: a scenario in, an outcome and a
+// finding out. Every simulation, hub and world is built, run and dropped
+// inside one `run_headless` call on one worker; their types are `!Send`
+// (`compile_fail` doc-tests where they are defined). The one exception,
+// `Auditor`, is asserted `Send + Sync` in `nscc-audit`, which this crate
+// does not depend on.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<HeadlessSpec>();
+    assert_send::<nscc_bench::headless::HeadlessOutcome>();
+    assert_send::<HuntFinding>();
+};
+
 /// One hunt's parameters.
 #[derive(Debug, Clone)]
 pub struct HuntConfig {

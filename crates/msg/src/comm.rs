@@ -8,10 +8,9 @@
 //! paper's era) are charged to the sending/receiving process's virtual
 //! clock.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use serde::Serialize;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nscc_net::{Network, NodeId, Verdict, WarpMeter};
 use nscc_obs::{Hub, ObsEvent};
@@ -189,18 +188,24 @@ pub(crate) struct WorldInner {
     pub(crate) prov_seq: u64,
 }
 
-/// A communication world of `p` ranks over one simulated network.
-pub struct CommWorld<T: Send + 'static> {
+/// A communication world of `p` ranks over one simulated network. World,
+/// endpoints and messages in flight stay on the simulation's thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nscc_msg::CommWorld<u64>>();
+/// ```
+pub struct CommWorld<T: 'static> {
     net: Network,
     boxes: Vec<Mailbox<Envelope<T>>>,
     nodes: Vec<NodeId>,
     cfg: MsgConfig,
     warp: Option<WarpMeter>,
     obs: Option<Hub>,
-    inner: Arc<Mutex<WorldInner>>,
+    inner: Rc<RefCell<WorldInner>>,
 }
 
-impl<T: Send + 'static> CommWorld<T> {
+impl<T: 'static> CommWorld<T> {
     /// A world of `ranks` endpoints mapped to nodes `0..ranks` of `net`.
     pub fn new(net: Network, ranks: usize, cfg: MsgConfig) -> Self {
         let boxes: Vec<Mailbox<Envelope<T>>> = (0..ranks)
@@ -219,7 +224,7 @@ impl<T: Send + 'static> CommWorld<T> {
             cfg,
             warp: None,
             obs: None,
-            inner: Arc::new(Mutex::new(WorldInner {
+            inner: Rc::new(RefCell::new(WorldInner {
                 stats: CommStats::default(),
                 rel: RelState::default(),
                 prov_seq: 0,
@@ -259,14 +264,14 @@ impl<T: Send + 'static> CommWorld<T> {
             cfg: self.cfg.clone(),
             warp: self.warp.clone(),
             obs: self.obs.clone(),
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 
     /// Snapshot of the counters. The mailbox high-watermark is computed
     /// here, as the max over every rank's mailbox.
     pub fn stats(&self) -> CommStats {
-        let mut stats = self.inner.lock().stats;
+        let mut stats = self.inner.borrow().stats;
         stats.mailbox_high_watermark = self
             .boxes
             .iter()
@@ -278,7 +283,7 @@ impl<T: Send + 'static> CommWorld<T> {
 }
 
 /// One rank's handle into a [`CommWorld`].
-pub struct Endpoint<T: Send + 'static> {
+pub struct Endpoint<T: 'static> {
     rank: usize,
     /// Every rank but this one, ascending: the broadcast destination list.
     peers: Vec<usize>,
@@ -288,10 +293,10 @@ pub struct Endpoint<T: Send + 'static> {
     cfg: MsgConfig,
     warp: Option<WarpMeter>,
     obs: Option<Hub>,
-    inner: Arc<Mutex<WorldInner>>,
+    inner: Rc<RefCell<WorldInner>>,
 }
 
-impl<T: Send + 'static> Clone for Endpoint<T> {
+impl<T: 'static> Clone for Endpoint<T> {
     fn clone(&self) -> Self {
         Endpoint {
             rank: self.rank,
@@ -302,12 +307,12 @@ impl<T: Send + 'static> Clone for Endpoint<T> {
             cfg: self.cfg.clone(),
             warp: self.warp.clone(),
             obs: self.obs.clone(),
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
-impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
+impl<T: Serialize + Clone + 'static> Endpoint<T> {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -359,7 +364,7 @@ impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
         ctx.advance(self.cfg.send_overhead);
         let bytes = wire_size(&payload) + self.cfg.header_bytes;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.stats.sent += 1;
             inner.stats.payload_bytes += (bytes - self.cfg.header_bytes) as u64;
         }
@@ -433,7 +438,7 @@ impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
             return None;
         }
         let msg_seq = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let s = inner.prov_seq;
             inner.prov_seq += 1;
             s
@@ -467,14 +472,14 @@ impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
         rc: ReliableConfig,
     ) -> SimTime {
         let seq = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let seq = inner.rel.next_seq;
             inner.rel.next_seq += 1;
             seq
         };
         let msg = RelMsg {
             net: self.net.clone(),
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             obs: self.obs.clone(),
             cfg: rc,
             src_node: self.nodes[self.rank],
@@ -533,7 +538,7 @@ impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
         ctx.advance(self.cfg.send_overhead);
         let bytes = wire_size(&payload) + self.cfg.header_bytes;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.stats.sent += dsts.len() as u64;
             inner.stats.payload_bytes += (bytes - self.cfg.header_bytes) as u64;
         }
@@ -614,7 +619,7 @@ impl<T: Serialize + Clone + Send + 'static> Endpoint<T> {
             p.recv_ns = ctx.now().as_nanos();
         }
         ctx.advance(self.cfg.recv_overhead);
-        self.inner.lock().stats.received += 1;
+        self.inner.borrow_mut().stats.received += 1;
         if let Some(depth) = self.boxes[self.rank].take_warn() {
             if let Some(hub) = &self.obs {
                 hub.emit(ObsEvent::MailboxHigh {

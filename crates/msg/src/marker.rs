@@ -21,7 +21,7 @@
 //! [`Endpoint`]: crate::Endpoint
 //! [`CommStats`]: crate::CommStats
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use nscc_sim::{Ctx, Mailbox, SimTime};
 
@@ -43,7 +43,7 @@ struct PlaneInner {
 /// marker latency. Cloneable; hand each rank its [`MarkerPort`].
 #[derive(Clone)]
 pub struct MarkerPlane {
-    inner: Arc<PlaneInner>,
+    inner: Rc<PlaneInner>,
 }
 
 impl MarkerPlane {
@@ -52,7 +52,7 @@ impl MarkerPlane {
     /// in-flight data is recorded; it never delays the data itself.
     pub fn new(ranks: usize, latency: SimTime) -> Self {
         MarkerPlane {
-            inner: Arc::new(PlaneInner {
+            inner: Rc::new(PlaneInner {
                 boxes: (0..ranks)
                     .map(|r| Mailbox::new(format!("marker:{r}")))
                     .collect(),
@@ -124,12 +124,12 @@ impl MarkerPort {
 mod tests {
     use super::*;
     use nscc_sim::SimBuilder;
-    use std::sync::Mutex;
+    use std::cell::RefCell;
 
     #[test]
     fn broadcast_reaches_every_peer_but_not_the_sender() {
         let plane = MarkerPlane::new(3, SimTime::from_millis(1));
-        let seen: Arc<Mutex<Vec<(usize, MarkerMsg, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen: Rc<RefCell<Vec<(usize, MarkerMsg, u64)>>> = Rc::default();
 
         let mut sim = SimBuilder::new(1);
         let p0 = plane.port(0);
@@ -144,13 +144,13 @@ mod tests {
             sim.spawn(format!("peer{r}"), move |ctx| {
                 ctx.advance(SimTime::from_millis(2));
                 for m in port.poll() {
-                    seen.lock().unwrap().push((r, m, ctx.now().as_nanos()));
+                    seen.borrow_mut().push((r, m, ctx.now().as_nanos()));
                 }
             });
         }
         sim.run().unwrap();
 
-        let seen = seen.lock().unwrap();
+        let seen = seen.borrow();
         assert_eq!(seen.len(), 2);
         for (_, m, _) in seen.iter() {
             assert_eq!(*m, MarkerMsg { id: 7, src: 0 });

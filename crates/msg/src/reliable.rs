@@ -15,10 +15,9 @@
 //! frames retried; the protocol state lives in the world-shared
 //! [`RelState`].
 
+use std::cell::RefCell;
 use std::collections::HashSet;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use nscc_net::{Network, NodeId, Verdict};
 use nscc_obs::{Hub, ObsEvent};
@@ -92,7 +91,7 @@ pub(crate) struct RelState {
 /// Everything one tracked frame needs to retry itself from event context.
 pub(crate) struct RelMsg<T> {
     pub(crate) net: Network,
-    pub(crate) inner: Arc<Mutex<WorldInner>>,
+    pub(crate) inner: Rc<RefCell<WorldInner>>,
     pub(crate) obs: Option<Hub>,
     pub(crate) cfg: ReliableConfig,
     pub(crate) src_node: NodeId,
@@ -109,7 +108,7 @@ impl<T: Clone> Clone for RelMsg<T> {
     fn clone(&self) -> Self {
         RelMsg {
             net: self.net.clone(),
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             obs: self.obs.clone(),
             cfg: self.cfg,
             src_node: self.src_node,
@@ -127,14 +126,14 @@ impl<T: Clone> Clone for RelMsg<T> {
 /// The two scheduling contexts a retry can be issued from.
 pub(crate) trait Sched {
     fn now(&self) -> SimTime;
-    fn after(&mut self, delay: SimTime, f: Box<dyn FnOnce(&mut EventCtx<'_>) + Send>);
+    fn after(&mut self, delay: SimTime, f: Box<dyn FnOnce(&mut EventCtx<'_>)>);
 }
 
 impl Sched for Ctx {
     fn now(&self) -> SimTime {
         Ctx::now(self)
     }
-    fn after(&mut self, delay: SimTime, f: Box<dyn FnOnce(&mut EventCtx<'_>) + Send>) {
+    fn after(&mut self, delay: SimTime, f: Box<dyn FnOnce(&mut EventCtx<'_>)>) {
         self.schedule_fn(delay, f);
     }
 }
@@ -143,7 +142,7 @@ impl Sched for EventCtx<'_> {
     fn now(&self) -> SimTime {
         EventCtx::now(self)
     }
-    fn after(&mut self, delay: SimTime, f: Box<dyn FnOnce(&mut EventCtx<'_>) + Send>) {
+    fn after(&mut self, delay: SimTime, f: Box<dyn FnOnce(&mut EventCtx<'_>)>) {
         self.schedule_fn(delay, f);
     }
 }
@@ -151,11 +150,7 @@ impl Sched for EventCtx<'_> {
 /// Put attempt `n` (0-based) of `m` on the wire and arm its retry timer.
 /// Returns the planned arrival of this attempt (the sender-observed time,
 /// even if the frame is fated to drop).
-pub(crate) fn attempt<T: Clone + Send + 'static>(
-    s: &mut dyn Sched,
-    m: &RelMsg<T>,
-    n: u32,
-) -> SimTime {
+pub(crate) fn attempt<T: Clone + 'static>(s: &mut dyn Sched, m: &RelMsg<T>, n: u32) -> SimTime {
     let now = s.now();
     let tx = m.net.plan(now, m.src_node, m.dst_node, m.bytes);
     let arrivals: &[SimTime] = match tx.verdict {
@@ -180,11 +175,11 @@ pub(crate) fn attempt<T: Clone + Send + 'static>(
     s.after(
         m.cfg.rto_for(n),
         Box::new(move |ec| {
-            if mm.inner.lock().rel.acked.contains(&mm.seq) {
+            if mm.inner.borrow().rel.acked.contains(&mm.seq) {
                 return;
             }
             if n >= mm.cfg.max_retries {
-                mm.inner.lock().stats.give_ups += 1;
+                mm.inner.borrow_mut().stats.give_ups += 1;
                 if let Some(hub) = &mm.obs {
                     hub.emit(ObsEvent::RetransmitGiveUp {
                         t_ns: ec.now().as_nanos(),
@@ -195,7 +190,7 @@ pub(crate) fn attempt<T: Clone + Send + 'static>(
                 }
                 return;
             }
-            mm.inner.lock().stats.retransmits += 1;
+            mm.inner.borrow_mut().stats.retransmits += 1;
             if let Some(hub) = &mm.obs {
                 hub.emit(ObsEvent::Retransmit {
                     t_ns: ec.now().as_nanos(),
@@ -221,9 +216,9 @@ pub(crate) fn attempt<T: Clone + Send + 'static>(
 /// A copy of frame `m` reached the receiving node: deliver it to the
 /// application mailbox unless a copy already did, and acknowledge either
 /// way (the previous ack may itself have been lost).
-fn deliver<T: Clone + Send + 'static>(ec: &mut EventCtx<'_>, m: &RelMsg<T>) {
+fn deliver<T: Clone + 'static>(ec: &mut EventCtx<'_>, m: &RelMsg<T>) {
     let fresh = {
-        let mut g = m.inner.lock();
+        let mut g = m.inner.borrow_mut();
         let fresh = g.rel.seen.insert(m.seq);
         if !fresh {
             g.stats.dup_suppressed += 1;
@@ -249,10 +244,10 @@ fn deliver<T: Clone + Send + 'static>(ec: &mut EventCtx<'_>, m: &RelMsg<T>) {
     let ack = m.net.plan(now, m.dst_node, m.src_node, m.cfg.ack_bytes);
     match ack.verdict {
         Verdict::Deliver | Verdict::Duplicate { .. } => {
-            let inner = Arc::clone(&m.inner);
+            let inner = Rc::clone(&m.inner);
             let seq = m.seq;
             ec.schedule_fn(ack.arrival.saturating_sub(now), move |_| {
-                inner.lock().rel.acked.insert(seq);
+                inner.borrow_mut().rel.acked.insert(seq);
             });
         }
         Verdict::Drop(_) => {}

@@ -99,7 +99,7 @@ pub struct Transmission {
 ///
 /// Implementations must be deterministic: the same sequence of
 /// [`transmit`](Medium::transmit) calls must produce the same arrival times.
-pub trait Medium: Send {
+pub trait Medium {
     /// Submit a frame of `payload_bytes` from `src` to `dst` at virtual time
     /// `now`; returns the arrival instant at `dst` (strictly `>= now`).
     fn transmit(&mut self, now: SimTime, src: NodeId, dst: NodeId, payload_bytes: usize)

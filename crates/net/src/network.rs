@@ -1,9 +1,8 @@
 //! The [`Network`] handle: shared access to a medium from simulated
 //! processes and events, with delivery scheduling and aggregate statistics.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, EventCtx, Mailbox, SimTime};
@@ -108,16 +107,22 @@ struct NetInner {
 ///
 /// All sends from all processes go through the same handle, so the medium
 /// sees the true interleaving of traffic (that is what creates contention).
+/// The handle stays on the simulation's thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nscc_net::Network>();
+/// ```
 #[derive(Clone)]
 pub struct Network {
-    inner: Arc<Mutex<NetInner>>,
+    inner: Rc<RefCell<NetInner>>,
 }
 
 impl Network {
     /// Wrap a medium.
     pub fn new(medium: impl Medium + 'static) -> Self {
         Network {
-            inner: Arc::new(Mutex::new(NetInner {
+            inner: Rc::new(RefCell::new(NetInner {
                 medium: Box::new(medium),
                 messages: 0,
                 total_delay: SimTime::ZERO,
@@ -134,7 +139,7 @@ impl Network {
     /// the hub's network-delay histogram). Detached costs one branch per
     /// frame.
     pub fn attach_obs(&self, hub: Hub) {
-        self.inner.lock().obs = Some(hub);
+        self.inner.borrow_mut().obs = Some(hub);
     }
 
     /// Submit a message and schedule its delivery into `mailbox` at the
@@ -142,7 +147,7 @@ impl Network {
     /// delivery verdict: dropped frames schedule nothing, duplicated
     /// frames schedule a second copy). Returns the arrival time the
     /// sender observes.
-    pub fn send_to<T: Clone + Send + 'static>(
+    pub fn send_to<T: Clone + 'static>(
         &self,
         ctx: &mut Ctx,
         src: NodeId,
@@ -171,7 +176,7 @@ impl Network {
 
     /// Like [`send_to`](Network::send_to), but callable from event context
     /// (used by protocol layers that forward inside events).
-    pub fn send_to_from_event<T: Clone + Send + 'static>(
+    pub fn send_to_from_event<T: Clone + 'static>(
         &self,
         ec: &mut EventCtx<'_>,
         src: NodeId,
@@ -204,7 +209,7 @@ impl Network {
     /// media (the shared Ethernet bus) this costs *one* frame on the
     /// wire; otherwise it falls back to one unicast per destination (as
     /// on a crossbar switch). Returns the latest arrival time.
-    pub fn multicast_to<T: Clone + Send + 'static>(
+    pub fn multicast_to<T: Clone + 'static>(
         &self,
         ctx: &mut Ctx,
         src: NodeId,
@@ -250,7 +255,7 @@ impl Network {
         payload_bytes: usize,
     ) -> Option<SimTime> {
         let (bcast, queue_ns) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             let queue_ns = if inner.obs.is_some() {
                 inner.medium.next_free(now).saturating_sub(now).as_nanos()
             } else {
@@ -264,7 +269,7 @@ impl Network {
         let arrival = bcast?;
         debug_assert!(arrival >= now);
         let delay = arrival - now;
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.messages += 1;
         inner.total_delay = inner.total_delay.saturating_add(delay);
         inner.max_delay = inner.max_delay.max(delay);
@@ -297,7 +302,7 @@ impl Network {
     /// submitted, no statistics move. Provenance-stamping layers use this
     /// to split a message's latency into queueing vs time on the wire.
     pub fn queue_delay(&self, now: SimTime) -> SimTime {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         inner.medium.next_free(now).saturating_sub(now)
     }
 
@@ -313,7 +318,7 @@ impl Network {
         dst: NodeId,
         payload_bytes: usize,
     ) -> Transmission {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         // Queueing must be probed before the transmit mutates medium state.
         let queue_ns = if inner.obs.is_some() {
             inner.medium.next_free(now).saturating_sub(now).as_nanos()
@@ -372,7 +377,7 @@ impl Network {
 
     /// Snapshot of the aggregate statistics.
     pub fn stats(&self) -> NetStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         NetStats {
             medium: inner.medium.stats(),
             messages: inner.messages,

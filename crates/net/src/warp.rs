@@ -5,10 +5,9 @@
 //! the difference in their **send** times. Warp ≈ 1 means stable network
 //! load; warp ≫ 1 means latency is growing, i.e. the network is loading up.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use nscc_sim::SimTime;
 
@@ -24,7 +23,7 @@ struct WarpState {
 /// Collects warp samples across all receiver/sender pairs of one run.
 #[derive(Clone, Default)]
 pub struct WarpMeter {
-    state: Arc<Mutex<WarpState>>,
+    state: Rc<RefCell<WarpState>>,
 }
 
 impl WarpMeter {
@@ -44,7 +43,7 @@ impl WarpMeter {
         send_time: SimTime,
         arrival_time: SimTime,
     ) -> Option<f64> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let key = (receiver, sender);
         if let Some((prev_send, prev_arrival)) = st.last.insert(key, (send_time, arrival_time)) {
             let ds = send_time.saturating_sub(prev_send).as_secs_f64();
@@ -60,7 +59,7 @@ impl WarpMeter {
 
     /// Number of samples collected.
     pub fn len(&self) -> usize {
-        self.state.lock().samples.len()
+        self.state.borrow().samples.len()
     }
 
     /// True if no sample was collected.
@@ -70,7 +69,7 @@ impl WarpMeter {
 
     /// Mean warp over all samples (1.0 if no samples, i.e. "stable").
     pub fn mean(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         if st.samples.is_empty() {
             1.0
         } else {
@@ -80,7 +79,7 @@ impl WarpMeter {
 
     /// The p-th percentile (0..=100) of warp samples.
     pub fn percentile(&self, p: f64) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         if st.samples.is_empty() {
             return 1.0;
         }
@@ -92,7 +91,7 @@ impl WarpMeter {
 
     /// Largest warp sample.
     pub fn max(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.samples.iter().cloned().fold(1.0, f64::max)
     }
 }

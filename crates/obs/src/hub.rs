@@ -10,13 +10,18 @@
 //!
 //! Layers hold an `Option<Hub>`: detached (`None`) costs a single branch
 //! per event site — see the `obs/` group in `crates/bench/benches`.
+//!
+//! A hub belongs to one thread, like the simulation it observes: all its
+//! state sits in one `RefCell`, every method borrows it once and lets go
+//! before returning, and nothing the hub calls while borrowed (the tap,
+//! the live-feed writer) may call back into the hub.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::event::ObsEvent;
@@ -36,11 +41,11 @@ const FLOW_CAPACITY: usize = 1 << 14;
 /// A consumer of the hub's live event stream, attached with
 /// [`Hub::set_tap`]. The audit layer implements this to drive its
 /// invariant monitors online; the hub itself stays ignorant of what the
-/// sink does. A tap observes events but must never feed anything back
-/// into the hub's counters, histograms, or event store — that contract is
+/// sink does. A tap observes events but must never call back into the hub
+/// (it runs while the hub's state is borrowed) — that contract is also
 /// what keeps tap-on runs byte-identical to tap-off runs in every report
 /// section the tap does not own.
-pub trait EventSink: Send + Sync {
+pub trait EventSink {
     /// Called synchronously for every [`Hub::emit`], after derived
     /// metrics are updated and the flight ring is fed, before the event
     /// enters raw storage.
@@ -51,12 +56,6 @@ pub trait EventSink: Send + Sync {
     /// per-program state (barrier epochs, sequence dedup, write
     /// watermarks) reset it here.
     fn on_run_boundary(&self) {}
-}
-
-struct EventStore {
-    events: Vec<ObsEvent>,
-    dropped: u64,
-    capacity: usize,
 }
 
 /// Aggregation cell behind one causal dependency edge (reader, loc,
@@ -72,98 +71,260 @@ struct DepAgg {
     last_msg_seq: u64,
 }
 
-struct HubInner {
-    events: Mutex<EventStore>,
-    trace: Trace,
-    warp: WarpTimeline,
-    staleness: Mutex<Histogram>,
-    block_ns: Mutex<Histogram>,
-    net_delay_ns: Mutex<Histogram>,
-    rollback: Mutex<Histogram>,
-    names: Mutex<BTreeMap<u32, String>>,
-    loc_names: Mutex<BTreeMap<u32, String>>,
+/// Everything a hub accumulates, behind the one `RefCell` of [`HubInner`].
+#[derive(Default)]
+struct HubState {
+    events: Vec<ObsEvent>,
+    events_dropped: u64,
+    event_capacity: usize,
+    staleness: Histogram,
+    block_ns: Histogram,
+    net_delay_ns: Histogram,
+    rollback: Histogram,
+    names: BTreeMap<u32, String>,
+    loc_names: BTreeMap<u32, String>,
     /// Per-location staleness heatmap: loc → delivered-age histogram.
-    heat: Mutex<BTreeMap<u32, Histogram>>,
+    heat: BTreeMap<u32, Histogram>,
     /// Causal dependency edges: (reader, loc, writer) → aggregate.
-    deps: Mutex<BTreeMap<(u32, u32, u32), DepAgg>>,
+    deps: BTreeMap<(u32, u32, u32), DepAgg>,
     /// Virtual-time profiler samples: (pid, phase, detail) → count.
-    profile: Mutex<BTreeMap<(u32, String, String), u64>>,
+    profile: BTreeMap<(u32, String, String), u64>,
     /// Per-pid phase annotation for blocked-time attribution
     /// (phase, detail), set by layers around blocking operations.
-    phase_ann: Mutex<BTreeMap<u32, (String, String)>>,
+    phase_ann: BTreeMap<u32, (String, String)>,
     /// Profiler sampling period in virtual ns (0 = disabled).
-    profile_every_ns: AtomicU64,
-    snapshots: Mutex<Vec<MetricSnapshot>>,
+    profile_every_ns: u64,
+    snapshots: Vec<MetricSnapshot>,
     /// Virtual-time snapshot cadence (0 = disabled).
-    snap_every_ns: AtomicU64,
+    snap_every_ns: u64,
     /// Next virtual instant at which a snapshot is due.
-    snap_next_ns: AtomicU64,
-    /// Attached live-feed sink, if any ([`Hub::set_live`]); `live_on`
-    /// mirrors its presence so the snapshot path pays one relaxed load
-    /// instead of a lock when no feed is attached.
-    live: Mutex<Option<LiveSink>>,
-    live_on: AtomicBool,
+    snap_next_ns: u64,
+    /// Attached live-feed sink, if any ([`Hub::set_live`]).
+    live: Option<LiveSink>,
     /// Whether wall-clock scheduler accounting was requested
     /// ([`Hub::enable_wall`]); simulations check it before attaching
     /// their accounting, so detached runs never touch `Instant::now`.
-    wall_on: AtomicBool,
-    /// Attached event tap ([`Hub::set_tap`]); `tap_on` mirrors its
-    /// presence so emitters without a tap pay one relaxed load.
-    tap: Mutex<Option<Arc<dyn EventSink>>>,
-    tap_on: AtomicBool,
+    wall_on: bool,
+    /// Attached event tap ([`Hub::set_tap`]).
+    tap: Option<Arc<dyn EventSink>>,
     /// Flight-recorder ring of the most recent events
     /// ([`Hub::enable_flight`]); bounded to `flight_cap` entries, oldest
     /// dropped first. `flight_cap == 0` means disabled.
-    flight: Mutex<VecDeque<ObsEvent>>,
-    flight_cap: AtomicU64,
+    flight: VecDeque<ObsEvent>,
+    flight_cap: u64,
     /// Whether the staleness-anatomy tracer is armed
     /// ([`Hub::enable_staleness`]); DSM layers check it before emitting
     /// `ReadAnatomy` events, so tracer-off runs never see one.
-    staleness_on: AtomicBool,
+    staleness_on: bool,
     /// Per-stage staleness anatomy aggregation, fed by `ReadAnatomy` meta
     /// events when the tracer is armed. Lives outside [`HubSummary`] so
     /// tracer-on reports stay byte-identical to tracer-off reports in
     /// every section the tracer does not own.
-    anatomy: Mutex<Anatomy>,
+    anatomy: Anatomy,
     /// Scheduler wall-clock accounting, accumulated across every
     /// simulation that flushed into this hub ([`Hub::note_sched`]).
-    sched_events: AtomicU64,
-    sched_parks: AtomicU64,
-    sched_unparks: AtomicU64,
-    sched_handoffs: AtomicU64,
-    sched_exec_ns: AtomicU64,
-    sched_wall_ns: AtomicU64,
+    sched_events: u64,
+    sched_parks: u64,
+    sched_unparks: u64,
+    sched_handoffs: u64,
+    sched_exec_ns: u64,
+    sched_wall_ns: u64,
     /// Per-pid `(exec_ns, slices)` scheduler accounting.
-    sched_procs: Mutex<BTreeMap<u32, (u64, u64)>>,
+    sched_procs: BTreeMap<u32, (u64, u64)>,
     /// Park-duration histogram (wall ns between a process re-parking and
     /// its next slice), merged from simulation accounting batches.
-    sched_park: Mutex<Histogram>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    messages: AtomicU64,
-    stale_discards: AtomicU64,
-    barriers: AtomicU64,
-    anti_messages: AtomicU64,
-    faults_dropped: AtomicU64,
-    faults_duplicated: AtomicU64,
-    retransmits: AtomicU64,
-    degraded_reads: AtomicU64,
-    suspected_writers: AtomicU64,
-    checkpoints: AtomicU64,
-    restores: AtomicU64,
-    mailbox_warnings: AtomicU64,
+    sched_park: Histogram,
+    reads: u64,
+    writes: u64,
+    messages: u64,
+    stale_discards: u64,
+    barriers: u64,
+    anti_messages: u64,
+    faults_dropped: u64,
+    faults_duplicated: u64,
+    retransmits: u64,
+    degraded_reads: u64,
+    suspected_writers: u64,
+    checkpoints: u64,
+    restores: u64,
+    mailbox_warnings: u64,
 }
 
-/// The shared instrumentation hub. Cloning is cheap (an `Arc` bump); all
-/// clones feed the same sink.
+/// What the clones of one hub share. The span trace and the warp timeline
+/// are handles of their own ([`Hub::trace`], [`Hub::warp`]).
+struct HubInner {
+    state: RefCell<HubState>,
+    trace: Trace,
+    warp: WarpTimeline,
+}
+
+/// The shared instrumentation hub. Cloning is cheap (an `Rc` bump); all
+/// clones feed the same sink, on the one thread that owns it:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nscc_obs::Hub>();
+/// ```
 #[derive(Clone)]
 pub struct Hub {
-    inner: Arc<HubInner>,
+    inner: Rc<HubInner>,
 }
 
 impl Default for Hub {
     fn default() -> Self {
         Hub::with_event_capacity(DEFAULT_EVENT_CAPACITY)
+    }
+}
+
+impl HubState {
+    /// Feed the side channels every event reaches, meta or not: the
+    /// flight ring and the tap.
+    fn side_channels(&mut self, ev: &ObsEvent) {
+        if self.flight_cap > 0 {
+            self.flight_push(ev.clone());
+        }
+        if let Some(tap) = &self.tap {
+            tap.on_event(ev);
+        }
+    }
+
+    fn flight_push(&mut self, ev: ObsEvent) {
+        if self.flight_cap == 0 {
+            return;
+        }
+        while self.flight.len() as u64 >= self.flight_cap {
+            self.flight.pop_front();
+        }
+        self.flight.push_back(ev);
+    }
+
+    /// Cut a snapshot now if the cadence says one is due at `t_ns`, and
+    /// stream it to the live feed when one is attached.
+    fn maybe_snapshot(&mut self, t_ns: u64, trace: &Trace) {
+        let every = self.snap_every_ns;
+        if every == 0 || t_ns < self.snap_next_ns {
+            return;
+        }
+        self.snap_next_ns = t_ns - t_ns % every + every;
+        let snap = self.snapshot_at(t_ns, trace.dropped());
+        self.snapshots.push(snap);
+        self.feed(|sink, sched| sink.snap(snap, sched));
+    }
+
+    /// Hand the live-feed sink, if one is attached, the scheduler totals
+    /// so far and let `write` emit its line.
+    fn feed(&mut self, write: impl FnOnce(&mut LiveSink, SchedSummary)) {
+        if let Some(mut sink) = self.live.take() {
+            write(&mut sink, self.sched());
+            self.live = Some(sink);
+        }
+    }
+
+    fn snapshot_at(&self, t_ns: u64, spans_dropped: u64) -> MetricSnapshot {
+        MetricSnapshot {
+            t_ns,
+            reads: self.reads,
+            writes: self.writes,
+            messages: self.messages,
+            stale_discards: self.stale_discards,
+            barriers: self.barriers,
+            anti_messages: self.anti_messages,
+            faults_dropped: self.faults_dropped,
+            retransmits: self.retransmits,
+            degraded_reads: self.degraded_reads,
+            staleness_p50: self.staleness.quantile(0.50),
+            staleness_p99: self.staleness.quantile(0.99),
+            block_ns_total: self.block_ns.sum(),
+            blocked_reads: self.block_ns.count(),
+            net_delay_p99: self.net_delay_ns.quantile(0.99),
+            events_dropped: self.events_dropped,
+            spans_dropped,
+        }
+    }
+
+    fn note_sched(&mut self, d: &SchedDelta) {
+        self.sched_events += d.events;
+        self.sched_parks += d.parks;
+        self.sched_unparks += d.unparks;
+        self.sched_handoffs += d.handoffs;
+        self.sched_exec_ns += d.exec_ns;
+        self.sched_wall_ns += d.wall_ns;
+        for &(pid, exec_ns, slices) in &d.per_proc {
+            let e = self.sched_procs.entry(pid).or_insert((0, 0));
+            e.0 += exec_ns;
+            e.1 += slices;
+        }
+        if d.park.count() > 0 {
+            self.sched_park.merge(&d.park);
+        }
+    }
+
+    fn sched(&self) -> SchedSummary {
+        let (events, wall_ns) = (self.sched_events, self.sched_wall_ns);
+        SchedSummary {
+            events,
+            parks: self.sched_parks,
+            unparks: self.sched_unparks,
+            handoffs: self.sched_handoffs,
+            exec_ns: self.sched_exec_ns,
+            wall_ns,
+            events_per_sec: if wall_ns == 0 {
+                0.0
+            } else {
+                events as f64 / (wall_ns as f64 / 1e9)
+            },
+            park_p50_ns: self.sched_park.quantile(0.50),
+            park_p99_ns: self.sched_park.quantile(0.99),
+            procs: self
+                .sched_procs
+                .iter()
+                .map(|(&pid, &(exec_ns, slices))| ProcSched {
+                    pid,
+                    exec_ns,
+                    slices,
+                })
+                .collect(),
+        }
+    }
+
+    fn heat(&self) -> Vec<HeatRow> {
+        self.heat
+            .iter()
+            .map(|(loc, h)| HeatRow {
+                loc: *loc,
+                staleness: h.clone(),
+            })
+            .collect()
+    }
+
+    fn deps(&self) -> Vec<DepEdge> {
+        self.deps
+            .iter()
+            .map(|(&(reader, loc, writer), a)| DepEdge {
+                reader,
+                loc,
+                writer,
+                blocks: a.blocks,
+                block_ns: a.block_ns,
+                queued_ns: a.queued_ns,
+                inflight_ns: a.inflight_ns,
+                retrans_ns: a.retrans_ns,
+                last_write_iter: a.last_write_iter,
+                last_msg_seq: a.last_msg_seq,
+            })
+            .collect()
+    }
+
+    fn profile_rows(&self) -> Vec<ProfileRow> {
+        self.profile
+            .iter()
+            .map(|((pid, phase, detail), n)| ProfileRow {
+                pid: *pid,
+                phase: phase.clone(),
+                detail: detail.clone(),
+                samples: *n,
+            })
+            .collect()
     }
 }
 
@@ -177,59 +338,13 @@ impl Hub {
     /// stay exact past the bound).
     pub fn with_event_capacity(capacity: usize) -> Self {
         Hub {
-            inner: Arc::new(HubInner {
-                events: Mutex::new(EventStore {
-                    events: Vec::new(),
-                    dropped: 0,
-                    capacity,
+            inner: Rc::new(HubInner {
+                state: RefCell::new(HubState {
+                    event_capacity: capacity,
+                    ..HubState::default()
                 }),
                 trace: Trace::new(),
                 warp: WarpTimeline::new(),
-                staleness: Mutex::new(Histogram::new()),
-                block_ns: Mutex::new(Histogram::new()),
-                net_delay_ns: Mutex::new(Histogram::new()),
-                rollback: Mutex::new(Histogram::new()),
-                names: Mutex::new(BTreeMap::new()),
-                loc_names: Mutex::new(BTreeMap::new()),
-                heat: Mutex::new(BTreeMap::new()),
-                deps: Mutex::new(BTreeMap::new()),
-                profile: Mutex::new(BTreeMap::new()),
-                phase_ann: Mutex::new(BTreeMap::new()),
-                profile_every_ns: AtomicU64::new(0),
-                snapshots: Mutex::new(Vec::new()),
-                snap_every_ns: AtomicU64::new(0),
-                snap_next_ns: AtomicU64::new(0),
-                live: Mutex::new(None),
-                live_on: AtomicBool::new(false),
-                tap: Mutex::new(None),
-                tap_on: AtomicBool::new(false),
-                flight: Mutex::new(VecDeque::new()),
-                flight_cap: AtomicU64::new(0),
-                staleness_on: AtomicBool::new(false),
-                anatomy: Mutex::new(Anatomy::default()),
-                wall_on: AtomicBool::new(false),
-                sched_events: AtomicU64::new(0),
-                sched_parks: AtomicU64::new(0),
-                sched_unparks: AtomicU64::new(0),
-                sched_handoffs: AtomicU64::new(0),
-                sched_exec_ns: AtomicU64::new(0),
-                sched_wall_ns: AtomicU64::new(0),
-                sched_procs: Mutex::new(BTreeMap::new()),
-                sched_park: Mutex::new(Histogram::new()),
-                reads: AtomicU64::new(0),
-                writes: AtomicU64::new(0),
-                messages: AtomicU64::new(0),
-                stale_discards: AtomicU64::new(0),
-                barriers: AtomicU64::new(0),
-                anti_messages: AtomicU64::new(0),
-                faults_dropped: AtomicU64::new(0),
-                faults_duplicated: AtomicU64::new(0),
-                retransmits: AtomicU64::new(0),
-                degraded_reads: AtomicU64::new(0),
-                suspected_writers: AtomicU64::new(0),
-                checkpoints: AtomicU64::new(0),
-                restores: AtomicU64::new(0),
-                mailbox_warnings: AtomicU64::new(0),
             }),
         }
     }
@@ -237,7 +352,7 @@ impl Hub {
     /// Record a structured event, updating derived metrics first so they
     /// survive raw-event overflow.
     pub fn emit(&self, ev: ObsEvent) {
-        let t_ns = ev.t_ns();
+        let st = &mut *self.inner.state.borrow_mut();
         if ev.is_meta() {
             // Recovery-layer lifecycle events bypass counters, the raw
             // store, and the metric-snapshot clock entirely (see
@@ -245,20 +360,10 @@ impl Hub {
             // byte-identical to snapshot-off runs in every section the
             // recovery layer does not own. The flight ring and the audit
             // tap still see them — those own their outputs.
-            if self.inner.staleness_on.load(Ordering::Relaxed) {
-                if let ObsEvent::ReadAnatomy { .. } = &ev {
-                    self.anatomy_record(&ev);
-                }
+            if st.staleness_on {
+                st.anatomy.record(&ev);
             }
-            if self.inner.flight_cap.load(Ordering::Relaxed) > 0 {
-                self.flight_push(ev.clone());
-            }
-            if self.inner.tap_on.load(Ordering::Relaxed) {
-                let tap = self.inner.tap.lock().clone();
-                if let Some(tap) = tap {
-                    tap.on_event(&ev);
-                }
-            }
+            st.side_channels(&ev);
             return;
         }
         match ev {
@@ -269,16 +374,11 @@ impl Hub {
                 block_ns,
                 ..
             } => {
-                self.inner.reads.fetch_add(1, Ordering::Relaxed);
-                self.inner.staleness.lock().record(staleness);
-                self.inner
-                    .heat
-                    .lock()
-                    .entry(loc)
-                    .or_insert_with(Histogram::new)
-                    .record(staleness);
+                st.reads += 1;
+                st.staleness.record(staleness);
+                st.heat.entry(loc).or_default().record(staleness);
                 if blocked {
-                    self.inner.block_ns.lock().record(block_ns);
+                    st.block_ns.record(block_ns);
                 }
             }
             ObsEvent::ReadDep {
@@ -293,8 +393,7 @@ impl Hub {
                 retrans_ns,
                 ..
             } => {
-                let mut deps = self.inner.deps.lock();
-                let e = deps.entry((reader, loc, writer)).or_default();
+                let e = st.deps.entry((reader, loc, writer)).or_default();
                 e.blocks += 1;
                 e.block_ns += block_ns;
                 e.queued_ns += queued_ns;
@@ -305,80 +404,47 @@ impl Hub {
                     e.last_msg_seq = msg_seq;
                 }
             }
-            ObsEvent::Write { .. } => {
-                self.inner.writes.fetch_add(1, Ordering::Relaxed);
-            }
+            ObsEvent::Write { .. } => st.writes += 1,
             ObsEvent::NetDeliver { delay_ns, .. } => {
-                self.inner.messages.fetch_add(1, Ordering::Relaxed);
-                self.inner.net_delay_ns.lock().record(delay_ns);
+                st.messages += 1;
+                st.net_delay_ns.record(delay_ns);
             }
-            ObsEvent::StaleDiscard { .. } => {
-                self.inner.stale_discards.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::BarrierExit { .. } => {
-                self.inner.barriers.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::AntiMessage { .. } => {
-                self.inner.anti_messages.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::FaultDrop { .. } => {
-                self.inner.faults_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::FaultDup { .. } => {
-                self.inner.faults_duplicated.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::Retransmit { .. } => {
-                self.inner.retransmits.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::ReadDegraded { .. } => {
-                self.inner.degraded_reads.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::WriterSuspected { .. } => {
-                self.inner.suspected_writers.fetch_add(1, Ordering::Relaxed);
-            }
-            ObsEvent::Checkpoint { .. } => {
-                self.inner.checkpoints.fetch_add(1, Ordering::Relaxed);
-            }
+            ObsEvent::StaleDiscard { .. } => st.stale_discards += 1,
+            ObsEvent::BarrierExit { .. } => st.barriers += 1,
+            ObsEvent::AntiMessage { .. } => st.anti_messages += 1,
+            ObsEvent::FaultDrop { .. } => st.faults_dropped += 1,
+            ObsEvent::FaultDup { .. } => st.faults_duplicated += 1,
+            ObsEvent::Retransmit { .. } => st.retransmits += 1,
+            ObsEvent::ReadDegraded { .. } => st.degraded_reads += 1,
+            ObsEvent::WriterSuspected { .. } => st.suspected_writers += 1,
+            ObsEvent::Checkpoint { .. } => st.checkpoints += 1,
             ObsEvent::Restore { rollback, .. } => {
-                self.inner.restores.fetch_add(1, Ordering::Relaxed);
-                self.inner.rollback.lock().record(rollback);
+                st.restores += 1;
+                st.rollback.record(rollback);
             }
-            ObsEvent::MailboxHigh { .. } => {
-                self.inner.mailbox_warnings.fetch_add(1, Ordering::Relaxed);
-            }
+            ObsEvent::MailboxHigh { .. } => st.mailbox_warnings += 1,
             _ => {}
         }
-        if self.inner.flight_cap.load(Ordering::Relaxed) > 0 {
-            self.flight_push(ev.clone());
+        st.side_channels(&ev);
+        let t_ns = ev.t_ns();
+        if st.events.len() >= st.event_capacity {
+            st.events_dropped += 1;
+        } else {
+            st.events.push(ev);
         }
-        if self.inner.tap_on.load(Ordering::Relaxed) {
-            let tap = self.inner.tap.lock().clone();
-            if let Some(tap) = tap {
-                tap.on_event(&ev);
-            }
-        }
-        {
-            let mut store = self.inner.events.lock();
-            if store.events.len() >= store.capacity {
-                store.dropped += 1;
-            } else {
-                store.events.push(ev);
-            }
-        }
-        self.maybe_snapshot(t_ns);
+        st.maybe_snapshot(t_ns, &self.inner.trace);
     }
 
     /// Attach an event tap: `sink.on_event` is called synchronously for
     /// every emitted event from now on (see [`EventSink`]). One tap at a
     /// time; attaching replaces the previous sink.
     pub fn set_tap(&self, sink: Arc<dyn EventSink>) {
-        *self.inner.tap.lock() = Some(sink);
-        self.inner.tap_on.store(true, Ordering::Relaxed);
+        self.inner.state.borrow_mut().tap = Some(sink);
     }
 
     /// Whether an event tap is attached.
     pub fn tap_enabled(&self) -> bool {
-        self.inner.tap_on.load(Ordering::Relaxed)
+        self.inner.state.borrow().tap.is_some()
     }
 
     /// Mark a program (run) boundary: sweep bins that observe many
@@ -386,11 +452,8 @@ impl Hub {
     /// so the attached tap can reset per-program monitor state. A no-op
     /// without a tap.
     pub fn note_run_boundary(&self) {
-        if self.inner.tap_on.load(Ordering::Relaxed) {
-            let tap = self.inner.tap.lock().clone();
-            if let Some(tap) = tap {
-                tap.on_run_boundary();
-            }
+        if let Some(tap) = &self.inner.state.borrow().tap {
+            tap.on_run_boundary();
         }
     }
 
@@ -400,30 +463,26 @@ impl Hub {
     /// touches the counters, histograms, or raw event store, so
     /// flight-on runs report byte-identical to flight-off runs.
     pub fn enable_flight(&self, n: u64) {
-        self.inner.flight_cap.store(n, Ordering::Relaxed);
-        let mut ring = self.inner.flight.lock();
-        if n == 0 {
-            ring.clear();
-        } else {
-            while ring.len() as u64 > n {
-                ring.pop_front();
-            }
+        let st = &mut *self.inner.state.borrow_mut();
+        st.flight_cap = n;
+        while st.flight.len() as u64 > n {
+            st.flight.pop_front();
         }
     }
 
     /// Whether the flight-recorder ring is enabled.
     pub fn flight_enabled(&self) -> bool {
-        self.inner.flight_cap.load(Ordering::Relaxed) > 0
+        self.flight_capacity() > 0
     }
 
     /// The flight ring's configured capacity (0 = disabled).
     pub fn flight_capacity(&self) -> u64 {
-        self.inner.flight_cap.load(Ordering::Relaxed)
+        self.inner.state.borrow().flight_cap
     }
 
     /// The flight ring's current contents, oldest first.
     pub fn flight_events(&self) -> Vec<ObsEvent> {
-        self.inner.flight.lock().iter().cloned().collect()
+        self.inner.state.borrow().flight.iter().cloned().collect()
     }
 
     /// Append a marker event to the flight ring *only* — bypassing the
@@ -432,9 +491,7 @@ impl Hub {
     /// without perturbing any deterministic report section. A no-op when
     /// the ring is disabled.
     pub fn flight_note(&self, ev: ObsEvent) {
-        if self.inner.flight_cap.load(Ordering::Relaxed) > 0 {
-            self.flight_push(ev);
-        }
+        self.inner.state.borrow_mut().flight_push(ev);
     }
 
     /// Drain another hub's flight ring into this one (oldest first,
@@ -446,22 +503,12 @@ impl Hub {
         if !self.flight_enabled() {
             return;
         }
-        let drained: Vec<ObsEvent> = other.inner.flight.lock().drain(..).collect();
+        // `other` may be a clone of `self`: take from it, let go, then push.
+        let drained = std::mem::take(&mut other.inner.state.borrow_mut().flight);
+        let st = &mut *self.inner.state.borrow_mut();
         for ev in drained {
-            self.flight_push(ev);
+            st.flight_push(ev);
         }
-    }
-
-    fn flight_push(&self, ev: ObsEvent) {
-        let cap = self.inner.flight_cap.load(Ordering::Relaxed);
-        if cap == 0 {
-            return;
-        }
-        let mut ring = self.inner.flight.lock();
-        while ring.len() as u64 >= cap {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
     }
 
     /// Enable periodic metric snapshots every `every_ns` of virtual time.
@@ -474,43 +521,9 @@ impl Hub {
     /// cadence turns sampling off), and an attached live feed carries
     /// only its `start` and `final` lines.
     pub fn sample_every(&self, every_ns: u64) {
-        self.inner.snap_every_ns.store(every_ns, Ordering::Relaxed);
-        // With every_ns == 0 the sentinel keeps maybe_snapshot's second
-        // check unreachable even for racing emitters mid-reconfiguration.
-        let next = if every_ns == 0 { u64::MAX } else { every_ns };
-        self.inner.snap_next_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// Cut a snapshot now if the cadence says one is due at `t_ns`, and
-    /// stream it to the live feed when one is attached.
-    fn maybe_snapshot(&self, t_ns: u64) {
-        let every = self.inner.snap_every_ns.load(Ordering::Relaxed);
-        if every == 0 || t_ns < self.inner.snap_next_ns.load(Ordering::Relaxed) {
-            return;
-        }
-        let snap = {
-            let mut snaps = self.inner.snapshots.lock();
-            // Re-check under the lock: a racing emitter may have taken
-            // this boundary's snapshot already.
-            if t_ns < self.inner.snap_next_ns.load(Ordering::Relaxed) {
-                return;
-            }
-            self.inner
-                .snap_next_ns
-                .store(t_ns - t_ns % every + every, Ordering::Relaxed);
-            let snap = self.snapshot_at(t_ns);
-            snaps.push(snap);
-            snap
-        };
-        // Feed writes happen outside the snapshots lock: the live mutex
-        // alone serializes lines, and emitters without a feed attached
-        // pay exactly this one relaxed load.
-        if self.inner.live_on.load(Ordering::Relaxed) {
-            let sched = self.sched();
-            if let Some(sink) = self.inner.live.lock().as_mut() {
-                sink.snap(snap, sched);
-            }
-        }
+        let st = &mut *self.inner.state.borrow_mut();
+        st.snap_every_ns = every_ns;
+        st.snap_next_ns = every_ns;
     }
 
     /// Attach a live-feed sink: every snapshot cut from now on is also
@@ -519,15 +532,14 @@ impl Hub {
     /// names the producing binary in the header. The feed is an *extra*
     /// output — the snapshot series, summary, and report bytes are
     /// identical with and without it.
-    pub fn set_live(&self, out: Box<dyn std::io::Write + Send>, bench: &str) {
-        let every = self.inner.snap_every_ns.load(Ordering::Relaxed);
-        *self.inner.live.lock() = Some(LiveSink::new(out, bench, every));
-        self.inner.live_on.store(true, Ordering::Relaxed);
+    pub fn set_live(&self, out: Box<dyn std::io::Write>, bench: &str) {
+        let st = &mut *self.inner.state.borrow_mut();
+        st.live = Some(LiveSink::new(out, bench, st.snap_every_ns));
     }
 
     /// Whether a live-feed sink is attached.
     pub fn live_enabled(&self) -> bool {
-        self.inner.live_on.load(Ordering::Relaxed)
+        self.inner.state.borrow().live.is_some()
     }
 
     /// Write the feed's closing `final` line from the end-of-run summary
@@ -536,13 +548,8 @@ impl Hub {
     /// embedded in the run report — including merged per-cell summaries a
     /// sweep accumulated outside this hub.
     pub fn live_final(&self, obs: &HubSummary) {
-        if !self.inner.live_on.load(Ordering::Relaxed) {
-            return;
-        }
-        let sched = self.sched();
-        if let Some(sink) = self.inner.live.lock().as_mut() {
-            sink.finish(obs, sched);
-        }
+        let mut st = self.inner.state.borrow_mut();
+        st.feed(|sink, sched| sink.finish(obs, sched));
     }
 
     /// Request wall-clock scheduler accounting: simulations that observe
@@ -550,45 +557,19 @@ impl Hub {
     /// accounting (`SimBuilder::attach_wall`) when set. Off by default —
     /// wall accounting reads the host clock, so it is only ever opt-in.
     pub fn enable_wall(&self) {
-        self.inner.wall_on.store(true, Ordering::Relaxed);
+        self.inner.state.borrow_mut().wall_on = true;
     }
 
     /// Whether wall-clock scheduler accounting was requested.
     pub fn wants_wall(&self) -> bool {
-        self.inner.wall_on.load(Ordering::Relaxed)
+        self.inner.state.borrow().wall_on
     }
 
     /// Fold one batch of scheduler wall-clock accounting into the hub
     /// (deltas add; called periodically and at teardown by accounting
     /// simulations).
     pub fn note_sched(&self, d: &SchedDelta) {
-        self.inner
-            .sched_events
-            .fetch_add(d.events, Ordering::Relaxed);
-        self.inner.sched_parks.fetch_add(d.parks, Ordering::Relaxed);
-        self.inner
-            .sched_unparks
-            .fetch_add(d.unparks, Ordering::Relaxed);
-        self.inner
-            .sched_handoffs
-            .fetch_add(d.handoffs, Ordering::Relaxed);
-        self.inner
-            .sched_exec_ns
-            .fetch_add(d.exec_ns, Ordering::Relaxed);
-        self.inner
-            .sched_wall_ns
-            .fetch_add(d.wall_ns, Ordering::Relaxed);
-        if !d.per_proc.is_empty() {
-            let mut procs = self.inner.sched_procs.lock();
-            for &(pid, exec_ns, slices) in &d.per_proc {
-                let e = procs.entry(pid).or_insert((0, 0));
-                e.0 += exec_ns;
-                e.1 += slices;
-            }
-        }
-        if d.park.count() > 0 {
-            self.inner.sched_park.lock().merge(&d.park);
-        }
+        self.inner.state.borrow_mut().note_sched(d);
     }
 
     /// Fold another hub's scheduler accounting into this one. Sweep bins
@@ -596,22 +577,25 @@ impl Hub {
     /// the cells' wall-clock cost into the main hub (resumed cells spent
     /// no wall time in this process, so they rightly contribute nothing).
     pub fn adopt_sched(&self, other: &Hub) {
-        let o = &other.inner;
-        self.note_sched(&SchedDelta {
-            events: o.sched_events.load(Ordering::Relaxed),
-            parks: o.sched_parks.load(Ordering::Relaxed),
-            unparks: o.sched_unparks.load(Ordering::Relaxed),
-            handoffs: o.sched_handoffs.load(Ordering::Relaxed),
-            exec_ns: o.sched_exec_ns.load(Ordering::Relaxed),
-            wall_ns: o.sched_wall_ns.load(Ordering::Relaxed),
-            per_proc: o
-                .sched_procs
-                .lock()
-                .iter()
-                .map(|(&pid, &(exec_ns, slices))| (pid, exec_ns, slices))
-                .collect(),
-            park: o.sched_park.lock().clone(),
-        });
+        // `other` may be a clone of `self`: read it all, let go, then add.
+        let delta = {
+            let o = other.inner.state.borrow();
+            SchedDelta {
+                events: o.sched_events,
+                parks: o.sched_parks,
+                unparks: o.sched_unparks,
+                handoffs: o.sched_handoffs,
+                exec_ns: o.sched_exec_ns,
+                wall_ns: o.sched_wall_ns,
+                per_proc: o
+                    .sched_procs
+                    .iter()
+                    .map(|(&pid, &(exec_ns, slices))| (pid, exec_ns, slices))
+                    .collect(),
+                park: o.sched_park.clone(),
+            }
+        };
+        self.note_sched(&delta);
     }
 
     /// The accumulated scheduler wall-clock accounting (all zeros when no
@@ -619,72 +603,20 @@ impl Hub {
     /// repeat exactly per seed; `handoffs` counts changes of process
     /// between consecutive resumes; the times are host time.
     pub fn sched(&self) -> SchedSummary {
-        let events = self.inner.sched_events.load(Ordering::Relaxed);
-        let wall_ns = self.inner.sched_wall_ns.load(Ordering::Relaxed);
-        let (park_p50_ns, park_p99_ns) = {
-            let park = self.inner.sched_park.lock();
-            (park.quantile(0.50), park.quantile(0.99))
-        };
-        SchedSummary {
-            events,
-            parks: self.inner.sched_parks.load(Ordering::Relaxed),
-            unparks: self.inner.sched_unparks.load(Ordering::Relaxed),
-            handoffs: self.inner.sched_handoffs.load(Ordering::Relaxed),
-            exec_ns: self.inner.sched_exec_ns.load(Ordering::Relaxed),
-            wall_ns,
-            events_per_sec: if wall_ns == 0 {
-                0.0
-            } else {
-                events as f64 / (wall_ns as f64 / 1e9)
-            },
-            park_p50_ns,
-            park_p99_ns,
-            procs: self
-                .inner
-                .sched_procs
-                .lock()
-                .iter()
-                .map(|(&pid, &(exec_ns, slices))| ProcSched {
-                    pid,
-                    exec_ns,
-                    slices,
-                })
-                .collect(),
-        }
+        self.inner.state.borrow().sched()
     }
 
     /// Sample the current derived metrics as one [`MetricSnapshot`].
     /// Called automatically on the cadence set by [`Hub::sample_every`];
     /// also usable directly for one-off probes.
     pub fn snapshot_at(&self, t_ns: u64) -> MetricSnapshot {
-        let (events_dropped, spans_dropped) = (self.events_dropped(), self.inner.trace.dropped());
-        let staleness = self.inner.staleness.lock();
-        let block = self.inner.block_ns.lock();
-        let delay = self.inner.net_delay_ns.lock();
-        MetricSnapshot {
-            t_ns,
-            reads: self.inner.reads.load(Ordering::Relaxed),
-            writes: self.inner.writes.load(Ordering::Relaxed),
-            messages: self.inner.messages.load(Ordering::Relaxed),
-            stale_discards: self.inner.stale_discards.load(Ordering::Relaxed),
-            barriers: self.inner.barriers.load(Ordering::Relaxed),
-            anti_messages: self.inner.anti_messages.load(Ordering::Relaxed),
-            faults_dropped: self.inner.faults_dropped.load(Ordering::Relaxed),
-            retransmits: self.inner.retransmits.load(Ordering::Relaxed),
-            degraded_reads: self.inner.degraded_reads.load(Ordering::Relaxed),
-            staleness_p50: staleness.quantile(0.50),
-            staleness_p99: staleness.quantile(0.99),
-            block_ns_total: block.sum(),
-            blocked_reads: block.count(),
-            net_delay_p99: delay.quantile(0.99),
-            events_dropped,
-            spans_dropped,
-        }
+        let spans_dropped = self.inner.trace.dropped();
+        self.inner.state.borrow().snapshot_at(t_ns, spans_dropped)
     }
 
     /// All periodic snapshots cut so far, in virtual-time order.
     pub fn snapshots(&self) -> Vec<MetricSnapshot> {
-        self.inner.snapshots.lock().clone()
+        self.inner.state.borrow().snapshots.clone()
     }
 
     /// Record an execution span (see [`Trace::record`]).
@@ -706,51 +638,29 @@ impl Hub {
 
     /// Name a pid/rank for trace exports (e.g. `"island3"`, `"loader"`).
     pub fn set_proc_name(&self, pid: u32, name: impl Into<String>) {
-        self.inner.names.lock().insert(pid, name.into());
+        let name = name.into();
+        self.inner.state.borrow_mut().names.insert(pid, name);
     }
 
     /// Name a DSM location for heatmap/`nscc why` rendering.
     pub fn set_loc_name(&self, loc: u32, name: impl Into<String>) {
-        self.inner.loc_names.lock().insert(loc, name.into());
+        let name = name.into();
+        self.inner.state.borrow_mut().loc_names.insert(loc, name);
     }
 
     /// Registered location names.
     pub fn loc_names(&self) -> BTreeMap<u32, String> {
-        self.inner.loc_names.lock().clone()
+        self.inner.state.borrow().loc_names.clone()
     }
 
     /// Per-location staleness heatmap rows, sorted by location.
     pub fn heat(&self) -> Vec<HeatRow> {
-        self.inner
-            .heat
-            .lock()
-            .iter()
-            .map(|(loc, h)| HeatRow {
-                loc: *loc,
-                staleness: h.clone(),
-            })
-            .collect()
+        self.inner.state.borrow().heat()
     }
 
     /// Aggregated causal dependency edges, sorted by (reader, loc, writer).
     pub fn deps(&self) -> Vec<DepEdge> {
-        self.inner
-            .deps
-            .lock()
-            .iter()
-            .map(|(&(reader, loc, writer), a)| DepEdge {
-                reader,
-                loc,
-                writer,
-                blocks: a.blocks,
-                block_ns: a.block_ns,
-                queued_ns: a.queued_ns,
-                inflight_ns: a.inflight_ns,
-                retrans_ns: a.retrans_ns,
-                last_write_iter: a.last_write_iter,
-                last_msg_seq: a.last_msg_seq,
-            })
-            .collect()
+        self.inner.state.borrow().deps()
     }
 
     /// Enable the deterministic virtual-time sampling profiler: span
@@ -758,14 +668,12 @@ impl Hub {
     /// covered (0 disables). Storage is a sorted map, so the folded
     /// export is byte-identical across same-seed runs.
     pub fn profile_every(&self, period_ns: u64) {
-        self.inner
-            .profile_every_ns
-            .store(period_ns, Ordering::Relaxed);
+        self.inner.state.borrow_mut().profile_every_ns = period_ns;
     }
 
     /// The profiler sampling period (0 = disabled).
     pub fn profile_period(&self) -> u64 {
-        self.inner.profile_every_ns.load(Ordering::Relaxed)
+        self.inner.state.borrow().profile_every_ns
     }
 
     /// Credit `samples` profiler samples to `(pid, phase, detail)`.
@@ -776,25 +684,16 @@ impl Hub {
         }
         *self
             .inner
+            .state
+            .borrow_mut()
             .profile
-            .lock()
             .entry((pid, phase.to_string(), detail.to_string()))
             .or_insert(0) += samples;
     }
 
     /// Profiler rows, sorted by (pid, phase, detail).
     pub fn profile_rows(&self) -> Vec<ProfileRow> {
-        self.inner
-            .profile
-            .lock()
-            .iter()
-            .map(|((pid, phase, detail), n)| ProfileRow {
-                pid: *pid,
-                phase: phase.clone(),
-                detail: detail.clone(),
-                samples: *n,
-            })
-            .collect()
+        self.inner.state.borrow().profile_rows()
     }
 
     /// Annotate what `pid` is blocked on (e.g. `("Global_Read", "v3")`)
@@ -802,20 +701,18 @@ impl Hub {
     /// location instead of a generic reason. Cleared with
     /// [`Hub::clear_phase`].
     pub fn annotate_phase(&self, pid: u32, phase: impl Into<String>, detail: impl Into<String>) {
-        self.inner
-            .phase_ann
-            .lock()
-            .insert(pid, (phase.into(), detail.into()));
+        let ann = (phase.into(), detail.into());
+        self.inner.state.borrow_mut().phase_ann.insert(pid, ann);
     }
 
     /// Drop `pid`'s phase annotation.
     pub fn clear_phase(&self, pid: u32) {
-        self.inner.phase_ann.lock().remove(&pid);
+        self.inner.state.borrow_mut().phase_ann.remove(&pid);
     }
 
     /// The current phase annotation for `pid`, if any.
     pub fn phase_of(&self, pid: u32) -> Option<(String, String)> {
-        self.inner.phase_ann.lock().get(&pid).cloned()
+        self.inner.state.borrow().phase_ann.get(&pid).cloned()
     }
 
     /// The span trace shared by this hub.
@@ -830,43 +727,43 @@ impl Hub {
 
     /// Snapshot of all kept events, in emission order.
     pub fn events(&self) -> Vec<ObsEvent> {
-        self.inner.events.lock().events.clone()
+        self.inner.state.borrow().events.clone()
     }
 
     /// Number of kept events.
     pub fn event_count(&self) -> usize {
-        self.inner.events.lock().events.len()
+        self.inner.state.borrow().events.len()
     }
 
     /// Events dropped after the capacity was reached.
     pub fn events_dropped(&self) -> u64 {
-        self.inner.events.lock().dropped
+        self.inner.state.borrow().events_dropped
     }
 
     /// Snapshot of the staleness histogram (delivered-age gap per read).
     pub fn staleness(&self) -> Histogram {
-        self.inner.staleness.lock().clone()
+        self.inner.state.borrow().staleness.clone()
     }
 
     /// Snapshot of the blocked-read time histogram (virtual ns).
     pub fn block_time(&self) -> Histogram {
-        self.inner.block_ns.lock().clone()
+        self.inner.state.borrow().block_ns.clone()
     }
 
     /// Snapshot of the network delay histogram (virtual ns).
     pub fn net_delay(&self) -> Histogram {
-        self.inner.net_delay_ns.lock().clone()
+        self.inner.state.borrow().net_delay_ns.clone()
     }
 
     /// Snapshot of the rollback-depth histogram (iterations rolled back
     /// per restore; the recovery analogue of staleness).
     pub fn rollback(&self) -> Histogram {
-        self.inner.rollback.lock().clone()
+        self.inner.state.borrow().rollback.clone()
     }
 
     /// Registered pid/rank names.
     pub fn proc_names(&self) -> BTreeMap<u32, String> {
-        self.inner.names.lock().clone()
+        self.inner.state.borrow().names.clone()
     }
 
     /// Per-process span totals (see [`Trace::totals`]).
@@ -876,40 +773,37 @@ impl Hub {
 
     /// Aggregate summary for embedding in a run report.
     pub fn summary(&self) -> HubSummary {
-        let (events, events_dropped) = {
-            let store = self.inner.events.lock();
-            (store.events.len() as u64, store.dropped)
-        };
+        let st = self.inner.state.borrow();
         HubSummary {
-            events,
-            events_dropped,
+            events: st.events.len() as u64,
+            events_dropped: st.events_dropped,
             spans: self.inner.trace.len() as u64,
             spans_dropped: self.inner.trace.dropped(),
-            reads: self.inner.reads.load(Ordering::Relaxed),
-            writes: self.inner.writes.load(Ordering::Relaxed),
-            messages: self.inner.messages.load(Ordering::Relaxed),
-            stale_discards: self.inner.stale_discards.load(Ordering::Relaxed),
-            barriers: self.inner.barriers.load(Ordering::Relaxed),
-            anti_messages: self.inner.anti_messages.load(Ordering::Relaxed),
-            faults_dropped: self.inner.faults_dropped.load(Ordering::Relaxed),
-            faults_duplicated: self.inner.faults_duplicated.load(Ordering::Relaxed),
-            retransmits: self.inner.retransmits.load(Ordering::Relaxed),
-            degraded_reads: self.inner.degraded_reads.load(Ordering::Relaxed),
-            suspected_writers: self.inner.suspected_writers.load(Ordering::Relaxed),
-            checkpoints: self.inner.checkpoints.load(Ordering::Relaxed),
-            restores: self.inner.restores.load(Ordering::Relaxed),
-            mailbox_warnings: self.inner.mailbox_warnings.load(Ordering::Relaxed),
-            staleness: self.staleness(),
-            block_ns: self.block_time(),
-            net_delay_ns: self.net_delay(),
-            rollback: self.rollback(),
+            reads: st.reads,
+            writes: st.writes,
+            messages: st.messages,
+            stale_discards: st.stale_discards,
+            barriers: st.barriers,
+            anti_messages: st.anti_messages,
+            faults_dropped: st.faults_dropped,
+            faults_duplicated: st.faults_duplicated,
+            retransmits: st.retransmits,
+            degraded_reads: st.degraded_reads,
+            suspected_writers: st.suspected_writers,
+            checkpoints: st.checkpoints,
+            restores: st.restores,
+            mailbox_warnings: st.mailbox_warnings,
+            staleness: st.staleness.clone(),
+            block_ns: st.block_ns.clone(),
+            net_delay_ns: st.net_delay_ns.clone(),
+            rollback: st.rollback.clone(),
             warp: self.inner.warp.summary(),
-            snapshots: self.snapshots(),
-            heat: self.heat(),
-            deps: self.deps(),
-            profile: self.profile_rows(),
-            loc_names: self.loc_names(),
-            proc_names: self.proc_names(),
+            snapshots: st.snapshots.clone(),
+            heat: st.heat(),
+            deps: st.deps(),
+            profile: st.profile_rows(),
+            loc_names: st.loc_names.clone(),
+            proc_names: st.names.clone(),
         }
     }
 
@@ -954,87 +848,19 @@ impl Hub {
     /// `ReadAnatomy` meta events, so tracer-off runs never see one and
     /// their report bytes are untouched. Off by default.
     pub fn enable_staleness(&self) {
-        self.inner.staleness_on.store(true, Ordering::Relaxed);
+        self.inner.state.borrow_mut().staleness_on = true;
     }
 
     /// Whether the staleness-anatomy tracer is armed.
     pub fn staleness_enabled(&self) -> bool {
-        self.inner.staleness_on.load(Ordering::Relaxed)
-    }
-
-    /// Fold one `ReadAnatomy` event into the anatomy aggregates.
-    /// Conservation (`stage sum == observed age`) is re-checked here so the
-    /// report section carries its own verdict even when no auditor taps the
-    /// stream.
-    fn anatomy_record(&self, ev: &ObsEvent) {
-        let &ObsEvent::ReadAnatomy {
-            t_ns,
-            reader,
-            writer,
-            loc,
-            age_ns,
-            wait_ns,
-            publish_ns,
-            transit_ns,
-            fault_ns,
-            retrans_ns,
-            queue_ns,
-            apply_ns,
-            ..
-        } = ev
-        else {
-            return;
-        };
-        let sum = wait_ns
-            .wrapping_add(publish_ns)
-            .wrapping_add(transit_ns)
-            .wrapping_add(fault_ns)
-            .wrapping_add(retrans_ns)
-            .wrapping_add(queue_ns)
-            .wrapping_add(apply_ns);
-        let mut a = self.inner.anatomy.lock();
-        a.released += 1;
-        a.conservation_checked += 1;
-        if sum != age_ns {
-            a.conservation_violations += 1;
-        }
-        a.age_ns.record(age_ns);
-        a.stages.record(
-            wait_ns, publish_ns, transit_ns, fault_ns, retrans_ns, queue_ns, apply_ns,
-        );
-        a.by_loc.entry(loc).or_insert_with(StageSet::new).record(
-            wait_ns, publish_ns, transit_ns, fault_ns, retrans_ns, queue_ns, apply_ns,
-        );
-        a.by_link
-            .entry((writer, reader))
-            .or_insert_with(StageSet::new)
-            .record(
-                wait_ns, publish_ns, transit_ns, fault_ns, retrans_ns, queue_ns, apply_ns,
-            );
-        if a.flows.len() < FLOW_CAPACITY {
-            a.flow_seq += 1;
-            let id = a.flow_seq;
-            a.flows.push(FlowRec {
-                id,
-                writer,
-                reader,
-                loc,
-                // The write existed `age - wait` before the release (wait
-                // covers only the part of the block that predates it).
-                write_ns: t_ns.saturating_sub(age_ns.saturating_sub(wait_ns)),
-                recv_ns: t_ns.saturating_sub(apply_ns),
-                release_ns: t_ns,
-            });
-        } else {
-            a.flows_dropped += 1;
-        }
+        self.inner.state.borrow().staleness_on
     }
 
     /// The anatomy aggregates as a serializable report section. Callers
     /// decide `null`-ness: bench bins embed this only when the tracer was
     /// armed, keeping tracer-off report bytes identical.
     pub fn staleness_summary(&self) -> StalenessSummary {
-        let a = self.inner.anatomy.lock();
+        let a = &self.inner.state.borrow().anatomy;
         StalenessSummary {
             released: a.released,
             conservation_checked: a.conservation_checked,
@@ -1069,8 +895,9 @@ impl Hub {
     /// Flow records are re-numbered into this hub's id sequence and trimmed
     /// to its capacity.
     pub fn adopt_anatomy(&self, other: &Hub) {
-        let o = std::mem::take(&mut *other.inner.anatomy.lock());
-        let mut a = self.inner.anatomy.lock();
+        // `other` may be a clone of `self`: take from it, let go, then merge.
+        let o = std::mem::take(&mut other.inner.state.borrow_mut().anatomy);
+        let a = &mut self.inner.state.borrow_mut().anatomy;
         a.released += o.released;
         a.conservation_checked += o.conservation_checked;
         a.conservation_violations += o.conservation_violations;
@@ -1078,28 +905,19 @@ impl Hub {
         a.age_ns.merge(&o.age_ns);
         a.stages.merge(&o.stages);
         for (loc, s) in o.by_loc {
-            a.by_loc.entry(loc).or_insert_with(StageSet::new).merge(&s);
+            a.by_loc.entry(loc).or_default().merge(&s);
         }
         for (link, s) in o.by_link {
-            a.by_link
-                .entry(link)
-                .or_insert_with(StageSet::new)
-                .merge(&s);
+            a.by_link.entry(link).or_default().merge(&s);
         }
         for f in o.flows {
-            if a.flows.len() < FLOW_CAPACITY {
-                a.flow_seq += 1;
-                let id = a.flow_seq;
-                a.flows.push(FlowRec { id, ..f });
-            } else {
-                a.flows_dropped += 1;
-            }
+            a.keep_flow(f);
         }
     }
 
     /// The write→apply→release flow records kept for Perfetto export.
     pub fn staleness_flows(&self) -> Vec<FlowRec> {
-        self.inner.anatomy.lock().flows.clone()
+        self.inner.state.borrow().anatomy.flows.clone()
     }
 }
 
@@ -1371,6 +1189,80 @@ struct Anatomy {
     by_loc: BTreeMap<u32, StageSet>,
     by_link: BTreeMap<(u32, u32), StageSet>,
     flows: Vec<FlowRec>,
+}
+
+impl Anatomy {
+    /// Fold one `ReadAnatomy` event into the aggregates (any other event
+    /// is ignored). Conservation (`stage sum == observed age`) is
+    /// re-checked here so the report section carries its own verdict even
+    /// when no auditor taps the stream.
+    fn record(&mut self, ev: &ObsEvent) {
+        let &ObsEvent::ReadAnatomy {
+            t_ns,
+            reader,
+            writer,
+            loc,
+            age_ns,
+            wait_ns,
+            publish_ns,
+            transit_ns,
+            fault_ns,
+            retrans_ns,
+            queue_ns,
+            apply_ns,
+            ..
+        } = ev
+        else {
+            return;
+        };
+        let sum = wait_ns
+            .wrapping_add(publish_ns)
+            .wrapping_add(transit_ns)
+            .wrapping_add(fault_ns)
+            .wrapping_add(retrans_ns)
+            .wrapping_add(queue_ns)
+            .wrapping_add(apply_ns);
+        self.released += 1;
+        self.conservation_checked += 1;
+        if sum != age_ns {
+            self.conservation_violations += 1;
+        }
+        self.age_ns.record(age_ns);
+        for stages in [
+            &mut self.stages,
+            self.by_loc.entry(loc).or_default(),
+            self.by_link.entry((writer, reader)).or_default(),
+        ] {
+            stages.record(
+                wait_ns, publish_ns, transit_ns, fault_ns, retrans_ns, queue_ns, apply_ns,
+            );
+        }
+        self.keep_flow(FlowRec {
+            id: 0,
+            writer,
+            reader,
+            loc,
+            // The write existed `age - wait` before the release (wait
+            // covers only the part of the block that predates it).
+            write_ns: t_ns.saturating_sub(age_ns.saturating_sub(wait_ns)),
+            recv_ns: t_ns.saturating_sub(apply_ns),
+            release_ns: t_ns,
+        });
+    }
+
+    /// Keep `f` under this state's next flow id, or count it dropped at
+    /// the capacity bound.
+    fn keep_flow(&mut self, f: FlowRec) {
+        if self.flows.len() < FLOW_CAPACITY {
+            self.flow_seq += 1;
+            self.flows.push(FlowRec {
+                id: self.flow_seq,
+                ..f
+            });
+        } else {
+            self.flows_dropped += 1;
+        }
+    }
 }
 
 /// One log₂ histogram per named stage of a released read's age. The seven
@@ -2047,11 +1939,11 @@ mod tests {
 
     /// A cloneable in-memory writer for feed tests.
     #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<parking_lot::Mutex<Vec<u8>>>);
+    struct SharedBuf(Rc<RefCell<Vec<u8>>>);
 
     impl SharedBuf {
         fn lines(&self) -> Vec<String> {
-            String::from_utf8(self.0.lock().clone())
+            String::from_utf8(self.0.borrow().clone())
                 .unwrap()
                 .lines()
                 .map(str::to_string)
@@ -2061,7 +1953,7 @@ mod tests {
 
     impl std::io::Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
+            self.0.borrow_mut().extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -2605,5 +2497,297 @@ mod tests {
             "ckpt roundtrip preserves the section"
         );
         assert_eq!(nscc_ckpt::to_bytes(&back), bytes);
+    }
+
+    thread_local! {
+        /// Events the counting tap has seen on this test's thread.
+        static TAPPED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A tap with no state of its own, so it fits `Arc` without a lock.
+    struct CountingTap;
+
+    impl EventSink for CountingTap {
+        fn on_event(&self, _: &ObsEvent) {
+            TAPPED.with(|n| n.set(n.get() + 1));
+        }
+    }
+
+    /// One event of every kind, meta ones included, 100 ns apart.
+    fn one_of_each() -> Vec<ObsEvent> {
+        let (src, dst, rank, loc, seq) = (0, 1, 1, 4, 9);
+        let mut t_ns = 0;
+        let mut t = || {
+            t_ns += 100;
+            t_ns
+        };
+        vec![
+            ObsEvent::NetSend {
+                t_ns: t(),
+                src,
+                dst,
+                bytes: 64,
+                queue_ns: 5,
+            },
+            ObsEvent::NetDeliver {
+                t_ns: t(),
+                src,
+                dst,
+                delay_ns: 2_000,
+            },
+            ObsEvent::Write {
+                t_ns: t(),
+                rank,
+                loc,
+                age: 3,
+            },
+            ObsEvent::ReadBlocked {
+                t_ns: t(),
+                rank,
+                loc,
+                required: 5,
+            },
+            ObsEvent::ReadDone {
+                t_ns: t(),
+                rank,
+                loc,
+                curr_iter: 10,
+                requested: 5,
+                delivered: 8,
+                staleness: 2,
+                blocked: true,
+                block_ns: 700,
+            },
+            ObsEvent::StaleDiscard {
+                t_ns: t(),
+                rank,
+                loc,
+                age: 2,
+                have: 3,
+            },
+            ObsEvent::BarrierEnter {
+                t_ns: t(),
+                rank,
+                epoch: 1,
+            },
+            ObsEvent::BarrierExit {
+                t_ns: t(),
+                rank,
+                epoch: 1,
+                wait_ns: 40,
+            },
+            ObsEvent::AntiMessage {
+                t_ns: t(),
+                rank,
+                loc,
+                age: 4,
+            },
+            ObsEvent::FaultDrop {
+                t_ns: t(),
+                src,
+                dst,
+                reason: "loss".into(),
+            },
+            ObsEvent::FaultDup {
+                t_ns: t(),
+                src,
+                dst,
+            },
+            ObsEvent::Retransmit {
+                t_ns: t(),
+                src,
+                dst,
+                seq,
+                attempt: 1,
+            },
+            ObsEvent::RetransmitGiveUp {
+                t_ns: t(),
+                src,
+                dst,
+                seq,
+            },
+            ObsEvent::ReadDegraded {
+                t_ns: t(),
+                rank,
+                loc,
+                required: 5,
+                delivered: 2,
+            },
+            ObsEvent::WriterSuspected {
+                t_ns: t(),
+                rank,
+                peer: 0,
+            },
+            ObsEvent::Checkpoint {
+                t_ns: t(),
+                rank,
+                iter: 5,
+                bytes: 128,
+            },
+            ObsEvent::Restore {
+                t_ns: t(),
+                rank,
+                from_iter: 9,
+                to_iter: 5,
+                rollback: 4,
+                bound: 8,
+            },
+            ObsEvent::SeqAccept {
+                t_ns: t(),
+                src,
+                dst,
+                seq,
+            },
+            read_dep(1, loc, 0),
+            ObsEvent::MailboxHigh {
+                t_ns: t(),
+                rank,
+                depth: 64,
+            },
+            ObsEvent::SnapshotStart {
+                t_ns: t(),
+                rank,
+                id: 1,
+                gen: 5,
+            },
+            ObsEvent::SnapshotComplete {
+                t_ns: t(),
+                rank,
+                id: 1,
+                inflight: 2,
+                pause_ns: 0,
+            },
+            ObsEvent::SupervisorRestart {
+                t_ns: t(),
+                rank,
+                attempt: 1,
+                backoff_ns: 1_000,
+            },
+            ObsEvent::SupervisorGiveUp {
+                t_ns: t(),
+                rank,
+                restarts: 3,
+            },
+            anatomy(1, 0, loc, t()),
+            ObsEvent::Custom {
+                t_ns: t(),
+                label: "mark".into(),
+            },
+        ]
+    }
+
+    /// Every attachment armed on one hub, one event of every kind through
+    /// it across two snapshot boundaries, every reader called, then each
+    /// `adopt_*` with `other` a clone of `self`. Any path that borrowed
+    /// the hub's state twice would panic here. The values are what the
+    /// lock-per-aggregate hub this one replaced produced for the same
+    /// calls — except `adopt_sched` from a clone of itself, where that hub
+    /// deadlocked (it held `other`'s guards across `note_sched`).
+    #[test]
+    fn every_attachment_at_once_borrows_the_state_once() {
+        let hub = Hub::new();
+        hub.set_tap(Arc::new(CountingTap));
+        hub.enable_flight(64);
+        hub.enable_staleness();
+        hub.sample_every(1_000);
+        let feed = SharedBuf::default();
+        hub.set_live(Box::new(feed.clone()), "reentry");
+        hub.enable_wall();
+        hub.note_sched(&SchedDelta {
+            events: 100,
+            parks: 10,
+            unparks: 12,
+            handoffs: 4,
+            exec_ns: 4_000,
+            wall_ns: 500_000,
+            park: {
+                let mut h = crate::hist::Histogram::new();
+                h.record(1_000);
+                h
+            },
+            per_proc: vec![(0, 3_000, 7), (1, 1_000, 5)],
+        });
+        hub.set_proc_name(1, "rank1");
+        hub.set_loc_name(4, "v4");
+        hub.span(1, 0, 10, SpanKind::Compute, "run");
+        hub.warp_sample(10, 1.25);
+        hub.profile_every(1_000);
+        hub.profile_add(1, "compute", "", 3);
+        hub.annotate_phase(1, "Global_Read", "v4");
+
+        let events = one_of_each();
+        let n = events.len() as u64;
+        for ev in events {
+            hub.emit(ev);
+        }
+        hub.note_run_boundary();
+        hub.flight_note(ObsEvent::Custom {
+            t_ns: 9_999,
+            label: "breadcrumb".into(),
+        });
+
+        assert_eq!(n, 26);
+        assert_eq!(
+            TAPPED.with(std::cell::Cell::get),
+            n,
+            "the tap sees meta events too"
+        );
+        let s = hub.summary();
+        assert_eq!(s.events, n - 5, "meta events stay out of the raw store");
+        assert_eq!((s.reads, s.writes, s.messages), (1, 1, 1));
+        assert_eq!(s.snapshots.len(), 2);
+        assert_eq!(s.snapshots[0].t_ns, 1_000);
+        // Meta events do not move the snapshot clock: the second boundary
+        // is cut by the last event, not by the `SnapshotStart` at 2 000.
+        assert_eq!(s.snapshots[1].t_ns, 2_500);
+        assert_eq!(hub.snapshot_at(3_000).reads, 1);
+        assert_eq!(hub.flight_events().len() as u64, n + 1);
+        assert_eq!(hub.staleness_summary().released, 1);
+        assert_eq!(hub.sched().events, 100);
+        assert_eq!(hub.phase_of(1).unwrap().1, "v4");
+        crate::json::validate(&hub.export_events_json()).expect("event dump validates");
+        assert!(hub.perfetto().contains("rank1"));
+        hub.live_final(&s);
+        let lines = feed.lines();
+        assert_eq!(lines.len(), 4, "start + 2 snaps + final: {lines:?}");
+        assert!(lines[3].contains("\"kind\":\"final\""));
+        assert!(format!("{hub:?}").contains("events: 21"));
+
+        // Adopting from a clone of oneself: the ring is drained and pushed
+        // back, the scheduler counters are added to themselves, the
+        // anatomy is taken and merged back.
+        let same = hub.clone();
+        let ring = crate::json::to_json(&hub.flight_events());
+        hub.adopt_flight(&same);
+        assert_eq!(crate::json::to_json(&hub.flight_events()), ring);
+
+        hub.adopt_sched(&same);
+        let sched = hub.sched();
+        assert_eq!(
+            (sched.events, sched.parks, sched.unparks, sched.handoffs),
+            (200, 20, 24, 8)
+        );
+        assert_eq!((sched.exec_ns, sched.wall_ns), (8_000, 1_000_000));
+        assert_eq!(
+            sched.procs,
+            vec![
+                ProcSched {
+                    pid: 0,
+                    exec_ns: 6_000,
+                    slices: 14
+                },
+                ProcSched {
+                    pid: 1,
+                    exec_ns: 2_000,
+                    slices: 10
+                },
+            ]
+        );
+
+        let before = crate::json::to_json(&hub.staleness_summary());
+        hub.adopt_anatomy(&same);
+        assert_eq!(crate::json::to_json(&hub.staleness_summary()), before);
+        let ids: Vec<u64> = hub.staleness_flows().iter().map(|f| f.id).collect();
+        assert_eq!(ids, vec![1]);
     }
 }

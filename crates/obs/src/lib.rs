@@ -2,9 +2,9 @@
 //!
 //! Every runtime layer (simulation scheduler, network, message passing, DSM,
 //! application runners) accepts an optional [`Hub`] — a cheap, cloneable,
-//! thread-safe sink for structured [`ObsEvent`]s, execution [`Span`]s, and
+//! single-threaded sink for structured [`ObsEvent`]s, execution [`Span`]s, and
 //! warp samples. Detached layers hold `None` and pay exactly one branch per
-//! event site; attached layers pay one short critical section.
+//! event site; attached layers pay one `RefCell` borrow.
 //!
 //! On top of the raw streams the hub maintains derived metrics that the
 //! paper's evaluation is built on:

@@ -197,10 +197,9 @@ struct FinalLine {
 }
 
 /// The attached feed writer plus the state needed to compute per-line
-/// deltas and the warp ratio. Owned by the hub behind a mutex; all
-/// methods are called with that lock held, so writes are line-atomic.
+/// deltas and the warp ratio. Owned by the hub's state.
 pub(crate) struct LiveSink {
-    out: Box<dyn Write + Send>,
+    out: Box<dyn Write>,
     bench: String,
     started: Instant,
     prev: Option<MetricSnapshot>,
@@ -208,7 +207,7 @@ pub(crate) struct LiveSink {
 
 impl LiveSink {
     /// Attach a sink and write the `start` header line.
-    pub(crate) fn new(mut out: Box<dyn Write + Send>, bench: &str, snap_every_ns: u64) -> LiveSink {
+    pub(crate) fn new(mut out: Box<dyn Write>, bench: &str, snap_every_ns: u64) -> LiveSink {
         let header = crate::json::to_json(&StartLine {
             feed_version: FEED_VERSION,
             kind: "start",

@@ -6,9 +6,9 @@
 //! DSM and application layers can emit dynamic per-location or per-island
 //! labels without leaking.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::Label;
@@ -53,7 +53,7 @@ struct Inner {
 /// A shareable, bounded span sink.
 #[derive(Clone)]
 pub struct Trace {
-    inner: Arc<Mutex<Inner>>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 impl Default for Trace {
@@ -72,7 +72,7 @@ impl Trace {
     /// only bump the drop counter (totals stay exact for kept spans only).
     pub fn with_capacity(capacity: usize) -> Self {
         Trace {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 spans: Vec::new(),
                 dropped: 0,
                 capacity,
@@ -90,7 +90,7 @@ impl Trace {
         label: impl Into<Label>,
     ) {
         debug_assert!(end_ns >= start_ns, "span ends before it starts");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.spans.len() >= inner.capacity {
             inner.dropped += 1;
             return;
@@ -106,7 +106,7 @@ impl Trace {
 
     /// Number of spans recorded (and kept).
     pub fn len(&self) -> usize {
-        self.inner.lock().spans.len()
+        self.inner.borrow().spans.len()
     }
 
     /// True if nothing was recorded.
@@ -116,19 +116,19 @@ impl Trace {
 
     /// Spans dropped after the capacity was reached.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.borrow().dropped
     }
 
     /// All spans, sorted by start time (clones; call once at the end).
     pub fn spans(&self) -> Vec<Span> {
-        let mut v = self.inner.lock().spans.clone();
+        let mut v = self.inner.borrow().spans.clone();
         v.sort_by_key(|s| (s.start_ns, s.pid));
         v
     }
 
     /// Total time per kind for one process.
     pub fn totals(&self, pid: u32) -> TraceTotals {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut t = TraceTotals::default();
         for s in inner.spans.iter().filter(|s| s.pid == pid) {
             let d = s.end_ns.saturating_sub(s.start_ns);

@@ -7,9 +7,9 @@
 //! each sample here with its virtual timestamp, so runs can report not just
 //! the mean but how warp evolves as load builds up.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 /// Samples kept before the sink starts counting drops instead.
@@ -24,7 +24,7 @@ struct Inner {
 /// A shareable, bounded sink of `(t_ns, warp)` samples.
 #[derive(Clone)]
 pub struct WarpTimeline {
-    inner: Arc<Mutex<Inner>>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 impl Default for WarpTimeline {
@@ -42,7 +42,7 @@ impl WarpTimeline {
     /// An empty timeline keeping at most `capacity` samples.
     pub fn with_capacity(capacity: usize) -> Self {
         WarpTimeline {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 points: Vec::new(),
                 dropped: 0,
                 capacity,
@@ -52,7 +52,7 @@ impl WarpTimeline {
 
     /// Record one warp sample observed at virtual time `t_ns`.
     pub fn record(&self, t_ns: u64, warp: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.points.len() >= inner.capacity {
             inner.dropped += 1;
             return;
@@ -62,7 +62,7 @@ impl WarpTimeline {
 
     /// Number of kept samples.
     pub fn len(&self) -> usize {
-        self.inner.lock().points.len()
+        self.inner.borrow().points.len()
     }
 
     /// True if no sample was recorded.
@@ -72,12 +72,12 @@ impl WarpTimeline {
 
     /// Samples dropped after the capacity was reached.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.borrow().dropped
     }
 
     /// Distribution summary of all kept samples.
     pub fn summary(&self) -> WarpSummary {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         if inner.points.is_empty() {
             return WarpSummary::default();
         }
@@ -98,7 +98,7 @@ impl WarpTimeline {
     /// range: per-slice mean and count. Empty when no samples (or `bins`
     /// is 0).
     pub fn timeline(&self, bins: usize) -> Vec<WarpPoint> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         if inner.points.is_empty() || bins == 0 {
             return Vec::new();
         }

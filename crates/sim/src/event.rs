@@ -12,13 +12,13 @@ use crate::time::SimTime;
 /// [`SimBuilder::run`](crate::SimBuilder::run), between process slices,
 /// with exclusive access to the engine through an [`EventCtx`]; they may
 /// deliver messages, wake blocked processes, and schedule further events.
-pub struct Event(pub(crate) Box<dyn FnOnce(&mut EventCtx<'_>) + Send>);
+pub struct Event(pub(crate) Box<dyn FnOnce(&mut EventCtx<'_>)>);
 
 impl Event {
     /// Wrap a closure as an event.
     pub fn new<F>(f: F) -> Self
     where
-        F: FnOnce(&mut EventCtx<'_>) + Send + 'static,
+        F: FnOnce(&mut EventCtx<'_>) + 'static,
     {
         Event(Box::new(f))
     }
@@ -110,7 +110,7 @@ impl EventCtx<'_> {
     /// Schedule a closure `delay` after the current instant.
     pub fn schedule_fn<F>(&mut self, delay: SimTime, f: F)
     where
-        F: FnOnce(&mut EventCtx<'_>) + Send + 'static,
+        F: FnOnce(&mut EventCtx<'_>) + 'static,
     {
         self.schedule(delay, Event::new(f));
     }

@@ -82,8 +82,8 @@ pub use time::SimTime;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     #[test]
     fn empty_simulation_finishes_at_zero() {
@@ -107,19 +107,20 @@ mod tests {
 
     #[test]
     fn interleaving_is_by_virtual_time() {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = SimBuilder::new(0);
         for (name, step) in [("a", 3u64), ("b", 5u64)] {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn(name, move |ctx| {
                 for i in 0..3 {
                     ctx.advance(SimTime::from_millis(step));
-                    log.lock().push((name, i, ctx.now().as_nanos() / 1_000_000));
+                    log.borrow_mut()
+                        .push((name, i, ctx.now().as_nanos() / 1_000_000));
                 }
             });
         }
         sim.run().unwrap();
-        let got = log.lock().clone();
+        let got = log.borrow().clone();
         assert_eq!(
             got,
             vec![
@@ -136,21 +137,21 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         fn run_once(seed: u64) -> Vec<u64> {
-            let samples = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let samples = Rc::new(RefCell::new(Vec::new()));
             let mut sim = SimBuilder::new(seed);
             for p in 0..4 {
-                let samples = Arc::clone(&samples);
+                let samples = Rc::clone(&samples);
                 sim.spawn(format!("p{p}"), move |ctx| {
                     use rand::Rng;
                     for _ in 0..10 {
                         let jitter: u64 = ctx.rng().gen_range(1..100);
                         ctx.advance(SimTime::from_micros(jitter));
-                        samples.lock().push(ctx.now().as_nanos());
+                        samples.borrow_mut().push(ctx.now().as_nanos());
                     }
                 });
             }
             sim.run().unwrap();
-            let v = samples.lock().clone();
+            let v = samples.borrow().clone();
             v
         }
         assert_eq!(run_once(99), run_once(99));
@@ -335,22 +336,22 @@ mod tests {
 
     #[test]
     fn scheduled_events_fire_in_order() {
-        let counter = Arc::new(AtomicU64::new(0));
+        let counter = Rc::new(Cell::new(0u64));
         let mut sim = SimBuilder::new(0);
-        let c = Arc::clone(&counter);
+        let c = Rc::clone(&counter);
         sim.spawn("scheduler", move |ctx| {
             for i in (0..10u64).rev() {
-                let c = Arc::clone(&c);
+                let c = Rc::clone(&c);
                 ctx.schedule_fn(SimTime::from_millis(i), move |ec| {
                     // Each event asserts it fires after all earlier ones.
-                    let prev = c.fetch_add(1, Ordering::SeqCst);
+                    let prev = c.replace(c.get() + 1);
                     assert_eq!(prev, i, "event at t={} fired out of order", ec.now());
                 });
             }
             ctx.advance(SimTime::from_millis(20));
         });
         sim.run().unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 10);
+        assert_eq!(counter.get(), 10);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! network model at the computed arrival time); receives happen from the
 //! owning process and block in virtual time until a message is available.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::event::EventCtx;
 use crate::process::{Ctx, DepthProbe, Pid};
@@ -53,37 +52,43 @@ impl<T> Inner<T> {
 
 /// An unbounded virtual-time FIFO channel with a single logical receiver.
 ///
-/// Cloning a `Mailbox` clones a handle to the same queue (cheap `Arc`
-/// clone). Access is serialized by the engine (only one process/event runs
-/// at a time), so the internal lock is uncontended.
+/// Cloning a `Mailbox` clones a handle to the same queue (cheap `Rc`
+/// clone). Only one process or event runs at a time and no borrow outlives
+/// the call that took it, so the handles never meet; they cannot leave the
+/// simulation's thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nscc_sim::Mailbox<u32>>();
+/// ```
 pub struct Mailbox<T> {
-    inner: Arc<Mutex<Inner<T>>>,
-    name: Arc<str>,
+    inner: Rc<RefCell<Inner<T>>>,
+    name: Rc<str>,
     /// What a blocked receiver hands the scheduler, built once so that
     /// blocking allocates nothing: the wait reasons of `recv` and
     /// `recv_deadline`, and the depth probe.
-    recv_reason: Arc<str>,
-    deadline_reason: Arc<str>,
+    recv_reason: Rc<str>,
+    deadline_reason: Rc<str>,
     depth: DepthProbe,
 }
 
 impl<T> Clone for Mailbox<T> {
     fn clone(&self) -> Self {
         Mailbox {
-            inner: Arc::clone(&self.inner),
-            name: Arc::clone(&self.name),
-            recv_reason: Arc::clone(&self.recv_reason),
-            deadline_reason: Arc::clone(&self.deadline_reason),
-            depth: Arc::clone(&self.depth),
+            inner: Rc::clone(&self.inner),
+            name: Rc::clone(&self.name),
+            recv_reason: Rc::clone(&self.recv_reason),
+            deadline_reason: Rc::clone(&self.deadline_reason),
+            depth: Rc::clone(&self.depth),
         }
     }
 }
 
-impl<T: Send + 'static> Mailbox<T> {
+impl<T: 'static> Mailbox<T> {
     /// Create an empty mailbox; `name` appears in deadlock diagnostics.
     pub fn new(name: impl Into<String>) -> Self {
-        let name: Arc<str> = name.into().into();
-        let inner = Arc::new(Mutex::new(Inner {
+        let name: Rc<str> = name.into().into();
+        let inner = Rc::new(RefCell::new(Inner {
             queue: VecDeque::new(),
             waiter: None,
             delivered: 0,
@@ -93,12 +98,12 @@ impl<T: Send + 'static> Mailbox<T> {
             warned: false,
             warn_pending: None,
         }));
-        let queue = Arc::clone(&inner);
+        let queue = Rc::clone(&inner);
         Mailbox {
             inner,
             recv_reason: format!("recv on mailbox `{name}`").into(),
             deadline_reason: format!("recv (deadline) on mailbox `{name}`").into(),
-            depth: Arc::new(move || queue.lock().queue.len()),
+            depth: Rc::new(move || queue.borrow().queue.len()),
             name,
         }
     }
@@ -106,7 +111,7 @@ impl<T: Send + 'static> Mailbox<T> {
     /// Push a message from an event (e.g. a network delivery) and wake the
     /// receiver if it is blocked in [`recv`](Mailbox::recv).
     pub fn deliver(&self, ec: &mut EventCtx<'_>, msg: T) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.queue.push_back(msg);
         inner.delivered += 1;
         inner.note_depth(&self.name);
@@ -119,7 +124,7 @@ impl<T: Send + 'static> Mailbox<T> {
     /// instant** (zero-latency local delivery). The wake is scheduled as an
     /// immediate event.
     pub fn deliver_now(&self, ctx: &mut Ctx, msg: T) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.queue.push_back(msg);
         inner.delivered += 1;
         inner.note_depth(&self.name);
@@ -134,7 +139,7 @@ impl<T: Send + 'static> Mailbox<T> {
     pub fn recv(&self, ctx: &mut Ctx) -> T {
         loop {
             {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 if let Some(msg) = inner.queue.pop_front() {
                     inner.received += 1;
                     return msg;
@@ -146,7 +151,7 @@ impl<T: Send + 'static> Mailbox<T> {
                 );
                 inner.waiter = Some(ctx.pid());
             }
-            ctx.block_shared(Arc::clone(&self.recv_reason), Some(Arc::clone(&self.depth)));
+            ctx.block_shared(Rc::clone(&self.recv_reason), Some(Rc::clone(&self.depth)));
         }
     }
 
@@ -158,7 +163,7 @@ impl<T: Send + 'static> Mailbox<T> {
         let mut armed = false;
         loop {
             {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 if let Some(msg) = inner.queue.pop_front() {
                     inner.received += 1;
                     return Some(msg);
@@ -184,15 +189,15 @@ impl<T: Send + 'static> Mailbox<T> {
                 ctx.schedule_fn(deadline.saturating_sub(ctx.now()), move |ec| ec.wake(pid));
             }
             ctx.block_shared(
-                Arc::clone(&self.deadline_reason),
-                Some(Arc::clone(&self.depth)),
+                Rc::clone(&self.deadline_reason),
+                Some(Rc::clone(&self.depth)),
             );
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let msg = inner.queue.pop_front();
         if msg.is_some() {
             inner.received += 1;
@@ -202,7 +207,7 @@ impl<T: Send + 'static> Mailbox<T> {
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner.borrow().queue.len()
     }
 
     /// True if no message is queued.
@@ -212,32 +217,32 @@ impl<T: Send + 'static> Mailbox<T> {
 
     /// Total messages ever delivered into this mailbox.
     pub fn total_delivered(&self) -> u64 {
-        self.inner.lock().delivered
+        self.inner.borrow().delivered
     }
 
     /// Deepest the queue has ever been (a backpressure gauge: a receiver
     /// keeping up holds this near 1 regardless of traffic volume).
     pub fn high_watermark(&self) -> u64 {
-        self.inner.lock().high_watermark
+        self.inner.borrow().high_watermark
     }
 
     /// Arm a one-shot depth warning: the first delivery that leaves the
     /// queue at or above `depth` prints one stderr line and records a
     /// pending warning for [`Mailbox::take_warn`].
     pub fn set_warn_threshold(&self, depth: u64) {
-        self.inner.lock().warn_at = Some(depth);
+        self.inner.borrow_mut().warn_at = Some(depth);
     }
 
     /// Collect a fired-but-unreported depth warning, if any: the depth
     /// observed at the crossing. Polled by the message layer so it can emit
     /// a structured observability event from receiver context.
     pub fn take_warn(&self) -> Option<u64> {
-        self.inner.lock().warn_pending.take()
+        self.inner.borrow_mut().warn_pending.take()
     }
 
     /// Total messages ever received out of this mailbox.
     pub fn total_received(&self) -> u64 {
-        self.inner.lock().received
+        self.inner.borrow().received
     }
 
     /// The diagnostic name given at construction.

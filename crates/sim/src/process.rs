@@ -12,9 +12,7 @@
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,7 +41,7 @@ pub(crate) enum Yield {
     /// queue being waited on if the run deadlocks. Both are shared, so a
     /// waiter that blocks again and again (a mailbox) builds them once.
     Block {
-        reason: Arc<str>,
+        reason: Rc<str>,
         probe: Option<DepthProbe>,
     },
     /// The process body returned normally.
@@ -53,7 +51,7 @@ pub(crate) enum Yield {
 }
 
 /// Reports the depth of the queue a blocked process waits on.
-pub(crate) type DepthProbe = Arc<dyn Fn() -> usize + Send + Sync>;
+pub(crate) type DepthProbe = Rc<dyn Fn() -> usize>;
 
 /// The handle a simulated process uses to interact with virtual time.
 ///
@@ -63,7 +61,13 @@ pub(crate) type DepthProbe = Arc<dyn Fn() -> usize + Send + Sync>;
 /// runs inline at the current virtual instant.
 ///
 /// A `Ctx` is bound to the stack its body runs on, so it is not `Send`: it
-/// cannot be handed to another thread (the body's captures still are).
+/// cannot be handed to another thread, and neither can anything else a
+/// simulation is made of.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<nscc_sim::Ctx>();
+/// ```
 ///
 /// [`Mailbox::recv`]: crate::Mailbox::recv
 pub struct Ctx {
@@ -144,20 +148,14 @@ impl Ctx {
     /// queue's depth (see [`DeadlockInfo`](crate::DeadlockInfo)).
     pub fn block_with_probe<F>(&mut self, reason: impl Into<String>, probe: F)
     where
-        F: Fn() -> usize + Send + 'static,
+        F: Fn() -> usize + 'static,
     {
-        // The scheduler's probe slot is `Sync` (a mailbox shares its own
-        // across handles); a mutex makes any `Send` closure fit.
-        let probe = Mutex::new(probe);
-        self.block_shared(
-            reason.into().into(),
-            Some(Arc::new(move || (*probe.lock())())),
-        );
+        self.block_shared(reason.into().into(), Some(Rc::new(probe)));
     }
 
     /// [`block_with_probe`](Ctx::block_with_probe) for a caller that keeps
     /// its reason and probe around: blocking allocates nothing.
-    pub(crate) fn block_shared(&mut self, reason: Arc<str>, probe: Option<DepthProbe>) {
+    pub(crate) fn block_shared(&mut self, reason: Rc<str>, probe: Option<DepthProbe>) {
         self.yield_and_wait(Yield::Block { reason, probe });
     }
 
@@ -172,7 +170,7 @@ impl Ctx {
     /// Schedule a closure to fire `delay` after the current instant.
     pub fn schedule_fn<F>(&mut self, delay: SimTime, f: F)
     where
-        F: FnOnce(&mut crate::event::EventCtx<'_>) + Send + 'static,
+        F: FnOnce(&mut crate::event::EventCtx<'_>) + 'static,
     {
         self.schedule(delay, Event::new(f));
     }
@@ -186,7 +184,7 @@ impl Ctx {
 
     /// The whole life of a process, from its first slice (at `now`):
     /// run the body, report how it ended.
-    pub(crate) fn run(mut self, now: SimTime, body: Box<dyn FnOnce(&mut Ctx) + Send>) {
+    pub(crate) fn run(mut self, now: SimTime, body: Box<dyn FnOnce(&mut Ctx)>) {
         self.now = now;
         let how = match panic::catch_unwind(AssertUnwindSafe(|| body(&mut self))) {
             Ok(()) => Yield::Done,

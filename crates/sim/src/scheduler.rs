@@ -13,7 +13,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -33,7 +32,7 @@ enum ProcState {
     /// Suspended; waiting for an [`EventCtx::wake`]. Carries the reason and
     /// the virtual time the block began, for deadlock diagnostics and
     /// blocked-span observability.
-    Blocked { reason: Arc<str>, since: SimTime },
+    Blocked { reason: Rc<str>, since: SimTime },
     /// Body returned.
     Done,
 }
@@ -48,7 +47,7 @@ struct ProcSlot {
     probe: Option<DepthProbe>,
 }
 
-type Body = Box<dyn FnOnce(&mut Ctx) + Send>;
+type Body = Box<dyn FnOnce(&mut Ctx)>;
 
 /// Summary statistics for a completed simulation run.
 #[derive(Debug, Clone)]
@@ -110,9 +109,9 @@ impl SimBuilder {
     /// invoked once and every line it returns is appended to the
     /// [`SimError::Deadlock`] report (and the flight ring, when armed).
     /// Probes run in the stepper loop, with every process suspended, so
-    /// they may freely lock shared state (e.g. a snapshot board) to report
+    /// they may freely borrow shared state (e.g. a snapshot board) to report
     /// open marker waves and per-channel in-flight recording depths.
-    pub fn deadlock_note(&mut self, f: impl Fn() -> Vec<String> + Send + 'static) -> &mut Self {
+    pub fn deadlock_note(&mut self, f: impl Fn() -> Vec<String> + 'static) -> &mut Self {
         self.core.diag.push(Box::new(f));
         self
     }
@@ -160,7 +159,7 @@ impl SimBuilder {
     /// process body has returned.
     pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         self.spawn_inner(name.into(), false, Box::new(body))
     }
@@ -169,7 +168,7 @@ impl SimBuilder {
     /// does not wait for it to finish (e.g. background-load generators).
     pub fn spawn_daemon<F>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         self.spawn_inner(name.into(), true, Box::new(body))
     }
@@ -262,7 +261,7 @@ pub(crate) struct Core {
     event_limit: u64,
     obs: Option<Hub>,
     acct: Option<WallAcct>,
-    diag: Vec<Box<dyn Fn() -> Vec<String> + Send>>,
+    diag: Vec<Box<dyn Fn() -> Vec<String>>>,
     queue: Queue,
     now: SimTime,
     executed: u64,

@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation engine's core guarantees.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use nscc_sim::{Mailbox, SimBuilder, SimTime};
@@ -39,7 +39,7 @@ proptest! {
         sends in prop::collection::vec((0u64..10_000, 0u64..2_000), 1..40)
     ) {
         let mb: Mailbox<u64> = Mailbox::new("props");
-        let out = Arc::new(Mutex::new(Vec::new()));
+        let out = Rc::new(RefCell::new(Vec::new()));
         let n = sends.len();
         let mut sim = SimBuilder::new(1);
         {
@@ -58,16 +58,16 @@ proptest! {
         }
         {
             let mb = mb.clone();
-            let out = Arc::clone(&out);
+            let out = Rc::clone(&out);
             sim.spawn("receiver", move |ctx| {
                 for _ in 0..n {
                     let v = mb.recv(ctx);
-                    out.lock().push(v);
+                    out.borrow_mut().push(v);
                 }
             });
         }
         sim.run().expect("no deadlock");
-        let got = out.lock().clone();
+        let got = out.borrow().clone();
         prop_assert_eq!(got.len(), n);
         // Delivery order is non-decreasing in virtual delivery time.
         for w in got.windows(2) {

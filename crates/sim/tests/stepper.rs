@@ -8,9 +8,10 @@
 //! variable, a fatal signal) runs as an `#[ignore]`d `child_*` test in a
 //! re-exec of this binary; see [`child`].
 
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Command, Output};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use nscc_sim::{Ctx, Hub, Mailbox, Pid, SimBuilder, SimError, SimTime};
@@ -21,11 +22,11 @@ fn us(n: u64) -> SimTime {
 
 /// A shared `(virtual ns, who)` log.
 #[derive(Clone, Default)]
-struct Log(Arc<Mutex<Vec<(u64, &'static str)>>>);
+struct Log(Rc<RefCell<Vec<(u64, &'static str)>>>);
 
 impl Log {
     fn at(&self, now: SimTime, who: &'static str) {
-        self.0.lock().unwrap().push((now.as_nanos(), who));
+        self.0.borrow_mut().push((now.as_nanos(), who));
     }
 
     /// Schedule an event that does nothing but log itself.
@@ -95,7 +96,7 @@ fn order_scenario() -> Vec<(u64, &'static str)> {
     });
 
     sim.run().unwrap();
-    let got = log.0.lock().unwrap().clone();
+    let got = log.0.borrow().clone();
     got
 }
 
@@ -202,11 +203,11 @@ fn handoffs_count_real_thread_switches_only() {
 }
 
 /// Counts its drops: captured by every process closure of a teardown run.
-struct Guard(Arc<AtomicUsize>);
+struct Guard(Rc<Cell<usize>>);
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::SeqCst);
+        self.0.set(self.0.get() + 1);
     }
 }
 
@@ -215,29 +216,29 @@ impl Drop for Guard {
 /// closures' guards had been dropped when `run()` returned.
 fn teardown_run(
     configure: impl FnOnce(&mut SimBuilder),
-    ender: impl FnOnce(&mut Ctx) + Send + 'static,
+    ender: impl FnOnce(&mut Ctx) + 'static,
 ) -> (Result<nscc_sim::SimReport, SimError>, usize) {
-    let drops = Arc::new(AtomicUsize::new(0));
+    let drops = Rc::new(Cell::new(0));
     let mut sim = SimBuilder::new(0);
     configure(&mut sim);
     let quiet: Mailbox<()> = Mailbox::new("quiet");
-    let g = Guard(Arc::clone(&drops));
+    let g = Guard(Rc::clone(&drops));
     sim.spawn_daemon("parked-daemon", move |ctx| {
         let _g = &g;
         quiet.recv(ctx);
     });
-    let g = Guard(Arc::clone(&drops));
+    let g = Guard(Rc::clone(&drops));
     sim.spawn_daemon("mid-advance", move |ctx| {
         let _g = &g;
         ctx.advance(SimTime::from_secs(3600));
     });
-    let g = Guard(Arc::clone(&drops));
+    let g = Guard(Rc::clone(&drops));
     sim.spawn("ender", move |ctx| {
         let _g = &g;
         ender(ctx);
     });
     let result = sim.run();
-    (result, drops.load(Ordering::SeqCst))
+    (result, drops.get())
 }
 
 #[test]
@@ -304,16 +305,16 @@ fn every_exit_path_unwinds_every_body() {
 /// to no process, after every started body has been unwound.
 #[test]
 fn probe_panic_is_reraised_on_the_run_caller_with_every_body_unwound() {
-    let drops = Arc::new(AtomicUsize::new(0));
+    let drops = Rc::new(Cell::new(0));
     let mut sim = SimBuilder::new(0);
     sim.deadlock_note(|| panic!("probe exploded"));
     let never: Mailbox<()> = Mailbox::new("never");
-    let g = Guard(Arc::clone(&drops));
+    let g = Guard(Rc::clone(&drops));
     sim.spawn("stuck", move |ctx| {
         let _g = &g;
         never.recv(ctx)
     });
-    let g = Guard(Arc::clone(&drops));
+    let g = Guard(Rc::clone(&drops));
     sim.spawn("returns", move |ctx| {
         let _g = &g;
         ctx.advance(us(1))
@@ -321,7 +322,7 @@ fn probe_panic_is_reraised_on_the_run_caller_with_every_body_unwound() {
     let payload = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run() must panic");
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"probe exploded"));
     assert_eq!(
-        drops.load(Ordering::SeqCst),
+        drops.get(),
         2,
         "both bodies were gone when the panic left run()"
     );
@@ -506,8 +507,8 @@ fn child_recurses_without_bound() {
 /// stepper loop runs on that body's stack.
 #[test]
 fn a_nested_run_inside_a_process_body_returns_its_report() {
-    let inner_end = Arc::new(Mutex::new(None));
-    let out = Arc::clone(&inner_end);
+    let inner_end = Rc::new(Cell::new(None));
+    let out = Rc::clone(&inner_end);
     let mut sim = SimBuilder::new(0);
     sim.spawn("outer", move |ctx| {
         ctx.advance(us(2));
@@ -520,11 +521,11 @@ fn a_nested_run_inside_a_process_body_returns_its_report() {
         });
         inner.spawn("rx", move |ctx| assert_eq!(mb.recv(ctx), 9));
         let report = inner.run().expect("the nested run completes");
-        *out.lock().unwrap() = Some((report.end_time, report.processes));
+        out.set(Some((report.end_time, report.processes)));
         ctx.advance(us(3));
     });
     assert_eq!(sim.run().unwrap().end_time, us(5));
-    assert_eq!(*inner_end.lock().unwrap(), Some((us(7), 2)));
+    assert_eq!(inner_end.get(), Some((us(7), 2)));
 }
 
 /// With `RUST_BACKTRACE=1` the panic hook walks the panicking stack — a

@@ -47,6 +47,11 @@ step() {
     echo "--- $*" >&2
 }
 
+# No lock, atomic or Send/Sync bound in what a simulation is made of, and
+# every file the frozen crates/perf/build-offline.sh compiles still exists.
+step guard
+tools/offline/guard.sh >&2 || fail=1
+
 # --- stubs (always built; cheap) ---
 step stub serde_derive
 $RUSTC --crate-type proc-macro --crate-name serde_derive \
@@ -54,14 +59,6 @@ $RUSTC --crate-type proc-macro --crate-name serde_derive \
 step stub serde
 $RUSTC --crate-type rlib --crate-name serde tools/offline/serde_shim.rs \
     --extern serde_derive="$OUT/libserde_derive.so" --out-dir "$OUT" || exit 1
-step stub parking_lot
-$RUSTC --crate-type rlib --crate-name parking_lot \
-    tools/offline/parking_lot_shim.rs --out-dir "$OUT" || exit 1
-# Nothing in the workspace depends on crossbeam any more; the stub stays
-# because crates/perf/build-offline.sh (frozen) still compiles this shim.
-step stub crossbeam
-$RUSTC --crate-type rlib --crate-name crossbeam \
-    tools/offline/crossbeam_shim.rs --out-dir "$OUT" || exit 1
 step stub rand
 $RUSTC --crate-type rlib --crate-name rand tools/offline/rand_shim.rs \
     --out-dir "$OUT" || exit 1
@@ -70,7 +67,6 @@ $RUSTC --crate-type rlib --crate-name proptest tools/offline/proptest_shim.rs \
     --out-dir "$OUT" || exit 1
 
 EXT_SERDE="--extern serde=$OUT/libserde.rlib"
-EXT_PL="--extern parking_lot=$OUT/libparking_lot.rlib"
 EXT_RAND="--extern rand=$OUT/librand.rlib"
 
 # build <crate> <src> <externs...>: rlib + unit-test binary (run).
@@ -108,6 +104,19 @@ itest() {
     "$OUT/itest_${crate}_${name}" -q || fail=1
 }
 
+# doctest <crate> <src> <externs...>: the crate's doc-tests, against the rlib
+# just built. Registered for the crates whose `compile_fail` doc-tests pin
+# a type as `!Send`.
+doctest() {
+    local crate="$1" src="$2"
+    shift 2
+    want "$crate" || return 0
+    [ "$RUN_TESTS" = 1 ] || return 0
+    step "doctest $crate"
+    rustdoc --edition 2021 --test -L "$OUT" --crate-name "$crate" "$src" \
+        --extern "$crate=$OUT/lib$crate.rlib" "$@" >/dev/null || fail=1
+}
+
 # skip <src> <reason...>: an integration-test file this script does not run.
 skip() {
     local src="$1"
@@ -143,32 +152,37 @@ E_HUNT="--extern nscc_hunt=$OUT/libnscc_hunt.rlib"
 E_ANALYZE="--extern nscc_analyze=$OUT/libnscc_analyze.rlib"
 
 build nscc_ckpt crates/ckpt/src/lib.rs
-build nscc_obs crates/obs/src/lib.rs $EXT_PL $EXT_SERDE $E_CKPT
-build nscc_audit crates/audit/src/lib.rs $EXT_PL $EXT_SERDE $E_OBS
-build nscc_sim crates/sim/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
+build nscc_obs crates/obs/src/lib.rs $EXT_SERDE $E_CKPT
+doctest nscc_obs crates/obs/src/lib.rs $EXT_SERDE $E_CKPT
+build nscc_audit crates/audit/src/lib.rs $EXT_SERDE $E_OBS
+build nscc_sim crates/sim/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
+doctest nscc_sim crates/sim/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS
 itest nscc_sim crates/sim/tests/stepper.rs $E_SIM
-build nscc_net crates/net/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM
-build nscc_faults crates/faults/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_SIM $E_NET
-build nscc_msg crates/msg/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_FAULTS
-build nscc_dsm crates/dsm/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG
-itest nscc_dsm crates/dsm/tests/global_read.rs $EXT_PL $E_DSM $E_MSG $E_NET $E_SIM
+build nscc_net crates/net/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM
+doctest nscc_net crates/net/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM
+build nscc_faults crates/faults/src/lib.rs $EXT_RAND $EXT_SERDE $E_SIM $E_NET
+build nscc_msg crates/msg/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_FAULTS
+doctest nscc_msg crates/msg/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_FAULTS
+build nscc_dsm crates/dsm/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG
+doctest nscc_dsm crates/dsm/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG
+itest nscc_dsm crates/dsm/tests/global_read.rs $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_dsm crates/dsm/tests/resilience.rs $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_dsm crates/dsm/tests/zero_copy.rs $EXT_SERDE $E_DSM $E_FAULTS $E_MSG $E_NET $E_SIM
 itest nscc_dsm crates/dsm/tests/alloc_budget.rs $E_DSM $E_MSG $E_NET $E_SIM
 build nscc_partition crates/partition/src/lib.rs $EXT_RAND
-build nscc_ga crates/ga/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_SIM $E_NET $E_MSG $E_DSM
-itest nscc_ga crates/ga/tests/adaptive.rs $EXT_PL $E_GA $E_DSM $E_MSG $E_NET $E_SIM
-itest nscc_ga crates/ga/tests/topology.rs $EXT_PL $E_GA $E_DSM $E_MSG $E_NET $E_SIM
-build nscc_bayes crates/bayes/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG $E_DSM $E_PART
+build nscc_ga crates/ga/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_SIM $E_NET $E_MSG $E_DSM
+itest nscc_ga crates/ga/tests/adaptive.rs $E_GA $E_DSM $E_MSG $E_NET $E_SIM
+itest nscc_ga crates/ga/tests/topology.rs $E_GA $E_DSM $E_MSG $E_NET $E_SIM
+build nscc_bayes crates/bayes/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG $E_DSM $E_PART
 # kernel_pin and alloc_budget are RNG-free, so their pinned digests and
 # counts hold against the rand shim too.
 itest nscc_bayes crates/bayes/tests/alloc_budget.rs $E_BAYES $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_bayes crates/bayes/tests/kernel_pin.rs $E_BAYES $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_bayes crates/bayes/tests/parallel_inference.rs $E_BAYES $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_bayes crates/bayes/tests/properties.rs $E_PROPTEST $E_BAYES
-build nscc_core crates/core/src/lib.rs $EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES
-build nscc_bench crates/bench/src/lib.rs $EXT_PL $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE
-build nscc_hunt crates/hunt/src/lib.rs $EXT_PL $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH
+build nscc_core crates/core/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES
+build nscc_bench crates/bench/src/lib.rs $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE
+build nscc_hunt crates/hunt/src/lib.rs $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH
 build nscc_analyze crates/analyze/src/lib.rs $E_CKPT
 build nscc src/lib.rs $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_ANALYZE
 # Root integration tests (proptest-based ones run against the shim: three
@@ -178,7 +192,7 @@ for t in tests/*.rs; do
     itest nscc "$t" $E_NSCC $E_PROPTEST $EXT_RAND
 done
 
-ALL="$EXT_PL $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH"
+ALL="$EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH"
 if want nscc_bench; then
     for b in crates/bench/src/bin/*.rs; do
         binary "bench-$(basename "$b" .rs)" "$b" $ALL

@@ -1,7 +1,14 @@
-//! Offline stand-in for the `crossbeam` crate (see tools/offline/README.md).
+//! Offline stand-in for the `crossbeam` crate.
 //!
-//! Only `crossbeam::channel::{unbounded, Sender, Receiver}` is used by the
-//! workspace; wrap `std::sync::mpsc` behind that surface.
+//! Nothing in the workspace depends on `crossbeam` any more. This file
+//! stays because `crates/perf/build-offline.sh` — frozen with the rest of
+//! `crates/perf`, and the build the benchmark falls back to when the
+//! registry is unreachable — compiles it by path and passes the result to
+//! `nscc-sim` as an (unused) `--extern`. Delete it together with that line
+//! of the script when ROADMAP item 1 unfreezes the harness;
+//! `tools/offline/guard.sh` fails if it goes missing before then.
+//!
+//! `crossbeam::channel::{unbounded, Sender, Receiver}` over `std::sync::mpsc`.
 
 pub mod channel {
     use std::fmt;

@@ -1,9 +1,14 @@
-//! Offline stand-in for the `parking_lot` crate (see tools/offline/README.md).
+//! Offline stand-in for the `parking_lot` crate.
 //!
-//! Wraps `std::sync::Mutex` behind parking_lot's poison-free API surface so
-//! the workspace can be type-checked and unit-tested in a container with an
-//! empty cargo registry. Only the API actually used by this workspace is
-//! provided.
+//! Nothing in the workspace depends on `parking_lot` any more. This file
+//! stays because `crates/perf/build-offline.sh` — frozen with the rest of
+//! `crates/perf`, and the build the benchmark falls back to when the
+//! registry is unreachable — compiles it by path and passes the result to
+//! every crate as an (unused) `--extern`. Delete it together with that
+//! line of the script when ROADMAP item 1 unfreezes the harness;
+//! `tools/offline/guard.sh` fails if it goes missing before then.
+//!
+//! Wraps `std::sync::Mutex` behind parking_lot's poison-free API surface.
 
 use std::fmt;
 
