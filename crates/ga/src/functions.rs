@@ -156,6 +156,36 @@ impl TestFn {
         }
     }
 
+    /// For the functions of the form `c + Σ g(xᵢ)` — F1, F3, F6, F7 — the
+    /// per-variable term `g`. The rest have none: F2 and F5 couple their
+    /// variables, F4's and F8's terms depend on the variable's position.
+    /// Both [`eval`](TestFn::eval) and the fitness cache's term table go
+    /// through this one definition, so they agree to the bit.
+    pub(crate) fn term(self) -> Option<fn(f64) -> f64> {
+        match self {
+            TestFn::F1Sphere => Some(|v| v * v),
+            TestFn::F3Step => Some(f64::floor),
+            TestFn::F6Rastrigin => Some(|v| v * v - 10.0 * (2.0 * PI * v).cos()),
+            TestFn::F7Schwefel => Some(|v| -v * v.abs().sqrt().sin()),
+            TestFn::F2Rosenbrock
+            | TestFn::F4QuarticNoise
+            | TestFn::F5Foxholes
+            | TestFn::F8Griewank => None,
+        }
+    }
+
+    /// `c + Σ terms`, for a function that has a [`term`](TestFn::term): the
+    /// terms are summed in variable order and `c` is added last, on the
+    /// left.
+    pub(crate) fn sum_terms(self, terms: impl Iterator<Item = f64>) -> f64 {
+        let sum = terms.sum::<f64>();
+        match self {
+            TestFn::F3Step => 30.0 + sum,
+            TestFn::F6Rastrigin => self.dims() as f64 * 10.0 + sum,
+            _ => sum,
+        }
+    }
+
     /// Evaluate the deterministic part of the function at `x`.
     /// Panics if `x.len() != dims()`.
     pub fn eval(self, x: &[f64]) -> f64 {
@@ -165,13 +195,14 @@ impl TestFn {
             "{}: wrong dimensionality",
             self.name()
         );
+        if let Some(g) = self.term() {
+            return self.sum_terms(x.iter().map(|&v| g(v)));
+        }
         match self {
-            TestFn::F1Sphere => x.iter().map(|v| v * v).sum(),
             TestFn::F2Rosenbrock => {
                 let (x1, x2) = (x[0], x[1]);
                 100.0 * (x1 * x1 - x2).powi(2) + (1.0 - x1).powi(2)
             }
-            TestFn::F3Step => 30.0 + x.iter().map(|v| v.floor()).sum::<f64>(),
             TestFn::F4QuarticNoise => x
                 .iter()
                 .enumerate()
@@ -188,15 +219,6 @@ impl TestFn {
                 }
                 1.0 / s
             }
-            TestFn::F6Rastrigin => {
-                let a = 10.0;
-                let n = x.len() as f64;
-                n * a
-                    + x.iter()
-                        .map(|v| v * v - a * (2.0 * PI * v).cos())
-                        .sum::<f64>()
-            }
-            TestFn::F7Schwefel => x.iter().map(|v| -v * v.abs().sqrt().sin()).sum(),
             TestFn::F8Griewank => {
                 let s: f64 = x.iter().map(|v| v * v / 4000.0).sum();
                 let p: f64 = x
@@ -206,6 +228,7 @@ impl TestFn {
                     .product();
                 s - p + 1.0
             }
+            _ => unreachable!("{} is a sum of terms", self.name()),
         }
     }
 

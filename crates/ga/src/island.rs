@@ -143,6 +143,17 @@ impl Snapshot for IslandCkpt {
     }
 }
 
+/// Open a sealed checkpoint frame for a restore under `cfg`. A frame that
+/// unseals and decodes but whose deme does not fit the run — wrong
+/// population size, genomes of another length — is as unusable as a
+/// corrupt one, and is refused here, where the caller can still fall back
+/// to an older frame, rather than after it has been chosen.
+fn open_frame(sealed: &[u8], cfg: &IslandConfig) -> Result<IslandCkpt, nscc_ckpt::CkptError> {
+    let ck: IslandCkpt = nscc_ckpt::unseal(sealed).and_then(nscc_ckpt::from_bytes)?;
+    ck.deme.validate(cfg.func, &cfg.params)?;
+    Ok(ck)
+}
+
 /// Per-island configuration for one parallel GA run.
 #[derive(Debug, Clone)]
 pub struct IslandConfig {
@@ -389,22 +400,18 @@ pub fn run_island(
                         if f.state.is_empty() {
                             return None; // posted before any local frame existed
                         }
-                        let ck = nscc_ckpt::unseal(&f.state)
-                            .and_then(nscc_ckpt::from_bytes::<IslandCkpt>)
-                            .ok()?;
+                        let ck = open_frame(&f.state, cfg).ok()?;
                         let inf =
                             nscc_ckpt::from_bytes::<Vec<(LocId, u64, MigrantBatch)>>(&f.inflight)
                                 .unwrap_or_default();
                         Some((ck, inf))
                     });
                     // …falling back to the newest intact local stop-world
-                    // frame; a corrupt frame is dropped and the previous
-                    // generation tried instead.
+                    // frame; a corrupt or ill-fitting frame is dropped and
+                    // the previous generation tried instead.
                     let mut local: Option<IslandCkpt> = None;
                     while let Some(frame) = ckpts.pop_back() {
-                        let decoded =
-                            nscc_ckpt::unseal(&frame).and_then(nscc_ckpt::from_bytes::<IslandCkpt>);
-                        if let Ok(ck) = decoded {
+                        if let Ok(ck) = open_frame(&frame, cfg) {
                             ckpts.push_back(frame);
                             local = Some(ck);
                             break;
@@ -431,7 +438,8 @@ pub fn run_island(
                 }
                 let to_gen = match rolled {
                     Some(ck) => {
-                        deme = Deme::from_state(cfg.func, cfg.params.clone(), ck.deme);
+                        deme = Deme::from_state(cfg.func, cfg.params.clone(), ck.deme)
+                            .expect("validated when the frame was opened");
                         own_rng = Some(StdRng::seed_from_u64(ck.reseed));
                         last_incorporated = ck.last_incorporated;
                         best_seen = ck.best_seen;
@@ -1015,7 +1023,7 @@ mod tests {
             best_seen: 0.25,
             last_improvement: SimTime::from_millis(42),
             time_to_target: None,
-            cache: vec![(LocId(2), 6, vec![deme.best_ever().clone()])],
+            cache: vec![(LocId(2), 6, vec![*deme.best_ever()])],
         };
         let bytes = nscc_ckpt::to_bytes(&ck);
         let back: IslandCkpt = nscc_ckpt::from_bytes(&bytes).unwrap();
@@ -1031,6 +1039,47 @@ mod tests {
         let mid = sealed.len() / 2;
         sealed[mid] ^= 1;
         assert!(nscc_ckpt::unseal(&sealed).is_err());
+    }
+
+    #[test]
+    fn a_frame_that_does_not_fit_the_run_is_refused_like_a_corrupt_one() {
+        let written_by = |func: TestFn, params: &GaParams| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+            let deme = Deme::new(func, params.clone(), &mut rng);
+            nscc_ckpt::seal(&nscc_ckpt::to_bytes(&IslandCkpt {
+                gen: 3,
+                reseed: 1,
+                deme: deme.export_state(),
+                last_incorporated: vec![0; 3],
+                best_seen: deme.best_ever().fitness,
+                last_improvement: SimTime::ZERO,
+                time_to_target: None,
+                cache: Vec::new(),
+            }))
+        };
+        let cfg = IslandConfig::paper(
+            TestFn::F1Sphere,
+            Coherence::PartialAsync { age: 3 },
+            StopPolicy::FixedGenerations(10),
+        );
+        let own = written_by(cfg.func, &cfg.params);
+        assert_eq!(open_frame(&own, &cfg).unwrap().gen, 3);
+        // Intact frames of a run over another function, or another
+        // population size: they unseal and decode, and must not be chosen.
+        for foreign in [
+            written_by(TestFn::F6Rastrigin, &cfg.params),
+            written_by(cfg.func, &GaParams::with_pop_size(20)),
+        ] {
+            assert!(nscc_ckpt::unseal(&foreign).is_ok());
+            assert!(matches!(
+                open_frame(&foreign, &cfg),
+                Err(nscc_ckpt::CkptError::Malformed(_))
+            ));
+        }
+        let mut corrupt = own;
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 1;
+        assert!(open_frame(&corrupt, &cfg).is_err());
     }
 
     /// A migrant batch built without a single RNG draw (an LCG picks the
@@ -1089,7 +1138,7 @@ mod tests {
                 gen: 4,
                 reseed: 0xfeed,
                 deme: DemeState {
-                    best_ever: pop[7].clone(),
+                    best_ever: pop[7],
                     pop,
                     window: vec![9.5, 7.25],
                     generation: 4,

@@ -5,11 +5,17 @@
 //! * [`TestFn`] — the eight-function minimization test bed of Table 1
 //!   (DeJong F1–F5, Mühlenbein F6–F8).
 //! * [`Genome`]/[`decode`] — DeJong's fixed-point binary coding with
-//!   single-point crossover and bitwise mutation.
+//!   single-point crossover and bitwise mutation. A genome is inline
+//!   (`Copy`, at most [`Genome::MAX_BITS`] bits), so an [`Individual`] is
+//!   48 plain bytes and a population is one contiguous array.
 //! * [`Deme`] — one sub-population under the paper's parameter set
 //!   (N=50, C=0.6, M=0.001, G=1, W=1, elitist), with the
 //!   fitness-caching optimization of the paper's serial baseline
-//!   ([`FitnessCache`]).
+//!   ([`FitnessCache`]: exact, open-addressed, with a per-variable term
+//!   table for the separable functions). A generation touches no heap and
+//!   draws a fixed, documented RNG stream (DESIGN.md, "GA kernel"); the
+//!   kernel it replaced lives on as the reference of
+//!   `tests/kernel_pin.rs`.
 //! * [`SerialGa`] — the optimized sequential baseline (population scaled
 //!   to `50 × p`).
 //! * [`run_island`] — the island-model parallel GA over the DSM: each

@@ -173,6 +173,11 @@ build nscc_partition crates/partition/src/lib.rs $EXT_RAND
 build nscc_ga crates/ga/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_SIM $E_NET $E_MSG $E_DSM
 itest nscc_ga crates/ga/tests/adaptive.rs $E_GA $E_DSM $E_MSG $E_NET $E_SIM
 itest nscc_ga crates/ga/tests/topology.rs $E_GA $E_DSM $E_MSG $E_NET $E_SIM
+# kernel_pin compares against a reference kernel driven off the same RNG, so
+# it holds whatever stream the rand shim produces.
+itest nscc_ga crates/ga/tests/kernel_pin.rs $EXT_RAND $E_GA
+itest nscc_ga crates/ga/tests/alloc_budget.rs $EXT_RAND $E_GA $E_DSM $E_MSG $E_NET $E_SIM
+itest nscc_ga crates/ga/tests/properties.rs $E_PROPTEST $EXT_RAND $E_GA $E_CKPT $E_MSG
 build nscc_bayes crates/bayes/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_SIM $E_NET $E_MSG $E_DSM $E_PART
 # kernel_pin and alloc_budget are RNG-free, so their pinned digests and
 # counts hold against the rand shim too.
@@ -219,7 +224,6 @@ fi
 skip crates/sim/tests/properties.rs "needs prop::collection::vec and tuple strategies"
 skip crates/msg/tests/properties.rs "needs prop::collection::vec, any::<Option<_>>() and regex strings"
 skip crates/partition/tests/properties.rs "needs a custom graph strategy and prop_assume!"
-skip crates/ga/tests/properties.rs "needs prop::sample::select"
 skip crates/perf/tests/smoke.rs "run by crates/perf/build-offline.sh --test (above)," \
     "against the optimised build it measures"
 
