@@ -174,19 +174,14 @@ fn decode_events(root: &Json) -> Vec<Ev<'_>> {
             continue;
         };
         let t = body.get("t_ns").and_then(Json::as_u64).unwrap_or(0);
-        let field = match kind.as_str() {
+        let field = match &**kind {
             "NetSend" => "src",
             "NetDeliver" => "dst",
             "Custom" => "",
             _ => "rank",
         };
         let pid = body.get(field).and_then(Json::as_u64).map(|v| v as u32);
-        out.push(Ev {
-            kind: kind.as_str(),
-            body,
-            t,
-            pid,
-        });
+        out.push(Ev { kind, body, t, pid });
     }
     out
 }

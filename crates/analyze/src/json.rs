@@ -8,8 +8,15 @@
 //! carry (virtual nanoseconds, counters, speedups) fits well inside the
 //! 2^53 exact-integer range, except sentinel `u64::MAX` fields, which
 //! only ever get compared against huge thresholds.
+//!
+//! The reader is one pass over the input bytes, shaped by what the writer
+//! emits (DESIGN.md §6 "The JSON reader"): string bodies are copied a run
+//! at a time, short plain integers skip `str::parse`, object keys are
+//! interned per [`parse`] call, and nesting is bounded by [`MAX_DEPTH`].
 
+use std::borrow::Cow;
 use std::fmt;
+use std::rc::Rc;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,15 +31,17 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in document order.
-    Obj(Vec<(String, Json)>),
+    /// An object, in document order. Keys are shared handles: every
+    /// occurrence of a name within one document usually points at one
+    /// allocation.
+    Obj(Vec<(Rc<str>, Json)>),
 }
 
 impl Json {
     /// Member lookup on an object (`None` on other kinds or missing key).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(members) => members.iter().find(|(k, _)| &**k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -70,7 +79,7 @@ impl Json {
     }
 
     /// The value as object members.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub fn as_obj(&self) -> Option<&[(Rc<str>, Json)]> {
         match self {
             Json::Obj(members) => Some(members),
             _ => None,
@@ -95,12 +104,39 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts; one level
+/// more is a [`ParseError`] at the offending bracket instead of a stack
+/// overflow. The same number bounds `nscc_obs::json::validate` and
+/// `nscc_faults::json::Value::parse` (the crates share no module to put
+/// it in); the writer's deepest document is under ten levels.
+pub const MAX_DEPTH: usize = 256;
+
+/// Slots in the per-[`parse`] key table, and how many consecutive ones a
+/// lookup tries. The writer's whole vocabulary is under 200 names, which
+/// four probes keep resident in full; a document with more distinct keys
+/// than fit only loses sharing, never correctness.
+const KEY_SLOTS: usize = 256;
+const KEY_PROBES: usize = 4;
+
+/// Members an object with more than one member makes room for up front:
+/// the widest event body the writer emits (`ReadDep`) has ten, so no
+/// event regrows.
+const OBJ_CAPACITY: usize = 10;
+
+/// Longest integer token converted without `str::parse`: fifteen digits
+/// stay below 2^53, so the `u64` → `f64` conversion is exact and therefore
+/// the correctly rounded value `str::parse` would return.
+const FAST_INT_DIGITS: usize = 15;
+
 /// Parse one complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
+        keys: [const { None }; KEY_SLOTS],
     };
     p.skip_ws();
     let value = p.value()?;
@@ -112,11 +148,16 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+    /// Keys seen so far, open-addressed from their hash.
+    keys: [Option<Rc<str>>; KEY_SLOTS],
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -157,9 +198,20 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let container = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                }?;
+                self.depth -= 1;
+                Ok(container)
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -167,7 +219,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
+        self.pos += 1; // the '[' `value` dispatched on
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -190,7 +242,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
+        self.pos += 1; // the '{' `value` dispatched on
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -200,32 +252,90 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
+            let key = self.intern(&key);
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((key, value));
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
+            let last = match self.peek() {
+                Some(b',') => false,
+                Some(b'}') => true,
                 _ => return Err(self.err("expected ',' or '}' in object")),
+            };
+            if members.capacity() == 0 {
+                // Sized once the first member is in hand: an externally
+                // tagged event (`{"ReadDone":{…}}`) is one member and gets
+                // exactly one slot.
+                members.reserve_exact(if last { 1 } else { OBJ_CAPACITY });
+            }
+            members.push((key, value));
+            self.pos += 1;
+            if last {
+                return Ok(Json::Obj(members));
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// The shared handle for `key`: the one already in the table when the
+    /// bytes match, else a fresh allocation that goes into the table.
+    fn intern(&mut self, key: &str) -> Rc<str> {
+        let b = key.as_bytes();
+        let n = b.len();
+        // Length and three bytes spread the writer's names well enough;
+        // names they cannot tell apart (`queue_ns`/`delay_ns`) sit in
+        // neighbouring slots.
+        let home = if n == 0 {
+            0
+        } else {
+            n ^ (usize::from(b[0]) * 31)
+                ^ (usize::from(b[n / 2]) * 131)
+                ^ (usize::from(b[n - 1]) * 521)
+        };
+        for probe in 0..KEY_PROBES {
+            match &mut self.keys[(home + probe) % KEY_SLOTS] {
+                Some(shared) if **shared == *key => return shared.clone(),
+                Some(_) => {}
+                empty => return empty.insert(Rc::from(key)).clone(),
+            }
+        }
+        // Every probed slot holds another name: the newcomer takes its
+        // home slot, so the table never grows.
+        self.keys[home % KEY_SLOTS].insert(Rc::from(key)).clone()
+    }
+
+    /// Advance to the next byte of a string body that is not copied
+    /// verbatim — the closing quote, a backslash, a control byte — or to
+    /// the end of input, and return the run skipped over.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let rest = &self.bytes[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        // Both ends sit next to an ASCII byte or the end of the input, so
+        // they are character boundaries.
+        &self.text[start..self.pos]
+    }
+
+    /// A string token, decoded. Escape-free bodies (every key and nearly
+    /// every value the writer emits) are borrowed from the input, so the
+    /// caller makes the one copy it needs and no more.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = String::from(run);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -242,42 +352,35 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let cp = self.hex4()?;
-                            // Decode surrogate pairs; lone surrogates are
-                            // replaced rather than rejected (the writer
-                            // never emits them).
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(ch.unwrap_or('\u{FFFD}'));
+                            out.push(self.scalar(cp).unwrap_or('\u{FFFD}'));
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input is valid UTF-8"),
-                    );
-                }
+                Some(_) => out.push_str(self.plain_run()),
             }
         }
+    }
+
+    /// The character a `\uXXXX` escape with value `cp` stands for, taking
+    /// the low half of a surrogate pair from the input when `cp` is a high
+    /// half. Unpaired surrogates are `None` — replaced rather than
+    /// rejected (the writer never emits them) — and an unpaired high half
+    /// leaves whatever follows it to be decoded on its own.
+    fn scalar(&mut self, cp: u32) -> Option<char> {
+        if !(0xD800..0xDC00).contains(&cp) {
+            return char::from_u32(cp);
+        }
+        let after_high = self.pos;
+        if self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            if let Ok(lo @ 0xDC00..=0xDFFF) = self.hex4() {
+                return char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00));
+            }
+        }
+        self.pos = after_high;
+        None
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
@@ -293,17 +396,27 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        let digits = self.pos;
+        // Wraps on tokens too long for the fast path, which never read it.
+        let mut int: u64 = 0;
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(c) if c.is_ascii_digit() => {
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                while let Some(c @ b'0'..=b'9') = self.peek() {
+                    int = int.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
                     self.pos += 1;
                 }
             }
             _ => return Err(self.err("malformed number")),
+        }
+        if self.pos - digits <= FAST_INT_DIGITS && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            let magnitude = int as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -326,8 +439,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("unparseable number"))
     }
@@ -350,8 +463,8 @@ mod tests {
         let doc = r#"{"b":[1,2,{"x":null}],"a":{"k":"v"}}"#;
         let v = parse(doc).unwrap();
         let members = v.as_obj().unwrap();
-        assert_eq!(members[0].0, "b");
-        assert_eq!(members[1].0, "a");
+        assert_eq!(&*members[0].0, "b");
+        assert_eq!(&*members[1].0, "a");
         assert_eq!(v.get("b").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().get("k").unwrap().as_str(), Some("v"));
     }
@@ -377,5 +490,95 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+    }
+
+    fn text(doc: &str) -> String {
+        match parse(doc) {
+            Ok(Json::Str(s)) => s,
+            other => panic!("{doc}: expected a string, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn surrogate_escapes_pair_up_or_are_replaced() {
+        // A valid pair is one scalar.
+        assert_eq!(text(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(text(r#""a\ud83d\ude00b""#), "a😀b");
+        // A high half followed by an escape that is not a low half: the
+        // half is replaced and the escape decodes on its own.
+        assert_eq!(text(r#""\ud800\u0041""#), "\u{FFFD}A");
+        assert_eq!(text(r#""\ud800A""#), "\u{FFFD}A");
+        assert_eq!(text(r#""\ud800\ud800\udc00""#), "\u{FFFD}\u{10000}");
+        assert_eq!(text(r#""\ud800\n""#), "\u{FFFD}\n");
+        // A high half with nothing after it.
+        assert_eq!(text(r#""\ud800""#), "\u{FFFD}");
+        assert_eq!(text(r#""\udbffx""#), "\u{FFFD}x");
+        // A lone low half.
+        assert_eq!(text(r#""\udc00""#), "\u{FFFD}");
+        assert_eq!(text(r#""x\udfffA""#), "x\u{FFFD}A");
+        // A malformed escape after a high half is still that escape's
+        // error, at that escape's offset.
+        let err = parse(r#""\ud800\u00zz""#).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (9, "bad \\u escape"));
+        let err = parse(r#""\ud800\u00"#).unwrap_err();
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (9, "truncated \\u escape")
+        );
+    }
+
+    /// `depth` containers, innermost empty; level `i` is an object
+    /// (entered through a member `"k"`) when `object(i)`, else an array.
+    fn nest(depth: usize, object: impl Fn(usize) -> bool) -> String {
+        let mut doc = String::new();
+        for i in 0..depth {
+            doc.push_str(match (object(i), i + 1 < depth) {
+                (true, true) => "{\"k\":",
+                (true, false) => "{",
+                (false, _) => "[",
+            });
+        }
+        for i in (0..depth).rev() {
+            doc.push(if object(i) { '}' } else { ']' });
+        }
+        doc
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let shapes: [(&str, fn(usize) -> bool); 3] = [
+            ("arrays", |_| false),
+            ("objects", |_| true),
+            ("mixed", |i| i % 2 == 0),
+        ];
+        for (name, object) in shapes {
+            assert!(
+                parse(&nest(MAX_DEPTH, object)).is_ok(),
+                "{name} at the bound"
+            );
+            let doc = nest(MAX_DEPTH + 1, object);
+            let err = parse(&doc).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 256 levels", "{name}");
+            // The offset names the bracket one level too deep.
+            assert_eq!(Some(err.offset), doc.rfind(['[', '{']), "{name}");
+        }
+        // Unclosed, two million deep: an error, not a stack overflow.
+        for opener in ["[", "{\"k\":", "[{\"k\":"] {
+            let err = parse(&opener.repeat(2_000_000)).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 256 levels", "{opener}");
+        }
+        // Depth counts what is open, not what has been seen.
+        let wide = format!("[{}1]", "[[]],".repeat(1000));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn repeated_keys_share_one_allocation() {
+        let v = parse(r#"[{"t_ns":1,"rank":2},{"t_ns":3,"rank":4}]"#).unwrap();
+        let rows = v.as_arr().unwrap();
+        let (a, b) = (rows[0].as_obj().unwrap(), rows[1].as_obj().unwrap());
+        assert!(Rc::ptr_eq(&a[0].0, &b[0].0));
+        assert!(Rc::ptr_eq(&a[1].0, &b[1].0));
+        assert!(!Rc::ptr_eq(&a[0].0, &a[1].0));
     }
 }

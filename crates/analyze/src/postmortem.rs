@@ -138,7 +138,7 @@ pub fn postmortem(rep: &Report) -> Result<String, String> {
 /// variant name and body.
 fn tagged(ev: &Json) -> Option<(&str, &Json)> {
     let members = ev.as_obj()?;
-    members.first().map(|(k, v)| (k.as_str(), v))
+    members.first().map(|(k, v)| (&**k, v))
 }
 
 /// The rank an event belongs to, for timeline grouping: `rank` when the
@@ -166,7 +166,7 @@ fn describe(kind: &str, body: &Json) -> String {
     let mut out = String::from(kind);
     if let Some(members) = body.as_obj() {
         for (k, v) in members {
-            if k == "t_ns" {
+            if &**k == "t_ns" {
                 continue;
             }
             let rendered = match v {

@@ -74,31 +74,15 @@ impl Report {
     /// renamed keys produces silently wrong analyses, so those are hard,
     /// explained errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Report, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-        let root = parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))?;
-        match root.get("schema_version").and_then(Json::as_u64) {
-            Some(v) if (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&v) => {}
-            Some(v) => {
-                return Err(format!(
-                    "{}: schema version {v} but this nscc-analyze understands only \
-                     versions {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}; re-run the \
-                     benchmark with a matching toolchain or upgrade nscc-analyze",
-                    path.display()
-                ))
+        Report::load_checked(path.as_ref(), |v| {
+            if (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&v) {
+                return Ok(());
             }
-            None => {
-                return Err(format!(
-                    "{}: no schema_version field — not an NSCC run report or event \
-                     dump (or one predating schema stamping)",
-                    path.display()
-                ))
-            }
-        }
-        Ok(Report {
-            path: path.to_path_buf(),
-            root,
+            Err(format!(
+                "schema version {v} but this nscc-analyze understands only \
+                 versions {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}; re-run the \
+                 benchmark with a matching toolchain or upgrade nscc-analyze"
+            ))
         })
     }
 
@@ -112,19 +96,28 @@ impl Report {
     /// (`nscc gate`) stay on the strict loader: silently half-comparing a
     /// newer report could pass a regression.
     pub fn load_lenient(path: impl AsRef<Path>) -> Result<Report, String> {
-        let path = path.as_ref();
+        Report::load_checked(path.as_ref(), |v| {
+            if v >= MIN_SCHEMA_VERSION {
+                return Ok(());
+            }
+            Err(format!(
+                "schema version {v} predates the oldest supported export \
+                 ({MIN_SCHEMA_VERSION})"
+            ))
+        })
+    }
+
+    /// Read and parse `path`, then hand its stamped `schema_version` to
+    /// `accept`, which says why a version it refuses is refused.
+    fn load_checked(
+        path: &Path,
+        accept: impl FnOnce(u64) -> Result<(), String>,
+    ) -> Result<Report, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
         let root = parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))?;
         match root.get("schema_version").and_then(Json::as_u64) {
-            Some(v) if v >= MIN_SCHEMA_VERSION => {}
-            Some(v) => {
-                return Err(format!(
-                    "{}: schema version {v} predates the oldest supported export \
-                     ({MIN_SCHEMA_VERSION})",
-                    path.display()
-                ))
-            }
+            Some(v) => accept(v).map_err(|why| format!("{}: {why}", path.display()))?,
             None => {
                 return Err(format!(
                     "{}: no schema_version field — not an NSCC run report or event \
@@ -149,8 +142,8 @@ impl Report {
         };
         members
             .iter()
-            .filter(|(k, _)| !KNOWN_SECTIONS.contains(&k.as_str()))
-            .map(|(k, _)| k.clone())
+            .filter(|(k, _)| !KNOWN_SECTIONS.contains(&&**k))
+            .map(|(k, _)| k.to_string())
             .collect()
     }
 
@@ -189,7 +182,7 @@ impl Report {
         if let Some(members) = self.root.get(key).and_then(Json::as_obj) {
             for (k, v) in members {
                 if let Some(n) = v.as_f64() {
-                    out.insert(k.clone(), n);
+                    out.insert(k.to_string(), n);
                 }
             }
         }
@@ -216,7 +209,7 @@ fn flatten_into(v: &Json, prefix: String, out: &mut BTreeMap<String, f64>) {
         Json::Obj(members) => {
             for (k, v) in members {
                 let path = if prefix.is_empty() {
-                    k.clone()
+                    k.to_string()
                 } else {
                     format!("{prefix}.{k}")
                 };

@@ -128,7 +128,7 @@ fn obj_nums(v: Option<&Json>) -> BTreeMap<String, f64> {
     if let Some(members) = v.and_then(Json::as_obj) {
         for (k, v) in members {
             if let Some(n) = v.as_f64() {
-                out.insert(k.clone(), n);
+                out.insert(k.to_string(), n);
             }
         }
     }

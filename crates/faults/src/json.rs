@@ -36,6 +36,7 @@ impl Value {
         let mut p = Reader {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -137,9 +138,18 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts; one
+/// level more is an error naming the offending bracket instead of a stack
+/// overflow on a hostile `nscc hunt` file. The same number bounds
+/// `nscc_obs::json::validate` and `nscc_analyze::json::parse` (the crates
+/// share no module to put it in).
+pub const MAX_DEPTH: usize = 256;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Reader<'_> {
@@ -172,8 +182,19 @@ impl Reader<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.fail(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let container = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                }?;
+                self.depth -= 1;
+                Ok(container)
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.fail(&format!("unexpected character {:?}", c as char))),
             None => Err(self.fail("unexpected end of input")),
@@ -333,6 +354,56 @@ mod tests {
         let mut ctl = String::new();
         push_json_str(&mut ctl, "x\u{1}y");
         assert_eq!(ctl, r#""x\u0001y""#);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // `depth` containers, innermost empty; objects are entered
+        // through a member "k".
+        fn nest(depth: usize, object: impl Fn(usize) -> bool) -> String {
+            let mut doc = String::new();
+            for i in 0..depth {
+                doc.push_str(match (object(i), i + 1 < depth) {
+                    (true, true) => "{\"k\":",
+                    (true, false) => "{",
+                    (false, _) => "[",
+                });
+            }
+            for i in (0..depth).rev() {
+                doc.push(if object(i) { '}' } else { ']' });
+            }
+            doc
+        }
+        let shapes: [(&str, fn(usize) -> bool); 3] = [
+            ("arrays", |_| false),
+            ("objects", |_| true),
+            ("mixed", |i| i % 2 == 0),
+        ];
+        for (name, object) in shapes {
+            assert!(
+                Value::parse(&nest(MAX_DEPTH, object)).is_ok(),
+                "{name} at the bound"
+            );
+            let doc = nest(MAX_DEPTH + 1, object);
+            let err = Value::parse(&doc).unwrap_err();
+            // The offset names the bracket one level too deep.
+            let offset = doc.rfind(['[', '{']).unwrap();
+            assert_eq!(
+                err,
+                format!("invalid JSON at byte {offset}: nesting deeper than 256 levels"),
+                "{name}"
+            );
+        }
+        // Unclosed, two million deep: an error, not a stack overflow.
+        for opener in ["[", "{\"k\":", "[{\"k\":"] {
+            let err = Value::parse(&opener.repeat(2_000_000)).unwrap_err();
+            assert!(
+                err.ends_with("nesting deeper than 256 levels"),
+                "{opener}: {err}"
+            );
+        }
+        // Depth counts what is open, not what has been seen.
+        assert!(Value::parse(&format!("[{}1]", "[[]],".repeat(1000))).is_ok());
     }
 
     #[test]

@@ -8,21 +8,30 @@ use std::fmt::Write as _;
 /// Append `s` as a quoted, escaped JSON string.
 pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Everything between two bytes that need an escape is copied as one
+    // run; a field name or label has no such byte and is a single copy.
+    // Those bytes are all ASCII, so every run ends on a character boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -36,7 +45,10 @@ pub(crate) fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Maximum nesting depth the validator accepts.
+/// Deepest nesting of arrays and objects the validator accepts. The same
+/// number bounds `nscc_analyze::json::parse` and
+/// `nscc_faults::json::Value::parse` (the crates share no module to put
+/// it in).
 const MAX_DEPTH: usize = 256;
 
 /// Check that `s` is one complete, well-formed JSON value.
@@ -99,10 +111,8 @@ impl Parser<'_> {
     }
 
     fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
         match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(self.err("nesting too deep")),
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
             Some(b'"') => self.string(),
@@ -237,6 +247,28 @@ mod tests {
     }
 
     #[test]
+    fn escaping_covers_every_byte_class() {
+        // Each escaped byte first, last, doubled and between multi-byte
+        // characters, so every run boundary is hit.
+        let cases = [
+            ("", "\"\""),
+            ("plain", "\"plain\""),
+            ("\"", "\"\\\"\""),
+            ("\\\\", "\"\\\\\\\\\""),
+            ("\n\r\t\u{08}\u{0C}", "\"\\n\\r\\t\\b\\f\""),
+            ("\u{00}\u{0B}\u{1F}", "\"\\u0000\\u000b\\u001f\""),
+            ("é\"❄\\😀\n", "\"é\\\"❄\\\\😀\\n\""),
+            ("\u{7F}\u{80} ~", "\"\u{7F}\u{80} ~\""),
+        ];
+        for (raw, want) in cases {
+            let mut out = String::from("x");
+            escape_into(&mut out, raw);
+            assert_eq!(&out[1..], want, "{raw:?}");
+            assert!(validate(&out[1..]).is_ok(), "{raw:?}");
+        }
+    }
+
+    #[test]
     fn float_formatting() {
         let mut out = String::new();
         write_f64(&mut out, 1.5);
@@ -281,6 +313,17 @@ mod tests {
         ] {
             assert!(validate(s).is_err(), "should reject {s:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(validate(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            validate(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            "nesting too deep at byte 256"
+        );
+        assert!(validate(&"{\"k\":[".repeat(MAX_DEPTH / 2 + 1)).is_err());
     }
 
     #[test]

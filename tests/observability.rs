@@ -209,3 +209,38 @@ fn analyzer_schema_version_tracks_obs() {
         u64::from(nscc::obs::FEED_VERSION)
     );
 }
+
+/// Writer → reader: a string with every byte class the writer's escaper
+/// tells apart — plain ASCII, `"` and `\`, the five short escapes, the
+/// other control bytes (as `\u00XX`), DEL, and two-, three- and four-byte
+/// UTF-8 — comes back from `nscc_analyze::json::parse` unchanged, as a
+/// value and as an object key, with each class first, last and doubled.
+#[test]
+fn escaped_strings_survive_the_analyzer() {
+    use nscc::analyze::json::{parse, Json};
+    use std::collections::BTreeMap;
+
+    let mut classes: Vec<String> = vec!["plain text ~".into(), "\u{7F}".into()];
+    classes.extend(["é", "❄", "😀", "\"", "\\", "/"].map(String::from));
+    classes.extend((0u8..0x20).map(|b| char::from(b).to_string()));
+    let mut samples = vec![String::new(), classes.concat()];
+    for c in &classes {
+        samples.push(c.clone());
+        samples.push(format!("{c}{c}"));
+        samples.push(format!("{c}mid{c}"));
+        samples.push(format!("aé{c}😀z"));
+    }
+    for s in &samples {
+        let text = json::to_json(s);
+        assert!(json::validate(&text).is_ok(), "{s:?} → {text}");
+        assert_eq!(parse(&text), Ok(Json::Str(s.clone())), "{s:?} → {text}");
+    }
+    let by_key: BTreeMap<String, String> = samples.iter().map(|s| (s.clone(), s.clone())).collect();
+    let doc = parse(&json::to_json(&by_key)).expect("the writer emits valid JSON");
+    let members = doc.as_obj().expect("a map serialises as an object");
+    assert_eq!(members.len(), by_key.len());
+    for ((k, v), (want_k, want_v)) in members.iter().zip(&by_key) {
+        assert_eq!(&**k, want_k);
+        assert_eq!(v.as_str(), Some(want_v.as_str()));
+    }
+}

@@ -189,6 +189,11 @@ build nscc_core crates/core/src/lib.rs $EXT_RAND $EXT_SERDE $E_CKPT $E_OBS $E_AU
 build nscc_bench crates/bench/src/lib.rs $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE
 build nscc_hunt crates/hunt/src/lib.rs $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_BENCH
 build nscc_analyze crates/analyze/src/lib.rs $E_CKPT
+# json_pin holds the reader against the pre-rewrite one (tests/common/
+# reference.rs) over every committed *.json; alloc_budget counts its
+# allocations per event.
+itest nscc_analyze crates/analyze/tests/json_pin.rs $E_ANALYZE
+itest nscc_analyze crates/analyze/tests/alloc_budget.rs $E_ANALYZE
 build nscc src/lib.rs $EXT_RAND $E_CKPT $E_OBS $E_AUDIT $E_SIM $E_NET $E_FAULTS $E_MSG $E_DSM $E_PART $E_GA $E_BAYES $E_CORE $E_ANALYZE
 # Root integration tests (proptest-based ones run against the shim: three
 # deterministic samples per axis instead of a random search).
