@@ -250,7 +250,7 @@ pub fn why(rep: &Report, proc_sel: Option<&str>, loc_sel: Option<&str>) -> Resul
 
     let mut mine: Vec<&Edge> = all
         .iter()
-        .filter(|e| e.reader == reader && loc_filter.map_or(true, |l| e.loc == l))
+        .filter(|e| e.reader == reader && loc_filter.is_none_or(|l| e.loc == l))
         .collect();
     if mine.is_empty() {
         out.push_str("no blocking dependencies match the selection\n");

@@ -23,7 +23,7 @@ pub fn inspect_ckpt_dir(dir: &Path) -> Result<String, String> {
     // descend into each so `nscc inspect --ckpt ck` shows everything.
     let mut stores: Vec<std::path::PathBuf> = Vec::new();
     let has_gens = |d: &Path| {
-        std::fs::read_dir(d).map_or(false, |entries| {
+        std::fs::read_dir(d).is_ok_and(|entries| {
             entries
                 .flatten()
                 .any(|e| e.file_name().to_string_lossy().ends_with(".nsck"))

@@ -604,13 +604,13 @@ mod tests {
 
         // No baseline yet: config error with a pointer to --update-baselines.
         let cfg = GateConfig::default();
-        let (text, outcome) = gate_all(&baselines, &[fresh.clone()], &cfg);
+        let (text, outcome) = gate_all(&baselines, std::slice::from_ref(&fresh), &cfg);
         assert_eq!(outcome, Outcome::ConfigError);
         assert!(text.contains("--update-baselines"), "{text}");
 
         // Update, then the same fresh file gates clean.
-        update_baselines(&baselines, &[fresh.clone()]).unwrap();
-        let (text, outcome) = gate_all(&baselines, &[fresh.clone()], &cfg);
+        update_baselines(&baselines, std::slice::from_ref(&fresh)).unwrap();
+        let (text, outcome) = gate_all(&baselines, std::slice::from_ref(&fresh), &cfg);
         assert_eq!(outcome, Outcome::Pass, "{text}");
 
         std::fs::remove_dir_all(&dir).ok();

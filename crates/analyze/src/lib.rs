@@ -57,11 +57,12 @@
 //!   plus suspected-cause heuristics over the captured window.
 //!
 //! The crate depends only on `nscc-ckpt` (itself std-only, for reading
-//! checkpoint stores) and otherwise stays **dependency-free**: it parses
-//! JSON with its own strict reader ([`json`]) and mirrors the writer-side
-//! schema constants ([`report::SCHEMA_VERSION`]). That keeps the analyzer
-//! buildable anywhere the toolchain exists, with no version skew against
-//! the simulator it inspects beyond the schema number it checks.
+//! checkpoint stores and for the workspace's one strict JSON reader,
+//! re-exported as [`json`]) and otherwise stays **dependency-free**: it
+//! mirrors the writer-side schema constants ([`report::SCHEMA_VERSION`]).
+//! That keeps the analyzer buildable anywhere the toolchain exists, with
+//! no version skew against the simulator it inspects beyond the schema
+//! number it checks.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -76,7 +77,6 @@ pub mod fmt;
 pub mod gate;
 pub mod hist;
 pub mod inspect;
-pub mod json;
 pub mod postmortem;
 pub mod report;
 pub mod top;
@@ -91,6 +91,7 @@ pub use drill::drill;
 pub use gate::{gate_all, gate_pair, update_baselines, GateConfig, Outcome};
 pub use hist::HistView;
 pub use inspect::inspect;
+pub use nscc_ckpt::json;
 pub use postmortem::postmortem;
 pub use report::{Report, SCHEMA_VERSION};
 pub use top::{follow, parse_feed, top_file, FEED_VERSION};

@@ -184,10 +184,9 @@ fn describe(kind: &str, body: &[(Rc<str>, Json)]) -> String {
         }
         let rendered = match v {
             // u64::MAX sentinels (relaxed reads, unbounded modes,
-            // broadcast destinations) don't survive the f64 round-trip
-            // exactly; render them as what they mean.
-            Json::Num(n) if *n >= 1.8446744073709550e19 => "max".to_string(),
-            Json::Num(n) => num(*n),
+            // broadcast destinations): render them as what they mean.
+            Json::Num(n) if n.integer() == Some(u64::MAX) => "max".to_string(),
+            Json::Num(n) => num(n.as_f64()),
             Json::Str(s) => s.clone(),
             Json::Bool(b) => b.to_string(),
             other => format!("{other:?}"),

@@ -211,7 +211,7 @@ impl Report {
 fn flatten_into(v: &Json, prefix: String, out: &mut BTreeMap<String, f64>) {
     match v {
         Json::Num(n) => {
-            out.insert(prefix, *n);
+            out.insert(prefix, n.as_f64());
         }
         Json::Obj(members) => {
             for (k, v) in members {

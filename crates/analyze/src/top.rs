@@ -402,11 +402,7 @@ pub fn follow(path: &Path, interval_ms: u64) -> Result<(), String> {
             },
         };
         if let Some(why) = waiting {
-            let _ = write!(
-                stdout,
-                "\x1b[2J\x1b[Hnscc top — {}: {why}…\n",
-                path.display()
-            );
+            let _ = writeln!(stdout, "\x1b[2J\x1b[Hnscc top — {}: {why}…", path.display());
             let _ = stdout.flush();
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));

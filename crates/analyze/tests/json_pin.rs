@@ -4,14 +4,19 @@
 //! The contract: on every input the two return the same thing — the same
 //! tree node for node, numbers compared by `f64::to_bits`, or the same
 //! `ParseError { offset, message }`. The intended differences are exactly
-//! two, both inputs on which the reference misbehaves, and both asserted
-//! below as differences rather than skipped:
+//! four, each asserted below as a difference rather than skipped:
 //!
-//! 1. a `\uD800..=\uDBFF` escape followed by a `\u` escape that is not a
-//!    low surrogate (the reference subtracts with overflow: a panic in a
-//!    debug build, a wrong character in release);
-//! 2. nesting deeper than `MAX_DEPTH` (the reference recurses without
-//!    bound and overflows the stack near 10^5 levels).
+//! 1. an unpaired high surrogate (`\uD800..=\uDBFF` not followed by a `\u`
+//!    low half) is refused; the reference replaces it with U+FFFD, or,
+//!    when another `\u` escape follows, subtracts with overflow (a panic
+//!    in a debug build, a wrong character in release);
+//! 2. nesting deeper than `MAX_DEPTH` is refused (the reference recurses
+//!    without bound and overflows the stack near 10^5 levels);
+//! 3. a lone low surrogate and a `\u` escape with a sign (`\u+123`) are
+//!    refused; the reference replaces the one and reads the other as
+//!    U+0123;
+//! 4. `as_u64` of an integer token is exact; the reference's goes through
+//!    the `f64` and is wrong above 2^53.
 
 mod common;
 
@@ -25,7 +30,7 @@ fn difference(new: &Json, old: &reference::Json, at: &str) -> Option<String> {
     match (new, old) {
         (Json::Null, reference::Json::Null) => None,
         (Json::Bool(a), reference::Json::Bool(b)) if a == b => None,
-        (Json::Num(a), reference::Json::Num(b)) if a.to_bits() == b.to_bits() => None,
+        (Json::Num(a), reference::Json::Num(b)) if a.as_f64().to_bits() == b.to_bits() => None,
         (Json::Str(a), reference::Json::Str(b)) if a == b => None,
         (Json::Arr(a), reference::Json::Arr(b)) if a.len() == b.len() => a
             .iter()
@@ -171,21 +176,15 @@ fn errors_keep_their_offset_and_message() {
         r#""\u12""#,
         r#""\u123""#,
         r#""\u123g""#,
-        r#""\u+123""#,
         r#""\uéé""#,
         r#""\u00é""#,
         r#""\/\b\f\n\r\t\"\\""#,
         r#""\u0000""#,
         r#""\u001f\u007f\u00e9\u2744""#,
-        r#""\udc00""#,
-        r#""\ud800""#,
-        r#""\ud800x""#,
-        r#""\ud800\n""#,
         r#""\ud83d\ude00""#,
         r#""\ud83d\ude0""#,
         r#""\u000é""#,
         r#""\ud83d\u""#,
-        r#""\ud83d\"#,
         "\"a\u{0}b\"",
         "\"a\tb\"",
         "\"a\nb\"",
@@ -257,7 +256,7 @@ fn by_std(token: &str) -> u64 {
 
 fn by_reader(token: &str) -> u64 {
     match parse(token) {
-        Ok(Json::Num(n)) => n.to_bits(),
+        Ok(Json::Num(n)) => n.as_f64().to_bits(),
         other => panic!("{token}: {other:?}"),
     }
 }
@@ -315,23 +314,35 @@ fn integers_convert_bit_for_bit() {
     assert_same(&doc, "integer array");
 }
 
-/// Intended difference 1: an unpaired high surrogate followed by another
-/// `\u` escape. The reader replaces the half and decodes what follows on
-/// its own; the reference panics (debug) or invents a character (release).
+/// The reader's refusal of `doc`, asserted, and the reference's answer,
+/// asserted to be something else.
+fn assert_refused_unlike_the_reference(doc: &str, at: usize, what: &str) {
+    let err = parse(doc).unwrap_err();
+    assert_eq!((err.offset, err.message.as_str()), (at, what), "{doc}");
+    let old = std::panic::catch_unwind(|| reference::parse(doc));
+    assert!(
+        !matches!(&old, Ok(Err(e)) if (e.offset, e.message.as_str()) == (at, what)),
+        "{doc}: the reference was expected to accept this, got {old:?}"
+    );
+}
+
+/// Intended difference 1: an unpaired high surrogate, whatever follows
+/// it. The reader refuses it at the byte after its `\u`; the reference
+/// replaces it, or panics (debug) or invents a character (release) when
+/// another `\u` escape follows.
 #[test]
 fn unpaired_high_surrogates_are_the_first_intended_difference() {
-    for (doc, want) in [
-        (r#""\ud800\u0041""#, "\u{FFFD}A"),
-        (r#""\ud800\ud800""#, "\u{FFFD}\u{FFFD}"),
-        (r#""\udbff\u00e9x""#, "\u{FFFD}éx"),
-        (r#""\ud800\ud83d\ude00""#, "\u{FFFD}😀"),
+    for doc in [
+        r#""\ud800\u0041""#,
+        r#""\ud800\ud800""#,
+        r#""\udbff\u00e9x""#,
+        r#""\ud800\ud83d\ude00""#,
+        r#""\ud800""#,
+        r#""\ud800x""#,
+        r#""\ud800\n""#,
+        r#""\ud83d\"#,
     ] {
-        assert_eq!(parse(doc), Ok(Json::Str(want.into())), "{doc}");
-        let old = std::panic::catch_unwind(|| reference::parse(doc));
-        assert!(
-            !matches!(&old, Ok(Ok(reference::Json::Str(s))) if s == want),
-            "{doc}: the reference was expected to get this wrong, got {old:?}"
-        );
+        assert_refused_unlike_the_reference(doc, 3, "unpaired surrogate in \\u escape");
     }
 }
 
@@ -354,5 +365,35 @@ fn the_depth_bound_is_the_second_intended_difference() {
     // not asked: it overflows the stack.)
     for opener in ["[", "{\"k\":", "[{\"k\":"] {
         assert!(parse(&opener.repeat(2_000_000)).is_err(), "{opener}");
+    }
+}
+
+/// Intended difference 3: a lone low surrogate and a signed `\u` escape,
+/// both of which the reference accepts.
+#[test]
+fn lone_low_surrogates_and_signed_escapes_are_the_third_intended_difference() {
+    for (doc, at) in [(r#""\udc00""#, 3), (r#""x\udfffA""#, 4)] {
+        assert_refused_unlike_the_reference(doc, at, "unpaired surrogate in \\u escape");
+    }
+    for (doc, at) in [(r#""\u+123""#, 3), (r#""x\u+0e9""#, 4)] {
+        assert_refused_unlike_the_reference(doc, at, "bad \\u escape");
+    }
+}
+
+/// Intended difference 4: the tree is the same (every number's `f64` is
+/// identical), but `as_u64` of an integer token is its exact value.
+#[test]
+fn exact_integers_are_the_fourth_intended_difference() {
+    for n in [(1u64 << 53) + 1, 14443094230038941814, u64::MAX - 1] {
+        let doc = n.to_string();
+        assert_same(&doc, "integer");
+        assert_eq!(parse(&doc).unwrap().as_u64(), Some(n));
+        assert_ne!(reference::parse(&doc).unwrap().as_u64(), Some(n), "{doc}");
+    }
+    // Where the `f64` is exact, the two agree.
+    for n in [0, 1 << 53, u64::MAX] {
+        let doc = n.to_string();
+        assert_eq!(parse(&doc).unwrap().as_u64(), Some(n));
+        assert_eq!(reference::parse(&doc).unwrap().as_u64(), Some(n));
     }
 }

@@ -549,7 +549,7 @@ mod tests {
             dst: 1,
             seq: 5,
         };
-        assert!(drain(&mut m, &[acc.clone()]).is_empty());
+        assert!(drain(&mut m, std::slice::from_ref(&acc)).is_empty());
         let v = drain(&mut m, &[acc]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rank, 1);

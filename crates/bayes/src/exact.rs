@@ -55,14 +55,14 @@ fn enumerate(
     }
     let fixed = evidence.iter().find(|&&(n, _)| n == idx).map(|&(_, v)| v);
     let row: Vec<f64> = net.cpt_row(idx, assignment).to_vec();
-    for v in 0..net.node(idx).arity {
+    for (v, &p) in row.iter().enumerate().take(net.node(idx).arity) {
         if let Some(f) = fixed {
             if f as usize != v {
                 continue;
             }
         }
         assignment[idx] = v as Value;
-        enumerate(net, idx + 1, prob * row[v], assignment, evidence, visit);
+        enumerate(net, idx + 1, prob * p, assignment, evidence, visit);
     }
     assignment[idx] = 0;
 }

@@ -232,7 +232,7 @@ pub fn hailfinder_like(seed: u64) -> BeliefNetwork {
         let a = m0[rng.gen_range(0..m0.len())];
         let b = m1[rng.gen_range(0..m1.len())];
         let (src, dst) = (a.min(b), a.max(b));
-        if parent_sets[dst].len() >= max_parents + 1 || parent_sets[dst].contains(&src) {
+        if parent_sets[dst].len() > max_parents || parent_sets[dst].contains(&src) {
             continue;
         }
         parent_sets[dst].push(src);

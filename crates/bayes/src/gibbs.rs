@@ -112,7 +112,7 @@ pub fn gibbs_inference(
         if sweep > burn_in {
             tally.drawn += 1;
             tally.counts[state[query.node] as usize] += 1;
-            if sweep % check == 0 && tally.converged(rule) {
+            if sweep.is_multiple_of(check) && tally.converged(rule) {
                 break;
             }
         }

@@ -535,8 +535,7 @@ pub fn run_planned_inference(
     }
 
     let stop_flag = Rc::new(Cell::new(false));
-    let results: Rc<RefCell<Vec<Option<(BayesPartStats, Option<Tally>, bool)>>>> =
-        Rc::new(RefCell::new(vec![None; parts]));
+    let results: Rc<RefCell<Vec<Option<PartOutcome>>>> = Rc::new(RefCell::new(vec![None; parts]));
 
     let mut sim = SimBuilder::new(sim_seed);
     // The sampling profiler is driven by the scheduler; only attach it
@@ -598,13 +597,17 @@ pub fn run_planned_inference(
     })
 }
 
+/// What one partition reports: its stats, and for the query owner the
+/// tally and whether it converged.
+type PartOutcome = (BayesPartStats, Option<Tally>, bool);
+
 /// The body of one partition's simulated process.
 fn partition_body(
     ctx: &mut Ctx,
     mut node: DsmNode<BatchValues>,
     idx: &PartIndex,
     mut rt: PartRuntime,
-) -> (BayesPartStats, Option<Tally>, bool) {
+) -> PartOutcome {
     let sync = matches!(rt.cfg.mode, Coherence::Synchronous);
     // The Global_Read gate on every peer's progress; the synchronous
     // discipline is its age-0 case, the asynchronous one has none.

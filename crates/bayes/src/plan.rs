@@ -119,9 +119,9 @@ impl Plan {
                 }
             }
         };
-        for v in 0..net.len() {
+        for (v, &dst) in assign.iter().enumerate().take(net.len()) {
             for &u in &net.node(v).parents {
-                mark(u, assign[v]);
+                mark(u, dst);
             }
         }
         for &(e, _) in &query.evidence {

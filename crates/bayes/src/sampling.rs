@@ -187,7 +187,7 @@ pub fn sequential_inference(
         if evidence_matches(&sample, &query.evidence) {
             tally.counts[sample[query.node] as usize] += 1;
         }
-        if iter % check == 0 && tally.converged(rule) {
+        if iter.is_multiple_of(check) && tally.converged(rule) {
             break;
         }
     }

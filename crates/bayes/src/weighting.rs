@@ -132,7 +132,7 @@ pub fn likelihood_weighting(
         tally.weights[sample[query.node] as usize] += w;
         tally.weight_sq_sum += w * w;
         time += cost.iteration_cost_jittered(net.len() as u64, &mut cost_rng);
-        if iter % check == 0 && tally.converged(rule) {
+        if iter.is_multiple_of(check) && tally.converged(rule) {
             break;
         }
     }

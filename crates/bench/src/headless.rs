@@ -159,7 +159,7 @@ pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
     if let Some(plan) = spec.plan.as_ref().filter(|p| !p.is_noop()) {
         platform = platform.with_faults(plan.clone());
     }
-    platform.msg.reliable = spec.reliable.clone();
+    platform.msg.reliable = spec.reliable;
 
     let exp = GaExperiment {
         generations: spec.generations,

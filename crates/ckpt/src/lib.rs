@@ -18,7 +18,9 @@
 //!   so a corrupt checkpoint is rejected with a structured [`CkptError`]
 //!   instead of resurrecting garbage state;
 //! * [`store`] — a directory of numbered checkpoint generations with
-//!   atomic writes and corrupt-generation fallback.
+//!   atomic writes and corrupt-generation fallback;
+//! * [`json`] — the one JSON reader (reports, event dumps, fault plans,
+//!   repros) and the string escape every JSON writer uses.
 //!
 //! Deliberately std-only: the analyzer (equally dependency-free) lists and
 //! verifies checkpoint directories without linking the simulator.
@@ -27,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cut;
+pub mod json;
 pub mod store;
 pub mod wire;
 

@@ -202,7 +202,7 @@ mod tests {
     fn report_serializes_to_valid_json() {
         let rep = sample_report();
         let s = rep.to_json();
-        json::validate(&s).expect("report JSON validates");
+        nscc_ckpt::json::parse(&s).expect("report JSON validates");
         assert!(s.contains(&format!("\"schema_version\":{}", nscc_obs::SCHEMA_VERSION)));
         assert!(s.contains("\"name\":\"unit\""));
         assert!(s.contains("\"speedup\":2.5"));
@@ -221,7 +221,7 @@ mod tests {
             ..Default::default()
         });
         let s = rep.to_json();
-        json::validate(&s).expect("report with wall section validates");
+        nscc_ckpt::json::parse(&s).expect("report with wall section validates");
         assert!(s.contains("\"wall\":{\"events\":10,"));
     }
 
@@ -235,7 +235,7 @@ mod tests {
         let auditor = nscc_audit::Auditor::new();
         rep.audit = Some(auditor.summary());
         let s = rep.to_json();
-        json::validate(&s).expect("report with audit section validates");
+        nscc_ckpt::json::parse(&s).expect("report with audit section validates");
         assert!(s.contains("\"audit\":{\"monitors\":["));
         assert!(s.contains("\"violations\":0"));
     }
@@ -251,7 +251,7 @@ mod tests {
         hub.enable_staleness();
         rep.staleness = Some(hub.staleness_summary());
         let s = rep.to_json();
-        json::validate(&s).expect("report with staleness section validates");
+        nscc_ckpt::json::parse(&s).expect("report with staleness section validates");
         assert!(s.contains("\"staleness\":{\"released\":0,"));
     }
 
@@ -268,7 +268,7 @@ mod tests {
             ..Default::default()
         });
         let s = rep.to_json();
-        json::validate(&s).expect("report with recovery section validates");
+        nscc_ckpt::json::parse(&s).expect("report with recovery section validates");
         assert!(s.contains("\"recovery\":{\"snapshots_started\":0,\"snapshots_completed\":3,"));
         // A supervisor give-up marks the whole report degraded.
         rep.note_degradation();
@@ -319,7 +319,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = sample_report().write_json(&dir).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
-        json::validate(body.trim()).expect("file contents validate");
+        nscc_ckpt::json::parse(body.trim()).expect("file contents validate");
         std::fs::remove_file(path).ok();
     }
 }

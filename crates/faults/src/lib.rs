@@ -38,6 +38,9 @@
 
 #![warn(missing_docs)]
 
+// crates/perf/build-offline.sh passes no `--extern nscc_ckpt` here, only `-L`.
+extern crate nscc_ckpt;
+
 pub mod json;
 mod plan_json;
 
@@ -81,7 +84,7 @@ impl LinkFaults {
 
 /// A transient all-links degradation window: extra loss and latency
 /// between `from` (inclusive) and `until` (exclusive).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DegradedWindow {
     /// Window start (inclusive).
     pub from: SimTime,
@@ -97,7 +100,7 @@ pub struct DegradedWindow {
 /// `None`). Frames to or from a crashed node are dropped; the simulated
 /// process itself keeps running blind (its sends vanish), which is exactly
 /// how a fail-silent peer looks from the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CrashSchedule {
     /// The crashed node.
     pub node: u32,
@@ -109,7 +112,7 @@ pub struct CrashSchedule {
 
 /// A node stall window: frames to/from the node are held and arrive no
 /// earlier than `until` (a GC pause / overloaded peer, not a death).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallWindow {
     /// The stalled node.
     pub node: u32,
@@ -121,7 +124,7 @@ pub struct StallWindow {
 
 /// A network partition window: frames crossing between `group` and the
 /// rest of the nodes are dropped between `from` and `until` (heal time).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Partition start (inclusive).
     pub from: SimTime,
@@ -280,7 +283,7 @@ impl FaultPlan {
     pub fn crashed(&self, node: u32, t: SimTime) -> bool {
         self.crashes
             .iter()
-            .any(|c| c.node == node && t >= c.at && c.restart.map_or(true, |r| t < r))
+            .any(|c| c.node == node && t >= c.at && c.restart.is_none_or(|r| t < r))
     }
 
     /// Whether a `src → dst` frame crosses an active partition at `t`.

@@ -7,16 +7,14 @@
 //! byte-identically; the reader is strict — unknown keys, wrong types,
 //! fractional nanosecond fields and unsupported schema versions are all
 //! hard errors — but tolerates *omitted* optional sections so short
-//! hand-written plans stay short. Numbers are kept as raw text until a
-//! typed accessor parses them, so 64-bit seeds survive the round trip
-//! exactly (an `f64` intermediate would silently corrupt seeds above
-//! 2^53 and break replay determinism).
+//! hand-written plans stay short. Integer fields are read as exact integer
+//! tokens ([`crate::json::Field`]), so 64-bit seeds survive the round trip.
 
 use std::fmt::Write as _;
 
-use nscc_sim::SimTime;
+use nscc_ckpt::json::{parse, Json};
 
-use crate::json::Value;
+use crate::json::Field;
 use crate::{CrashSchedule, DegradedWindow, FaultPlan, LinkFaults, PartitionWindow, StallWindow};
 
 /// Schema version stamped into (and demanded from) every plan document.
@@ -132,20 +130,20 @@ impl FaultPlan {
     /// errors (callers honoring the NSCC_* convention exit 2 on `Err`).
     /// Optional sections (`base`, `links`, …) may be omitted entirely.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        FaultPlan::from_value(&Value::parse(text)?)
+        FaultPlan::from_value(&parse(text).map_err(|e| e.to_string())?)
     }
 
     /// Parse a plan from an already-parsed JSON value — the entry point
     /// for documents that embed a plan object (the hunt repro format).
-    pub fn from_value(doc: &Value) -> Result<FaultPlan, String> {
-        let obj = doc.as_obj("plan")?;
+    pub fn from_value(doc: &Json) -> Result<FaultPlan, String> {
+        let obj = doc.obj("plan")?;
         let mut plan = FaultPlan::default();
         let mut saw_schema = false;
         let mut saw_seed = false;
         for (key, value) in obj {
-            match key.as_str() {
+            match &**key {
                 "schema" => {
-                    let v = value.as_u64("schema")?;
+                    let v = value.u64("schema")?;
                     if v != PLAN_SCHEMA_VERSION {
                         return Err(format!(
                             "unsupported plan schema {v} (this build reads {PLAN_SCHEMA_VERSION})"
@@ -154,20 +152,20 @@ impl FaultPlan {
                     saw_schema = true;
                 }
                 "seed" => {
-                    plan.seed = value.as_u64("seed")?;
+                    plan.seed = value.u64("seed")?;
                     saw_seed = true;
                 }
                 "base" => plan.base = link_faults(value)?,
                 "links" => {
-                    for item in value.as_arr("links")? {
-                        let o = item.as_obj("links entry")?;
+                    for item in value.arr("links")? {
+                        let o = item.obj("links entry")?;
                         let mut f = LinkFaults::default();
                         let mut src = None;
                         let mut dst = None;
                         for (k, v) in o {
-                            match k.as_str() {
-                                "src" => src = Some(v.as_u32("src")?),
-                                "dst" => dst = Some(v.as_u32("dst")?),
+                            match &**k {
+                                "src" => src = Some(v.u32("src")?),
+                                "dst" => dst = Some(v.u32("dst")?),
                                 _ => apply_link_fault_key(&mut f, k, v)?,
                             }
                         }
@@ -176,92 +174,14 @@ impl FaultPlan {
                         plan.links.push(((src, dst), f.clamp()));
                     }
                 }
-                "degraded" => {
-                    for item in value.as_arr("degraded")? {
-                        let o = item.as_obj("degraded entry")?;
-                        let mut w = DegradedWindow {
-                            from: SimTime::ZERO,
-                            until: SimTime::ZERO,
-                            extra_drop: 0.0,
-                            extra_delay: SimTime::ZERO,
-                        };
-                        for (k, v) in o {
-                            match k.as_str() {
-                                "from_ns" => w.from = v.as_time(k)?,
-                                "until_ns" => w.until = v.as_time(k)?,
-                                "extra_drop" => w.extra_drop = v.as_prob(k)?,
-                                "extra_delay_ns" => w.extra_delay = v.as_time(k)?,
-                                other => return Err(unknown_key("degraded", other)),
-                            }
-                        }
-                        plan.degraded.push(w);
-                    }
-                }
-                "crashes" => {
-                    for item in value.as_arr("crashes")? {
-                        let o = item.as_obj("crashes entry")?;
-                        let mut c = CrashSchedule {
-                            node: 0,
-                            at: SimTime::ZERO,
-                            restart: None,
-                        };
-                        for (k, v) in o {
-                            match k.as_str() {
-                                "node" => c.node = v.as_u32(k)?,
-                                "at_ns" => c.at = v.as_time(k)?,
-                                "restart_ns" => {
-                                    c.restart = match v {
-                                        Value::Null => None,
-                                        other => Some(other.as_time(k)?),
-                                    }
-                                }
-                                other => return Err(unknown_key("crashes", other)),
-                            }
-                        }
-                        plan.crashes.push(c);
-                    }
-                }
-                "stalls" => {
-                    for item in value.as_arr("stalls")? {
-                        let o = item.as_obj("stalls entry")?;
-                        let mut s = StallWindow {
-                            node: 0,
-                            from: SimTime::ZERO,
-                            until: SimTime::ZERO,
-                        };
-                        for (k, v) in o {
-                            match k.as_str() {
-                                "node" => s.node = v.as_u32(k)?,
-                                "from_ns" => s.from = v.as_time(k)?,
-                                "until_ns" => s.until = v.as_time(k)?,
-                                other => return Err(unknown_key("stalls", other)),
-                            }
-                        }
-                        plan.stalls.push(s);
-                    }
-                }
+                "degraded" => plan
+                    .degraded
+                    .extend(entries(value, "degraded", degraded_key)?),
+                "crashes" => plan.crashes.extend(entries(value, "crashes", crash_key)?),
+                "stalls" => plan.stalls.extend(entries(value, "stalls", stall_key)?),
                 "partitions" => {
-                    for item in value.as_arr("partitions")? {
-                        let o = item.as_obj("partitions entry")?;
-                        let mut p = PartitionWindow {
-                            from: SimTime::ZERO,
-                            until: SimTime::ZERO,
-                            group: Vec::new(),
-                        };
-                        for (k, v) in o {
-                            match k.as_str() {
-                                "from_ns" => p.from = v.as_time(k)?,
-                                "until_ns" => p.until = v.as_time(k)?,
-                                "group" => {
-                                    for n in v.as_arr("group")? {
-                                        p.group.push(n.as_u32("group member")?);
-                                    }
-                                }
-                                other => return Err(unknown_key("partitions", other)),
-                            }
-                        }
-                        plan.partitions.push(p);
-                    }
+                    plan.partitions
+                        .extend(entries(value, "partitions", partition_key)?)
                 }
                 other => return Err(unknown_key("plan", other)),
             }
@@ -282,20 +202,85 @@ impl FaultPlan {
     }
 }
 
-fn link_faults(value: &Value) -> Result<LinkFaults, String> {
+/// The objects of the `section` array, each read into a `T` that starts
+/// at its default, one member at a time by `set`.
+fn entries<T: Default>(
+    value: &Json,
+    section: &str,
+    set: fn(&mut T, &str, &Json) -> Result<(), String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::new();
+    for item in value.arr(section)? {
+        let mut entry = T::default();
+        let members = item.as_obj();
+        for (k, v) in members.ok_or_else(|| format!("{section} entry must be an object"))? {
+            set(&mut entry, k, v)?;
+        }
+        out.push(entry);
+    }
+    Ok(out)
+}
+
+fn degraded_key(w: &mut DegradedWindow, key: &str, v: &Json) -> Result<(), String> {
+    match key {
+        "from_ns" => w.from = v.time(key)?,
+        "until_ns" => w.until = v.time(key)?,
+        "extra_drop" => w.extra_drop = v.prob(key)?,
+        "extra_delay_ns" => w.extra_delay = v.time(key)?,
+        other => return Err(unknown_key("degraded", other)),
+    }
+    Ok(())
+}
+
+fn crash_key(c: &mut CrashSchedule, key: &str, v: &Json) -> Result<(), String> {
+    match (key, v) {
+        ("node", _) => c.node = v.u32(key)?,
+        ("at_ns", _) => c.at = v.time(key)?,
+        ("restart_ns", Json::Null) => c.restart = None,
+        ("restart_ns", _) => c.restart = Some(v.time(key)?),
+        (other, _) => return Err(unknown_key("crashes", other)),
+    }
+    Ok(())
+}
+
+fn stall_key(s: &mut StallWindow, key: &str, v: &Json) -> Result<(), String> {
+    match key {
+        "node" => s.node = v.u32(key)?,
+        "from_ns" => s.from = v.time(key)?,
+        "until_ns" => s.until = v.time(key)?,
+        other => return Err(unknown_key("stalls", other)),
+    }
+    Ok(())
+}
+
+fn partition_key(p: &mut PartitionWindow, key: &str, v: &Json) -> Result<(), String> {
+    match key {
+        "from_ns" => p.from = v.time(key)?,
+        "until_ns" => p.until = v.time(key)?,
+        "group" => {
+            for n in v.arr("group")? {
+                p.group.push(n.u32("group member")?);
+            }
+        }
+        other => return Err(unknown_key("partitions", other)),
+    }
+    Ok(())
+}
+
+fn link_faults(value: &Json) -> Result<LinkFaults, String> {
     let mut f = LinkFaults::default();
-    for (k, v) in value.as_obj("link faults")? {
+    for (k, v) in value.obj("link faults")? {
         apply_link_fault_key(&mut f, k, v)?;
     }
     Ok(f.clamp())
 }
 
-fn apply_link_fault_key(f: &mut LinkFaults, key: &str, v: &Value) -> Result<(), String> {
+fn apply_link_fault_key(f: &mut LinkFaults, key: &str, v: &Json) -> Result<(), String> {
     match key {
-        "drop" => f.drop_prob = v.as_prob(key)?,
-        "dup" => f.dup_prob = v.as_prob(key)?,
-        "delay_prob" => f.delay_prob = v.as_prob(key)?,
-        "delay_max_ns" => f.delay_max = v.as_time(key)?,
+        "drop" => f.drop_prob = v.prob(key)?,
+        "dup" => f.dup_prob = v.prob(key)?,
+        "delay_prob" => f.delay_prob = v.prob(key)?,
+        "delay_max_ns" => f.delay_max = v.time(key)?,
         other => return Err(unknown_key("link faults", other)),
     }
     Ok(())
@@ -415,6 +400,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nscc_sim::SimTime;
 
     fn rich_plan() -> FaultPlan {
         FaultPlan::new(u64::MAX - 3)
@@ -453,9 +439,13 @@ mod tests {
 
     #[test]
     fn seeds_above_2_pow_53_survive() {
-        let plan = FaultPlan::new(u64::MAX).loss(0.1);
-        let back = FaultPlan::from_json(&plan.to_json()).unwrap();
-        assert_eq!(back.seed(), u64::MAX);
+        for seed in [(1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let plan = FaultPlan::new(seed).loss(0.1);
+            let back = FaultPlan::from_json(&plan.to_json()).unwrap();
+            assert_eq!(back.seed(), seed);
+        }
+        let doc = r#"{"schema":1,"seed":18446744073709551615}"#;
+        assert_eq!(FaultPlan::from_json(doc).unwrap().seed(), u64::MAX);
     }
 
     #[test]
@@ -484,6 +474,13 @@ mod tests {
             (r#"{"schema":1}"#, "missing seed"),
             (r#"{"schema":2,"seed":1}"#, "future schema"),
             (r#"{"schema":1,"seed":-1}"#, "negative seed"),
+            (r#"{"schema":1,"seed":1.0}"#, "fractional seed"),
+            (r#"{"schema":1,"seed":1e3}"#, "exponent seed"),
+            (
+                r#"{"schema":1,"seed":18446744073709551616}"#,
+                "seed above u64::MAX",
+            ),
+            (r#"{"schema":1.0,"seed":1}"#, "fractional schema"),
             (r#"{"schema":1,"seed":1,"bogus":0}"#, "unknown key"),
             (r#"{"schema":1,"seed":1,"base":{"drop":1.5}}"#, "prob > 1"),
             (r#"{"schema":1,"seed":1,"base":{"dorp":0.1}}"#, "typo key"),

@@ -135,7 +135,7 @@ impl TestFn {
             | TestFn::F8Griewank => 0.0,
             TestFn::F4QuarticNoise => 0.0, // noiseless part; Table 1 lists ≤ -2.5 with noise
             TestFn::F5Foxholes => 0.998_003_838,
-            TestFn::F7Schwefel => -4189.828_872_724_34,
+            TestFn::F7Schwefel => -4_189.828_872_724_34,
         }
     }
 

@@ -455,7 +455,7 @@ pub fn run_island(
                         if let Some(inf) = inflight.take() {
                             cut_restores += 1;
                             for (loc, age, v) in inf {
-                                if node.cached_age(loc).map_or(true, |have| age > have) {
+                                if node.cached_age(loc).is_none_or(|have| age > have) {
                                     node.restore_cache(vec![(loc, age, v)]);
                                 }
                             }
@@ -551,7 +551,7 @@ pub fn run_island(
         // cache + an RNG reseed into a sealed frame. Two frames are kept so
         // a corrupt newest frame still leaves a usable older generation.
         if let Some(rec) = &cfg.recovery {
-            if gen % rec.every == 0 {
+            if gen.is_multiple_of(rec.every) {
                 let rng = own_rng.as_mut().expect("recovery implies own rng");
                 let reseed: u64 = rng.gen();
                 *rng = StdRng::seed_from_u64(reseed);
@@ -616,7 +616,7 @@ pub fn run_island(
                     let active_id = snap_active.as_ref().map(|(id, _, _)| *id);
                     if active_id == Some(m.id) {
                         node.snap_close(m.src);
-                    } else if m.id > snap_done && active_id.map_or(true, |a| m.id > a) {
+                    } else if m.id > snap_done && active_id.is_none_or(|a| m.id > a) {
                         // First marker of a newer wave; it preempts any
                         // stalled older recording.
                         node.snap_finish();
@@ -625,7 +625,11 @@ pub fn run_island(
                     // Anything else is a stale marker of an abandoned wave.
                 }
                 // Initiation: rank 0 starts a wave at the cut cadence.
-                if rank == 0 && snap_active.is_none() && gen % sc.every == 0 && gen > snap_done {
+                if rank == 0
+                    && snap_active.is_none()
+                    && gen.is_multiple_of(sc.every)
+                    && gen > snap_done
+                {
                     sc.board.note_start(gen);
                     snap_active = Some(begin(&mut node, &ckpts, gen, None));
                 }

@@ -12,14 +12,15 @@
 //!   guard.
 //!
 //! The embedded fault plan reuses [`FaultPlan`]'s own versioned JSON;
-//! the envelope reuses the same strict hand-rolled reader (no external
-//! JSON dependency anywhere in the workspace).
+//! the envelope is read by the workspace's one strict JSON reader
+//! ([`nscc_ckpt::json`]) through the same typed field accessors.
 
 use std::fmt::Write as _;
 
 use nscc_bench::headless::{run_headless, HeadlessSpec};
+use nscc_ckpt::json::{escape_into, parse, Json};
 use nscc_core::FaultPlan;
-use nscc_faults::json::{push_json_str, Value};
+use nscc_faults::json::Field;
 use nscc_msg::ReliableConfig;
 use nscc_sim::SimTime;
 
@@ -125,7 +126,7 @@ impl Repro {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         let _ = write!(out, "{{\"schema\":{REPRO_SCHEMA_VERSION},\"note\":");
-        push_json_str(&mut out, &self.note);
+        escape_into(&mut out, &self.note);
         out.push_str(",\"scenario\":");
         push_spec(&mut out, &self.scenario);
         let _ = write!(
@@ -133,13 +134,13 @@ impl Repro {
             ",\"expect\":{{\"status\":\"{}\",\"digest\":",
             self.expect.as_str()
         );
-        push_json_str(&mut out, &self.digest);
+        escape_into(&mut out, &self.digest);
         out.push_str(",\"findings\":[");
         for (i, line) in self.findings.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_str(&mut out, line);
+            escape_into(&mut out, line);
         }
         out.push_str("]}}\n");
         out
@@ -148,8 +149,8 @@ impl Repro {
     /// Strict parse of a repro document (the reading half of the NSCC_*
     /// exit-2 convention: callers treat `Err` as a hard error).
     pub fn from_json(text: &str) -> Result<Repro, String> {
-        let doc = Value::parse(text)?;
-        let obj = doc.as_obj("repro")?;
+        let doc = parse(text).map_err(|e| e.to_string())?;
+        let obj = doc.obj("repro")?;
         let mut scenario = None;
         let mut expect = None;
         let mut doc_digest = None;
@@ -157,9 +158,9 @@ impl Repro {
         let mut note = String::new();
         let mut saw_schema = false;
         for (key, value) in obj {
-            match key.as_str() {
+            match &**key {
                 "schema" => {
-                    let v = value.as_u64("schema")?;
+                    let v = value.u64("schema")?;
                     if v != REPRO_SCHEMA_VERSION {
                         return Err(format!(
                             "unsupported repro schema {v} (this build reads {REPRO_SCHEMA_VERSION})"
@@ -167,13 +168,13 @@ impl Repro {
                     }
                     saw_schema = true;
                 }
-                "note" => note = value.as_str("note")?.to_string(),
+                "note" => note = value.str("note")?.to_string(),
                 "scenario" => scenario = Some(spec_from_value(value)?),
                 "expect" => {
-                    for (k, v) in value.as_obj("expect")? {
-                        match k.as_str() {
+                    for (k, v) in value.obj("expect")? {
+                        match &**k {
                             "status" => {
-                                expect = Some(match v.as_str("status")? {
+                                expect = Some(match v.str("status")? {
                                     "must-reproduce" => Expectation::MustReproduce,
                                     "must-not-reproduce" => Expectation::MustNotReproduce,
                                     other => {
@@ -184,10 +185,10 @@ impl Repro {
                                     }
                                 })
                             }
-                            "digest" => doc_digest = Some(v.as_str("digest")?.to_string()),
+                            "digest" => doc_digest = Some(v.str("digest")?.to_string()),
                             "findings" => {
-                                for item in v.as_arr("findings")? {
-                                    findings.push(item.as_str("findings entry")?.to_string());
+                                for item in v.arr("findings")? {
+                                    findings.push(item.str("findings entry")?.to_string());
                                 }
                             }
                             other => return Err(format!("unknown expect key `{other}`")),
@@ -277,15 +278,15 @@ fn push_spec(out: &mut String, s: &HeadlessSpec) {
     out.push('}');
 }
 
-fn opt_time(v: &Value, what: &str) -> Result<Option<SimTime>, String> {
+fn opt_time(v: &Json, what: &str) -> Result<Option<SimTime>, String> {
     match v {
-        Value::Null => Ok(None),
-        other => other.as_time(what).map(Some),
+        Json::Null => Ok(None),
+        other => other.time(what).map(Some),
     }
 }
 
-fn spec_from_value(v: &Value) -> Result<HeadlessSpec, String> {
-    let obj = v.as_obj("scenario")?;
+fn spec_from_value(v: &Json) -> Result<HeadlessSpec, String> {
+    let obj = v.obj("scenario")?;
     let mut s = HeadlessSpec {
         procs: 0,
         generations: 0,
@@ -303,35 +304,35 @@ fn spec_from_value(v: &Value) -> Result<HeadlessSpec, String> {
     };
     let mut seen = [false; 5]; // procs, generations, runs, seed, watchdog
     for (key, value) in obj {
-        match key.as_str() {
+        match &**key {
             "procs" => {
-                s.procs = value.as_u64("procs")? as usize;
+                s.procs = value.u64("procs")? as usize;
                 seen[0] = true;
             }
             "generations" => {
-                s.generations = value.as_u64("generations")?;
+                s.generations = value.u64("generations")?;
                 seen[1] = true;
             }
             "runs" => {
-                s.runs = value.as_u64("runs")? as usize;
+                s.runs = value.u64("runs")? as usize;
                 seen[2] = true;
             }
             "seed" => {
-                s.seed = value.as_u64("seed")?;
+                s.seed = value.u64("seed")?;
                 seen[3] = true;
             }
-            "age" => s.age = value.as_u64("age")?,
+            "age" => s.age = value.u64("age")?,
             "reliable" => {
                 s.reliable = match value {
-                    Value::Null => None,
+                    Json::Null => None,
                     other => {
                         let mut r = ReliableConfig::default();
-                        for (k, v) in other.as_obj("reliable")? {
-                            match k.as_str() {
-                                "ack_bytes" => r.ack_bytes = v.as_u64(k)? as usize,
-                                "base_rto_ns" => r.base_rto = v.as_time(k)?,
-                                "max_retries" => r.max_retries = v.as_u32(k)?,
-                                "max_rto_ns" => r.max_rto = v.as_time(k)?,
+                        for (k, v) in other.obj("reliable")? {
+                            match &**k {
+                                "ack_bytes" => r.ack_bytes = v.u64(k)? as usize,
+                                "base_rto_ns" => r.base_rto = v.time(k)?,
+                                "max_retries" => r.max_retries = v.u32(k)?,
+                                "max_rto_ns" => r.max_rto = v.time(k)?,
                                 other => return Err(format!("unknown reliable key `{other}`")),
                             }
                         }
@@ -342,20 +343,20 @@ fn spec_from_value(v: &Value) -> Result<HeadlessSpec, String> {
             "read_timeout_ns" => s.read_timeout = opt_time(value, key)?,
             "heartbeat_ns" => s.heartbeat = opt_time(value, key)?,
             "watchdog_ns" => {
-                s.watchdog = value.as_time("watchdog_ns")?;
+                s.watchdog = value.time("watchdog_ns")?;
                 seen[4] = true;
             }
-            "inject_stale" => s.inject_stale = value.as_u64("inject_stale")?,
+            "inject_stale" => s.inject_stale = value.u64("inject_stale")?,
             "snapshots" => {
                 s.snapshots = match value {
-                    Value::Null => None,
-                    other => Some(other.as_u64("snapshots")?),
+                    Json::Null => None,
+                    other => Some(other.u64("snapshots")?),
                 };
             }
-            "supervision" => s.supervision = value.as_bool("supervision")?,
+            "supervision" => s.supervision = value.bool("supervision")?,
             "plan" => {
                 s.plan = match value {
-                    Value::Null => None,
+                    Json::Null => None,
                     other => Some(FaultPlan::from_value(other)?),
                 };
             }
@@ -424,6 +425,54 @@ mod tests {
             back.scenario.plan.as_ref().unwrap().to_json(),
             repro.scenario.plan.as_ref().unwrap().to_json()
         );
+    }
+
+    /// Every `seed` member under `v`, in document order, as `as_u64`
+    /// reads it.
+    fn seeds(v: &Json, out: &mut Vec<Option<u64>>) {
+        match v {
+            Json::Obj(members) => {
+                for (k, v) in members {
+                    if &**k == "seed" {
+                        out.push(v.as_u64());
+                    }
+                    seeds(v, out);
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|v| seeds(v, out)),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn committed_repros_round_trip_byte_identically() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../repros");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|ext| ext != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let back = Repro::from_json(&text).unwrap().to_json();
+            assert_eq!(back, text, "{}", path.display());
+            // Each seed reads back as the digits the file holds, 64-bit
+            // ones included.
+            let digits: Vec<_> = text
+                .split("\"seed\":")
+                .skip(1)
+                .map(|rest| {
+                    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+                    Some(rest[..end].parse::<u64>().unwrap())
+                })
+                .collect();
+            let mut read = Vec::new();
+            seeds(&parse(&text).unwrap(), &mut read);
+            assert_eq!(read, digits, "{}", path.display());
+            assert!(!digits.is_empty(), "{}", path.display());
+            seen += 1;
+        }
+        assert_eq!(seen, 3, "repros/*.json");
     }
 
     #[test]

@@ -434,9 +434,7 @@ impl<T: Serialize + Clone + 'static> Endpoint<T> {
     /// The queueing probe is read *before* the send occupies the medium,
     /// so it reflects the backlog this frame actually waits behind.
     fn stamp(&self, ctx: &Ctx, loc: u32, write_iter: u64) -> Option<Provenance> {
-        if self.obs.is_none() {
-            return None;
-        }
+        self.obs.as_ref()?;
         let msg_seq = {
             let mut inner = self.inner.borrow_mut();
             let s = inner.prov_seq;

@@ -56,16 +56,27 @@ impl Medium for Lossy {
         now + SimTime::from_millis(1)
     }
 
-    fn plan_transmit(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: usize) -> Transmission {
+    fn plan_transmit(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+    ) -> Transmission {
         let arrival = self.transmit(now, src, dst, bytes);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let lost = bytes > ReliableConfig::default().ack_bytes && (z ^ (z >> 31)) % 256 < self.drop_in_256;
+        let lost =
+            bytes > ReliableConfig::default().ack_bytes && (z ^ (z >> 31)) % 256 < self.drop_in_256;
         Transmission {
             arrival,
-            verdict: if lost { Verdict::Drop(DropReason::Loss) } else { Verdict::Deliver },
+            verdict: if lost {
+                Verdict::Drop(DropReason::Loss)
+            } else {
+                Verdict::Deliver
+            },
             fault: SimTime::ZERO,
         }
     }
@@ -106,7 +117,10 @@ fn run(drop_in_256: u64, msgs: u64) -> (u64, u64) {
         }
     });
     let end = SimTime::from_secs(msgs + 1);
-    sim.spawn("rx", move |ctx| while rx.recv_deadline(ctx, end).is_some() {});
+    sim.spawn(
+        "rx",
+        move |ctx| while rx.recv_deadline(ctx, end).is_some() {},
+    );
     let before = ALLOCS.load(Ordering::Relaxed);
     sim.run().unwrap();
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
@@ -137,6 +151,12 @@ const LOSSY: f64 = 4.1;
 fn a_retransmit_attempt_allocates_its_events_only() {
     let black_hole = per_attempt(256);
     let lossy = per_attempt(128);
-    assert!(black_hole <= BLACK_HOLE, "black hole: {black_hole:.3} allocations per attempt, budget {BLACK_HOLE}");
-    assert!(lossy <= LOSSY, "lossy link: {lossy:.3} allocations per attempt, budget {LOSSY}");
+    assert!(
+        black_hole <= BLACK_HOLE,
+        "black hole: {black_hole:.3} allocations per attempt, budget {BLACK_HOLE}"
+    );
+    assert!(
+        lossy <= LOSSY,
+        "lossy link: {lossy:.3} allocations per attempt, budget {LOSSY}"
+    );
 }

@@ -193,7 +193,7 @@ fn traffic(seed: u64, frames: usize, gap_ns: (u64, u64), bytes: (u64, u64)) -> V
         .map(|_| {
             now += SimTime::from_nanos(rng.range(gap_ns.0, gap_ns.1));
             let size = rng.range(bytes.0, bytes.1) as usize;
-            (now, size, rng.next() % 8 == 0)
+            (now, size, rng.next().is_multiple_of(8))
         })
         .collect()
 }
@@ -244,7 +244,10 @@ fn pin(what: &str, cfg: &EthernetConfig, seed: u64, frames: &[Frame]) -> Seen {
                 Some(new.transmit(now, src, dst, bytes)),
             )
         };
-        assert_eq!(a, b, "{what}: frame {i} ({bytes} B at {now}) arrives differently");
+        assert_eq!(
+            a, b,
+            "{what}: frame {i} ({bytes} B at {now}) arrives differently"
+        );
         let rho = old.recent_utilization(now);
         assert_eq!(
             rho.to_bits(),
@@ -255,8 +258,16 @@ fn pin(what: &str, cfg: &EthernetConfig, seed: u64, frames: &[Frame]) -> Seen {
         seen.rho.push(rho);
     }
     let end = frames.last().map_or(SimTime::ZERO, |f| f.0);
-    for probe in [end, end + SimTime::from_millis(50), end + SimTime::from_secs(10)] {
-        assert_eq!(old.next_free(probe), new.next_free(probe), "{what}: next_free");
+    for probe in [
+        end,
+        end + SimTime::from_millis(50),
+        end + SimTime::from_secs(10),
+    ] {
+        assert_eq!(
+            old.next_free(probe),
+            new.next_free(probe),
+            "{what}: next_free"
+        );
         assert_eq!(
             old.recent_utilization(probe).to_bits(),
             new.recent_utilization(probe).to_bits(),
@@ -281,7 +292,11 @@ fn idle_bus_matches_reference() {
     for seed in 1..=3 {
         let frames = traffic(seed, 400, (2_000_000, 40_000_000), (0, 1500));
         let seen = pin("idle", &EthernetConfig::default(), seed, &frames);
-        assert!(seen.max_rho < 0.6, "idle stays below the knee: {}", seen.max_rho);
+        assert!(
+            seen.max_rho < 0.6,
+            "idle stays below the knee: {}",
+            seen.max_rho
+        );
     }
 }
 
@@ -289,12 +304,20 @@ fn idle_bus_matches_reference() {
 fn sustained_overload_and_the_cap_match_reference() {
     // A 1000-byte frame is 848 µs on the wire; these gaps offer about
     // 110 %, 200 % and 400 % of capacity.
-    for (seed, gap) in [(11, (600_000, 1_000_000)), (12, (300_000, 550_000)), (13, (50_000, 400_000))] {
+    for (seed, gap) in [
+        (11, (600_000, 1_000_000)),
+        (12, (300_000, 550_000)),
+        (13, (50_000, 400_000)),
+    ] {
         for cfg in [EthernetConfig::default(), no_jitter()] {
             let frames = traffic(seed, 2500, gap, (700, 1300));
             let seen = pin("overload", &cfg, seed, &frames);
             // ρ ≥ 1 pins the divisor at 0.02, far past the 12× cap.
-            assert!(seen.max_rho >= 1.0, "overload reaches ρ ≥ 1: {}", seen.max_rho);
+            assert!(
+                seen.max_rho >= 1.0,
+                "overload reaches ρ ≥ 1: {}",
+                seen.max_rho
+            );
         }
     }
 }
@@ -304,8 +327,15 @@ fn bursts_through_the_knee_match_reference() {
     for seed in 21..=24 {
         let frames = bursts(seed, 3000);
         let seen = pin("bursts", &EthernetConfig::default(), seed, &frames);
-        let near_knee = seen.rho.iter().filter(|r| (0.55..0.65).contains(*r)).count();
-        assert!(near_knee > 50, "bursts cross the knee: {near_knee} frames near it");
+        let near_knee = seen
+            .rho
+            .iter()
+            .filter(|r| (0.55..0.65).contains(*r))
+            .count();
+        assert!(
+            near_knee > 50,
+            "bursts cross the knee: {near_knee} frames near it"
+        );
         assert!(seen.max_rho >= 1.0, "and pass ρ = 1: {}", seen.max_rho);
     }
 }
@@ -314,14 +344,30 @@ fn bursts_through_the_knee_match_reference() {
 fn fragmentation_and_odd_configs_match_reference() {
     let frames = bursts(31, 2000);
     let jumbo = traffic(32, 1500, (200_000, 4_000_000), (0, 9000));
+    let with = |mut cfg: EthernetConfig, set: fn(&mut EthernetConfig)| {
+        set(&mut cfg);
+        cfg
+    };
+    let base = EthernetConfig::default;
     let cfgs = [
-        ("strength 0", EthernetConfig { collision_strength: 0.0, ..EthernetConfig::default() }),
-        ("strength 2", EthernetConfig { collision_strength: 2.0, ..EthernetConfig::default() }),
-        ("window 0", EthernetConfig { collision_window: SimTime::ZERO, ..EthernetConfig::default() }),
-        ("window 7 ms", EthernetConfig { collision_window: SimTime::from_millis(7), ..no_jitter() }),
-        ("knee 0", EthernetConfig { collision_knee: 0.0, ..EthernetConfig::default() }),
-        ("knee 1.5", EthernetConfig { collision_knee: 1.5, ..EthernetConfig::default() }),
-        ("100 Mbps", EthernetConfig { bandwidth_bps: 100e6, mtu: 576, ..EthernetConfig::default() }),
+        ("strength 0", with(base(), |c| c.collision_strength = 0.0)),
+        ("strength 2", with(base(), |c| c.collision_strength = 2.0)),
+        (
+            "window 0",
+            with(base(), |c| c.collision_window = SimTime::ZERO),
+        ),
+        (
+            "window 7 ms",
+            with(no_jitter(), |c| {
+                c.collision_window = SimTime::from_millis(7)
+            }),
+        ),
+        ("knee 0", with(base(), |c| c.collision_knee = 0.0)),
+        ("knee 1.5", with(base(), |c| c.collision_knee = 1.5)),
+        (
+            "100 Mbps",
+            with(base(), |c| (c.bandwidth_bps, c.mtu) = (100e6, 576)),
+        ),
     ];
     for (what, cfg) in &cfgs {
         pin(what, cfg, 3, &frames);
@@ -389,7 +435,11 @@ fn knee_one_ulp_either_side_matches_reference() {
     let split: Vec<usize> = (0..frames.len())
         .filter(|&i| exact[i] != fast[i] && (0.05..1.5).contains(&exact[i]))
         .collect();
-    assert!(split.len() >= 20, "only {} frames where the sums differ", split.len());
+    assert!(
+        split.len() >= 20,
+        "only {} frames where the sums differ",
+        split.len()
+    );
     let step = split.len() / 20;
     for &i in split.iter().step_by(step).take(20) {
         for centre in [exact[i], fast[i]] {
@@ -402,7 +452,10 @@ fn knee_one_ulp_either_side_matches_reference() {
                         collision_strength: strength,
                         ..base.clone()
                     };
-                    let what = format!("knee {:e} ({by:+} ulp) at frame {i}, strength {strength:e}", cfg.collision_knee);
+                    let what = format!(
+                        "knee {:e} ({by:+} ulp) at frame {i}, strength {strength:e}",
+                        cfg.collision_knee
+                    );
                     pin(&what, &cfg, 6, &frames[..(i + 40).min(frames.len())]);
                 }
             }

@@ -1099,9 +1099,7 @@ impl HubSummary {
 fn merge_heat(into: &mut Vec<HeatRow>, other: &[HeatRow]) {
     let mut map: BTreeMap<u32, Histogram> = into.drain(..).map(|r| (r.loc, r.staleness)).collect();
     for r in other {
-        map.entry(r.loc)
-            .or_insert_with(Histogram::new)
-            .merge(&r.staleness);
+        map.entry(r.loc).or_default().merge(&r.staleness);
     }
     *into = map
         .into_iter()
@@ -1429,10 +1427,7 @@ impl StalenessSummary {
         let mut by_loc: BTreeMap<u32, StageSet> =
             self.by_loc.drain(..).map(|r| (r.loc, r.stages)).collect();
         for r in &other.by_loc {
-            by_loc
-                .entry(r.loc)
-                .or_insert_with(StageSet::new)
-                .merge(&r.stages);
+            by_loc.entry(r.loc).or_default().merge(&r.stages);
         }
         self.by_loc = by_loc
             .into_iter()
@@ -1446,7 +1441,7 @@ impl StalenessSummary {
         for r in &other.by_link {
             by_link
                 .entry((r.writer, r.reader))
-                .or_insert_with(StageSet::new)
+                .or_default()
                 .merge(&r.stages);
         }
         self.by_link = by_link
@@ -2102,7 +2097,7 @@ mod tests {
         hub.span(0, 0, 10, SpanKind::Compute, "run");
         hub.set_proc_name(0, "rank0");
         let dump = hub.export_events_json();
-        crate::json::validate(&dump).expect("event dump validates");
+        nscc_ckpt::json::parse(&dump).expect("event dump validates");
         assert!(dump.contains(&format!("\"schema_version\":{}", crate::SCHEMA_VERSION)));
         assert!(dump.contains("\"ReadDone\""));
         assert!(dump.contains("\"rank0\""));
@@ -2745,7 +2740,7 @@ mod tests {
         assert_eq!(hub.staleness_summary().released, 1);
         assert_eq!(hub.sched().events, 100);
         assert_eq!(hub.phase_of(1).unwrap().1, "v4");
-        crate::json::validate(&hub.export_events_json()).expect("event dump validates");
+        nscc_ckpt::json::parse(&hub.export_events_json()).expect("event dump validates");
         assert!(hub.perfetto().contains("rank1"));
         hub.live_final(&s);
         let lines = feed.lines();

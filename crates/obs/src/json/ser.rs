@@ -9,7 +9,7 @@ use std::fmt::{self, Write as _};
 
 use serde::ser::{self, Impossible, Serialize};
 
-use super::check::{escape_into, write_f64};
+use nscc_ckpt::json::escape_into;
 
 /// Render any `Serialize` value as compact JSON.
 ///
@@ -99,11 +99,15 @@ impl<'a> ser::Serializer for &'a mut JsonSer {
         Ok(())
     }
     fn serialize_f32(self, v: f32) -> Result<(), JsonError> {
-        write_f64(&mut self.out, v as f64);
-        Ok(())
+        self.serialize_f64(v as f64)
     }
+    /// Non-finite values become `null` (JSON has no NaN/Infinity).
     fn serialize_f64(self, v: f64) -> Result<(), JsonError> {
-        write_f64(&mut self.out, v);
+        if v.is_finite() {
+            let _ = write!(self.out, "{v}");
+        } else {
+            self.out.push_str("null");
+        }
         Ok(())
     }
     fn serialize_char(self, v: char) -> Result<(), JsonError> {
@@ -393,8 +397,8 @@ impl<'a> ser::Serializer for MapKeySer<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::validate;
     use super::*;
+    use nscc_ckpt::json::parse;
     use serde::Serialize;
     use std::collections::BTreeMap;
 
@@ -468,6 +472,15 @@ mod tests {
             tags,
         };
         let s = to_json(&v);
-        validate(&s).unwrap();
+        parse(&s).unwrap();
+    }
+
+    #[test]
+    fn float_formatting() {
+        assert_eq!(
+            to_json(&vec![1.5, f64::NAN, f64::NEG_INFINITY]),
+            "[1.5,null,null]"
+        );
+        assert_eq!(to_json(&0.25f32), "0.25");
     }
 }

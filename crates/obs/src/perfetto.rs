@@ -173,7 +173,7 @@ pub fn export_with_flows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
+    use nscc_ckpt::json::parse;
 
     #[test]
     fn exports_valid_trace_document() {
@@ -203,7 +203,7 @@ mod tests {
         let mut names = BTreeMap::new();
         names.insert(0u32, "island0".to_string());
         let doc = export(&spans, &names);
-        validate(&doc).unwrap();
+        parse(&doc).unwrap();
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"ph\":\"X\""));
         assert!(doc.contains("\"thread_name\""));
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn empty_trace_is_still_valid() {
         let doc = export(&[], &BTreeMap::new());
-        validate(&doc).unwrap();
+        parse(&doc).unwrap();
     }
 
     #[test]
@@ -241,7 +241,7 @@ mod tests {
             release_ns: 6_000,
         }];
         let doc = export_with_flows(&spans, &BTreeMap::new(), &flows);
-        validate(&doc).unwrap();
+        parse(&doc).unwrap();
         assert!(doc.contains("\"ph\":\"s\""));
         assert!(doc.contains("\"ph\":\"t\""));
         assert!(doc.contains("\"ph\":\"f\""));

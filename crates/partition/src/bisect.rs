@@ -164,7 +164,7 @@ fn fm_refine(g: &Graph, vertices: &[usize], local: &[usize], side: &mut [bool], 
                     continue;
                 }
                 let gval = gain(i, &work);
-                if best.map_or(true, |(bg, bi)| gval > bg || (gval == bg && i < bi)) {
+                if best.is_none_or(|(bg, bi)| gval > bg || (gval == bg && i < bi)) {
                     best = Some((gval, i));
                 }
             }

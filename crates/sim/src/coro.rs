@@ -158,6 +158,9 @@ unsafe extern "C" fn trampoline() {
 /// dropped. Raised with `resume_unwind`, so no panic hook sees it.
 pub(crate) struct Cancelled;
 
+/// A coroutine's body, boxed until it starts.
+type Body<I, O> = Box<dyn FnOnce(Yielder<I, O>, I) -> O>;
+
 /// What a coroutine and its owner share. Only one of the two runs at any
 /// time, so plain fields do.
 struct Link<I, O> {
@@ -165,7 +168,7 @@ struct Link<I, O> {
     /// switch with `switch(&raw mut sp, sp)` (read before it is replaced).
     sp: *mut u8,
     /// Taken when the body starts.
-    body: Option<Box<dyn FnOnce(Yielder<I, O>, I) -> O>>,
+    body: Option<Body<I, O>>,
     /// For the body: `None` tells a suspended one to unwind.
     input: Option<I>,
     /// From the body; `Err` is a panic that escaped it.

@@ -197,7 +197,7 @@ mod tests {
         let mut sim = SimBuilder::new(0);
         let mb2 = mb.clone();
         sim.spawn("stuck", move |ctx| {
-            let _ = mb2.recv(ctx);
+            mb2.recv(ctx);
         });
         match sim.run() {
             Err(SimError::Deadlock { blocked, .. }) => {
@@ -256,7 +256,7 @@ mod tests {
         sim.deadlock_note(Vec::new); // empty probes contribute nothing
         let mb2 = mb.clone();
         sim.spawn("stuck", move |ctx| {
-            let _ = mb2.recv(ctx);
+            mb2.recv(ctx);
         });
         match sim.run() {
             Err(err @ SimError::Deadlock { .. }) => {
@@ -277,7 +277,7 @@ mod tests {
         let mut sim = SimBuilder::new(0);
         let mb2 = mb.clone();
         sim.spawn_daemon("idle-daemon", move |ctx| {
-            let _ = mb2.recv(ctx);
+            mb2.recv(ctx);
         });
         sim.spawn("worker", |ctx| ctx.advance(SimTime::from_millis(1)));
         let report = sim.run().unwrap();

@@ -29,15 +29,16 @@ fn chaotic_readback(
     ranks: usize,
     iters: u64,
     age: u64,
-    loss: f64,
-    dup: f64,
+    (loss, dup): (f64, f64),
     hub: Option<Hub>,
     inject: u64,
 ) -> (Vec<ReadOutcome<u64>>, u64, u64, u64) {
     let plan = FaultPlan::new(seed).loss(loss).duplication(dup);
     let net = Network::new(FaultyMedium::new(EthernetBus::ten_mbps(seed), plan));
-    let mut cfg = MsgConfig::default();
-    cfg.reliable = Some(ReliableConfig::default());
+    let cfg = MsgConfig {
+        reliable: Some(ReliableConfig::default()),
+        ..MsgConfig::default()
+    };
     let mut dir = Directory::new();
     let locs = dir.add_per_rank("v", ranks);
     let mut world: DsmWorld<u64> =
@@ -100,7 +101,7 @@ fn staleness_bound_survives_any_fault_plan() {
         let loss = case.gen_range(0.0f64..0.25);
         let dup = case.gen_range(0.0f64..0.20);
         let (outs, dropped, retransmits, give_ups) =
-            chaotic_readback(seed, ranks, iters, age, loss, dup, None, 0);
+            chaotic_readback(seed, ranks, iters, age, (loss, dup), None, 0);
         assert!(!outs.is_empty(), "no reads recorded");
         for out in &outs {
             if !out.degraded {
@@ -192,7 +193,7 @@ fn read_dep_provenance_satisfies_the_age_bound() {
         let loss = case.gen_range(0.0f64..0.25);
         let dup = case.gen_range(0.0f64..0.20);
         let hub = Hub::new();
-        chaotic_readback(seed, ranks, iters, age, loss, dup, Some(hub.clone()), 0);
+        chaotic_readback(seed, ranks, iters, age, (loss, dup), Some(hub.clone()), 0);
         if let Err(e) = check_read_deps(&hub.events()) {
             panic!("{e}");
         }
@@ -207,7 +208,7 @@ fn read_dep_provenance_satisfies_the_age_bound() {
 fn read_deps_are_recorded_and_deterministic() {
     let run = || {
         let hub = Hub::new();
-        chaotic_readback(11, 3, 10, 0, 0.0, 0.0, Some(hub.clone()), 0);
+        chaotic_readback(11, 3, 10, 0, (0.0, 0.0), Some(hub.clone()), 0);
         hub.events()
     };
     let events = run();
@@ -409,8 +410,8 @@ fn ga_survives_midrun_node_crash_with_degraded_marker() {
     );
 
     let mut rep = RunReport::new("chaos", &hub);
-    rep.dsm = m.dsm.clone();
-    rep.net = Some(res.net.clone());
+    rep.dsm = m.dsm;
+    rep.net = Some(res.net);
     rep.comm = Some(res.comm);
     rep.fault_reports = res.fault_reports.len() as u64;
     rep.note_degradation();
@@ -443,7 +444,7 @@ fn injected_stale_delivery_is_caught_with_provenance_in_the_dump() {
         hub.set_tap(auditor.clone());
         // Sabotage: the first 3 would-block reads per rank release the
         // cached value immediately, past the age-0 bound.
-        chaotic_readback(11, 3, 12, 0, 0.0, 0.0, Some(hub.clone()), 3);
+        chaotic_readback(11, 3, 12, 0, (0.0, 0.0), Some(hub.clone()), 3);
         let summary = auditor.summary();
         let dump = FlightDump::new(
             "chaos",
@@ -520,7 +521,7 @@ fn monitors_on_and_off_reports_are_byte_identical_outside_audit() {
             hub.enable_flight(1024);
             hub.set_tap(auditor.clone());
         }
-        chaotic_readback(23, 3, 10, 1, 0.02, 0.01, Some(hub.clone()), 0);
+        chaotic_readback(23, 3, 10, 1, (0.02, 0.01), Some(hub.clone()), 0);
         let mut rep = RunReport::new("determinism", &hub);
         if audit {
             rep.audit = Some(auditor.summary());
@@ -566,7 +567,7 @@ fn monitored_runs_are_undisturbed_under_any_fault_plan() {
                 hub.enable_flight(512);
                 hub.set_tap(auditor.clone());
             }
-            chaotic_readback(seed, 3, 8, 1, loss, dup, Some(hub.clone()), 0);
+            chaotic_readback(seed, 3, 8, 1, (loss, dup), Some(hub.clone()), 0);
             let mut rep = RunReport::new("determinism", &hub);
             if audit {
                 rep.audit = Some(auditor.summary());

@@ -11,7 +11,7 @@ use nscc::dsm::{Directory, DsmWorld};
 use nscc::faults::{FaultPlan, FaultyMedium};
 use nscc::msg::{MsgConfig, ReliableConfig};
 use nscc::net::{EthernetBus, Network};
-use nscc::obs::{json, Hub};
+use nscc::obs::Hub;
 use nscc::sim::{SimBuilder, SimTime};
 
 /// All-to-all read/write over a (possibly faulty) Ethernet with the
@@ -24,17 +24,17 @@ fn traced_run(
     ranks: usize,
     iters: u64,
     age: u64,
-    loss: f64,
-    dup: f64,
-    delay: f64,
+    (loss, dup, delay): (f64, f64, f64),
 ) -> Network {
     let plan = FaultPlan::new(seed)
         .loss(loss)
         .duplication(dup)
         .delay(delay, SimTime::from_millis(5));
     let net = Network::new(FaultyMedium::new(EthernetBus::ten_mbps(seed), plan));
-    let mut cfg = MsgConfig::default();
-    cfg.reliable = Some(ReliableConfig::default());
+    let cfg = MsgConfig {
+        reliable: Some(ReliableConfig::default()),
+        ..MsgConfig::default()
+    };
     let mut dir = Directory::new();
     let locs = dir.add_per_rank("v", ranks);
     let mut world: DsmWorld<u64> = DsmWorld::new(net.clone(), ranks, cfg, dir)
@@ -85,7 +85,7 @@ fn stage_sums_equal_observed_age_under_any_fault_plan() {
         let delay = case.gen_range(0.0f64..0.20);
         let hub = Hub::new();
         hub.enable_staleness();
-        traced_run(hub.clone(), seed, ranks, iters, age, loss, dup, delay);
+        traced_run(hub.clone(), seed, ranks, iters, age, (loss, dup, delay));
         let s = hub.staleness_summary();
         assert_eq!(
             s.conservation_checked, s.released,
@@ -125,7 +125,7 @@ fn tracer_on_reports_are_byte_identical_outside_staleness() {
             if traced {
                 hub.enable_staleness();
             }
-            traced_run(hub.clone(), seed, 3, 8, 1, loss, dup, 0.0);
+            traced_run(hub.clone(), seed, 3, 8, 1, (loss, dup, 0.0));
             let mut rep = RunReport::new("anatomy_det", &hub);
             if traced {
                 rep.staleness = Some(hub.staleness_summary());
@@ -161,7 +161,7 @@ fn traced_releases_are_recorded_and_deterministic() {
     let run = || {
         let hub = Hub::new();
         hub.enable_staleness();
-        traced_run(hub.clone(), 11, 3, 10, 0, 0.0, 0.0, 0.0);
+        traced_run(hub.clone(), 11, 3, 10, 0, (0.0, 0.0, 0.0));
         hub.staleness_summary()
     };
     let s = run();
@@ -190,7 +190,7 @@ fn conservation_survives_retransmitted_provenance() {
     for seed in 0..50u64 {
         let hub = Hub::new();
         hub.enable_staleness();
-        let net = traced_run(hub.clone(), seed, 3, 10, 1, 0.20, 0.05, 0.0);
+        let net = traced_run(hub.clone(), seed, 3, 10, 1, (0.20, 0.05, 0.0));
         let s = hub.staleness_summary();
         assert_eq!(
             s.conservation_violations, 0,
@@ -218,13 +218,13 @@ fn perfetto_export_links_write_apply_release_flows() {
         if traced {
             hub.enable_staleness();
         }
-        traced_run(hub.clone(), 7, 3, 10, 1, 0.0, 0.0, 0.0);
+        traced_run(hub.clone(), 7, 3, 10, 1, (0.0, 0.0, 0.0));
         hub
     };
 
     let hub = run(true);
     let trace = hub.perfetto();
-    json::validate(&trace).expect("Perfetto JSON validates");
+    nscc_ckpt::json::parse(&trace).expect("Perfetto JSON validates");
     let count = |needle: &str| trace.matches(needle).count();
     let flows = hub.staleness_flows();
     assert!(!flows.is_empty(), "traced run kept no flow records");
@@ -247,7 +247,7 @@ fn perfetto_export_links_write_apply_release_flows() {
     }
 
     let off = run(false).perfetto();
-    json::validate(&off).expect("tracer-off Perfetto JSON validates");
+    nscc_ckpt::json::parse(&off).expect("tracer-off Perfetto JSON validates");
     assert_eq!(
         off.matches("\"cat\":\"staleness\"").count(),
         0,
