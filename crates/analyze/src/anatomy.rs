@@ -15,8 +15,9 @@
 //! are surfaced so a decomposition leak (stage sum ≠ observed age) is
 //! impossible to miss.
 
-use crate::fmt::{ns, num, table};
-use crate::hist::HistView;
+use nscc_ckpt::Histogram;
+
+use crate::fmt::{brief, ns, num, table};
 use crate::json::Json;
 use crate::report::Report;
 
@@ -32,7 +33,7 @@ const TOP: usize = 5;
 /// One parsed stage: its name and histogram.
 struct Stage {
     name: &'static str,
-    hist: HistView,
+    hist: Histogram,
 }
 
 /// Parse a serialized `StageSet` object into the stages that recorded
@@ -43,7 +44,9 @@ fn stages_of(v: &Json) -> Vec<Stage> {
     STAGES
         .iter()
         .filter_map(|&name| {
-            let hist = v.get(&format!("{name}_ns")).and_then(HistView::from_json)?;
+            let hist = v
+                .get(&format!("{name}_ns"))
+                .and_then(Histogram::from_json)?;
             Some(Stage { name, hist })
         })
         .collect()
@@ -54,7 +57,7 @@ fn stages_of(v: &Json) -> Vec<Stage> {
 fn guilty(stages: &[Stage]) -> Option<(&'static str, u64)> {
     stages
         .iter()
-        .map(|s| (s.name, s.hist.sum))
+        .map(|s| (s.name, s.hist.sum()))
         .max_by_key(|&(name, sum)| {
             (
                 sum,
@@ -114,18 +117,18 @@ pub fn anatomy(rep: &Report) -> (String, u64) {
         out.push_str("  (no blocked read released while the tracer was armed)\n");
         return (out, violations);
     }
-    if let Some(age) = section.get("age_ns").and_then(HistView::from_json) {
-        out.push_str(&format!("  observed age (ns): {}\n", age.brief()));
+    if let Some(age) = section.get("age_ns").and_then(Histogram::from_json) {
+        out.push_str(&format!("  observed age (ns): {}\n", brief(&age)));
     }
 
     // The stage breakdown, ranked by total time: the top row is where
     // the age went.
     let stages = section.get("stages").map(stages_of).unwrap_or_default();
-    let total: u64 = stages.iter().map(|s| s.hist.sum).sum();
+    let total: u64 = stages.iter().map(|s| s.hist.sum()).sum();
     let mut ranked: Vec<&Stage> = stages.iter().collect();
     ranked.sort_by_key(|s| {
         (
-            std::cmp::Reverse(s.hist.sum),
+            std::cmp::Reverse(s.hist.sum()),
             STAGES.iter().position(|&n| n == s.name),
         )
     });
@@ -142,12 +145,12 @@ pub fn anatomy(rep: &Report) -> (String, u64) {
     for s in &ranked {
         rows.push(vec![
             s.name.to_string(),
-            ns(s.hist.sum),
-            pct(s.hist.sum, total),
+            ns(s.hist.sum()),
+            pct(s.hist.sum(), total),
             ns(s.hist.quantile(0.50)),
             ns(s.hist.quantile(0.90)),
             ns(s.hist.quantile(0.99)),
-            ns(s.hist.max),
+            ns(s.hist.max()),
         ]);
     }
     out.push_str(&table(&rows));
@@ -176,7 +179,7 @@ pub fn anatomy(rep: &Report) -> (String, u64) {
                     )
                 };
                 let stages = row.get("stages").map(stages_of)?;
-                let sum = stages.iter().map(|s| s.hist.sum).sum();
+                let sum = stages.iter().map(|s| s.hist.sum()).sum();
                 Some((label, stages, sum))
             })
             .collect();
@@ -193,7 +196,7 @@ pub fn anatomy(rep: &Report) -> (String, u64) {
             let released: u64 = stages
                 .iter()
                 .find(|s| s.name == "apply")
-                .map_or(0, |s| s.hist.count);
+                .map_or(0, |s| s.hist.count());
             let guilty_cell = match guilty(stages) {
                 Some((name, gsum)) => format!("{name} ({})", pct(gsum, *sum)),
                 None => "-".to_string(),

@@ -16,8 +16,9 @@
 
 use std::collections::BTreeMap;
 
+use nscc_ckpt::Histogram;
+
 use crate::fmt::{ns, table};
-use crate::hist::HistView;
 use crate::json::Json;
 use crate::report::Report;
 
@@ -92,7 +93,7 @@ pub fn heat(rep: &Report) -> String {
         rep.path.display(),
         rep.schema_version()
     );
-    let rows: Vec<(u32, HistView)> = rep
+    let rows: Vec<(u32, Histogram)> = rep
         .root
         .get("obs")
         .and_then(|o| o.get("heat"))
@@ -102,7 +103,7 @@ pub fn heat(rep: &Report) -> String {
                 .filter_map(|r| {
                     Some((
                         r.get("loc")?.as_u64()? as u32,
-                        HistView::from_json(r.get("staleness")?)?,
+                        Histogram::from_json(r.get("staleness")?)?,
                     ))
                 })
                 .collect()
@@ -117,7 +118,7 @@ pub fn heat(rep: &Report) -> String {
     // Column set: the union of populated log₂ buckets across locations.
     let mut uppers: Vec<u64> = rows
         .iter()
-        .flat_map(|(_, h)| h.buckets.iter().map(|&(u, _)| u))
+        .flat_map(|(_, h)| h.nonzero_buckets().map(|(u, _)| u))
         .collect();
     uppers.sort_unstable();
     uppers.dedup();
@@ -134,7 +135,7 @@ pub fn heat(rep: &Report) -> String {
         h
     }];
     for (loc, hist) in &rows {
-        let counts: BTreeMap<u64, u64> = hist.buckets.iter().copied().collect();
+        let counts: BTreeMap<u64, u64> = hist.nonzero_buckets().collect();
         let hottest = counts.values().copied().max().unwrap_or(0);
         let mut row = vec![named(&loc_names, *loc, "loc")];
         for u in &uppers {
@@ -146,8 +147,8 @@ pub fn heat(rep: &Report) -> String {
                 SHADES[idx.clamp(1, SHADES.len()) - 1].to_string()
             });
         }
-        row.push(hist.count.to_string());
-        row.push(format!("{:.1}", hist.mean));
+        row.push(hist.count().to_string());
+        row.push(format!("{:.1}", hist.mean()));
         row.push(hist.quantile(0.99).to_string());
         trows.push(row);
     }

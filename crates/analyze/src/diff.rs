@@ -11,8 +11,9 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use nscc_ckpt::Histogram;
+
 use crate::fmt::{ns, num};
-use crate::hist::HistView;
 use crate::json::Json;
 use crate::report::Report;
 
@@ -46,7 +47,7 @@ pub fn diff(a: &Report, b: &Report) -> String {
             r.root
                 .get("obs")
                 .and_then(|o| o.get(key))
-                .and_then(HistView::from_json)
+                .and_then(Histogram::from_json)
         };
         if let (Some(ha), Some(hb)) = (h(a), h(b)) {
             out.push_str(&hist_section(key, unit, &ha, &hb));
@@ -126,15 +127,15 @@ fn counters_section(a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> Str
     out
 }
 
-fn hist_section(key: &str, unit: &str, a: &HistView, b: &HistView) -> String {
+fn hist_section(key: &str, unit: &str, a: &Histogram, b: &Histogram) -> String {
     let mut out = format!("\n{key} ({unit}):\n");
     let rows: [(&str, f64, f64); 6] = [
-        ("count", a.count as f64, b.count as f64),
-        ("mean", a.mean, b.mean),
+        ("count", a.count() as f64, b.count() as f64),
+        ("mean", a.mean(), b.mean()),
         ("p50", a.quantile(0.50) as f64, b.quantile(0.50) as f64),
         ("p90", a.quantile(0.90) as f64, b.quantile(0.90) as f64),
         ("p99", a.quantile(0.99) as f64, b.quantile(0.99) as f64),
-        ("max", a.max as f64, b.max as f64),
+        ("max", a.max() as f64, b.max() as f64),
     ];
     for (label, old, new) in rows {
         out.push_str(&format!(

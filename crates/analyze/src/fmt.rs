@@ -1,5 +1,7 @@
 //! Small deterministic formatting helpers shared by the subcommands.
 
+use nscc_ckpt::Histogram;
+
 /// Render a number compactly: integers without a trailing `.0`, other
 /// values via Rust's shortest-round-trip `Display`. Deterministic, so
 /// diff output can be golden-tested.
@@ -9,6 +11,23 @@ pub fn num(v: f64) -> String {
     } else {
         format!("{v}")
     }
+}
+
+/// A histogram's one-line summary, `n=… mean=… p50=… p90=… p99=… max=…`,
+/// with the p90 a report does not pin.
+pub fn brief(h: &Histogram) -> String {
+    if h.is_empty() {
+        return "n=0".to_string();
+    }
+    format!(
+        "n={} mean={:.1} p50={} p90={} p99={} max={}",
+        h.count(),
+        h.mean(),
+        h.quantile(0.50),
+        h.quantile(0.90),
+        h.quantile(0.99),
+        h.max()
+    )
 }
 
 /// Virtual nanoseconds as a human-scale string (`1.25ms`, `3.4s`, …).
@@ -94,6 +113,11 @@ mod tests {
         assert_eq!(num(-41.0), "-41");
         assert_eq!(num(2.5), "2.5");
         assert_eq!(num(0.0), "0");
+    }
+
+    #[test]
+    fn brief_of_an_empty_histogram() {
+        assert_eq!(brief(&Histogram::new()), "n=0");
     }
 
     #[test]

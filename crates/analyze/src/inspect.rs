@@ -14,8 +14,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use crate::fmt::{ns, num, table};
-use crate::hist::HistView;
+use nscc_ckpt::Histogram;
+
+use crate::fmt::{brief, ns, num, table};
 use crate::json::{field, Event, EventLog, Json};
 use crate::report::Report;
 
@@ -86,8 +87,8 @@ fn inspect_report(rep: &Report) -> String {
             ("block_ns", "ns"),
             ("net_delay_ns", "ns"),
         ] {
-            if let Some(h) = obs.get(key).and_then(HistView::from_json) {
-                out.push_str(&format!("\n{key} ({unit}): {}\n", h.brief()));
+            if let Some(h) = obs.get(key).and_then(Histogram::from_json) {
+                out.push_str(&format!("\n{key} ({unit}): {}\n", brief(&h)));
                 if !h.is_empty() {
                     out.push_str("  cdf:");
                     for (upper, frac) in h.cdf() {

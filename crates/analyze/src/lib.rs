@@ -75,7 +75,6 @@ pub mod diff;
 pub mod drill;
 pub mod fmt;
 pub mod gate;
-pub mod hist;
 pub mod inspect;
 pub mod postmortem;
 pub mod report;
@@ -89,7 +88,6 @@ pub use ckpt::inspect_ckpt_dir;
 pub use diff::diff;
 pub use drill::drill;
 pub use gate::{gate_all, gate_pair, update_baselines, GateConfig, Outcome};
-pub use hist::HistView;
 pub use inspect::inspect;
 pub use nscc_ckpt::json;
 pub use postmortem::postmortem;

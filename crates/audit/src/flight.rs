@@ -8,14 +8,13 @@
 //! events already ordered by the ring, so two runs of the same seed
 //! produce byte-identical dumps. `nscc postmortem` reads it offline.
 
-use serde::Serialize;
-
-use nscc_obs::{json::to_json, ObsEvent};
+use nscc_ckpt::json::{to_json, ToJson};
+use nscc_obs::ObsEvent;
 
 use crate::Violation;
 
 /// The flight-recorder document, serialized as `FLIGHT_<bench>.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct FlightDump {
     /// Report schema version ([`nscc_obs::SCHEMA_VERSION`]).
     pub schema_version: u32,

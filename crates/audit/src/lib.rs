@@ -29,14 +29,16 @@
 
 #![warn(missing_docs)]
 
+// crates/perf/build-offline.sh passes no `--extern nscc_ckpt` here, only `-L`.
+extern crate nscc_ckpt;
+
 mod flight;
 mod monitors;
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use serde::Serialize;
-
+use nscc_ckpt::json::ToJson;
 use nscc_obs::{EventSink, ObsEvent};
 
 pub use flight::{render_flight_dump, FlightDump};
@@ -51,7 +53,7 @@ pub use monitors::{
 pub const MAX_RECORDED_VIOLATIONS: usize = 64;
 
 /// One invariant violation, as recorded by a monitor.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Violation {
     /// Name of the monitor that flagged it (`staleness`, `monotonicity`,
     /// `sequence`, `barrier`, `rollback`).
@@ -83,7 +85,7 @@ pub trait Monitor: Send {
 }
 
 /// Per-monitor statistics for the report's `audit` section.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct MonitorStat {
     /// Monitor name.
     pub name: &'static str,
@@ -94,7 +96,7 @@ pub struct MonitorStat {
 }
 
 /// The run report's `audit` section: what was checked, what failed.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct AuditSummary {
     /// Per-monitor breakdown, in registration order.
     pub monitors: Vec<MonitorStat>,

@@ -292,3 +292,23 @@ fn determinism_per_seed() {
     assert_eq!(a.completion, b.completion);
     assert_eq!(a.drawn, b.drawn);
 }
+
+/// A batch update costs the DSM header (4 tag + 4 loc + 8 age) plus a
+/// length-prefixed byte per value: what `msg.payload_bytes` charges per
+/// block a partition publishes.
+#[test]
+fn batch_update_wire_size_is_pinned() {
+    let values: nscc_bayes::BatchValues = vec![1; 32];
+    let msg = nscc_dsm::DsmMsg::Update {
+        loc: nscc_dsm::LocId(2),
+        age: 11,
+        value: Arc::new(values),
+    };
+    assert_eq!(nscc_msg::wire_size(&msg), 4 + 4 + 8 + 4 + 32);
+    let heartbeat: nscc_dsm::DsmMsg<nscc_bayes::BatchValues> = nscc_dsm::DsmMsg::Update {
+        loc: nscc_dsm::LocId(2),
+        age: 12,
+        value: Arc::new(Vec::new()),
+    };
+    assert_eq!(nscc_msg::wire_size(&heartbeat), 4 + 4 + 8 + 4);
+}

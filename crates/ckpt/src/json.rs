@@ -1,9 +1,11 @@
-//! The workspace's one JSON reader — a strict parser into an
-//! order-preserving tree — and the string escape every writer shares.
+//! The workspace's one JSON module: a strict reader into an
+//! order-preserving tree, and the one writer, [`ToJson`], with the string
+//! escape both share.
 //!
-//! Every machine-readable artifact is read here: run reports and event
-//! dumps written by `nscc-obs`'s serializer (RFC 8259-conformant,
-//! compact), fault plans, and `nscc-hunt` repros. Object member order is
+//! Every machine-readable artifact is written by [`ToJson`] (run reports,
+//! event and flight dumps, traces, the live feed; its byte contract is in
+//! `ser.rs`) or by hand through [`escape_into`] (fault plans, `nscc-hunt`
+//! repros), and read here. Object member order is
 //! preserved, so rendered output (tables, diffs) follows the writer's
 //! declaration order and a strict reader reports the first unknown key
 //! deterministically. A [`Number`] keeps the correctly rounded `f64` of
@@ -13,15 +15,15 @@
 //! error at its offset rather than a guess.
 //!
 //! The reader is one pass over the input bytes, shaped by what the writer
-//! emits (DESIGN.md §6 "The JSON reader"): string bodies are copied a run
+//! emits (DESIGN.md §6 "The JSON module"): string bodies are copied a run
 //! at a time, plain integers skip `str::parse`, object keys are interned
 //! per [`parse`] call — and guessed from the key that opened their object
 //! and their position in it, so a repeated event body's keys are each one
 //! compare — and nesting is bounded by [`MAX_DEPTH`].
 //!
-//! It lives in this std-only crate because it is the one crate below
-//! every JSON reader and writer (the analyzer, `nscc-obs`, `nscc-faults`,
-//! `nscc-hunt`) that pulls in nothing else.
+//! It lives in this crate because it is the one crate below every JSON
+//! reader and writer (the analyzer, `nscc-obs`, `nscc-faults`,
+//! `nscc-hunt`) that pulls in nothing but the derive.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -818,6 +820,10 @@ pub fn escape_into(out: &mut String, s: &str) {
 
 #[cfg(test)]
 mod check;
+mod ser;
+
+pub use ser::{to_json, JsonKey, ToJson};
+pub use serde_derive::ToJson;
 
 #[cfg(test)]
 mod tests {

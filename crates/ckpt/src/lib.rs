@@ -19,16 +19,26 @@
 //!   instead of resurrecting garbage state;
 //! * [`store`] — a directory of numbered checkpoint generations with
 //!   atomic writes and corrupt-generation fallback;
-//! * [`json`] — the one JSON reader (reports, event dumps, fault plans,
-//!   repros) and the string escape every JSON writer uses.
+//! * [`json`] — the one JSON module: the reader (reports, event dumps,
+//!   fault plans, repros), the writer ([`json::ToJson`] and its derive)
+//!   and the string escape both share;
+//! * [`hist`] — the log₂ [`Histogram`] every report carries, written and
+//!   read back through [`json`].
 //!
-//! Deliberately std-only: the analyzer (equally dependency-free) lists and
+//! Std-only apart from the derive: the analyzer (equally light) lists and
 //! verifies checkpoint directories without linking the simulator.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+// The derive behind `json::ToJson`, found under this name by cargo and by
+// the frozen `crates/perf/build-offline.sh` alike; the generated impls name
+// `::nscc_ckpt`, which this crate's own tests derive too.
+extern crate self as nscc_ckpt;
+extern crate serde_derive;
+
 pub mod cut;
+pub mod hist;
 pub mod json;
 pub mod store;
 pub mod wire;
@@ -37,6 +47,7 @@ use std::fmt;
 use std::sync::Arc;
 
 pub use cut::{load_latest_cut, save_cut, CutFrame, GlobalCut};
+pub use hist::Histogram;
 pub use store::{CkptKind, CkptStore, GenerationInfo};
 pub use wire::{fnv1a, Dec, Enc};
 

@@ -13,15 +13,14 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use serde::Serialize;
-
+use nscc_ckpt::json::{self, ToJson};
 use nscc_dsm::DsmStats;
 use nscc_msg::CommStats;
 use nscc_net::NetStats;
-use nscc_obs::{json, Hub, HubSummary};
+use nscc_obs::{Hub, HubSummary};
 
 /// One run's merged, serializable record.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct RunReport {
     /// Export schema version ([`nscc_obs::SCHEMA_VERSION`]); consumers
     /// refuse mismatched files instead of guessing at missing keys.
@@ -135,8 +134,7 @@ impl RunReport {
         format!("BENCH_{}.json", self.name)
     }
 
-    /// Serialize to a JSON string (hand-rolled serializer; no external
-    /// JSON crate in the workspace).
+    /// Serialize to a compact JSON string through `nscc_ckpt::json`.
     pub fn to_json(&self) -> String {
         json::to_json(self)
     }

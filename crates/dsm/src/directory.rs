@@ -6,8 +6,14 @@
 //! direct sends. The directory captures exactly that static knowledge.
 
 /// Identifier of a shared location (dense index into the directory).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LocId(pub u32);
+
+impl nscc_msg::WireSize for LocId {
+    fn wire_size(&self) -> usize {
+        nscc_msg::wire_size(&self.0)
+    }
+}
 
 impl nscc_ckpt::Snapshot for LocId {
     fn encode(&self, enc: &mut nscc_ckpt::Enc) {

@@ -6,16 +6,15 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use serde::Serialize;
-
-use nscc_msg::{Endpoint, Envelope};
+use nscc_ckpt::json::ToJson;
+use nscc_msg::{Endpoint, Envelope, WireSize};
 use nscc_obs::{Hub, ObsEvent, SpanKind};
 use nscc_sim::{Ctx, SimTime};
 
 use crate::directory::{Directory, LocId};
 
 /// Wire messages exchanged by DSM nodes.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub enum DsmMsg<T> {
     /// A new value of a shared location, stamped with the writer's
     /// iteration number ("age" in the paper's sense).
@@ -26,7 +25,7 @@ pub enum DsmMsg<T> {
         age: u64,
         /// The value itself: packed once by the writer and shared by every
         /// copy of the message (multicast fan-out, retransmits) and every
-        /// cache it lands in. Serializes as a plain `T`.
+        /// cache it lands in. Charged on the wire as a plain `T`.
         value: Arc<T>,
     },
     /// Barrier protocol: a rank announcing it reached barrier `epoch`.
@@ -43,6 +42,20 @@ pub enum DsmMsg<T> {
     /// [`DsmWorld::spawn_heartbeats`](crate::DsmWorld::spawn_heartbeats)).
     /// Carries no data; receipt refreshes the sender's last-heard stamp.
     Heartbeat,
+}
+
+/// A 4-byte variant tag, then the fields back to back.
+impl<T: WireSize> WireSize for DsmMsg<T> {
+    fn wire_size(&self) -> usize {
+        const TAG: usize = 4;
+        TAG + match self {
+            DsmMsg::Update { loc, age, value } => {
+                loc.wire_size() + age.wire_size() + value.wire_size()
+            }
+            DsmMsg::BarrierArrive { epoch } | DsmMsg::BarrierRelease { epoch } => epoch.wire_size(),
+            DsmMsg::Heartbeat => 0,
+        }
+    }
 }
 
 // Not derived: copying a message shares its value, so `T: Clone` is not
@@ -64,7 +77,7 @@ impl<T> Clone for DsmMsg<T> {
 
 /// Per-node DSM counters, readable after a run via
 /// [`DsmWorld::stats`](crate::DsmWorld::stats).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default, ToJson)]
 pub struct DsmStats {
     /// `write` calls performed.
     pub writes: u64,
@@ -247,7 +260,7 @@ struct SnapRec<T> {
     recorded: Vec<(LocId, u64, Arc<T>)>,
 }
 
-impl<T: Serialize + 'static> DsmNode<T> {
+impl<T: WireSize + 'static> DsmNode<T> {
     pub(crate) fn new(
         rank: usize,
         ep: Endpoint<DsmMsg<T>>,

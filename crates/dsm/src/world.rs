@@ -6,9 +6,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use serde::Serialize;
-
-use nscc_msg::{CommStats, CommWorld, MsgConfig};
+use nscc_msg::{CommStats, CommWorld, MsgConfig, WireSize};
 use nscc_net::{Network, WarpMeter};
 use nscc_obs::Hub;
 use nscc_sim::{SimBuilder, SimTime};
@@ -38,7 +36,7 @@ pub struct DsmWorld<T: 'static> {
     obs: Option<Hub>,
 }
 
-impl<T: Serialize + 'static> DsmWorld<T> {
+impl<T: WireSize + 'static> DsmWorld<T> {
     /// Create a world of `ranks` nodes over `net` with the given directory.
     pub fn new(net: Network, ranks: usize, cfg: MsgConfig, dir: Directory) -> Self {
         DsmWorld {

@@ -6,11 +6,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Serialize, Serializer};
-
 use nscc_dsm::{Coherence, Directory, DsmWorld};
 use nscc_faults::{FaultPlan, FaultyMedium};
-use nscc_msg::{MsgConfig, ReliableConfig};
+use nscc_msg::{MsgConfig, ReliableConfig, WireSize};
 use nscc_net::{IdealMedium, Network};
 use nscc_sim::{SimBuilder, SimTime};
 
@@ -26,9 +24,9 @@ impl Clone for Counted {
     }
 }
 
-impl Serialize for Counted {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(s)
+impl WireSize for Counted {
+    fn wire_size(&self) -> usize {
+        self.0.wire_size()
     }
 }
 
@@ -118,8 +116,13 @@ fn no_payload_clone_from_write_to_read() {
 
 #[test]
 fn values_need_not_be_clone() {
-    #[derive(Serialize)]
     struct Opaque(u64);
+
+    impl WireSize for Opaque {
+        fn wire_size(&self) -> usize {
+            self.0.wire_size()
+        }
+    }
 
     let mut dir = Directory::new();
     let loc = dir.add("x", 0, [1]);

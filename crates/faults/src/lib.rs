@@ -51,7 +51,6 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 use nscc_net::{DropReason, Medium, MediumStats, NodeId, Transmission, Verdict};
 use nscc_sim::{SimError, SimTime};
@@ -350,7 +349,7 @@ impl FaultPlan {
 }
 
 /// Counters of every fault the wrapper injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Frames dropped by random loss.
     pub drops_loss: u64,
@@ -554,7 +553,7 @@ impl Medium for FaultyMedium {
 }
 
 /// One blocked process's diagnostics inside a [`FaultReport`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BlockedDiag {
     /// Process name.
     pub name: String,
@@ -572,7 +571,7 @@ pub struct BlockedDiag {
 /// sim-level watchdog converts would-be deadlocks (and watchdog horizon
 /// hits) into one of these instead of a fatal error, so chaos sweeps can
 /// report "sync collapsed here" as data.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultReport {
     /// The fault plan's seed (reproduces the run).
     pub seed: u64,

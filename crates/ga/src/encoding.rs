@@ -1,7 +1,7 @@
 //! Binary genomes and DeJong's fixed-point decoding.
 
+use nscc_msg::WireSize;
 use rand::Rng;
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 
 use crate::functions::TestFn;
 
@@ -10,7 +10,7 @@ use crate::functions::TestFn;
 /// Bytes past the last used one, and the padding bits of that one, are
 /// always zero, so the derived `Eq`/`Hash` are canonical.
 ///
-/// Serializes compactly (its length and the *used* bytes), so
+/// Sized compactly on the wire (its length and the *used* bytes), so
 /// [`nscc_msg::wire_size`] charges migrants their true encoded size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Genome {
@@ -174,15 +174,11 @@ impl Genome {
     }
 }
 
-/// What `#[derive(Serialize)]` emitted while the bytes were a `Vec<u8>`:
-/// the length, then the used bytes as a sequence — 8 + 4 + ⌈bits/8⌉ on the
-/// wire.
-impl Serialize for Genome {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Genome", 2)?;
-        s.serialize_field("bits", &self.bits)?;
-        s.serialize_field("bytes", self.as_bytes())?;
-        s.end()
+/// The length, then the used bytes as a sequence: 8 + 4 + ⌈bits/8⌉ on
+/// the wire, what a derived size charged while the bytes were a `Vec<u8>`.
+impl WireSize for Genome {
+    fn wire_size(&self) -> usize {
+        self.bits.wire_size() + self.as_bytes().wire_size()
     }
 }
 

@@ -5,9 +5,9 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
+use nscc_msg::WireSize;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::Serialize;
 
 use crate::cache::FitnessCache;
 use crate::encoding::Genome;
@@ -15,12 +15,19 @@ use crate::functions::TestFn;
 use crate::params::{GaParams, Selection};
 
 /// One candidate solution with its (raw, minimized) fitness.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Individual {
     /// The bit-string genotype.
     pub genome: Genome,
     /// Raw objective value (lower is better).
     pub fitness: f64,
+}
+
+/// A migrant on the wire: its genome, then its fitness.
+impl WireSize for Individual {
+    fn wire_size(&self) -> usize {
+        self.genome.wire_size() + self.fitness.wire_size()
+    }
 }
 
 /// Work performed by one generational step, for the compute-cost model.

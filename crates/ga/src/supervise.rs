@@ -17,8 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use serde::Serialize;
-
+use nscc_ckpt::json::ToJson;
 use nscc_sim::SimTime;
 
 /// Restart policy: how many times a rank may be restarted, and how the
@@ -148,7 +147,7 @@ impl Supervisor {
 /// The `recovery` section of a run report: what the snapshot protocol
 /// and the supervision layer did. Serialized as `null` when neither ran,
 /// keeping recovery-off reports byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, ToJson)]
 pub struct RecoverySummary {
     /// Marker waves initiated.
     pub snapshots_started: u64,

@@ -1,7 +1,7 @@
 //! The GA kernel as it stood at commit 9954bda, before the dense rewrite —
 //! moved here verbatim (heap `Vec<u8>` genome, `HashMap<Vec<u8>, f64>`
 //! fitness cache, sequential roulette scan, `Deme::{new, step, migrants,
-//! incorporate}`, the eight objective functions) minus the `serde` and
+//! incorporate}`, the eight objective functions) minus the wire-size and
 //! checkpoint impls, which have their own byte pins. It is the reference
 //! `kernel_pin.rs` drives in lock-step with the real kernel: same seed in,
 //! same population, counters and RNG position out, generation by

@@ -8,16 +8,16 @@
 //! paper's era) are charged to the sending/receiving process's virtual
 //! clock.
 
-use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use nscc_ckpt::json::ToJson;
 use nscc_net::{Network, NodeId, Verdict, WarpMeter};
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, Mailbox, SimTime};
 
 use crate::reliable::{self, RelFrame, RelState, ReliableConfig};
-use crate::wire::wire_size;
+use crate::wire::{wire_size, WireSize};
 
 /// Per-message CPU costs and fixed header size.
 #[derive(Debug, Clone)]
@@ -58,7 +58,7 @@ impl Default for MsgConfig {
 /// [`Endpoint::multicast_tagged`] **only when an observability hub is
 /// attached** — detached worlds never allocate a sequence number or probe
 /// the medium, preserving the zero-cost-when-detached guarantee.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Provenance {
     /// Writing rank.
     pub writer: u32,
@@ -112,7 +112,7 @@ pub struct Envelope<T> {
 }
 
 /// Cumulative per-world message counters.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default, ToJson)]
 pub struct CommStats {
     /// Messages sent (one per destination; a broadcast to `p-1` peers
     /// counts `p-1`).
@@ -312,7 +312,7 @@ impl<T: 'static> Clone for Endpoint<T> {
     }
 }
 
-impl<T: Serialize + Clone + 'static> Endpoint<T> {
+impl<T: WireSize + Clone + 'static> Endpoint<T> {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank

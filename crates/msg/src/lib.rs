@@ -4,7 +4,7 @@
 //! PVM" (§4.1). This crate is that PVM: typed point-to-point sends and
 //! receives between `p` ranks, broadcast as unicast fan-out, per-message
 //! CPU overheads charged to the simulated processes, and exact wire-size
-//! accounting via a byte-counting serde serializer ([`wire_size`]).
+//! accounting through the [`WireSize`] trait ([`wire_size`]).
 //!
 //! ```
 //! use nscc_msg::{CommWorld, MsgConfig};
@@ -34,4 +34,4 @@ mod wire;
 pub use comm::{CommStats, CommWorld, Endpoint, Envelope, MsgConfig, Provenance};
 pub use marker::{MarkerMsg, MarkerPlane, MarkerPort};
 pub use reliable::ReliableConfig;
-pub use wire::wire_size;
+pub use wire::{wire_size, WireSize};

@@ -1,16 +1,26 @@
-//! Wire-size accounting: a serde serializer that counts bytes instead of
-//! producing them.
+//! Wire-size accounting: the bytes a value would occupy on the wire.
 //!
 //! The simulation never needs real byte buffers — messages travel inside the
 //! process as Rust values — but the network model needs faithful *sizes*.
-//! [`wire_size`] measures what a compact binary encoding (fixed-width
-//! integers, length-prefixed sequences, u32 variant tags) would produce.
+//! [`WireSize`] charges a compact binary encoding: fixed-width integers
+//! (`usize` as 8), a 1-byte `bool` and `Option` tag, a 4-byte length before
+//! strings, sequences and maps, fields back to back, and a 4-byte variant
+//! tag per enum (`DsmMsg` in `nscc-dsm`). An `Arc` costs its pointee.
 
-use serde::ser::{self, Serialize};
-use std::fmt;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// Compute the encoded size in bytes of `value` under a compact binary
-/// encoding. Deterministic and allocation-free.
+/// Length prefix used for strings, sequences and maps.
+const LEN_PREFIX: usize = 4;
+
+/// A value the network model can charge for: its encoded size in bytes.
+pub trait WireSize {
+    /// Encoded size of `self` in bytes.
+    fn wire_size(&self) -> usize;
+}
+
+/// Compute the encoded size in bytes of `value` under the compact binary
+/// encoding [`WireSize`] describes. Deterministic and allocation-free.
 ///
 /// ```
 /// use nscc_msg::wire_size;
@@ -19,203 +29,94 @@ use std::fmt;
 /// // Vec: 4-byte length prefix + elements.
 /// assert_eq!(wire_size(&vec![0u8; 10]), 14);
 /// ```
-pub fn wire_size<T: Serialize>(value: &T) -> usize {
-    let mut counter = ByteCounter { bytes: 0 };
-    value
-        .serialize(&mut counter)
-        .expect("byte counting cannot fail");
-    counter.bytes
+pub fn wire_size<T: WireSize + ?Sized>(value: &T) -> usize {
+    value.wire_size()
 }
 
-/// Error type for the counter; counting never actually fails, but serde's
-/// trait requires one.
-#[derive(Debug)]
-pub struct CountError;
-
-impl fmt::Display for CountError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("byte counting error")
-    }
-}
-
-impl std::error::Error for CountError {}
-
-impl ser::Error for CountError {
-    fn custom<T: fmt::Display>(_msg: T) -> Self {
-        CountError
-    }
-}
-
-struct ByteCounter {
-    bytes: usize,
-}
-
-/// Length prefix used for strings, sequences and maps.
-const LEN_PREFIX: usize = 4;
-/// Enum variant tag width.
-const TAG: usize = 4;
-
-impl<'a> ser::Serializer for &'a mut ByteCounter {
-    type Ok = ();
-    type Error = CountError;
-    type SerializeSeq = &'a mut ByteCounter;
-    type SerializeTuple = &'a mut ByteCounter;
-    type SerializeMap = &'a mut ByteCounter;
-    type SerializeStruct = &'a mut ByteCounter;
-    type SerializeStructVariant = &'a mut ByteCounter;
-
-    fn serialize_bool(self, _v: bool) -> Result<(), CountError> {
-        self.bytes += 1;
-        Ok(())
-    }
-    fn serialize_i32(self, _v: i32) -> Result<(), CountError> {
-        self.bytes += 4;
-        Ok(())
-    }
-    fn serialize_i64(self, _v: i64) -> Result<(), CountError> {
-        self.bytes += 8;
-        Ok(())
-    }
-    fn serialize_u8(self, _v: u8) -> Result<(), CountError> {
-        self.bytes += 1;
-        Ok(())
-    }
-    fn serialize_u16(self, _v: u16) -> Result<(), CountError> {
-        self.bytes += 2;
-        Ok(())
-    }
-    fn serialize_u32(self, _v: u32) -> Result<(), CountError> {
-        self.bytes += 4;
-        Ok(())
-    }
-    fn serialize_u64(self, _v: u64) -> Result<(), CountError> {
-        self.bytes += 8;
-        Ok(())
-    }
-    fn serialize_f32(self, _v: f32) -> Result<(), CountError> {
-        self.bytes += 4;
-        Ok(())
-    }
-    fn serialize_f64(self, _v: f64) -> Result<(), CountError> {
-        self.bytes += 8;
-        Ok(())
-    }
-    fn serialize_char(self, _v: char) -> Result<(), CountError> {
-        self.bytes += 4;
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CountError> {
-        self.bytes += LEN_PREFIX + v.len();
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CountError> {
-        self.bytes += 1;
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CountError> {
-        self.bytes += 1;
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CountError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CountError> {
-        self.bytes += TAG;
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CountError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CountError> {
-        self.bytes += TAG;
-        value.serialize(self)
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Self::SerializeSeq, CountError> {
-        self.bytes += LEN_PREFIX;
-        Ok(self)
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self::SerializeTuple, CountError> {
-        Ok(self)
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<Self::SerializeMap, CountError> {
-        self.bytes += LEN_PREFIX;
-        Ok(self)
-    }
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStruct, CountError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self::SerializeStructVariant, CountError> {
-        self.bytes += TAG;
-        Ok(self)
-    }
-}
-
-macro_rules! impl_compound {
-    ($trait:ident, $($fn:ident($($arg:ident: $ty:ty),*)),+) => {
-        impl ser::$trait for &mut ByteCounter {
-            type Ok = ();
-            type Error = CountError;
-            $(
-                fn $fn<T: Serialize + ?Sized>(&mut self, $($arg: $ty,)* value: &T) -> Result<(), CountError> {
-                    $(let _ = $arg;)*
-                    value.serialize(&mut **self)
+macro_rules! fixed {
+    ($($ty:ty => $bytes:expr),+) => {
+        $(
+            impl WireSize for $ty {
+                fn wire_size(&self) -> usize {
+                    $bytes
                 }
-            )+
-            fn end(self) -> Result<(), CountError> {
-                Ok(())
             }
-        }
+        )+
     };
 }
 
-impl_compound!(SerializeSeq, serialize_element());
-impl_compound!(SerializeTuple, serialize_element());
-impl_compound!(SerializeStruct, serialize_field(key: &'static str));
-impl_compound!(SerializeStructVariant, serialize_field(key: &'static str));
+fixed!(
+    () => 0,
+    bool => 1,
+    u8 => 1,
+    u16 => 2,
+    u32 => 4,
+    u64 => 8,
+    usize => 8,
+    i32 => 4,
+    i64 => 8,
+    f32 => 4,
+    f64 => 8,
+    char => 4
+);
 
-impl ser::SerializeMap for &mut ByteCounter {
-    type Ok = ();
-    type Error = CountError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CountError> {
-        key.serialize(&mut **self)
+impl WireSize for str {
+    fn wire_size(&self) -> usize {
+        LEN_PREFIX + self.len()
     }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CountError> {
-        value.serialize(&mut **self)
+}
+
+impl WireSize for String {
+    fn wire_size(&self) -> usize {
+        self.as_str().wire_size()
     }
-    fn end(self) -> Result<(), CountError> {
-        Ok(())
+}
+
+impl<T: WireSize + ?Sized> WireSize for &T {
+    fn wire_size(&self) -> usize {
+        (**self).wire_size()
+    }
+}
+
+impl<T: WireSize + ?Sized> WireSize for Arc<T> {
+    fn wire_size(&self) -> usize {
+        (**self).wire_size()
+    }
+}
+
+impl<T: WireSize> WireSize for Option<T> {
+    fn wire_size(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::wire_size)
+    }
+}
+
+impl<T: WireSize> WireSize for [T] {
+    fn wire_size(&self) -> usize {
+        LEN_PREFIX + self.iter().map(T::wire_size).sum::<usize>()
+    }
+}
+
+impl<T: WireSize> WireSize for Vec<T> {
+    fn wire_size(&self) -> usize {
+        self.as_slice().wire_size()
+    }
+}
+
+impl<A: WireSize, B: WireSize> WireSize for (A, B) {
+    fn wire_size(&self) -> usize {
+        self.0.wire_size() + self.1.wire_size()
+    }
+}
+
+impl<K: WireSize, V: WireSize> WireSize for BTreeMap<K, V> {
+    fn wire_size(&self) -> usize {
+        LEN_PREFIX + self.iter().map(|kv| kv.wire_size()).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Serialize;
 
     #[test]
     fn primitives() {
@@ -224,6 +125,7 @@ mod tests {
         assert_eq!(wire_size(&1u16), 2);
         assert_eq!(wire_size(&1u32), 4);
         assert_eq!(wire_size(&1u64), 8);
+        assert_eq!(wire_size(&1usize), 8);
         assert_eq!(wire_size(&1i64), 8);
         assert_eq!(wire_size(&1.0f32), 4);
         assert_eq!(wire_size(&1.0f64), 8);
@@ -248,35 +150,11 @@ mod tests {
         assert_eq!(wire_size(&Vec::<u32>::new()), 4);
         assert_eq!(wire_size(&vec![1u32, 2, 3]), 4 + 12);
         assert_eq!(wire_size(&[1u64; 4].as_slice()), 4 + 32);
-    }
-
-    #[test]
-    fn structs_and_enums() {
-        #[derive(Serialize)]
-        struct Migrant {
-            genome: Vec<u8>,
-            fitness: f64,
-        }
-        let m = Migrant {
-            genome: vec![0; 16],
-            fitness: 0.5,
-        };
-        assert_eq!(wire_size(&m), (4 + 16) + 8);
-
-        #[derive(Serialize)]
-        enum Msg {
-            Ping,
-            Data(u64),
-            Pair { a: u32, b: u32 },
-        }
-        assert_eq!(wire_size(&Msg::Ping), 4);
-        assert_eq!(wire_size(&Msg::Data(0)), 4 + 8);
-        assert_eq!(wire_size(&Msg::Pair { a: 0, b: 0 }), 4 + 8);
+        assert_eq!(wire_size(&Arc::new(vec![0u8; 16])), 4 + 16);
     }
 
     #[test]
     fn maps() {
-        use std::collections::BTreeMap;
         let mut m = BTreeMap::new();
         m.insert(1u32, 2u64);
         m.insert(3u32, 4u64);
@@ -285,16 +163,10 @@ mod tests {
 
     #[test]
     fn nested() {
-        #[derive(Serialize)]
-        struct Outer {
-            items: Vec<(u16, Option<f64>)>,
-            name: &'static str,
-        }
-        let o = Outer {
-            items: vec![(1, None), (2, Some(3.0))],
-            name: "abc",
-        };
-        // 4 (len) + [2+1] + [2+1+8] + (4+3)
-        assert_eq!(wire_size(&o), 4 + 3 + 11 + 7);
+        let items = vec![(1u16, None), (2u16, Some(3.0f64))];
+        // 4 (len) + [2+1] + [2+1+8]
+        assert_eq!(wire_size(&items), 4 + 3 + 11);
+        // + (4+3): tuples are their elements back to back.
+        assert_eq!(wire_size(&(items, "abc")), 4 + 3 + 11 + 7);
     }
 }

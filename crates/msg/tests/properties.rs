@@ -2,15 +2,8 @@
 //! inputs (`rand::for_each_case`).
 
 use rand::{for_each_case, Rng};
-use serde::Serialize;
 
 use nscc_msg::wire_size;
-
-#[derive(Serialize, Clone, Debug)]
-struct Migrant {
-    genome: Vec<u8>,
-    fitness: f64,
-}
 
 /// Vectors cost a length prefix plus their elements.
 #[test]
@@ -21,15 +14,13 @@ fn vec_size_is_prefix_plus_elements() {
     });
 }
 
-/// Structs are the sum of their fields; batches scale linearly.
+/// Tuples are the sum of their elements; batches scale linearly.
 #[test]
 fn batch_size_is_linear() {
     for_each_case(256, |case| {
         let (genome_len, count) = (case.gen_range(0..64), case.gen_range(0..40));
-        let m = Migrant {
-            genome: vec![0; genome_len],
-            fitness: 1.0,
-        };
+        // A migrant's shape: genome bytes, then fitness.
+        let m = (vec![0u8; genome_len], 1.0f64);
         let single = wire_size(&m);
         assert_eq!(single, 4 + genome_len + 8);
         let batch = vec![m; count];

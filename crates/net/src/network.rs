@@ -14,7 +14,7 @@ const BROADCAST: u32 = u32::MAX;
 
 /// Aggregate network-level statistics (medium counters plus end-to-end
 /// delay bookkeeping).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, nscc_ckpt::json::ToJson)]
 pub struct NetStats {
     /// Counters from the underlying medium.
     pub medium: MediumStats,

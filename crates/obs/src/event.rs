@@ -4,13 +4,13 @@
 //! times are virtual nanoseconds (`t_ns`), network endpoints are `NodeId`
 //! indices, DSM processes are ranks and locations are `LocId` indices.
 
-use serde::Serialize;
+use nscc_ckpt::json::ToJson;
 
 use crate::Label;
 
 /// One structured observation. Serialized (externally tagged) into run
 /// reports and dumps, e.g. `{"ReadDone":{"t_ns":…,"rank":…,…}}`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub enum ObsEvent {
     /// A message was submitted to the network. `dst == u32::MAX` marks a
     /// broadcast frame. `queue_ns` is the time the frame waited for the

@@ -22,7 +22,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use serde::Serialize;
+use nscc_ckpt::json::ToJson;
 
 use crate::event::ObsEvent;
 use crate::hist::Histogram;
@@ -811,7 +811,7 @@ impl Hub {
     /// accounting — as one JSON document, the event-dump input format of
     /// `nscc inspect` (schema-stamped with [`crate::SCHEMA_VERSION`]).
     pub fn export_events_json(&self) -> String {
-        #[derive(Serialize)]
+        #[derive(ToJson)]
         struct Dump {
             schema_version: u32,
             proc_names: BTreeMap<u32, String>,
@@ -820,7 +820,7 @@ impl Hub {
             events: Vec<ObsEvent>,
             spans: Vec<Span>,
         }
-        crate::json::to_json(&Dump {
+        nscc_ckpt::json::to_json(&Dump {
             schema_version: crate::SCHEMA_VERSION,
             proc_names: self.proc_names(),
             events_dropped: self.events_dropped(),
@@ -932,7 +932,7 @@ impl fmt::Debug for Hub {
 }
 
 /// Serializable aggregate of everything a hub collected.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct HubSummary {
     /// Raw events kept.
     pub events: u64,
@@ -1001,7 +1001,7 @@ pub struct HubSummary {
 }
 
 /// One row of the per-location staleness heatmap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub struct HeatRow {
     /// Location index.
     pub loc: u32,
@@ -1011,7 +1011,7 @@ pub struct HeatRow {
 
 /// One aggregated edge of the causal read-dependency graph: everything
 /// blocking reads by `reader` on `loc` owed to updates from `writer`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson)]
 pub struct DepEdge {
     /// Blocked reading rank.
     pub reader: u32,
@@ -1037,7 +1037,7 @@ pub struct DepEdge {
 
 /// One profiler row: virtual-time samples credited to a
 /// (process, phase, detail) collapsed stack.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, ToJson)]
 pub struct ProfileRow {
     /// Sampled process/rank.
     pub pid: u32,
@@ -1267,7 +1267,7 @@ impl Anatomy {
 /// stages partition the observed age exactly: `wait + publish + transit +
 /// fault + retrans + queue + apply == age` for every traced release (the
 /// conservation contract of `ObsEvent::ReadAnatomy`).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, ToJson)]
 pub struct StageSet {
     /// Reader blocked before the releasing write even existed.
     pub wait_ns: Histogram,
@@ -1344,7 +1344,7 @@ impl StageSet {
 }
 
 /// Per-location stage decomposition row of [`StalenessSummary`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct LocStages {
     /// DSM location index.
     pub loc: u32,
@@ -1354,7 +1354,7 @@ pub struct LocStages {
 
 /// Per-link (writer → reader) stage decomposition row of
 /// [`StalenessSummary`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct LinkStages {
     /// Rank whose write released the reads.
     pub writer: u32,
@@ -1391,7 +1391,7 @@ pub struct FlowRec {
 /// `staleness` section of a run report (schema v7). Embedded only when the
 /// tracer was armed; tracer-off reports carry `"staleness":null` and are
 /// byte-identical to pre-v7 output everywhere else.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default, ToJson)]
 pub struct StalenessSummary {
     /// Traced read releases.
     pub released: u64,
@@ -1768,7 +1768,7 @@ impl nscc_ckpt::Snapshot for MetricSnapshot {
 /// of the run; percentiles are over everything recorded so far. The series
 /// stays meaningful even after raw-event storage saturates, because it is
 /// fed by the exact aggregate metrics, not the bounded raw stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson)]
 pub struct MetricSnapshot {
     /// Virtual instant of the sample.
     pub t_ns: u64,
@@ -2436,8 +2436,8 @@ mod tests {
         hub.emit(anatomy(1, 0, 4, 10_000));
         let idle = Hub::new();
         assert_eq!(
-            crate::json::to_json(&hub.summary()),
-            crate::json::to_json(&idle.summary())
+            nscc_ckpt::json::to_json(&hub.summary()),
+            nscc_ckpt::json::to_json(&idle.summary())
         );
         assert_eq!(hub.event_count(), 0);
     }
@@ -2472,8 +2472,8 @@ mod tests {
         merged.merge(&b.staleness_summary());
         a.adopt_anatomy(&b);
         assert_eq!(
-            crate::json::to_json(&merged),
-            crate::json::to_json(&a.staleness_summary())
+            nscc_ckpt::json::to_json(&merged),
+            nscc_ckpt::json::to_json(&a.staleness_summary())
         );
     }
 
@@ -2487,8 +2487,8 @@ mod tests {
         let bytes = nscc_ckpt::to_bytes(&s);
         let back: StalenessSummary = nscc_ckpt::from_bytes(&bytes).expect("decodes");
         assert_eq!(
-            crate::json::to_json(&s),
-            crate::json::to_json(&back),
+            nscc_ckpt::json::to_json(&s),
+            nscc_ckpt::json::to_json(&back),
             "ckpt roundtrip preserves the section"
         );
         assert_eq!(nscc_ckpt::to_bytes(&back), bytes);
@@ -2752,9 +2752,9 @@ mod tests {
         // back, the scheduler counters are added to themselves, the
         // anatomy is taken and merged back.
         let same = hub.clone();
-        let ring = crate::json::to_json(&hub.flight_events());
+        let ring = nscc_ckpt::json::to_json(&hub.flight_events());
         hub.adopt_flight(&same);
-        assert_eq!(crate::json::to_json(&hub.flight_events()), ring);
+        assert_eq!(nscc_ckpt::json::to_json(&hub.flight_events()), ring);
 
         hub.adopt_sched(&same);
         let sched = hub.sched();
@@ -2779,9 +2779,9 @@ mod tests {
             ]
         );
 
-        let before = crate::json::to_json(&hub.staleness_summary());
+        let before = nscc_ckpt::json::to_json(&hub.staleness_summary());
         hub.adopt_anatomy(&same);
-        assert_eq!(crate::json::to_json(&hub.staleness_summary()), before);
+        assert_eq!(nscc_ckpt::json::to_json(&hub.staleness_summary()), before);
         let ids: Vec<u64> = hub.staleness_flows().iter().map(|f| f.id).collect();
         assert_eq!(ids, vec![1]);
     }

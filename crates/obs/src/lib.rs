@@ -29,9 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod hist;
 pub mod hub;
-pub mod json;
 pub mod live;
 pub mod perfetto;
 pub mod span;
@@ -66,11 +64,12 @@ pub const SCHEMA_VERSION: u32 = 7;
 pub type Label = std::borrow::Cow<'static, str>;
 
 pub use event::ObsEvent;
-pub use hist::Histogram;
 pub use hub::{
     DepEdge, EventSink, FlowRec, HeatRow, Hub, HubSummary, LinkStages, LocStages, MetricSnapshot,
     ProfileRow, StageSet, StalenessSummary,
 };
 pub use live::{ProcSched, SchedDelta, SchedSummary, FEED_VERSION};
+/// The log₂ histogram, shared with the analyzer that reads it back.
+pub use nscc_ckpt::hist::{self, Histogram};
 pub use span::{Span, SpanKind, Trace, TraceTotals};
 pub use warp::{WarpPoint, WarpSummary, WarpTimeline};

@@ -37,7 +37,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use serde::Serialize;
+use nscc_ckpt::json::ToJson;
 
 use crate::hub::{HubSummary, MetricSnapshot};
 
@@ -56,7 +56,7 @@ pub const FEED_VERSION: u32 = 1;
 /// machines, and are kept strictly out of the deterministic report
 /// sections: a `RunReport` carries them only under its optional `wall`
 /// field (populated only on explicit request), never in `HubSummary`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, ToJson)]
 pub struct SchedSummary {
     /// Queue entries executed (events + process resumptions).
     pub events: u64,
@@ -69,7 +69,7 @@ pub struct SchedSummary {
     /// Resume dispatches whose process differs from the one resumed before
     /// (a process resuming itself is none). In-memory only: kept out of the
     /// live feed and the report's `wall` section, whose schemas are pinned.
-    #[serde(skip)]
+    #[json(skip)]
     pub handoffs: u64,
     /// Wall ns spent inside process slices. The remainder of `wall_ns` is
     /// queue management, event closures and hand-off overhead.
@@ -93,7 +93,7 @@ pub struct SchedSummary {
 }
 
 /// One process's share of the scheduler's wall-clock accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, ToJson)]
 pub struct ProcSched {
     /// Process id (spawn order).
     pub pid: u32,
@@ -130,7 +130,7 @@ pub struct SchedDelta {
 /// Counter deltas between two consecutive snap lines (first snap line:
 /// since the start of the run). Rates, where cumulative counters need a
 /// subtraction first.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default, ToJson)]
 struct SnapDelta {
     reads: u64,
     writes: u64,
@@ -142,7 +142,7 @@ struct SnapDelta {
     blocked_reads: u64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct StartLine {
     feed_version: u32,
     kind: &'static str,
@@ -151,7 +151,7 @@ struct StartLine {
     snap_every_ns: u64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct SnapLine {
     feed_version: u32,
     kind: &'static str,
@@ -164,7 +164,7 @@ struct SnapLine {
 
 /// The cumulative event counters of the run, mirroring the counter
 /// fields of `HubSummary` one-for-one (same names, same values).
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct FinalCounters {
     events: u64,
     events_dropped: u64,
@@ -186,7 +186,7 @@ struct FinalCounters {
     mailbox_warnings: u64,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct FinalLine {
     feed_version: u32,
     kind: &'static str,
@@ -208,7 +208,7 @@ pub(crate) struct LiveSink {
 impl LiveSink {
     /// Attach a sink and write the `start` header line.
     pub(crate) fn new(mut out: Box<dyn Write>, bench: &str, snap_every_ns: u64) -> LiveSink {
-        let header = crate::json::to_json(&StartLine {
+        let header = nscc_ckpt::json::to_json(&StartLine {
             feed_version: FEED_VERSION,
             kind: "start",
             bench: bench.to_string(),
@@ -252,7 +252,7 @@ impl LiveSink {
                 blocked_reads: d(snap.blocked_reads, p.blocked_reads),
             },
         };
-        let line = crate::json::to_json(&SnapLine {
+        let line = nscc_ckpt::json::to_json(&SnapLine {
             feed_version: FEED_VERSION,
             kind: "snap",
             wall_ns,
@@ -271,7 +271,7 @@ impl LiveSink {
 
     /// Emit the closing `final` line from the end-of-run summary.
     pub(crate) fn finish(&mut self, obs: &HubSummary, sched: SchedSummary) {
-        let line = crate::json::to_json(&FinalLine {
+        let line = nscc_ckpt::json::to_json(&FinalLine {
             feed_version: FEED_VERSION,
             kind: "final",
             bench: self.bench.clone(),

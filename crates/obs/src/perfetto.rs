@@ -11,10 +11,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::Serialize;
+use nscc_ckpt::json::{to_json, ToJson};
 
 use crate::hub::FlowRec;
-use crate::json::to_json;
 use crate::span::{Span, SpanKind};
 
 /// The trace-event "process" lane a span kind renders into.
@@ -26,7 +25,7 @@ pub fn lane(kind: SpanKind) -> (u32, &'static str) {
     }
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Complete<'a> {
     name: &'a str,
     cat: &'static str,
@@ -37,12 +36,12 @@ struct Complete<'a> {
     tid: u32,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct MetaArgs<'a> {
     name: &'a str,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Meta<'a> {
     name: &'static str,
     ph: &'static str,
@@ -51,7 +50,7 @@ struct Meta<'a> {
     args: MetaArgs<'a>,
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Flow {
     name: &'static str,
     cat: &'static str,
@@ -60,23 +59,24 @@ struct Flow {
     pid: u32,
     tid: u32,
     id: u64,
-    #[serde(skip_serializing_if = "Option::is_none")]
+    /// `"e"` on the finish; `null` on the start and step, which a viewer
+    /// treats as absent.
     bp: Option<&'static str>,
 }
 
-#[derive(Serialize)]
-#[serde(untagged)]
+#[derive(ToJson)]
+#[json(untagged)]
 enum Event<'a> {
     Complete(Complete<'a>),
     Meta(Meta<'a>),
     Flow(Flow),
 }
 
-#[derive(Serialize)]
+#[derive(ToJson)]
 struct Doc<'a> {
-    #[serde(rename = "traceEvents")]
+    #[json(rename = "traceEvents")]
     trace_events: Vec<Event<'a>>,
-    #[serde(rename = "displayTimeUnit")]
+    #[json(rename = "displayTimeUnit")]
     display_time_unit: &'static str,
 }
 

@@ -9,12 +9,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::Serialize;
+use nscc_ckpt::json::ToJson;
 
 use crate::Label;
 
 /// What a traced span represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson)]
 pub enum SpanKind {
     /// Virtual CPU time (an `advance`).
     Compute,
@@ -27,7 +27,7 @@ pub enum SpanKind {
 /// One traced interval of a process's life. Times are virtual nanoseconds;
 /// `pid` is the scheduler pid for [`SpanKind::Compute`]/[`SpanKind::Blocked`]
 /// spans and the DSM rank for [`SpanKind::Phase`] spans.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, ToJson)]
 pub struct Span {
     /// The process (or rank, for phase spans).
     pub pid: u32,
@@ -164,7 +164,7 @@ impl Trace {
 }
 
 /// Aggregated span durations for one process, in virtual nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceTotals {
     /// Total compute time.
     pub compute_ns: u64,

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::Serialize;
+use nscc_ckpt::json::ToJson;
 
 /// Samples kept before the sink starts counting drops instead.
 const DEFAULT_SAMPLE_CAPACITY: usize = 1 << 20;
@@ -135,7 +135,7 @@ impl WarpTimeline {
 
 /// Distribution summary of warp samples. `mean` is 1.0 when no samples
 /// were recorded (no inter-message stretching observed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, ToJson)]
 pub struct WarpSummary {
     /// Number of samples.
     pub samples: u64,
@@ -182,7 +182,7 @@ impl nscc_ckpt::Snapshot for WarpSummary {
 }
 
 /// One time-bucket of the warp timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarpPoint {
     /// Bucket start (virtual ns).
     pub t_ns: u64,

@@ -1,67 +1,125 @@
-// `#[derive(Serialize)]` for the workspace's `serde` crate (package
-// `nscc-serde-derive`, mapped to the name `serde_derive`). It handles
-// exactly the shapes this workspace uses — structs with named fields,
-// newtype structs, and enums of unit, newtype and struct variants, plus
-// `#[serde(rename = "…")]` on fields, `#[serde(skip)]` on named struct
-// fields and `#[serde(untagged)]` on enums of newtype variants. Anything
-// else panics loudly at expansion time rather than miscompiling.
+// `#[derive(ToJson)]`: the compact JSON writer of `nscc_ckpt::json`, as
+// direct `push_str` calls. It handles exactly the shapes this workspace
+// writes — structs with named fields, newtype structs, and enums of unit,
+// newtype and struct variants, with lifetime parameters only — and reads
+// three attributes: `#[json(rename = "…")]` on a field, `#[json(skip)]`
+// on a named struct field and `#[json(untagged)]` on an enum of newtype
+// variants. Any other shape, or any other `json(...)` key,
+// panics at expansion rather than writing something else; every other
+// attribute (doc comments included) is ignored.
 //
-// The name `serde_derive` is forced: the frozen `crates/perf/build-offline.sh`
-// builds this file through `tools/offline/serde_derive_shim.rs`, which
-// `include!`s it, and hands it to `serde` as `--extern serde_derive`. A
-// `#[proc_macro_derive]` must sit at the crate root, so the forwarder cannot
-// be a `#[path]` module and this file takes no inner `//!` docs (an
-// `include!`d file cannot carry inner attributes).
+// The crate name `serde_derive` is forced: the frozen
+// `crates/perf/build-offline.sh` builds this file under that name through
+// `tools/offline/serde_derive_shim.rs`, which `include!`s it, and
+// `nscc_ckpt` finds it there by that name. A `#[proc_macro_derive]` must
+// sit at the crate root, so the forwarder cannot be a `#[path]` module and
+// this file takes no inner `//!` docs (an `include!`d file cannot carry
+// inner attributes).
 
 extern crate proc_macro;
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
+/// The trait every generated impl names.
+const TRAIT: &str = "::nscc_ckpt::json::ToJson";
+
+#[proc_macro_derive(ToJson, attributes(json))]
+pub fn derive_to_json(input: TokenStream) -> TokenStream {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
-    let item_attrs = collect_attrs(&tokens, &mut i);
-    let untagged = item_attrs.iter().any(|a| a.contains("untagged"));
+    let item = json_attrs(&tokens, &mut i, &["untagged"]);
     skip_visibility(&tokens, &mut i);
-
     let kind = expect_ident(&tokens, &mut i);
     let name = expect_ident(&tokens, &mut i);
-    let (impl_generics, ty_generics) = parse_generics(&tokens, &mut i, &name);
+    let generics = parse_lifetimes(&tokens, &mut i, &name);
 
     let body = match kind.as_str() {
-        "struct" => gen_struct(&name, tokens.get(i)),
-        "enum" => gen_enum(&name, tokens.get(i), untagged),
-        other => panic!("serde_derive: unsupported item kind `{other}`"),
+        "struct" if item.untagged => panic!("ToJson: `untagged` on struct `{name}`"),
+        "struct" => gen_struct(tokens.get(i)),
+        "enum" => gen_enum(&name, tokens.get(i), item.untagged),
+        other => panic!("ToJson: unsupported item kind `{other}`"),
     };
 
-    let out = format!(
-        "impl{impl_generics} serde::ser::Serialize for {name}{ty_generics} {{\n\
-             fn serialize<__S: serde::ser::Serializer>(&self, __serializer: __S)\n\
-                 -> std::result::Result<__S::Ok, __S::Error> {{\n\
-                 #[allow(unused_imports)]\n\
-                 use serde::ser::{{SerializeStruct as _, SerializeStructVariant as _}};\n\
+    format!(
+        "impl{generics} {TRAIT} for {name}{generics} {{\n\
+             fn write_json(&self, __out: &mut ::std::string::String) {{\n\
                  {body}\n\
              }}\n\
          }}\n"
-    );
-    out.parse()
-        .expect("serde_derive: generated code failed to parse")
+    )
+    .parse()
+    .expect("ToJson: generated code failed to parse")
 }
 
-/// Parse an optional `<'a, T, U: Clone>` generics group after the type
-/// name. Returns `(impl_generics, ty_generics)`: the impl side carries any
-/// declared bounds plus `serde::ser::Serialize` on every type parameter;
-/// the type side is just the parameter names. Const parameters and
-/// defaults are rejected — nothing in the workspace derives on them.
-fn parse_generics(tokens: &[TokenTree], i: &mut usize, name: &str) -> (String, String) {
+/// The `json(...)` keys found on one item, field or variant.
+#[derive(Default)]
+struct JsonAttrs {
+    rename: Option<String>,
+    skip: bool,
+    untagged: bool,
+}
+
+/// Consume the leading `#[…]` attributes and read the `json(...)` ones.
+/// Panics on a key outside `allowed` for this position, so a misspelt or
+/// unimplemented key is a build error, never a silent difference.
+fn json_attrs(tokens: &[TokenTree], i: &mut usize, allowed: &[&str]) -> JsonAttrs {
+    let mut out = JsonAttrs::default();
+    while matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
+        let Some(TokenTree::Group(attr)) = tokens.get(*i + 1) else {
+            break;
+        };
+        *i += 2;
+        let inner: Vec<TokenTree> = attr.stream().into_iter().collect();
+        let args = match inner.as_slice() {
+            [TokenTree::Ident(id), TokenTree::Group(args)] if id.to_string() == "json" => args,
+            _ => continue,
+        };
+        for arg in split_top_commas(args.stream()) {
+            let key = match arg.first() {
+                Some(TokenTree::Ident(id)) => id.to_string(),
+                other => panic!("ToJson: expected a `json(...)` key, got {other:?}"),
+            };
+            if !allowed.contains(&key.as_str()) {
+                panic!("ToJson: `json({key})` is not supported here (allowed: {allowed:?})");
+            }
+            match (key.as_str(), &arg[1..]) {
+                ("skip", []) => out.skip = true,
+                ("untagged", []) => out.untagged = true,
+                ("rename", [TokenTree::Punct(eq), TokenTree::Literal(lit)])
+                    if eq.as_char() == '=' =>
+                {
+                    out.rename = Some(plain_string(&lit.to_string()));
+                }
+                _ => panic!("ToJson: malformed `json({key} …)`"),
+            }
+        }
+    }
+    out
+}
+
+/// The contents of a plain string literal that needs no JSON escape, so
+/// the generated code can write it between quotes as is.
+fn plain_string(lit: &str) -> String {
+    let s = lit
+        .strip_prefix('"')
+        .and_then(|s| s.strip_suffix('"'))
+        .unwrap_or_else(|| panic!("ToJson: `rename` takes a plain string, got {lit}"));
+    if s.contains(['"', '\\']) || s.chars().any(char::is_control) {
+        panic!("ToJson: `rename = {lit}` would need escaping");
+    }
+    s.to_string()
+}
+
+/// Parse an optional `<'a, 'b>` after the type name; returns it verbatim
+/// (empty when absent). Type and const parameters are rejected: nothing
+/// written as JSON is generic over a type.
+fn parse_lifetimes(tokens: &[TokenTree], i: &mut usize, name: &str) -> String {
     if !matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return (String::new(), String::new());
+        return String::new();
     }
     *i += 1;
-    let mut impl_side = Vec::new();
-    let mut ty_side = Vec::new();
+    let mut params = Vec::new();
     loop {
         match tokens.get(*i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '>' => {
@@ -71,59 +129,12 @@ fn parse_generics(tokens: &[TokenTree], i: &mut usize, name: &str) -> (String, S
             Some(TokenTree::Punct(p)) if p.as_char() == ',' => *i += 1,
             Some(TokenTree::Punct(p)) if p.as_char() == '\'' => {
                 *i += 1;
-                let lt = format!("'{}", expect_ident(tokens, i));
-                // Lifetime bounds (`'a: 'b`) would need the same skip as
-                // type bounds; none exist in the workspace.
-                impl_side.push(lt.clone());
-                ty_side.push(lt);
+                params.push(format!("'{}", expect_ident(tokens, i)));
             }
-            Some(TokenTree::Ident(_)) => {
-                let param = expect_ident(tokens, i);
-                let mut bounds = String::new();
-                if matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == ':') {
-                    *i += 1;
-                    let mut depth = 0i32;
-                    while let Some(tt) = tokens.get(*i) {
-                        match tt {
-                            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-                            TokenTree::Punct(p) if p.as_char() == '>' && depth > 0 => depth -= 1,
-                            TokenTree::Punct(p)
-                                if depth == 0 && (p.as_char() == ',' || p.as_char() == '>') =>
-                            {
-                                break;
-                            }
-                            _ => {}
-                        }
-                        bounds += &tt.to_string();
-                        bounds.push(' ');
-                        *i += 1;
-                    }
-                    bounds = format!("{} + ", bounds.trim());
-                }
-                impl_side.push(format!("{param}: {bounds}serde::ser::Serialize"));
-                ty_side.push(param);
-            }
-            other => panic!("serde_derive: `{name}` has unsupported generics ({other:?})"),
+            other => panic!("ToJson: `{name}` has generics other than lifetimes ({other:?})"),
         }
     }
-    (
-        format!("<{}>", impl_side.join(", ")),
-        format!("<{}>", ty_side.join(", ")),
-    )
-}
-
-/// Collect the string forms of leading `#[…]` attribute groups.
-fn collect_attrs(tokens: &[TokenTree], i: &mut usize) -> Vec<String> {
-    let mut attrs = Vec::new();
-    while matches!(tokens.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-        if let Some(TokenTree::Group(g)) = tokens.get(*i + 1) {
-            attrs.push(g.to_string());
-            *i += 2;
-        } else {
-            break;
-        }
-    }
-    attrs
+    format!("<{}>", params.join(", "))
 }
 
 fn skip_visibility(tokens: &[TokenTree], i: &mut usize) {
@@ -142,21 +153,8 @@ fn expect_ident(tokens: &[TokenTree], i: &mut usize) -> String {
             *i += 1;
             id.to_string()
         }
-        other => panic!("serde_derive: expected identifier, got {other:?}"),
+        other => panic!("ToJson: expected identifier, got {other:?}"),
     }
-}
-
-/// `#[serde(rename = "x")]` → `Some("x")`, scanning a list of attr strings.
-fn rename_of(attrs: &[String]) -> Option<String> {
-    for a in attrs {
-        if let Some(pos) = a.find("rename") {
-            let rest = &a[pos..];
-            let q1 = rest.find('"')?;
-            let q2 = rest[q1 + 1..].find('"')?;
-            return Some(rest[q1 + 1..q1 + 1 + q2].to_string());
-        }
-    }
-    None
 }
 
 /// Split a brace/paren body on top-level commas (angle-bracket aware, so
@@ -167,19 +165,15 @@ fn split_top_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     let mut angle: i32 = 0;
     for tt in stream {
         match &tt {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                angle += 1;
-                cur.push(tt);
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                angle -= 1;
-                cur.push(tt);
-            }
+            TokenTree::Punct(p) if p.as_char() == '<' => angle += 1,
+            TokenTree::Punct(p) if p.as_char() == '>' => angle -= 1,
             TokenTree::Punct(p) if p.as_char() == ',' && angle == 0 => {
                 out.push(std::mem::take(&mut cur));
+                continue;
             }
-            _ => cur.push(tt),
+            _ => {}
         }
+        cur.push(tt);
     }
     if !cur.is_empty() {
         out.push(cur);
@@ -187,114 +181,114 @@ fn split_top_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     out
 }
 
-/// Named field chunk → `(field_ident, serialized_key)`; `None` for a
-/// `#[serde(skip)]` field.
-fn parse_named_field(chunk: &[TokenTree]) -> Option<(String, String)> {
-    let mut i = 0;
-    let attrs = collect_attrs(chunk, &mut i);
-    skip_visibility(chunk, &mut i);
-    let field = expect_ident(chunk, &mut i);
-    match chunk.get(i) {
-        Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-        other => panic!("serde_derive: expected `:` after field, got {other:?}"),
-    }
-    if attrs.iter().any(|a| a.replace(' ', "") == "[serde(skip)]") {
-        return None;
-    }
-    let key = rename_of(&attrs).unwrap_or_else(|| field.clone());
-    Some((field, key))
+/// The named fields of a brace body as `(field_ident, key)`, skipped
+/// fields left out; `allowed` are the `json(...)` keys a field may carry.
+fn named_fields(body: TokenStream, allowed: &[&str]) -> Vec<(String, String)> {
+    split_top_commas(body)
+        .iter()
+        .filter_map(|chunk| {
+            let mut i = 0;
+            let attrs = json_attrs(chunk, &mut i, allowed);
+            skip_visibility(chunk, &mut i);
+            let field = expect_ident(chunk, &mut i);
+            match chunk.get(i) {
+                Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
+                other => panic!("ToJson: expected `:` after field, got {other:?}"),
+            }
+            (!attrs.skip).then(|| {
+                let key = attrs.rename.unwrap_or_else(|| field.clone());
+                (field, key)
+            })
+        })
+        .collect()
 }
 
-fn gen_struct(name: &str, body: Option<&TokenTree>) -> String {
+/// Rust source for a string literal with the contents `s`.
+fn lit(s: &str) -> String {
+    format!("{s:?}")
+}
+
+/// Statements writing `{"k1":v1,"k2":v2}`; `value` maps a field name to
+/// the expression of its place.
+fn gen_object(fields: &[(String, String)], value: impl Fn(&str) -> String) -> String {
+    if fields.is_empty() {
+        return "__out.push_str(\"{}\");\n".to_string();
+    }
+    let mut s = String::new();
+    for (n, (field, key)) in fields.iter().enumerate() {
+        let open = if n == 0 { "{" } else { "," };
+        s += &format!(
+            "__out.push_str({});\n{TRAIT}::write_json({}, __out);\n",
+            lit(&format!("{open}\"{key}\":")),
+            value(field)
+        );
+    }
+    s += "__out.push('}');\n";
+    s
+}
+
+fn gen_struct(body: Option<&TokenTree>) -> String {
     match body {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            let fields: Vec<(String, String)> = split_top_commas(g.stream())
-                .iter()
-                .filter_map(|c| parse_named_field(c))
-                .collect();
-            let mut s = format!(
-                "let mut __state = __serializer.serialize_struct(\"{name}\", {})?;\n",
-                fields.len()
-            );
-            for (field, key) in &fields {
-                s += &format!("__state.serialize_field(\"{key}\", &self.{field})?;\n");
-            }
-            s += "__state.end()";
-            s
+            gen_object(&named_fields(g.stream(), &["rename", "skip"]), |f| {
+                format!("&self.{f}")
+            })
         }
         Some(TokenTree::Group(g))
             if g.delimiter() == Delimiter::Parenthesis
                 && split_top_commas(g.stream()).len() == 1 =>
         {
-            format!("__serializer.serialize_newtype_struct(\"{name}\", &self.0)")
+            format!("{TRAIT}::write_json(&self.0, __out);")
         }
-        other => panic!("serde_derive: unexpected struct body {other:?}"),
+        other => panic!("ToJson: unexpected struct body {other:?}"),
     }
 }
 
 fn gen_enum(name: &str, body: Option<&TokenTree>, untagged: bool) -> String {
     let g = match body {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g,
-        other => panic!("serde_derive: unexpected enum body {other:?}"),
+        other => panic!("ToJson: unexpected enum body {other:?}"),
     };
     let mut arms = String::new();
-    for (idx, chunk) in split_top_commas(g.stream()).iter().enumerate() {
+    for chunk in split_top_commas(g.stream()) {
         let mut i = 0;
-        let attrs = collect_attrs(chunk, &mut i);
-        let variant = expect_ident(chunk, &mut i);
-        let vname = rename_of(&attrs).unwrap_or_else(|| variant.clone());
-        let arm = match chunk.get(i) {
-            // Unit variant.
-            None => {
-                if untagged {
-                    panic!("serde_derive: untagged unit variant unsupported");
-                }
-                format!(
-                    "{name}::{variant} => __serializer.serialize_unit_variant(\
-                         \"{name}\", {idx}u32, \"{vname}\"),\n"
-                )
+        json_attrs(&chunk, &mut i, &[]);
+        let variant = expect_ident(&chunk, &mut i);
+        // The variant's pattern and the statements writing its content.
+        let (pat, content) = match chunk.get(i) {
+            None if !untagged => {
+                let unit = lit(&format!("\"{variant}\""));
+                arms += &format!("{name}::{variant} => __out.push_str({unit}),\n");
+                continue;
             }
             Some(TokenTree::Group(vg))
                 if vg.delimiter() == Delimiter::Parenthesis
                     && split_top_commas(vg.stream()).len() == 1 =>
             {
-                if untagged {
-                    format!(
-                        "{name}::{variant}(__f0) => \
-                             serde::ser::Serialize::serialize(__f0, __serializer),\n"
-                    )
-                } else {
-                    format!(
-                        "{name}::{variant}(__f0) => __serializer.\
-                             serialize_newtype_variant(\"{name}\", {idx}u32, \"{vname}\", __f0),\n"
-                    )
-                }
+                (
+                    "(__v)".to_string(),
+                    format!("{TRAIT}::write_json(__v, __out);\n"),
+                )
             }
-            Some(TokenTree::Group(vg)) if vg.delimiter() == Delimiter::Brace => {
-                if untagged {
-                    panic!("serde_derive: untagged struct variant unsupported");
-                }
-                let fields: Vec<(String, String)> = split_top_commas(vg.stream())
-                    .iter()
-                    .map(|c| parse_named_field(c).expect("serde_derive: skip in a variant"))
-                    .collect();
-                let pat: Vec<String> = fields.iter().map(|(f, _)| f.clone()).collect();
-                let mut s = format!(
-                    "{name}::{variant} {{ {} }} => {{\n\
-                         let mut __state = __serializer.serialize_struct_variant(\
-                             \"{name}\", {idx}u32, \"{vname}\", {})?;\n",
-                    pat.join(", "),
-                    fields.len()
-                );
-                for (field, key) in &fields {
-                    s += &format!("__state.serialize_field(\"{key}\", {field})?;\n");
-                }
-                s += "__state.end()\n},\n";
-                s
+            Some(TokenTree::Group(vg)) if vg.delimiter() == Delimiter::Brace && !untagged => {
+                let fields = named_fields(vg.stream(), &["rename"]);
+                let binds: Vec<String> =
+                    fields.iter().map(|(f, _)| format!("{f}: __{f}")).collect();
+                (
+                    format!(" {{ {} }}", binds.join(", ")),
+                    gen_object(&fields, |f| format!("__{f}")),
+                )
             }
-            other => panic!("serde_derive: unexpected variant body {other:?}"),
+            other => panic!("ToJson: unsupported variant `{name}::{variant}` ({other:?})"),
         };
-        arms += &arm;
+        arms += &if untagged {
+            format!("{name}::{variant}{pat} => {{\n{content}}}\n")
+        } else {
+            format!(
+                "{name}::{variant}{pat} => {{\n__out.push_str({});\n{content}__out.push('}}');\n}}\n",
+                lit(&format!("{{\"{variant}\":"))
+            )
+        };
     }
     format!("match self {{\n{arms}}}")
 }

@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// All simulation ordering is derived from this value plus a deterministic
 /// sequence number, so two runs with the same seed produce identical
 /// schedules.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, nscc_ckpt::json::ToJson)]
 pub struct SimTime(u64);
 
 impl SimTime {

@@ -4,11 +4,12 @@
 
 use rand::{for_each_case, Rng};
 
+use nscc::ckpt::json;
 use nscc::core::RunReport;
 use nscc::dsm::{Coherence, Directory, DsmWorld};
 use nscc::msg::MsgConfig;
 use nscc::net::{EthernetBus, Network};
-use nscc::obs::{json, Hub, ObsEvent, SpanKind};
+use nscc::obs::{Hub, ObsEvent, SpanKind};
 use nscc::sim::{SimBuilder, SimTime};
 
 /// Run an all-to-all read/write workload with every layer instrumented,

@@ -12,10 +12,11 @@
 #    takes when the registry is unreachable: every source file it names
 #    must still exist (an unused `--extern` is harmless, a missing shim is
 #    a failed benchmark build).
-# 3. Every dependency is a path crate of this repository (crates/rand and
-#    crates/serde stand in for the registry crates of those names): no
-#    manifest names a registry, git or version-only dependency, so
-#    `cargo build --offline` needs nothing from outside the checkout.
+# 3. Every dependency is a path crate of this repository (crates/rand stands
+#    in for the registry crate of that name; JSON and wire sizes are the
+#    workspace's own traits): no manifest names a registry, git or
+#    version-only dependency, so `cargo build --offline` needs nothing from
+#    outside the checkout.
 set -u
 cd "$(dirname "$0")/../.."
 fail=0
