@@ -211,6 +211,7 @@ mod tests {
         t.counts = vec![5, 0, 12];
         t.drawn = 40;
         let bytes = nscc_ckpt::to_bytes(&t);
+        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0x6ad4_3c5d_6652_4b87);
         let back: Tally = nscc_ckpt::from_bytes(&bytes).unwrap();
         assert_eq!(back.counts, t.counts);
         assert_eq!(back.drawn, t.drawn);
