@@ -13,7 +13,8 @@
 //!   whose `f64` encoding is the IEEE bit pattern, so restored state is
 //!   bit-identical to what was saved;
 //! * [`Snapshot`] — the encode/decode trait ga/bayes/dsm/sim/obs types
-//!   implement for their own state;
+//!   implement for their own state, all but three of them through
+//!   `#[derive(Snapshot)]` (every field, in declaration order);
 //! * [`seal`]/[`unseal`] — integrity framing (length + FNV-1a checksum)
 //!   so a corrupt checkpoint is rejected with a structured [`CkptError`]
 //!   instead of resurrecting garbage state;
@@ -31,9 +32,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-// The derive behind `json::ToJson`, found under this name by cargo and by
-// the frozen `crates/perf/build-offline.sh` alike; the generated impls name
-// `::nscc_ckpt`, which this crate's own tests derive too.
+// The derives behind `json::ToJson` and `Snapshot`, found under this name
+// by cargo and by the frozen `crates/perf/build-offline.sh` alike; the
+// generated impls name `::nscc_ckpt`, which this crate derives too.
 extern crate self as nscc_ckpt;
 extern crate serde_derive;
 
@@ -43,6 +44,7 @@ pub mod json;
 pub mod store;
 pub mod wire;
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -132,6 +134,39 @@ pub trait Snapshot: Sized {
     /// Decode one value from `dec`, consuming exactly what `encode` wrote.
     fn decode(dec: &mut Dec<'_>) -> Result<Self, CkptError>;
 }
+
+/// `#[derive(Snapshot)]`: each field's own [`Snapshot`] impl, in
+/// declaration order, with no framing of its own. It takes no attributes
+/// and reads none, so `#[json(skip)]` or `#[json(rename)]` never drops a
+/// field from a checkpoint.
+///
+/// ```
+/// #[derive(Debug, PartialEq, nscc_ckpt::Snapshot)]
+/// struct Tick(u64);
+///
+/// let bytes = nscc_ckpt::to_bytes(&Tick(5));
+/// assert_eq!(bytes, nscc_ckpt::to_bytes(&5u64));
+/// assert_eq!(nscc_ckpt::from_bytes::<Tick>(&bytes), Ok(Tick(5)));
+/// ```
+///
+/// Named-field structs and one-field tuple structs only; anything else
+/// fails at expansion:
+///
+/// ```compile_fail
+/// #[derive(nscc_ckpt::Snapshot)]
+/// enum Mode { Sync, Async }
+/// ```
+///
+/// ```compile_fail
+/// #[derive(nscc_ckpt::Snapshot)]
+/// struct Wrapped<T> { inner: T }
+/// ```
+///
+/// ```compile_fail
+/// #[derive(nscc_ckpt::Snapshot)]
+/// struct Pair(u32, u32);
+/// ```
+pub use serde_derive::Snapshot;
 
 impl Snapshot for u8 {
     fn encode(&self, enc: &mut Enc) {
@@ -267,6 +302,33 @@ impl<A: Snapshot, B: Snapshot, C: Snapshot> Snapshot for (A, B, C) {
     }
 }
 
+/// A map encodes as a `u64` length, then its `key, value` pairs in
+/// ascending key order. Decode takes only that order: a key not greater
+/// than the one before it is malformed, so a frame that decodes
+/// re-encodes to the same bytes.
+impl<K: Snapshot + Ord, V: Snapshot> Snapshot for BTreeMap<K, V> {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put_u64(self.len() as u64);
+        for (k, v) in self {
+            k.encode(enc);
+            v.encode(enc);
+        }
+    }
+    fn decode(dec: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let n = dec.u64()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            let k = K::decode(dec)?;
+            if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(CkptError::Malformed("map keys out of order".into()));
+            }
+            let v = V::decode(dec)?;
+            map.insert(k, v);
+        }
+        Ok(map)
+    }
+}
+
 /// Encode one value to raw bytes (no framing; pair with [`from_bytes`]).
 pub fn to_bytes<T: Snapshot>(v: &T) -> Vec<u8> {
     let mut enc = Enc::new();
@@ -330,6 +392,46 @@ mod tests {
         assert_eq!(back[0], (1, Some("a".into()), 0.5));
         assert!(back[1].1.is_none() && back[1].2.is_nan());
         assert_eq!(back[2].2.to_bits(), (-0.0f64).to_bits());
+
+        let map = BTreeMap::from([(2u32, "b".to_string()), (1, "a".to_string())]);
+        assert_eq!(from_bytes(&to_bytes(&map)), Ok(map));
+        // The same layout with a repeated or a descending key is no map
+        // `encode` writes, and does not decode to one.
+        for keys in [[1u32, 1], [2, 1]] {
+            let pairs: Vec<(u32, String)> = keys.iter().map(|k| (*k, k.to_string())).collect();
+            assert!(matches!(
+                from_bytes::<BTreeMap<u32, String>>(&to_bytes(&pairs)),
+                Err(CkptError::Malformed(_))
+            ));
+        }
+    }
+
+    /// JSON attributes, doc comments included, never touch the checkpoint.
+    #[derive(Debug, PartialEq, json::ToJson, Snapshot)]
+    struct Attributed {
+        /// A documented field.
+        first: u32,
+        #[json(skip)]
+        skipped: String,
+        #[json(rename = "renamed")]
+        last: Option<u64>,
+    }
+
+    #[test]
+    fn derive_encodes_every_field_in_order_whatever_its_json_attributes() {
+        let v = Attributed {
+            first: 7,
+            skipped: "kept".into(),
+            last: Some(9),
+        };
+        let mut enc = Enc::new();
+        enc.put_u32(7);
+        enc.put_str("kept");
+        enc.put_u8(1);
+        enc.put_u64(9);
+        let bytes = to_bytes(&v);
+        assert_eq!(bytes, enc.into_bytes());
+        assert_eq!(from_bytes::<Attributed>(&bytes), Ok(v));
     }
 
     #[test]

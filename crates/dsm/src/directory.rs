@@ -6,22 +6,12 @@
 //! direct sends. The directory captures exactly that static knowledge.
 
 /// Identifier of a shared location (dense index into the directory).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, nscc_ckpt::Snapshot)]
 pub struct LocId(pub u32);
 
 impl nscc_msg::WireSize for LocId {
     fn wire_size(&self) -> usize {
         nscc_msg::wire_size(&self.0)
-    }
-}
-
-impl nscc_ckpt::Snapshot for LocId {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u32(self.0);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(LocId(dec.u32()?))
     }
 }
 

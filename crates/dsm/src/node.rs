@@ -7,6 +7,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use nscc_ckpt::json::ToJson;
+use nscc_ckpt::Snapshot;
 use nscc_msg::{Endpoint, Envelope, WireSize};
 use nscc_obs::{Hub, ObsEvent, SpanKind};
 use nscc_sim::{Ctx, SimTime};
@@ -77,7 +78,7 @@ impl<T> Clone for DsmMsg<T> {
 
 /// Per-node DSM counters, readable after a run via
 /// [`DsmWorld::stats`](crate::DsmWorld::stats).
-#[derive(Debug, Clone, Copy, Default, ToJson)]
+#[derive(Debug, Clone, Copy, Default, ToJson, Snapshot)]
 pub struct DsmStats {
     /// `write` calls performed.
     pub writes: u64,
@@ -104,40 +105,6 @@ pub struct DsmStats {
     pub suspected_writers: u64,
     /// Barrier waits abandoned by the failure detector.
     pub barrier_timeouts: u64,
-}
-
-impl nscc_ckpt::Snapshot for DsmStats {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u64(self.writes);
-        enc.put_u64(self.updates_sent);
-        enc.put_u64(self.updates_applied);
-        enc.put_u64(self.updates_stale);
-        enc.put_u64(self.cache_hits);
-        enc.put_u64(self.blocked_reads);
-        self.block_time.encode(enc);
-        enc.put_u64(self.barriers);
-        self.barrier_time.encode(enc);
-        enc.put_u64(self.degraded_reads);
-        enc.put_u64(self.suspected_writers);
-        enc.put_u64(self.barrier_timeouts);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(DsmStats {
-            writes: dec.u64()?,
-            updates_sent: dec.u64()?,
-            updates_applied: dec.u64()?,
-            updates_stale: dec.u64()?,
-            cache_hits: dec.u64()?,
-            blocked_reads: dec.u64()?,
-            block_time: nscc_ckpt::Snapshot::decode(dec)?,
-            barriers: dec.u64()?,
-            barrier_time: nscc_ckpt::Snapshot::decode(dec)?,
-            degraded_reads: dec.u64()?,
-            suspected_writers: dec.u64()?,
-            barrier_timeouts: dec.u64()?,
-        })
-    }
 }
 
 impl DsmStats {

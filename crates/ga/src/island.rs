@@ -106,6 +106,7 @@ pub struct RecoveryPlan {
 /// Everything an island checkpoint captures: the deme, the RNG reseed that
 /// reproduces the post-checkpoint random stream, migration bookkeeping,
 /// convergence tracking, and the node's age-tagged DSM cache.
+#[derive(Snapshot)]
 struct IslandCkpt {
     gen: u64,
     reseed: u64,
@@ -115,32 +116,6 @@ struct IslandCkpt {
     last_improvement: SimTime,
     time_to_target: Option<SimTime>,
     cache: Vec<(LocId, u64, MigrantBatch)>,
-}
-
-impl Snapshot for IslandCkpt {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u64(self.gen);
-        enc.put_u64(self.reseed);
-        self.deme.encode(enc);
-        self.last_incorporated.encode(enc);
-        enc.put_f64(self.best_seen);
-        self.last_improvement.encode(enc);
-        self.time_to_target.encode(enc);
-        self.cache.encode(enc);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(IslandCkpt {
-            gen: dec.u64()?,
-            reseed: dec.u64()?,
-            deme: DemeState::decode(dec)?,
-            last_incorporated: Vec::<u64>::decode(dec)?,
-            best_seen: dec.f64()?,
-            last_improvement: Snapshot::decode(dec)?,
-            time_to_target: Option::<SimTime>::decode(dec)?,
-            cache: Vec::<(LocId, u64, MigrantBatch)>::decode(dec)?,
-        })
-    }
 }
 
 /// Open a sealed checkpoint frame for a restore under `cfg`. A frame that

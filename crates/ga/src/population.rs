@@ -15,7 +15,7 @@ use crate::functions::TestFn;
 use crate::params::{GaParams, Selection};
 
 /// One candidate solution with its (raw, minimized) fitness.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, nscc_ckpt::Snapshot)]
 pub struct Individual {
     /// The bit-string genotype.
     pub genome: Genome,
@@ -31,7 +31,7 @@ impl WireSize for Individual {
 }
 
 /// Work performed by one generational step, for the compute-cost model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, nscc_ckpt::Snapshot)]
 pub struct GenWork {
     /// True fitness evaluations (cache misses).
     pub evals: u64,
@@ -50,43 +50,13 @@ impl GenWork {
     }
 }
 
-impl nscc_ckpt::Snapshot for Individual {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        self.genome.encode(enc);
-        enc.put_f64(self.fitness);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(Individual {
-            genome: Genome::decode(dec)?,
-            fitness: dec.f64()?,
-        })
-    }
-}
-
-impl nscc_ckpt::Snapshot for GenWork {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u64(self.evals);
-        enc.put_u64(self.cache_hits);
-        enc.put_u64(self.individuals);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(GenWork {
-            evals: dec.u64()?,
-            cache_hits: dec.u64()?,
-            individuals: dec.u64()?,
-        })
-    }
-}
-
 /// The semantic state of a [`Deme`], extracted for checkpointing. The
 /// fitness cache is deliberately excluded: it is a performance artifact
 /// whose entries are recomputable, so a restored deme restarts with a cold
 /// cache and identical GA behaviour (cache hits change *work accounting*,
 /// never selection outcomes — lookups return the same fitness a fresh
 /// evaluation would).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, nscc_ckpt::Snapshot)]
 pub struct DemeState {
     /// The population, in the deme's current internal order.
     pub pop: Vec<Individual>,
@@ -98,26 +68,6 @@ pub struct DemeState {
     pub best_ever: Individual,
     /// Accumulated work counters.
     pub total_work: GenWork,
-}
-
-impl nscc_ckpt::Snapshot for DemeState {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        self.pop.encode(enc);
-        self.window.encode(enc);
-        enc.put_u64(self.generation);
-        self.best_ever.encode(enc);
-        self.total_work.encode(enc);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(DemeState {
-            pop: Vec::<Individual>::decode(dec)?,
-            window: Vec::<f64>::decode(dec)?,
-            generation: dec.u64()?,
-            best_ever: Individual::decode(dec)?,
-            total_work: GenWork::decode(dec)?,
-        })
-    }
 }
 
 impl DemeState {

@@ -12,6 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nscc_ckpt::json::ToJson;
+use nscc_ckpt::Snapshot;
 use nscc_net::{Network, NodeId, Verdict, WarpMeter};
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, Mailbox, SimTime};
@@ -112,7 +113,7 @@ pub struct Envelope<T> {
 }
 
 /// Cumulative per-world message counters.
-#[derive(Debug, Clone, Copy, Default, ToJson)]
+#[derive(Debug, Clone, Copy, Default, ToJson, Snapshot)]
 pub struct CommStats {
     /// Messages sent (one per destination; a broadcast to `p-1` peers
     /// counts `p-1`).
@@ -148,36 +149,6 @@ impl CommStats {
         self.mailbox_high_watermark = self
             .mailbox_high_watermark
             .max(other.mailbox_high_watermark);
-    }
-}
-
-impl nscc_ckpt::Snapshot for CommStats {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        for v in [
-            self.sent,
-            self.received,
-            self.payload_bytes,
-            self.retransmits,
-            self.acks_sent,
-            self.dup_suppressed,
-            self.give_ups,
-            self.mailbox_high_watermark,
-        ] {
-            enc.put_u64(v);
-        }
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(CommStats {
-            sent: dec.u64()?,
-            received: dec.u64()?,
-            payload_bytes: dec.u64()?,
-            retransmits: dec.u64()?,
-            acks_sent: dec.u64()?,
-            dup_suppressed: dec.u64()?,
-            give_ups: dec.u64()?,
-            mailbox_high_watermark: dec.u64()?,
-        })
     }
 }
 

@@ -16,7 +16,7 @@ impl NodeId {
 }
 
 /// Cumulative counters a medium maintains about itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, nscc_ckpt::json::ToJson)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, nscc_ckpt::json::ToJson, nscc_ckpt::Snapshot)]
 pub struct MediumStats {
     /// Frames accepted for transmission.
     pub frames: u64,

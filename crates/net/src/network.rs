@@ -14,7 +14,7 @@ const BROADCAST: u32 = u32::MAX;
 
 /// Aggregate network-level statistics (medium counters plus end-to-end
 /// delay bookkeeping).
-#[derive(Debug, Clone, Copy, Default, nscc_ckpt::json::ToJson)]
+#[derive(Debug, Clone, Copy, Default, nscc_ckpt::json::ToJson, nscc_ckpt::Snapshot)]
 pub struct NetStats {
     /// Counters from the underlying medium.
     pub medium: MediumStats,
@@ -48,48 +48,6 @@ impl NetStats {
         self.max_delay = self.max_delay.max(other.max_delay);
         self.dropped += other.dropped;
         self.duplicated += other.duplicated;
-    }
-}
-
-impl nscc_ckpt::Snapshot for MediumStats {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u64(self.frames);
-        enc.put_u64(self.payload_bytes);
-        enc.put_u64(self.wire_bytes);
-        self.queueing.encode(enc);
-        self.busy.encode(enc);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(MediumStats {
-            frames: dec.u64()?,
-            payload_bytes: dec.u64()?,
-            wire_bytes: dec.u64()?,
-            queueing: nscc_ckpt::Snapshot::decode(dec)?,
-            busy: nscc_ckpt::Snapshot::decode(dec)?,
-        })
-    }
-}
-
-impl nscc_ckpt::Snapshot for NetStats {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        self.medium.encode(enc);
-        enc.put_u64(self.messages);
-        self.total_delay.encode(enc);
-        self.max_delay.encode(enc);
-        enc.put_u64(self.dropped);
-        enc.put_u64(self.duplicated);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(NetStats {
-            medium: MediumStats::decode(dec)?,
-            messages: dec.u64()?,
-            total_delay: nscc_ckpt::Snapshot::decode(dec)?,
-            max_delay: nscc_ckpt::Snapshot::decode(dec)?,
-            dropped: dec.u64()?,
-            duplicated: dec.u64()?,
-        })
     }
 }
 

@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nscc_ckpt::json::ToJson;
+use nscc_ckpt::Snapshot;
 
 /// Samples kept before the sink starts counting drops instead.
 const DEFAULT_SAMPLE_CAPACITY: usize = 1 << 20;
@@ -135,7 +136,7 @@ impl WarpTimeline {
 
 /// Distribution summary of warp samples. `mean` is 1.0 when no samples
 /// were recorded (no inter-message stretching observed).
-#[derive(Debug, Clone, Copy, PartialEq, ToJson)]
+#[derive(Debug, Clone, Copy, PartialEq, ToJson, Snapshot)]
 pub struct WarpSummary {
     /// Number of samples.
     pub samples: u64,
@@ -158,26 +159,6 @@ impl Default for WarpSummary {
             p95: 1.0,
             max: 1.0,
         }
-    }
-}
-
-impl nscc_ckpt::Snapshot for WarpSummary {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u64(self.samples);
-        enc.put_f64(self.mean);
-        enc.put_f64(self.p50);
-        enc.put_f64(self.p95);
-        enc.put_f64(self.max);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(WarpSummary {
-            samples: dec.u64()?,
-            mean: dec.f64()?,
-            p50: dec.f64()?,
-            p95: dec.f64()?,
-            max: dec.f64()?,
-        })
     }
 }
 

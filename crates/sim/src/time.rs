@@ -8,12 +8,14 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+use nscc_ckpt::{json::ToJson, Snapshot};
+
 /// A point in virtual time (or a duration), in nanoseconds.
 ///
 /// All simulation ordering is derived from this value plus a deterministic
 /// sequence number, so two runs with the same seed produce identical
 /// schedules.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, nscc_ckpt::json::ToJson)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, ToJson, Snapshot)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -101,16 +103,6 @@ impl SimTime {
     /// True if this is the zero instant/duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-}
-
-impl nscc_ckpt::Snapshot for SimTime {
-    fn encode(&self, enc: &mut nscc_ckpt::Enc) {
-        enc.put_u64(self.0);
-    }
-
-    fn decode(dec: &mut nscc_ckpt::Dec<'_>) -> Result<Self, nscc_ckpt::CkptError> {
-        Ok(SimTime(dec.u64()?))
     }
 }
 

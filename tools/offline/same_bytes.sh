@@ -20,20 +20,9 @@
 #            NSCC_INJECT_STALE=2                              fault_study
 # NSCC_WALL and NSCC_LIVE read the host clock and are left out.
 #
-# Differences the script accepts, each printed with its reason:
-#   hooks    the banner line naming armed test hooks, when <b-target>
-#            prints it and <a-target> does not (NSCC_CKPT_EXIT_AFTER, NSCC_INJECT_STALE);
-#   codec    a sweep's checkpoint generation whose payload differs while
-#            its header (magic, version, generation, t_ns, iteration
-#            vector) is identical: the cell payload is the bench's own
-#            codec, and only the report a resume produces is pinned;
-#   fig4     fig4 computes each load x function cell once (before, the
-#            function-1 cells ran twice), so its counters, obs/staleness
-#            sections, trace, folded profile, flight dump and checkpoint
-#            store differ; its params, metrics and printed tables may not.
-#            The killed run's stdout differs too: the old binary printed
-#            the first panel's heading before computing its cells.
-# Anything else is unexpected: the script lists it and exits 1.
+# Every exit code, stdout, stderr and file must match byte for byte,
+# checkpoint generations included: the script lists each difference and
+# exits 1 if there is any.
 set -u
 if [ $# -ne 2 ]; then
     echo "usage: $0 <a-target> <b-target>" >&2
@@ -48,29 +37,11 @@ SWEEPS="fig2 fig3 fig4 fault_study warp_study"
 ALL="table1 table2 drill $SWEEPS"
 QUICK="NSCC_RUNS=1 NSCC_GENS=12 NSCC_CI=0.1"
 OBS="NSCC_JSON=1 NSCC_AUDIT=1 NSCC_FLIGHT=64 NSCC_STALENESS=1 NSCC_FOLDED=profile.folded"
-runs=0 files=0 allowed=0 unexpected=0
+runs=0 files=0 differences=0
 
-note() { # note <kind> <what>
-    if [ "$1" = unexpected ]; then
-        unexpected=$((unexpected + 1))
-    else
-        allowed=$((allowed + 1))
-    fi
-    printf '  %-10s %s\n' "$1" "$2"
-}
-
-# The part of a checkpoint generation `nscc inspect --ckpt` shows, minus
-# size and checksum: magic, version, generation, t_ns, iteration vector.
-ckpt_header() {
-    local n
-    n=$(od -An -t u8 -j 32 -N 8 "$1" | tr -d ' ')
-    head -c 8 "$1"
-    tail -c +17 "$1" | head -c $((24 + 8 * n))
-}
-
-# params + metrics of a run report (flat maps of numbers).
-report_numbers() {
-    grep -oE '"params":\{[^}]*\},"metrics":\{[^}]*\}' "$1"
+differ() { # differ <what>
+    differences=$((differences + 1))
+    printf '  differs: %s\n' "$1"
 }
 
 # run <side-dir> <target-dir> <bin> <env...>: one binary in <side-dir>.
@@ -83,91 +54,54 @@ run() {
     echo $? >"$dir.exit"
 }
 
-# compare <label> <bin> <hooks:0|1> <a-dir> <b-dir>
+# compare <label> <bin> <a-dir> <b-dir>
 compare() {
-    local label="$1" bin="$2" hooks="$3" a="$4" b="$5" f
+    local label="$1" bin="$2" a="$3" b="$4" f
     runs=$((runs + 1))
     echo "$label $bin"
-    cmp -s "$a.exit" "$b.exit" || note unexpected "exit $(cat "$a.exit") vs $(cat "$b.exit")"
-    cmp -s "$a.stderr" "$b.stderr" || note unexpected "stderr"
-    if ! cmp -s "$a.stdout" "$b.stdout"; then
-        if [ "$hooks" = 1 ] && cmp -s "$a.stdout" <(grep -v '^armed test hooks: ' "$b.stdout"); then
-            note hooks "stdout: armed-hooks banner line"
-        elif [ "$bin" = fig4 ] && [ "$label" = kill ]; then
-            note fig4 "stdout of the killed run (first panel heading)"
-        else
-            note unexpected "stdout"
-        fi
-    fi
-    # fig4's store numbers its cells load x function now, so only the
-    # rest of its file set must match.
-    local skip='^$'
-    [ "$bin" = fig4 ] && skip='^\./ck/fig4/'
-    files_of() { (cd "$1" && find . -type f | grep -v "$skip" | sort); }
-    if [ "$bin" = fig4 ] && ! diff <(cd "$a" && find ./ck/fig4 -type f 2>/dev/null | sort) \
-        <(cd "$b" && find ./ck/fig4 -type f 2>/dev/null | sort) >/dev/null; then
-        note fig4 "ck/fig4: $(find "$a/ck/fig4" -type f | wc -l) cells stored vs $(find "$b/ck/fig4" -type f | wc -l)"
-    fi
+    cmp -s "$a.exit" "$b.exit" || differ "exit $(cat "$a.exit") vs $(cat "$b.exit")"
+    cmp -s "$a.stderr" "$b.stderr" || differ "stderr"
+    cmp -s "$a.stdout" "$b.stdout" || differ "stdout"
+    files_of() { (cd "$1" && find . -type f | sort); }
     if ! diff <(files_of "$a") <(files_of "$b") >/dev/null; then
-        note unexpected "different file sets: $(diff <(files_of "$a") <(files_of "$b") |
-            grep '^[<>]' | tr '\n' ' ')"
+        differ "file sets: $(diff <(files_of "$a") <(files_of "$b") | grep '^[<>]' | tr '\n' ' ')"
     fi
     while read -r f; do
         [ -f "$b/$f" ] || continue
         files=$((files + 1))
-        cmp -s "$a/$f" "$b/$f" && continue
-        case "$bin:$f" in
-            fig4:./BENCH_fig4.json)
-                if [ "$(report_numbers "$a/$f")" = "$(report_numbers "$b/$f")" ]; then
-                    note fig4 "$f (params and metrics identical)"
-                else
-                    note unexpected "$f: params/metrics differ"
-                fi
-                ;;
-            fig4:*) note fig4 "$f" ;;
-            *:./ck/*.nsck)
-                if [ "${f#./ck/"$bin"/}" != "$f" ] \
-                    && cmp -s <(ckpt_header "$a/$f") <(ckpt_header "$b/$f"); then
-                    note codec "$f (header identical)"
-                else
-                    note unexpected "$f"
-                fi
-                ;;
-            *) note unexpected "$f" ;;
-        esac
-    done < <(cd "$a" && find . -type f | sort)
+        cmp -s "$a/$f" "$b/$f" || differ "$f"
+    done < <(files_of "$a")
 }
 
-# one <label> <hooks> <bins> <env...>: fresh directories, both sides.
+# one <label> <bins> <env...>: fresh directories, both sides.
 one() {
-    local label="$1" hooks="$2" bins="$3" bin
-    shift 3
+    local label="$1" bins="$2" bin
+    shift 2
     for bin in $bins; do
         run "$WORK/$label-$bin/a" "$A" "$bin" "$@"
         run "$WORK/$label-$bin/b" "$B" "$bin" "$@"
-        compare "$label" "$bin" "$hooks" "$WORK/$label-$bin/a" "$WORK/$label-$bin/b"
+        compare "$label" "$bin" "$WORK/$label-$bin/a" "$WORK/$label-$bin/b"
     done
 }
 
-one plain 0 "$ALL" NSCC_JSON=1
-one obs 0 "$ALL" $OBS NSCC_TRACE=1
-one ckpt 0 "$ALL" $OBS NSCC_CKPT_DIR=ck
+one plain "$ALL" NSCC_JSON=1
+one obs "$ALL" $OBS NSCC_TRACE=1
+one ckpt "$ALL" $OBS NSCC_CKPT_DIR=ck
 for bin in $SWEEPS; do
     for side in a b; do
         out="$A" && [ $side = b ] && out="$B"
         run "$WORK/kill-$bin/$side" "$out" "$bin" NSCC_JSON=1 NSCC_TRACE=1 NSCC_CKPT_DIR=ck \
             NSCC_CKPT_EXIT_AFTER=2
     done
-    compare kill "$bin" 1 "$WORK/kill-$bin/a" "$WORK/kill-$bin/b"
+    compare kill "$bin" "$WORK/kill-$bin/a" "$WORK/kill-$bin/b"
     for side in a b; do
         out="$A" && [ $side = b ] && out="$B"
         run "$WORK/kill-$bin/$side" "$out" "$bin" NSCC_JSON=1 NSCC_TRACE=1 NSCC_CKPT_DIR=ck \
             NSCC_RESUME=1
     done
-    compare resume "$bin" 0 "$WORK/kill-$bin/a" "$WORK/kill-$bin/b"
+    compare resume "$bin" "$WORK/kill-$bin/a" "$WORK/kill-$bin/b"
 done
-one inject 1 fault_study NSCC_JSON=1 NSCC_AUDIT=1 NSCC_FLIGHT=64 NSCC_INJECT_STALE=2
+one inject fault_study NSCC_JSON=1 NSCC_AUDIT=1 NSCC_FLIGHT=64 NSCC_INJECT_STALE=2
 
-echo "same_bytes: $runs runs, $files files compared; $allowed accepted difference(s)," \
-    "$unexpected unexpected"
-[ "$unexpected" = 0 ]
+echo "same_bytes: $runs runs, $files files compared; $differences difference(s)"
+[ "$differences" = 0 ]

@@ -1,2 +1,2 @@
-// The frozen crates/perf/build-offline.sh builds `serde_derive` from this path; the source is crates/serde_derive.
-include!("../../crates/serde_derive/src/lib.rs");
+// The frozen crates/perf/build-offline.sh builds `serde_derive` from this path; the source is crates/derive.
+include!("../../crates/derive/src/lib.rs");
