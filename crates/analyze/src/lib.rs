@@ -12,7 +12,7 @@
 //! This crate is the read side: the `nscc` binary loads those artifacts
 //! and answers the questions the paper's evaluation keeps asking —
 //!
-//! - [`inspect`] — where did the time go? Per-process blocked-time
+//! - [`inspect()`] — where did the time go? Per-process blocked-time
 //!   attribution (compute vs `Global_Read` blocking vs barrier waits),
 //!   the critical path through send/deliver edges, staleness CDFs,
 //!   queue-depth and warp timelines.
@@ -22,7 +22,7 @@
 //!   in-flight / retransmit-delayed breakdown of the releasing frames.
 //! - [`causal::heat`] — where does staleness concentrate? Per-location
 //!   staleness heatmaps rendered from the `obs.heat` section.
-//! - [`diff`] — what changed between two runs (say `age=0` vs `age=20`)?
+//! - [`diff()`] — what changed between two runs (say `age=0` vs `age=20`)?
 //!   Structured deltas of every metric, counter, histogram percentile,
 //!   and the convergence-vs-virtual-time curve.
 //! - [`gate`] — did this commit regress? Fresh reports vs checked-in
@@ -51,7 +51,7 @@
 //!   `recovery` section (marker waves, consistent cuts, cut-served
 //!   restores, supervisor restarts/retirements) and re-verifies the
 //!   rollback-within-age-bound invariant from the report alone.
-//! - [`postmortem`] — why did the run die? Reads the flight-recorder
+//! - [`postmortem()`] — why did the run die? Reads the flight-recorder
 //!   dump (`FLIGHT_*.json`, cut from the `NSCC_FLIGHT` event ring on a
 //!   violation, fault, or deadlock): per-process last-events timelines
 //!   plus suspected-cause heuristics over the captured window.

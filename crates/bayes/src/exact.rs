@@ -25,17 +25,6 @@ pub fn exact_posterior(
     numer.iter().map(|&x| x / z).collect()
 }
 
-/// The probability that the evidence holds (acceptance rate of rejection
-/// sampling).
-pub fn evidence_probability(net: &BeliefNetwork, evidence: &[(NodeIdx, Value)]) -> f64 {
-    let mut total = 0.0;
-    let mut assignment: Vec<Value> = vec![0; net.len()];
-    enumerate(net, 0, 1.0, &mut assignment, evidence, &mut |joint, _| {
-        total += joint;
-    });
-    total
-}
-
 /// Recursive enumeration of assignments consistent with `evidence`,
 /// invoking `visit(joint_probability, assignment)` for each.
 fn enumerate(
@@ -106,7 +95,6 @@ mod tests {
         // p(wet) = sum over (r,s): p(r)p(s)p(w|r,s)
         //        = .8*.9*.01 + .8*.1*.9 + .2*.9*.8 + .2*.1*.99
         let p_wet = 0.8 * 0.9 * 0.01 + 0.8 * 0.1 * 0.9 + 0.2 * 0.9 * 0.8 + 0.2 * 0.1 * 0.99;
-        assert!((evidence_probability(&net, &[(2, 1)]) - p_wet).abs() < 1e-12);
         // p(rain | wet) = p(rain, wet) / p(wet)
         let p_rain_wet = 0.2 * 0.9 * 0.8 + 0.2 * 0.1 * 0.99;
         let post = exact_posterior(&net, 0, &[(2, 1)]);

@@ -2,7 +2,7 @@
 //!
 //! Everything §3.2/§4.2.2 of the paper needs:
 //!
-//! * [`BeliefNetwork`] — DAG + CPTs (Pearl [15]), with exact inference by
+//! * [`BeliefNetwork`] — DAG + CPTs (Pearl \[15\]), with exact inference by
 //!   enumeration ([`exact_posterior`]) as ground truth.
 //! * [`figure1`] — the example medical-diagnosis network of Figure 1.
 //! * [`Table2Net`] — generators reproducing Table 2's four benchmark
@@ -23,19 +23,16 @@ mod cost;
 mod exact;
 mod examples;
 mod gen;
-mod gibbs;
 mod index;
 mod network;
 mod parallel;
 mod plan;
 mod sampling;
-mod weighting;
 
 pub use cost::BayesCost;
-pub use exact::{evidence_probability, exact_posterior};
+pub use exact::exact_posterior;
 pub use examples::{fig1, figure1};
 pub use gen::{hailfinder_like, random_network, RandomNetConfig, Table2Net, TABLE2};
-pub use gibbs::{gibbs_inference, GibbsResult};
 pub use network::{binary_node, binary_root, BeliefNetwork, Node, NodeIdx, Value};
 pub use parallel::{
     run_parallel_inference, run_planned_inference, BatchValues, BayesPartStats,
@@ -46,4 +43,3 @@ pub use sampling::{
     evidence_matches, forward_sample, node_draw, sequential_inference, Query, SeqResult, StopRule,
     Tally,
 };
-pub use weighting::{likelihood_weighting, weighted_sample, LwResult, WeightedTally};

@@ -48,12 +48,12 @@ pub type BatchValues = Vec<Value>;
 /// How a partition reacts when a received value contradicts what it used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollbackPolicy {
-    /// Time-Warp-style rollback ([2]): roll the process back to the
+    /// Time-Warp-style rollback (\[2\]): roll the process back to the
     /// earliest contradicted iteration and replay *every* recorded
     /// iteration from there forward, re-publishing corrections
     /// (anti-message + replacement pairs). Straying far ahead makes each
-    /// rollback proportionally more expensive. Offered as an ablation
-    /// (`ablation_rollback` bench).
+    /// rollback proportionally more expensive. No experiment runs it;
+    /// `tests/kernel_pin.rs` pins its results beside `Selective`'s.
     Replay,
     /// Per-sample invalidation — the default, and the paper's own §3.2
     /// description ("the value of the child node and the values of all

@@ -226,12 +226,6 @@ impl Plan {
     pub fn dependents_of(&self, part: usize, u: NodeIdx) -> &[NodeIdx] {
         &self.dependents[part][u]
     }
-
-    /// Messages one full iteration sends (batches + one heartbeat per
-    /// partition pair is added by the runtime).
-    pub fn batches_per_iteration(&self) -> usize {
-        self.batches.len()
-    }
 }
 
 #[cfg(test)]

@@ -924,7 +924,7 @@ impl Session {
     }
 
     /// Unwrap an experiment result run on the main hub; see
-    /// [`unwrap_or_flight`](Session::unwrap_or_flight).
+    /// `unwrap_or_flight`.
     pub fn or_exit<T>(&self, res: Result<T, SimError>) -> T {
         self.unwrap_or_flight(res, &self.hub)
     }

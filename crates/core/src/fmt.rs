@@ -44,14 +44,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Render rows as CSV (no quoting; cells must not contain commas).
-pub fn render_csv(rows: &[Vec<String>]) -> String {
-    rows.iter()
-        .map(|r| r.join(","))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,15 +60,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].starts_with("longer-name"));
-    }
-
-    #[test]
-    fn csv() {
-        let rows = vec![
-            vec!["a".to_string(), "b".to_string()],
-            vec!["1".to_string(), "2".to_string()],
-        ];
-        assert_eq!(render_csv(&rows), "a,b\n1,2");
     }
 
     #[test]

@@ -53,10 +53,6 @@ pub struct GaExperiment {
     pub platform: Platform,
     /// Cost model for every node.
     pub cost: CostModel,
-    /// Fraction of the serial run whose quality defines the target
-    /// (lower = easier bar; 0.75 keeps island runs from chasing the
-    /// panmictic population's last few multimodal refinements).
-    pub target_fraction: f64,
     /// Optional observability hub, attached to every run's DSM world and
     /// network (shared across runs: histograms and counters aggregate
     /// over the whole cell).
@@ -126,7 +122,6 @@ impl GaExperiment {
             base_seed: 1000,
             platform: Platform::paper_ethernet(procs),
             cost: CostModel::default(),
-            target_fraction: 0.75,
             obs: None,
             modes: Self::default_modes(),
             read_timeout: None,
@@ -380,7 +375,6 @@ fn run_parallel_once(
         mode,
         migration_count: GaParams::default().pop_size / 2,
         stop,
-        adaptive: None,
         recovery: None,
         snap: snap_cfg.clone(),
         supervisor: supervisor.clone(),

@@ -138,14 +138,6 @@ impl Directory {
             .enumerate()
             .map(|(i, m)| (LocId(i as u32), m))
     }
-
-    /// All locations read by `rank` (i.e. whose updates will arrive there).
-    pub fn read_by(&self, rank: usize) -> Vec<LocId> {
-        self.iter()
-            .filter(|(_, m)| m.readers.contains(&rank))
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +160,6 @@ mod tests {
         assert_eq!(locs.len(), 3);
         assert_eq!(d.meta(locs[1]).writer, 1);
         assert_eq!(d.meta(locs[1]).readers, vec![0, 2]);
-        assert_eq!(d.read_by(0), vec![locs[1], locs[2]]);
     }
 
     #[test]

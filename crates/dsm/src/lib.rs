@@ -27,14 +27,12 @@
 //! and partially asynchronous (`Global_Read` with a chosen age).
 #![warn(missing_docs)]
 
-mod adaptive;
 mod directory;
 mod modes;
 mod node;
 mod snap;
 mod world;
 
-pub use adaptive::AgeController;
 pub use directory::{Directory, LocId, LocMeta};
 pub use modes::Coherence;
 pub use node::{DsmMsg, DsmNode, DsmStats, ReadOutcome, Retired, RETIRE_AGE};

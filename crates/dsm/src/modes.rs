@@ -22,16 +22,6 @@ pub enum Coherence {
 }
 
 impl Coherence {
-    /// The required-age bound a read at `curr_iter` imposes, or `None` for
-    /// a never-blocking read.
-    pub fn required_age(self, curr_iter: u64) -> Option<u64> {
-        match self {
-            Coherence::Synchronous => Some(curr_iter),
-            Coherence::FullyAsync => None,
-            Coherence::PartialAsync { age } => Some(curr_iter.saturating_sub(age)),
-        }
-    }
-
     /// Whether this mode runs a per-iteration barrier.
     pub fn uses_barrier(self) -> bool {
         matches!(self, Coherence::Synchronous)
@@ -69,15 +59,6 @@ impl fmt::Display for Coherence {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn required_age_bounds() {
-        assert_eq!(Coherence::Synchronous.required_age(7), Some(7));
-        assert_eq!(Coherence::FullyAsync.required_age(7), None);
-        assert_eq!(Coherence::PartialAsync { age: 3 }.required_age(7), Some(4));
-        // Saturates at iteration 0 (initial values are age 0).
-        assert_eq!(Coherence::PartialAsync { age: 10 }.required_age(7), Some(0));
-    }
 
     #[test]
     fn labels() {

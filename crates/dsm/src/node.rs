@@ -137,8 +137,8 @@ pub const RETIRE_AGE: u64 = u64::MAX;
 pub struct Retired;
 
 /// Everything a `Global_Read` can report (see
-/// [`DsmNode::global_read_ex`]): the value, its generation age, and the
-/// blocking behaviour an adaptive staleness controller feeds on.
+/// [`DsmNode::global_read_ex`]): the value, its generation age, and
+/// whether and for how long the read blocked.
 #[derive(Debug, Clone)]
 pub struct ReadOutcome<T> {
     /// Iteration in which the returned value was generated.
@@ -159,15 +159,6 @@ pub struct ReadOutcome<T> {
     pub degraded: bool,
 }
 
-impl<T> ReadOutcome<T> {
-    /// How much fresher than required the value was (the controller's
-    /// "slack" signal), clamped to a sane range even for retirement
-    /// sentinels.
-    pub fn slack(&self) -> u64 {
-        self.age.saturating_sub(self.required).min(1_000_000)
-    }
-}
-
 /// One rank's DSM state. Move it into the rank's process closure; it is not
 /// shared (each node has exactly one owner process).
 pub struct DsmNode<T: 'static> {
@@ -183,12 +174,6 @@ pub struct DsmNode<T: 'static> {
     /// with [`take_update_log`](DsmNode::take_update_log) to learn which
     /// `(loc, age)` pairs changed since they last looked.
     update_log: Vec<(LocId, u64)>,
-    /// Write coalescing (Mermera-style, §2.1): propagate only every k-th
-    /// write per location (1 = every write). The local copy is always
-    /// current; peers see the latest value at a coarser cadence.
-    coalesce: u64,
-    /// Writes since the last propagation, per location.
-    pending_writes: HashMap<LocId, u64>,
     /// Highest barrier epoch released (observed from the coordinator).
     released: u64,
     /// Coordinator only: which ranks have arrived, per epoch.
@@ -237,7 +222,6 @@ impl<T: WireSize + 'static> DsmNode<T> {
         shared_stats: Rc<RefCell<Vec<DsmStats>>>,
         obs: Option<Hub>,
     ) -> Self {
-        // (coalesce is configured post-construction by the world)
         DsmNode {
             rank,
             ep,
@@ -246,8 +230,6 @@ impl<T: WireSize + 'static> DsmNode<T> {
             versions: HashMap::new(),
             history,
             update_log: Vec::new(),
-            coalesce: 1,
-            pending_writes: HashMap::new(),
             released: 0,
             arrivals: HashMap::new(),
             timeout: None,
@@ -279,12 +261,8 @@ impl<T: WireSize + 'static> DsmNode<T> {
 
     /// Write a new value of `loc`, generated in the writer's iteration
     /// `iter`. Updates the local copy and pushes the value to every
-    /// registered reader (direct sends, §4.1 of the paper). Under write
-    /// coalescing ([`set_coalescing`](DsmNode::set_coalescing)) only
-    /// every k-th write per location is propagated — the DSM-level
-    /// amortization the paper credits to Mermera (§2.1): multiple updates
-    /// of one location collapse into a single message carrying the
-    /// latest value.
+    /// registered reader (direct sends, §4.1 of the paper): every write
+    /// propagates, the retirement sentinel included.
     ///
     /// This is the one allocation a value costs: it is wrapped in an
     /// `Arc` here and that same `Arc` travels in every copy of the update
@@ -306,44 +284,27 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 age: iter,
             });
         }
-        let pending = self.pending_writes.entry(loc).or_insert(0);
-        *pending += 1;
-        // Retirement sentinels always flush (termination must propagate).
-        let due = *pending >= self.coalesce || iter == RETIRE_AGE;
-        if due {
-            *pending = 0;
-            let readers = &meta.readers;
-            if !readers.is_empty() {
-                self.stats.updates_sent += readers.len() as u64;
-                // One pack, one wire frame on broadcast media (pvm_mcast).
-                // Tagged with (writer, loc, iter) provenance so blocked
-                // readers can attribute their release; the stamp only
-                // exists when a hub is attached.
-                self.ep.multicast_tagged(
-                    ctx,
-                    readers,
-                    DsmMsg::Update {
-                        loc,
-                        age: iter,
-                        value: Arc::clone(&value),
-                    },
-                    loc.0,
-                    iter,
-                );
-            }
+        let readers = &meta.readers;
+        if !readers.is_empty() {
+            self.stats.updates_sent += readers.len() as u64;
+            // One pack, one wire frame on broadcast media (pvm_mcast).
+            // Tagged with (writer, loc, iter) provenance so blocked
+            // readers can attribute their release; the stamp only exists
+            // when a hub is attached.
+            self.ep.multicast_tagged(
+                ctx,
+                readers,
+                DsmMsg::Update {
+                    loc,
+                    age: iter,
+                    value: Arc::clone(&value),
+                },
+                loc.0,
+                iter,
+            );
         }
         self.cache.insert(loc, (iter, value));
         self.flush_stats();
-    }
-
-    /// Enable write coalescing: propagate only every `k`-th write per
-    /// location (`k = 1` restores write-through). The local copy is
-    /// always current; remote readers trade staleness for ~k× fewer
-    /// messages — which is why coalescing composes naturally with
-    /// `Global_Read`'s staleness bound.
-    pub fn set_coalescing(&mut self, k: u64) {
-        assert!(k >= 1, "coalescing factor must be at least 1");
-        self.coalesce = k;
     }
 
     /// Bound how long blocked reads and barrier waits may stall without
@@ -417,9 +378,8 @@ impl<T: WireSize + 'static> DsmNode<T> {
         (out.age, out.value)
     }
 
-    /// [`global_read`](DsmNode::global_read) with the observability an
-    /// adaptive controller ([`AgeController`](crate::AgeController))
-    /// needs: whether the read blocked, and for how long.
+    /// [`global_read`](DsmNode::global_read) that also reports whether
+    /// the read blocked, for how long, and whether it degraded.
     pub fn global_read_ex(
         &mut self,
         ctx: &mut Ctx,
@@ -714,10 +674,10 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 }
                 (have, v)
             }
-            // The (curr_iter, age) pair passes through unchanged —
-            // blocking-wise identical to waiting for
-            // `mode.required_age(curr_iter)`, but the emitted `ReadDone`
-            // carries the true requested age and delivered staleness.
+            // The (curr_iter, age) pair passes through unchanged: the read
+            // waits for iteration `curr_iter − age` (saturated; `age = 0`
+            // under a barrier), and the emitted `ReadDone` carries the true
+            // requested age and delivered staleness.
             crate::Coherence::Synchronous => self.global_read(ctx, loc, curr_iter, 0),
             crate::Coherence::PartialAsync { age } => self.global_read(ctx, loc, curr_iter, age),
         }

@@ -29,7 +29,6 @@ pub struct DsmWorld<T: 'static> {
     dir: Arc<Directory>,
     initial: HashMap<LocId, Arc<T>>,
     history: usize,
-    coalesce: u64,
     read_timeout: Option<SimTime>,
     inject_stale: u64,
     stats: Rc<RefCell<Vec<DsmStats>>>,
@@ -44,7 +43,6 @@ impl<T: WireSize + 'static> DsmWorld<T> {
             dir: Arc::new(dir),
             initial: HashMap::new(),
             history: 0,
-            coalesce: 1,
             read_timeout: None,
             inject_stale: 0,
             stats: Rc::new(RefCell::new(vec![DsmStats::default(); ranks])),
@@ -70,15 +68,6 @@ impl<T: WireSize + 'static> DsmWorld<T> {
         }
         self.comm = self.comm.with_obs(hub.clone());
         self.obs = Some(hub);
-        self
-    }
-
-    /// Propagate only every `k`-th write per location from every node
-    /// (Mermera-style update coalescing; see
-    /// [`DsmNode::set_coalescing`]).
-    pub fn with_coalescing(mut self, k: u64) -> Self {
-        assert!(k >= 1, "coalescing factor must be at least 1");
-        self.coalesce = k;
         self
     }
 
@@ -169,9 +158,6 @@ impl<T: WireSize + 'static> DsmWorld<T> {
             Rc::clone(&self.stats),
             self.obs.clone(),
         );
-        if self.coalesce > 1 {
-            node.set_coalescing(self.coalesce);
-        }
         if let Some(to) = self.read_timeout {
             node.set_timeout(to);
         }

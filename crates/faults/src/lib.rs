@@ -365,13 +365,6 @@ pub struct FaultStats {
     pub stalled: u64,
 }
 
-impl FaultStats {
-    /// All drops, regardless of cause.
-    pub fn total_drops(&self) -> u64 {
-        self.drops_loss + self.drops_node_down + self.drops_partition
-    }
-}
-
 /// A cloneable handle to a [`FaultyMedium`]'s counters, readable after
 /// (or during) a run even though the medium itself is owned by the
 /// network.

@@ -56,8 +56,8 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A deterministic model with no jitter or hiccups (for tests and
-    /// ablations).
+    /// A deterministic model with no jitter or hiccups (for tests and the
+    /// `crates/perf` workloads).
     pub fn deterministic() -> Self {
         CostModel {
             jitter: 0.0,

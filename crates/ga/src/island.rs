@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use nscc_ckpt::Snapshot;
-use nscc_dsm::{AgeController, Coherence, DsmNode, LocId, SnapConfig};
+use nscc_dsm::{Coherence, DsmNode, LocId, SnapConfig};
 use nscc_sim::{Ctx, ObsEvent, SimTime};
 
 use crate::supervise::{Decision, Supervisor};
@@ -144,10 +144,6 @@ pub struct IslandConfig {
     pub migration_count: usize,
     /// Stopping rule.
     pub stop: StopPolicy,
-    /// Dynamic staleness control (§6 future work): when set, a
-    /// [`PartialAsync`](Coherence::PartialAsync) island adapts its age
-    /// bound within `(min, max)` from observed blocking and slack.
-    pub adaptive: Option<(u64, u64)>,
     /// Crash/recovery schedule (`None` = no checkpointing, the default —
     /// which also keeps the RNG stream byte-identical to pre-recovery
     /// builds).
@@ -179,7 +175,6 @@ impl IslandConfig {
             mode,
             migration_count: 25,
             stop,
-            adaptive: None,
             recovery: None,
             snap: None,
             supervisor: None,
@@ -299,12 +294,6 @@ pub fn run_island(
     let mut last_incorporated: Vec<u64> = vec![0; p];
     let mut best_seen = f64::INFINITY;
     let mut last_improvement = SimTime::ZERO;
-    let mut controller = match (cfg.adaptive, cfg.mode) {
-        (Some((min, max)), Coherence::PartialAsync { age }) => {
-            Some(AgeController::new(age, min, max))
-        }
-        _ => None,
-    };
     let (target, max_generations, quality_stop) = match cfg.stop {
         StopPolicy::FixedGenerations(g) => (f64::NEG_INFINITY, g, false),
         StopPolicy::TargetQuality { target, cap } => (target, cap, true),
@@ -498,14 +487,7 @@ pub fn run_island(
                 if q == rank || !node.is_reader(loc) {
                     continue;
                 }
-                let (age, migrants) = match &mut controller {
-                    Some(ctl) => {
-                        let out = node.global_read_ex(ctx, loc, gen, ctl.current());
-                        ctl.observe(out.blocked, out.slack());
-                        (out.age, out.value)
-                    }
-                    None => node.read(ctx, loc, gen, cfg.mode),
-                };
+                let (age, migrants) = node.read(ctx, loc, gen, cfg.mode);
                 if age > last_incorporated[q] {
                     last_incorporated[q] = age;
                     deme.incorporate(&migrants);

@@ -45,7 +45,7 @@ pub use island::{
     run_island, ConvergenceBoard, IslandConfig, IslandOutcome, MigrantBatch, RecoveryPlan,
     RecoveryStyle, StopPolicy, Topology,
 };
-pub use params::{GaParams, Selection};
+pub use params::GaParams;
 pub use population::{Deme, DemeState, GenWork, Individual};
 pub use serial::{SerialGa, SerialResult};
 pub use supervise::{Decision, RecoverySummary, Supervisor, SupervisorPolicy};

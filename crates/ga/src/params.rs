@@ -1,22 +1,5 @@
 //! GA parameters (§4.2.1): the six-parameter family of DeJong [5].
 
-/// Parent-selection strategy. The paper's experiments use elitist
-/// roulette selection over window-scaled fitness; tournament and rank
-/// selection are provided as library extensions (they behave better on
-/// functions whose raw fitness spans many orders of magnitude).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Selection {
-    /// Roulette wheel over window-scaled fitness (DeJong; the paper).
-    RouletteWindow,
-    /// k-tournament: sample `k` individuals, keep the best.
-    Tournament {
-        /// Tournament size (≥ 1; 2 is the classic binary tournament).
-        k: usize,
-    },
-    /// Linear rank selection.
-    Rank,
-}
-
 /// The GA parameter set used throughout the paper's experiments:
 /// `N=50, C=0.6, M=0.001, G=1, W=1, S=E`.
 #[derive(Debug, Clone)]
@@ -35,8 +18,6 @@ pub struct GaParams {
     pub scaling_window: usize,
     /// Elitist strategy (S = E): the best individual always survives.
     pub elitist: bool,
-    /// Parent-selection strategy.
-    pub selection: Selection,
 }
 
 impl Default for GaParams {
@@ -48,7 +29,6 @@ impl Default for GaParams {
             generation_gap: 1.0,
             scaling_window: 1,
             elitist: true,
-            selection: Selection::RouletteWindow,
         }
     }
 }
@@ -79,9 +59,6 @@ impl GaParams {
             "generation gap must be in [0, 1]"
         );
         assert!(self.scaling_window >= 1, "scaling window must be >= 1");
-        if let Selection::Tournament { k } = self.selection {
-            assert!(k >= 1, "tournament size must be >= 1");
-        }
     }
 }
 
@@ -105,29 +82,5 @@ mod tests {
     #[should_panic(expected = "population")]
     fn tiny_population_rejected() {
         GaParams::with_pop_size(1).validate();
-    }
-}
-
-#[cfg(test)]
-mod selection_tests {
-    use super::*;
-
-    #[test]
-    fn tournament_validation() {
-        let p = GaParams {
-            selection: Selection::Tournament { k: 3 },
-            ..GaParams::default()
-        };
-        p.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "tournament")]
-    fn zero_tournament_rejected() {
-        GaParams {
-            selection: Selection::Tournament { k: 0 },
-            ..GaParams::default()
-        }
-        .validate();
     }
 }

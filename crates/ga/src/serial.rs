@@ -30,17 +30,6 @@ pub struct SerialResult {
 }
 
 impl SerialResult {
-    /// The best-ever fitness after `fraction` of the run (used to derive
-    /// the quality target parallel runs must reach; see DESIGN.md).
-    pub fn quality_at_fraction(&self, fraction: f64) -> f64 {
-        if self.history.is_empty() {
-            return self.best;
-        }
-        let idx = ((self.history.len() as f64 * fraction.clamp(0.0, 1.0)).ceil() as usize)
-            .clamp(1, self.history.len());
-        self.history[idx - 1]
-    }
-
     /// The virtual time at which the run first reached quality `target`
     /// (`None` if it never did). This is the serial side of the
     /// time-to-quality comparison.
@@ -98,27 +87,6 @@ impl SerialGa {
             work: self.deme.total_work(),
         }
     }
-
-    /// Run until the best-ever fitness reaches `target` (or `max_gens`).
-    /// Returns the result with `generations` set to what was actually run.
-    pub fn run_to_target(mut self, target: f64, max_gens: u64) -> SerialResult {
-        let mut gens = 0;
-        while gens < max_gens && self.deme.best_ever().fitness > target {
-            let work = self.deme.step(&mut self.rng);
-            self.time += self.cost.generation_cost(work, &mut self.rng);
-            self.history.push(self.deme.best_ever().fitness);
-            self.time_history.push(self.time);
-            gens += 1;
-        }
-        SerialResult {
-            best: self.deme.best_ever().fitness,
-            time: self.time,
-            generations: gens,
-            history: self.history,
-            time_history: self.time_history,
-            work: self.deme.total_work(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,41 +125,5 @@ mod tests {
             .time
         };
         assert!(time(200) > time(50) * 2);
-    }
-
-    #[test]
-    fn quality_at_fraction_is_monotone() {
-        let r = SerialGa::new(
-            TestFn::F6Rastrigin,
-            GaParams::default(),
-            CostModel::deterministic(),
-            3,
-        )
-        .run(100);
-        assert!(r.quality_at_fraction(0.5) >= r.quality_at_fraction(1.0));
-        assert_eq!(r.quality_at_fraction(1.0), r.best);
-    }
-
-    #[test]
-    fn run_to_target_stops_early() {
-        // Target the initial best: zero further generations needed... use a
-        // modest improvement target instead.
-        let probe = SerialGa::new(
-            TestFn::F1Sphere,
-            GaParams::default(),
-            CostModel::deterministic(),
-            4,
-        )
-        .run(1);
-        let target = probe.best; // quality after one generation
-        let r = SerialGa::new(
-            TestFn::F1Sphere,
-            GaParams::default(),
-            CostModel::deterministic(),
-            4,
-        )
-        .run_to_target(target, 1000);
-        assert!(r.generations <= 1);
-        assert!(r.best <= target);
     }
 }

@@ -2,7 +2,9 @@
 //! moved here verbatim (heap `Vec<u8>` genome, `HashMap<Vec<u8>, f64>`
 //! fitness cache, sequential roulette scan, `Deme::{new, step, migrants,
 //! incorporate}`, the eight objective functions) minus the wire-size and
-//! checkpoint impls, which have their own byte pins. It is the reference
+//! checkpoint impls, which have their own byte pins, and minus the
+//! tournament and rank selection arms, whose strategies no longer exist
+//! in the real kernel. It is the reference
 //! `kernel_pin.rs` drives in lock-step with the real kernel: same seed in,
 //! same population, counters and RNG position out, generation by
 //! generation. It was written when `StdRng` was ChaCha under cargo and
@@ -20,7 +22,7 @@ use std::f64::consts::PI;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use nscc_ga::{GaParams, GenWork, Selection, TestFn};
+use nscc_ga::{GaParams, GenWork, TestFn};
 
 // ---- functions.rs ----------------------------------------------------------
 
@@ -417,58 +419,20 @@ impl Deme {
             .map(|i| (baseline - i.fitness).max(0.0))
             .collect();
         let total_weight: f64 = weights.iter().sum();
-        let selection = self.params.selection;
-        // Rank weights (best rank = n, worst = 1): only rank selection
-        // reads them, so only rank selection pays for the sort.
-        let rank_order: Vec<usize> = if matches!(selection, Selection::Rank) {
-            let mut idx: Vec<usize> = (0..self.pop.len()).collect();
-            idx.sort_by(|&a, &b| self.pop[a].fitness.total_cmp(&self.pop[b].fitness));
-            idx
-        } else {
-            Vec::new()
-        };
 
         let pop_ref = &self.pop;
         let select = |rng: &mut StdRng| -> usize {
-            match selection {
-                Selection::RouletteWindow => {
-                    if total_weight <= 0.0 {
-                        rng.gen_range(0..pop_ref.len())
-                    } else {
-                        let mut t = rng.gen::<f64>() * total_weight;
-                        for (i, w) in weights.iter().enumerate() {
-                            t -= w;
-                            if t <= 0.0 {
-                                return i;
-                            }
-                        }
-                        pop_ref.len() - 1
+            if total_weight <= 0.0 {
+                rng.gen_range(0..pop_ref.len())
+            } else {
+                let mut t = rng.gen::<f64>() * total_weight;
+                for (i, w) in weights.iter().enumerate() {
+                    t -= w;
+                    if t <= 0.0 {
+                        return i;
                     }
                 }
-                Selection::Tournament { k } => {
-                    let mut best = rng.gen_range(0..pop_ref.len());
-                    for _ in 1..k {
-                        let c = rng.gen_range(0..pop_ref.len());
-                        if pop_ref[c].fitness < pop_ref[best].fitness {
-                            best = c;
-                        }
-                    }
-                    best
-                }
-                Selection::Rank => {
-                    // Linear rank: weight n for the best, 1 for the worst.
-                    let n = pop_ref.len();
-                    let total = n * (n + 1) / 2;
-                    let mut t = rng.gen_range(0..total);
-                    for (r, &i) in rank_order.iter().enumerate() {
-                        let w = n - r;
-                        if t < w {
-                            return i;
-                        }
-                        t -= w;
-                    }
-                    rank_order[n - 1]
-                }
+                pop_ref.len() - 1
             }
         };
 

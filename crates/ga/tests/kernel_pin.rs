@@ -27,8 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use common::reference as old;
 use nscc_ga::{
-    decode, eval_genome, Deme, FitnessCache, GaParams, Genome, Individual, Selection, TestFn,
-    ALL_FUNCTIONS,
+    decode, eval_genome, Deme, FitnessCache, GaParams, Genome, Individual, TestFn, ALL_FUNCTIONS,
 };
 
 /// The reference twin of a real genome.
@@ -85,9 +84,8 @@ fn assert_same_deme(a: &old::Deme, b: &Deme, what: &str) {
 fn lock_step(func: TestFn, params: &GaParams, gens: u64, seed: u64) {
     let what = |stage: &str, gen: u64| {
         format!(
-            "{} {:?} N={} G={} W={} elitist={} seed={seed} gen {gen}: {stage}",
+            "{} N={} G={} W={} elitist={} seed={seed} gen {gen}: {stage}",
             func.name(),
-            params.selection,
             params.pop_size,
             params.generation_gap,
             params.scaling_window,
@@ -160,32 +158,29 @@ fn lock_step(func: TestFn, params: &GaParams, gens: u64, seed: u64) {
 fn every_configuration_evolves_in_lock_step_with_the_reference() {
     let mut case = 0u64;
     for func in ALL_FUNCTIONS {
-        for selection in [
-            Selection::RouletteWindow,
-            Selection::Tournament { k: 2 },
-            Selection::Rank,
-        ] {
-            for generation_gap in [1.0, 0.2] {
-                for elitist in [true, false] {
-                    for scaling_window in [1, 5] {
-                        // Fewer generations where one costs more; N=2 is
-                        // the degenerate edge and runs longest.
-                        for (pop_size, gens) in [(2, 16), (50, 8), (400, 3)] {
-                            let params = GaParams {
-                                pop_size,
-                                generation_gap,
-                                scaling_window,
-                                elitist,
-                                selection,
-                                ..GaParams::default()
-                            };
-                            case += 1;
-                            lock_step(func, &params, gens, 1000 + case);
-                        }
+        for generation_gap in [1.0, 0.2] {
+            for elitist in [true, false] {
+                for scaling_window in [1, 5] {
+                    // Fewer generations where one costs more; N=2 is the
+                    // degenerate edge and runs longest.
+                    for (pop_size, gens) in [(2, 16), (50, 8), (400, 3)] {
+                        let params = GaParams {
+                            pop_size,
+                            generation_gap,
+                            scaling_window,
+                            elitist,
+                            ..GaParams::default()
+                        };
+                        case += 1;
+                        lock_step(func, &params, gens, 1000 + case);
                     }
                 }
             }
         }
+        // Each function's 24 roulette cases were once followed by 24
+        // tournament and 24 rank cases; skipping their numbers keeps every
+        // roulette case on the seed it has always run on.
+        case += 48;
     }
 }
 

@@ -55,10 +55,10 @@ impl Default for MsgConfig {
 
 /// Causal provenance of one tagged message: which writer generated which
 /// location at which iteration, plus the frame's virtual-time budget so
-/// far. Stamped by [`Endpoint::send_tagged`] /
-/// [`Endpoint::multicast_tagged`] **only when an observability hub is
-/// attached** — detached worlds never allocate a sequence number or probe
-/// the medium, preserving the zero-cost-when-detached guarantee.
+/// far. Stamped by [`Endpoint::multicast_tagged`] **only when an
+/// observability hub is attached** — detached worlds never allocate a
+/// sequence number or probe the medium, preserving the
+/// zero-cost-when-detached guarantee.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Provenance {
     /// Writing rank.
@@ -78,7 +78,7 @@ pub struct Provenance {
     /// deliveries and on unreliable transports.
     pub retrans_ns: u64,
     /// Virtual time the value was written — stamped in
-    /// [`Endpoint::stamp`] *before* the sender's per-message CPU overhead
+    /// `Endpoint::stamp` *before* the sender's per-message CPU overhead
     /// advances the clock, so `sent_at - write_ns` is exactly the
     /// writer-side publish cost.
     pub write_ns: u64,
@@ -300,23 +300,6 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
         self.send_prov(ctx, dst, payload, None)
     }
 
-    /// [`send`](Endpoint::send) with a causal provenance stamp: the
-    /// envelope records that this message carries `loc` as generated in
-    /// the sender's iteration `write_iter`. When no observability hub is
-    /// attached the stamp is skipped entirely (no sequence allocation, no
-    /// medium probe) and this is exactly `send`.
-    pub fn send_tagged(
-        &self,
-        ctx: &mut Ctx,
-        dst: usize,
-        payload: T,
-        loc: u32,
-        write_iter: u64,
-    ) -> SimTime {
-        let prov = self.stamp(ctx, loc, write_iter);
-        self.send_prov(ctx, dst, payload, prov)
-    }
-
     fn send_prov(
         &self,
         ctx: &mut Ctx,
@@ -479,8 +462,11 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
         self.multicast_prov(ctx, dsts, payload, None)
     }
 
-    /// [`multicast`](Endpoint::multicast) with a causal provenance stamp
-    /// (see [`Endpoint::send_tagged`]); every copy carries the same stamp.
+    /// [`multicast`](Endpoint::multicast) with a causal provenance stamp:
+    /// every copy records that it carries `loc` as generated in the
+    /// sender's iteration `write_iter`. When no observability hub is
+    /// attached the stamp is skipped entirely (no sequence allocation, no
+    /// medium probe) and this is exactly `multicast`.
     pub fn multicast_tagged(
         &self,
         ctx: &mut Ctx,

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use nscc_obs::{Hub, ObsEvent};
-use nscc_sim::{Ctx, EventCtx, Mailbox, SimTime};
+use nscc_sim::{Ctx, Mailbox, SimTime};
 
 use crate::medium::{Medium, MediumStats, NodeId, Transmission, Verdict};
 
@@ -132,74 +132,9 @@ impl Network {
         tx.arrival
     }
 
-    /// Like [`send_to`](Network::send_to), but callable from event context
-    /// (used by protocol layers that forward inside events).
-    pub fn send_to_from_event<T: Clone + 'static>(
-        &self,
-        ec: &mut EventCtx<'_>,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        mailbox: &Mailbox<T>,
-        msg: T,
-    ) -> SimTime {
-        let now = ec.now();
-        let tx = self.plan(now, src, dst, payload_bytes);
-        match tx.verdict {
-            Verdict::Deliver => {
-                let mb = mailbox.clone();
-                ec.schedule_fn(tx.arrival - now, move |ec2| mb.deliver(ec2, msg));
-            }
-            Verdict::Drop(_) => {}
-            Verdict::Duplicate { second } => {
-                let (mb, mb2) = (mailbox.clone(), mailbox.clone());
-                let copy = msg.clone();
-                ec.schedule_fn(tx.arrival - now, move |ec2| mb.deliver(ec2, msg));
-                ec.schedule_fn(second.saturating_sub(now), move |ec2| {
-                    mb2.deliver(ec2, copy)
-                });
-            }
-        }
-        tx.arrival
-    }
-
-    /// Deliver one message to several mailboxes. On broadcast-capable
-    /// media (the shared Ethernet bus) this costs *one* frame on the
-    /// wire; otherwise it falls back to one unicast per destination (as
-    /// on a crossbar switch). Returns the latest arrival time.
-    pub fn multicast_to<T: Clone + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        src: NodeId,
-        dests: &[(NodeId, Mailbox<T>)],
-        payload_bytes: usize,
-        msg: T,
-    ) -> SimTime {
-        let now = ctx.now();
-        match self.plan_broadcast(now, src, payload_bytes) {
-            Some(arrival) => {
-                let delay = arrival - now;
-                for (_, mb) in dests {
-                    let mb = mb.clone();
-                    let m = msg.clone();
-                    ctx.schedule_fn(delay, move |ec| mb.deliver(ec, m));
-                }
-                arrival
-            }
-            None => {
-                let mut last = now;
-                for (dst, mb) in dests {
-                    last = last.max(self.send_to(ctx, src, *dst, payload_bytes, mb, msg.clone()));
-                }
-                last
-            }
-        }
-    }
-
     /// Plan one *broadcast* frame: submit it to the medium, account for
     /// it, and emit the `NetSend`/`NetDeliver` pair (with the broadcast
-    /// destination sentinel) exactly as the broadcast arm of
-    /// [`multicast_to`](Network::multicast_to) always has. Returns
+    /// destination sentinel). Returns
     /// `Some(arrival)` on broadcast-capable media — every destination
     /// hears the frame at that one instant and the caller schedules the
     /// per-destination deliveries — or `None` when the medium has no

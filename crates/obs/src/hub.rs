@@ -9,7 +9,8 @@
 //! the raw streams saturate.
 //!
 //! Layers hold an `Option<Hub>`: detached (`None`) costs a single branch
-//! per event site — see the `obs/` group in `crates/bench/benches`.
+//! per event site; the attached costs are the `obs.*` rows of
+//! `crates/perf/run.sh probes`.
 //!
 //! A hub belongs to one thread, like the simulation it observes: all its
 //! state sits in one `RefCell`, every method borrows it once and lets go
@@ -538,11 +539,6 @@ impl Hub {
         st.live = Some(LiveSink::new(out, bench, st.snap_every_ns));
     }
 
-    /// Whether a live-feed sink is attached.
-    pub fn live_enabled(&self) -> bool {
-        self.inner.state.borrow().live.is_some()
-    }
-
     /// Write the feed's closing `final` line from the end-of-run summary
     /// (a no-op without an attached feed). `obs` is passed in rather than
     /// resampled so the line carries exactly the counters of the summary
@@ -749,11 +745,6 @@ impl Hub {
     /// Snapshot of the blocked-read time histogram (virtual ns).
     pub fn block_time(&self) -> Histogram {
         self.inner.state.borrow().block_ns.clone()
-    }
-
-    /// Snapshot of the network delay histogram (virtual ns).
-    pub fn net_delay(&self) -> Histogram {
-        self.inner.state.borrow().net_delay_ns.clone()
     }
 
     /// Snapshot of the rollback-depth histogram (iterations rolled back
@@ -1655,7 +1646,6 @@ mod tests {
         hub.sample_every(1_000);
         let buf = SharedBuf::default();
         hub.set_live(Box::new(buf.clone()), "unit");
-        assert!(hub.live_enabled());
         hub.emit(read_done(2, true, 50));
         hub.emit(ObsEvent::Write {
             t_ns: 1_200,

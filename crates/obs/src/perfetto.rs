@@ -4,10 +4,11 @@
 //! Spans render as complete (`"ph":"X"`) events with microsecond
 //! timestamps. Each [`SpanKind`] becomes its own trace *process* lane —
 //! `compute`, `blocked`, `phase` — and each simulated process/rank becomes
-//! a *thread* inside the lane, named via [`Hub::set_proc_name`]
-//! (`crate::Hub::set_proc_name`). Within one (lane, thread) row the
-//! emitting layers guarantee spans do not overlap: a process computes,
-//! blocks, and passes through phases strictly sequentially.
+//! a *thread* inside the lane, named via
+//! [`Hub::set_proc_name`](crate::Hub::set_proc_name). Within one (lane,
+//! thread) row the emitting layers guarantee spans do not overlap: a
+//! process computes, blocks, and passes through phases strictly
+//! sequentially.
 
 use std::collections::{BTreeMap, BTreeSet};
 

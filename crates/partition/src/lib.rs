@@ -1,7 +1,7 @@
 //! # nscc-partition — graph partitioning (METIS substitute)
 //!
 //! The paper partitions each belief network across processors with METIS
-//! [11] and reports the resulting edge-cut (Table 2). This crate provides
+//! \[11\] and reports the resulting edge-cut (Table 2). This crate provides
 //! the same service: balanced k-way partitioning by recursive bisection,
 //! with BFS region growing for initial splits and Fiduccia–Mattheyses
 //! refinement to shrink the cut.

@@ -16,8 +16,6 @@ use crate::time::SimTime;
 struct Inner<T> {
     queue: VecDeque<T>,
     waiter: Option<Pid>,
-    delivered: u64,
-    received: u64,
     /// Deepest the queue has ever been.
     high_watermark: u64,
     /// Depth at which a one-shot warning fires (None = disabled).
@@ -91,8 +89,6 @@ impl<T: 'static> Mailbox<T> {
         let inner = Rc::new(RefCell::new(Inner {
             queue: VecDeque::new(),
             waiter: None,
-            delivered: 0,
-            received: 0,
             high_watermark: 0,
             warn_at: None,
             warned: false,
@@ -113,7 +109,6 @@ impl<T: 'static> Mailbox<T> {
     pub fn deliver(&self, ec: &mut EventCtx<'_>, msg: T) {
         let mut inner = self.inner.borrow_mut();
         inner.queue.push_back(msg);
-        inner.delivered += 1;
         inner.note_depth(&self.name);
         if let Some(pid) = inner.waiter.take() {
             ec.wake(pid);
@@ -126,7 +121,6 @@ impl<T: 'static> Mailbox<T> {
     pub fn deliver_now(&self, ctx: &mut Ctx, msg: T) {
         let mut inner = self.inner.borrow_mut();
         inner.queue.push_back(msg);
-        inner.delivered += 1;
         inner.note_depth(&self.name);
         if let Some(pid) = inner.waiter.take() {
             drop(inner);
@@ -141,7 +135,6 @@ impl<T: 'static> Mailbox<T> {
             {
                 let mut inner = self.inner.borrow_mut();
                 if let Some(msg) = inner.queue.pop_front() {
-                    inner.received += 1;
                     return msg;
                 }
                 debug_assert!(
@@ -165,7 +158,6 @@ impl<T: 'static> Mailbox<T> {
             {
                 let mut inner = self.inner.borrow_mut();
                 if let Some(msg) = inner.queue.pop_front() {
-                    inner.received += 1;
                     return Some(msg);
                 }
                 if ctx.now() >= deadline {
@@ -197,12 +189,7 @@ impl<T: 'static> Mailbox<T> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        let mut inner = self.inner.borrow_mut();
-        let msg = inner.queue.pop_front();
-        if msg.is_some() {
-            inner.received += 1;
-        }
-        msg
+        self.inner.borrow_mut().queue.pop_front()
     }
 
     /// Number of messages currently queued.
@@ -213,11 +200,6 @@ impl<T: 'static> Mailbox<T> {
     /// True if no message is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total messages ever delivered into this mailbox.
-    pub fn total_delivered(&self) -> u64 {
-        self.inner.borrow().delivered
     }
 
     /// Deepest the queue has ever been (a backpressure gauge: a receiver
@@ -238,11 +220,6 @@ impl<T: 'static> Mailbox<T> {
     /// a structured observability event from receiver context.
     pub fn take_warn(&self) -> Option<u64> {
         self.inner.borrow_mut().warn_pending.take()
-    }
-
-    /// Total messages ever received out of this mailbox.
-    pub fn total_received(&self) -> u64 {
-        self.inner.borrow().received
     }
 
     /// The diagnostic name given at construction.
@@ -282,8 +259,6 @@ mod tests {
         });
         let report = sim.run().unwrap();
         assert_eq!(report.end_time, SimTime::from_millis(3));
-        assert_eq!(mb.total_delivered(), 1);
-        assert_eq!(mb.total_received(), 1);
     }
 
     #[test]

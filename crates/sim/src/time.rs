@@ -69,11 +69,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction: returns zero instead of underflowing.
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))

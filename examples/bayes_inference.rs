@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use nscc::bayes::{
-    exact_posterior, run_parallel_inference, ParallelBayesConfig, Plan, Query, StopRule, Table2Net,
+    run_parallel_inference, sequential_inference, BayesCost, ParallelBayesConfig, Plan, Query,
+    StopRule, Table2Net,
 };
 use nscc::core::Platform;
 use nscc::dsm::Coherence;
@@ -27,11 +28,25 @@ fn main() {
         net.edges_per_node(),
         plan.edge_cut
     );
-    let exact = exact_posterior(&net, query.node, &query.evidence);
+    // Enumeration is exponential in the network size, far out of reach at
+    // 56 four-valued nodes: a long sequential logic-sampling run is the
+    // reference instead.
+    let reference = sequential_inference(
+        &net,
+        &query,
+        &StopRule {
+            halfwidth: 0.002,
+            ..StopRule::default()
+        },
+        &BayesCost::deterministic(),
+        11,
+        10_000_000,
+    );
     println!(
-        "exact posterior of node {}: {:?}\n",
+        "sequential posterior of node {} ({} samples): {:?}\n",
         query.node,
-        round3(&exact)
+        reference.samples,
+        round3(&reference.posterior)
     );
 
     println!(
