@@ -26,13 +26,11 @@
 //! `BENCH_drill.json` whose `recovery` section merges all scenarios —
 //! the input of `nscc drill`.
 
+use nscc_bench::headless::HeadlessSpec;
 use nscc_bench::Session;
 use nscc_core::fmt::render_table;
-use nscc_core::{
-    run_ga_experiment, FaultPlan, GaExpResult, GaExperiment, Platform, RecoveryStyle, RunReport,
-};
-use nscc_dsm::Coherence;
-use nscc_ga::{CostModel, RecoverySummary, SupervisorPolicy, TestFn};
+use nscc_core::{run_ga_experiment, FaultPlan, GaExpResult, GaExperiment, RunReport};
+use nscc_ga::{RecoverySummary, SupervisorPolicy};
 use nscc_obs::Hub;
 use nscc_sim::SimTime;
 
@@ -45,10 +43,10 @@ const AGE: u64 = 5;
 /// One pass/fail verdict: scenario, check, pass, detail.
 type Check = (&'static str, &'static str, bool, String);
 
-/// The drill experiment: the full robustness stack (reliable delivery is
-/// platform default, read timeouts, heartbeats, watchdog, warm recovery)
-/// plus snapshots and supervision. One run per scenario — a drill wants
-/// exact counters, not averaged sweeps.
+/// The drill experiment: the chaos-study cell (read timeouts,
+/// heartbeats, watchdog, warm recovery; the platform's raw datagrams,
+/// without reliable delivery) plus snapshots and supervision. One run
+/// per scenario — a drill wants exact counters, not averaged sweeps.
 fn drill_exp(
     session: &Session,
     plan: FaultPlan,
@@ -56,28 +54,26 @@ fn drill_exp(
     supervision: Option<SupervisorPolicy>,
     obs: Option<Hub>,
 ) -> GaExperiment {
-    let mut platform = Platform::paper_ethernet(PROCS).with_faults(plan);
-    platform.msg.mailbox_warn = session.scale.mailbox_warn;
-    GaExperiment {
+    let spec = HeadlessSpec {
+        procs: PROCS,
         generations: session.scale.generations,
         runs: 1,
-        base_seed: session.scale.seed,
-        cost: CostModel::deterministic(),
-        platform,
-        obs,
-        modes: vec![Coherence::PartialAsync { age: AGE }],
-        read_timeout: Some(SimTime::from_millis(50)),
-        heartbeat: Some(SimTime::from_millis(20)),
-        watchdog: Some(SimTime::from_secs(3600)),
-        recovery: Some(RecoveryStyle::Warm),
+        age: AGE,
+        plan: Some(plan),
+        reliable: None,
         snapshots,
+        ..HeadlessSpec::quick(session.scale.seed)
+    };
+    let mut exp = spec.experiment(obs);
+    exp.platform.msg.mailbox_warn = session.scale.mailbox_warn;
+    GaExperiment {
         supervision,
         // With NSCC_CKPT_DIR set, completed cuts also land on disk as
         // consistent-cut generations (`nscc inspect --ckpt` shows them
         // in the kind column). Scenarios share the store; a later wave
         // with the same initiating generation overwrites atomically.
         snap_dir: session.resume.dir.as_ref().map(std::path::PathBuf::from),
-        ..GaExperiment::new(TestFn::F1Sphere, PROCS)
+        ..exp
     }
 }
 

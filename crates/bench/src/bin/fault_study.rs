@@ -23,16 +23,14 @@
 //! of the loss-derived plan — reseeded per cell, so the grid still
 //! varies. Lets a shrunk repro drive the full bench harness.
 
+use nscc_bench::headless::HeadlessSpec;
 use nscc_bench::{
     ages_from_env, fault_plan_from_env, loss_rates_from_env, CellResult, Scale, Session,
 };
 use nscc_core::fmt::{f2, render_table};
-use nscc_core::{run_ga_experiment, FaultPlan, GaExperiment, Platform, RecoveryStyle};
-use nscc_dsm::Coherence;
-use nscc_ga::{CostModel, TestFn};
-use nscc_msg::ReliableConfig;
+use nscc_core::{run_ga_experiment, FaultPlan};
 use nscc_obs::Hub;
-use nscc_sim::{SimError, SimTime};
+use nscc_sim::SimError;
 
 const PROCS: usize = 4;
 
@@ -50,37 +48,22 @@ fn run_cell(
     // an NSCC_FAULT_PLAN override keeps its events but is reseeded the
     // same way, so the grid still varies cell to cell.
     let plan_seed = scale.seed ^ ((loss * 1e6) as u64).wrapping_mul(31) ^ age;
-    let mut platform = Platform::paper_ethernet(PROCS);
-    match plan_override {
-        Some(plan) => platform = platform.with_faults(plan.clone().with_seed(plan_seed)),
-        None if loss > 0.0 => {
-            platform = platform.with_faults(FaultPlan::new(plan_seed).loss(loss));
-        }
-        None => {}
-    }
-    // The default 10 ms RTO suits low-latency links; the shared 10 Mbps
-    // Ethernet queues migrant batches for longer than that under load,
-    // so a tight RTO would retransmit frames that were merely queued.
-    platform.msg.reliable = Some(ReliableConfig {
-        base_rto: SimTime::from_millis(80),
-        ..ReliableConfig::default()
-    });
-    platform.msg.mailbox_warn = scale.mailbox_warn;
-    let exp = GaExperiment {
+    let plan = match plan_override {
+        Some(plan) => Some(plan.clone().with_seed(plan_seed)),
+        None if loss > 0.0 => Some(FaultPlan::new(plan_seed).loss(loss)),
+        None => None,
+    };
+    let spec = HeadlessSpec {
+        procs: PROCS,
         generations: scale.generations,
         runs: scale.runs,
-        base_seed: scale.seed,
-        cost: CostModel::deterministic(),
-        platform,
-        obs,
-        modes: vec![Coherence::PartialAsync { age }],
-        read_timeout: Some(SimTime::from_millis(50)),
-        heartbeat: Some(SimTime::from_millis(20)),
-        watchdog: Some(SimTime::from_secs(3600)),
-        recovery: Some(RecoveryStyle::Warm),
+        age,
+        plan,
         inject_stale: scale.inject_stale,
-        ..GaExperiment::new(TestFn::F1Sphere, PROCS)
+        ..HeadlessSpec::quick(scale.seed)
     };
+    let mut exp = spec.experiment(obs);
+    exp.platform.msg.mailbox_warn = scale.mailbox_warn;
     let res = run_ga_experiment(&exp)?;
     let m = &res.modes[0];
     let key = |metric: &str| format!("loss={loss}_age={age}_{metric}");

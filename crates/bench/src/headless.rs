@@ -78,6 +78,10 @@ impl HeadlessSpec {
             seed,
             age: 10,
             plan: None,
+            // The default 10 ms RTO suits low-latency links; the shared
+            // 10 Mbps Ethernet queues migrant batches for longer than
+            // that under load, so a tight RTO would retransmit frames
+            // that were merely queued.
             reliable: Some(ReliableConfig {
                 base_rto: SimTime::from_millis(80),
                 ..ReliableConfig::default()
@@ -88,6 +92,36 @@ impl HeadlessSpec {
             inject_stale: 0,
             snapshots: None,
             supervision: false,
+        }
+    }
+
+    /// The chaos-study cell this spec describes: the island GA on the
+    /// paper's Ethernet at one `Global_Read` age, with the robustness
+    /// stack on — read timeouts, heartbeats, the watchdog and warm
+    /// recovery — F1 and a deterministic cost model. Every chaos cell
+    /// (this module, `fault_study`, `drill`) is built here.
+    pub fn experiment(&self, obs: Option<Hub>) -> GaExperiment {
+        let mut platform = Platform::paper_ethernet(self.procs);
+        if let Some(plan) = self.plan.as_ref().filter(|p| !p.is_noop()) {
+            platform = platform.with_faults(plan.clone());
+        }
+        platform.msg.reliable = self.reliable;
+        GaExperiment {
+            generations: self.generations,
+            runs: self.runs,
+            base_seed: self.seed,
+            cost: CostModel::deterministic(),
+            platform,
+            obs,
+            modes: vec![Coherence::PartialAsync { age: self.age }],
+            read_timeout: self.read_timeout,
+            heartbeat: self.heartbeat,
+            watchdog: Some(self.watchdog),
+            recovery: Some(RecoveryStyle::Warm),
+            inject_stale: self.inject_stale,
+            snapshots: self.snapshots,
+            supervision: self.supervision.then(SupervisorPolicy::default),
+            ..GaExperiment::new(TestFn::F1Sphere, self.procs)
         }
     }
 }
@@ -155,29 +189,7 @@ pub fn run_headless(spec: &HeadlessSpec) -> HeadlessOutcome {
     let auditor = Arc::new(Auditor::new());
     hub.set_tap(auditor.clone());
 
-    let mut platform = Platform::paper_ethernet(spec.procs);
-    if let Some(plan) = spec.plan.as_ref().filter(|p| !p.is_noop()) {
-        platform = platform.with_faults(plan.clone());
-    }
-    platform.msg.reliable = spec.reliable;
-
-    let exp = GaExperiment {
-        generations: spec.generations,
-        runs: spec.runs,
-        base_seed: spec.seed,
-        cost: CostModel::deterministic(),
-        platform,
-        obs: Some(hub.clone()),
-        modes: vec![Coherence::PartialAsync { age: spec.age }],
-        read_timeout: spec.read_timeout,
-        heartbeat: spec.heartbeat,
-        watchdog: Some(spec.watchdog),
-        recovery: Some(RecoveryStyle::Warm),
-        inject_stale: spec.inject_stale,
-        snapshots: spec.snapshots,
-        supervision: spec.supervision.then(SupervisorPolicy::default),
-        ..GaExperiment::new(TestFn::F1Sphere, spec.procs)
-    };
+    let exp = spec.experiment(Some(hub.clone()));
 
     let mut out = HeadlessOutcome::default();
     match caught(|| run_ga_experiment(&exp)) {

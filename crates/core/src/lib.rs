@@ -3,8 +3,8 @@
 //! Assembles the substrates (simulated platform, DSM, applications) into
 //! the paper's experiments and regenerates every table and figure:
 //!
-//! * [`Platform`] — interconnect + message-cost + background-load presets
-//!   mirroring the paper's IBM SP2 / 10 Mbps Ethernet testbed.
+//! * [`Platform`] — message-cost, background-load and fault presets on
+//!   the paper's IBM SP2 / 10 Mbps Ethernet testbed.
 //! * [`run_ga_experiment`] — one Figure 2/4 cell: serial baseline, then
 //!   synchronous / fully-asynchronous / `Global_Read` (ages 0–30) island
 //!   GAs, with speedups, quality and warp measurements.
@@ -31,7 +31,7 @@ pub use bayes_exp::{
     run_bayes_experiment, run_sequential, BayesExpResult, BayesExperiment, BayesModeResult,
 };
 pub use ga_exp::{run_ga_experiment, GaExpResult, GaExperiment, ModeResult, PAPER_AGES};
-pub use nscc_faults::{FaultPlan, FaultReport, FaultStats, FaultStatsHandle};
+pub use nscc_faults::{FaultPlan, FaultReport};
 pub use nscc_ga::{RecoveryPlan, RecoveryStyle};
-pub use platform::{Interconnect, Platform};
+pub use platform::Platform;
 pub use report::RunReport;

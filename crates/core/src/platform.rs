@@ -1,29 +1,15 @@
 //! Platform presets: the simulated equivalents of the paper's testbed.
 
-use nscc_faults::{FaultPlan, FaultStatsHandle, FaultyMedium};
+use nscc_faults::{FaultPlan, FaultyMedium};
 use nscc_msg::MsgConfig;
-use nscc_net::{EthernetBus, IdealMedium, LoaderConfig, Medium, Network, NodeId, Sp2Switch};
-use nscc_sim::{SimBuilder, SimTime};
+use nscc_net::{EthernetBus, LoaderConfig, Network, NodeId};
+use nscc_sim::SimBuilder;
 
-/// Which interconnect to simulate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Interconnect {
-    /// The paper's 10 Mbps shared Ethernet.
-    Ethernet10,
-    /// The SP2 high-performance switch (contrast platform).
-    Sp2Switch,
-    /// Fixed-latency ideal medium (for controlled studies).
-    Ideal {
-        /// One-way latency.
-        latency: SimTime,
-    },
-}
-
-/// A complete platform description for one experiment run.
+/// A complete platform description for one experiment run: the paper's
+/// 10 Mbps shared Ethernet with its message costs, background load and
+/// an optional fault plan.
 #[derive(Debug, Clone)]
 pub struct Platform {
-    /// The interconnect model.
-    pub interconnect: Interconnect,
     /// Message-layer CPU overheads.
     pub msg: MsgConfig,
     /// Background load in Mbps offered by the loader pair (0 = none).
@@ -42,7 +28,6 @@ impl Platform {
     /// 10 Mbps Ethernet, unloaded.
     pub fn paper_ethernet(ranks: usize) -> Self {
         Platform {
-            interconnect: Interconnect::Ethernet10,
             msg: MsgConfig::default(),
             load_mbps: 0.0,
             ranks,
@@ -50,7 +35,7 @@ impl Platform {
         }
     }
 
-    /// Inject faults per `plan` into whatever interconnect this platform
+    /// Inject faults per `plan` into the interconnect this platform
     /// builds.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -69,45 +54,22 @@ impl Platform {
     /// Build the network for a run and spawn loader daemons when
     /// configured. Call once per simulation.
     pub fn build(&self, sim: &mut SimBuilder, seed: u64) -> Network {
-        self.build_instrumented(sim, seed).0
-    }
-
-    /// Like [`build`](Platform::build), additionally returning a live
-    /// handle onto the fault layer's counters (`None` when the platform
-    /// has no effective fault plan).
-    pub fn build_instrumented(
-        &self,
-        sim: &mut SimBuilder,
-        seed: u64,
-    ) -> (Network, Option<FaultStatsHandle>) {
-        let (net, handle) = self.wire(seed);
+        let net = self.build_network_only(seed);
         if self.load_mbps > 0.0 {
             let a = NodeId(self.ranks as u32);
             let b = NodeId(self.ranks as u32 + 1);
             nscc_net::spawn_loaders(sim, &net, &LoaderConfig::mbps(self.load_mbps, a, b));
         }
-        (net, handle)
+        net
     }
 
-    /// Build the network without a simulation (no loaders possible).
+    /// Build the network without a simulation (no loaders possible): the
+    /// Ethernet bus, fault-wrapped when the plan is effective.
     pub fn build_network_only(&self, seed: u64) -> Network {
-        self.wire(seed).0
-    }
-
-    /// The interconnect medium, fault-wrapped when the plan is effective.
-    fn wire(&self, seed: u64) -> (Network, Option<FaultStatsHandle>) {
-        let medium: Box<dyn Medium> = match self.interconnect {
-            Interconnect::Ethernet10 => Box::new(EthernetBus::ten_mbps(seed)),
-            Interconnect::Sp2Switch => Box::new(Sp2Switch::sp2()),
-            Interconnect::Ideal { latency } => Box::new(IdealMedium::new(latency)),
-        };
+        let bus = EthernetBus::ten_mbps(seed);
         match self.faults.as_ref().filter(|p| !p.is_noop()) {
-            Some(plan) => {
-                let faulty = FaultyMedium::wrap(medium, plan.clone());
-                let handle = faulty.stats_handle();
-                (Network::new(faulty), Some(handle))
-            }
-            None => (Network::new(medium), None),
+            Some(plan) => Network::new(FaultyMedium::new(bus, plan.clone())),
+            None => Network::new(bus),
         }
     }
 }
@@ -115,6 +77,7 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nscc_sim::SimTime;
 
     #[test]
     fn presets() {

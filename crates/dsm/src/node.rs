@@ -1,5 +1,12 @@
 //! The per-rank DSM node: age-tagged cache, update propagation, the
 //! blocking `Global_Read`, and the message barrier.
+//!
+//! Every read discipline is a `Global_Read` (`FullyAsync` is one with an
+//! unbounded age), and every `Global_Read` outcome — hit, sabotage, fresh
+//! release, degraded timeout — leaves through the single exit of
+//! [`DsmNode::global_read_ex`]. Blocked reads and barrier waits share one
+//! bounded receive; updates and checkpoint restores share one
+//! version-window insert.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -8,7 +15,7 @@ use std::sync::Arc;
 
 use nscc_ckpt::json::ToJson;
 use nscc_ckpt::Snapshot;
-use nscc_msg::{Endpoint, Envelope, WireSize};
+use nscc_msg::{Endpoint, Envelope, Provenance, WireSize};
 use nscc_obs::{Hub, ObsEvent, SpanKind};
 use nscc_sim::{Ctx, SimTime};
 
@@ -157,6 +164,19 @@ pub struct ReadOutcome<T> {
     /// (see [`DsmWorld::with_read_timeout`](crate::DsmWorld::with_read_timeout))
     /// and returned the freshest cached value instead of blocking further.
     pub degraded: bool,
+}
+
+/// How a `Global_Read` was released (see [`DsmNode::global_read_ex`]).
+enum Release {
+    /// The cached value was fresh enough.
+    Hit,
+    /// Released stale on purpose, spending the sabotage budget.
+    Sabotage,
+    /// Released by an arriving update, with the releasing update's
+    /// `(received_at, sent_at, stamp)` when it carried provenance.
+    Fresh(Option<(SimTime, SimTime, Provenance)>),
+    /// Timed out and degraded to the cached value.
+    Degraded,
 }
 
 /// One rank's DSM state. Move it into the rank's process closure; it is not
@@ -380,6 +400,10 @@ impl<T: WireSize + 'static> DsmNode<T> {
 
     /// [`global_read`](DsmNode::global_read) that also reports whether
     /// the read blocked, for how long, and whether it degraded.
+    ///
+    /// Every outcome — cache hit, sabotaged release, fresh release after
+    /// blocking, degraded timeout — leaves through one exit that books
+    /// the counters, emits the outcome's events and publishes the stats.
     pub fn global_read_ex(
         &mut self,
         ctx: &mut Ctx,
@@ -389,88 +413,165 @@ impl<T: WireSize + 'static> DsmNode<T> {
     ) -> ReadOutcome<T> {
         let required = curr_iter.saturating_sub(age);
         self.drain(ctx);
-        if let Some((have, v)) = self.cache.get(&loc) {
-            if *have >= required {
-                self.stats.cache_hits += 1;
-                if let Some(hub) = &self.obs {
-                    hub.emit(read_done_event(
-                        ctx.now(),
-                        self.rank,
-                        loc,
-                        curr_iter,
-                        age,
-                        *have,
-                        false,
-                        SimTime::ZERO,
-                    ));
-                }
-                self.flush_stats();
-                return ReadOutcome {
-                    age: *have,
-                    value: Arc::clone(v),
-                    blocked: false,
-                    block_time: SimTime::ZERO,
-                    required,
-                    degraded: false,
-                };
-            }
-        }
-        // Deliberate sabotage (audit validation only): spend one budget
-        // unit to release this would-block read with the stale cached
-        // value. The emitted ReadDone carries the true excess staleness,
-        // which the audit staleness monitor must flag.
-        if self.inject_stale > 0 {
-            if let Some((have, v)) = self.cache.get(&loc) {
-                self.inject_stale -= 1;
-                if let Some(hub) = &self.obs {
-                    if hub.staleness_enabled() {
-                        // A sabotaged release gets a deliberately empty
-                        // decomposition: no stage accounts for the excess
-                        // age, so the conservation monitor must flag it
-                        // just as the staleness monitor flags the bound
-                        // violation the ReadDone below carries.
-                        hub.emit(ObsEvent::ReadAnatomy {
-                            t_ns: ctx.now().as_nanos(),
-                            reader: self.rank as u32,
-                            writer: self.rank as u32,
-                            loc: loc.0,
-                            write_iter: *have,
-                            msg_seq: 0,
-                            age_ns: required.saturating_sub(*have).max(1),
-                            wait_ns: 0,
-                            publish_ns: 0,
-                            transit_ns: 0,
-                            fault_ns: 0,
-                            retrans_ns: 0,
-                            queue_ns: 0,
-                            apply_ns: 0,
-                        });
-                    }
-                    hub.emit(read_done_event(
-                        ctx.now(),
-                        self.rank,
-                        loc,
-                        curr_iter,
-                        age,
-                        *have,
-                        false,
-                        SimTime::ZERO,
-                    ));
-                }
-                self.flush_stats();
-                return ReadOutcome {
-                    age: *have,
-                    value: Arc::clone(v),
-                    blocked: false,
-                    block_time: SimTime::ZERO,
-                    required,
-                    degraded: false,
-                };
-            }
-        }
-        // Blocked path: wait for updates, applying everything that arrives.
-        self.stats.blocked_reads += 1;
         let t0 = ctx.now();
+        let (release, have, value) = match self.cache.get(&loc) {
+            Some((have, v)) if *have >= required => (Release::Hit, *have, Arc::clone(v)),
+            // Deliberate sabotage (audit validation only): spend one
+            // budget unit to release this would-block read with the stale
+            // cached value. The emitted ReadDone carries the true excess
+            // staleness, which the audit staleness monitor must flag.
+            Some((have, v)) if self.inject_stale > 0 => {
+                self.inject_stale -= 1;
+                (Release::Sabotage, *have, Arc::clone(v))
+            }
+            _ => self.block(ctx, loc, required, t0),
+        };
+        let block_time = ctx.now() - t0;
+        let blocked = matches!(release, Release::Fresh(_) | Release::Degraded);
+        let degraded = matches!(release, Release::Degraded);
+        self.stats.block_time += block_time;
+        match release {
+            Release::Hit => self.stats.cache_hits += 1,
+            Release::Degraded => self.stats.degraded_reads += 1,
+            Release::Sabotage | Release::Fresh(_) => {}
+        }
+        if let Some(hub) = &self.obs {
+            let (now, rank) = (ctx.now(), self.rank as u32);
+            match release {
+                // A sabotaged release gets a deliberately empty
+                // decomposition: no stage accounts for the excess age, so
+                // the conservation monitor must flag it just as the
+                // staleness monitor flags the bound violation the ReadDone
+                // carries.
+                Release::Sabotage if hub.staleness_enabled() => hub.emit(ObsEvent::ReadAnatomy {
+                    t_ns: now.as_nanos(),
+                    reader: rank,
+                    writer: rank,
+                    loc: loc.0,
+                    write_iter: have,
+                    msg_seq: 0,
+                    age_ns: required.saturating_sub(have).max(1),
+                    wait_ns: 0,
+                    publish_ns: 0,
+                    transit_ns: 0,
+                    fault_ns: 0,
+                    retrans_ns: 0,
+                    queue_ns: 0,
+                    apply_ns: 0,
+                }),
+                // Staleness anatomy: decompose this release's observed age
+                // into named hop stages from the releasing update's
+                // virtual-time stamps. Each stage is a difference of
+                // adjacent stamps, so the seven stages telescope to
+                // exactly `t_rel - min(t0, write_ns)` — the conservation
+                // contract the audit monitor asserts online.
+                Release::Fresh(Some((_, sent_at, p))) if hub.staleness_enabled() => {
+                    let (t_rel, t0_ns, s) = (now.as_nanos(), t0.as_nanos(), sent_at.as_nanos());
+                    hub.emit(ObsEvent::ReadAnatomy {
+                        t_ns: t_rel,
+                        reader: rank,
+                        writer: p.writer,
+                        loc: loc.0,
+                        write_iter: p.write_iter,
+                        msg_seq: p.msg_seq,
+                        age_ns: t_rel - t0_ns.min(p.write_ns),
+                        wait_ns: p.write_ns.saturating_sub(t0_ns),
+                        publish_ns: s.saturating_sub(p.write_ns),
+                        transit_ns: p
+                            .arrive_ns
+                            .saturating_sub(s)
+                            .saturating_sub(p.retrans_ns)
+                            .saturating_sub(p.fault_ns),
+                        fault_ns: p.fault_ns,
+                        retrans_ns: p.retrans_ns,
+                        queue_ns: p.recv_ns.saturating_sub(p.arrive_ns),
+                        apply_ns: t_rel.saturating_sub(p.recv_ns),
+                    });
+                }
+                _ => {}
+            }
+            hub.emit(if degraded {
+                ObsEvent::ReadDegraded {
+                    t_ns: now.as_nanos(),
+                    rank,
+                    loc: loc.0,
+                    required,
+                    delivered: have,
+                }
+            } else {
+                // The recorded staleness saturates, so future or retired
+                // values count as perfectly fresh.
+                ObsEvent::ReadDone {
+                    t_ns: now.as_nanos(),
+                    rank,
+                    loc: loc.0,
+                    curr_iter,
+                    requested: age,
+                    delivered: have,
+                    staleness: curr_iter.saturating_sub(have),
+                    blocked,
+                    block_ns: block_time.as_nanos(),
+                }
+            });
+            if let Release::Fresh(dep) = release {
+                // Blocked waits live on the Phase lane (pid = rank), which
+                // the scheduler's own Blocked spans never use.
+                hub.span(
+                    rank,
+                    t0.as_nanos(),
+                    now.as_nanos(),
+                    SpanKind::Phase,
+                    format!("Global_Read:{}", self.dir.meta(loc).name),
+                );
+                // Causal attribution: which write released us, and where
+                // its latency went. In-flight time is the delivery latency
+                // minus what queueing and the retransmit protocol already
+                // account for.
+                if let Some((recv_at, sent_at, p)) = dep {
+                    let total = recv_at.saturating_sub(sent_at).as_nanos();
+                    hub.emit(ObsEvent::ReadDep {
+                        t_ns: now.as_nanos(),
+                        reader: rank,
+                        writer: p.writer,
+                        loc: loc.0,
+                        write_iter: p.write_iter,
+                        msg_seq: p.msg_seq,
+                        block_ns: block_time.as_nanos(),
+                        queued_ns: p.queued_ns,
+                        inflight_ns: total
+                            .saturating_sub(p.queued_ns)
+                            .saturating_sub(p.retrans_ns),
+                        retrans_ns: p.retrans_ns,
+                    });
+                }
+            }
+            if blocked {
+                hub.clear_phase(rank);
+            }
+        }
+        self.flush_stats();
+        ReadOutcome {
+            age: have,
+            value,
+            blocked,
+            block_time,
+            required,
+            degraded,
+        }
+    }
+
+    /// The blocked half of `Global_Read`: wait for updates, applying
+    /// everything that arrives, until one satisfies `required` or — with
+    /// a timeout — the wait times out with something cached to degrade
+    /// to. Returns how the read was released and the value it delivers.
+    fn block(
+        &mut self,
+        ctx: &mut Ctx,
+        loc: LocId,
+        required: u64,
+        t0: SimTime,
+    ) -> (Release, u64, Arc<T>) {
+        self.stats.blocked_reads += 1;
         if let Some(hub) = &self.obs {
             hub.emit(ObsEvent::ReadBlocked {
                 t_ns: t0.as_nanos(),
@@ -487,48 +588,21 @@ impl<T: WireSize + 'static> DsmNode<T> {
             );
         }
         // Provenance of the last arriving update that satisfies this read:
-        // `(received_at, sent_at, stamp)`. Whichever such update was
-        // applied most recently is the one whose arrival released us.
-        let mut dep: Option<(SimTime, SimTime, nscc_msg::Provenance)> = None;
+        // whichever such update was applied most recently is the one whose
+        // arrival released us.
+        let mut dep = None;
         let mut deadline = self.timeout.map(|to| t0 + to);
         loop {
-            let env = match deadline {
-                None => self.ep.recv(ctx),
-                Some(dl) => match self.ep.recv_deadline(ctx, dl) {
-                    Some(env) => env,
-                    None => {
-                        // Timed out. If anything is cached, violate the
-                        // staleness bound rather than the liveness of the
-                        // whole computation; otherwise keep waiting with a
-                        // fresh deadline (there is nothing to degrade to).
-                        if let Some((have, v)) = self.cache.get(&loc) {
-                            let block_time = ctx.now() - t0;
-                            self.stats.block_time += block_time;
-                            self.stats.degraded_reads += 1;
-                            if let Some(hub) = &self.obs {
-                                hub.emit(ObsEvent::ReadDegraded {
-                                    t_ns: ctx.now().as_nanos(),
-                                    rank: self.rank as u32,
-                                    loc: loc.0,
-                                    required,
-                                    delivered: *have,
-                                });
-                                hub.clear_phase(self.rank as u32);
-                            }
-                            self.flush_stats();
-                            return ReadOutcome {
-                                age: *have,
-                                value: Arc::clone(v),
-                                blocked: true,
-                                block_time,
-                                required,
-                                degraded: true,
-                            };
-                        }
-                        deadline = self.timeout.map(|to| ctx.now() + to);
-                        continue;
-                    }
-                },
+            let Some(env) = self.recv_by(ctx, deadline) else {
+                // Timed out. If anything is cached, violate the staleness
+                // bound rather than the liveness of the whole computation;
+                // otherwise keep waiting with a fresh deadline (there is
+                // nothing to degrade to).
+                if let Some((have, v)) = self.cache.get(&loc) {
+                    return (Release::Degraded, *have, Arc::clone(v));
+                }
+                deadline = self.timeout.map(|to| ctx.now() + to);
+                continue;
             };
             if self.obs.is_some() {
                 if let (Some(p), DsmMsg::Update { loc: l, age: a, .. }) = (env.prov, &env.payload) {
@@ -540,116 +614,18 @@ impl<T: WireSize + 'static> DsmNode<T> {
             self.apply(env);
             if let Some((have, v)) = self.cache.get(&loc) {
                 if *have >= required {
-                    let block_time = ctx.now() - t0;
-                    self.stats.block_time += block_time;
-                    let out = ReadOutcome {
-                        age: *have,
-                        value: Arc::clone(v),
-                        blocked: true,
-                        block_time,
-                        required,
-                        degraded: false,
-                    };
-                    if let Some(hub) = &self.obs {
-                        // Staleness anatomy: decompose this release's
-                        // observed age into named hop stages from the
-                        // releasing update's virtual-time stamps. Each
-                        // stage is a difference of adjacent stamps, so
-                        // the seven stages telescope to exactly
-                        // `t_rel - min(t0, write_ns)` — the conservation
-                        // contract the audit monitor asserts online.
-                        if hub.staleness_enabled() {
-                            if let Some((_, sent_at, p)) = dep {
-                                let t_rel = ctx.now().as_nanos();
-                                let t0_ns = t0.as_nanos();
-                                let s = sent_at.as_nanos();
-                                hub.emit(ObsEvent::ReadAnatomy {
-                                    t_ns: t_rel,
-                                    reader: self.rank as u32,
-                                    writer: p.writer,
-                                    loc: loc.0,
-                                    write_iter: p.write_iter,
-                                    msg_seq: p.msg_seq,
-                                    age_ns: t_rel - t0_ns.min(p.write_ns),
-                                    wait_ns: p.write_ns.saturating_sub(t0_ns),
-                                    publish_ns: s.saturating_sub(p.write_ns),
-                                    transit_ns: p
-                                        .arrive_ns
-                                        .saturating_sub(s)
-                                        .saturating_sub(p.retrans_ns)
-                                        .saturating_sub(p.fault_ns),
-                                    fault_ns: p.fault_ns,
-                                    retrans_ns: p.retrans_ns,
-                                    queue_ns: p.recv_ns.saturating_sub(p.arrive_ns),
-                                    apply_ns: t_rel.saturating_sub(p.recv_ns),
-                                });
-                            }
-                        }
-                        hub.emit(read_done_event(
-                            ctx.now(),
-                            self.rank,
-                            loc,
-                            curr_iter,
-                            age,
-                            out.age,
-                            true,
-                            block_time,
-                        ));
-                        // Blocked waits live on the Phase lane (pid = rank),
-                        // which the scheduler's own Blocked spans never use.
-                        hub.span(
-                            self.rank as u32,
-                            t0.as_nanos(),
-                            ctx.now().as_nanos(),
-                            SpanKind::Phase,
-                            format!("Global_Read:{}", self.dir.meta(loc).name),
-                        );
-                        // Causal attribution: which write released us, and
-                        // where its latency went. In-flight time is the
-                        // delivery latency minus what queueing and the
-                        // retransmit protocol already account for.
-                        if let Some((recv_at, sent_at, p)) = dep {
-                            let total = recv_at.saturating_sub(sent_at).as_nanos();
-                            hub.emit(ObsEvent::ReadDep {
-                                t_ns: ctx.now().as_nanos(),
-                                reader: self.rank as u32,
-                                writer: p.writer,
-                                loc: loc.0,
-                                write_iter: p.write_iter,
-                                msg_seq: p.msg_seq,
-                                block_ns: block_time.as_nanos(),
-                                queued_ns: p.queued_ns,
-                                inflight_ns: total
-                                    .saturating_sub(p.queued_ns)
-                                    .saturating_sub(p.retrans_ns),
-                                retrans_ns: p.retrans_ns,
-                            });
-                        }
-                        hub.clear_phase(self.rank as u32);
-                    }
-                    self.flush_stats();
-                    return out;
+                    return (Release::Fresh(dep), *have, Arc::clone(v));
                 }
             }
         }
     }
 
-    /// Fully asynchronous read: drain pending updates and return whatever
-    /// the cache holds, never blocking. Panics if the location was never
-    /// initialized (give every readable location an initial value).
-    pub fn read_relaxed(&mut self, ctx: &mut Ctx, loc: LocId) -> (u64, Arc<T>) {
-        self.drain(ctx);
-        let (have, v) = self
-            .cache
-            .get(&loc)
-            .unwrap_or_else(|| panic!("location `{}` has no value", self.dir.meta(loc).name));
-        self.stats.cache_hits += 1;
-        let out = (*have, Arc::clone(v));
-        self.flush_stats();
-        out
-    }
-
-    /// Read under a [`Coherence`](crate::Coherence) discipline.
+    /// Read under a [`Coherence`](crate::Coherence) discipline: a
+    /// `Global_Read` whose age is 0 under a barrier, the mode's bound
+    /// under `PartialAsync`, and unbounded (`u64::MAX`, so the requirement
+    /// saturates to 0 and any cached value serves) under `FullyAsync`.
+    /// The emitted `ReadDone` carries the true requested age and
+    /// delivered staleness.
     pub fn read(
         &mut self,
         ctx: &mut Ctx,
@@ -657,30 +633,12 @@ impl<T: WireSize + 'static> DsmNode<T> {
         curr_iter: u64,
         mode: crate::Coherence,
     ) -> (u64, Arc<T>) {
-        match mode {
-            crate::Coherence::FullyAsync => {
-                let (have, v) = self.read_relaxed(ctx, loc);
-                if let Some(hub) = &self.obs {
-                    hub.emit(read_done_event(
-                        ctx.now(),
-                        self.rank,
-                        loc,
-                        curr_iter,
-                        u64::MAX,
-                        have,
-                        false,
-                        SimTime::ZERO,
-                    ));
-                }
-                (have, v)
-            }
-            // The (curr_iter, age) pair passes through unchanged: the read
-            // waits for iteration `curr_iter − age` (saturated; `age = 0`
-            // under a barrier), and the emitted `ReadDone` carries the true
-            // requested age and delivered staleness.
-            crate::Coherence::Synchronous => self.global_read(ctx, loc, curr_iter, 0),
-            crate::Coherence::PartialAsync { age } => self.global_read(ctx, loc, curr_iter, age),
-        }
+        let age = match mode {
+            crate::Coherence::Synchronous => 0,
+            crate::Coherence::FullyAsync => u64::MAX,
+            crate::Coherence::PartialAsync { age } => age,
+        };
+        self.global_read(ctx, loc, curr_iter, age)
     }
 
     /// Publish a final "infinitely fresh" update of `loc` so readers still
@@ -715,20 +673,14 @@ impl<T: WireSize + 'static> DsmNode<T> {
         self.drain(ctx);
         let entry = ctx.now();
         let mut waited = false;
-        loop {
+        let out = loop {
             let hit = self.get_version(loc, age).cloned();
-            if let Some(out) = hit {
+            if let Some(v) = hit {
                 self.stats.cache_hits += 1;
-                self.record_wait_span(ctx, loc, entry, waited);
-                self.flush_stats();
-                return Ok(out);
+                break Ok(v);
             }
             match self.cache.get(&loc) {
-                Some((a, _)) if *a == RETIRE_AGE => {
-                    self.record_wait_span(ctx, loc, entry, waited);
-                    self.flush_stats();
-                    return Err(Retired);
-                }
+                Some((a, _)) if *a == RETIRE_AGE => break Err(Retired),
                 Some((a, _)) if *a > age => panic!(
                     "version {age} of `{}` was evicted (latest {a}, window {}); \
                      increase DsmWorld::with_history",
@@ -737,23 +689,16 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 ),
                 _ => {}
             }
+            // Counted per message waited for, not per wait.
             self.stats.blocked_reads += 1;
             waited = true;
             let t0 = ctx.now();
             let env = self.ep.recv(ctx);
             self.apply(env);
             self.stats.block_time += ctx.now() - t0;
-        }
-    }
-
-    /// Record the Phase-lane span covering a blocked
-    /// [`wait_version`](DsmNode::wait_version) episode (no-op for
-    /// immediate hits or when detached).
-    fn record_wait_span(&self, ctx: &Ctx, loc: LocId, entry: SimTime, waited: bool) {
-        if !waited {
-            return;
-        }
-        if let Some(hub) = &self.obs {
+        };
+        // A wait that blocked gets its Phase-lane span.
+        if let (true, Some(hub)) = (waited, &self.obs) {
             hub.span(
                 self.rank as u32,
                 entry.as_nanos(),
@@ -762,6 +707,8 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 format!("wait_version:{}", self.dir.meta(loc).name),
             );
         }
+        self.flush_stats();
+        out
     }
 
     /// Apply all pending updates without blocking.
@@ -806,7 +753,8 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 if waiting == 0 {
                     break;
                 }
-                match self.barrier_recv(ctx) {
+                let window = self.timeout.map(|to| ctx.now() + to);
+                match self.recv_by(ctx, window) {
                     Some(env) => self.apply(env),
                     None => {
                         // Silence exceeded the window: declare unheard
@@ -823,7 +771,8 @@ impl<T: WireSize + 'static> DsmNode<T> {
         } else {
             self.ep.send(ctx, 0, DsmMsg::BarrierArrive { epoch });
             while self.released < epoch {
-                match self.barrier_recv(ctx) {
+                let window = self.timeout.map(|to| ctx.now() + to);
+                match self.recv_by(ctx, window) {
                     Some(env) => self.apply(env),
                     None => {
                         // A dead coordinator can never release us; exit
@@ -840,15 +789,13 @@ impl<T: WireSize + 'static> DsmNode<T> {
         self.finish_barrier(ctx, epoch, t0);
     }
 
-    /// One barrier-wait receive: blocking forever without a timeout,
-    /// otherwise bounded by one silence window (`None` = window expired).
-    fn barrier_recv(&mut self, ctx: &mut Ctx) -> Option<Envelope<DsmMsg<T>>> {
-        match self.timeout {
+    /// The bounded receive of blocked reads and barrier waits: block
+    /// forever without a deadline, otherwise until `deadline` (`None` =
+    /// it passed with nothing received).
+    fn recv_by(&mut self, ctx: &mut Ctx, deadline: Option<SimTime>) -> Option<Envelope<DsmMsg<T>>> {
+        match deadline {
             None => Some(self.ep.recv(ctx)),
-            Some(to) => {
-                let deadline = ctx.now() + to;
-                self.ep.recv_deadline(ctx, deadline)
-            }
+            Some(dl) => self.ep.recv_deadline(ctx, dl),
         }
     }
 
@@ -951,17 +898,25 @@ impl<T: WireSize + 'static> DsmNode<T> {
         for (loc, age, value) in entries {
             let value = Arc::new(value);
             if self.history > 0 {
-                let w = self.versions.entry(loc).or_default();
-                if let Some(slot) = w.iter_mut().find(|(a, _)| *a == age) {
-                    slot.1 = Arc::clone(&value);
-                } else {
-                    w.push_back((age, Arc::clone(&value)));
-                    while w.len() > self.history {
-                        w.pop_front();
-                    }
-                }
+                self.remember(loc, age, &value);
             }
             self.cache.insert(loc, (age, value));
+        }
+    }
+
+    /// Enter `value` as version `age` of `loc` in the retained window
+    /// (history mode). A version re-using an existing age is a
+    /// *correction* (rollback protocols re-publish amended values) and
+    /// replaces that version in place.
+    fn remember(&mut self, loc: LocId, age: u64, value: &Arc<T>) {
+        let w = self.versions.entry(loc).or_default();
+        if let Some(slot) = w.iter_mut().find(|(a, _)| *a == age) {
+            slot.1 = Arc::clone(value);
+        } else {
+            w.push_back((age, Arc::clone(value)));
+            while w.len() > self.history {
+                w.pop_front();
+            }
         }
     }
 
@@ -991,19 +946,8 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 }
                 if self.history > 0 {
                     // Versioned mode: retain a window of recent versions.
-                    // An update re-using an existing age is a *correction*
-                    // (rollback protocols re-publish amended values) and
-                    // replaces that version in place.
                     self.update_log.push((loc, age));
-                    let w = self.versions.entry(loc).or_default();
-                    if let Some(slot) = w.iter_mut().find(|(a, _)| *a == age) {
-                        slot.1 = Arc::clone(&value);
-                    } else {
-                        w.push_back((age, Arc::clone(&value)));
-                        while w.len() > self.history {
-                            w.pop_front();
-                        }
-                    }
+                    self.remember(loc, age, &value);
                     self.stats.updates_applied += 1;
                     match self.cache.get(&loc) {
                         Some((have, _)) if *have > age => {}
@@ -1064,33 +1008,5 @@ impl<T: Clone + 'static> DsmNode<T> {
             .collect();
         entries.sort_by_key(|(loc, _, _)| loc.0);
         entries
-    }
-}
-
-/// Build the `ReadDone` event shared by every read flavour. `requested` is
-/// the raw `age` argument (`u64::MAX` for relaxed reads); the recorded
-/// staleness is `curr_iter − delivered`, saturated so future or retired
-/// values count as perfectly fresh.
-#[allow(clippy::too_many_arguments)]
-fn read_done_event(
-    now: SimTime,
-    rank: usize,
-    loc: LocId,
-    curr_iter: u64,
-    requested: u64,
-    delivered: u64,
-    blocked: bool,
-    block_time: SimTime,
-) -> ObsEvent {
-    ObsEvent::ReadDone {
-        t_ns: now.as_nanos(),
-        rank: rank as u32,
-        loc: loc.0,
-        curr_iter,
-        requested,
-        delivered,
-        staleness: curr_iter.saturating_sub(delivered),
-        blocked,
-        block_ns: block_time.as_nanos(),
     }
 }

@@ -46,9 +46,6 @@ mod plan_json;
 
 pub use plan_json::PLAN_SCHEMA_VERSION;
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -348,38 +345,6 @@ impl FaultPlan {
     }
 }
 
-/// Counters of every fault the wrapper injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Frames dropped by random loss.
-    pub drops_loss: u64,
-    /// Frames dropped because an endpoint was crashed.
-    pub drops_node_down: u64,
-    /// Frames dropped by an active partition.
-    pub drops_partition: u64,
-    /// Spurious duplicate deliveries injected.
-    pub duplicates: u64,
-    /// Frames given extra (reordering) delay.
-    pub delayed: u64,
-    /// Frames held by a stall window.
-    pub stalled: u64,
-}
-
-/// A cloneable handle to a [`FaultyMedium`]'s counters, readable after
-/// (or during) a run even though the medium itself is owned by the
-/// network.
-#[derive(Debug, Clone, Default)]
-pub struct FaultStatsHandle {
-    inner: Rc<RefCell<FaultStats>>,
-}
-
-impl FaultStatsHandle {
-    /// Snapshot of the counters.
-    pub fn snapshot(&self) -> FaultStats {
-        *self.inner.borrow()
-    }
-}
-
 /// A [`Medium`] wrapper that applies a [`FaultPlan`] to every frame. The
 /// inner medium keeps full authority over timing and contention (lost
 /// frames still occupied the wire); the wrapper decides delivery.
@@ -391,7 +356,6 @@ pub struct FaultyMedium {
     inner: Box<dyn Medium>,
     plan: FaultPlan,
     rng: StdRng,
-    stats: FaultStatsHandle,
 }
 
 impl FaultyMedium {
@@ -402,25 +366,7 @@ impl FaultyMedium {
             inner: Box::new(inner),
             plan,
             rng,
-            stats: FaultStatsHandle::default(),
         }
-    }
-
-    /// Like [`new`](FaultyMedium::new), but wrapping an already-boxed
-    /// medium (what platform builders hold).
-    pub fn wrap(inner: Box<dyn Medium>, plan: FaultPlan) -> Self {
-        let rng = StdRng::seed_from_u64(plan.seed ^ 0xFA17_FA17_FA17_FA17);
-        FaultyMedium {
-            inner,
-            plan,
-            rng,
-            stats: FaultStatsHandle::default(),
-        }
-    }
-
-    /// A handle to this medium's fault counters.
-    pub fn stats_handle(&self) -> FaultStatsHandle {
-        self.stats.clone()
     }
 
     /// The plan in force.
@@ -462,15 +408,11 @@ impl Medium for FaultyMedium {
             .chain(self.plan.stall_floor(dst.0, now))
             .max();
         if let Some(f) = floor {
-            if f > arrival {
-                arrival = f;
-                self.stats.inner.borrow_mut().stalled += 1;
-            }
+            arrival = arrival.max(f);
         }
 
         // Crashed endpoints are fail-silent.
         if self.plan.crashed(src.0, now) || self.plan.crashed(dst.0, now) {
-            self.stats.inner.borrow_mut().drops_node_down += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Drop(DropReason::NodeDown),
@@ -480,7 +422,6 @@ impl Medium for FaultyMedium {
 
         // Partitions drop crossing frames until they heal.
         if self.plan.partitioned(src.0, dst.0, now) {
-            self.stats.inner.borrow_mut().drops_partition += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Drop(DropReason::Partitioned),
@@ -492,7 +433,6 @@ impl Medium for FaultyMedium {
         arrival = arrival.saturating_add(self.plan.degraded_delay(now));
 
         if f.drop_prob > 0.0 && self.rng.gen_bool(f.drop_prob) {
-            self.stats.inner.borrow_mut().drops_loss += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Drop(DropReason::Loss),
@@ -503,12 +443,10 @@ impl Medium for FaultyMedium {
         if f.delay_prob > 0.0 && self.rng.gen_bool(f.delay_prob) {
             let extra = self.rng.gen_range(0..=f.delay_max.as_nanos());
             arrival = arrival.saturating_add(SimTime::from_nanos(extra));
-            self.stats.inner.borrow_mut().delayed += 1;
         }
 
         if f.dup_prob > 0.0 && self.rng.gen_bool(f.dup_prob) {
             let gap = SimTime::from_micros(self.rng.gen_range(20..400));
-            self.stats.inner.borrow_mut().duplicates += 1;
             return Transmission {
                 arrival,
                 verdict: Verdict::Duplicate {
@@ -675,7 +613,6 @@ mod tests {
             assert_eq!(tx.arrival, t + SimTime::from_millis(1));
             assert_eq!(tx.verdict, Verdict::Deliver);
         }
-        assert_eq!(m.stats_handle().snapshot(), FaultStats::default());
     }
 
     #[test]
@@ -722,7 +659,6 @@ mod tests {
             m.plan_transmit(back, NodeId(0), NodeId(1), 64).verdict,
             Verdict::Deliver
         );
-        assert_eq!(m.stats_handle().snapshot().drops_node_down, 2);
     }
 
     #[test]
@@ -814,7 +750,6 @@ mod tests {
             Verdict::Duplicate { second } => assert!(second > tx.arrival),
             other => panic!("expected duplicate, got {other:?}"),
         }
-        assert_eq!(m.stats_handle().snapshot().duplicates, 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::supervise::{Decision, Supervisor};
 use crate::cost::CostModel;
 use crate::functions::TestFn;
 use crate::params::GaParams;
-use crate::population::{Deme, DemeState, GenWork, Individual};
+use crate::population::{Deme, DemeState, Individual};
 
 /// The migrant batch exchanged between islands.
 pub type MigrantBatch = Vec<Individual>;
@@ -191,16 +191,12 @@ pub struct IslandOutcome {
     pub generations: u64,
     /// Its best-ever fitness.
     pub best: f64,
-    /// Mean fitness of its final population (solution-quality metric).
-    pub mean_fitness: f64,
     /// Virtual time at which it first reached the target, if it did.
     pub time_to_target: Option<SimTime>,
     /// Virtual time at which its best-ever fitness last improved.
     pub time_of_last_improvement: SimTime,
     /// Virtual time at which it left the generation loop.
     pub end_time: SimTime,
-    /// Total GA work it performed.
-    pub work: GenWork,
     /// Crash recoveries it performed (warm or cold).
     pub restores: u64,
     /// Largest rollback distance across its warm restores, in generations
@@ -662,11 +658,9 @@ pub fn run_island(
         rank,
         generations: gen,
         best: deme.best_ever().fitness,
-        mean_fitness: deme.mean_fitness(),
         time_to_target,
         time_of_last_improvement: last_improvement,
         end_time: ctx.now(),
-        work: deme.total_work(),
         restores,
         max_rollback,
         cut_restores,
@@ -1103,7 +1097,7 @@ mod tests {
                     pop,
                     window: vec![9.5, 7.25],
                     generation: 4,
-                    total_work: GenWork {
+                    total_work: crate::GenWork {
                         evals: 130,
                         cache_hits: 20,
                         individuals: 150,

@@ -9,7 +9,7 @@ use nscc_sim::SimTime;
 use crate::cost::CostModel;
 use crate::functions::TestFn;
 use crate::params::GaParams;
-use crate::population::{Deme, GenWork};
+use crate::population::Deme;
 
 /// Result of a serial GA run.
 #[derive(Debug, Clone)]
@@ -25,8 +25,6 @@ pub struct SerialResult {
     /// Cumulative virtual time after each generation (parallel to
     /// `history`).
     pub time_history: Vec<SimTime>,
-    /// Total work performed.
-    pub work: GenWork,
 }
 
 impl SerialResult {
@@ -84,7 +82,6 @@ impl SerialGa {
             generations,
             history: self.history,
             time_history: self.time_history,
-            work: self.deme.total_work(),
         }
     }
 }

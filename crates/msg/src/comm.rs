@@ -2,18 +2,19 @@
 //!
 //! A [`CommWorld`] groups `p` ranks that exchange typed messages over one
 //! simulated [`Network`]. Each rank gets an [`Endpoint`] with PVM-flavoured
-//! operations: `send`, `broadcast` (unicast fan-out, like `pvm_mcast` over
-//! Ethernet), blocking `recv`, and non-blocking `try_recv`. Per-message CPU
-//! overheads (the dominant cost of user-level message passing in the
-//! paper's era) are charged to the sending/receiving process's virtual
-//! clock.
+//! operations: `send`, `multicast`/`broadcast` (like `pvm_mcast`: one frame
+//! on a broadcast medium, unicast fan-out elsewhere), blocking `recv`, and
+//! non-blocking `try_recv`. Every send shape goes through one submit path.
+//! Per-message CPU overheads (the dominant cost of user-level message
+//! passing in the paper's era) are charged to the sending/receiving
+//! process's virtual clock.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use nscc_ckpt::json::ToJson;
 use nscc_ckpt::Snapshot;
-use nscc_net::{Network, NodeId, Verdict, WarpMeter};
+use nscc_net::{Network, NodeId, WarpMeter};
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, Mailbox, SimTime};
 
@@ -98,6 +99,32 @@ pub struct Provenance {
     pub recv_ns: u64,
 }
 
+impl Provenance {
+    /// Stamp the copy that arrives at `at` carrying `fault` of injected
+    /// delay (see [`Transmission::copies`](nscc_net::Transmission::copies)).
+    pub(crate) fn arrive(&mut self, at: SimTime, fault: SimTime) {
+        self.arrive_ns = at.as_nanos();
+        self.fault_ns = fault.as_nanos();
+    }
+}
+
+/// The network node rank `rank` sits on: ranks map to nodes `0..p`.
+pub(crate) fn node(rank: usize) -> NodeId {
+    NodeId(rank as u32)
+}
+
+/// Hand `value` to `f` once per item: a clone for every item but the
+/// last, which gets the original.
+fn share<I, V: Clone>(items: impl IntoIterator<Item = I>, value: V, mut f: impl FnMut(I, V)) {
+    let mut items = items.into_iter().peekable();
+    while let Some(item) = items.next() {
+        if items.peek().is_none() {
+            return f(item, value);
+        }
+        f(item, value.clone());
+    }
+}
+
 /// A received message with its transport metadata.
 #[derive(Debug, Clone)]
 pub struct Envelope<T> {
@@ -169,7 +196,6 @@ pub(crate) struct WorldInner {
 pub struct CommWorld<T: 'static> {
     net: Network,
     boxes: Vec<Mailbox<Envelope<T>>>,
-    nodes: Vec<NodeId>,
     cfg: MsgConfig,
     warp: Option<WarpMeter>,
     obs: Option<Hub>,
@@ -187,11 +213,9 @@ impl<T: 'static> CommWorld<T> {
                 mb.set_warn_threshold(warn);
             }
         }
-        let nodes = (0..ranks).map(|r| NodeId(r as u32)).collect();
         CommWorld {
             net,
             boxes,
-            nodes,
             cfg,
             warp: None,
             obs: None,
@@ -231,7 +255,6 @@ impl<T: 'static> CommWorld<T> {
             peers: (0..self.ranks()).filter(|&d| d != rank).collect(),
             net: self.net.clone(),
             boxes: self.boxes.clone(),
-            nodes: self.nodes.clone(),
             cfg: self.cfg.clone(),
             warp: self.warp.clone(),
             obs: self.obs.clone(),
@@ -260,13 +283,14 @@ pub struct Endpoint<T: 'static> {
     peers: Vec<usize>,
     net: Network,
     boxes: Vec<Mailbox<Envelope<T>>>,
-    nodes: Vec<NodeId>,
     cfg: MsgConfig,
     warp: Option<WarpMeter>,
     obs: Option<Hub>,
     inner: Rc<RefCell<WorldInner>>,
 }
 
+// Not derived: cloning an endpoint shares the world, so `T: Clone` is not
+// needed (and a derive would demand it).
 impl<T: 'static> Clone for Endpoint<T> {
     fn clone(&self) -> Self {
         Endpoint {
@@ -274,7 +298,6 @@ impl<T: 'static> Clone for Endpoint<T> {
             peers: self.peers.clone(),
             net: self.net.clone(),
             boxes: self.boxes.clone(),
-            nodes: self.nodes.clone(),
             cfg: self.cfg.clone(),
             warp: self.warp.clone(),
             obs: self.obs.clone(),
@@ -297,49 +320,100 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
     /// Send `payload` to `dst`, charging the sender's CPU overhead and
     /// occupying the network. Returns the scheduled arrival time.
     pub fn send(&self, ctx: &mut Ctx, dst: usize, payload: T) -> SimTime {
-        self.send_prov(ctx, dst, payload, None)
+        self.submit(ctx, &[dst], payload, None)
     }
 
-    fn send_prov(
+    /// Send `payload` to every other rank. On broadcast-capable media
+    /// (the shared Ethernet) this is one frame on the wire and one
+    /// sender-side CPU charge — `pvm_mcast` over a bus; elsewhere it
+    /// falls back to unicast fan-out.
+    pub fn broadcast(&self, ctx: &mut Ctx, payload: T) {
+        self.multicast(ctx, &self.peers, payload);
+    }
+
+    /// Send `payload` to the given ranks with a single sender-side pack
+    /// (one wire frame on broadcast media). Destination order must not
+    /// include this rank.
+    pub fn multicast(&self, ctx: &mut Ctx, dsts: &[usize], payload: T) {
+        self.submit(ctx, dsts, payload, None);
+    }
+
+    /// [`multicast`](Endpoint::multicast) with a causal provenance stamp:
+    /// every copy records that it carries `loc` as generated in the
+    /// sender's iteration `write_iter`. When no observability hub is
+    /// attached the stamp is skipped entirely (no sequence allocation, no
+    /// medium probe) and this is exactly `multicast`.
+    pub fn multicast_tagged(
         &self,
         ctx: &mut Ctx,
-        dst: usize,
+        dsts: &[usize],
+        payload: T,
+        loc: u32,
+        write_iter: u64,
+    ) {
+        let prov = self.stamp(ctx, loc, write_iter);
+        self.submit(ctx, dsts, payload, prov);
+    }
+
+    /// The one send path: charge the sender's CPU once, count every
+    /// destination, and put the envelope on the wire — one broadcast
+    /// frame when there is more than one destination and the medium has
+    /// hardware broadcast, otherwise one frame per destination (through
+    /// the ack/retransmit layer when it is on: per-destination acking
+    /// cannot ride a single frame). Returns the arrival of the last frame
+    /// planned (the broadcast instant; `now` when `dsts` is empty).
+    fn submit(
+        &self,
+        ctx: &mut Ctx,
+        dsts: &[usize],
         payload: T,
         prov: Option<Provenance>,
     ) -> SimTime {
-        assert!(
-            dst < self.boxes.len(),
-            "destination rank {dst} out of range"
-        );
-        assert_ne!(
-            dst, self.rank,
-            "self-sends are not modeled; use local state"
-        );
+        if dsts.is_empty() {
+            return ctx.now();
+        }
+        for &d in dsts {
+            assert!(d < self.boxes.len(), "destination rank {d} out of range");
+            assert_ne!(d, self.rank, "self-sends are not modeled; use local state");
+        }
         ctx.advance(self.cfg.send_overhead);
         let bytes = wire_size(&payload) + self.cfg.header_bytes;
         {
             let mut inner = self.inner.borrow_mut();
-            inner.stats.sent += 1;
+            inner.stats.sent += dsts.len() as u64;
             inner.stats.payload_bytes += (bytes - self.cfg.header_bytes) as u64;
         }
+        let now = ctx.now();
         let env = Envelope {
             src: self.rank,
-            sent_at: ctx.now(),
+            sent_at: now,
             prov,
             payload,
         };
-        match self.cfg.reliable {
-            None => self.plan_and_deliver(ctx, dst, bytes, env),
-            Some(rc) => self.rel_send(ctx, dst, bytes, env, rc),
+        if dsts.len() > 1 && self.cfg.reliable.is_none() {
+            if let Some(arrival) = self.net.plan_broadcast(now, node(self.rank), bytes) {
+                // One frame on the wire, heard by all at one instant.
+                // Broadcast-capable media are never fault-wrapped (the
+                // fault layer masks hardware broadcast), so no copy
+                // carries a fault share.
+                share(dsts, env, |&d, env| {
+                    self.schedule_copy(ctx, d, env, (arrival, SimTime::ZERO))
+                });
+                return arrival;
+            }
         }
+        let mut arrival = now;
+        share(dsts, env, |&d, env| {
+            arrival = match self.cfg.reliable {
+                None => self.plan_and_deliver(ctx, d, bytes, env),
+                Some(rc) => self.rel_send(ctx, d, bytes, env, rc),
+            }
+        });
+        arrival
     }
 
-    /// Plan one unicast frame and schedule the surviving copies into the
-    /// destination mailbox — behaviorally identical to
-    /// [`Network::send_to`], except each scheduled copy's provenance (when
-    /// present) is stamped with that copy's own arrival instant and fault
-    /// share, which per-mailbox scheduling cannot do from inside the net
-    /// layer.
+    /// Plan one unicast frame and schedule each copy its verdict delivers
+    /// into the destination mailbox. Returns the planned arrival.
     fn plan_and_deliver(
         &self,
         ctx: &mut Ctx,
@@ -347,40 +421,28 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
         bytes: usize,
         env: Envelope<T>,
     ) -> SimTime {
-        let now = ctx.now();
-        let tx = self
-            .net
-            .plan(now, self.nodes[self.rank], self.nodes[dst], bytes);
-        match tx.verdict {
-            Verdict::Deliver => {
-                let mut env = env;
-                if let Some(p) = env.prov.as_mut() {
-                    p.arrive_ns = tx.arrival.as_nanos();
-                    p.fault_ns = tx.fault.as_nanos();
-                }
-                let mb = self.boxes[dst].clone();
-                ctx.schedule_fn(tx.arrival - now, move |ec| mb.deliver(ec, env));
-            }
-            Verdict::Drop(_) => {}
-            Verdict::Duplicate { second } => {
-                let (mb, mb2) = (self.boxes[dst].clone(), self.boxes[dst].clone());
-                let mut copy = env.clone();
-                let mut env = env;
-                if let Some(p) = env.prov.as_mut() {
-                    p.arrive_ns = tx.arrival.as_nanos();
-                    p.fault_ns = tx.fault.as_nanos();
-                }
-                if let Some(p) = copy.prov.as_mut() {
-                    // The spurious copy's extra gap past the first arrival
-                    // is fault-injected too.
-                    p.arrive_ns = second.as_nanos();
-                    p.fault_ns = (tx.fault + second.saturating_sub(tx.arrival)).as_nanos();
-                }
-                ctx.schedule_fn(tx.arrival - now, move |ec| mb.deliver(ec, env));
-                ctx.schedule_fn(second.saturating_sub(now), move |ec| mb2.deliver(ec, copy));
-            }
-        }
+        let tx = self.net.plan(ctx.now(), node(self.rank), node(dst), bytes);
+        share(tx.copies(), env, |copy, env| {
+            self.schedule_copy(ctx, dst, env, copy)
+        });
         tx.arrival
+    }
+
+    /// Schedule one copy of `env` into `dst`'s mailbox at `copy`'s
+    /// arrival, its provenance (when present) stamped with that copy's
+    /// own arrival and fault share.
+    fn schedule_copy(
+        &self,
+        ctx: &mut Ctx,
+        dst: usize,
+        mut env: Envelope<T>,
+        (at, fault): (SimTime, SimTime),
+    ) {
+        if let Some(p) = env.prov.as_mut() {
+            p.arrive(at, fault);
+        }
+        let mb = self.boxes[dst].clone();
+        ctx.schedule_fn(at.saturating_sub(ctx.now()), move |ec| mb.deliver(ec, env));
     }
 
     /// Build the provenance stamp for a tagged send, or `None` when the
@@ -434,8 +496,6 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
             inner: Rc::clone(&self.inner),
             obs: self.obs.clone(),
             cfg: rc,
-            src_node: self.nodes[self.rank],
-            dst_node: self.nodes[dst],
             src: self.rank,
             dst,
             seq,
@@ -445,97 +505,6 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
             payload: env.payload,
         };
         reliable::attempt(ctx, &Rc::new(frame), env.prov, 0)
-    }
-
-    /// Send `payload` to every other rank. On broadcast-capable media
-    /// (the shared Ethernet) this is one frame on the wire and one
-    /// sender-side CPU charge — `pvm_mcast` over a bus; elsewhere it
-    /// falls back to unicast fan-out.
-    pub fn broadcast(&self, ctx: &mut Ctx, payload: T) {
-        self.multicast(ctx, &self.peers, payload);
-    }
-
-    /// Send `payload` to the given ranks with a single sender-side pack
-    /// (one wire frame on broadcast media). Destination order must not
-    /// include this rank.
-    pub fn multicast(&self, ctx: &mut Ctx, dsts: &[usize], payload: T) {
-        self.multicast_prov(ctx, dsts, payload, None)
-    }
-
-    /// [`multicast`](Endpoint::multicast) with a causal provenance stamp:
-    /// every copy records that it carries `loc` as generated in the
-    /// sender's iteration `write_iter`. When no observability hub is
-    /// attached the stamp is skipped entirely (no sequence allocation, no
-    /// medium probe) and this is exactly `multicast`.
-    pub fn multicast_tagged(
-        &self,
-        ctx: &mut Ctx,
-        dsts: &[usize],
-        payload: T,
-        loc: u32,
-        write_iter: u64,
-    ) {
-        let prov = self.stamp(ctx, loc, write_iter);
-        self.multicast_prov(ctx, dsts, payload, prov)
-    }
-
-    fn multicast_prov(&self, ctx: &mut Ctx, dsts: &[usize], payload: T, prov: Option<Provenance>) {
-        if dsts.is_empty() {
-            return;
-        }
-        if dsts.len() == 1 {
-            self.send_prov(ctx, dsts[0], payload, prov);
-            return;
-        }
-        for &d in dsts {
-            assert!(d < self.boxes.len(), "destination rank {d} out of range");
-            assert_ne!(d, self.rank, "self-sends are not modeled");
-        }
-        ctx.advance(self.cfg.send_overhead);
-        let bytes = wire_size(&payload) + self.cfg.header_bytes;
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.sent += dsts.len() as u64;
-            inner.stats.payload_bytes += (bytes - self.cfg.header_bytes) as u64;
-        }
-        let env = Envelope {
-            src: self.rank,
-            sent_at: ctx.now(),
-            prov,
-            payload,
-        };
-        if let Some(rc) = self.cfg.reliable {
-            // Per-destination acking is incompatible with a single wire
-            // frame, so reliable multicast is unicast fan-out (still one
-            // sender-side CPU charge).
-            for &d in dsts {
-                self.rel_send(ctx, d, bytes, env.clone(), rc);
-            }
-            return;
-        }
-        let now = ctx.now();
-        match self.net.plan_broadcast(now, self.nodes[self.rank], bytes) {
-            Some(arrival) => {
-                // One frame on the wire, heard by all: every copy arrives
-                // at the broadcast instant, and broadcast-capable media
-                // are never fault-wrapped (the fault layer masks hardware
-                // broadcast), so there is no fault share to book.
-                let delay = arrival - now;
-                for &d in dsts {
-                    let mb = self.boxes[d].clone();
-                    let mut m = env.clone();
-                    if let Some(p) = m.prov.as_mut() {
-                        p.arrive_ns = arrival.as_nanos();
-                    }
-                    ctx.schedule_fn(delay, move |ec| mb.deliver(ec, m));
-                }
-            }
-            None => {
-                for &d in dsts {
-                    self.plan_and_deliver(ctx, d, bytes, env.clone());
-                }
-            }
-        }
     }
 
     /// Blocking receive: suspends in virtual time until a message arrives,
@@ -586,12 +555,7 @@ impl<T: WireSize + Clone + 'static> Endpoint<T> {
             }
         }
         if let Some(warp) = &self.warp {
-            let sample = warp.observe(
-                self.nodes[self.rank],
-                self.nodes[env.src],
-                env.sent_at,
-                ctx.now(),
-            );
+            let sample = warp.observe(node(self.rank), node(env.src), env.sent_at, ctx.now());
             if let (Some(s), Some(hub)) = (sample, &self.obs) {
                 hub.warp_sample(ctx.now().as_nanos(), s);
             }

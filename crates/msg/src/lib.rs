@@ -2,9 +2,11 @@
 //!
 //! The paper implements its DSM as "a simple layer of software on top of
 //! PVM" (§4.1). This crate is that PVM: typed point-to-point sends and
-//! receives between `p` ranks, broadcast as unicast fan-out, per-message
-//! CPU overheads charged to the simulated processes, and exact wire-size
-//! accounting through the [`WireSize`] trait ([`wire_size`]).
+//! receives between `p` ranks, multicast as one frame on a broadcast
+//! medium and unicast fan-out elsewhere (all through one submit path),
+//! per-message CPU overheads charged to the simulated processes, and
+//! exact wire-size accounting through the [`WireSize`] trait
+//! ([`wire_size`]).
 //!
 //! ```
 //! use nscc_msg::{CommWorld, MsgConfig};

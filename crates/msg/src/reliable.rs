@@ -20,11 +20,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use nscc_net::{Network, NodeId, Verdict};
+use nscc_net::Network;
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, Event, EventCtx, Mailbox, SimTime};
 
-use crate::comm::{Envelope, Provenance, WorldInner};
+use crate::comm::{node, Envelope, Provenance, WorldInner};
 
 /// Tuning knobs for the reliable-delivery layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,8 +123,6 @@ pub(crate) struct RelFrame<T> {
     pub(crate) inner: Rc<RefCell<WorldInner>>,
     pub(crate) obs: Option<Hub>,
     pub(crate) cfg: ReliableConfig,
-    pub(crate) src_node: NodeId,
-    pub(crate) dst_node: NodeId,
     pub(crate) src: usize,
     pub(crate) dst: usize,
     pub(crate) seq: u64,
@@ -169,21 +167,14 @@ pub(crate) fn attempt<T: Clone + 'static>(
     n: u32,
 ) -> SimTime {
     let now = s.now();
-    let tx = f.net.plan(now, f.src_node, f.dst_node, f.bytes);
-    let arrivals: &[SimTime] = match tx.verdict {
-        Verdict::Deliver => &[tx.arrival],
-        Verdict::Drop(_) => &[],
-        Verdict::Duplicate { second } => &[tx.arrival, second],
-    };
-    for &at in arrivals {
+    let tx = f.net.plan(now, node(f.src), node(f.dst), f.bytes);
+    for (at, fault) in tx.copies() {
         let mut prov = prov;
         if let Some(p) = &mut prov {
-            // Each copy carries its own hop stamps: this attempt's arrival
-            // and fault share (a duplicate's second copy also books its
-            // extra gap as fault). Whichever copy delivers first wins the
-            // dedup, so the receiver sees a consistent decomposition.
-            p.arrive_ns = at.as_nanos();
-            p.fault_ns = (tx.fault + at.saturating_sub(tx.arrival)).as_nanos();
+            // Each copy carries its own hop stamps. Whichever copy
+            // delivers first wins the dedup, so the receiver sees a
+            // consistent decomposition.
+            p.arrive(at, fault);
         }
         let f = Rc::clone(f);
         s.after(
@@ -268,16 +259,14 @@ fn deliver<T: Clone + 'static>(ec: &mut EventCtx<'_>, f: &RelFrame<T>, prov: Opt
     }
 
     let now = ec.now();
-    let ack = f.net.plan(now, f.dst_node, f.src_node, f.cfg.ack_bytes);
-    match ack.verdict {
-        Verdict::Deliver | Verdict::Duplicate { .. } => {
-            let inner = Rc::clone(&f.inner);
-            let seq = f.seq;
-            ec.schedule_fn(ack.arrival.saturating_sub(now), move |_| {
-                inner.borrow_mut().rel.acked.insert(seq);
-            });
-        }
-        Verdict::Drop(_) => {}
+    let ack = f.net.plan(now, node(f.dst), node(f.src), f.cfg.ack_bytes);
+    // The first copy to arrive acknowledges; a duplicate adds nothing.
+    if let Some((at, _)) = ack.copies().next() {
+        let inner = Rc::clone(&f.inner);
+        let seq = f.seq;
+        ec.schedule_fn(at.saturating_sub(now), move |_| {
+            inner.borrow_mut().rel.acked.insert(seq);
+        });
     }
 }
 
@@ -285,7 +274,7 @@ fn deliver<T: Clone + 'static>(ec: &mut EventCtx<'_>, f: &RelFrame<T>, prov: Opt
 mod tests {
     use super::*;
     use crate::{CommWorld, MsgConfig};
-    use nscc_net::{DropReason, MediumStats, Transmission};
+    use nscc_net::{DropReason, MediumStats, NodeId, Transmission, Verdict};
     use nscc_sim::SimBuilder;
 
     /// Fixed-latency medium that misbehaves on *data* frames (anything

@@ -10,8 +10,9 @@
 //! * [`Sp2Switch`] — the SP2 crossbar switch (per-port contention only),
 //!   used as the fast-interconnect contrast.
 //! * [`IdealMedium`] — fixed latency, for unit tests and baselines.
-//! * [`Network`] — the handle processes send through; schedules deliveries
-//!   into [`nscc_sim::Mailbox`]es at medium-computed arrival times.
+//! * [`Network`] — the handle processes send through: it plans each frame
+//!   on the medium and accounts for it; the caller delivers the
+//!   [`Transmission::copies`] the plan's verdict yields.
 //! * [`spawn_loaders`] — the paper's background "network loader" program
 //!   (0.5/1/2 Mbps of competing traffic between two extra nodes).
 //! * [`WarpMeter`] — the *warp* load metric: inter-arrival over inter-send

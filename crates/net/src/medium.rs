@@ -94,6 +94,26 @@ pub struct Transmission {
     pub fault: SimTime,
 }
 
+impl Transmission {
+    /// Every copy the verdict delivers, in scheduling order, as
+    /// `(arrival, fault share)`: none for a drop, one for a delivery, and
+    /// for a duplicate the planned copy followed by the spurious one,
+    /// whose gap past the first arrival is injected fault delay too. The
+    /// one place a [`Verdict`] becomes deliveries.
+    pub fn copies(&self) -> impl Iterator<Item = (SimTime, SimTime)> {
+        let (first, second) = match self.verdict {
+            Verdict::Deliver => (Some(self.arrival), None),
+            Verdict::Drop(_) => (None, None),
+            Verdict::Duplicate { second } => (Some(self.arrival), Some(second)),
+        };
+        let (arrival, fault) = (self.arrival, self.fault);
+        first
+            .into_iter()
+            .chain(second)
+            .map(move |at| (at, fault + at.saturating_sub(arrival)))
+    }
+}
+
 /// A transmission medium: computes when a frame submitted now will arrive,
 /// updating whatever queue/contention state it keeps.
 ///
@@ -262,6 +282,23 @@ mod tests {
         let mut m = IdealMedium::instant();
         let t0 = SimTime::from_secs(1);
         assert_eq!(m.transmit(t0, NodeId(0), NodeId(1), 64), t0);
+    }
+
+    #[test]
+    fn copies_follow_the_verdict() {
+        let ms = SimTime::from_millis;
+        let tx = |verdict| Transmission {
+            arrival: ms(5),
+            verdict,
+            fault: ms(1),
+        };
+        let copies = |t: Transmission| t.copies().collect::<Vec<_>>();
+        assert_eq!(copies(tx(Verdict::Deliver)), [(ms(5), ms(1))]);
+        assert_eq!(copies(tx(Verdict::Drop(DropReason::Loss))), []);
+        assert_eq!(
+            copies(tx(Verdict::Duplicate { second: ms(7) })),
+            [(ms(5), ms(1)), (ms(7), ms(3))]
+        );
     }
 
     #[test]

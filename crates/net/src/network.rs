@@ -1,11 +1,13 @@
 //! The [`Network`] handle: shared access to a medium from simulated
-//! processes and events, with delivery scheduling and aggregate statistics.
+//! processes and events. It plans frames, accounts for them and reports
+//! them to an attached hub; delivery is the caller's, which schedules
+//! each of a plan's [`Transmission::copies`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use nscc_obs::{Hub, ObsEvent};
-use nscc_sim::{Ctx, Mailbox, SimTime};
+use nscc_sim::SimTime;
 
 use crate::medium::{Medium, MediumStats, NodeId, Transmission, Verdict};
 
@@ -53,12 +55,49 @@ impl NetStats {
 
 struct NetInner {
     medium: Box<dyn Medium>,
-    messages: u64,
-    total_delay: SimTime,
-    max_delay: SimTime,
-    dropped: u64,
-    duplicated: u64,
+    /// Everything but `medium`, which the medium keeps itself.
+    stats: NetStats,
     obs: Option<Hub>,
+}
+
+impl NetInner {
+    /// Queueing ahead of a frame submitted at `now`, in nanoseconds —
+    /// probed only when a hub will report it, and before the transmit
+    /// mutates medium state.
+    fn queue_ns(&self, now: SimTime) -> u64 {
+        match self.obs {
+            Some(_) => self.medium.next_free(now).saturating_sub(now).as_nanos(),
+            None => 0,
+        }
+    }
+
+    /// The step every planned frame shares: delay bookkeeping plus its
+    /// `NetSend` event. Returns the frame's end-to-end delay.
+    fn book(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: u32,
+        payload_bytes: usize,
+        arrival: SimTime,
+        queue_ns: u64,
+    ) -> SimTime {
+        debug_assert!(arrival >= now, "medium produced an arrival in the past");
+        let delay = arrival - now;
+        self.stats.messages += 1;
+        self.stats.total_delay = self.stats.total_delay.saturating_add(delay);
+        self.stats.max_delay = self.stats.max_delay.max(delay);
+        if let Some(hub) = &self.obs {
+            hub.emit(ObsEvent::NetSend {
+                t_ns: now.as_nanos(),
+                src: src.0,
+                dst,
+                bytes: payload_bytes as u64,
+                queue_ns,
+            });
+        }
+        delay
+    }
 }
 
 /// A cloneable handle to one simulated interconnect.
@@ -82,11 +121,7 @@ impl Network {
         Network {
             inner: Rc::new(RefCell::new(NetInner {
                 medium: Box::new(medium),
-                messages: 0,
-                total_delay: SimTime::ZERO,
-                max_delay: SimTime::ZERO,
-                dropped: 0,
-                duplicated: 0,
+                stats: NetStats::default(),
                 obs: None,
             })),
         }
@@ -100,80 +135,24 @@ impl Network {
         self.inner.borrow_mut().obs = Some(hub);
     }
 
-    /// Submit a message and schedule its delivery into `mailbox` at the
-    /// arrival time computed by the medium (honouring the medium's
-    /// delivery verdict: dropped frames schedule nothing, duplicated
-    /// frames schedule a second copy). Returns the arrival time the
-    /// sender observes.
-    pub fn send_to<T: Clone + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: usize,
-        mailbox: &Mailbox<T>,
-        msg: T,
-    ) -> SimTime {
-        let now = ctx.now();
-        let tx = self.plan(now, src, dst, payload_bytes);
-        match tx.verdict {
-            Verdict::Deliver => {
-                let mb = mailbox.clone();
-                ctx.schedule_fn(tx.arrival - now, move |ec| mb.deliver(ec, msg));
-            }
-            Verdict::Drop(_) => {}
-            Verdict::Duplicate { second } => {
-                let (mb, mb2) = (mailbox.clone(), mailbox.clone());
-                let copy = msg.clone();
-                ctx.schedule_fn(tx.arrival - now, move |ec| mb.deliver(ec, msg));
-                ctx.schedule_fn(second.saturating_sub(now), move |ec| mb2.deliver(ec, copy));
-            }
-        }
-        tx.arrival
-    }
-
     /// Plan one *broadcast* frame: submit it to the medium, account for
     /// it, and emit the `NetSend`/`NetDeliver` pair (with the broadcast
-    /// destination sentinel). Returns
-    /// `Some(arrival)` on broadcast-capable media — every destination
-    /// hears the frame at that one instant and the caller schedules the
-    /// per-destination deliveries — or `None` when the medium has no
-    /// hardware broadcast and the caller must fall back to unicast
-    /// fan-out. Provenance-stamping layers call this directly so they can
-    /// stamp each destination's copy before scheduling it.
+    /// destination sentinel). Returns `Some(arrival)` on
+    /// broadcast-capable media — every destination hears the frame at
+    /// that one instant and the caller schedules the per-destination
+    /// deliveries — or `None` when the medium has no hardware broadcast
+    /// and the caller must fall back to unicast fan-out.
     pub fn plan_broadcast(
         &self,
         now: SimTime,
         src: NodeId,
         payload_bytes: usize,
     ) -> Option<SimTime> {
-        let (bcast, queue_ns) = {
-            let mut inner = self.inner.borrow_mut();
-            let queue_ns = if inner.obs.is_some() {
-                inner.medium.next_free(now).saturating_sub(now).as_nanos()
-            } else {
-                0
-            };
-            (
-                inner.medium.transmit_broadcast(now, src, payload_bytes),
-                queue_ns,
-            )
-        };
-        let arrival = bcast?;
-        debug_assert!(arrival >= now);
-        let delay = arrival - now;
         let mut inner = self.inner.borrow_mut();
-        inner.messages += 1;
-        inner.total_delay = inner.total_delay.saturating_add(delay);
-        inner.max_delay = inner.max_delay.max(delay);
+        let queue_ns = inner.queue_ns(now);
+        let arrival = inner.medium.transmit_broadcast(now, src, payload_bytes)?;
+        let delay = inner.book(now, src, BROADCAST, payload_bytes, arrival, queue_ns);
         if let Some(hub) = &inner.obs {
-            hub.emit(ObsEvent::NetSend {
-                t_ns: now.as_nanos(),
-                src: src.0,
-                dst: BROADCAST,
-                bytes: payload_bytes as u64,
-                queue_ns,
-            });
             hub.emit(ObsEvent::NetDeliver {
                 t_ns: arrival.as_nanos(),
                 src: src.0,
@@ -200,10 +179,8 @@ impl Network {
     }
 
     /// Submit a frame, account for it, and return the planned
-    /// [`Transmission`] — arrival time plus delivery verdict. Protocol
-    /// layers that schedule their own delivery events (e.g. an
-    /// ack/retransmit shim) use this directly; everything else goes
-    /// through [`send_to`](Network::send_to).
+    /// [`Transmission`] — arrival time plus delivery verdict. The caller
+    /// schedules whatever [`Transmission::copies`] it delivers.
     pub fn plan(
         &self,
         now: SimTime,
@@ -212,57 +189,35 @@ impl Network {
         payload_bytes: usize,
     ) -> Transmission {
         let mut inner = self.inner.borrow_mut();
-        // Queueing must be probed before the transmit mutates medium state.
-        let queue_ns = if inner.obs.is_some() {
-            inner.medium.next_free(now).saturating_sub(now).as_nanos()
-        } else {
-            0
-        };
+        let queue_ns = inner.queue_ns(now);
         let tx = inner.medium.plan_transmit(now, src, dst, payload_bytes);
-        debug_assert!(tx.arrival >= now, "medium produced an arrival in the past");
-        let delay = tx.arrival - now;
-        inner.messages += 1;
-        inner.total_delay = inner.total_delay.saturating_add(delay);
-        inner.max_delay = inner.max_delay.max(delay);
+        let delay = inner.book(now, src, dst.0, payload_bytes, tx.arrival, queue_ns);
         match tx.verdict {
             Verdict::Deliver => {}
-            Verdict::Drop(_) => inner.dropped += 1,
-            Verdict::Duplicate { .. } => inner.duplicated += 1,
+            Verdict::Drop(_) => inner.stats.dropped += 1,
+            Verdict::Duplicate { .. } => inner.stats.duplicated += 1,
         }
         if let Some(hub) = &inner.obs {
-            hub.emit(ObsEvent::NetSend {
-                t_ns: now.as_nanos(),
-                src: src.0,
-                dst: dst.0,
-                bytes: payload_bytes as u64,
-                queue_ns,
-            });
             match tx.verdict {
-                Verdict::Deliver => hub.emit(ObsEvent::NetDeliver {
-                    t_ns: tx.arrival.as_nanos(),
-                    src: src.0,
-                    dst: dst.0,
-                    delay_ns: delay.as_nanos(),
-                }),
                 Verdict::Drop(reason) => hub.emit(ObsEvent::FaultDrop {
                     t_ns: now.as_nanos(),
                     src: src.0,
                     dst: dst.0,
                     reason: reason.label().into(),
                 }),
-                Verdict::Duplicate { second } => {
-                    hub.emit(ObsEvent::NetDeliver {
-                        t_ns: tx.arrival.as_nanos(),
-                        src: src.0,
-                        dst: dst.0,
-                        delay_ns: delay.as_nanos(),
-                    });
-                    hub.emit(ObsEvent::FaultDup {
-                        t_ns: second.as_nanos(),
-                        src: src.0,
-                        dst: dst.0,
-                    });
-                }
+                Verdict::Deliver | Verdict::Duplicate { .. } => hub.emit(ObsEvent::NetDeliver {
+                    t_ns: tx.arrival.as_nanos(),
+                    src: src.0,
+                    dst: dst.0,
+                    delay_ns: delay.as_nanos(),
+                }),
+            }
+            if let Verdict::Duplicate { second } = tx.verdict {
+                hub.emit(ObsEvent::FaultDup {
+                    t_ns: second.as_nanos(),
+                    src: src.0,
+                    dst: dst.0,
+                });
             }
         }
         tx
@@ -273,11 +228,7 @@ impl Network {
         let inner = self.inner.borrow();
         NetStats {
             medium: inner.medium.stats(),
-            messages: inner.messages,
-            total_delay: inner.total_delay,
-            max_delay: inner.max_delay,
-            dropped: inner.dropped,
-            duplicated: inner.duplicated,
+            ..inner.stats
         }
     }
 }
@@ -286,29 +237,6 @@ impl Network {
 mod tests {
     use super::*;
     use crate::ethernet::EthernetBus;
-    use crate::medium::IdealMedium;
-    use nscc_sim::SimBuilder;
-
-    #[test]
-    fn send_to_delivers_at_medium_arrival_time() {
-        let net = Network::new(IdealMedium::new(SimTime::from_millis(4)));
-        let mb: Mailbox<u8> = Mailbox::new("m");
-        let (net2, mb2) = (net.clone(), mb.clone());
-        let mb3 = mb.clone();
-        let mut sim = SimBuilder::new(0);
-        sim.spawn("sender", move |ctx| {
-            ctx.advance(SimTime::from_millis(1));
-            net2.send_to(ctx, NodeId(0), NodeId(1), 128, &mb2, 9);
-        });
-        sim.spawn("receiver", move |ctx| {
-            assert_eq!(mb3.recv(ctx), 9);
-            assert_eq!(ctx.now(), SimTime::from_millis(5));
-        });
-        sim.run().unwrap();
-        let stats = net.stats();
-        assert_eq!(stats.messages, 1);
-        assert_eq!(stats.mean_delay(), SimTime::from_millis(4));
-    }
 
     #[test]
     fn stats_track_max_delay_under_contention() {

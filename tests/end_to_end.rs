@@ -7,7 +7,7 @@ use nscc::bayes::{
     exact_posterior, figure1, run_parallel_inference, BayesCost, ParallelBayesConfig, Query,
     StopRule, Table2Net,
 };
-use nscc::core::{run_ga_experiment, GaExperiment, Interconnect, Platform};
+use nscc::core::{run_ga_experiment, GaExperiment, Platform};
 use nscc::dsm::{Coherence, Directory, DsmWorld};
 use nscc::ga::{CostModel, TestFn};
 use nscc::msg::MsgConfig;
@@ -190,7 +190,7 @@ fn whole_stack_determinism() {
 #[test]
 fn loaded_platform_builds_and_runs() {
     let p = Platform::loaded_ethernet(2, 1.0);
-    assert_eq!(p.interconnect, Interconnect::Ethernet10);
+    assert_eq!(p.load_mbps, 1.0);
     let mut sim = SimBuilder::new(1);
     let net = p.build(&mut sim, 1);
     sim.spawn("clock", |ctx| ctx.advance(SimTime::from_secs(2)));
