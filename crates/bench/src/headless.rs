@@ -24,6 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use nscc_audit::Auditor;
+use nscc_ckpt::json::{FromJson, ToJson};
 use nscc_core::{run_ga_experiment, FaultPlan, GaExperiment, Platform, RecoveryStyle};
 use nscc_dsm::Coherence;
 use nscc_ga::{CostModel, SupervisorPolicy, TestFn};
@@ -32,8 +33,10 @@ use nscc_obs::Hub;
 use nscc_sim::SimTime;
 
 /// One complete headless trial: everything the generator mutates,
-/// nothing read from the environment.
-#[derive(Debug, Clone)]
+/// nothing read from the environment. Its JSON form is the `scenario` of
+/// a hunt repro: `procs`, `generations`, `runs`, `seed` and `watchdog_ns`
+/// are required, every other key may be left out and reads as off.
+#[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
 pub struct HeadlessSpec {
     /// Island count (the experiment's processor count).
     pub procs: usize,
@@ -45,26 +48,35 @@ pub struct HeadlessSpec {
     /// Base seed for the GA runs.
     pub seed: u64,
     /// `Global_Read` age bound (the one coherence mode exercised).
+    #[json(default)]
     pub age: u64,
-    /// Fault plan for the wire; `None` (or a no-op plan) keeps it clean.
-    pub plan: Option<FaultPlan>,
     /// Reliable-delivery configuration; `None` runs the raw datagram
     /// layer (no retransmits — loss then shows up as degraded reads and
     /// watchdog cuts instead).
+    #[json(default)]
     pub reliable: Option<ReliableConfig>,
     /// Blocked reads degrade to the cached value after this long.
+    #[json(rename = "read_timeout_ns", default)]
     pub read_timeout: Option<SimTime>,
     /// Failure-detector heartbeat period.
+    #[json(rename = "heartbeat_ns", default)]
     pub heartbeat: Option<SimTime>,
     /// Virtual-time watchdog — always armed: a fuzzer must never hang.
+    #[json(rename = "watchdog_ns")]
     pub watchdog: SimTime,
     /// Deliberately release this many would-block reads stale (the
     /// `NSCC_INJECT_STALE` sabotage; the staleness oracle must catch it).
+    #[json(default)]
     pub inject_stale: u64,
     /// Chandy–Lamport snapshot cadence in generations (`None` = off).
+    #[json(default)]
     pub snapshots: Option<u64>,
     /// Whether crashes go through the default supervision policy.
+    #[json(default)]
     pub supervision: bool,
+    /// Fault plan for the wire; `None` (or a no-op plan) keeps it clean.
+    #[json(default)]
+    pub plan: Option<FaultPlan>,
 }
 
 impl HeadlessSpec {

@@ -1097,7 +1097,24 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nscc_core::FaultPlan;
     use nscc_ga::TestFn;
+    use nscc_sim::SimTime;
+
+    /// The hand-written plan `tools/offline/same_bytes.sh` hands
+    /// `fault_study` through `NSCC_FAULT_PLAN` reads, optional sections
+    /// and keys left out, as the plan the builder makes.
+    #[test]
+    fn committed_fault_plan_fixture_loads_as_built() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/plans/short.json");
+        let built = FaultPlan::new(2026)
+            .loss(0.02)
+            .delay(0.1, SimTime::from_millis(3))
+            .crash_and_restart(3, SimTime::from_millis(40), SimTime::from_millis(90))
+            .stall(1, SimTime::from_millis(10), SimTime::from_millis(30));
+        assert_eq!(FaultPlan::load(&path), Ok(built));
+    }
 
     /// A fake environment for the pure parsers.
     fn env<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {

@@ -47,7 +47,7 @@ macro_rules! integers {
     };
 }
 
-integers!(u8, u32, u64, i32);
+integers!(u8, u32, u64, usize, i32);
 
 impl ToJson for bool {
     fn write_json(&self, out: &mut String) {

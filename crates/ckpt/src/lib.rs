@@ -21,8 +21,9 @@
 //! * [`store`] — a directory of numbered checkpoint generations with
 //!   atomic writes and corrupt-generation fallback;
 //! * [`json`] — the one JSON module: the reader (reports, event dumps,
-//!   fault plans, repros), the writer ([`json::ToJson`] and its derive)
-//!   and the string escape both share;
+//!   fault plans, repros), the writer ([`json::ToJson`] and its derive),
+//!   the typed reader ([`json::FromJson`] and its derive) and the string
+//!   escape both share;
 //! * [`hist`] — the log₂ [`Histogram`] every report carries, written and
 //!   read back through [`json`].
 //!
@@ -32,7 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-// The derives behind `json::ToJson` and `Snapshot`, found under this name
+// The derives behind `json::{ToJson, FromJson}` and `Snapshot`, found under this name
 // by cargo and by the frozen `crates/perf/build-offline.sh` alike; the
 // generated impls name `::nscc_ckpt`, which this crate derives too.
 extern crate self as nscc_ckpt;

@@ -169,8 +169,8 @@ fn cmd_shrink(mut args: impl Iterator<Item = String>) {
     println!(
         "wrote {} ({} finding(s), digest {})",
         target.display(),
-        shrunk.findings.len(),
-        shrunk.digest
+        shrunk.expect.findings.len(),
+        shrunk.expect.digest
     );
 }
 

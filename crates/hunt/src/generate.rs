@@ -8,7 +8,7 @@
 
 use nscc_bench::headless::HeadlessSpec;
 use nscc_core::FaultPlan;
-use nscc_faults::LinkFaults;
+use nscc_faults::{LinkFaults, Prob};
 use nscc_msg::ReliableConfig;
 use nscc_sim::SimTime;
 
@@ -133,7 +133,7 @@ pub fn generate(master_seed: u64, trial: u64, env: &Envelope) -> HeadlessSpec {
             src,
             dst,
             LinkFaults {
-                drop_prob: 1.0,
+                drop_prob: Prob::new(1.0),
                 ..LinkFaults::default()
             },
         );

@@ -32,5 +32,5 @@ mod shrink;
 pub use driver::{hunt, HuntConfig, HuntFinding};
 pub use generate::{generate, Envelope, SplitMix};
 pub use oracle::{digest, judge, Finding, Verdict};
-pub use repro::{Expectation, Repro, REPRO_SCHEMA_VERSION};
+pub use repro::{Expectation, Expected, Repro, REPRO_SCHEMA_VERSION};
 pub use shrink::shrink;

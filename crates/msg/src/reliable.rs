@@ -20,19 +20,24 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use nscc_ckpt::json::{FromJson, ToJson};
 use nscc_net::Network;
 use nscc_obs::{Hub, ObsEvent};
 use nscc_sim::{Ctx, Event, EventCtx, Mailbox, SimTime};
 
 use crate::comm::{node, Envelope, Provenance, WorldInner};
 
-/// Tuning knobs for the reliable-delivery layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Tuning knobs for the reliable-delivery layer. In a JSON document (a
+/// hunt repro's scenario) every key may be left out and reads as the
+/// default below.
+#[derive(Debug, Clone, Copy, PartialEq, ToJson, FromJson)]
+#[json(default)]
 pub struct ReliableConfig {
     /// Wire size of an acknowledgement frame.
     pub ack_bytes: usize,
     /// Retransmission timeout for the first retry; each further retry
     /// doubles it (up to [`max_rto`](ReliableConfig::max_rto)).
+    #[json(rename = "base_rto_ns")]
     pub base_rto: SimTime,
     /// Retransmissions attempted before giving up on a frame.
     pub max_retries: u32,
@@ -40,6 +45,7 @@ pub struct ReliableConfig {
     /// so a long partition cannot push the gap between attempts past a
     /// watchdog's `time_limit` (a frame either delivers or gives up on a
     /// bounded schedule). Must be ≥ `base_rto`; it is ignored below that.
+    #[json(rename = "max_rto_ns")]
     pub max_rto: SimTime,
 }
 
@@ -548,7 +554,7 @@ mod tests {
 
     #[test]
     fn give_up_accounting_under_a_shrunk_minimal_loss_plan() {
-        use nscc_faults::{FaultPlan, FaultyMedium, LinkFaults};
+        use nscc_faults::{FaultPlan, FaultyMedium, LinkFaults, Prob};
         use nscc_net::IdealMedium;
 
         // The locally-minimal repro shape `nscc shrink` converges to: one
@@ -558,7 +564,7 @@ mod tests {
             0,
             1,
             LinkFaults {
-                drop_prob: 1.0,
+                drop_prob: Prob::new(1.0),
                 ..LinkFaults::default()
             },
         );

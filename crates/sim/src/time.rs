@@ -8,14 +8,17 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use nscc_ckpt::{json::ToJson, Snapshot};
+use nscc_ckpt::json::{FromJson, ToJson};
+use nscc_ckpt::Snapshot;
 
 /// A point in virtual time (or a duration), in nanoseconds.
 ///
 /// All simulation ordering is derived from this value plus a deterministic
 /// sequence number, so two runs with the same seed produce identical
 /// schedules.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, ToJson, Snapshot)]
+#[derive(
+    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, ToJson, FromJson, Snapshot,
+)]
 pub struct SimTime(u64);
 
 impl SimTime {

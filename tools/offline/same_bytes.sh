@@ -18,6 +18,8 @@
 #            with NSCC_RESUME=1 in the same directory         the five sweeps
 #   inject NSCC_JSON=1 NSCC_AUDIT=1 NSCC_FLIGHT=64
 #            NSCC_INJECT_STALE=2                              fault_study
+#   plan   NSCC_JSON=1 NSCC_FAULT_PLAN=tests/fixtures/plans/short.json
+#            (a hand-written plan; the plan-file loader)      fault_study
 # NSCC_WALL and NSCC_LIVE read the host clock and are left out.
 #
 # Every exit code, stdout, stderr and file must match byte for byte,
@@ -30,6 +32,7 @@ if [ $# -ne 2 ]; then
 fi
 A="$(cd "$1" && pwd)"
 B="$(cd "$2" && pwd)"
+ROOT="$(cd "$(dirname "$0")/../.." && pwd)"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -102,6 +105,7 @@ for bin in $SWEEPS; do
     compare resume "$bin" "$WORK/kill-$bin/a" "$WORK/kill-$bin/b"
 done
 one inject fault_study NSCC_JSON=1 NSCC_AUDIT=1 NSCC_FLIGHT=64 NSCC_INJECT_STALE=2
+one plan fault_study NSCC_JSON=1 NSCC_FAULT_PLAN="$ROOT/tests/fixtures/plans/short.json"
 
 echo "same_bytes: $runs runs, $files files compared; $differences difference(s)"
 [ "$differences" = 0 ]
