@@ -13,7 +13,10 @@ use nscc_msg::MsgConfig;
 use nscc_net::{IdealMedium, Network};
 use nscc_sim::{SimBuilder, SimTime};
 
-fn run(topology: Topology, ranks: usize, seed: u64) -> (Vec<IslandOutcome>, u64) {
+/// The generation cap of every run here.
+const GENERATIONS: u64 = 40;
+
+fn run(topology: Topology, ranks: usize, seed: u64, mode: Coherence) -> (Vec<IslandOutcome>, u64) {
     let (dir, locs) = topology.build_directory(ranks, seed);
     let mut world: DsmWorld<MigrantBatch> = DsmWorld::new(
         Network::new(IdealMedium::new(SimTime::from_millis(1))),
@@ -36,8 +39,8 @@ fn run(topology: Topology, ranks: usize, seed: u64) -> (Vec<IslandOutcome>, u64)
             cost: CostModel::deterministic(),
             ..IslandConfig::paper(
                 TestFn::F1Sphere,
-                Coherence::PartialAsync { age: 3 },
-                StopPolicy::FixedGenerations(40),
+                mode,
+                StopPolicy::FixedGenerations(GENERATIONS),
             )
         };
         sim.spawn(format!("island{r}"), move |ctx| {
@@ -52,22 +55,24 @@ fn run(topology: Topology, ranks: usize, seed: u64) -> (Vec<IslandOutcome>, u64)
 
 #[test]
 fn all_topologies_run_to_completion() {
+    let age3 = Coherence::PartialAsync { age: 3 };
     for topology in [
         Topology::AllToAll,
         Topology::Ring,
         Topology::Random { k: 2 },
     ] {
-        let (outs, sent) = run(topology, 6, 9);
+        let (outs, sent) = run(topology, 6, 9, age3);
         assert_eq!(outs.len(), 6, "{topology:?}");
-        assert!(outs.iter().all(|o| o.generations == 40));
+        assert!(outs.iter().all(|o| o.generations == GENERATIONS));
         assert!(sent > 0, "{topology:?} must exchange migrants");
     }
 }
 
 #[test]
 fn ring_sends_fewer_migrant_copies_than_all_to_all() {
-    let (_, all) = run(Topology::AllToAll, 8, 3);
-    let (_, ring) = run(Topology::Ring, 8, 3);
+    let age3 = Coherence::PartialAsync { age: 3 };
+    let (_, all) = run(Topology::AllToAll, 8, 3, age3);
+    let (_, ring) = run(Topology::Ring, 8, 3, age3);
     // All-to-all: 7 logical receivers per write; ring: 2.
     assert!(
         ring * 3 < all,
@@ -85,5 +90,29 @@ fn random_topology_respects_out_degree() {
     let (dir2, locs2) = Topology::Random { k: 3 }.build_directory(10, 5);
     for (&a, &b) in locs.iter().zip(&locs2) {
         assert_eq!(dir.meta(a).readers, dir2.meta(b).readers);
+    }
+}
+
+/// An age bound at or above the generation cap never makes a read wait
+/// for a newer value, so `PartialAsync` there is `FullyAsync`: the same
+/// island outcomes and the same number of messages, run for run.
+#[test]
+fn age_at_or_beyond_the_generation_cap_is_fully_async() {
+    for ranks in [3, 4, 8] {
+        let (outs, sent) = run(Topology::AllToAll, ranks, 11, Coherence::FullyAsync);
+        let want = (format!("{outs:?}"), sent);
+        for age in [GENERATIONS, 1_000, u64::MAX] {
+            let (outs, sent) = run(
+                Topology::AllToAll,
+                ranks,
+                11,
+                Coherence::PartialAsync { age },
+            );
+            assert_eq!(
+                (format!("{outs:?}"), sent),
+                want,
+                "{ranks} ranks, age {age}"
+            );
+        }
     }
 }
