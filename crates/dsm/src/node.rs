@@ -546,7 +546,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 }
             }
             if blocked {
-                hub.clear_phase(rank);
+                hub.clear_phase(ctx.pid().0);
             }
         }
         self.flush_stats();
@@ -580,12 +580,10 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 required,
             });
             // Tell the profiler what this process is blocked *on*: samples
-            // taken during the wait fold under `Global_Read;<locn>`.
-            hub.annotate_phase(
-                self.rank as u32,
-                "Global_Read",
-                self.dir.meta(loc).name.clone(),
-            );
+            // taken during the wait fold under `Global_Read;<locn>`. The
+            // scheduler reads it back by its own pid, which is the rank only
+            // when no daemon spawned before the ranks.
+            hub.annotate_phase(ctx.pid().0, "Global_Read", self.dir.meta(loc).name.clone());
         }
         // Provenance of the last arriving update that satisfies this read:
         // whichever such update was applied most recently is the one whose

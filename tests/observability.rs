@@ -5,8 +5,9 @@
 use rand::{for_each_case, Rng};
 
 use nscc::ckpt::json;
-use nscc::core::RunReport;
+use nscc::core::{run_ga_experiment, GaExperiment, Platform, RunReport};
 use nscc::dsm::{Coherence, Directory, DsmWorld};
+use nscc::ga::TestFn;
 use nscc::msg::MsgConfig;
 use nscc::net::{EthernetBus, Network};
 use nscc::obs::{Hub, ObsEvent, SpanKind};
@@ -195,6 +196,53 @@ fn profiler_rows_are_deterministic_and_attributed() {
         format!("{:?}", run()),
         "same seed must produce identical profile rows"
     );
+}
+
+/// A blocked `Global_Read` is billed to the process that blocked. On the
+/// loaded network the loader daemons spawn before the islands, so an
+/// island's scheduler pid is not its DSM rank: keying the annotation by
+/// rank billed island0's wait to a loader and left the last islands with
+/// raw `blocked` rows and no `Global_Read` row at all.
+#[test]
+fn blocked_reads_are_billed_to_the_reading_island() {
+    let hub = Hub::new();
+    hub.profile_every(100_000);
+    let exp = GaExperiment {
+        generations: 30,
+        runs: 1,
+        platform: Platform::loaded_ethernet(4, 2.0),
+        obs: Some(hub.clone()),
+        modes: vec![Coherence::PartialAsync { age: 0 }],
+        ..GaExperiment::new(TestFn::F6Rastrigin, 4)
+    };
+    run_ga_experiment(&exp).expect("the loaded run completes");
+    let islands: Vec<(u32, String)> = hub
+        .proc_names()
+        .into_iter()
+        .filter(|(_, name)| name.starts_with("island"))
+        .collect();
+    assert_eq!(islands.len(), 4, "{islands:?}");
+    assert!(
+        islands
+            .iter()
+            .any(|(pid, name)| name != &format!("island{pid}")),
+        "every island spawned at its rank's pid: {islands:?}"
+    );
+    let rows = hub.profile_rows();
+    for (pid, name) in &islands {
+        let own = name.replace("island", "best");
+        let reads: Vec<_> = rows
+            .iter()
+            .filter(|r| r.pid == *pid && r.phase == "Global_Read")
+            .collect();
+        assert!(!reads.is_empty(), "{name} (pid {pid}): no Global_Read row");
+        for r in reads {
+            assert_ne!(
+                r.detail, own,
+                "{name} (pid {pid}) billed for its own location"
+            );
+        }
+    }
 }
 
 /// The analyzer mirrors the writer's schema constants (it is
