@@ -36,7 +36,7 @@ pub use gen::{hailfinder_like, random_network, RandomNetConfig, Table2Net, TABLE
 pub use network::{binary_node, binary_root, BeliefNetwork, Node, NodeIdx, Value};
 pub use parallel::{
     run_parallel_inference, run_planned_inference, BatchValues, BayesPartStats,
-    ParallelBayesConfig, ParallelBayesResult, RollbackPolicy,
+    ParallelBayesConfig, ParallelBayesResult,
 };
 pub use plan::{Batch, BatchId, Plan, RoundPlan};
 pub use sampling::{

@@ -11,10 +11,17 @@
 //! *default values* for missing remote inputs. Random draws are
 //! counter-based (`node_draw(seed, node, sample)`), so recomputing an
 //! iteration with corrected inputs reuses the same underlying randomness
-//! — rollback is deterministic recomputation. A correction re-publishes a
-//! batch under its original age, which is the collapsed form of a
-//! TimeWarp anti-message + replacement message pair; receivers diff
-//! corrected batches against what they *used* and roll back in turn.
+//! — rollback is deterministic recomputation. Rollback is per-sample
+//! invalidation, the paper's own §3.2 description ("the value of the child
+//! node and the values of all the nodes ... dependent on this node ... must
+//! be invalidated and recomputed"): only the contradicted sample columns,
+//! and in them only the nodes downstream of the changed inputs, are
+//! recomputed, which is sound because logic-sampling iterations are
+//! independent. Runahead still costs through the bounded rollback window
+//! (unconfirmed records evicted from it are discarded). A correction
+//! re-publishes a batch under its original age, which is the collapsed
+//! form of a TimeWarp anti-message + replacement message pair; receivers
+//! diff corrected batches against what they *used* and roll back in turn.
 //!
 //! **Layout.** The hot loop touches dense arrays only: the per-rank
 //! `PartIndex` (`index.rs`) resolves nodes to owned positions and batches
@@ -45,33 +52,11 @@ use crate::sampling::{node_draw, Query, StopRule, Tally};
 /// `vals[node_pos * block + sample_in_block]`), or empty for heartbeats.
 pub type BatchValues = Vec<Value>;
 
-/// How a partition reacts when a received value contradicts what it used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RollbackPolicy {
-    /// Time-Warp-style rollback (\[2\]): roll the process back to the
-    /// earliest contradicted iteration and replay *every* recorded
-    /// iteration from there forward, re-publishing corrections
-    /// (anti-message + replacement pairs). Straying far ahead makes each
-    /// rollback proportionally more expensive. No experiment runs it;
-    /// `tests/kernel_pin.rs` pins its results beside `Selective`'s.
-    Replay,
-    /// Per-sample invalidation — the default, and the paper's own §3.2
-    /// description ("the value of the child node and the values of all
-    /// the nodes ... dependent on this node ... must be invalidated and
-    /// recomputed"): only contradicted sample columns are recomputed,
-    /// sound because logic-sampling iterations are independent. Runahead
-    /// still costs through the bounded rollback window (unconfirmed
-    /// records evicted from it are discarded).
-    Selective,
-}
-
 /// Configuration of one parallel inference run.
 #[derive(Debug, Clone)]
 pub struct ParallelBayesConfig {
     /// Coherence discipline.
     pub mode: Coherence,
-    /// Rollback policy for the speculative disciplines.
-    pub rollback: RollbackPolicy,
     /// Stopping rule on the query posterior.
     pub stop: StopRule,
     /// Compute-cost model.
@@ -95,7 +80,6 @@ impl ParallelBayesConfig {
     pub fn new(mode: Coherence) -> Self {
         ParallelBayesConfig {
             mode,
-            rollback: RollbackPolicy::Selective,
             stop: StopRule::default(),
             cost: BayesCost::default(),
             block: 8,
@@ -376,35 +360,22 @@ impl PartRuntime {
         self.dirty.sort_unstable();
         self.dirty.dedup();
         let dirty = std::mem::take(&mut self.dirty);
-        match self.cfg.rollback {
-            RollbackPolicy::Selective => {
-                for cells in dirty.chunk_by(|a, b| a.0 == b.0) {
-                    self.rollback(idx, ctx, node, cells[0].0, Some(cells));
-                }
-            }
-            RollbackPolicy::Replay => {
-                // Roll back to the earliest contradiction and replay
-                // every recorded iteration from there forward, in full.
-                let newest = self.records.back().expect("dirty records exist").iter;
-                for age in dirty[0].0..=newest {
-                    self.rollback(idx, ctx, node, age, None);
-                }
-            }
+        for cells in dirty.chunk_by(|a, b| a.0 == b.0) {
+            self.rollback(idx, ctx, node, cells[0].0, cells);
         }
         self.dirty = dirty;
     }
 
     /// Recompute the record of iteration `age` against the DSM window as
     /// it is now — only the nodes downstream of the changed `cells`, per
-    /// column, or (`None`) every node of every column — and re-publish
-    /// the outgoing batches whose content changed.
+    /// column — and re-publish the outgoing batches whose content changed.
     fn rollback(
         &mut self,
         idx: &PartIndex,
         ctx: &mut Ctx,
         node: &mut DsmNode<BatchValues>,
         age: u64,
-        cells: Option<&[(u64, usize, usize)]>,
+        cells: &[(u64, usize, usize)],
     ) {
         let first = self.records[0].iter;
         let rec = &mut self.records[(age - first) as usize];
@@ -421,23 +392,14 @@ impl PartRuntime {
             rec.sample_columns(idx, node, nodes, cols.clone(), default_uses);
             rec.tally_columns(idx, node, cols, &mut self.tally, default_uses);
         };
-        match cells {
-            Some(cells) => {
-                for col in cells.chunk_by(|a, b| a.1 == b.1) {
-                    self.nodes.clear();
-                    for &(_, _, input) in col {
-                        self.nodes.extend_from_slice(&idx.deps[input]);
-                    }
-                    self.nodes.sort_unstable();
-                    self.nodes.dedup();
-                    redo(&self.nodes, col[0].1..col[0].1 + 1);
-                }
+        for col in cells.chunk_by(|a, b| a.1 == b.1) {
+            self.nodes.clear();
+            for &(_, _, input) in col {
+                self.nodes.extend_from_slice(&idx.deps[input]);
             }
-            None => {
-                self.nodes.clear();
-                self.nodes.extend(0..idx.owned.len());
-                redo(&self.nodes, 0..idx.block);
-            }
+            self.nodes.sort_unstable();
+            self.nodes.dedup();
+            redo(&self.nodes, col[0].1..col[0].1 + 1);
         }
         self.stats.resampled += resamples;
         ctx.advance(self.cfg.cost.iteration_cost(resamples));
@@ -610,12 +572,12 @@ fn partition_body(
 ) -> PartOutcome {
     let sync = matches!(rt.cfg.mode, Coherence::Synchronous);
     // The Global_Read gate on every peer's progress; the synchronous
-    // discipline is its age-0 case, the asynchronous one has none.
-    let throttle_age = match rt.cfg.mode {
-        Coherence::Synchronous => Some(0),
-        Coherence::PartialAsync { age } => Some(age),
-        Coherence::FullyAsync => None,
-    };
+    // discipline is its age-0 case. Every throttle location holds a value
+    // of iteration 0, so once the age reaches the iteration cap the gate
+    // requires nothing and a read could only hit: it is skipped, as at
+    // age ∞ (the asynchronous discipline).
+    let age = rt.cfg.mode.age();
+    let throttle_age = (age < rt.cfg.max_iterations).then_some(age);
     let block = idx.block as u64;
     let mut converged = false;
     let mut iter: u64 = 0;

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use nscc_bayes::{
     run_planned_inference, BayesCost, BayesPartStats, ParallelBayesConfig, ParallelBayesResult,
-    Plan, Query, RollbackPolicy, StopRule,
+    Plan, Query, StopRule,
 };
 use nscc_dsm::Coherence;
 use nscc_msg::MsgConfig;
@@ -78,48 +78,46 @@ fn digest(r: &ParallelBayesResult) -> u64 {
     h
 }
 
-const MODES: [Coherence; 5] = [
+/// The fixture's iteration cap: at this age and beyond no throttle read
+/// can block, so the run is the asynchronous one.
+const MAX_ITERATIONS: u64 = 600;
+
+const MODES: [Coherence; 7] = [
     Coherence::Synchronous,
-    Coherence::FullyAsync,
+    Coherence::ASYNC, // row[1] below
     Coherence::PartialAsync { age: 0 },
     Coherence::PartialAsync { age: 5 },
     Coherence::PartialAsync { age: 20 },
+    Coherence::PartialAsync {
+        age: MAX_ITERATIONS,
+    },
+    Coherence::PartialAsync { age: u64::MAX },
 ];
-const POLICIES: [RollbackPolicy; 2] = [RollbackPolicy::Selective, RollbackPolicy::Replay];
 
-/// One digest per parts {1, 2, 3} × policy × mode, in loop order.
+/// One digest per parts {1, 2, 3} × mode, in loop order.
 #[rustfmt::skip]
-const PINNED: [u64; 30] = [
-    0x084e46abbf792a61, // parts=1 Selective sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Selective async: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Selective age=0: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Selective age=5: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Selective age=20: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Replay sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Replay async: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Replay age=0: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Replay age=5: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x084e46abbf792a61, // parts=1 Replay age=20: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x8c8fa2c4cfb4f1c1, // parts=2 Selective sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x6c1d4dd5e668cd5e, // parts=2 Selective async: drawn 2400, rollbacks/defaults/discarded/late [41, 41707, 1126, 1098]
-    0x1847210502d8e93b, // parts=2 Selective age=0: drawn 1796, rollbacks/defaults/discarded/late [1843, 25933, 0, 0]
-    0x461eeca7c26ce874, // parts=2 Selective age=5: drawn 1796, rollbacks/defaults/discarded/late [1846, 26141, 0, 0]
-    0x053129b037b5af7d, // parts=2 Selective age=20: drawn 1812, rollbacks/defaults/discarded/late [41, 19187, 453, 2218]
-    0x8c8fa2c4cfb4f1c1, // parts=2 Replay sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x32612c57fc22e4ee, // parts=2 Replay async: drawn 1796, rollbacks/defaults/discarded/late [5480, 158388, 0, 0]
-    0xc7aba9e81a15b64e, // parts=2 Replay age=0: drawn 1796, rollbacks/defaults/discarded/late [1977, 30560, 0, 0]
-    0xb6f1ef10500c239c, // parts=2 Replay age=5: drawn 1796, rollbacks/defaults/discarded/late [4213, 119732, 0, 0]
-    0xe557eec04f67cbd5, // parts=2 Replay age=20: drawn 1796, rollbacks/defaults/discarded/late [5480, 158388, 0, 0]
-    0xa4c2ba184e3b6e4c, // parts=3 Selective sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x3c4c7be01c3a615d, // parts=3 Selective async: drawn 2400, rollbacks/defaults/discarded/late [158, 54684, 1734, 1399]
-    0x0b87ff49333ad162, // parts=3 Selective age=0: drawn 1792, rollbacks/defaults/discarded/late [3465, 32565, 0, 0]
-    0xb2a561c6b241417e, // parts=3 Selective age=5: drawn 1796, rollbacks/defaults/discarded/late [4183, 38393, 0, 0]
-    0x2b7b6d520393c3d0, // parts=3 Selective age=20: drawn 1776, rollbacks/defaults/discarded/late [984, 35043, 882, 3041]
-    0xa4c2ba184e3b6e4c, // parts=3 Replay sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
-    0x140a9881ff63dfb1, // parts=3 Replay async: drawn 2400, rollbacks/defaults/discarded/late [5750, 198760, 1675, 487]
-    0xc106204c4f1f7e9b, // parts=3 Replay age=0: drawn 1792, rollbacks/defaults/discarded/late [3627, 36100, 0, 0]
-    0xd2565de77c511ba1, // parts=3 Replay age=5: drawn 1796, rollbacks/defaults/discarded/late [8075, 134360, 0, 0]
-    0x861914855997a6de, // parts=3 Replay age=20: drawn 1792, rollbacks/defaults/discarded/late [4367, 109308, 443, 2827]
+const PINNED: [u64; 21] = [
+    0x084e46abbf792a61, // parts=1 sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x084e46abbf792a61, // parts=1 async: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x084e46abbf792a61, // parts=1 age=0: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x084e46abbf792a61, // parts=1 age=5: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x084e46abbf792a61, // parts=1 age=20: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x084e46abbf792a61, // parts=1 age=600: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x084e46abbf792a61, // parts=1 async: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x8c8fa2c4cfb4f1c1, // parts=2 sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x6c1d4dd5e668cd5e, // parts=2 async: drawn 2400, rollbacks/defaults/discarded/late [41, 41707, 1126, 1098]
+    0x1847210502d8e93b, // parts=2 age=0: drawn 1796, rollbacks/defaults/discarded/late [1843, 25933, 0, 0]
+    0x461eeca7c26ce874, // parts=2 age=5: drawn 1796, rollbacks/defaults/discarded/late [1846, 26141, 0, 0]
+    0x053129b037b5af7d, // parts=2 age=20: drawn 1812, rollbacks/defaults/discarded/late [41, 19187, 453, 2218]
+    0x6c1d4dd5e668cd5e, // parts=2 age=600: drawn 2400, rollbacks/defaults/discarded/late [41, 41707, 1126, 1098]
+    0x6c1d4dd5e668cd5e, // parts=2 async: drawn 2400, rollbacks/defaults/discarded/late [41, 41707, 1126, 1098]
+    0xa4c2ba184e3b6e4c, // parts=3 sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x3c4c7be01c3a615d, // parts=3 async: drawn 2400, rollbacks/defaults/discarded/late [158, 54684, 1734, 1399]
+    0x0b87ff49333ad162, // parts=3 age=0: drawn 1792, rollbacks/defaults/discarded/late [3465, 32565, 0, 0]
+    0xb2a561c6b241417e, // parts=3 age=5: drawn 1796, rollbacks/defaults/discarded/late [4183, 38393, 0, 0]
+    0x2b7b6d520393c3d0, // parts=3 age=20: drawn 1776, rollbacks/defaults/discarded/late [984, 35043, 882, 3041]
+    0x3c4c7be01c3a615d, // parts=3 age=600: drawn 2400, rollbacks/defaults/discarded/late [158, 54684, 1734, 1399]
+    0x3c4c7be01c3a615d, // parts=3 async: drawn 2400, rollbacks/defaults/discarded/late [158, 54684, 1734, 1399]
 ];
 
 #[test]
@@ -136,48 +134,54 @@ fn kernel_results_are_pinned() {
     let (mut rollbacks, mut default_uses, mut discarded, mut late) = (0, 0, 0, 0);
     for parts in 1..=3usize {
         let plan = Plan::with_assignment(&net, parts, common::assign(parts), &query);
-        for policy in POLICIES {
-            for mode in MODES {
-                let cfg = ParallelBayesConfig {
-                    rollback: policy,
-                    stop: StopRule {
-                        halfwidth: 0.04,
-                        ..StopRule::default()
-                    },
-                    cost: BayesCost::deterministic(),
-                    block: 4,
-                    max_iterations: 600,
-                    window: 12,
-                    ..ParallelBayesConfig::new(mode)
-                };
-                let res = run_planned_inference(
-                    Arc::clone(&net),
-                    &query,
-                    &plan,
-                    cfg,
-                    common::quiet_ethernet(),
-                    MsgConfig::default(),
-                    5,
-                )
-                .unwrap();
-                let sum = |f: fn(&BayesPartStats) -> u64| res.per_part.iter().map(f).sum::<u64>();
-                let stats = [
-                    sum(|p| p.rollbacks),
-                    sum(|p| p.default_uses),
-                    sum(|p| p.discarded),
-                    sum(|p| p.late_corrections),
-                ];
-                rollbacks += stats[0];
-                default_uses += stats[1];
-                discarded += stats[2];
-                late += stats[3];
-                let d = digest(&res);
-                table += &format!(
-                    "    {d:#018x}, // parts={parts} {policy:?} {mode}: drawn {}, \
-                     rollbacks/defaults/discarded/late {stats:?}\n",
-                    res.drawn
-                );
-                got.push(d);
+        for mode in MODES {
+            let cfg = ParallelBayesConfig {
+                stop: StopRule {
+                    halfwidth: 0.04,
+                    ..StopRule::default()
+                },
+                cost: BayesCost::deterministic(),
+                block: 4,
+                max_iterations: MAX_ITERATIONS,
+                window: 12,
+                ..ParallelBayesConfig::new(mode)
+            };
+            let res = run_planned_inference(
+                Arc::clone(&net),
+                &query,
+                &plan,
+                cfg,
+                common::quiet_ethernet(),
+                MsgConfig::default(),
+                5,
+            )
+            .unwrap();
+            let sum = |f: fn(&BayesPartStats) -> u64| res.per_part.iter().map(f).sum::<u64>();
+            let stats = [
+                sum(|p| p.rollbacks),
+                sum(|p| p.default_uses),
+                sum(|p| p.discarded),
+                sum(|p| p.late_corrections),
+            ];
+            rollbacks += stats[0];
+            default_uses += stats[1];
+            discarded += stats[2];
+            late += stats[3];
+            let d = digest(&res);
+            table += &format!(
+                "    {d:#018x}, // parts={parts} {mode}: drawn {}, \
+                 rollbacks/defaults/discarded/late {stats:?}\n",
+                res.drawn
+            );
+            got.push(d);
+        }
+        // An age at or beyond the iteration cap is the asynchronous run,
+        // cache hits included.
+        let row = &got[got.len() - MODES.len()..];
+        let async_digest = row[1];
+        for (mode, &d) in MODES.iter().zip(row) {
+            if mode.age() >= MAX_ITERATIONS {
+                assert_eq!(d, async_digest, "parts={parts} {mode:?}:\n{table}");
             }
         }
     }

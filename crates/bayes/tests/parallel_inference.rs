@@ -38,7 +38,7 @@ fn ideal() -> Network {
 #[test]
 fn single_partition_matches_sequential_exactly() {
     let net = Arc::new(figure1());
-    let cfg = quick_cfg(Coherence::FullyAsync);
+    let cfg = quick_cfg(Coherence::ASYNC);
     let res = run_parallel_inference(
         Arc::clone(&net),
         fig1_query(),
@@ -149,7 +149,7 @@ fn uncontrolled_async_strays_and_starves_its_tally() {
         2,
         ParallelBayesConfig {
             max_iterations: 8_000,
-            ..quick_cfg(Coherence::FullyAsync)
+            ..quick_cfg(Coherence::ASYNC)
         },
         ideal(),
         MsgConfig::default(),
@@ -199,7 +199,7 @@ fn partial_async_age_bound_prevents_window_overflow() {
         )
         .unwrap()
     };
-    let wild = run(Coherence::FullyAsync);
+    let wild = run(Coherence::ASYNC);
     let tamed = run(Coherence::PartialAsync { age: 2 });
     let discarded = |r: &nscc_bayes::ParallelBayesResult| -> u64 {
         r.per_part.iter().map(|p| p.discarded).sum()
@@ -230,7 +230,7 @@ fn rollbacks_occur_and_correct_the_estimate_under_async() {
         cost: BayesCost::default(),
         block: 4,
         max_iterations: 5_000,
-        ..ParallelBayesConfig::new(Coherence::FullyAsync)
+        ..ParallelBayesConfig::new(Coherence::ASYNC)
     };
     let res = run_parallel_inference(
         Arc::clone(&net),

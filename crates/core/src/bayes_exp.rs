@@ -201,7 +201,7 @@ pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, Sim
     let query = exp.standard_query_on(&net);
     let edge_cut = Plan::new(&net, exp.procs, 42, &query).edge_cut;
 
-    let modes: Vec<Coherence> = [Coherence::Synchronous, Coherence::FullyAsync]
+    let modes: Vec<Coherence> = [Coherence::Synchronous, Coherence::ASYNC]
         .into_iter()
         .chain(
             PAPER_AGES

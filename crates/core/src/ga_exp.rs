@@ -138,7 +138,7 @@ impl GaExperiment {
     /// The five competitor families of Figure 2: synchronous, fully
     /// asynchronous, and `Global_Read` at the paper's five ages.
     pub fn default_modes() -> Vec<Coherence> {
-        [Coherence::Synchronous, Coherence::FullyAsync]
+        [Coherence::Synchronous, Coherence::ASYNC]
             .into_iter()
             .chain(
                 PAPER_AGES
@@ -405,9 +405,8 @@ fn run_parallel_once(
     };
     // Crash-with-restart windows become per-rank recovery plans on the
     // barrier-free disciplines. The checkpoint cadence is the age bound
-    // (min 1) under Global_Read — so a warm restore never rolls back
-    // further than the staleness the discipline already tolerates — and a
-    // conservative 5 generations for the fully asynchronous free-for-all.
+    // (min 1), so a warm restore never rolls back further than the
+    // staleness the discipline already tolerates.
     let recovery_for = |rank: usize| -> Option<RecoveryPlan> {
         let style = exp.recovery?;
         if !chaos || mode.uses_barrier() {
@@ -424,12 +423,8 @@ fn run_parallel_once(
             return None;
         }
         crashes.sort_by_key(|&(at, _)| at);
-        let every = match mode {
-            Coherence::PartialAsync { age } => age.max(1),
-            _ => 5,
-        };
         Some(RecoveryPlan {
-            every,
+            every: mode.age().max(1),
             crashes,
             style,
         })

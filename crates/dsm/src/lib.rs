@@ -22,9 +22,10 @@
 //! ([`DsmNode::export_cache`] / [`DsmNode::restore_cache`]) deals in owned
 //! values.
 //!
-//! Three disciplines ([`Coherence`]) cover the paper's comparison points:
-//! synchronous (barrier per iteration), fully asynchronous (never block),
-//! and partially asynchronous (`Global_Read` with a chosen age).
+//! Two disciplines ([`Coherence`]) cover the paper's comparison points:
+//! synchronous (barrier per iteration) and partially asynchronous
+//! (`Global_Read` with a chosen age). Fully asynchronous (never block) is
+//! `Global_Read` at age ∞, [`Coherence::ASYNC`].
 #![warn(missing_docs)]
 
 mod directory;

@@ -1,8 +1,9 @@
 //! The per-rank DSM node: age-tagged cache, update propagation, the
 //! blocking `Global_Read`, and the message barrier.
 //!
-//! Every read discipline is a `Global_Read` (`FullyAsync` is one with an
-//! unbounded age), and every `Global_Read` outcome — hit, sabotage, fresh
+//! Every read discipline is a `Global_Read` at the mode's age: 0 under a
+//! barrier, ∞ for `Coherence::ASYNC` (the uncontrolled asynchronous
+//! implementation). Every `Global_Read` outcome — hit, sabotage, fresh
 //! release, degraded timeout — leaves through the single exit of
 //! [`DsmNode::global_read_ex`]. Blocked reads and barrier waits share one
 //! bounded receive; updates and checkpoint restores share one
@@ -619,11 +620,11 @@ impl<T: WireSize + 'static> DsmNode<T> {
     }
 
     /// Read under a [`Coherence`](crate::Coherence) discipline: a
-    /// `Global_Read` whose age is 0 under a barrier, the mode's bound
-    /// under `PartialAsync`, and unbounded (`u64::MAX`, so the requirement
-    /// saturates to 0 and any cached value serves) under `FullyAsync`.
-    /// The emitted `ReadDone` carries the true requested age and
-    /// delivered staleness.
+    /// `Global_Read` at [`Coherence::age`](crate::Coherence::age), which
+    /// is 0 under a barrier and `u64::MAX` for
+    /// [`Coherence::ASYNC`](crate::Coherence::ASYNC) (the requirement
+    /// saturates to 0 and any cached value serves). The emitted
+    /// `ReadDone` carries the true requested age and delivered staleness.
     pub fn read(
         &mut self,
         ctx: &mut Ctx,
@@ -631,12 +632,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
         curr_iter: u64,
         mode: crate::Coherence,
     ) -> (u64, Arc<T>) {
-        let age = match mode {
-            crate::Coherence::Synchronous => 0,
-            crate::Coherence::FullyAsync => u64::MAX,
-            crate::Coherence::PartialAsync { age } => age,
-        };
-        self.global_read(ctx, loc, curr_iter, age)
+        self.global_read(ctx, loc, curr_iter, mode.age())
     }
 
     /// Publish a final "infinitely fresh" update of `loc` so readers still
@@ -652,15 +648,11 @@ impl<T: WireSize + 'static> DsmNode<T> {
     /// [`with_history`](crate::DsmWorld::with_history)). Non-blocking and
     /// local; drains nothing.
     pub fn get_version(&self, loc: LocId, age: u64) -> Option<&Arc<T>> {
-        if let Some(w) = self.versions.get(&loc) {
-            if let Some((_, v)) = w.iter().find(|(a, _)| *a == age) {
-                return Some(v);
-            }
-        }
-        match self.cache.get(&loc) {
-            Some((a, v)) if *a == age => Some(v),
-            _ => None,
-        }
+        let window = self.versions.get(&loc).into_iter().flatten();
+        let (_, v) = window
+            .chain(self.cache.get(&loc))
+            .find(|(a, _)| *a == age)?;
+        Some(v)
     }
 
     /// Block until the exact version of `loc` for iteration `age` arrives,

@@ -152,7 +152,7 @@ fn fully_async_never_blocks_and_sees_staleness() {
         let mut max_staleness = 0i64;
         for iter in 1..=10u64 {
             ctx.advance(SimTime::from_millis(5));
-            let (age, _) = reader.read(ctx, loc, iter, Coherence::FullyAsync);
+            let (age, _) = reader.read(ctx, loc, iter, Coherence::ASYNC);
             max_staleness = max_staleness.max(iter as i64 - age as i64);
         }
         // Reader finished its 10 iterations in ~50 ms having seen at most

@@ -12,7 +12,7 @@
 //! Read exits covered: cache hit, sabotaged release (staleness tracer on
 //! and off), degraded timeout (and a timeout with nothing cached to
 //! degrade to), blocked release with its `ReadAnatomy`/`ReadDep`,
-//! `FullyAsync`, `Synchronous`, and `wait_version` hit, wait and
+//! `Coherence::ASYNC`, `Synchronous`, and `wait_version` hit, wait and
 //! `Retired`. Send shapes: unicast, multicast on the bus (one broadcast
 //! frame), multicast on the switch (unicast fan-out), reliable
 //! multicast, and fault-wrapped `Drop`/`Duplicate` verdicts with and
@@ -106,7 +106,7 @@ fn ideal() -> IdealMedium {
     IdealMedium::new(SimTime::from_millis(1))
 }
 
-/// Hit, blocked release with anatomy and dependency, `FullyAsync` and
+/// Hit, blocked release with anatomy and dependency, `Coherence::ASYNC` and
 /// `Synchronous` reads against a writer that retires at the end.
 fn plain_reads() -> Rig {
     let mut dir = Directory::new();
@@ -126,7 +126,7 @@ fn plain_reads() -> Rig {
     sim.spawn("reader", move |ctx| {
         note(&log, "hit", &rd.global_read_ex(ctx, x, 0, 0));
         note(&log, "blocked", &rd.global_read_ex(ctx, x, 3, 0));
-        let (age, v) = rd.read(ctx, x, 9, Coherence::FullyAsync);
+        let (age, v) = rd.read(ctx, x, 9, Coherence::ASYNC);
         let _ = writeln!(log.borrow_mut(), "async age={age} value={v}");
         let (age, v) = rd.read(ctx, x, 4, Coherence::Synchronous);
         let _ = writeln!(log.borrow_mut(), "sync age={age} value={v}");
@@ -256,7 +256,7 @@ fn sends(medium: impl Medium + 'static, reliable: bool, heartbeats: bool) -> Rig
                 match rank {
                     0 => {
                         node.write(ctx, m, iter, iter);
-                        let (age, v) = node.read(ctx, u, iter, Coherence::FullyAsync);
+                        let (age, v) = node.read(ctx, u, iter, Coherence::ASYNC);
                         let _ = writeln!(log.borrow_mut(), "r0 it{iter} u age={age} v={v}");
                     }
                     _ => {

@@ -77,7 +77,7 @@ fn round_trip(lossy: bool, history: usize) -> u64 {
                 }
                 let again = reader.global_read_ex(ctx, loc, iter, 5);
                 assert!(!again.blocked, "the value just read is cached");
-                let (relaxed_age, _) = reader.read(ctx, loc, iter, Coherence::FullyAsync);
+                let (relaxed_age, _) = reader.read(ctx, loc, iter, Coherence::ASYNC);
                 assert!(relaxed_age >= age);
                 if history > 0 {
                     assert!(reader.get_version(loc, relaxed_age).is_some());

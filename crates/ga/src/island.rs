@@ -439,14 +439,11 @@ pub fn run_island(
                 if let Some(hub) = node.hub() {
                     // The coherence mode's promise travels on the event so
                     // the audit layer can check `rollback ≤ bound` without
-                    // knowing the experiment config. Warm restores under
-                    // an age bound stay within `max(age, 1)` (a checkpoint
-                    // cadence of 1 still rolls back one generation);
-                    // anything else is unbounded by design.
-                    let bound = match cfg.mode {
-                        Coherence::PartialAsync { age } => age.max(1),
-                        _ => u64::MAX,
-                    };
+                    // knowing the experiment config. Warm restores stay
+                    // within `max(age, 1)` (a checkpoint cadence of 1
+                    // still rolls back one generation); at age ∞ that is
+                    // unbounded by design.
+                    let bound = cfg.mode.age().max(1);
                     hub.emit(ObsEvent::Restore {
                         t_ns: ctx.now().as_nanos(),
                         rank: rank as u32,
@@ -725,7 +722,7 @@ mod tests {
     fn all_modes_run_to_completion_and_converge() {
         for mode in [
             Coherence::Synchronous,
-            Coherence::FullyAsync,
+            Coherence::ASYNC,
             Coherence::PartialAsync { age: 0 },
             Coherence::PartialAsync { age: 5 },
         ] {

@@ -94,12 +94,12 @@ fn random_topology_respects_out_degree() {
 }
 
 /// An age bound at or above the generation cap never makes a read wait
-/// for a newer value, so `PartialAsync` there is `FullyAsync`: the same
-/// island outcomes and the same number of messages, run for run.
+/// for a newer value, so `PartialAsync` there is `Coherence::ASYNC`:
+/// the same island outcomes and the same number of messages, run for run.
 #[test]
 fn age_at_or_beyond_the_generation_cap_is_fully_async() {
     for ranks in [3, 4, 8] {
-        let (outs, sent) = run(Topology::AllToAll, ranks, 11, Coherence::FullyAsync);
+        let (outs, sent) = run(Topology::AllToAll, ranks, 11, Coherence::ASYNC);
         let want = (format!("{outs:?}"), sent);
         for age in [GENERATIONS, 1_000, u64::MAX] {
             let (outs, sent) = run(

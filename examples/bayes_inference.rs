@@ -55,7 +55,7 @@ fn main() {
     );
     for mode in [
         Coherence::Synchronous,
-        Coherence::FullyAsync,
+        Coherence::ASYNC,
         Coherence::PartialAsync { age: 0 },
         Coherence::PartialAsync { age: 10 },
         Coherence::PartialAsync { age: 30 },

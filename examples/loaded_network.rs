@@ -20,7 +20,7 @@ fn main() {
         "mode", "load Mbps", "iters/s", "delay (ms)", "warp p95", "blocked s"
     );
     for &load in &[0.0, 4.0, 8.0] {
-        for mode in [Coherence::FullyAsync, Coherence::PartialAsync { age: 3 }] {
+        for mode in [Coherence::ASYNC, Coherence::PartialAsync { age: 3 }] {
             run_pair(mode, load);
         }
     }

@@ -212,7 +212,7 @@ fn hailfinder_parallel_run_reports_rollbacks() {
             halfwidth: 0.04,
             ..StopRule::default()
         },
-        ..ParallelBayesConfig::new(Coherence::FullyAsync)
+        ..ParallelBayesConfig::new(Coherence::ASYNC)
     };
     let res = run_parallel_inference(
         Arc::clone(&net),

@@ -181,7 +181,7 @@ fn disabled_cadence_yields_start_and_final_only() {
     let hub = Hub::new();
     hub.sample_every(0);
     hub.set_live(Box::new(buf.clone()), "live_test");
-    let rep = reported_run(&hub, 7, 2, 8, Coherence::FullyAsync);
+    let rep = reported_run(&hub, 7, 2, 8, Coherence::ASYNC);
     hub.live_final(&rep.obs);
 
     let lines = buf.lines();
