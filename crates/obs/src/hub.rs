@@ -89,8 +89,10 @@ struct HubState {
     heat: BTreeMap<u32, Histogram>,
     /// Causal dependency edges: (reader, loc, writer) → aggregate.
     deps: BTreeMap<(u32, u32, u32), DepAgg>,
-    /// Virtual-time profiler samples: (pid, phase, detail) → count.
-    profile: BTreeMap<(u32, String, String), u64>,
+    /// Virtual-time profiler samples: (process name, phase, detail) →
+    /// count. Keyed by name, not pid: a hub that sees several runs sees
+    /// the same pid given to different processes.
+    profile: BTreeMap<(String, String, String), u64>,
     /// Per-pid phase annotation for blocked-time attribution
     /// (phase, detail), set by layers around blocking operations.
     phase_ann: BTreeMap<u32, (String, String)>,
@@ -320,8 +322,8 @@ impl HubState {
     fn profile_rows(&self) -> Vec<ProfileRow> {
         self.profile
             .iter()
-            .map(|((pid, phase, detail), n)| ProfileRow {
-                pid: *pid,
+            .map(|((proc, phase, detail), n)| ProfileRow {
+                proc: proc.clone(),
                 phase: phase.clone(),
                 detail: detail.clone(),
                 samples: *n,
@@ -673,9 +675,10 @@ impl Hub {
         self.inner.state.borrow().profile_every_ns
     }
 
-    /// Credit `samples` profiler samples to `(pid, phase, detail)`.
-    /// `detail` may be empty (the folded line then has two segments).
-    pub fn profile_add(&self, pid: u32, phase: &str, detail: &str, samples: u64) {
+    /// Credit `samples` profiler samples to `(proc, phase, detail)`,
+    /// where `proc` is the sampled process's name. `detail` may be empty
+    /// (the folded line then has two segments).
+    pub fn profile_add(&self, proc: &str, phase: &str, detail: &str, samples: u64) {
         if samples == 0 {
             return;
         }
@@ -684,11 +687,11 @@ impl Hub {
             .state
             .borrow_mut()
             .profile
-            .entry((pid, phase.to_string(), detail.to_string()))
+            .entry((proc.to_string(), phase.to_string(), detail.to_string()))
             .or_insert(0) += samples;
     }
 
-    /// Profiler rows, sorted by (pid, phase, detail).
+    /// Profiler rows, sorted by (process name, phase, detail).
     pub fn profile_rows(&self) -> Vec<ProfileRow> {
         self.inner.state.borrow().profile_rows()
     }
@@ -983,7 +986,8 @@ pub struct HubSummary {
     /// Aggregated causal read-dependency edges (sorted by reader, loc,
     /// writer). Array-valued for the same diff-blindness reason.
     pub deps: Vec<DepEdge>,
-    /// Virtual-time profiler rows (sorted by pid, phase, detail); empty
+    /// Virtual-time profiler rows (sorted by process name, phase,
+    /// detail); empty
     /// unless [`Hub::profile_every`] was enabled.
     pub profile: Vec<ProfileRow>,
     /// DSM location names, for rendering heat/deps human-readably.
@@ -1031,8 +1035,8 @@ pub struct DepEdge {
 /// (process, phase, detail) collapsed stack.
 #[derive(Debug, Clone, PartialEq, Eq, ToJson, Snapshot)]
 pub struct ProfileRow {
-    /// Sampled process/rank.
-    pub pid: u32,
+    /// Name of the sampled process (`island0`, `rank1`, …).
+    pub proc: String,
     /// Phase name (`compute`, `Global_Read`, `blocked`, …).
     pub phase: String,
     /// Finer attribution (location name, block reason); may be empty.
@@ -1124,20 +1128,21 @@ fn merge_deps(into: &mut Vec<DepEdge>, other: &[DepEdge]) {
     *into = map.into_values().collect();
 }
 
-/// Merge profiler rows by (pid, phase, detail); sample counts add.
+/// Merge profiler rows by (process name, phase, detail); sample counts
+/// add.
 fn merge_profile(into: &mut Vec<ProfileRow>, other: &[ProfileRow]) {
-    let mut map: BTreeMap<(u32, String, String), u64> = into
+    let mut map: BTreeMap<(String, String, String), u64> = into
         .drain(..)
-        .map(|r| ((r.pid, r.phase, r.detail), r.samples))
+        .map(|r| ((r.proc, r.phase, r.detail), r.samples))
         .collect();
     for r in other {
-        *map.entry((r.pid, r.phase.clone(), r.detail.clone()))
+        *map.entry((r.proc.clone(), r.phase.clone(), r.detail.clone()))
             .or_insert(0) += r.samples;
     }
     *into = map
         .into_iter()
-        .map(|((pid, phase, detail), samples)| ProfileRow {
-            pid,
+        .map(|((proc, phase, detail), samples)| ProfileRow {
+            proc,
             phase,
             detail,
             samples,
@@ -1879,7 +1884,7 @@ mod tests {
         });
         hub.warp_sample(10, 1.25);
         hub.emit(read_dep(1, 0, 2));
-        hub.profile_add(1, "compute", "", 12);
+        hub.profile_add("rank1", "compute", "", 12);
         hub.set_loc_name(2, "v2");
         hub.set_proc_name(1, "rank1");
         let mut s = hub.summary();
@@ -1938,7 +1943,7 @@ mod tests {
         let w = &mut s.warp;
         (w.mean, w.p50, w.p95, w.max) = (1.25, 1.5, 1.75, 2.0);
         let bytes = nscc_ckpt::to_bytes(&s);
-        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0x45ce_3389_3291_dbd5);
+        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0xbbfb_d234_468c_ad0c);
         let back: HubSummary = nscc_ckpt::from_bytes(&bytes).expect("decodes");
         assert_eq!(back.reads, s.reads);
         assert_eq!(back.checkpoints, s.checkpoints);
@@ -2016,14 +2021,14 @@ mod tests {
         let hub = Hub::new();
         hub.profile_every(1_000_000);
         assert_eq!(hub.profile_period(), 1_000_000);
-        hub.profile_add(1, "blocked", "v0", 3);
-        hub.profile_add(0, "compute", "", 10);
-        hub.profile_add(1, "blocked", "v0", 2);
-        hub.profile_add(1, "compute", "", 0); // zero samples: no row
+        hub.profile_add("rank1", "blocked", "v0", 3);
+        hub.profile_add("rank0", "compute", "", 10);
+        hub.profile_add("rank1", "blocked", "v0", 2);
+        hub.profile_add("rank1", "compute", "", 0); // zero samples: no row
         let rows = hub.profile_rows();
         assert_eq!(rows.len(), 2);
-        assert_eq!((rows[0].pid, rows[0].samples), (0, 10));
-        assert_eq!((rows[1].pid, rows[1].samples), (1, 5));
+        assert_eq!((&*rows[0].proc, rows[0].samples), ("rank0", 10));
+        assert_eq!((&*rows[1].proc, rows[1].samples), ("rank1", 5));
 
         let mut a = hub.summary();
         let b = hub.summary();
@@ -2445,7 +2450,7 @@ mod tests {
         hub.span(1, 0, 10, SpanKind::Compute, "run");
         hub.warp_sample(10, 1.25);
         hub.profile_every(1_000);
-        hub.profile_add(1, "compute", "", 3);
+        hub.profile_add("rank1", "compute", "", 3);
         hub.annotate_phase(1, "Global_Read", "v4");
 
         let events = one_of_each();

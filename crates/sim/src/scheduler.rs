@@ -370,7 +370,8 @@ impl Core {
                     hub.span(pid.0, t0, t1, SpanKind::Compute, "run");
                     let period = hub.profile_period();
                     if period > 0 {
-                        hub.profile_add(pid.0, "compute", "", profile_samples(t0, t1, period));
+                        let name = &self.procs[pid.index()].name;
+                        hub.profile_add(name, "compute", "", profile_samples(t0, t1, period));
                     }
                 }
                 self.queue.push(until, EventKind::Resume(pid));
@@ -421,7 +422,7 @@ impl Core {
                     let (phase, detail) = hub
                         .phase_of(w.0)
                         .unwrap_or_else(|| ("blocked".into(), reason.to_string()));
-                    hub.profile_add(w.0, &phase, &detail, profile_samples(t0, t1, period));
+                    hub.profile_add(&slot.name, &phase, &detail, profile_samples(t0, t1, period));
                 }
                 hub.span(w.0, t0, t1, SpanKind::Blocked, reason.to_string());
             }
