@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Three source checks that need no compiler; run by tools/offline/check.sh
+# Four source checks that need no compiler; run by tools/offline/check.sh
 # and by CI's `test` job.
 #
 # 1. A simulation is single-threaded by construction (DESIGN.md,
@@ -17,6 +17,12 @@
 #    workspace's own traits): no manifest names a registry, git or
 #    version-only dependency, so `cargo build --offline` needs nothing from
 #    outside the checkout.
+# 4. The paper's core stands alone: no normal dependency of sim, net, msg,
+#    dsm, ga, bayes or partition names a periphery crate (audit, analyze,
+#    faults, hunt, bench, perf, core). Dev-dependencies may (the fault
+#    tests of msg and dsm). nscc-obs is the one edge still allowed: sim
+#    re-exports the hub and net, msg, dsm and bayes emit into it, until the
+#    event vocabulary moves below the core (ROADMAP item 13(a)).
 set -u
 cd "$(dirname "$0")/../.."
 fail=0
@@ -47,6 +53,18 @@ hits=$(awk '
 ' Cargo.toml crates/*/Cargo.toml)
 if [ -n "$hits" ]; then
     echo "guard.sh: a dependency that is not a path crate of this repository:" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$(awk '
+    /^\[/ { dep = ($0 == "[dependencies]"); next }
+    dep && (/^nscc-(audit|analyze|faults|hunt|bench|perf|core)[ .=]/ ||
+            /path *= *"[^"]*\/(audit|analyze|faults|hunt|bench|perf|core)"/) { print FILENAME ": " $0 }
+' crates/{sim,net,msg,dsm,ga,bayes,partition}/Cargo.toml)
+if [ -n "$hits" ]; then
+    echo "guard.sh: a core crate depends on a periphery crate (make it a" \
+        "dev-dependency, or move the code; see ROADMAP item 13):" >&2
     echo "$hits" >&2
     fail=1
 fi
