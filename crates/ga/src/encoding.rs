@@ -1,7 +1,8 @@
 //! Binary genomes and DeJong's fixed-point decoding.
 
 use nscc_msg::WireSize;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, Threshold};
 
 use crate::functions::TestFn;
 
@@ -143,17 +144,23 @@ impl Genome {
         )
     }
 
-    /// Flip each bit independently with probability `rate`: one `f64` draw
-    /// per bit, first bit first, whatever the rate and the outcome. (That
-    /// stream is what the reports are pinned to; skipping ahead
-    /// geometrically would be faster and would move every GA digest.)
-    pub fn mutate(&mut self, rate: f64, rng: &mut impl Rng) -> usize {
+    /// Flip each bit independently with probability `rate`, and return how
+    /// many flipped: bit `i` flips iff the `i`-th of `len()` successive
+    /// `gen::<f64>()` draws is below `rate` — one draw per bit, first bit
+    /// first, whatever the rate and the outcome. (That stream is what the
+    /// reports are pinned to; skipping ahead geometrically would be faster
+    /// and would move every GA digest.) The draws are taken a word at a
+    /// time ([`StdRng::below_mask`]), and `rate` may be given as a
+    /// [`Threshold`] made once for many genomes.
+    pub fn mutate(&mut self, rate: impl Into<Threshold>, rng: &mut StdRng) -> usize {
+        let (rate, bits) = (rate.into(), self.bits);
         let mut flipped = 0;
-        for i in 0..self.bits {
-            if rng.gen::<f64>() < rate {
-                self.bytes[i / 8] ^= 1 << (i % 8);
-                flipped += 1;
-            }
+        let used = self.bytes.chunks_exact_mut(8).take(bits.div_ceil(64));
+        for (w, chunk) in used.enumerate() {
+            let mask = rng.below_mask((bits - 64 * w).min(64) as u32, rate);
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunks of 8"));
+            chunk.copy_from_slice(&(word ^ mask).to_le_bytes());
+            flipped += mask.count_ones() as usize;
         }
         flipped
     }

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 use nscc_msg::WireSize;
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, Threshold};
 
 use crate::cache::FitnessCache;
 use crate::encoding::Genome;
@@ -113,8 +113,9 @@ pub struct Deme {
     /// `cum[j + 1] = cum[j] + weights[j]`, so `cum[n]` is the total.
     weights: Vec<f64>,
     cum: Vec<f64>,
-    /// Scratch of [`sorted_order`]. In a `RefCell` only so that `migrants`,
-    /// a `&self` query, can sort through it too.
+    /// Scratch of [`stable_order`]: after `migrants`, the population's
+    /// order until it changes. In a `RefCell` only so that `migrants`, a
+    /// `&self` query, can sort through it too.
     order: RefCell<Vec<(i64, usize)>>,
     /// Worst raw fitness of each of the last `W` generations (scaling
     /// baseline C_w = max over this window).
@@ -186,8 +187,75 @@ fn sorted_order<'a>(pop: &[Individual], order: &'a mut Vec<(i64, usize)>) -> &'a
     order
 }
 
+/// `pop`'s stable order, as [`sorted_order`] would leave it in `order`, at
+/// the cost of one O(n) pass where the scratch already holds it or `pop`
+/// has the shape `displace` leaves; the full sort otherwise.
+fn stable_order<'a>(pop: &[Individual], order: &'a mut Vec<(i64, usize)>) -> &'a [(i64, usize)] {
+    if !still_sorts(pop, order) && !merged_order(pop, order) {
+        sorted_order(pop, order);
+    }
+    order
+}
+
+/// Whether `order` is `pop`'s stable order already. The scratch only ever
+/// holds what [`sorted_order`] or [`merged_order`] left there: the indices
+/// of some slice, ascending by `(key, index)`. If they are `pop`'s indices
+/// and every stored key is still its individual's, that is `pop`'s order —
+/// as after `migrants`, until the population changes.
+fn still_sorts(pop: &[Individual], order: &[(i64, usize)]) -> bool {
+    order.len() == pop.len()
+        && order
+            .iter()
+            .all(|&(key, i)| total_order_key(pop[i].fitness) == key)
+}
+
+/// `pop`'s stable order by an O(n) merge, when `pop` is an ascending head
+/// followed by a non-increasing tail — a sorted population after
+/// `displace` wrote migrants into its tail, best one last. Any other shape
+/// returns false and leaves `order` as it was.
+fn merged_order(pop: &[Individual], order: &mut Vec<(i64, usize)>) -> bool {
+    let key = |i: usize| total_order_key(pop[i].fitness);
+    let n = pop.len();
+    let head = (1..n).find(|&i| key(i - 1) > key(i)).unwrap_or(n);
+    if (head + 1..n).any(|i| key(i - 1) < key(i)) {
+        return false;
+    }
+    // The tail, read from its end, ascends; each run of equal keys in it
+    // is taken in index order (the order ties keep), and a head entry goes
+    // before a tail entry of the same key (its index is lower).
+    order.clear();
+    let (mut h, mut end) = (0, n);
+    while end > head {
+        let k = key(end - 1);
+        let mut run = end - 1;
+        while run > head && key(run - 1) == k {
+            run -= 1;
+        }
+        while h < head && key(h) <= k {
+            order.push((key(h), h));
+            h += 1;
+        }
+        order.extend((run..end).map(|i| (k, i)));
+        end = run;
+    }
+    order.extend((h..head).map(|i| (key(i), i)));
+    true
+}
+
 fn is_sorted(pop: &[Individual]) -> bool {
     pop.is_sorted_by(|a, b| a.fitness.total_cmp(&b.fitness).is_le())
+}
+
+/// The `i`-th best migrant takes the seat of the `i`-th worst resident
+/// (`pop` is sorted) for as long as it is the better of the two.
+fn displace<'a>(pop: &mut [Individual], best_first: impl Iterator<Item = &'a Individual>) {
+    for (resident, migrant) in pop.iter_mut().rev().zip(best_first) {
+        if migrant.fitness < resident.fitness {
+            *resident = *migrant;
+        } else {
+            break; // residents are only better from here inward
+        }
+    }
 }
 
 impl Deme {
@@ -355,6 +423,7 @@ impl Deme {
         // Breed the replacement cohort straight into the next generation,
         // behind the seats of the `keep` survivors (seated below).
         let bits = self.func.genome_bits();
+        let mutation = Threshold::new(self.params.mutation_rate);
         self.next.clear();
         self.next.extend_from_slice(&pop[..keep]);
         while self.next.len() < n {
@@ -366,8 +435,8 @@ impl Deme {
             } else {
                 (pop[p1].genome, pop[p2].genome)
             };
-            c1.mutate(self.params.mutation_rate, rng);
-            c2.mutate(self.params.mutation_rate, rng);
+            c1.mutate(mutation, rng);
+            c2.mutate(mutation, rng);
             for genome in [c1, c2] {
                 if self.next.len() < n {
                     self.next.push(Individual {
@@ -396,7 +465,7 @@ impl Deme {
         // When G < 1 the best `keep` residents survive, best first. (The
         // seats already hold them if the population was sorted.)
         if keep > 0 && !is_sorted(&self.pop) {
-            let order = sorted_order(&self.pop, self.order.get_mut());
+            let order = stable_order(&self.pop, self.order.get_mut());
             for (seat, &(_, i)) in self.next.iter_mut().zip(&order[..keep]) {
                 *seat = self.pop[i];
             }
@@ -433,10 +502,11 @@ impl Deme {
 
     /// The best `count` individuals (ascending fitness, ties in population
     /// order), copied, as the outgoing migrant batch — the batch is the
-    /// only allocation.
+    /// only allocation. Leaves the population's order in the scratch,
+    /// where the first `incorporate` after it finds it.
     pub fn migrants(&self, count: usize) -> Vec<Individual> {
         let mut order = self.order.borrow_mut();
-        let best = sorted_order(&self.pop, &mut order).iter().take(count);
+        let best = stable_order(&self.pop, &mut order).iter().take(count);
         let mut batch = Vec::with_capacity(best.len());
         batch.extend(best.map(|&(_, i)| self.pop[i]));
         batch
@@ -451,34 +521,22 @@ impl Deme {
         }
         self.sort_worst_last();
         // A batch cut by `migrants` arrives best first; anything else is
-        // put in that order (stably) before it is read.
+        // put in that order (stably, through the scratch the population's
+        // sort is done with) before it is read.
         if is_sorted(migrants) {
-            self.displace(migrants.iter());
+            displace(&mut self.pop, migrants.iter());
         } else {
-            let mut sorted: Vec<&Individual> = migrants.iter().collect();
-            sorted.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
-            self.displace(sorted.into_iter());
+            let order = sorted_order(migrants, self.order.get_mut());
+            displace(&mut self.pop, order.iter().map(|&(_, i)| &migrants[i]));
         }
         self.after_change();
-    }
-
-    /// The `i`-th best migrant takes the seat of the `i`-th worst resident
-    /// (`pop` is sorted) for as long as it is the better of the two.
-    fn displace<'a>(&mut self, best_first: impl Iterator<Item = &'a Individual>) {
-        for (resident, migrant) in self.pop.iter_mut().rev().zip(best_first) {
-            if migrant.fitness < resident.fitness {
-                *resident = *migrant;
-            } else {
-                break; // residents are only better from here inward
-            }
-        }
     }
 
     fn sort_worst_last(&mut self) {
         if is_sorted(&self.pop) {
             return;
         }
-        let order = sorted_order(&self.pop, self.order.get_mut());
+        let order = stable_order(&self.pop, self.order.get_mut());
         self.next.clear();
         self.next.extend(order.iter().map(|&(_, i)| self.pop[i]));
         std::mem::swap(&mut self.pop, &mut self.next);
@@ -766,6 +824,98 @@ mod roulette_tests {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod order_tests {
+    use super::*;
+
+    /// Individuals of the given fitnesses (the genome plays no part in
+    /// ordering).
+    fn of(fitness: &[f64]) -> Vec<Individual> {
+        let genome = Genome::zeros(8);
+        fitness
+            .iter()
+            .map(|&fitness| Individual { genome, fitness })
+            .collect()
+    }
+
+    /// Fitness values with ties everywhere: a handful of integers and both
+    /// zeros (distinct under `total_cmp`).
+    fn tie_heavy(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        const VALUES: [f64; 6] = [-1.0, -0.0, 0.0, 1.0, 2.0, 3.0];
+        (0..n)
+            .map(|_| VALUES[rng.gen_range(0..VALUES.len())])
+            .collect()
+    }
+
+    #[test]
+    fn the_merge_is_the_full_sort_on_a_head_and_tail_and_declines_the_rest() {
+        let (mut merged, mut declined) = (0, 0);
+        rand::for_each_case(2000, |rng| {
+            let n = rng.gen_range(0..=40);
+            let mut fitness = tie_heavy(rng, n);
+            if rng.gen_bool(0.75) {
+                // What `displace` leaves: a sorted head, then migrants
+                // written best one last.
+                let head = rng.gen_range(0..=n);
+                fitness[..head].sort_by(f64::total_cmp);
+                fitness[head..].sort_by(|a, b| b.total_cmp(a));
+            }
+            let shaped = (0..=n).any(|h| {
+                fitness[..h]
+                    .windows(2)
+                    .all(|w| w[0].total_cmp(&w[1]).is_le())
+                    && fitness[h..]
+                        .windows(2)
+                        .all(|w| w[0].total_cmp(&w[1]).is_ge())
+            });
+            let pop = of(&fitness);
+            let mut full = Vec::new();
+            sorted_order(&pop, &mut full);
+            let sentinel = vec![(7, 7)];
+            let mut order = sentinel.clone();
+            assert_eq!(merged_order(&pop, &mut order), shaped, "{fitness:?}");
+            if shaped {
+                assert_eq!(order, full, "{fitness:?}");
+                merged += 1;
+            } else {
+                assert_eq!(order, sentinel, "a declined shape left the scratch alone");
+                declined += 1;
+            }
+            assert_eq!(stable_order(&pop, &mut order), full, "{fitness:?}");
+        });
+        assert!(
+            merged > 1000 && declined > 100,
+            "{merged} merged, {declined} declined"
+        );
+    }
+
+    #[test]
+    fn a_stored_order_is_reused_only_while_its_keys_hold() {
+        rand::for_each_case(500, |rng| {
+            let n = rng.gen_range(1..=40);
+            let mut pop = of(&tie_heavy(rng, n));
+            let mut full = Vec::new();
+            sorted_order(&pop, &mut full);
+            let mut order = full.clone();
+            assert!(still_sorts(&pop, &order));
+            // One individual changes: a key no longer matches (unless the
+            // new fitness orders exactly like the old one).
+            let i = rng.gen_range(0..n);
+            let before = pop[i].fitness;
+            pop[i].fitness = tie_heavy(rng, 1)[0];
+            assert_eq!(
+                still_sorts(&pop, &order),
+                pop[i].fitness.to_bits() == before.to_bits()
+            );
+            sorted_order(&pop, &mut full);
+            assert_eq!(stable_order(&pop, &mut order), full);
+            // An order of another length is never taken.
+            order.pop();
+            assert!(!still_sorts(&pop, &order));
+        });
     }
 }
 

@@ -10,7 +10,8 @@
 //! generation of `step` at N=50 and 460 to 880 at N=400 — 21 356 to
 //! 353 243 over the 400 generations below, where this kernel makes 0 to 6;
 //! 27 per `migrants(25)` (now 1); 12 to 27 per `incorporate` of that batch
-//! (now 0); and 148 per island-generation of the 4-rank run (now 5).
+//! (now 0, whether or not it arrives sorted); and 148 per island-generation
+//! of the 4-rank run (now 5).
 //!
 //! Measured as differences — the same run to two lengths — so construction
 //! cancels. This file holds a single test on purpose: the counter is
@@ -170,6 +171,14 @@ fn a_generation_allocates_for_the_cache_and_the_batch_only() {
                 (first, second),
                 (0, 0),
                 "N={pop_size}: incorporating a sorted batch allocates nothing"
+            );
+            // A batch that does not arrive best first is sorted through
+            // the deme's own scratch.
+            let reversed: Vec<_> = batch.iter().rev().copied().collect();
+            let (unsorted, ()) = allocs_during(|| b.incorporate(&reversed));
+            assert_eq!(
+                unsorted, 0,
+                "N={pop_size}: incorporating an unsorted batch allocates nothing"
             );
         }
     }

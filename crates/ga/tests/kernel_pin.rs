@@ -205,6 +205,74 @@ fn converged_runs_stay_in_lock_step() {
     lock_step(TestFn::F7Schwefel, &hot, 20, 9);
 }
 
+/// `islands` demes per kernel, stepped in turn off one RNG; every
+/// generation each cuts `migrants(N/2)` and then takes every other deme's
+/// batch in rank order, as an island of an `islands`-way run reads its
+/// peers. From the second batch of a generation on, each one meets the
+/// population the previous one left.
+fn islands_in_lock_step(func: TestFn, params: &GaParams, islands: usize, gens: u64, seed: u64) {
+    let what = |stage: &str, gen: u64, d: usize| {
+        format!(
+            "{} N={} G={} {islands} islands seed={seed} gen {gen} deme {d}: {stage}",
+            func.name(),
+            params.pop_size,
+            params.generation_gap,
+        )
+    };
+    let mut old_rng = StdRng::seed_from_u64(seed);
+    let mut new_rng = StdRng::seed_from_u64(seed);
+    let mut old_demes: Vec<_> = (0..islands)
+        .map(|_| old::Deme::new(func, params.clone(), &mut old_rng))
+        .collect();
+    let mut new_demes: Vec<_> = (0..islands)
+        .map(|_| Deme::new(func, params.clone(), &mut new_rng))
+        .collect();
+    let count = params.pop_size / 2;
+    for gen in 1..=gens {
+        for d in 0..islands {
+            let old_work = old_demes[d].step(&mut old_rng);
+            let new_work = new_demes[d].step(&mut new_rng);
+            assert_eq!(old_work, new_work, "{}", what("step work", gen, d));
+            assert_same_deme(&old_demes[d], &new_demes[d], &what("step", gen, d));
+            assert_same_stream(&old_rng, &new_rng, &what("step", gen, d));
+        }
+        let old_batches: Vec<_> = old_demes.iter().map(|d| d.migrants(count)).collect();
+        let new_batches: Vec<_> = new_demes.iter().map(|d| d.migrants(count)).collect();
+        for d in 0..islands {
+            for q in (0..islands).filter(|&q| q != d) {
+                old_demes[d].incorporate(&old_batches[q]);
+                new_demes[d].incorporate(&new_batches[q]);
+                let stage = format!("batch of deme {q}");
+                assert_same_deme(&old_demes[d], &new_demes[d], &what(&stage, gen, d));
+            }
+        }
+    }
+    assert_same_stream(&old_rng, &new_rng, &what("end", gens, 0));
+}
+
+#[test]
+fn seven_batches_a_generation_stay_in_lock_step() {
+    // `ga_sweep`'s shape: eight islands, so seven batches per generation.
+    // F3 makes ties the rule; G = 0.2 sorts the survivors of a population
+    // the batches left.
+    for (func, pop_size, generation_gap, gens) in [
+        (TestFn::F1Sphere, 50, 1.0, 20),
+        (TestFn::F3Step, 50, 1.0, 40),
+        (TestFn::F6Rastrigin, 50, 1.0, 12),
+        (TestFn::F3Step, 50, 0.2, 20),
+        (TestFn::F3Step, 400, 1.0, 6),
+    ] {
+        let params = GaParams {
+            pop_size,
+            generation_gap,
+            ..GaParams::default()
+        };
+        islands_in_lock_step(func, &params, 8, gens, 51);
+    }
+    // Three islands, two batches each: the smallest run that merges.
+    islands_in_lock_step(TestFn::F7Schwefel, &GaParams::default(), 3, 20, 52);
+}
+
 /// Both caches see the same genome; same answer, same counters, same draws.
 struct CachePair {
     old: old::FitnessCache,

@@ -98,10 +98,13 @@ fn random_topology_respects_out_degree() {
 /// the same island outcomes and the same number of messages, run for run.
 #[test]
 fn age_at_or_beyond_the_generation_cap_is_fully_async() {
+    // The fully asynchronous mode is the unbounded age itself, so the rows
+    // below compare finite ages with it.
+    assert_eq!(Coherence::ASYNC, Coherence::PartialAsync { age: u64::MAX });
     for ranks in [3, 4, 8] {
         let (outs, sent) = run(Topology::AllToAll, ranks, 11, Coherence::ASYNC);
         let want = (format!("{outs:?}"), sent);
-        for age in [GENERATIONS, 1_000, u64::MAX] {
+        for age in [GENERATIONS, GENERATIONS + 1, 1_000] {
             let (outs, sent) = run(
                 Topology::AllToAll,
                 ranks,
