@@ -70,12 +70,21 @@ pub struct Violation {
 /// An invariant monitor driven by the observability event stream.
 ///
 /// Monitors are pure observers: they may keep private state but must not
-/// mutate anything outside themselves. `on_event` sees *every* hub event
-/// in emission order; implementations filter for the kinds they audit.
+/// mutate anything outside themselves. `on_event` sees every hub event of
+/// a kind the monitor [`watches`](Monitor::watches), in emission order.
 pub trait Monitor: Send {
     /// Stable monitor name (used in reports and violation records).
     fn name(&self) -> &'static str;
-    /// Inspect one event, appending any violations found.
+    /// Whether `on_event` reads events of `kind` (an
+    /// [`ObsEvent::kind`] name). Asked once per kind when an [`Auditor`]
+    /// is built; events of a kind no monitor watches never take its lock.
+    /// By default a monitor watches every kind.
+    fn watches(&self, kind: &str) -> bool {
+        let _ = kind;
+        true
+    }
+    /// Inspect one event of a watched kind, appending any violations
+    /// found.
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>);
     /// A program run boundary: sequence numbers, barrier epochs and
     /// watermarks legitimately restart here. Monitors drop per-run state.
@@ -141,6 +150,10 @@ struct AuditorInner {
 /// It goes (a `RefCell`, callers holding an `Rc`) when ROADMAP item 1
 /// unfreezes that crate.
 pub struct Auditor {
+    /// Per kind, at its [`ObsEvent::kind_index`], the indices of the
+    /// monitors that watch it, in registration order. Fixed at
+    /// construction, so it is read without the lock.
+    dispatch: Vec<Vec<usize>>,
     inner: Mutex<AuditorInner>,
 }
 
@@ -175,7 +188,16 @@ impl Auditor {
     /// An auditor over a custom monitor set.
     pub fn with_monitors(monitors: Vec<Box<dyn Monitor>>) -> Self {
         let counts = monitors.iter().map(|m| (m.name(), 0u64)).collect();
+        let dispatch = ObsEvent::KINDS
+            .iter()
+            .map(|kind| {
+                (0..monitors.len())
+                    .filter(|&i| monitors[i].watches(kind))
+                    .collect()
+            })
+            .collect();
         Auditor {
+            dispatch,
             inner: Mutex::new(AuditorInner {
                 monitors,
                 recorded: Vec::new(),
@@ -229,9 +251,13 @@ impl Auditor {
 
 impl EventSink for Auditor {
     fn on_event(&self, ev: &ObsEvent) {
+        let watchers = &self.dispatch[ev.kind_index()];
+        if watchers.is_empty() {
+            return;
+        }
         let inner = &mut *self.inner();
-        for m in &mut inner.monitors {
-            m.on_event(ev, &mut inner.scratch);
+        for &i in watchers {
+            inner.monitors[i].on_event(ev, &mut inner.scratch);
         }
         for v in inner.scratch.drain(..) {
             *inner.counts.entry(v.monitor).or_insert(0) += 1;
@@ -321,5 +347,295 @@ mod tests {
         assert_eq!(a.violation_count(), 0);
         a.on_event(&acc); // within the same run: duplicate
         assert_eq!(a.violation_count(), 1);
+    }
+
+    /// One event of every kind, at its `kind_index`, 100 ns apart. The
+    /// values are ones a monitor matching the event would check or flag.
+    fn one_of_each() -> Vec<ObsEvent> {
+        let (src, dst, rank, loc, seq) = (0, 1, 1, 4, 9);
+        let mut t_ns = 0;
+        let mut t = || {
+            t_ns += 100;
+            t_ns
+        };
+        vec![
+            ObsEvent::NetSend {
+                t_ns: t(),
+                src,
+                dst,
+                bytes: 64,
+                queue_ns: 5,
+            },
+            ObsEvent::NetDeliver {
+                t_ns: t(),
+                src,
+                dst,
+                delay_ns: 2_000,
+            },
+            ObsEvent::Write {
+                t_ns: t(),
+                rank,
+                loc,
+                age: 3,
+            },
+            ObsEvent::ReadBlocked {
+                t_ns: t(),
+                rank,
+                loc,
+                required: 5,
+            },
+            ObsEvent::ReadDone {
+                t_ns: t(),
+                rank,
+                loc,
+                curr_iter: 10,
+                requested: 1,
+                delivered: 2,
+                staleness: 8,
+                blocked: true,
+                block_ns: 700,
+            },
+            ObsEvent::StaleDiscard {
+                t_ns: t(),
+                rank,
+                loc,
+                age: 2,
+                have: 3,
+            },
+            ObsEvent::BarrierEnter {
+                t_ns: t(),
+                rank,
+                epoch: 1,
+            },
+            ObsEvent::BarrierExit {
+                t_ns: t(),
+                rank,
+                epoch: 2,
+                wait_ns: 40,
+            },
+            ObsEvent::AntiMessage {
+                t_ns: t(),
+                rank,
+                loc,
+                age: 4,
+            },
+            ObsEvent::FaultDrop {
+                t_ns: t(),
+                src,
+                dst,
+                reason: "loss".into(),
+            },
+            ObsEvent::FaultDup {
+                t_ns: t(),
+                src,
+                dst,
+            },
+            ObsEvent::Retransmit {
+                t_ns: t(),
+                src,
+                dst,
+                seq,
+                attempt: 1,
+            },
+            ObsEvent::RetransmitGiveUp {
+                t_ns: t(),
+                src,
+                dst,
+                seq,
+            },
+            ObsEvent::ReadDegraded {
+                t_ns: t(),
+                rank,
+                loc,
+                required: 5,
+                delivered: 2,
+            },
+            ObsEvent::WriterSuspected {
+                t_ns: t(),
+                rank,
+                peer: 0,
+            },
+            ObsEvent::Checkpoint {
+                t_ns: t(),
+                rank,
+                iter: 5,
+                bytes: 128,
+            },
+            ObsEvent::Restore {
+                t_ns: t(),
+                rank,
+                from_iter: 9,
+                to_iter: 1,
+                rollback: 8,
+                bound: 4,
+            },
+            ObsEvent::SeqAccept {
+                t_ns: t(),
+                src,
+                dst,
+                seq,
+            },
+            ObsEvent::ReadDep {
+                t_ns: t(),
+                reader: rank,
+                writer: 0,
+                loc,
+                write_iter: 9,
+                msg_seq: 4,
+                block_ns: 1_000,
+                queued_ns: 100,
+                inflight_ns: 800,
+                retrans_ns: 0,
+            },
+            ObsEvent::MailboxHigh {
+                t_ns: t(),
+                rank,
+                depth: 64,
+            },
+            ObsEvent::SnapshotStart {
+                t_ns: t(),
+                rank,
+                id: 1,
+                gen: 5,
+            },
+            ObsEvent::SnapshotComplete {
+                t_ns: t(),
+                rank,
+                id: 2,
+                inflight: 2,
+                pause_ns: 10,
+            },
+            ObsEvent::SupervisorRestart {
+                t_ns: t(),
+                rank,
+                attempt: 1,
+                backoff_ns: 1_000,
+            },
+            ObsEvent::SupervisorGiveUp {
+                t_ns: t(),
+                rank,
+                restarts: 3,
+            },
+            ObsEvent::ReadAnatomy {
+                t_ns: t(),
+                reader: rank,
+                writer: 0,
+                loc,
+                write_iter: 9,
+                msg_seq: 4,
+                age_ns: 1_000,
+                wait_ns: 1,
+                publish_ns: 2,
+                transit_ns: 3,
+                fault_ns: 4,
+                retrans_ns: 5,
+                queue_ns: 6,
+                apply_ns: 7,
+            },
+            ObsEvent::Custom {
+                t_ns: t(),
+                label: "mark".into(),
+            },
+        ]
+    }
+
+    /// A monitor whose whole state can be compared.
+    trait Inspectable: Monitor + std::fmt::Debug {}
+    impl<M: Monitor + std::fmt::Debug> Inspectable for M {}
+
+    /// The monitors of [`Auditor::new`], fresh and inspectable.
+    fn standard() -> Vec<Box<dyn Inspectable>> {
+        vec![
+            Box::new(StalenessMonitor::default()),
+            Box::new(MonotonicityMonitor::default()),
+            Box::new(SequenceMonitor::default()),
+            Box::new(BarrierMonitor::default()),
+            Box::new(RollbackMonitor::default()),
+            Box::new(SnapshotMonitor::default()),
+            Box::new(ConservationMonitor::default()),
+        ]
+    }
+
+    /// A monitor is shown only the kinds it watches, so an event of any
+    /// other kind must mean nothing to it: handed one directly, after the
+    /// kinds it does watch, it checks nothing, flags nothing and changes
+    /// no state. A monitor that starts matching a kind without watching it
+    /// fails here instead of going blind.
+    #[test]
+    fn a_monitor_ignores_every_kind_it_does_not_watch() {
+        let ours: Vec<&str> = standard().iter().map(|m| m.name()).collect();
+        let theirs: Vec<&str> = Auditor::new()
+            .summary()
+            .monitors
+            .iter()
+            .map(|m| m.name)
+            .collect();
+        assert_eq!(ours, theirs);
+        let samples = one_of_each();
+        assert!(samples
+            .iter()
+            .map(ObsEvent::kind_index)
+            .eq(0..ObsEvent::KINDS.len()));
+        for mut m in standard() {
+            let (watched, unwatched): (Vec<&ObsEvent>, Vec<&ObsEvent>) =
+                samples.iter().partition(|ev| m.watches(ev.kind()));
+            assert!(!watched.is_empty(), "{} watches nothing", m.name());
+            let mut out = Vec::new();
+            for ev in watched {
+                m.on_event(ev, &mut out);
+            }
+            out.clear();
+            let (checked, state) = (m.checked(), format!("{m:?}"));
+            for ev in unwatched {
+                m.on_event(ev, &mut out);
+                let at = format!("{} on {}", m.name(), ev.kind());
+                assert!(out.is_empty(), "{at} flagged {out:?}");
+                assert_eq!(m.checked(), checked, "{at} counted a check");
+                assert_eq!(format!("{m:?}"), state, "{at} changed state");
+            }
+        }
+    }
+
+    /// The kinds no standard monitor reads return before the lock. The
+    /// net and retransmit kinds among them are most of a congested run's
+    /// events.
+    #[test]
+    fn the_standard_set_skips_the_kinds_it_does_not_read() {
+        let a = Auditor::new();
+        let skipped: Vec<&str> = ObsEvent::KINDS
+            .iter()
+            .zip(&a.dispatch)
+            .filter(|(_, watchers)| watchers.is_empty())
+            .map(|(kind, _)| *kind)
+            .collect();
+        for hot in [
+            "net_send",
+            "net_deliver",
+            "fault_drop",
+            "fault_dup",
+            "retransmit",
+            "retransmit_give_up",
+        ] {
+            assert!(skipped.contains(&hot), "{hot} reaches a monitor");
+        }
+        assert_eq!(skipped.len(), 16, "{skipped:?}");
+        // A monitor that does not declare its kinds sees every event.
+        struct Everything(u64);
+        impl Monitor for Everything {
+            fn name(&self) -> &'static str {
+                "everything"
+            }
+            fn on_event(&mut self, _: &ObsEvent, _: &mut Vec<Violation>) {
+                self.0 += 1;
+            }
+            fn checked(&self) -> u64 {
+                self.0
+            }
+        }
+        let a = Auditor::with_monitors(vec![Box::new(Everything(0))]);
+        for ev in &one_of_each() {
+            a.on_event(ev);
+        }
+        assert_eq!(a.summary().checked, ObsEvent::KINDS.len() as u64);
     }
 }

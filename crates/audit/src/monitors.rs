@@ -28,6 +28,10 @@ impl Monitor for StalenessMonitor {
         "staleness"
     }
 
+    fn watches(&self, kind: &str) -> bool {
+        kind == "read_done"
+    }
+
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
         if let ObsEvent::ReadDone {
             t_ns,
@@ -80,6 +84,10 @@ pub struct MonotonicityMonitor {
 impl Monitor for MonotonicityMonitor {
     fn name(&self) -> &'static str {
         "monotonicity"
+    }
+
+    fn watches(&self, kind: &str) -> bool {
+        matches!(kind, "write" | "restore" | "anti_message")
     }
 
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
@@ -151,6 +159,10 @@ impl Monitor for SequenceMonitor {
         "sequence"
     }
 
+    fn watches(&self, kind: &str) -> bool {
+        kind == "seq_accept"
+    }
+
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
         if let ObsEvent::SeqAccept {
             t_ns,
@@ -201,6 +213,10 @@ pub struct BarrierMonitor {
 impl Monitor for BarrierMonitor {
     fn name(&self) -> &'static str {
         "barrier"
+    }
+
+    fn watches(&self, kind: &str) -> bool {
+        matches!(kind, "barrier_enter" | "barrier_exit")
     }
 
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
@@ -286,6 +302,10 @@ impl Monitor for RollbackMonitor {
         "rollback"
     }
 
+    fn watches(&self, kind: &str) -> bool {
+        kind == "restore"
+    }
+
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
         if let ObsEvent::Restore {
             t_ns,
@@ -332,6 +352,10 @@ pub struct SnapshotMonitor {
 impl Monitor for SnapshotMonitor {
     fn name(&self) -> &'static str {
         "snapshot"
+    }
+
+    fn watches(&self, kind: &str) -> bool {
+        matches!(kind, "snapshot_start" | "snapshot_complete")
     }
 
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
@@ -406,6 +430,10 @@ pub struct ConservationMonitor {
 impl Monitor for ConservationMonitor {
     fn name(&self) -> &'static str {
         "conservation"
+    }
+
+    fn watches(&self, kind: &str) -> bool {
+        kind == "read_anatomy"
     }
 
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {

@@ -211,7 +211,11 @@ mod tests {
         t.counts = vec![5, 0, 12];
         t.drawn = 40;
         let bytes = nscc_ckpt::to_bytes(&t);
-        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0x6ad4_3c5d_6652_4b87);
+        assert_eq!(
+            (nscc_ckpt::CKPT_VERSION, nscc_ckpt::fnv1a(&bytes)),
+            (2, 0x6ad4_3c5d_6652_4b87),
+            "the checkpoint layout moved: bump CKPT_VERSION and pin the new pair"
+        );
         let back: Tally = nscc_ckpt::from_bytes(&bytes).unwrap();
         assert_eq!(back.counts, t.counts);
         assert_eq!(back.drawn, t.drawn);

@@ -1621,7 +1621,11 @@ mod tests {
         cell.metrics = vec![("m".to_string(), -2.5)];
         cell.fault_lines = vec!["cut".to_string()];
         let bytes = nscc_ckpt::to_bytes(&cell);
-        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0x1d2a_84ec_b7da_748d);
+        assert_eq!(
+            (nscc_ckpt::CKPT_VERSION, nscc_ckpt::fnv1a(&bytes)),
+            (2, 0x1d2a_84ec_b7da_748d),
+            "the checkpoint layout moved: bump CKPT_VERSION and pin the new pair"
+        );
         let back: CellResult = nscc_ckpt::from_bytes(&bytes).unwrap();
         assert_eq!(nscc_ckpt::to_bytes(&back), bytes);
         assert_eq!(format!("{back:?}"), format!("{cell:?}"));

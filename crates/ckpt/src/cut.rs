@@ -137,7 +137,11 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let store = CkptStore::open(&dir).unwrap();
         let c = cut(5, 3);
-        assert_eq!(nscc_ckpt::fnv1a(&to_bytes(&c)), 0x1933_7bc0_d756_0a50);
+        assert_eq!(
+            (nscc_ckpt::CKPT_VERSION, nscc_ckpt::fnv1a(&to_bytes(&c))),
+            (2, 0x1933_7bc0_d756_0a50),
+            "the checkpoint layout moved: bump CKPT_VERSION and pin the new pair"
+        );
         save_cut(&store, &c, 1234).unwrap();
         let back = load_latest_cut(&store).unwrap().unwrap();
         assert_eq!(back, c);

@@ -61,7 +61,9 @@ pub const MAGIC: [u8; 4] = *b"NSCK";
 /// encoding change; readers reject anything outside
 /// [`MIN_CKPT_VERSION`]`..=`[`CKPT_VERSION`] rather than misinterpret
 /// bytes. v2 appended a trailing generation-kind tag (stop-world vs.
-/// consistent-cut); v1 files load as stop-world.
+/// consistent-cut); v1 files load as stop-world. Each codec byte pin in
+/// the tests asserts `(CKPT_VERSION, digest)` as one pair, so a layout
+/// change that moves a pin is also asked to bump this.
 pub const CKPT_VERSION: u32 = 2;
 
 /// Oldest checkpoint layout this build still reads.

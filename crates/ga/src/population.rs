@@ -113,10 +113,10 @@ pub struct Deme {
     /// `cum[j + 1] = cum[j] + weights[j]`, so `cum[n]` is the total.
     weights: Vec<f64>,
     cum: Vec<f64>,
-    /// Scratch of [`stable_order`]: after `migrants`, the population's
-    /// order until it changes. In a `RefCell` only so that `migrants`, a
-    /// `&self` query, can sort through it too.
-    order: RefCell<Vec<(i64, usize)>>,
+    /// Scratch of [`stable_order`]: the population's keys and, after
+    /// `migrants`, its order until it changes. In a `RefCell` only so that
+    /// `migrants`, a `&self` query, can sort through it too.
+    order: RefCell<OrderScratch>,
     /// Worst raw fitness of each of the last `W` generations (scaling
     /// baseline C_w = max over this window).
     window: VecDeque<f64>,
@@ -174,76 +174,125 @@ fn total_order_key(f: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// `pop`'s indices (each with its fitness key) as a stable sort by fitness
-/// would arrange them, in `order`. The index is the second sort key, which
-/// keeps ties in population order *and* makes the order total — so the
-/// in-place unstable sort gives the stable result, without the scratch
-/// buffer a stable sort may allocate.
-fn sorted_order<'a>(pop: &[Individual], order: &'a mut Vec<(i64, usize)>) -> &'a [(i64, usize)] {
+/// The scratch a population is ordered through: its fitness keys, and the
+/// stable order [`stable_order`] leaves.
+#[derive(Default)]
+struct OrderScratch {
+    keys: Vec<i64>,
+    order: Vec<(i64, usize)>,
+}
+
+impl OrderScratch {
+    fn with_capacity(n: usize) -> Self {
+        OrderScratch {
+            keys: Vec::with_capacity(n),
+            order: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// How a population is arranged, as [`shape`] reads it off its keys.
+#[derive(Debug, PartialEq)]
+enum Shape {
+    /// Ascending: the population is its own stable order.
+    Sorted,
+    /// An ascending head `..head`, then a non-increasing tail — a sorted
+    /// population after `displace` wrote migrants into its tail, best one
+    /// last.
+    HeadTail(usize),
+    /// Anything else.
+    Other,
+}
+
+/// `pop`'s fitness keys into `keys`, and its [`Shape`], in one pass.
+fn shape(pop: &[Individual], keys: &mut Vec<i64>) -> Shape {
+    keys.clear();
+    let (mut head, mut tail_rises, mut prev) = (None, false, i64::MIN);
+    for (i, ind) in pop.iter().enumerate() {
+        let k = total_order_key(ind.fitness);
+        keys.push(k);
+        match head {
+            None if k < prev => head = Some(i),
+            Some(_) => tail_rises |= k > prev,
+            None => {}
+        }
+        prev = k;
+    }
+    match head {
+        None => Shape::Sorted,
+        Some(_) if tail_rises => Shape::Other,
+        Some(h) => Shape::HeadTail(h),
+    }
+}
+
+/// The indices of `keys` (each with its key) as a stable sort by key would
+/// arrange them, in `order`. The index is the second sort key, which keeps
+/// ties in population order *and* makes the order total — so the in-place
+/// unstable sort gives the stable result, without the scratch buffer a
+/// stable sort may allocate.
+fn sorted_order<'a>(keys: &[i64], order: &'a mut Vec<(i64, usize)>) -> &'a [(i64, usize)] {
     order.clear();
-    let keys = pop.iter().map(|i| total_order_key(i.fitness));
-    order.extend(keys.zip(0..));
+    order.extend(keys.iter().copied().zip(0..));
     order.sort_unstable();
     order
 }
 
-/// `pop`'s stable order, as [`sorted_order`] would leave it in `order`, at
-/// the cost of one O(n) pass where the scratch already holds it or `pop`
-/// has the shape `displace` leaves; the full sort otherwise.
-fn stable_order<'a>(pop: &[Individual], order: &'a mut Vec<(i64, usize)>) -> &'a [(i64, usize)] {
-    if !still_sorts(pop, order) && !merged_order(pop, order) {
-        sorted_order(pop, order);
+/// `pop`'s stable order, as [`sorted_order`] would arrange it, in
+/// `s.order` — or `None` when `pop` is ascending and so is its own order.
+/// One pass reads the keys and the shape; then the scratch is reused if it
+/// still holds the order, a head and tail are merged in O(n), and anything
+/// else takes the full sort.
+fn stable_order<'a>(pop: &[Individual], s: &'a mut OrderScratch) -> Option<&'a [(i64, usize)]> {
+    let shape = shape(pop, &mut s.keys);
+    if shape == Shape::Sorted {
+        return None;
     }
-    order
+    if still_sorts(&s.keys, &s.order) {
+        return Some(&s.order);
+    }
+    Some(match shape {
+        Shape::HeadTail(head) => merged_order(&s.keys, head, &mut s.order),
+        _ => sorted_order(&s.keys, &mut s.order),
+    })
 }
 
-/// Whether `order` is `pop`'s stable order already. The scratch only ever
-/// holds what [`sorted_order`] or [`merged_order`] left there: the indices
-/// of some slice, ascending by `(key, index)`. If they are `pop`'s indices
-/// and every stored key is still its individual's, that is `pop`'s order —
-/// as after `migrants`, until the population changes.
-fn still_sorts(pop: &[Individual], order: &[(i64, usize)]) -> bool {
-    order.len() == pop.len()
-        && order
-            .iter()
-            .all(|&(key, i)| total_order_key(pop[i].fitness) == key)
+/// Whether `order` is the stable order of the population whose keys are
+/// `keys` already. The scratch only ever holds what [`sorted_order`] or
+/// [`merged_order`] left there: the indices of some slice, ascending by
+/// `(key, index)`. If they are the population's indices and every stored
+/// key is still its individual's, that is the population's order — as
+/// after `migrants`, until the population changes.
+fn still_sorts(keys: &[i64], order: &[(i64, usize)]) -> bool {
+    order.len() == keys.len() && order.iter().all(|&(key, i)| keys[i] == key)
 }
 
-/// `pop`'s stable order by an O(n) merge, when `pop` is an ascending head
-/// followed by a non-increasing tail — a sorted population after
-/// `displace` wrote migrants into its tail, best one last. Any other shape
-/// returns false and leaves `order` as it was.
-fn merged_order(pop: &[Individual], order: &mut Vec<(i64, usize)>) -> bool {
-    let key = |i: usize| total_order_key(pop[i].fitness);
-    let n = pop.len();
-    let head = (1..n).find(|&i| key(i - 1) > key(i)).unwrap_or(n);
-    if (head + 1..n).any(|i| key(i - 1) < key(i)) {
-        return false;
-    }
+/// The stable order of a population of [`Shape::HeadTail`]`(head)` whose
+/// keys are `keys`, into `order`, by an O(n) merge.
+fn merged_order<'a>(
+    keys: &[i64],
+    head: usize,
+    order: &'a mut Vec<(i64, usize)>,
+) -> &'a [(i64, usize)] {
     // The tail, read from its end, ascends; each run of equal keys in it
     // is taken in index order (the order ties keep), and a head entry goes
     // before a tail entry of the same key (its index is lower).
     order.clear();
-    let (mut h, mut end) = (0, n);
+    let (mut h, mut end) = (0, keys.len());
     while end > head {
-        let k = key(end - 1);
+        let k = keys[end - 1];
         let mut run = end - 1;
-        while run > head && key(run - 1) == k {
+        while run > head && keys[run - 1] == k {
             run -= 1;
         }
-        while h < head && key(h) <= k {
-            order.push((key(h), h));
+        while h < head && keys[h] <= k {
+            order.push((keys[h], h));
             h += 1;
         }
         order.extend((run..end).map(|i| (k, i)));
         end = run;
     }
-    order.extend((h..head).map(|i| (key(i), i)));
-    true
-}
-
-fn is_sorted(pop: &[Individual]) -> bool {
-    pop.is_sorted_by(|a, b| a.fitness.total_cmp(&b.fitness).is_le())
+    order.extend((h..head).map(|i| (keys[i], i)));
+    order
 }
 
 /// The `i`-th best migrant takes the seat of the `i`-th worst resident
@@ -304,7 +353,7 @@ impl Deme {
             next: Vec::with_capacity(n),
             weights: Vec::with_capacity(n),
             cum: Vec::with_capacity(n + 1),
-            order: RefCell::new(Vec::with_capacity(n)),
+            order: RefCell::new(OrderScratch::with_capacity(n)),
             window: state.window.into(),
             generation: state.generation,
             best_ever: state.best_ever,
@@ -464,10 +513,11 @@ impl Deme {
 
         // When G < 1 the best `keep` residents survive, best first. (The
         // seats already hold them if the population was sorted.)
-        if keep > 0 && !is_sorted(&self.pop) {
-            let order = stable_order(&self.pop, self.order.get_mut());
-            for (seat, &(_, i)) in self.next.iter_mut().zip(&order[..keep]) {
-                *seat = self.pop[i];
+        if keep > 0 {
+            if let Some(order) = stable_order(&self.pop, self.order.get_mut()) {
+                for (seat, &(_, i)) in self.next.iter_mut().zip(&order[..keep]) {
+                    *seat = self.pop[i];
+                }
             }
         }
         std::mem::swap(&mut self.pop, &mut self.next);
@@ -502,14 +552,19 @@ impl Deme {
 
     /// The best `count` individuals (ascending fitness, ties in population
     /// order), copied, as the outgoing migrant batch — the batch is the
-    /// only allocation. Leaves the population's order in the scratch,
-    /// where the first `incorporate` after it finds it.
+    /// only allocation. Leaves the order of a population that is not
+    /// ascending in the scratch, where the first `incorporate` after it
+    /// finds it.
     pub fn migrants(&self, count: usize) -> Vec<Individual> {
-        let mut order = self.order.borrow_mut();
-        let best = stable_order(&self.pop, &mut order).iter().take(count);
-        let mut batch = Vec::with_capacity(best.len());
-        batch.extend(best.map(|&(_, i)| self.pop[i]));
-        batch
+        let mut scratch = self.order.borrow_mut();
+        match stable_order(&self.pop, &mut scratch) {
+            Some(order) => order
+                .iter()
+                .take(count)
+                .map(|&(_, i)| self.pop[i])
+                .collect(),
+            None => self.pop.iter().take(count).copied().collect(),
+        }
     }
 
     /// Replace the worst individuals with `migrants` — each migrant only
@@ -523,20 +578,20 @@ impl Deme {
         // A batch cut by `migrants` arrives best first; anything else is
         // put in that order (stably, through the scratch the population's
         // sort is done with) before it is read.
-        if is_sorted(migrants) {
+        let s = self.order.get_mut();
+        if shape(migrants, &mut s.keys) == Shape::Sorted {
             displace(&mut self.pop, migrants.iter());
         } else {
-            let order = sorted_order(migrants, self.order.get_mut());
+            let order = sorted_order(&s.keys, &mut s.order);
             displace(&mut self.pop, order.iter().map(|&(_, i)| &migrants[i]));
         }
         self.after_change();
     }
 
     fn sort_worst_last(&mut self) {
-        if is_sorted(&self.pop) {
+        let Some(order) = stable_order(&self.pop, self.order.get_mut()) else {
             return;
-        }
-        let order = stable_order(&self.pop, self.order.get_mut());
+        };
         self.next.clear();
         self.next.extend(order.iter().map(|&(_, i)| self.pop[i]));
         std::mem::swap(&mut self.pop, &mut self.next);
@@ -850,9 +905,21 @@ mod order_tests {
             .collect()
     }
 
+    /// `pop`'s fitness keys, in population order.
+    fn keys_of(pop: &[Individual]) -> Vec<i64> {
+        pop.iter().map(|i| total_order_key(i.fitness)).collect()
+    }
+
+    /// `pop`'s stable order by the full sort.
+    fn full_sort(pop: &[Individual]) -> Vec<(i64, usize)> {
+        let mut full = Vec::new();
+        sorted_order(&keys_of(pop), &mut full);
+        full
+    }
+
     #[test]
     fn the_merge_is_the_full_sort_on_a_head_and_tail_and_declines_the_rest() {
-        let (mut merged, mut declined) = (0, 0);
+        let (mut merged, mut sorted, mut declined) = (0, 0, 0);
         rand::for_each_case(2000, |rng| {
             let n = rng.gen_range(0..=40);
             let mut fitness = tie_heavy(rng, n);
@@ -863,32 +930,47 @@ mod order_tests {
                 fitness[..head].sort_by(f64::total_cmp);
                 fitness[head..].sort_by(|a, b| b.total_cmp(a));
             }
+            let ascending = |f: &[f64]| f.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le());
             let shaped = (0..=n).any(|h| {
-                fitness[..h]
-                    .windows(2)
-                    .all(|w| w[0].total_cmp(&w[1]).is_le())
+                ascending(&fitness[..h])
                     && fitness[h..]
                         .windows(2)
                         .all(|w| w[0].total_cmp(&w[1]).is_ge())
             });
             let pop = of(&fitness);
-            let mut full = Vec::new();
-            sorted_order(&pop, &mut full);
-            let sentinel = vec![(7, 7)];
-            let mut order = sentinel.clone();
-            assert_eq!(merged_order(&pop, &mut order), shaped, "{fitness:?}");
-            if shaped {
-                assert_eq!(order, full, "{fitness:?}");
-                merged += 1;
-            } else {
-                assert_eq!(order, sentinel, "a declined shape left the scratch alone");
-                declined += 1;
+            let full = full_sort(&pop);
+            let mut keys = Vec::new();
+            match shape(&pop, &mut keys) {
+                Shape::Sorted => {
+                    assert!(ascending(&fitness), "{fitness:?}");
+                    assert!(full.iter().map(|&(_, i)| i).eq(0..n), "{fitness:?}");
+                    sorted += 1;
+                }
+                Shape::HeadTail(head) => {
+                    assert!(shaped && !ascending(&fitness), "{fitness:?}");
+                    let mut order = vec![(7, 7)];
+                    merged_order(&keys, head, &mut order);
+                    assert_eq!(order, full, "{fitness:?}");
+                    merged += 1;
+                }
+                Shape::Other => {
+                    assert!(!shaped, "{fitness:?}");
+                    declined += 1;
+                }
             }
-            assert_eq!(stable_order(&pop, &mut order), full, "{fitness:?}");
+            assert_eq!(keys, keys_of(&pop));
+            let mut s = OrderScratch::default();
+            s.order.push((7, 7));
+            let order = stable_order(&pop, &mut s).map(<[_]>::to_vec);
+            if ascending(&fitness) {
+                assert_eq!(order, None, "{fitness:?}");
+            } else {
+                assert_eq!(order, Some(full), "{fitness:?}");
+            }
         });
         assert!(
-            merged > 1000 && declined > 100,
-            "{merged} merged, {declined} declined"
+            merged > 1000 && sorted > 100 && declined > 100,
+            "{merged} merged, {sorted} sorted, {declined} declined"
         );
     }
 
@@ -897,24 +979,30 @@ mod order_tests {
         rand::for_each_case(500, |rng| {
             let n = rng.gen_range(1..=40);
             let mut pop = of(&tie_heavy(rng, n));
-            let mut full = Vec::new();
-            sorted_order(&pop, &mut full);
-            let mut order = full.clone();
-            assert!(still_sorts(&pop, &order));
+            let mut s = OrderScratch {
+                keys: keys_of(&pop),
+                order: full_sort(&pop),
+            };
+            assert!(still_sorts(&s.keys, &s.order));
             // One individual changes: a key no longer matches (unless the
             // new fitness orders exactly like the old one).
             let i = rng.gen_range(0..n);
             let before = pop[i].fitness;
             pop[i].fitness = tie_heavy(rng, 1)[0];
+            let keys = keys_of(&pop);
             assert_eq!(
-                still_sorts(&pop, &order),
+                still_sorts(&keys, &s.order),
                 pop[i].fitness.to_bits() == before.to_bits()
             );
-            sorted_order(&pop, &mut full);
-            assert_eq!(stable_order(&pop, &mut order), full);
+            let full = full_sort(&pop);
+            if let Some(order) = stable_order(&pop, &mut s) {
+                assert_eq!(order, full);
+            } else {
+                assert!(full.iter().map(|&(_, i)| i).eq(0..n));
+            }
             // An order of another length is never taken.
-            order.pop();
-            assert!(!still_sorts(&pop, &order));
+            s.order.pop();
+            assert!(!still_sorts(&keys, &s.order));
         });
     }
 }

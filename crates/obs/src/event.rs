@@ -441,36 +441,72 @@ impl ObsEvent {
         )
     }
 
+    /// Every kind's short name, at its [`ObsEvent::kind_index`].
+    pub const KINDS: [&'static str; 26] = [
+        "net_send",
+        "net_deliver",
+        "write",
+        "read_blocked",
+        "read_done",
+        "stale_discard",
+        "barrier_enter",
+        "barrier_exit",
+        "anti_message",
+        "fault_drop",
+        "fault_dup",
+        "retransmit",
+        "retransmit_give_up",
+        "read_degraded",
+        "writer_suspected",
+        "checkpoint",
+        "restore",
+        "seq_accept",
+        "read_dep",
+        "mailbox_high",
+        "snapshot_start",
+        "snapshot_complete",
+        "supervisor_restart",
+        "supervisor_give_up",
+        "read_anatomy",
+        "custom",
+    ];
+
+    /// This event's kind as a dense index into [`ObsEvent::KINDS`], for
+    /// tables kept per kind.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            ObsEvent::NetSend { .. } => 0,
+            ObsEvent::NetDeliver { .. } => 1,
+            ObsEvent::Write { .. } => 2,
+            ObsEvent::ReadBlocked { .. } => 3,
+            ObsEvent::ReadDone { .. } => 4,
+            ObsEvent::StaleDiscard { .. } => 5,
+            ObsEvent::BarrierEnter { .. } => 6,
+            ObsEvent::BarrierExit { .. } => 7,
+            ObsEvent::AntiMessage { .. } => 8,
+            ObsEvent::FaultDrop { .. } => 9,
+            ObsEvent::FaultDup { .. } => 10,
+            ObsEvent::Retransmit { .. } => 11,
+            ObsEvent::RetransmitGiveUp { .. } => 12,
+            ObsEvent::ReadDegraded { .. } => 13,
+            ObsEvent::WriterSuspected { .. } => 14,
+            ObsEvent::Checkpoint { .. } => 15,
+            ObsEvent::Restore { .. } => 16,
+            ObsEvent::SeqAccept { .. } => 17,
+            ObsEvent::ReadDep { .. } => 18,
+            ObsEvent::MailboxHigh { .. } => 19,
+            ObsEvent::SnapshotStart { .. } => 20,
+            ObsEvent::SnapshotComplete { .. } => 21,
+            ObsEvent::SupervisorRestart { .. } => 22,
+            ObsEvent::SupervisorGiveUp { .. } => 23,
+            ObsEvent::ReadAnatomy { .. } => 24,
+            ObsEvent::Custom { .. } => 25,
+        }
+    }
+
     /// Short kind name, for counting and debugging.
     pub fn kind(&self) -> &'static str {
-        match self {
-            ObsEvent::NetSend { .. } => "net_send",
-            ObsEvent::NetDeliver { .. } => "net_deliver",
-            ObsEvent::Write { .. } => "write",
-            ObsEvent::ReadBlocked { .. } => "read_blocked",
-            ObsEvent::ReadDone { .. } => "read_done",
-            ObsEvent::StaleDiscard { .. } => "stale_discard",
-            ObsEvent::BarrierEnter { .. } => "barrier_enter",
-            ObsEvent::BarrierExit { .. } => "barrier_exit",
-            ObsEvent::AntiMessage { .. } => "anti_message",
-            ObsEvent::FaultDrop { .. } => "fault_drop",
-            ObsEvent::FaultDup { .. } => "fault_dup",
-            ObsEvent::Retransmit { .. } => "retransmit",
-            ObsEvent::RetransmitGiveUp { .. } => "retransmit_give_up",
-            ObsEvent::ReadDegraded { .. } => "read_degraded",
-            ObsEvent::WriterSuspected { .. } => "writer_suspected",
-            ObsEvent::Checkpoint { .. } => "checkpoint",
-            ObsEvent::Restore { .. } => "restore",
-            ObsEvent::SeqAccept { .. } => "seq_accept",
-            ObsEvent::ReadDep { .. } => "read_dep",
-            ObsEvent::MailboxHigh { .. } => "mailbox_high",
-            ObsEvent::SnapshotStart { .. } => "snapshot_start",
-            ObsEvent::SnapshotComplete { .. } => "snapshot_complete",
-            ObsEvent::SupervisorRestart { .. } => "supervisor_restart",
-            ObsEvent::SupervisorGiveUp { .. } => "supervisor_give_up",
-            ObsEvent::ReadAnatomy { .. } => "read_anatomy",
-            ObsEvent::Custom { .. } => "custom",
-        }
+        Self::KINDS[self.kind_index()]
     }
 }
 

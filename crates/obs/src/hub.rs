@@ -1943,7 +1943,11 @@ mod tests {
         let w = &mut s.warp;
         (w.mean, w.p50, w.p95, w.max) = (1.25, 1.5, 1.75, 2.0);
         let bytes = nscc_ckpt::to_bytes(&s);
-        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0xbbfb_d234_468c_ad0c);
+        assert_eq!(
+            (nscc_ckpt::CKPT_VERSION, nscc_ckpt::fnv1a(&bytes)),
+            (2, 0xbbfb_d234_468c_ad0c),
+            "the checkpoint layout moved: bump CKPT_VERSION and pin the new pair"
+        );
         let back: HubSummary = nscc_ckpt::from_bytes(&bytes).expect("decodes");
         assert_eq!(back.reads, s.reads);
         assert_eq!(back.checkpoints, s.checkpoints);
@@ -2227,7 +2231,11 @@ mod tests {
         (s.conservation_checked, s.conservation_violations) = (3, 1);
         s.flows_dropped = 4;
         let bytes = nscc_ckpt::to_bytes(&s);
-        assert_eq!(nscc_ckpt::fnv1a(&bytes), 0x36ca_cbd9_eb67_2814);
+        assert_eq!(
+            (nscc_ckpt::CKPT_VERSION, nscc_ckpt::fnv1a(&bytes)),
+            (2, 0x36ca_cbd9_eb67_2814),
+            "the checkpoint layout moved: bump CKPT_VERSION and pin the new pair"
+        );
         let back: StalenessSummary = nscc_ckpt::from_bytes(&bytes).expect("decodes");
         assert_eq!(
             nscc_ckpt::json::to_json(&s),
@@ -2454,6 +2462,13 @@ mod tests {
         hub.annotate_phase(1, "Global_Read", "v4");
 
         let events = one_of_each();
+        assert!(
+            events
+                .iter()
+                .map(ObsEvent::kind_index)
+                .eq(0..ObsEvent::KINDS.len()),
+            "one event of every kind, in kind-index order"
+        );
         let n = events.len() as u64;
         for ev in events {
             hub.emit(ev);
