@@ -33,6 +33,9 @@ pub struct Node {
 #[derive(Debug, Clone)]
 pub struct BeliefNetwork {
     nodes: Vec<Node>,
+    /// Per node, its CPT with every row replaced by the row's running
+    /// sums (same layout as [`Node::cpt`]); what sampling looks up.
+    cum: Vec<Vec<f64>>,
 }
 
 impl BeliefNetwork {
@@ -73,7 +76,8 @@ impl BeliefNetwork {
                 );
             }
         }
-        BeliefNetwork { nodes }
+        let cum = nodes.iter().map(cumulative_rows).collect();
+        BeliefNetwork { nodes, cum }
     }
 
     /// Number of nodes.
@@ -129,11 +133,16 @@ impl BeliefNetwork {
     /// The CPT row (distribution over `idx`'s values) selected by the
     /// given full assignment of values to all nodes.
     pub fn cpt_row<'a>(&'a self, idx: NodeIdx, assignment: &[Value]) -> &'a [f64] {
+        self.cpt_row_at(idx, self.combo(idx, assignment))
+    }
+
+    /// The parent-value combination of `idx` under `assignment`.
+    fn combo(&self, idx: NodeIdx, assignment: &[Value]) -> usize {
         let mut combo = 0usize;
         for &p in &self.nodes[idx].parents {
             combo = combo * self.nodes[p].arity + assignment[p] as usize;
         }
-        self.cpt_row_at(idx, combo)
+        combo
     }
 
     /// The CPT row of `idx` for parent-value combination `combo` (the
@@ -147,13 +156,23 @@ impl BeliefNetwork {
     /// Sample a value for `idx` given `assignment` (parents must already
     /// be assigned) using the uniform draw `u ∈ [0,1)`.
     pub fn sample_node(&self, idx: NodeIdx, assignment: &[Value], u: f64) -> Value {
-        inverse_cdf(self.cpt_row(idx, assignment), u)
+        self.sample_combo(idx, self.combo(idx, assignment), u)
     }
 
     /// [`sample_node`](Self::sample_node) for a precomputed parent
-    /// combination (see [`cpt_row_at`](Self::cpt_row_at)).
+    /// combination (see [`cpt_row_at`](Self::cpt_row_at)): the first value
+    /// whose running sum exceeds `u`, the last one if rounding leaves the
+    /// row's sum at or below `u`.
+    ///
+    /// Counted without a branch: the running sums never decrease (every
+    /// probability is in `[0, 1]`, checked by [`new`](Self::new)) and `u`
+    /// is never NaN, so the sums `≤ u` are a prefix of the row and their
+    /// number among the first `arity − 1` is that value.
+    #[inline]
     pub fn sample_combo(&self, idx: NodeIdx, combo: usize, u: f64) -> Value {
-        inverse_cdf(self.cpt_row_at(idx, combo), u)
+        let arity = self.nodes[idx].arity;
+        let sums = &self.cum[idx][combo * arity..(combo + 1) * arity - 1];
+        sums.iter().filter(|&&acc| acc <= u).count() as Value
     }
 
     /// The undirected skeleton (for graph partitioning).
@@ -186,17 +205,19 @@ impl BeliefNetwork {
     }
 }
 
-/// The first value whose cumulative probability exceeds `u` (the last one
-/// if rounding leaves the row's sum below `u`).
-fn inverse_cdf(row: &[f64], u: f64) -> Value {
-    let mut acc = 0.0;
-    for (v, &p) in row.iter().enumerate() {
-        acc += p;
-        if u < acc {
-            return v as Value;
+/// `node`'s CPT with each row replaced by its running sums, accumulated
+/// left to right so every sum has the bits a sequential `acc += p` scan
+/// of the row reaches.
+fn cumulative_rows(node: &Node) -> Vec<f64> {
+    let mut cum = node.cpt.clone();
+    for row in cum.chunks_exact_mut(node.arity) {
+        let mut acc = 0.0;
+        for p in row {
+            acc += *p;
+            *p = acc;
         }
     }
-    (row.len() - 1) as Value
+    cum
 }
 
 /// Helper: pad a prefix assignment out to `n` entries (CPT lookup only
@@ -349,5 +370,79 @@ mod tests {
             net.sample_node(1, &[2, 0], 0.05)
         );
         assert_eq!(net.sample_node(0, &[0, 0], 0.45), 1);
+    }
+
+    /// The running-sum scan `sample_combo` replaced, kept as its oracle.
+    fn inverse_cdf(row: &[f64], u: f64) -> Value {
+        let mut acc = 0.0;
+        for (v, &p) in row.iter().enumerate() {
+            acc += p;
+            if u < acc {
+                return v as Value;
+            }
+        }
+        (row.len() - 1) as Value
+    }
+
+    /// Every CPT row of `net` at the draws where a lookup can go wrong:
+    /// 0, each running sum and one ulp either side of it, and the largest
+    /// draw below 1. Returns how many draws were checked.
+    fn assert_lookup_matches_scan(net: &BeliefNetwork) -> usize {
+        let mut checked = 0;
+        for (idx, node) in net.nodes().iter().enumerate() {
+            for combo in 0..node.cpt.len() / node.arity {
+                let row = net.cpt_row_at(idx, combo);
+                let mut draws = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+                let mut acc = 0.0;
+                for &p in row {
+                    acc += p;
+                    draws.extend([acc.next_down(), acc, acc.next_up()]);
+                }
+                for u in draws {
+                    assert_eq!(
+                        net.sample_combo(idx, combo, u),
+                        inverse_cdf(row, u),
+                        "node `{}` row {combo} {row:?} at u = {u:e}",
+                        node.name
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn cumulative_lookup_matches_the_running_sum_scan() {
+        let mut nets = vec![crate::figure1()];
+        nets.extend(crate::TABLE2.iter().map(|t| t.build()));
+        // Rows with certain and impossible values: sums that repeat, a
+        // first sum of 0 and a last one reached before the row ends.
+        nets.push(BeliefNetwork::new(vec![
+            Node {
+                name: "w".into(),
+                arity: 3,
+                parents: vec![],
+                cpt: vec![0.0, 1.0, 0.0],
+            },
+            Node {
+                name: "x".into(),
+                arity: 4,
+                parents: vec![0],
+                cpt: vec![
+                    1.0, 0.0, 0.0, 0.0, //
+                    0.0, 0.0, 0.0, 1.0, //
+                    0.0, 0.5, 0.0, 0.5,
+                ],
+            },
+            binary_node("y", vec![1], &[0.0, 1.0, 0.3, 1.0]),
+        ]));
+        for net in &nets {
+            assert!(assert_lookup_matches_scan(net) > 0);
+        }
+        // A draw at a running sum is where `<` and `≤` part, and the
+        // last value is where counting all `arity` sums overshoots.
+        assert_eq!(nets.last().unwrap().sample_combo(1, 2, 0.5), 3);
+        assert_eq!(nets.last().unwrap().sample_combo(0, 0, 1.0), 2);
     }
 }

@@ -183,27 +183,59 @@ impl IterRecord {
     /// (Re)sample the owned `nodes` (positions, topological order) for
     /// columns `cols`. The one sampling loop: a round of a fresh iteration
     /// and a rollback differ only in the nodes and columns they pass.
-    /// Node-major, so one CPT and one parent list stay hot; draws are
-    /// counter-based and nothing yields in here, so the order is
-    /// unobservable.
+    /// Node-major, so one CPT and one parent list stay hot, and each
+    /// input is resolved once per node — to an owned row, a fetched batch
+    /// row or its default — then folded into every column's CPT row
+    /// index in `combo`. Draws are counter-based and nothing yields in
+    /// here, so the order is unobservable; an empty `cols` fetches
+    /// nothing, so first-use fetch stays a function of the visited cells.
     fn sample_columns(
         &mut self,
         idx: &PartIndex,
         node: &DsmNode<BatchValues>,
         nodes: &[usize],
         cols: Range<usize>,
+        combo: &mut Vec<usize>,
         default_uses: &mut u64,
     ) {
-        let first_sample = (self.iter - 1) * idx.block as u64 + 1;
+        if cols.is_empty() {
+            return;
+        }
+        let block = idx.block;
+        let first_sample = (self.iter - 1) * block as u64 + 1;
         for &pos in nodes {
-            let v = idx.owned[pos];
-            for s in cols.clone() {
-                let mut combo = 0;
-                for &(src, arity) in &idx.inputs[pos] {
-                    combo = combo * arity + self.input(idx, node, src, s, default_uses) as usize;
+            combo.clear();
+            combo.resize(cols.len(), 0);
+            for &(src, arity) in &idx.inputs[pos] {
+                // The input's row of this record, or its default value.
+                let row = match src {
+                    Src::Owned(p) => Ok(&self.values[p * block..(p + 1) * block]),
+                    Src::Remote { slot, row, default } => {
+                        let fetch = || node.get_version(idx.ins[slot].loc, self.iter).cloned();
+                        let vals = self.used[slot].get_or_insert_with(fetch).as_deref();
+                        vals.map(|v| &v[row * block..(row + 1) * block])
+                            .ok_or(default)
+                    }
+                };
+                match row {
+                    Ok(row) => {
+                        for (c, &x) in combo.iter_mut().zip(&row[cols.clone()]) {
+                            *c = *c * arity + x as usize;
+                        }
+                    }
+                    Err(default) => {
+                        *default_uses += cols.len() as u64;
+                        for c in combo.iter_mut() {
+                            *c = *c * arity + default as usize;
+                        }
+                    }
                 }
+            }
+            let v = idx.owned[pos];
+            let out = &mut self.values[pos * block..(pos + 1) * block][cols.clone()];
+            for ((x, &c), s) in out.iter_mut().zip(combo.iter()).zip(cols.clone()) {
                 let u01 = node_draw(idx.seed, v, first_sample + s as u64);
-                self.values[pos * idx.block + s] = idx.net.sample_combo(v, combo, u01);
+                *x = idx.net.sample_combo(v, c, u01);
             }
         }
     }
@@ -290,11 +322,12 @@ struct PartRuntime {
     /// read by every partition at the top of its loop.
     stop_flag: Rc<Cell<bool>>,
     /// Scratch: `(iteration, column, remote input)` cells whose effective
-    /// value changed, the positions one such column must resample, and
-    /// the batch being gathered.
+    /// value changed, the positions one such column must resample, the
+    /// batch being gathered, and per sampled column its CPT row index.
     dirty: Vec<(u64, usize, usize)>,
     nodes: Vec<usize>,
     batch: BatchValues,
+    combo: Vec<usize>,
 }
 
 impl PartRuntime {
@@ -379,7 +412,7 @@ impl PartRuntime {
     ) {
         let first = self.records[0].iter;
         let rec = &mut self.records[(age - first) as usize];
-        let default_uses = &mut self.stats.default_uses;
+        let (default_uses, combo) = (&mut self.stats.default_uses, &mut self.combo);
         self.stats.rollbacks += 1;
         for (used, batch) in rec.used.iter_mut().zip(&idx.ins) {
             *used = Some(node.get_version(batch.loc, age).cloned());
@@ -389,7 +422,7 @@ impl PartRuntime {
         let mut resamples = 0;
         let mut redo = |nodes: &[usize], cols: Range<usize>| {
             resamples += (nodes.len() * cols.len()) as u64;
-            rec.sample_columns(idx, node, nodes, cols.clone(), default_uses);
+            rec.sample_columns(idx, node, nodes, cols.clone(), combo, default_uses);
             rec.tally_columns(idx, node, cols, &mut self.tally, default_uses);
         };
         for col in cells.chunk_by(|a, b| a.1 == b.1) {
@@ -527,6 +560,7 @@ pub fn run_planned_inference(
             dirty: Vec::new(),
             nodes: Vec::new(),
             batch: Vec::new(),
+            combo: Vec::new(),
         };
         let results = Rc::clone(&results);
         sim.spawn(format!("bayes{rank}"), move |ctx| {
@@ -619,7 +653,15 @@ fn partition_body(
             }
             let rec = rt.records.back_mut().expect("record open");
             let default_uses = &mut rt.stats.default_uses;
-            rec.sample_columns(idx, &node, &round.compute, 0..idx.block, default_uses);
+            let combo = &mut rt.combo;
+            rec.sample_columns(
+                idx,
+                &node,
+                &round.compute,
+                0..idx.block,
+                combo,
+                default_uses,
+            );
             let resamples = round.compute.len() as u64 * block;
             let cost = rt.cfg.cost.iteration_cost_jittered(resamples, ctx.rng());
             ctx.advance(cost);

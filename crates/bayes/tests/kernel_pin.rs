@@ -10,9 +10,13 @@
 //! (first-use fetch, default counting, what a correction diffs against,
 //! the order of charges and writes) moves at least one of them.
 //!
-//! The digests were captured at the commit *before* the dense-kernel
-//! rewrite of `parallel.rs`; to re-capture after an intended behaviour
-//! change, run the test and paste the table it prints on mismatch.
+//! Two shapes are pinned: block 4 with a 12-iteration window (`PINNED`,
+//! captured at the commit *before* the dense-kernel rewrite of
+//! `parallel.rs`) and block 8 with a 64-iteration window (`PINNED_B8`, the
+//! defaults the fig3 sweep runs, captured before the cumulative-row
+//! lookup and the per-node input resolution). To re-capture after an
+//! intended behaviour change, run the test and paste the table it prints
+//! on mismatch.
 
 mod common;
 
@@ -120,8 +124,36 @@ const PINNED: [u64; 21] = [
     0x3c4c7be01c3a615d, // parts=3 async: drawn 2400, rollbacks/defaults/discarded/late [158, 54684, 1734, 1399]
 ];
 
-#[test]
-fn kernel_results_are_pinned() {
+/// One digest per parts {1, 2, 3} × mode at block 8, window 64.
+#[rustfmt::skip]
+const PINNED_B8: [u64; 21] = [
+    0xf4232a62845b914a, // parts=1 sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xf4232a62845b914a, // parts=1 async: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xf4232a62845b914a, // parts=1 age=0: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xf4232a62845b914a, // parts=1 age=5: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xf4232a62845b914a, // parts=1 age=20: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xf4232a62845b914a, // parts=1 age=600: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xf4232a62845b914a, // parts=1 async: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0x2c8cf7285546d6c3, // parts=2 sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xc8964d09ea08cfbc, // parts=2 async: drawn 4800, rollbacks/defaults/discarded/late [237, 74410, 881, 845]
+    0xe61dc03f6dbe233c, // parts=2 age=0: drawn 1800, rollbacks/defaults/discarded/late [1055, 26032, 0, 0]
+    0x96f9b2088d15efc7, // parts=2 age=5: drawn 1800, rollbacks/defaults/discarded/late [1060, 26448, 0, 0]
+    0x0e0b9db5c3392616, // parts=2 age=20: drawn 1800, rollbacks/defaults/discarded/late [1071, 27704, 0, 0]
+    0xc8964d09ea08cfbc, // parts=2 age=600: drawn 4800, rollbacks/defaults/discarded/late [237, 74410, 881, 845]
+    0xc8964d09ea08cfbc, // parts=2 async: drawn 4800, rollbacks/defaults/discarded/late [237, 74410, 881, 845]
+    0x756e2194aad5984a, // parts=3 sync: drawn 1792, rollbacks/defaults/discarded/late [0, 0, 0, 0]
+    0xc2ecda8a91ae2820, // parts=3 async: drawn 4800, rollbacks/defaults/discarded/late [562, 99608, 1427, 1665]
+    0x9cfad8d076af5341, // parts=3 age=0: drawn 1792, rollbacks/defaults/discarded/late [1995, 31934, 0, 0]
+    0x76880e3c294120bb, // parts=3 age=5: drawn 1792, rollbacks/defaults/discarded/late [2437, 37355, 0, 0]
+    0xefcc8eb2d8223c25, // parts=3 age=20: drawn 1792, rollbacks/defaults/discarded/late [2461, 39351, 0, 0]
+    0xc2ecda8a91ae2820, // parts=3 age=600: drawn 4800, rollbacks/defaults/discarded/late [562, 99608, 1427, 1665]
+    0xc2ecda8a91ae2820, // parts=3 async: drawn 4800, rollbacks/defaults/discarded/late [562, 99608, 1427, 1665]
+];
+
+/// Per-mode digests over parts {1, 2, 3} at `block` and `window`, the
+/// table to paste on mismatch and the speculation totals (rollbacks,
+/// default uses, discarded records, late corrections).
+fn run_table(block: usize, window: usize) -> (Vec<u64>, String, [u64; 4]) {
     let net = Arc::new(common::fixture());
     // Evidence on an early and a middle node, so for every partitioning
     // some of it is remote to the query owner and feeds the tally only.
@@ -131,7 +163,7 @@ fn kernel_results_are_pinned() {
     };
     let mut got = Vec::new();
     let mut table = String::new();
-    let (mut rollbacks, mut default_uses, mut discarded, mut late) = (0, 0, 0, 0);
+    let mut totals = [0; 4];
     for parts in 1..=3usize {
         let plan = Plan::with_assignment(&net, parts, common::assign(parts), &query);
         for mode in MODES {
@@ -141,9 +173,9 @@ fn kernel_results_are_pinned() {
                     ..StopRule::default()
                 },
                 cost: BayesCost::deterministic(),
-                block: 4,
+                block,
                 max_iterations: MAX_ITERATIONS,
-                window: 12,
+                window,
                 ..ParallelBayesConfig::new(mode)
             };
             let res = run_planned_inference(
@@ -163,10 +195,9 @@ fn kernel_results_are_pinned() {
                 sum(|p| p.discarded),
                 sum(|p| p.late_corrections),
             ];
-            rollbacks += stats[0];
-            default_uses += stats[1];
-            discarded += stats[2];
-            late += stats[3];
+            for (t, s) in totals.iter_mut().zip(stats) {
+                *t += s;
+            }
             let d = digest(&res);
             table += &format!(
                 "    {d:#018x}, // parts={parts} {mode}: drawn {}, \
@@ -185,6 +216,12 @@ fn kernel_results_are_pinned() {
             }
         }
     }
+    (got, table, totals)
+}
+
+#[test]
+fn kernel_results_are_pinned() {
+    let (got, table, [rollbacks, default_uses, discarded, late]) = run_table(4, 12);
     // The fixture must keep exercising speculation, or the pin is hollow.
     assert!(
         rollbacks > 0 && default_uses > 0 && discarded > 0 && late > 0,
@@ -193,5 +230,15 @@ fn kernel_results_are_pinned() {
     assert!(
         got == PINNED,
         "kernel digests moved; actual table:\n{table}"
+    );
+}
+
+#[test]
+fn kernel_results_are_pinned_at_the_benchmark_shape() {
+    let (got, table, [rollbacks, default_uses, _, _]) = run_table(8, 64);
+    assert!(rollbacks > 0 && default_uses > 0, "{table}");
+    assert!(
+        got == PINNED_B8,
+        "kernel digests moved at block 8, window 64; actual table:\n{table}"
     );
 }

@@ -10,6 +10,7 @@ use nscc_bayes::{
 use nscc_dsm::{Coherence, DsmStats};
 use nscc_net::NetStats;
 use nscc_obs::Hub;
+use nscc_partition::{edge_cut, partition};
 use nscc_sim::{SimError, SimTime};
 
 use crate::ga_exp::PAPER_AGES;
@@ -199,7 +200,8 @@ fn run_sequential_on(
 pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, SimError> {
     let net = Arc::new(exp.net.build());
     let query = exp.standard_query_on(&net);
-    let edge_cut = Plan::new(&net, exp.procs, 42, &query).edge_cut;
+    let skel = net.skeleton();
+    let edge_cut = edge_cut(&skel, &partition(&skel, exp.procs, 42));
 
     let modes: Vec<Coherence> = [Coherence::Synchronous, Coherence::ASYNC]
         .into_iter()

@@ -646,10 +646,14 @@ impl<T: WireSize + 'static> DsmNode<T> {
     /// The exact version of `loc` generated at iteration `age`, if it is
     /// in the retained window (requires a world built
     /// [`with_history`](crate::DsmWorld::with_history)). Non-blocking and
-    /// local; drains nothing.
+    /// local; drains nothing. The window is searched newest first, where
+    /// readers' ages cluster; its ages are unique (see `remember`), so the
+    /// direction cannot change which entry is found.
     pub fn get_version(&self, loc: LocId, age: u64) -> Option<&Arc<T>> {
-        let window = self.versions.get(&loc).into_iter().flatten();
+        let window = self.versions.get(&loc).map(|w| w.iter().rev());
         let (_, v) = window
+            .into_iter()
+            .flatten()
             .chain(self.cache.get(&loc))
             .find(|(a, _)| *a == age)?;
         Some(v)
@@ -897,10 +901,10 @@ impl<T: WireSize + 'static> DsmNode<T> {
     /// Enter `value` as version `age` of `loc` in the retained window
     /// (history mode). A version re-using an existing age is a
     /// *correction* (rollback protocols re-publish amended values) and
-    /// replaces that version in place.
+    /// replaces that version in place, so no age is in the window twice.
     fn remember(&mut self, loc: LocId, age: u64, value: &Arc<T>) {
         let w = self.versions.entry(loc).or_default();
-        if let Some(slot) = w.iter_mut().find(|(a, _)| *a == age) {
+        if let Some(slot) = w.iter_mut().rev().find(|(a, _)| *a == age) {
             slot.1 = Arc::clone(value);
         } else {
             w.push_back((age, Arc::clone(value)));

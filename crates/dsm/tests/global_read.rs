@@ -478,3 +478,95 @@ fn every_write_reaches_every_reader() {
     assert_eq!(stats.writes, writes);
     assert_eq!(stats.updates_sent, writes * readers);
 }
+
+/// The version window against an oldest-first model under seeded update
+/// sequences into a `with_history(4)` world: fresh ages, in-place
+/// corrections of windowed ages, and re-published ages that were already
+/// evicted (pushed to the back out of order). After every update each
+/// age's `get_version` answer must be the model's.
+///
+/// The first update carries a high age, `PIN`, that is never written
+/// again, so the latest-value cache answers only `PIN` and every other
+/// age is answered from the window alone. Once the window is full without
+/// `PIN`, it answering `HISTORY` distinct ages from at most `HISTORY`
+/// entries means no age is held twice.
+#[test]
+fn version_window_matches_an_oldest_first_model() {
+    use std::collections::VecDeque;
+
+    use rand::Rng;
+
+    const HISTORY: usize = 4;
+    const PIN: u64 = 1_000_000;
+    const AGES: u64 = 12;
+    rand::for_each_case(64, |rng| {
+        let mut dir = Directory::new();
+        let loc = dir.add("x", 0, [1]);
+        let mut world: DsmWorld<u64> = ideal_world(2, dir).with_history(HISTORY);
+        world.set_initial(loc, 0);
+        let mut writer = world.node(0);
+        let mut reader = world.node(1);
+        let mut rng = rng.clone();
+        let mut sim = SimBuilder::new(0);
+        sim.spawn("writer+reader", move |ctx| {
+            // `(age, value)`, oldest first; every update writes a fresh
+            // value, so a stale entry cannot pass for a new one.
+            let mut model: VecDeque<(u64, u64)> = VecDeque::new();
+            let mut written = Vec::new();
+            let (mut corrected, mut republished) = (0, 0);
+            for value in 1..40 {
+                let pick = |rng: &mut rand::rngs::StdRng, ages: &[u64]| {
+                    (!ages.is_empty()).then(|| ages[rng.gen_range(0..ages.len())])
+                };
+                let windowed: Vec<u64> = model.iter().map(|e| e.0).filter(|&a| a != PIN).collect();
+                let evicted: Vec<u64> = written
+                    .iter()
+                    .copied()
+                    .filter(|a| !windowed.contains(a))
+                    .collect();
+                let age = match (value, rng.gen_range(0..3u32)) {
+                    (1, _) => Some(PIN),
+                    (_, 0) => pick(&mut rng, &evicted),
+                    (_, 1) => pick(&mut rng, &windowed),
+                    _ => None,
+                }
+                .unwrap_or(value.min(AGES));
+                if age != PIN && !written.contains(&age) {
+                    written.push(age);
+                }
+                writer.write(ctx, loc, value, age);
+                if let Some(slot) = model.iter_mut().find(|(a, _)| *a == age) {
+                    slot.1 = value;
+                    corrected += 1;
+                } else {
+                    republished += u64::from(evicted.contains(&age));
+                    model.push_back((age, value));
+                    if model.len() > HISTORY {
+                        model.pop_front();
+                    }
+                }
+                ctx.advance(SimTime::from_millis(5));
+                reader.drain(ctx);
+                let mut answered = 0;
+                for a in (1..=AGES + 1).chain([PIN]) {
+                    let want = if a == PIN {
+                        Some(1)
+                    } else {
+                        model.iter().find(|(b, _)| *b == a).map(|e| e.1)
+                    };
+                    let got = reader.get_version(loc, a).map(|v| **v);
+                    assert_eq!(
+                        got, want,
+                        "age {a} after update ({age}, {value}): {model:?}"
+                    );
+                    answered += usize::from(a != PIN && got.is_some());
+                }
+                if model.iter().all(|e| e.0 != PIN) {
+                    assert_eq!(answered, HISTORY, "an age is held twice: {model:?}");
+                }
+            }
+            assert!(corrected > 0 && republished > 0, "{model:?}");
+        });
+        sim.run().unwrap();
+    });
+}
