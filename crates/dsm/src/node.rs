@@ -3,20 +3,25 @@
 //!
 //! Every read discipline is a `Global_Read` at the mode's age: 0 under a
 //! barrier, ∞ for `Coherence::ASYNC` (the uncontrolled asynchronous
-//! implementation). Every `Global_Read` outcome — hit, sabotage, fresh
-//! release, degraded timeout — leaves through the single exit of
-//! [`DsmNode::global_read_ex`]. Blocked reads and barrier waits share one
-//! bounded receive; updates and checkpoint restores share one
-//! version-window insert.
+//! implementation). The paper's rule is stated once, in the pure `admit`;
+//! [`DsmNode::global_read_ex`] is one loop that consults it on entry, after
+//! every applied message and at every timeout, and every outcome — hit,
+//! sabotage, fresh release, degraded timeout — leaves through its single
+//! exit. Blocked reads and barrier waits share one bounded receive; updates
+//! and checkpoint restores share one version-window insert.
+//!
+//! Per-location state (cache, version window) is a vector indexed by
+//! [`LocId::index`], and per-rank state (the failure detector's last-heard
+//! stamps) a vector indexed by rank: both are dense by construction.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use nscc_ckpt::json::ToJson;
 use nscc_ckpt::Snapshot;
-use nscc_msg::{Endpoint, Envelope, Provenance, WireSize};
+use nscc_msg::{Endpoint, Envelope, WireSize};
 use nscc_obs::{Hub, ObsEvent, SpanKind};
 use nscc_sim::{Ctx, SimTime};
 
@@ -168,16 +173,46 @@ pub struct ReadOutcome<T> {
 }
 
 /// How a `Global_Read` was released (see [`DsmNode::global_read_ex`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Release {
-    /// The cached value was fresh enough.
+    /// The cached value was fresh enough on entry.
     Hit,
     /// Released stale on purpose, spending the sabotage budget.
     Sabotage,
-    /// Released by an arriving update, with the releasing update's
-    /// `(received_at, sent_at, stamp)` when it carried provenance.
-    Fresh(Option<(SimTime, SimTime, Provenance)>),
+    /// Released by an arriving update after blocking.
+    Fresh,
     /// Timed out and degraded to the cached value.
     Degraded,
+}
+
+/// Why a `Global_Read` is consulting [`admit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wake {
+    /// The read was just issued (pending updates already drained).
+    Entry,
+    /// A message arrived while blocked and was applied.
+    Arrival,
+    /// The bounded receive's deadline passed with nothing received.
+    Timeout,
+}
+
+/// The paper's `Global_Read` rule, pure: with `cached` the age of the
+/// cached copy (if any) and `required = curr_iter − age` (saturated),
+/// decide how the read is released at this `wake`, or `None` to keep
+/// waiting. A cached value generated in iteration `required` or later
+/// releases the read: a hit on entry, fresh after blocking. A too-old value
+/// is delivered anyway only on entry while the sabotage budget lasts (audit
+/// validation), or when a bounded wait times out — liveness over the
+/// bound. With nothing cached the read always waits.
+fn admit(cached: Option<u64>, required: u64, wake: Wake, sabotage_left: u64) -> Option<Release> {
+    let fresh = cached? >= required;
+    match wake {
+        Wake::Entry if fresh => Some(Release::Hit),
+        _ if fresh => Some(Release::Fresh),
+        Wake::Entry if sabotage_left > 0 => Some(Release::Sabotage),
+        Wake::Timeout => Some(Release::Degraded),
+        _ => None,
+    }
 }
 
 /// One rank's DSM state. Move it into the rank's process closure; it is not
@@ -186,16 +221,19 @@ pub struct DsmNode<T: 'static> {
     rank: usize,
     ep: Endpoint<DsmMsg<T>>,
     dir: Arc<Directory>,
-    cache: HashMap<LocId, (u64, Arc<T>)>,
-    /// Per-location window of recent versions (only when `history > 0`).
-    versions: HashMap<LocId, std::collections::VecDeque<(u64, Arc<T>)>>,
+    /// The age-tagged copy of each location, indexed by [`LocId::index`].
+    cache: Vec<Option<(u64, Arc<T>)>>,
+    /// Per-location window of recent versions, oldest first (empty unless
+    /// `history > 0`).
+    versions: Vec<VecDeque<(u64, Arc<T>)>>,
     /// How many past versions to retain per location.
     history: usize,
     /// Applied-update log (history mode only): rollback consumers drain it
     /// with [`take_update_log`](DsmNode::take_update_log) to learn which
     /// `(loc, age)` pairs changed since they last looked.
     update_log: Vec<(LocId, u64)>,
-    /// Highest barrier epoch released (observed from the coordinator).
+    /// Highest barrier epoch released (observed from the coordinator, or
+    /// released by this node when it is the coordinator).
     released: u64,
     /// Coordinator only: which ranks have arrived, per epoch.
     arrivals: HashMap<u64, HashSet<usize>>,
@@ -207,9 +245,9 @@ pub struct DsmNode<T: 'static> {
     /// the age bound on purpose so the audit pipeline can be validated
     /// end-to-end (see `DsmWorld::with_stale_injection`). 0 = off.
     inject_stale: u64,
-    /// Failure detector: when each peer was last heard from (send-time
-    /// stamps of arriving messages, heartbeats included).
-    last_heard: HashMap<usize, SimTime>,
+    /// Failure detector: when each rank was last heard from (send-time
+    /// stamps of arriving messages, heartbeats included), indexed by rank.
+    last_heard: Vec<SimTime>,
     /// Peers declared dead by the failure detector.
     suspected: HashSet<usize>,
     /// Active consistent-snapshot recording (Chandy–Lamport), if any:
@@ -226,7 +264,6 @@ pub struct DsmNode<T: 'static> {
 /// [`DsmNode::snap_begin`]). The node keeps serving reads and writes
 /// throughout — recording shares the applied value, it never pauses.
 struct SnapRec<T> {
-    id: u64,
     /// Incoming channels whose closing marker has not arrived yet.
     open: HashSet<usize>,
     /// Updates recorded from open channels, in arrival order.
@@ -238,24 +275,24 @@ impl<T: WireSize + 'static> DsmNode<T> {
         rank: usize,
         ep: Endpoint<DsmMsg<T>>,
         dir: Arc<Directory>,
-        initial: HashMap<LocId, (u64, Arc<T>)>,
+        cache: Vec<Option<(u64, Arc<T>)>>,
         history: usize,
         shared_stats: Rc<RefCell<Vec<DsmStats>>>,
         obs: Option<Hub>,
     ) -> Self {
         DsmNode {
             rank,
+            last_heard: vec![SimTime::ZERO; ep.ranks()],
             ep,
+            versions: vec![VecDeque::new(); dir.len()],
             dir,
-            cache: initial,
-            versions: HashMap::new(),
+            cache,
             history,
             update_log: Vec::new(),
             released: 0,
             arrivals: HashMap::new(),
             timeout: None,
             inject_stale: 0,
-            last_heard: HashMap::new(),
             suspected: HashSet::new(),
             snap: None,
             stats: DsmStats::default(),
@@ -324,7 +361,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 iter,
             );
         }
-        self.cache.insert(loc, (iter, value));
+        self.cache[loc.index()] = Some((iter, value));
         self.flush_stats();
     }
 
@@ -367,8 +404,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
             if peer == self.rank || self.suspected.contains(&peer) || exempt.contains(&peer) {
                 continue;
             }
-            let heard = self.last_heard.get(&peer).copied().unwrap_or(SimTime::ZERO);
-            if now.saturating_sub(heard) > window {
+            if now.saturating_sub(self.last_heard[peer]) > window {
                 self.suspected.insert(peer);
                 self.stats.suspected_writers += 1;
                 newly += 1;
@@ -415,58 +451,96 @@ impl<T: WireSize + 'static> DsmNode<T> {
         let required = curr_iter.saturating_sub(age);
         self.drain(ctx);
         let t0 = ctx.now();
-        let (release, have, value) = match self.cache.get(&loc) {
-            Some((have, v)) if *have >= required => (Release::Hit, *have, Arc::clone(v)),
-            // Deliberate sabotage (audit validation only): spend one
-            // budget unit to release this would-block read with the stale
-            // cached value. The emitted ReadDone carries the true excess
-            // staleness, which the audit staleness monitor must flag.
-            Some((have, v)) if self.inject_stale > 0 => {
-                self.inject_stale -= 1;
-                (Release::Sabotage, *have, Arc::clone(v))
+        let mut wake = Wake::Entry;
+        let mut deadline = None;
+        // Provenance `(received_at, sent_at, stamp)` of the last message
+        // applied: on a fresh release, that is the update whose arrival
+        // released us (only an update to `loc` can make the cache fresh).
+        let mut dep = None;
+        let release = loop {
+            if let Some(release) = admit(self.cached_age(loc), required, wake, self.inject_stale) {
+                break release;
             }
-            _ => self.block(ctx, loc, required, t0),
+            if wake == Wake::Entry {
+                self.stats.blocked_reads += 1;
+                if let Some(hub) = &self.obs {
+                    hub.emit(ObsEvent::ReadBlocked {
+                        t_ns: t0.as_nanos(),
+                        rank: self.rank as u32,
+                        loc: loc.0,
+                        required,
+                    });
+                    // Tell the profiler what this process is blocked *on*:
+                    // samples taken during the wait fold under
+                    // `Global_Read;<locn>`. The scheduler reads it back by
+                    // its own pid, which is the rank only when no daemon
+                    // spawned before the ranks.
+                    hub.annotate_phase(ctx.pid().0, "Global_Read", self.dir.meta(loc).name.clone());
+                }
+            }
+            // The first wait, and a timeout with nothing cached to degrade
+            // to, each start a fresh deadline.
+            if wake != Wake::Arrival {
+                deadline = self.timeout.map(|to| ctx.now() + to);
+            }
+            wake = match self.recv_by(ctx, deadline) {
+                None => Wake::Timeout,
+                Some(env) => {
+                    dep = env.prov.map(|p| (ctx.now(), env.sent_at, p));
+                    self.apply(env);
+                    Wake::Arrival
+                }
+            };
         };
+        let (have, value) = self.cache[loc.index()]
+            .clone()
+            .expect("admit released a cached value");
         let block_time = ctx.now() - t0;
-        let blocked = matches!(release, Release::Fresh(_) | Release::Degraded);
-        let degraded = matches!(release, Release::Degraded);
+        let blocked = matches!(release, Release::Fresh | Release::Degraded);
+        let degraded = release == Release::Degraded;
         self.stats.block_time += block_time;
         match release {
             Release::Hit => self.stats.cache_hits += 1,
             Release::Degraded => self.stats.degraded_reads += 1,
-            Release::Sabotage | Release::Fresh(_) => {}
+            // Deliberate sabotage (audit validation only) spends one budget
+            // unit; the emitted ReadDone carries the true excess staleness,
+            // which the audit staleness monitor must flag.
+            Release::Sabotage => self.inject_stale -= 1,
+            Release::Fresh => {}
         }
         if let Some(hub) = &self.obs {
             let (now, rank) = (ctx.now(), self.rank as u32);
-            match release {
+            match (release, dep) {
                 // A sabotaged release gets a deliberately empty
                 // decomposition: no stage accounts for the excess age, so
                 // the conservation monitor must flag it just as the
                 // staleness monitor flags the bound violation the ReadDone
                 // carries.
-                Release::Sabotage if hub.staleness_enabled() => hub.emit(ObsEvent::ReadAnatomy {
-                    t_ns: now.as_nanos(),
-                    reader: rank,
-                    writer: rank,
-                    loc: loc.0,
-                    write_iter: have,
-                    msg_seq: 0,
-                    age_ns: required.saturating_sub(have).max(1),
-                    wait_ns: 0,
-                    publish_ns: 0,
-                    transit_ns: 0,
-                    fault_ns: 0,
-                    retrans_ns: 0,
-                    queue_ns: 0,
-                    apply_ns: 0,
-                }),
+                (Release::Sabotage, _) if hub.staleness_enabled() => {
+                    hub.emit(ObsEvent::ReadAnatomy {
+                        t_ns: now.as_nanos(),
+                        reader: rank,
+                        writer: rank,
+                        loc: loc.0,
+                        write_iter: have,
+                        msg_seq: 0,
+                        age_ns: required.saturating_sub(have).max(1),
+                        wait_ns: 0,
+                        publish_ns: 0,
+                        transit_ns: 0,
+                        fault_ns: 0,
+                        retrans_ns: 0,
+                        queue_ns: 0,
+                        apply_ns: 0,
+                    })
+                }
                 // Staleness anatomy: decompose this release's observed age
                 // into named hop stages from the releasing update's
                 // virtual-time stamps. Each stage is a difference of
                 // adjacent stamps, so the seven stages telescope to
                 // exactly `t_rel - min(t0, write_ns)` — the conservation
                 // contract the audit monitor asserts online.
-                Release::Fresh(Some((_, sent_at, p))) if hub.staleness_enabled() => {
+                (Release::Fresh, Some((_, sent_at, p))) if hub.staleness_enabled() => {
                     let (t_rel, t0_ns, s) = (now.as_nanos(), t0.as_nanos(), sent_at.as_nanos());
                     hub.emit(ObsEvent::ReadAnatomy {
                         t_ns: t_rel,
@@ -514,7 +588,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
                     block_ns: block_time.as_nanos(),
                 }
             });
-            if let Release::Fresh(dep) = release {
+            if release == Release::Fresh {
                 // Blocked waits live on the Phase lane (pid = rank), which
                 // the scheduler's own Blocked spans never use.
                 hub.span(
@@ -561,64 +635,6 @@ impl<T: WireSize + 'static> DsmNode<T> {
         }
     }
 
-    /// The blocked half of `Global_Read`: wait for updates, applying
-    /// everything that arrives, until one satisfies `required` or — with
-    /// a timeout — the wait times out with something cached to degrade
-    /// to. Returns how the read was released and the value it delivers.
-    fn block(
-        &mut self,
-        ctx: &mut Ctx,
-        loc: LocId,
-        required: u64,
-        t0: SimTime,
-    ) -> (Release, u64, Arc<T>) {
-        self.stats.blocked_reads += 1;
-        if let Some(hub) = &self.obs {
-            hub.emit(ObsEvent::ReadBlocked {
-                t_ns: t0.as_nanos(),
-                rank: self.rank as u32,
-                loc: loc.0,
-                required,
-            });
-            // Tell the profiler what this process is blocked *on*: samples
-            // taken during the wait fold under `Global_Read;<locn>`. The
-            // scheduler reads it back by its own pid, which is the rank only
-            // when no daemon spawned before the ranks.
-            hub.annotate_phase(ctx.pid().0, "Global_Read", self.dir.meta(loc).name.clone());
-        }
-        // Provenance of the last arriving update that satisfies this read:
-        // whichever such update was applied most recently is the one whose
-        // arrival released us.
-        let mut dep = None;
-        let mut deadline = self.timeout.map(|to| t0 + to);
-        loop {
-            let Some(env) = self.recv_by(ctx, deadline) else {
-                // Timed out. If anything is cached, violate the staleness
-                // bound rather than the liveness of the whole computation;
-                // otherwise keep waiting with a fresh deadline (there is
-                // nothing to degrade to).
-                if let Some((have, v)) = self.cache.get(&loc) {
-                    return (Release::Degraded, *have, Arc::clone(v));
-                }
-                deadline = self.timeout.map(|to| ctx.now() + to);
-                continue;
-            };
-            if self.obs.is_some() {
-                if let (Some(p), DsmMsg::Update { loc: l, age: a, .. }) = (env.prov, &env.payload) {
-                    if *l == loc && *a >= required {
-                        dep = Some((ctx.now(), env.sent_at, p));
-                    }
-                }
-            }
-            self.apply(env);
-            if let Some((have, v)) = self.cache.get(&loc) {
-                if *have >= required {
-                    return (Release::Fresh(dep), *have, Arc::clone(v));
-                }
-            }
-        }
-    }
-
     /// Read under a [`Coherence`](crate::Coherence) discipline: a
     /// `Global_Read` at [`Coherence::age`](crate::Coherence::age), which
     /// is 0 under a barrier and `u64::MAX` for
@@ -650,11 +666,9 @@ impl<T: WireSize + 'static> DsmNode<T> {
     /// readers' ages cluster; its ages are unique (see `remember`), so the
     /// direction cannot change which entry is found.
     pub fn get_version(&self, loc: LocId, age: u64) -> Option<&Arc<T>> {
-        let window = self.versions.get(&loc).map(|w| w.iter().rev());
+        let window = self.versions[loc.index()].iter().rev();
         let (_, v) = window
-            .into_iter()
-            .flatten()
-            .chain(self.cache.get(&loc))
+            .chain(&self.cache[loc.index()])
             .find(|(a, _)| *a == age)?;
         Some(v)
     }
@@ -673,9 +687,9 @@ impl<T: WireSize + 'static> DsmNode<T> {
                 self.stats.cache_hits += 1;
                 break Ok(v);
             }
-            match self.cache.get(&loc) {
-                Some((a, _)) if *a == RETIRE_AGE => break Err(Retired),
-                Some((a, _)) if *a > age => panic!(
+            match self.cached_age(loc) {
+                Some(RETIRE_AGE) => break Err(Retired),
+                Some(a) if a > age => panic!(
                     "version {age} of `{}` was evicted (latest {a}, window {}); \
                      increase DsmWorld::with_history",
                     self.dir.meta(loc).name,
@@ -714,7 +728,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
 
     /// The age of the cached copy of `loc`, if any.
     pub fn cached_age(&self, loc: LocId) -> Option<u64> {
-        self.cache.get(&loc).map(|(a, _)| *a)
+        self.cache[loc.index()].as_ref().map(|(a, _)| *a)
     }
 
     /// Message-based barrier: rank 0 coordinates; everyone else announces
@@ -760,7 +774,10 @@ impl<T: WireSize + 'static> DsmNode<T> {
                     }
                 }
             }
+            // Arrivals at or below a released epoch are dropped on receipt
+            // (a suspected-but-alive rank may still arrive late).
             self.arrivals.remove(&epoch);
+            self.released = epoch;
             self.ep.broadcast(ctx, DsmMsg::BarrierRelease { epoch });
         } else {
             self.ep.send(ctx, 0, DsmMsg::BarrierArrive { epoch });
@@ -818,28 +835,22 @@ impl<T: WireSize + 'static> DsmNode<T> {
         self.flush_stats();
     }
 
-    /// Start recording for consistent cut `id` (local state was just
-    /// captured by the caller): every incoming channel is open except the
+    /// Start recording for a consistent cut (local state was just
+    /// captured by the caller, which also tracks the cut's id): every incoming channel is open except the
     /// one the first marker arrived on (`closed`, `None` on the
     /// initiator). Updates applied from open channels are copied into the
     /// cut's channel state until [`snap_close`](DsmNode::snap_close)
     /// closes them. A previous unfinished recording is discarded — a
     /// newer marker wave preempts a cut stalled by a dead peer.
-    pub fn snap_begin(&mut self, id: u64, closed: Option<usize>) {
+    pub fn snap_begin(&mut self, closed: Option<usize>) {
         let mut open: HashSet<usize> = (0..self.ep.ranks()).filter(|&q| q != self.rank).collect();
         if let Some(c) = closed {
             open.remove(&c);
         }
         self.snap = Some(SnapRec {
-            id,
             open,
             recorded: Vec::new(),
         });
-    }
-
-    /// The cut id currently being recorded, if any.
-    pub fn snap_active(&self) -> Option<u64> {
-        self.snap.as_ref().map(|s| s.id)
     }
 
     /// A marker from `src` arrived: stop recording that channel.
@@ -894,7 +905,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
             if self.history > 0 {
                 self.remember(loc, age, &value);
             }
-            self.cache.insert(loc, (age, value));
+            self.cache[loc.index()] = Some((age, value));
         }
     }
 
@@ -903,7 +914,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
     /// *correction* (rollback protocols re-publish amended values) and
     /// replaces that version in place, so no age is in the window twice.
     fn remember(&mut self, loc: LocId, age: u64, value: &Arc<T>) {
-        let w = self.versions.entry(loc).or_default();
+        let w = &mut self.versions[loc.index()];
         if let Some(slot) = w.iter_mut().rev().find(|(a, _)| *a == age) {
             slot.1 = Arc::clone(value);
         } else {
@@ -925,7 +936,7 @@ impl<T: WireSize + 'static> DsmNode<T> {
         let sent_at = env.sent_at;
         // Any message is proof of life at its send time (the failure
         // detector compares against send-time stamps throughout).
-        let heard = self.last_heard.entry(env.src).or_insert(SimTime::ZERO);
+        let heard = &mut self.last_heard[env.src];
         *heard = (*heard).max(sent_at);
         match env.payload {
             DsmMsg::Update { loc, age, value } => {
@@ -943,17 +954,14 @@ impl<T: WireSize + 'static> DsmNode<T> {
                     self.update_log.push((loc, age));
                     self.remember(loc, age, &value);
                     self.stats.updates_applied += 1;
-                    match self.cache.get(&loc) {
-                        Some((have, _)) if *have > age => {}
-                        _ => {
-                            self.cache.insert(loc, (age, value));
-                        }
+                    if !matches!(self.cached_age(loc), Some(have) if have > age) {
+                        self.cache[loc.index()] = Some((age, value));
                     }
                     self.flush_stats();
                     return;
                 }
-                match self.cache.get(&loc) {
-                    Some((have, _)) if *have > age => {
+                match self.cached_age(loc) {
+                    Some(have) if have > age => {
                         // FIFO channels make this rare, but guard anyway:
                         // never replace a newer value with an older one.
                         self.stats.updates_stale += 1;
@@ -963,19 +971,21 @@ impl<T: WireSize + 'static> DsmNode<T> {
                                 rank: self.rank as u32,
                                 loc: loc.0,
                                 age,
-                                have: *have,
+                                have,
                             });
                         }
                     }
                     _ => {
-                        self.cache.insert(loc, (age, value));
+                        self.cache[loc.index()] = Some((age, value));
                         self.stats.updates_applied += 1;
                     }
                 }
             }
             DsmMsg::BarrierArrive { epoch } => {
                 debug_assert_eq!(self.rank, 0, "only rank 0 coordinates barriers");
-                self.arrivals.entry(epoch).or_default().insert(env.src);
+                if epoch > self.released {
+                    self.arrivals.entry(epoch).or_default().insert(env.src);
+                }
             }
             DsmMsg::BarrierRelease { epoch } => {
                 self.released = self.released.max(epoch);
@@ -991,16 +1001,100 @@ impl<T: WireSize + 'static> DsmNode<T> {
 }
 
 impl<T: Clone + 'static> DsmNode<T> {
-    /// Export the age-tagged cache, sorted by location for deterministic
-    /// encoding: the DSM half of a node checkpoint. The one place the DSM
+    /// Export the age-tagged cache in location order (deterministic
+    /// encoding): the DSM half of a node checkpoint. The one place the DSM
     /// copies values out — a checkpoint owns its data (cold path).
     pub fn export_cache(&self) -> Vec<(LocId, u64, T)> {
-        let mut entries: Vec<(LocId, u64, T)> = self
-            .cache
-            .iter()
-            .map(|(loc, (age, v))| (*loc, *age, T::clone(v)))
-            .collect();
-        entries.sort_by_key(|(loc, _, _)| loc.0);
-        entries
+        let cached = self.cache.iter().enumerate();
+        cached
+            .filter_map(|(i, e)| {
+                e.as_ref()
+                    .map(|(age, v)| (LocId(i as u32), *age, T::clone(v)))
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DsmWorld;
+    use nscc_msg::MsgConfig;
+    use nscc_net::{IdealMedium, Network};
+    use nscc_sim::SimBuilder;
+
+    /// Every input of the rule against the paper's contract, stated in
+    /// terms of `curr_iter − age`: a value generated in that iteration or
+    /// later releases the read (a hit on entry, fresh after blocking); a
+    /// too-old one is delivered only by sabotage on entry or by a timeout.
+    #[test]
+    fn admit_follows_the_global_read_contract() {
+        let cached_ages = std::iter::once(None).chain((0..=8).map(Some));
+        let wakes = [Wake::Entry, Wake::Arrival, Wake::Timeout];
+        let mut cases = 0;
+        for cached in cached_ages {
+            for curr_iter in 0..=8u64 {
+                for age in [0, 1, 2, 5, u64::MAX] {
+                    for wake in wakes {
+                        for budget in [0, 1] {
+                            let required = curr_iter.saturating_sub(age);
+                            let got = admit(cached, required, wake, budget);
+                            let meets = cached.is_some_and(|have| have >= required);
+                            let stale = cached.is_some() && !meets;
+                            let case = format!(
+                                "cached {cached:?}, curr_iter {curr_iter}, age {age}, \
+                                 {wake:?}, budget {budget}: {got:?}"
+                            );
+                            let released_fresh = matches!(got, Some(Release::Hit | Release::Fresh));
+                            assert_eq!(released_fresh, meets, "{case}");
+                            assert_eq!(
+                                got == Some(Release::Hit),
+                                meets && wake == Wake::Entry,
+                                "{case}"
+                            );
+                            let sabotage = stale && wake == Wake::Entry && budget > 0;
+                            assert_eq!(got == Some(Release::Sabotage), sabotage, "{case}");
+                            let degraded = stale && wake == Wake::Timeout;
+                            assert_eq!(got == Some(Release::Degraded), degraded, "{case}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 10 * 9 * 5 * 3 * 2);
+    }
+
+    /// A suspected-but-alive rank that reaches a barrier after the
+    /// coordinator released it must not leave an arrival set behind.
+    #[test]
+    fn late_barrier_arrival_leaves_no_arrival_set() {
+        let mut dir = Directory::new();
+        dir.add("x", 0, [1, 2]);
+        let net = Network::new(IdealMedium::new(SimTime::from_millis(1)));
+        let world: DsmWorld<u64> = DsmWorld::new(net, 3, MsgConfig::default(), dir)
+            .with_read_timeout(SimTime::from_millis(50));
+        let coord = Rc::new(RefCell::new(world.node(0)));
+        let mut on_time = world.node(1);
+        let mut late = world.node(2);
+        let mut sim = SimBuilder::new(0);
+        let c = Rc::clone(&coord);
+        sim.spawn("rank0", move |ctx| {
+            let mut coord = c.borrow_mut();
+            coord.barrier(ctx, 1);
+            assert!(coord.suspected().contains(&2));
+            // Rank 2's arrival at the released barrier lands meanwhile.
+            ctx.advance(SimTime::from_millis(500));
+            coord.drain(ctx);
+        });
+        sim.spawn("rank1", move |ctx| on_time.barrier(ctx, 1));
+        sim.spawn("rank2", move |ctx| {
+            // Stalls past the failure detector's window.
+            ctx.advance(SimTime::from_millis(200));
+            late.barrier(ctx, 1);
+        });
+        sim.run().unwrap();
+        let arrivals = &coord.borrow().arrivals;
+        assert!(arrivals.is_empty(), "arrival sets left: {arrivals:?}");
     }
 }

@@ -2,7 +2,6 @@
 //! nodes with seeded initial values.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -27,7 +26,8 @@ use crate::node::{DsmMsg, DsmNode, DsmStats};
 pub struct DsmWorld<T: 'static> {
     comm: CommWorld<DsmMsg<T>>,
     dir: Arc<Directory>,
-    initial: HashMap<LocId, Arc<T>>,
+    /// Seeded initial values, indexed by [`LocId::index`].
+    initial: Vec<Option<Arc<T>>>,
     history: usize,
     read_timeout: Option<SimTime>,
     inject_stale: u64,
@@ -40,8 +40,8 @@ impl<T: WireSize + 'static> DsmWorld<T> {
     pub fn new(net: Network, ranks: usize, cfg: MsgConfig, dir: Directory) -> Self {
         DsmWorld {
             comm: CommWorld::new(net, ranks, cfg),
+            initial: vec![None; dir.len()],
             dir: Arc::new(dir),
-            initial: HashMap::new(),
             history: 0,
             read_timeout: None,
             inject_stale: 0,
@@ -125,7 +125,7 @@ impl<T: WireSize + 'static> DsmWorld<T> {
     /// it (one shared copy). Reads with a requirement of age ≥ 0 succeed
     /// immediately on it.
     pub fn set_initial(&mut self, loc: LocId, value: T) {
-        self.initial.insert(loc, Arc::new(value));
+        self.initial[loc.index()] = Some(Arc::new(value));
     }
 
     /// The static directory.
@@ -141,14 +141,12 @@ impl<T: WireSize + 'static> DsmWorld<T> {
     /// Build the node for `rank`; call once per rank and move the node into
     /// that rank's process closure.
     pub fn node(&self, rank: usize) -> DsmNode<T> {
-        let mut cache = HashMap::new();
-        for (loc, meta) in self.dir.iter() {
-            if meta.writer == rank || meta.readers.contains(&rank) {
-                if let Some(v) = self.initial.get(&loc) {
-                    cache.insert(loc, (0u64, Arc::clone(v)));
-                }
-            }
-        }
+        let cache = (self.dir.iter().zip(&self.initial))
+            .map(|((_, meta), v)| {
+                let sees = meta.writer == rank || meta.readers.contains(&rank);
+                v.as_ref().filter(|_| sees).map(|v| (0, Arc::clone(v)))
+            })
+            .collect();
         let mut node = DsmNode::new(
             rank,
             self.comm.endpoint(rank),

@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use nscc_dsm::{Coherence, Directory, DsmWorld};
+use nscc_dsm::{Coherence, Directory, DsmWorld, LocId};
 use nscc_msg::MsgConfig;
 use nscc_net::{EthernetBus, IdealMedium, Network};
 use nscc_sim::{SimBuilder, SimTime};
@@ -569,4 +569,17 @@ fn version_window_matches_an_oldest_first_model() {
         });
         sim.run().unwrap();
     });
+}
+
+#[test]
+fn export_cache_lists_locations_in_order() {
+    let mut dir = Directory::new();
+    let locs: Vec<LocId> = (0..4).map(|i| dir.add(format!("l{i}"), 0, [1])).collect();
+    let world = ideal_world(2, dir);
+    let mut node = world.node(1);
+    // Restored in reverse location order, with a gap at location 2.
+    let entry = |l: LocId| (l, u64::from(l.0) + 10, u64::from(l.0) * 100);
+    node.restore_cache([3, 1, 0].map(|i| entry(locs[i])).to_vec());
+    let want: Vec<_> = [0, 1, 3].map(|i| entry(locs[i])).to_vec();
+    assert_eq!(node.export_cache(), want);
 }

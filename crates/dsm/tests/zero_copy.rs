@@ -68,7 +68,7 @@ fn round_trip(lossy: bool, history: usize) -> u64 {
     for r in 1..RANKS {
         let mut reader = world.node(r);
         sim.spawn(format!("reader{r}"), move |ctx| {
-            reader.snap_begin(1, None);
+            reader.snap_begin(None);
             for iter in 1..=ROUNDS {
                 let (age, v) = reader.global_read(ctx, loc, iter, 0);
                 assert!(age >= iter, "staleness bound violated");

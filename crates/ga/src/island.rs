@@ -550,7 +550,7 @@ pub fn run_island(
                     // the age bound already absorbs.
                     let frame = ckpts.back().cloned().unwrap_or_default();
                     let frame_gen = if frame.is_empty() { 0 } else { last_ckpt_gen };
-                    node.snap_begin(id, closed);
+                    node.snap_begin(closed);
                     port.broadcast(ctx, id);
                     if let Some(hub) = node.hub() {
                         hub.emit(ObsEvent::SnapshotStart {
