@@ -1035,7 +1035,7 @@ impl Session {
     pub fn finish(mut self, cells: Option<&[CellResult]>) -> RunReport {
         let per_cell = cells.is_some() && self.resume.dir.is_some();
         let rep = &mut self.report;
-        let mut merged = (Hub::new().summary(), StalenessSummary::default());
+        let mut merged = (HubSummary::default(), StalenessSummary::default());
         for c in cells.unwrap_or_default() {
             rep.dsm.merge(&c.dsm);
             if let Some(net) = &c.net {
@@ -1245,7 +1245,7 @@ mod tests {
         assert_eq!(make_hub(&s).profile_period(), 100_000, "100 virtual µs");
         assert!(s.wants_obs(), "a folded profile needs an attached hub");
 
-        let mut obs = Hub::new().summary();
+        let mut obs = HubSummary::default();
         for (proc, phase, detail, samples) in [
             ("island0", "compute", "", 3u64),
             ("island0", "Global_Read", "best", 2),
