@@ -9,8 +9,9 @@
 //! - `TRACE_*.json` **event dumps** — the full structured event stream
 //!   plus execution spans.
 //!
-//! This crate is the read side: the `nscc` binary loads those artifacts
-//! and answers the questions the paper's evaluation keeps asking —
+//! This crate is the read side: the `nscc` binary (the root package's
+//! `src/main.rs`) loads those artifacts through it and answers the
+//! questions the paper's evaluation keeps asking —
 //!
 //! - [`inspect()`] — where did the time go? Per-process blocked-time
 //!   attribution (compute vs `Global_Read` blocking vs barrier waits),

@@ -102,8 +102,9 @@
 //! *set but malformed* is a hard error: the binary prints one line naming
 //! the variable and the expected format and exits with code 2, rather
 //! than silently running at a default scale. So is a set `NSCC_*` name
-//! that no workspace tool reads — a misspelled variable must not
-//! silently run the default.
+//! that no workspace tool reads, and an argument other than `--json`,
+//! `--trace`, `--resume` and `--all-functions` — a misspelled variable or
+//! flag must not silently run the default.
 
 #![warn(missing_docs)]
 
@@ -130,9 +131,9 @@ const BENCH_VARS: &str = "NSCC_RUNS NSCC_GENS NSCC_CI NSCC_SEED NSCC_JSON NSCC_T
     NSCC_INJECT_STALE NSCC_STALENESS NSCC_CKPT_DIR NSCC_RESUME NSCC_CKPT_EXIT_AFTER \
     NSCC_MODES NSCC_LOSS NSCC_AGES NSCC_FAULT_PLAN";
 
-/// The other workspace tools' variables (`nscc`; `nscc-perf` reads the
-/// `NSCC_PERF_*` family), which may be set in the same shell.
-const TOOL_VARS: &str = "NSCC_HUNT_BIN";
+/// Every argument the bench binaries read (`--all-functions` only fig2
+/// and fig4).
+const BENCH_ARGS: &str = "--json --trace --resume --all-functions";
 
 /// Harness scale, read from the environment with bench-friendly defaults.
 #[derive(Debug, Clone)]
@@ -321,19 +322,31 @@ fn parse_live(get: &dyn Fn(&str) -> Option<String>) -> Result<Option<LiveTarget>
     Ok(Some(LiveTarget::Path(val.to_string())))
 }
 
-/// A set `NSCC_*` name that neither the harness nor another workspace
-/// tool reads is an error: `NSCC_GENERATIONS=8` silently running the
-/// default 120 generations is how a wrong capture gets committed.
+/// A set `NSCC_*` name that neither the harness nor `nscc-perf` (the
+/// `NSCC_PERF_*` family) reads is an error: `NSCC_GENERATIONS=8` silently
+/// running the default 120 generations is how a wrong capture gets
+/// committed.
 fn check_names(vars: impl IntoIterator<Item = (String, String)>) -> Result<(), String> {
     for (name, val) in vars {
-        let known = |list: &str| list.split_whitespace().any(|v| v == name);
         if name.starts_with("NSCC_")
             && !name.starts_with("NSCC_PERF_")
-            && !known(BENCH_VARS)
-            && !known(TOOL_VARS)
+            && !BENCH_VARS.split_whitespace().any(|v| v == name)
         {
             return Err(format!(
                 "{name}={val:?} is not a variable this harness reads: expected one of {BENCH_VARS}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// An argument no bench binary reads is an error, for the same reason:
+/// `fig2 --all-function` would otherwise run the four-function sweep.
+fn check_args(args: impl IntoIterator<Item = String>) -> Result<(), String> {
+    for arg in args {
+        if !BENCH_ARGS.split_whitespace().any(|a| a == arg) {
+            return Err(format!(
+                "{arg:?} is not an argument this harness reads: expected one of {BENCH_ARGS}"
             ));
         }
     }
@@ -844,15 +857,16 @@ pub struct Session {
 
 impl Session {
     /// Open bench `name` from the environment and argv (`--json`,
-    /// `--trace`, `--resume`). A misspelled `NSCC_*` name or a malformed
-    /// value exits 2 with a one-line error.
+    /// `--trace`, `--resume`). A misspelled `NSCC_*` name or argument, or
+    /// a malformed value, exits 2 with a one-line error.
     pub fn open(name: &'static str) -> Session {
         let flag = |f: &str| std::env::args().any(|a| a == f);
         let vars = std::env::vars_os().map(|(k, v)| {
             let s = |o: std::ffi::OsString| o.to_string_lossy().into_owned();
             (s(k), s(v))
         });
-        let parsed = check_names(vars).and_then(|()| {
+        let checked = check_args(std::env::args().skip(1)).and_then(|()| check_names(vars));
+        let parsed = checked.and_then(|()| {
             Ok((
                 Scale::parse(&env_lookup)?,
                 ResumeOpts::parse(&env_lookup, flag("--resume"))?,
@@ -1176,7 +1190,6 @@ mod tests {
             "NSCC_LOSS",
             "NSCC_AGES",
             "NSCC_FAULT_PLAN",
-            "NSCC_HUNT_BIN",
             "NSCC_PERF_ROOT",
             "HOME",
         ];
@@ -1193,6 +1206,22 @@ mod tests {
             check_names(one("NSCC_PROFILE_US")).is_err(),
             "a deleted option"
         );
+    }
+
+    #[test]
+    fn unknown_arguments_are_rejected_and_every_read_flag_is_accepted() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let read = ["--json", "--trace", "--resume", "--all-functions"];
+        assert_eq!(check_args(args(&read)), Ok(()));
+        assert_eq!(check_args(args(&[])), Ok(()));
+        for wrong in ["--all-function", "--jsno", "report.json"] {
+            let e = check_args(args(&["--json", wrong])).unwrap_err();
+            assert!(
+                e.starts_with(&format!("{wrong:?} is not an argument")),
+                "{e}"
+            );
+            assert!(e.contains("--all-functions"), "{e}");
+        }
     }
 
     #[test]

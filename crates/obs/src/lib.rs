@@ -14,8 +14,9 @@
 //!   contract bounds by the requested age;
 //! - **block-time** and **network-delay** histograms ([`Histogram`] is
 //!   log₂-bucketed, mergeable and serializable);
-//! - a **warp timeline** (§4.3 of the paper) sampling the ratio of
-//!   inter-arrival to inter-send times per (receiver, sender) pair;
+//! - the **warp** samples ([`WarpTimeline`], §4.3 of the paper): the
+//!   ratio of inter-arrival to inter-send times per (receiver, sender)
+//!   pair, summarised as a distribution;
 //! - a span [`Trace`] exportable as Chrome trace-event / Perfetto JSON
 //!   ([`Hub::perfetto`]).
 //!
@@ -72,4 +73,4 @@ pub use live::{ProcSched, SchedDelta, SchedSummary, FEED_VERSION};
 /// The log₂ histogram, shared with the analyzer that reads it back.
 pub use nscc_ckpt::hist::{self, Histogram};
 pub use span::{Span, SpanKind, Trace, TraceTotals};
-pub use warp::{WarpPoint, WarpSummary, WarpTimeline};
+pub use warp::{WarpSummary, WarpTimeline};

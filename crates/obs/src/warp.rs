@@ -1,11 +1,11 @@
-//! Warp timeline: time-stamped samples of the paper's §4.3 warp metric.
+//! Warp samples: every value of the paper's §4.3 warp metric a run saw.
 //!
 //! Warp is the ratio of inter-arrival to inter-send times of consecutive
 //! messages on a (receiver, sender) pair — 1.0 on an unloaded network,
 //! larger when contention stretches deliveries. `nscc-net`'s `WarpMeter`
 //! computes the samples; when a hub is attached the message layer forwards
-//! each sample here with its virtual timestamp, so runs can report not just
-//! the mean but how warp evolves as load builds up.
+//! each sample here, so runs report the distribution of warp (mean, median,
+//! p95, max), not just one mean.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,12 +17,12 @@ use nscc_ckpt::Snapshot;
 const DEFAULT_SAMPLE_CAPACITY: usize = 1 << 20;
 
 struct Inner {
-    points: Vec<(u64, f64)>,
+    points: Vec<f64>,
     dropped: u64,
     capacity: usize,
 }
 
-/// A shareable, bounded sink of `(t_ns, warp)` samples.
+/// A shareable, bounded sink of warp samples.
 #[derive(Clone)]
 pub struct WarpTimeline {
     inner: Rc<RefCell<Inner>>,
@@ -51,14 +51,15 @@ impl WarpTimeline {
         }
     }
 
-    /// Record one warp sample observed at virtual time `t_ns`.
-    pub fn record(&self, t_ns: u64, warp: f64) {
+    /// Record one warp sample. The virtual time it was observed at is not
+    /// kept: the run reports the samples' distribution.
+    pub fn record(&self, _t_ns: u64, warp: f64) {
         let mut inner = self.inner.borrow_mut();
         if inner.points.len() >= inner.capacity {
             inner.dropped += 1;
             return;
         }
-        inner.points.push((t_ns, warp));
+        inner.points.push(warp);
     }
 
     /// Number of kept samples.
@@ -82,7 +83,7 @@ impl WarpTimeline {
         if inner.points.is_empty() {
             return WarpSummary::default();
         }
-        let mut vals: Vec<f64> = inner.points.iter().map(|&(_, w)| w).collect();
+        let mut vals = inner.points.clone();
         vals.sort_by(|a, b| a.partial_cmp(b).expect("warp samples are finite"));
         let n = vals.len();
         let pick = |q: f64| vals[(((n - 1) as f64) * q).round() as usize];
@@ -93,44 +94,6 @@ impl WarpTimeline {
             p95: pick(0.95),
             max: vals[n - 1],
         }
-    }
-
-    /// The timeline bucketed into `bins` equal time slices over the sampled
-    /// range: per-slice mean and count. Empty when no samples (or `bins`
-    /// is 0).
-    pub fn timeline(&self, bins: usize) -> Vec<WarpPoint> {
-        let inner = self.inner.borrow();
-        if inner.points.is_empty() || bins == 0 {
-            return Vec::new();
-        }
-        let t0 = inner
-            .points
-            .iter()
-            .map(|&(t, _)| t)
-            .min()
-            .expect("nonempty");
-        let t1 = inner
-            .points
-            .iter()
-            .map(|&(t, _)| t)
-            .max()
-            .expect("nonempty");
-        let width = ((t1 - t0) / bins as u64).max(1);
-        let mut sums = vec![(0.0f64, 0u64); bins];
-        for &(t, w) in &inner.points {
-            let idx = (((t - t0) / width) as usize).min(bins - 1);
-            sums[idx].0 += w;
-            sums[idx].1 += 1;
-        }
-        sums.iter()
-            .enumerate()
-            .filter(|(_, &(_, n))| n > 0)
-            .map(|(i, &(sum, n))| WarpPoint {
-                t_ns: t0 + width * i as u64,
-                mean: sum / n as f64,
-                count: n,
-            })
-            .collect()
     }
 }
 
@@ -162,17 +125,6 @@ impl Default for WarpSummary {
     }
 }
 
-/// One time-bucket of the warp timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarpPoint {
-    /// Bucket start (virtual ns).
-    pub t_ns: u64,
-    /// Mean warp of the bucket's samples.
-    pub mean: f64,
-    /// Samples in the bucket.
-    pub count: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +136,6 @@ mod tests {
         let s = w.summary();
         assert_eq!(s.samples, 0);
         assert_eq!(s.mean, 1.0);
-        assert!(w.timeline(4).is_empty());
     }
 
     #[test]
@@ -198,19 +149,6 @@ mod tests {
         assert!((s.mean - 2.0).abs() < 1e-12);
         assert_eq!(s.p50, 2.0);
         assert_eq!(s.max, 3.0);
-    }
-
-    #[test]
-    fn timeline_buckets_by_time() {
-        let w = WarpTimeline::new();
-        w.record(0, 1.0);
-        w.record(1, 3.0);
-        w.record(100, 5.0);
-        let tl = w.timeline(2);
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0].mean - 2.0).abs() < 1e-12);
-        assert_eq!(tl[0].count, 2);
-        assert_eq!(tl[1].mean, 5.0);
     }
 
     #[test]

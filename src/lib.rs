@@ -33,8 +33,10 @@
 //! * [`core`] — experiment runners regenerating the paper's tables and
 //!   figures.
 //! * [`analyze`] — offline analysis of exported run reports and event
-//!   dumps: `nscc inspect` / `nscc diff` / the `nscc gate` perf
-//!   regression gate.
+//!   dumps: the renderers behind the package's `nscc` binary (`nscc
+//!   inspect`, `nscc diff`, the `nscc gate` perf regression gate, …),
+//!   which also runs the `nscc-hunt` scenario hunter (`nscc hunt` /
+//!   `shrink` / `replay`).
 //! * [`audit`] — the online coherence auditor: invariant monitors driven
 //!   from the event stream (staleness bound, write monotonicity,
 //!   delivery dedup, barrier lockstep, rollback bound) and the black-box
