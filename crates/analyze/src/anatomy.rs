@@ -1,6 +1,6 @@
 //! `nscc anatomy`: where did every nanosecond of staleness go?
 //!
-//! A bench run with `NSCC_STALENESS=1` arms the hop tracer: each DSM
+//! `nscc run <experiment> --staleness` arms the hop tracer: each DSM
 //! update's provenance is stamped at every layer crossing, and on every
 //! read release the observed age decomposes exactly into seven named
 //! stage durations (`wait`, `publish`, `transit`, `fault`, `retrans`,
@@ -84,9 +84,7 @@ pub fn anatomy(rep: &Report) -> (String, u64) {
     let section = match rep.root.get("staleness") {
         Some(s) if !matches!(s, Json::Null) => s,
         _ => {
-            out.push_str(
-                "  no staleness section — rerun with NSCC_STALENESS=1 to arm the hop tracer\n",
-            );
+            out.push_str("  no staleness section — rerun with --staleness to arm the hop tracer\n");
             return (out, 0);
         }
     };
@@ -248,7 +246,7 @@ mod tests {
         let rep = report(r#"{"schema_version":7,"name":"t","metrics":{},"staleness":null}"#);
         let (text, violations) = anatomy(&rep);
         assert_eq!(violations, 0);
-        assert!(text.contains("rerun with NSCC_STALENESS=1"), "{text}");
+        assert!(text.contains("rerun with --staleness"), "{text}");
     }
 
     #[test]

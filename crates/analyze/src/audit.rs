@@ -1,6 +1,6 @@
 //! `nscc audit`: render a run report's coherence-auditor verdict.
 //!
-//! A bench run with `NSCC_AUDIT=1` attaches the online invariant
+//! `nscc run <experiment> --audit` attaches the online invariant
 //! monitors (staleness bound, write monotonicity, delivery dedup,
 //! barrier lockstep, rollback bound) and stamps their verdict into the
 //! report's `audit` section. This command renders that section: the
@@ -20,7 +20,7 @@ pub fn audit(rep: &Report) -> (String, u64) {
         Some(s) if !matches!(s, Json::Null) => s,
         _ => {
             out.push_str(
-                "  no audit section — rerun with NSCC_AUDIT=1 to attach the coherence monitors\n",
+                "  no audit section — rerun with --audit to attach the coherence monitors\n",
             );
             return (out, 0);
         }
@@ -99,7 +99,7 @@ mod tests {
         let rep = report(r#"{"schema_version":5,"name":"t","metrics":{},"audit":null}"#);
         let (text, violations) = audit(&rep);
         assert_eq!(violations, 0);
-        assert!(text.contains("rerun with NSCC_AUDIT=1"), "{text}");
+        assert!(text.contains("rerun with --audit"), "{text}");
     }
 
     #[test]

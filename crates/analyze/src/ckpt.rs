@@ -3,8 +3,8 @@
 //! vector per generation, with corrupt files flagged instead of hidden.
 //!
 //! The store layout is [`nscc_ckpt::CkptStore`]'s: one `gen-NNNNNN.nsck`
-//! file per generation. Both the sweep bins' per-cell checkpoints
-//! (`NSCC_CKPT_DIR`) and any other store written through `nscc-ckpt`
+//! file per generation. Both the sweeps' per-cell checkpoints
+//! (`--ckpt-dir`) and any other store written through `nscc-ckpt`
 //! render the same way.
 
 use std::path::Path;
@@ -19,7 +19,7 @@ pub fn inspect_ckpt_dir(dir: &Path) -> Result<String, String> {
     if !dir.is_dir() {
         return Err(format!("{}: not a directory", dir.display()));
     }
-    // A bench-style NSCC_CKPT_DIR holds one subdirectory per binary;
+    // A sweep's --ckpt-dir holds one subdirectory per experiment;
     // descend into each so `nscc inspect --ckpt ck` shows everything.
     let mut stores: Vec<std::path::PathBuf> = Vec::new();
     let has_gens = |d: &Path| {

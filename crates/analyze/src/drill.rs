@@ -4,7 +4,7 @@
 //! within the `Global_Read` age bound) from the report alone.
 //!
 //! The input is any `BENCH_*.json` with a non-null `recovery` section,
-//! canonically `BENCH_drill.json` from the `drill` bench binary. Reports
+//! canonically `BENCH_drill.json` from `nscc run drill`. Reports
 //! whose runs never enabled snapshots or supervision render a hint
 //! instead of failing, mirroring `nscc audit`.
 

@@ -152,13 +152,13 @@ pub fn gate_pair(base: &Report, fresh: &Report, cfg: &GateConfig) -> (String, Ou
     let scope = |r: &Report| -> BTreeMap<String, f64> {
         if cfg.all {
             // `wall.*` is the scheduler's wall-clock self-accounting
-            // (NSCC_WALL=1): real host nanoseconds, nondeterministic by
+            // (--wall): real host nanoseconds, nondeterministic by
             // nature, so it is never gated — only reported. `audit.*`
-            // check counts exist only on NSCC_AUDIT=1 runs, so gating
+            // check counts exist only on --audit runs, so gating
             // them would fail every monitored run against an unmonitored
             // baseline; a *violation* is caught above instead. Same for
             // `staleness.*`: the anatomy counters exist only on
-            // NSCC_STALENESS=1 runs, and a decomposition leak is caught
+            // --staleness runs, and a decomposition leak is caught
             // by the audit `conservation` monitor, not the gate.
             r.flatten()
                 .into_iter()
@@ -240,7 +240,7 @@ pub fn gate_pair(base: &Report, fresh: &Report, cfg: &GateConfig) -> (String, Ou
 }
 
 /// The informational wall-clock throughput of a report's `wall` section
-/// (present only on `NSCC_WALL=1` runs), or `None`.
+/// (present only on `--wall` runs), or `None`.
 fn throughput_line(rep: &Report) -> Option<String> {
     let wall = rep.numeric_map("wall");
     let eps = wall.get("events_per_sec").copied()?;

@@ -5,7 +5,7 @@
 //! * a **run report** (`BENCH_*.json`) — parameters, headline metrics,
 //!   exact counters, staleness/block/delay distributions with CDFs, warp,
 //!   and the periodic metric-snapshot timeline;
-//! * an **event dump** (`TRACE_*.json`, from `NSCC_TRACE=1`) — per-process
+//! * an **event dump** (`TRACE_*.json`, from `--trace`) — per-process
 //!   blocked-time attribution (compute vs `Global_Read` blocking vs
 //!   barrier waits), the critical path reconstructed from send/deliver
 //!   edges, and message-queue-depth / warp timelines recomputed from the

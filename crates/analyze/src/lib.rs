@@ -1,6 +1,6 @@
 //! Post-hoc analysis of NSCC observability artifacts.
 //!
-//! The benchmark binaries (with `NSCC_JSON=1` / `NSCC_TRACE=1`) emit two
+//! `nscc run` (with `--json` / `--trace`) emits two
 //! kinds of JSON artifact through the obs hub:
 //!
 //! - `BENCH_*.json` **run reports** — headline metrics, raw counters,
@@ -30,10 +30,10 @@
 //!   `baselines/` with per-metric thresholds; nonzero exit on drift
 //!   (wired into CI).
 //! - [`inspect_ckpt_dir`] — what state is in a checkpoint store
-//!   (`NSCC_CKPT_DIR`)? Generation listing with virtual cut times,
+//!   (`--ckpt-dir`)? Generation listing with virtual cut times,
 //!   sizes, checksums, per-node iteration vectors and corruption flags.
 //! - [`top`] — what is the run doing *right now*? Tails the
-//!   line-delimited `NSCC_LIVE` feed: per-snapshot rates, staleness and
+//!   line-delimited `--live` feed: per-snapshot rates, staleness and
 //!   fault pressure, warp, and the scheduler's wall-clock
 //!   self-accounting (`--once` renders a single deterministic frame).
 //! - [`trend`] — is a metric drifting across commits? Ordered
@@ -41,10 +41,10 @@
 //!   `runs/`) rendered as per-metric sparklines with rolling-median
 //!   drift detection (`--check` turns drift into a CI failure).
 //! - [`audit::audit`] — did the run uphold its coherence contract? The
-//!   online monitor verdict an `NSCC_AUDIT=1` run stamps into its
+//!   online monitor verdict an `--audit` run stamps into its
 //!   report: per-monitor check counts and every recorded violation.
 //! - [`anatomy::anatomy`] — where did every nanosecond of staleness go?
-//!   Renders the `staleness` section an `NSCC_STALENESS=1` run stamps:
+//!   Renders the `staleness` section a `--staleness` run stamps:
 //!   the observed-age distribution, the seven-stage decomposition ranked
 //!   by total time, the top offending locations and links, and the
 //!   conservation verdict (stage sums must equal observed ages exactly).
@@ -53,7 +53,7 @@
 //!   restores, supervisor restarts/retirements) and re-verifies the
 //!   rollback-within-age-bound invariant from the report alone.
 //! - [`postmortem()`] — why did the run die? Reads the flight-recorder
-//!   dump (`FLIGHT_*.json`, cut from the `NSCC_FLIGHT` event ring on a
+//!   dump (`FLIGHT_*.json`, cut from the `--flight` event ring on a
 //!   violation, fault, or deadlock): per-process last-events timelines
 //!   plus suspected-cause heuristics over the captured window.
 //!

@@ -2,7 +2,7 @@
 //!
 //! When a monitored run ends badly — a coherence-monitor violation, an
 //! injected fault that stuck, or a scheduler deadlock — the bench
-//! harness freezes the hub's bounded event ring (`NSCC_FLIGHT=<n>`) into
+//! harness freezes the hub's bounded event ring (`--flight <n>`) into
 //! a `FLIGHT_<bench>.json` document. This command reads it offline and
 //! answers "what was each process doing when it died": the violation
 //! list, a per-process tail of the captured events, and suspected-cause
@@ -25,7 +25,7 @@ pub fn postmortem(rep: &Report) -> Result<String, String> {
     if rep.root.get("kind").and_then(Json::as_str) != Some("flight") {
         return Err(format!(
             "{}: not a flight-recorder dump (expected \"kind\":\"flight\"; dumps are \
-             written as FLIGHT_<bench>.json when a run with NSCC_FLIGHT=<n> fails)",
+             written as FLIGHT_<bench>.json when a run with --flight <n> fails)",
             rep.path.display()
         ));
     }
@@ -108,7 +108,7 @@ pub fn postmortem(rep: &Report) -> Result<String, String> {
     if suspects.is_empty() {
         out.push_str(
             "  none found in the captured window — the ring may not reach back far \
-             enough (raise NSCC_FLIGHT)\n",
+             enough (raise --flight)\n",
         );
     } else {
         for s in suspects {
@@ -455,7 +455,7 @@ mod tests {
         );
         let text = postmortem(&rep).unwrap();
         assert!(text.contains("(ring is empty)"), "{text}");
-        assert!(text.contains("raise NSCC_FLIGHT"), "{text}");
+        assert!(text.contains("raise --flight"), "{text}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! `nscc top`: a dashboard over the `NSCC_LIVE` telemetry feed.
+//! `nscc top`: a dashboard over the `--live` telemetry feed.
 //!
-//! The bench binaries, run with `NSCC_LIVE=<path|fd>`, stream one JSON
-//! line per periodic metric snapshot (see `crates/obs/src/live.rs` for
-//! the writer-side schema). This module is the read side: it parses the
+//! `nscc run <experiment> --live <path|fd>` streams one JSON line per
+//! periodic metric snapshot (see `crates/obs/src/live.rs` for the
+//! writer-side schema). This module is the read side: it parses the
 //! line-delimited feed and renders a single text frame — the latest
 //! snapshot's rates, the run's staleness/fault/retransmit picture, the
 //! scheduler's wall-clock self-accounting, and per-snapshot sparkline
@@ -208,7 +208,7 @@ pub fn parse_feed(text: &str) -> Result<Feed, String> {
     }
     let Some((bench, feed_version, schema_version, snap_every_ns)) = header else {
         return Err(format!(
-            "{NO_START} — not an NSCC_LIVE feed (or the writer has not attached yet)"
+            "{NO_START} — not a --live feed (or the writer has not attached yet)"
         ));
     };
     Ok(Feed {

@@ -21,46 +21,20 @@
 //! doubling of a growing `Vec` cancel. This file holds a single test on
 //! purpose: the counter is process-wide.
 
-mod common;
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
 use common::{event_dump, reference};
 use nscc_analyze::json::parse;
 use nscc_analyze::Report;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Allocations made by `f`.
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::total();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    counting::total() - before
 }
 
 #[test]

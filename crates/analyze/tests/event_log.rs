@@ -99,7 +99,8 @@ fn golden_docs() -> Vec<(String, String)> {
 /// [section digest, …])`. Taken before the event log replaced the tree;
 /// since then only the attribution and critical-path sections of dumps
 /// with broadcast deliveries have changed, when a broadcast stopped
-/// rendering as a process of its own.
+/// rendering as a process of its own, and the two postmortem hints that
+/// name the flight-ring setting, when it became the `--flight` flag.
 const GOLDEN: &[(&str, &str, &[u64])] = &[
     (
         "event 0",
@@ -112,7 +113,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
             0x2c63e30f05c3af0d,
         ],
     ),
-    ("event 0", "postmortem", &[0x887c2c93070835d8]),
+    ("event 0", "postmortem", &[0xd1cca9088502e025]),
     (
         "flight 0",
         "inspect",
@@ -145,7 +146,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
             0xd25b446e2918a4c3,
         ],
     ),
-    ("event 1", "postmortem", &[0x887c2c93070835d8]),
+    ("event 1", "postmortem", &[0xd1cca9088502e025]),
     (
         "flight 1",
         "inspect",
@@ -164,7 +165,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
             0xaf8aac7c2e86f936,
             0xd658949e34e9b793,
             0x45335bb1294b686a,
-            0xc7ddd382920f60b4,
+            0x40fd428529d24b2e,
         ],
     ),
     (
@@ -178,7 +179,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
             0x0e191bd95d069317,
         ],
     ),
-    ("event 2", "postmortem", &[0x887c2c93070835d8]),
+    ("event 2", "postmortem", &[0xd1cca9088502e025]),
     (
         "flight 2",
         "inspect",
@@ -197,7 +198,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
             0x3edee0cccce1b71d,
             0xd658949e34e9b793,
             0xdf741780247541e3,
-            0xc7ddd382920f60b4,
+            0x40fd428529d24b2e,
         ],
     ),
     (
@@ -212,7 +213,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
             0x707d90e860174088,
         ],
     ),
-    ("event extra", "postmortem", &[0x887c2c93070835d8]),
+    ("event extra", "postmortem", &[0xd1cca9088502e025]),
     (
         "flight extra",
         "inspect",
@@ -234,7 +235,7 @@ const GOLDEN: &[(&str, &str, &[u64])] = &[
         ],
     ),
     ("shadowed", "inspect", &[0x4bc81bda9f8fdddb]),
-    ("shadowed", "postmortem", &[0x887c2c93070835d8]),
+    ("shadowed", "postmortem", &[0xd1cca9088502e025]),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

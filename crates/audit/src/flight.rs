@@ -26,7 +26,7 @@ pub struct FlightDump {
     pub seed: u64,
     /// Why the dump was cut (`violation`, `deadlock`, `fault`).
     pub reason: String,
-    /// Ring capacity the recorder ran with (`NSCC_FLIGHT`).
+    /// Ring capacity the recorder ran with (`nscc run --flight`).
     pub capacity: u64,
     /// Display names for process ranks, index = rank (may be empty).
     pub proc_names: Vec<String>,

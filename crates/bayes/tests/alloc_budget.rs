@@ -14,41 +14,16 @@
 //! and the window's fill phase cancel. This file holds a single test on
 //! purpose: the counter is process-wide.
 
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 mod common;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nscc_bayes::{run_planned_inference, BayesCost, ParallelBayesConfig, Plan, Query, StopRule};
 use nscc_dsm::Coherence;
 use nscc_msg::MsgConfig;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const PARTS: usize = 2;
 const SHORT: u64 = 200;
@@ -75,7 +50,7 @@ fn run(block: usize, iterations: u64) -> (u64, u64) {
         max_iterations: iterations,
         ..ParallelBayesConfig::new(Coherence::PartialAsync { age: 3 })
     };
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::total();
     let res = run_planned_inference(
         net,
         &query,
@@ -86,7 +61,7 @@ fn run(block: usize, iterations: u64) -> (u64, u64) {
         5,
     )
     .unwrap();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting::total() - before;
     let rollbacks: u64 = res.per_part.iter().map(|p| p.rollbacks).sum();
     assert!(rollbacks > 0, "the budget must cover the rollback path too");
     (allocs, res.dsm.writes)

@@ -18,16 +18,15 @@
 //!   out-of-band, so they must cost nothing and perturb nothing).
 //!
 //! Every check is printed as a table row; any failed check makes the
-//! drill exit 1 after the report is written. With `NSCC_AUDIT=1` the
-//! online auditor taps every scenario, so a rollback past the age bound
-//! or an island pausing on the snapshot path is also a recorded
-//! violation (and, with `NSCC_FLIGHT`, triggers a black-box dump for
-//! `nscc postmortem`). With `NSCC_JSON=1` (or `--json`) the drill writes
-//! `BENCH_drill.json` whose `recovery` section merges all scenarios —
-//! the input of `nscc drill`.
+//! drill exit 1 after the report is written. With `--audit` the online
+//! auditor taps every scenario, so a rollback past the age bound or an
+//! island pausing on the snapshot path is also a recorded violation
+//! (and, with `--flight`, triggers a black-box dump for `nscc
+//! postmortem`). With `--json` the drill writes `BENCH_drill.json` whose
+//! `recovery` section merges all scenarios — the input of `nscc drill`.
 
-use nscc_bench::headless::HeadlessSpec;
-use nscc_bench::Session;
+use crate::headless::HeadlessSpec;
+use crate::Session;
 use nscc_core::fmt::render_table;
 use nscc_core::{run_ga_experiment, FaultPlan, GaExpResult, GaExperiment, RunReport};
 use nscc_ga::{RecoverySummary, SupervisorPolicy};
@@ -68,7 +67,7 @@ fn drill_exp(
     exp.platform.msg.mailbox_warn = session.scale.mailbox_warn;
     GaExperiment {
         supervision,
-        // With NSCC_CKPT_DIR set, completed cuts also land on disk as
+        // With --ckpt-dir given, completed cuts also land on disk as
         // consistent-cut generations (`nscc inspect --ckpt` shows them
         // in the kind column). Scenarios share the store; a later wave
         // with the same initiating generation overwrites atomically.
@@ -125,8 +124,7 @@ fn common_checks(checks: &mut Vec<Check>, scenario: &'static str, res: &GaExpRes
     ));
 }
 
-fn main() {
-    let mut session = Session::open("drill");
+pub(super) fn run(mut session: Session) -> u8 {
     let title = "Recovery drill: crash, restore, verify";
     print!("{}", session.banner(title, true));
     println!("procs={PROCS} age-bound={AGE} (snapshots + supervision + warm recovery on)");
@@ -317,6 +315,7 @@ fn main() {
     session.finish(None);
     if failed > 0 {
         eprintln!("error: drill: {failed} check(s) failed (see table)");
-        std::process::exit(1);
+        return 1;
     }
+    0
 }

@@ -1,8 +1,8 @@
 //! Chaos sweep: GA resilience under frame loss, across `Global_Read`
 //! age bounds.
 //!
-//! For every cell of the loss-rate × age-bound grid (`NSCC_LOSS` ×
-//! `NSCC_AGES`) the island GA runs on the lossy Ethernet with the full
+//! For every cell of the loss-rate × age-bound grid (`--loss` ×
+//! `--ages`) the island GA runs on the lossy Ethernet with the full
 //! robustness stack on — reliable delivery (seq/ack/retransmit), read
 //! timeouts degrading to cached values, heartbeat failure detection,
 //! warm crash recovery and a virtual-time watchdog — and reports how
@@ -11,22 +11,20 @@
 //! Runs the watchdog cut short appear as structured fault reports, not
 //! hung sweeps.
 //!
-//! With `NSCC_JSON=1` (or `--json`) also writes `BENCH_fault_study.json`
-//! with one metric set per cell.
+//! With `--json` also writes `BENCH_fault_study.json` with one metric
+//! set per cell.
 //!
-//! With `NSCC_CKPT_DIR` set, every completed cell is checkpointed; a
-//! killed sweep rerun with `NSCC_RESUME=1` (or `--resume`) skips the
-//! finished cells and produces a byte-identical report.
+//! With `--ckpt-dir`, every completed cell is checkpointed; a killed
+//! sweep rerun with `--resume` skips the finished cells and produces a
+//! byte-identical report.
 //!
-//! With `NSCC_FAULT_PLAN=<path>` the wire runs the fault plan from that
+//! With `--fault-plan <path>` the wire runs the fault plan from that
 //! JSON document (the portable format `nscc hunt` repros carry) instead
 //! of the loss-derived plan — reseeded per cell, so the grid still
 //! varies. Lets a shrunk repro drive the full bench harness.
 
-use nscc_bench::headless::HeadlessSpec;
-use nscc_bench::{
-    ages_from_env, fault_plan_from_env, loss_rates_from_env, CellResult, Scale, Session,
-};
+use crate::headless::HeadlessSpec;
+use crate::{CellResult, Scale, Session};
 use nscc_core::fmt::{f2, render_table};
 use nscc_core::{run_ga_experiment, FaultPlan};
 use nscc_obs::Hub;
@@ -45,7 +43,7 @@ fn run_cell(
     // Every cell runs the same robustness stack; only the wire's loss
     // rate and the reads' age bound vary. The plan's seed is derived from
     // the cell so each cell's chaos is independent and reproducible —
-    // an NSCC_FAULT_PLAN override keeps its events but is reseeded the
+    // a --fault-plan override keeps its events but is reseeded the
     // same way, so the grid still varies cell to cell.
     let plan_seed = scale.seed ^ ((loss * 1e6) as u64).wrapping_mul(31) ^ age;
     let plan = match plan_override {
@@ -96,13 +94,11 @@ fn run_cell(
     })
 }
 
-fn main() {
-    let mut session = Session::open("fault_study");
-    let losses = loss_rates_from_env();
-    let ages = ages_from_env();
-    let plan_override = fault_plan_from_env();
-    if let Some(plan) = &plan_override {
-        println!("fault plan override (NSCC_FAULT_PLAN): {}", plan.describe());
+pub(super) fn run(mut session: Session) -> u8 {
+    let (losses, ages) = (&session.scale.losses, &session.scale.ages);
+    let plan_override = session.scale.fault_plan.as_ref();
+    if let Some(plan) = plan_override {
+        println!("fault plan override (--fault-plan): {}", plan.describe());
     }
     let title = "Fault study: GA resilience under frame loss";
     print!("{}", session.banner(title, true));
@@ -114,7 +110,7 @@ fn main() {
         .collect();
     let scale = &session.scale;
     let cells = session.sweep(&grid, |&(loss, age), obs| {
-        run_cell(scale, loss, age, plan_override.as_ref(), obs)
+        run_cell(scale, loss, age, plan_override, obs)
     });
 
     let mut rows = vec![[
@@ -146,4 +142,5 @@ fn main() {
         .param("seed", session.scale.seed as f64)
         .param("procs", PROCS as f64);
     session.finish(Some(&cells));
+    0
 }

@@ -5,29 +5,25 @@
 //!
 //! Prints the best case (function 1) and the average over all eight
 //! benchmark functions, exactly the two panels the paper shows. With
-//! `NSCC_JSON=1` (or `--json`) also writes `BENCH_fig2.json`: the
-//! averaged-panel speedups plus merged DSM/network/message counters and
-//! the observability hub's staleness/block/delay histograms.
+//! `--json` also writes `BENCH_fig2.json`: the averaged-panel speedups
+//! plus merged DSM/network/message counters and the observability hub's
+//! staleness/block/delay histograms.
 //!
-//! With `NSCC_CKPT_DIR` set, every completed function × processor cell
-//! is checkpointed; a killed sweep rerun with `NSCC_RESUME=1` (or
-//! `--resume`) skips the finished cells and produces a byte-identical
-//! report.
+//! With `--ckpt-dir`, every completed function × processor cell is
+//! checkpointed; a killed sweep rerun with `--resume` skips the finished
+//! cells and produces a byte-identical report.
 
-use nscc_bench::{
-    all_functions_flag, modes_from_env, panel_speedups, speedup_cells, CellResult, Session,
-};
+use crate::{panel_speedups, speedup_cells, CellResult, Session};
 use nscc_core::fmt::render_table;
 use nscc_core::{run_ga_experiment, GaExperiment};
 use nscc_ga::ALL_FUNCTIONS;
 
 const PROCS: [usize; 4] = [2, 4, 8, 16];
 
-fn main() {
-    let mut session = Session::open("fig2");
+pub(super) fn run(mut session: Session) -> u8 {
     // The averaged panel still needs every function; quick mode restricts
     // it to the four cheapest.
-    let functions = &ALL_FUNCTIONS[..if all_functions_flag() {
+    let functions = &ALL_FUNCTIONS[..if session.scale.all_functions {
         ALL_FUNCTIONS.len()
     } else {
         4
@@ -35,7 +31,7 @@ fn main() {
     let title = "Figure 2: GA speedups on the unloaded network";
     print!("{}", session.banner(title, true));
 
-    let modes = modes_from_env();
+    let modes = &session.scale.modes;
     let grid: Vec<_> = functions
         .iter()
         .flat_map(|&f| PROCS.map(|p| (f, p)))
@@ -72,6 +68,7 @@ fn main() {
         rep.metric(k, v);
     }
     session.finish(Some(&cells));
+    0
 }
 
 /// The panel over the first `funcs` functions: its table and its

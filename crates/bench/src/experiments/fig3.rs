@@ -1,22 +1,20 @@
 //! Regenerate **Figure 3**: parallel probabilistic-inference speedups on
 //! the unloaded network for a 2-node configuration — synchronous, fully
 //! asynchronous (rollback), and `Global_Read` ages, for each of the four
-//! Table 2 networks plus the average panel. With `NSCC_JSON=1` (or
-//! `--json`) also writes `BENCH_fig3.json`.
+//! Table 2 networks plus the average panel. With `--json` also writes
+//! `BENCH_fig3.json`.
 //!
-//! With `NSCC_CKPT_DIR` set, every completed network cell is
-//! checkpointed; a killed sweep rerun with `NSCC_RESUME=1` (or
-//! `--resume`) skips the finished cells and produces a byte-identical
-//! report.
+//! With `--ckpt-dir`, every completed network cell is checkpointed; a
+//! killed sweep rerun with `--resume` skips the finished cells and
+//! produces a byte-identical report.
 
+use crate::{panel_speedups, speedup_cells, CellResult, Session};
 use nscc_bayes::{StopRule, TABLE2};
-use nscc_bench::{panel_speedups, speedup_cells, CellResult, Session};
 use nscc_core::fmt::render_table;
 use nscc_core::{run_bayes_experiment, BayesExperiment};
 use nscc_sim::SimTime;
 
-fn main() {
-    let mut session = Session::open("fig3");
+pub(super) fn run(mut session: Session) -> u8 {
     let title = "Figure 3: Bayesian-network speedups on the unloaded network (2 processors)";
     print!("{}", session.banner(title, true));
 
@@ -98,4 +96,5 @@ fn main() {
         .param("seed", session.scale.seed as f64)
         .param("procs", 2.0);
     session.finish(Some(&cells));
+    0
 }

@@ -8,23 +8,19 @@
 //! Each load × function cell runs once; both panels are rendered from
 //! the same cells.
 //!
-//! With `NSCC_CKPT_DIR` set, every completed load × function cell is
-//! checkpointed; a killed sweep rerun with `NSCC_RESUME=1` (or
-//! `--resume`) skips the finished cells and produces a byte-identical
-//! report.
+//! With `--ckpt-dir`, every completed load × function cell is
+//! checkpointed; a killed sweep rerun with `--resume` skips the finished
+//! cells and produces a byte-identical report.
 
-use nscc_bench::{
-    all_functions_flag, modes_from_env, panel_speedups, speedup_cells, CellResult, Session,
-};
+use crate::{panel_speedups, speedup_cells, CellResult, Session};
 use nscc_core::fmt::render_table;
 use nscc_core::{run_ga_experiment, GaExperiment, Platform};
 use nscc_ga::ALL_FUNCTIONS;
 
 const LOADS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
 
-fn main() {
-    let mut session = Session::open("fig4");
-    let functions = &ALL_FUNCTIONS[..if all_functions_flag() {
+pub(super) fn run(mut session: Session) -> u8 {
+    let functions = &ALL_FUNCTIONS[..if session.scale.all_functions {
         ALL_FUNCTIONS.len()
     } else {
         4
@@ -32,7 +28,7 @@ fn main() {
     let title = "Figure 4: GA speedups on the loaded network (4 processors)";
     print!("{}", session.banner(title, true));
 
-    let modes = modes_from_env();
+    let modes = &session.scale.modes;
     let grid: Vec<_> = LOADS
         .iter()
         .flat_map(|&load| functions.iter().map(move |&f| (load, f)))
@@ -68,6 +64,7 @@ fn main() {
         rep.metric(k, v);
     }
     session.finish(Some(&cells));
+    0
 }
 
 /// The panel over the first `funcs` of the `stride` functions per load:

@@ -1,15 +1,14 @@
 //! Regenerate **Table 1**: the eight-function GA test bed — definition,
 //! limits, known minimum, and a verification that our implementation
-//! attains each minimum at the known optimum. With `NSCC_JSON=1` (or
-//! `--json`) also writes `BENCH_table1.json` (no simulation is involved,
-//! so the report carries only the per-function minima).
+//! attains each minimum at the known optimum. With `--json` also writes
+//! `BENCH_table1.json` (no simulation is involved, so the report carries
+//! only the per-function minima).
 
-use nscc_bench::Session;
+use crate::Session;
 use nscc_core::fmt::render_table;
 use nscc_ga::{TestFn, ALL_FUNCTIONS};
 
-fn main() {
-    let mut session = Session::open("table1");
+pub(super) fn run(mut session: Session) -> u8 {
     let mut rows = vec![[
         "No.",
         "Function",
@@ -49,6 +48,7 @@ fn main() {
          the deterministic part is minimized at 0."
     );
     session.finish(None);
+    0
 }
 
 /// The minimum as printed in Table 1.

@@ -1,16 +1,15 @@
 //! Regenerate **Table 2**: the four Bayesian belief networks — structure
 //! statistics, 2-way partition edge-cut, and uniprocessor inference time
 //! (logic sampling to a 90% CI of the configured half-width). With
-//! `NSCC_JSON=1` (or `--json`) also writes `BENCH_table2.json` (the
-//! baseline is sequential, so no DSM/network counters are involved).
+//! `--json` also writes `BENCH_table2.json` (the baseline is sequential,
+//! so no DSM/network counters are involved).
 
+use crate::Session;
 use nscc_bayes::{Plan, StopRule, TABLE2};
-use nscc_bench::Session;
 use nscc_core::fmt::render_table;
 use nscc_core::{run_sequential, BayesExperiment};
 
-fn main() {
-    let mut session = Session::open("table2");
+pub(super) fn run(mut session: Session) -> u8 {
     print!(
         "{}",
         session.banner("Table 2: Four Bayesian belief networks", true)
@@ -64,4 +63,5 @@ fn main() {
     rows.extend([nodes, epn, vals, cut, cut_paper, time, time_paper, samples]);
     print!("{}", render_table(&rows));
     session.finish(None);
+    0
 }

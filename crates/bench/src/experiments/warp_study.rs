@@ -2,23 +2,22 @@
 //! ratio of inter-arrival to inter-send times of consecutive messages —
 //! on the shared Ethernet under increasing offered load, showing warp ≈ 1
 //! on a stable network and warp ≫ 1 as the network loads up. With
-//! `NSCC_JSON=1` (or `--json`) also writes `BENCH_warp_study.json`,
-//! including the observability hub's warp timeline and network-delay
-//! histogram aggregated over every load level.
+//! `--json` also writes `BENCH_warp_study.json`, including the
+//! observability hub's warp timeline and network-delay histogram
+//! aggregated over every load level.
 //!
-//! With `NSCC_CKPT_DIR` set, every completed load level is checkpointed;
-//! a killed sweep rerun with `NSCC_RESUME=1` (or `--resume`) skips the
-//! finished cells and produces a byte-identical report.
+//! With `--ckpt-dir`, every completed load level is checkpointed; a
+//! killed sweep rerun with `--resume` skips the finished cells and
+//! produces a byte-identical report.
 
-use nscc_bench::{CellResult, Session};
+use crate::{CellResult, Session};
 use nscc_core::fmt::render_table;
 use nscc_msg::{CommWorld, MsgConfig};
 use nscc_net::{spawn_loaders, EthernetBus, LoaderConfig, Network, NodeId, WarpMeter};
 use nscc_obs::Hub;
 use nscc_sim::{SimBuilder, SimError, SimTime};
 
-fn main() {
-    let mut session = Session::open("warp_study");
+pub(super) fn run(mut session: Session) -> u8 {
     let title = "Warp metric vs offered background load (10 Mbps Ethernet)";
     print!("{}", session.banner(title, false));
     let loads = [0.0, 2.0, 4.0, 6.0, 8.0, 9.5];
@@ -49,6 +48,7 @@ fn main() {
     print!("{}", render_table(&rows));
     println!("\nwarp ≈ 1: stable network; warp ≫ 1: load is building up (§4.3).");
     session.finish(Some(&cells));
+    0
 }
 
 /// Run a fixed two-node message pattern under `load` Mbps of background

@@ -1,263 +1,171 @@
-//! The NSCC benchmark harness: one sweep driver shared by every binary.
+//! The NSCC benchmark harness: the paper's experiments and the one sweep
+//! driver they share.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! DESIGN.md's experiment index). A binary opens a [`Session`], runs its
-//! experiments — the sweep binaries as an ordered cell list through
-//! [`Session::sweep`], which owns checkpointing, per-cell hubs and the
-//! flight dump on a failed cell — renders its table from the
-//! [`CellResult`]s, and ends with [`Session::finish`], the one place the
-//! report, flight dump, trace, folded profile and live feed are written.
+//! `nscc run <experiment> [flags]` (the root package's binary) reads its
+//! flags into a [`Scale`] and a [`ResumeOpts`] and runs one of the eight
+//! [`EXPERIMENTS`]: Tables 1–2, Figures 2–4 and the fault, warp and
+//! recovery-drill studies (see DESIGN.md's experiment index). An
+//! experiment opens a [`Session`], runs its cells (the sweeps as an
+//! ordered cell list through [`Session::sweep`], which owns
+//! checkpointing, per-cell hubs and the flight dump on a failed cell),
+//! renders its table from the [`CellResult`]s, and ends with
+//! [`Session::finish`], the one place the report, flight dump, trace,
+//! folded profile and live feed are written.
 //!
-//! All binaries accept a scale through environment variables so
-//! `--quick` smoke runs and full paper-scale sweeps use the same code:
+//! # Flags
 //!
-//! * `NSCC_RUNS` — repetitions per cell (paper: 25 for GA, 10 for Bayes).
-//! * `NSCC_GENS` — serial-baseline GA generations (paper: 1000).
-//! * `NSCC_CI` — Bayes CI half-width (paper: 0.01).
-//! * `NSCC_SEED` — base seed.
-//! * `NSCC_JSON` — set to `1`/`true` (or pass `--json`) to also write a
-//!   machine-readable `BENCH_<name>.json` run report into the working
-//!   directory.
-//! * `NSCC_TRACE` — set to `1`/`true` (or pass `--trace`) to also dump the
-//!   hub's raw event/span streams as `TRACE_<name>.json` for
-//!   `nscc inspect`.
-//! * `NSCC_SNAP_MS` — virtual-time cadence (milliseconds) of periodic
-//!   metric snapshots recorded into the report's `obs.snapshots` series
-//!   (0 is the explicit "disabled" no-op; default 100).
-//! * `NSCC_LIVE` — live telemetry feed destination: a writable file path
-//!   (`NSCC_LIVE=live.ndjson`) or a raw open file descriptor
-//!   (`NSCC_LIVE=3`). Each periodic snapshot is streamed, as it is cut,
-//!   as one line of versioned JSON (`nscc_obs::live`) that `nscc top`
-//!   can tail while the run is going. Purely additive: reports, traces
-//!   and profiles stay byte-identical with the feed on or off, and an
-//!   unset `NSCC_LIVE` costs nothing.
-//! * `NSCC_WALL` — set to `1`/`true` to attach wall-clock scheduler
-//!   self-accounting (events/sec, park/unpark counts, per-process
-//!   executing vs. parked time) and embed it as the report's `wall`
-//!   section. Real host-clock numbers, so nondeterministic — off by
-//!   default to keep same-seed reports byte-identical (`"wall":null`).
-//!   `NSCC_LIVE` implies the accounting (the feed carries it) without
-//!   the report section.
-//! * `NSCC_MODES` — comma-separated coherence labels (`sync`, `async`,
-//!   `age=N`; `async` is `Global_Read` at age ∞, so
-//!   `age=18446744073709551615` reads as `async`) restricting which modes
-//!   the GA bins report; unset runs the full Figure-2 mode family.
-//!   Single-mode runs (e.g. `NSCC_MODES=age=0` vs `NSCC_MODES=age=20`)
-//!   produce reports whose histograms describe that mode alone — the
-//!   inputs `nscc diff` is built for.
-//! * `NSCC_LOSS` / `NSCC_AGES` — the loss-rate × age-bound grid of the
-//!   `fault_study` chaos sweep (comma-separated).
-//! * `NSCC_MAILBOX_WARN` — mailbox-depth warning threshold (messages).
-//!   When set, a rank whose mailbox backlog crosses it emits a one-line
-//!   stderr warning plus an observability event, and the run report
-//!   records the high watermark.
-//! * `NSCC_FOLDED` — path of a collapsed-stack profile to write
-//!   (`process;phase;location count` lines, the input format of
-//!   `inferno` / `flamegraph.pl`). Setting it turns on the hub's
-//!   deterministic virtual-time sampling profiler (one sample per 100
-//!   virtual µs); same seed → byte identical output.
-//! * `NSCC_CKPT_DIR` — directory for sweep checkpoints. When set, the
-//!   sweep bins (`fault_study`, `fig2`, `fig3`, `fig4`, `warp_study`)
-//!   persist each completed cell so a killed run can restart from the
-//!   last completed point; `drill` persists its consistent cuts there.
-//! * `NSCC_RESUME` — set to `1`/`true` (or pass `--resume`) to reuse the
-//!   cells already in `NSCC_CKPT_DIR` instead of clearing them; the
-//!   resumed run produces a byte-identical `BENCH_<name>.json`.
-//! * `NSCC_CKPT_EXIT_AFTER` — testing hook: exit with code 3 after this
-//!   many cells have been computed *and checkpointed* by this process
-//!   (simulating a mid-sweep kill at a deterministic point).
-//! * `NSCC_AUDIT` — set to `1`/`true` to run the online coherence
-//!   auditor (`nscc-audit`): invariant monitors tap the event stream and
-//!   their findings land in the report's `audit` section (rendered by
-//!   `nscc audit`, enforced by `nscc gate`). Monitors are pure observers:
-//!   the rest of the report stays byte-identical with auditing on or off.
-//! * `NSCC_FLIGHT` — black-box flight recorder: keep the most recent N
-//!   events in a bounded ring and dump them as `FLIGHT_<name>.json` when
-//!   the run ends badly (a monitor violation, a watchdog-cut run, or a
-//!   deadlock). Read the dump with `nscc postmortem`. The ring is a side
-//!   channel; reports stay byte-identical with it on or off.
-//! * `NSCC_STALENESS` — set to `1`/`true` to arm the per-hop staleness
-//!   tracer: every DSM update's provenance is stamped as it crosses each
-//!   layer (publish, transit, fault delay, retransmits, mailbox dwell,
-//!   apply), and on every read release the observed age is decomposed
-//!   into the seven named stage durations. The per-stage log₂ histograms
-//!   — overall, by location and by writer→reader link — land in the
-//!   report's `staleness` section (rendered by `nscc anatomy`), and
-//!   write→apply→release flow arrows join the Perfetto spans. Purely
-//!   additive: outside that one section the report stays byte-identical
-//!   with the tracer on or off.
-//! * `NSCC_INJECT_STALE` — fault-injection knob honoured by the
-//!   `fault_study` bin: deliberately release this many would-block reads
-//!   with their stale cached value, *violating* the age bound so the
-//!   auditor and flight recorder have something real to catch. Testing
-//!   hook; leave unset for honest runs.
-//! * `NSCC_FAULT_PLAN` — path to a versioned fault-plan JSON document
-//!   (the portable format `nscc hunt` repros carry). The `fault_study`
-//!   bin then wraps the wire in *that* plan — reseeded per cell, so the
-//!   grid stays meaningful — instead of deriving a loss-only plan from
-//!   `NSCC_LOSS`. Lets a shrunk hunt repro drive the full bench harness.
+//! Every setting is one flag with one spelling. The first nine are read
+//! by every experiment; each of the rest only by the experiments named.
 //!
-//! The two testing hooks (`NSCC_CKPT_EXIT_AFTER`, `NSCC_INJECT_STALE`)
-//! are named in the banner whenever they are armed. A variable that is
-//! *set but malformed* is a hard error: the binary prints one line naming
-//! the variable and the expected format and exits with code 2, rather
-//! than silently running at a default scale. So is a set `NSCC_*` name
-//! that no workspace tool reads, and an argument other than `--json`,
-//! `--trace`, `--resume` and `--all-functions` — a misspelled variable or
-//! flag must not silently run the default.
+//! | flag | read by | default | what it does |
+//! |---|---|---|---|
+//! | `--json` | all | off | write the `BENCH_<name>.json` run report into the working directory |
+//! | `--trace` | all | off | dump the hub's raw event and span streams as `TRACE_<name>.json`, for `nscc inspect` |
+//! | `--snap-ms MS` | all | 100 | virtual-time cadence of the periodic snapshots in the report's `obs.snapshots`; 0 turns them off |
+//! | `--folded PATH` | all | off | write a collapsed-stack profile (`process;phase;location count`, the input of `inferno` and `flamegraph.pl`) from the hub's sampling profiler, one sample per 100 virtual µs |
+//! | `--live PATH\|FD` | all | off | stream each snapshot as it is cut, one line of versioned JSON (`nscc_obs::live`), into a new file or an open descriptor, for `nscc top`; implies the wall accounting without the `wall` section |
+//! | `--wall` | all | off | embed wall-clock scheduler accounting (events/sec, parks, per-process time) as the report's `wall` section; host time, so not deterministic |
+//! | `--audit` | all | off | run the online coherence auditor (`nscc-audit`); its findings fill the report's `audit` section, for `nscc audit` and `nscc gate` |
+//! | `--flight N` | all | off | keep the last N events in a ring and dump them as `FLIGHT_<name>.json` when a run ends badly (a monitor violation, a watchdog cut, a deadlock), for `nscc postmortem` |
+//! | `--staleness` | all | off | arm the per-hop staleness tracer: each released read's age split into seven stage durations, in the report's `staleness` section (for `nscc anatomy`) and as flow arrows in the trace |
+//! | `--runs N` | `table2` `fig2` `fig3` `fig4` `fault_study` | 3 | repetitions per cell (paper: 25 for GA, 10 for Bayes) |
+//! | `--gens N` | `fig2` `fig4` `fault_study` `drill` | 120 | serial-baseline GA generations (paper: 1000) |
+//! | `--ci X` | `table2` `fig3` | 0.02 | Bayes CI half-width (paper: 0.01) |
+//! | `--seed S` | `table2` `fig2` `fig3` `fig4` `fault_study` `drill` | 42 | base seed |
+//! | `--mailbox-warn N` | `fig2` `fig3` `fig4` `fault_study` `drill` | off | when a rank's mailbox backlog crosses N messages, warn on stderr and emit an event; the report records the high watermark either way |
+//! | `--modes LIST` | `fig2` `fig4` | all seven | the coherence modes to report, comma-separated `sync`, `async`, `age=N`; a one-mode run's histograms describe that mode alone, the input `nscc diff` is built for |
+//! | `--all-functions` | `fig2` `fig4` | off | sweep all eight GA test functions, not the four cheapest |
+//! | `--loss LIST` | `fault_study` | `0,0.01,0.05` | the loss-rate axis: per-frame drop probabilities in [0, 1) |
+//! | `--ages LIST` | `fault_study` | `0,10,30` | the `Global_Read` age-bound axis |
+//! | `--fault-plan PATH` | `fault_study` | off | run the wire under this fault-plan JSON document (the format `nscc hunt` repros carry), reseeded per cell, instead of the loss-only plan |
+//! | `--inject-stale N` | `fault_study` | 0 | test hook: release N would-block reads with their stale value, breaking the age bound, so the auditor and flight recorder have something real to catch |
+//! | `--ckpt-dir DIR` | `fig2` `fig3` `fig4` `fault_study` `warp_study` `drill` | off | checkpoint each completed cell under `DIR/<name>`, so a killed sweep restarts from its last completed cell; `drill` persists its consistent cuts there |
+//! | `--resume` | `fig2` `fig3` `fig4` `fault_study` `warp_study` | off | reuse the cells already in `--ckpt-dir` instead of clearing them; the report comes out byte-identical |
+//! | `--ckpt-exit-after N` | `fig2` `fig3` `fig4` `fault_study` `warp_study` | off | test hook: exit 3 once this process has computed and checkpointed N cells, a mid-sweep kill at a fixed point |
+//!
+//! The observability sinks are observers: with `--audit`, `--flight`,
+//! `--staleness` or `--live` on, the rest of the report stays
+//! byte-identical. The two test hooks are named in the banner when armed.
+//!
+//! A flag the experiment does not read, or a malformed value (`--flight
+//! 0`, a `--loss` outside [0, 1), `--resume` without `--ckpt-dir`, an
+//! unknown `--modes` label), is a usage error: exit 2, naming the flag.
+//! Nothing is read from the environment, and a set `NSCC_*` variable
+//! other than `nscc-perf`'s `NSCC_PERF_*` is an error too
+//! ([`check_names`]): a misspelled setting must not silently run the
+//! default scale.
 
 #![warn(missing_docs)]
 
+mod experiments;
 pub mod headless;
 
+pub use experiments::{Experiment, EXPERIMENTS};
+
 use std::fmt::Write as _;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use nscc_audit::{render_flight_dump, Auditor, FlightDump};
 use nscc_ckpt::Snapshot;
-use nscc_core::{GaExpResult, RunReport};
+use nscc_core::{FaultPlan, GaExpResult, GaExperiment, RunReport};
 use nscc_dsm::{Coherence, DsmStats};
 use nscc_msg::CommStats;
 use nscc_net::NetStats;
 use nscc_obs::{Hub, HubSummary, StalenessSummary};
 use nscc_sim::{SimError, SimTime};
 
-/// Sampling period of the `NSCC_FOLDED` profiler: 100 virtual µs.
+/// Sampling period of the `--folded` profiler: 100 virtual µs.
 const PROFILE_PERIOD_NS: u64 = 100_000;
 
-/// Every `NSCC_*` variable the bench binaries read.
-const BENCH_VARS: &str = "NSCC_RUNS NSCC_GENS NSCC_CI NSCC_SEED NSCC_JSON NSCC_TRACE \
-    NSCC_SNAP_MS NSCC_MAILBOX_WARN NSCC_FOLDED NSCC_LIVE NSCC_WALL NSCC_AUDIT NSCC_FLIGHT \
-    NSCC_INJECT_STALE NSCC_STALENESS NSCC_CKPT_DIR NSCC_RESUME NSCC_CKPT_EXIT_AFTER \
-    NSCC_MODES NSCC_LOSS NSCC_AGES NSCC_FAULT_PLAN";
-
-/// Every argument the bench binaries read (`--all-functions` only fig2
-/// and fig4).
-const BENCH_ARGS: &str = "--json --trace --resume --all-functions";
-
-/// Harness scale, read from the environment with bench-friendly defaults.
+/// Every setting of a run but the checkpoint options: what the flags in
+/// the [module docs](crate) set, with their defaults.
 #[derive(Debug, Clone)]
 pub struct Scale {
-    /// Repetitions per experiment cell.
+    /// Repetitions per experiment cell (`--runs`).
     pub runs: usize,
-    /// Serial GA generations.
+    /// Serial GA generations (`--gens`).
     pub generations: u64,
-    /// Bayes CI half-width target.
+    /// Bayes CI half-width target (`--ci`).
     pub ci: f64,
-    /// Base seed.
+    /// Base seed (`--seed`).
     pub seed: u64,
-    /// Whether to write a `BENCH_<name>.json` run report.
+    /// Whether to write a `BENCH_<name>.json` run report (`--json`).
     pub json: bool,
-    /// Whether to dump the raw event/span streams as `TRACE_<name>.json`.
+    /// Whether to dump the raw event/span streams as `TRACE_<name>.json`
+    /// (`--trace`).
     pub trace: bool,
     /// Virtual-time cadence of periodic metric snapshots, in milliseconds
-    /// (0 disables).
+    /// (`--snap-ms`; 0 disables).
     pub snap_ms: u64,
-    /// Mailbox-depth warning threshold (messages); `None` disables the
-    /// warning (the high watermark is still recorded).
+    /// Mailbox-depth warning threshold in messages (`--mailbox-warn`);
+    /// `None` disables the warning (the high watermark is still
+    /// recorded).
     pub mailbox_warn: Option<u64>,
-    /// Path of the collapsed-stack profile to write (`NSCC_FOLDED`);
-    /// `None` leaves the sampling profiler off entirely.
+    /// Path of the collapsed-stack profile to write (`--folded`); `None`
+    /// leaves the sampling profiler off entirely.
     pub folded: Option<String>,
-    /// Live telemetry feed destination (`NSCC_LIVE`); `None` leaves the
-    /// feed detached entirely.
+    /// Live telemetry feed destination (`--live`); `None` leaves the feed
+    /// detached entirely.
     pub live: Option<LiveTarget>,
     /// Whether to embed wall-clock scheduler accounting as the report's
-    /// `wall` section (`NSCC_WALL`).
+    /// `wall` section (`--wall`).
     pub wall: bool,
-    /// Whether to run the online coherence auditor (`NSCC_AUDIT`).
+    /// Whether to run the online coherence auditor (`--audit`).
     pub audit: bool,
-    /// Flight-recorder ring capacity in events (`NSCC_FLIGHT`); `None`
-    /// leaves the recorder off entirely.
+    /// Flight-recorder ring capacity in events (`--flight`); `None` leaves
+    /// the recorder off entirely.
     pub flight: Option<u64>,
-    /// How many would-block reads the `fault_study` bin should release
-    /// stale, deliberately violating the age bound (`NSCC_INJECT_STALE`;
-    /// 0 = honest run).
+    /// How many would-block reads `fault_study` should release stale,
+    /// deliberately violating the age bound (`--inject-stale`; 0 = honest
+    /// run).
     pub inject_stale: u64,
-    /// Whether to arm the per-hop staleness tracer and stamp the
-    /// report's `staleness` anatomy section (`NSCC_STALENESS`).
+    /// Whether to arm the per-hop staleness tracer and stamp the report's
+    /// `staleness` anatomy section (`--staleness`).
     pub staleness: bool,
+    /// The coherence modes the GA figures report (`--modes`).
+    pub modes: Vec<Coherence>,
+    /// Whether the GA figures sweep all eight test functions instead of
+    /// the four cheapest (`--all-functions`).
+    pub all_functions: bool,
+    /// The loss-rate axis of `fault_study` (`--loss`).
+    pub losses: Vec<f64>,
+    /// The age-bound axis of `fault_study` (`--ages`).
+    pub ages: Vec<u64>,
+    /// The fault plan `fault_study` runs the wire under instead of a
+    /// loss-only one (`--fault-plan`).
+    pub fault_plan: Option<FaultPlan>,
 }
 
-/// Where the live telemetry feed goes: a file path the bench creates, or
-/// a raw file descriptor the caller already opened (e.g. a pipe to
-/// `nscc top`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LiveTarget {
-    /// Create/truncate this file and stream lines into it.
-    Path(String),
-    /// Adopt this already-open descriptor (Unix only).
-    Fd(i32),
+impl Default for Scale {
+    /// The quick scale every flag defaults to.
+    fn default() -> Scale {
+        Scale {
+            runs: 3,
+            generations: 120,
+            ci: 0.02,
+            seed: 42,
+            json: false,
+            trace: false,
+            snap_ms: 100,
+            mailbox_warn: None,
+            folded: None,
+            live: None,
+            wall: false,
+            audit: false,
+            flight: None,
+            inject_stale: 0,
+            staleness: false,
+            modes: GaExperiment::default_modes(),
+            all_functions: false,
+            losses: vec![0.0, 0.01, 0.05],
+            ages: vec![0, 10, 30],
+            fault_plan: None,
+        }
+    }
 }
 
 impl Scale {
-    /// Parse the scale (see module docs): `get` maps a variable name to
-    /// its value when set. A *present but malformed* variable is an error
-    /// naming the variable and the expected format — a typo'd
-    /// `NSCC_GENS=1OOO` silently running the default scale would waste a
-    /// paper-scale sweep.
-    pub fn parse(get: &dyn Fn(&str) -> Option<String>) -> Result<Scale, String> {
-        Ok(Scale {
-            runs: env_num(get, "NSCC_RUNS", 3, "a positive integer (e.g. NSCC_RUNS=5)")?,
-            generations: env_num(
-                get,
-                "NSCC_GENS",
-                120,
-                "a positive integer (e.g. NSCC_GENS=200)",
-            )?,
-            ci: env_num(
-                get,
-                "NSCC_CI",
-                0.02,
-                "a positive decimal (e.g. NSCC_CI=0.01)",
-            )?,
-            seed: env_num(
-                get,
-                "NSCC_SEED",
-                42,
-                "an unsigned integer (e.g. NSCC_SEED=42)",
-            )?,
-            json: env_flag(get, "NSCC_JSON")?,
-            trace: env_flag(get, "NSCC_TRACE")?,
-            snap_ms: env_num(
-                get,
-                "NSCC_SNAP_MS",
-                100,
-                "milliseconds as an unsigned integer (e.g. NSCC_SNAP_MS=100)",
-            )?,
-            mailbox_warn: env_opt_num(
-                get,
-                "NSCC_MAILBOX_WARN",
-                "a positive integer (e.g. NSCC_MAILBOX_WARN=64)",
-            )?,
-            folded: get("NSCC_FOLDED")
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty()),
-            live: parse_live(get)?,
-            wall: env_flag(get, "NSCC_WALL")?,
-            audit: env_flag(get, "NSCC_AUDIT")?,
-            flight: match env_opt_num(
-                get,
-                "NSCC_FLIGHT",
-                "a positive integer of events (e.g. NSCC_FLIGHT=256)",
-            )? {
-                Some(0) => {
-                    return Err("NSCC_FLIGHT=\"0\" is malformed: expected a positive \
-                                integer of events (e.g. NSCC_FLIGHT=256)"
-                        .to_string())
-                }
-                cap => cap,
-            },
-            inject_stale: env_num(
-                get,
-                "NSCC_INJECT_STALE",
-                0,
-                "an unsigned integer of reads (e.g. NSCC_INJECT_STALE=4)",
-            )?,
-            staleness: env_flag(get, "NSCC_STALENESS")?,
-        })
-    }
-
     /// Whether any observability consumer is enabled — JSON report, raw
     /// trace, folded profile, live feed, or wall accounting — i.e.
     /// whether the bench should attach a hub to the experiment at all.
@@ -279,283 +187,105 @@ impl Scale {
             runs: 25,
             generations: 1000,
             ci: 0.01,
-            seed: 42,
-            json: false,
-            trace: false,
-            snap_ms: 100,
-            mailbox_warn: None,
-            folded: None,
-            live: None,
-            wall: false,
-            audit: false,
-            flight: None,
-            inject_stale: 0,
-            staleness: false,
+            ..Scale::default()
         }
     }
 }
 
-/// Parse `NSCC_LIVE`: absent → `None`; all-digits → an adopted file
-/// descriptor; anything else non-empty → a file path. An empty (or
-/// unparsable-fd) value is malformed — the one-line exit-2 contract.
-fn parse_live(get: &dyn Fn(&str) -> Option<String>) -> Result<Option<LiveTarget>, String> {
-    const EXPECTED: &str = "a writable file path or a raw open file descriptor \
-                            (e.g. NSCC_LIVE=live.ndjson or NSCC_LIVE=3)";
-    let raw = match get("NSCC_LIVE") {
-        None => return Ok(None),
-        Some(raw) => raw,
-    };
-    let val = raw.trim();
-    if val.is_empty() {
-        return Err(format!(
-            "NSCC_LIVE={raw:?} is malformed: expected {EXPECTED}"
-        ));
-    }
-    if val.bytes().all(|b| b.is_ascii_digit()) {
-        return match val.parse::<i32>() {
-            Ok(fd) => Ok(Some(LiveTarget::Fd(fd))),
-            Err(_) => Err(format!(
-                "NSCC_LIVE={raw:?} is malformed: expected {EXPECTED}"
-            )),
-        };
-    }
-    Ok(Some(LiveTarget::Path(val.to_string())))
+/// Where the live telemetry feed goes: a file path the bench creates, or
+/// a raw file descriptor the caller already opened (e.g. a pipe to
+/// `nscc top`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LiveTarget {
+    /// Create/truncate this file and stream lines into it.
+    Path(String),
+    /// Adopt this already-open descriptor (Unix only).
+    Fd(i32),
 }
 
-/// A set `NSCC_*` name that neither the harness nor `nscc-perf` (the
-/// `NSCC_PERF_*` family) reads is an error: `NSCC_GENERATIONS=8` silently
-/// running the default 120 generations is how a wrong capture gets
-/// committed.
-fn check_names(vars: impl IntoIterator<Item = (String, String)>) -> Result<(), String> {
-    for (name, val) in vars {
-        if name.starts_with("NSCC_")
-            && !name.starts_with("NSCC_PERF_")
-            && !BENCH_VARS.split_whitespace().any(|v| v == name)
-        {
-            return Err(format!(
-                "{name}={val:?} is not a variable this harness reads: expected one of {BENCH_VARS}"
-            ));
+impl FromStr for LiveTarget {
+    type Err = String;
+
+    /// All digits → an adopted file descriptor; anything else non-empty →
+    /// a file path. An empty value, or digits too large for a
+    /// descriptor, is an error.
+    fn from_str(val: &str) -> Result<LiveTarget, String> {
+        if val.is_empty() {
+            return Err("empty".to_string());
         }
-    }
-    Ok(())
-}
-
-/// An argument no bench binary reads is an error, for the same reason:
-/// `fig2 --all-function` would otherwise run the four-function sweep.
-fn check_args(args: impl IntoIterator<Item = String>) -> Result<(), String> {
-    for arg in args {
-        if !BENCH_ARGS.split_whitespace().any(|a| a == arg) {
-            return Err(format!(
-                "{arg:?} is not an argument this harness reads: expected one of {BENCH_ARGS}"
-            ));
+        if val.bytes().all(|b| b.is_ascii_digit()) {
+            return val.parse().map(LiveTarget::Fd).map_err(|e| e.to_string());
         }
+        Ok(LiveTarget::Path(val.to_string()))
     }
-    Ok(())
 }
 
-/// Environment lookup used by the `*_from_env` readers.
-fn env_lookup(name: &str) -> Option<String> {
-    std::env::var(name).ok()
+/// A comma-separated list flag's value (`--modes`, `--loss`, `--ages`).
+/// Empty items are skipped; any other item `T` cannot parse makes the
+/// whole list an error.
+#[derive(Debug, Clone, PartialEq)]
+pub struct List<T>(pub Vec<T>);
+
+impl<T: FromStr> FromStr for List<T> {
+    type Err = String;
+
+    fn from_str(raw: &str) -> Result<List<T>, String> {
+        (raw.split(',').map(str::trim).filter(|t| !t.is_empty()))
+            .map(|t| t.parse().map_err(|_| format!("{t:?}")))
+            .collect::<Result<_, _>>()
+            .map(List)
+    }
 }
 
-/// Print a one-line error and exit 2 — the bench binaries' contract for
-/// malformed `NSCC_*` variables.
+/// The one environment rule: a set `NSCC_*` variable other than
+/// `nscc-perf`'s `NSCC_PERF_*` family is an error, because flags replaced
+/// them. `NSCC_RUNS=5` quietly running the default three runs is how a
+/// wrong capture gets committed. `vars` is the caller's environment.
+pub fn check_names(vars: impl IntoIterator<Item = (String, String)>) -> Result<(), String> {
+    match vars
+        .into_iter()
+        .find(|(k, _)| k.starts_with("NSCC_") && !k.starts_with("NSCC_PERF_"))
+    {
+        Some((name, val)) => Err(format!(
+            "{name}={val:?} is set, but no NSCC_* variable is read: flags replace them \
+             (see nscc --help)"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Print a one-line error and exit 2 — the harness's contract for a
+/// checkpoint store or feed it cannot open.
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
-/// A numeric variable: absent → `default`; present and parsable → the
-/// value; present but malformed → a one-line error naming the variable
-/// and the expected format.
-fn env_num<T: std::str::FromStr>(
-    get: &dyn Fn(&str) -> Option<String>,
-    name: &str,
-    default: T,
-    expected: &str,
-) -> Result<T, String> {
-    Ok(env_opt_num(get, name, expected)?.unwrap_or(default))
-}
-
-/// An optional numeric variable: absent → `None`; present and parsable →
-/// `Some(value)`; present but malformed → a one-line error.
-fn env_opt_num<T: std::str::FromStr>(
-    get: &dyn Fn(&str) -> Option<String>,
-    name: &str,
-    expected: &str,
-) -> Result<Option<T>, String> {
-    match get(name) {
-        None => Ok(None),
-        Some(raw) => raw
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{name}={raw:?} is malformed: expected {expected}")),
-    }
-}
-
-/// A boolean variable: `1`/`true` on, `0`/`false`/unset off, anything
-/// else malformed.
-fn env_flag(get: &dyn Fn(&str) -> Option<String>, name: &str) -> Result<bool, String> {
-    match get(name).as_deref().map(str::trim) {
-        None | Some("") | Some("0") | Some("false") => Ok(false),
-        Some("1") | Some("true") => Ok(true),
-        Some(raw) => Err(format!(
-            "{name}={raw:?} is malformed: expected 1 or 0 (or true/false)"
-        )),
-    }
-}
-
-/// Parse a comma-separated list variable; absent or empty → `default`.
-fn env_list<T: std::str::FromStr + Clone>(
-    get: &dyn Fn(&str) -> Option<String>,
-    name: &str,
-    default: &[T],
-    expected: &str,
-) -> Result<Vec<T>, String> {
-    let raw = match get(name) {
-        None => return Ok(default.to_vec()),
-        Some(raw) => raw,
-    };
-    let toks: Vec<&str> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .collect();
-    if toks.is_empty() {
-        return Ok(default.to_vec());
-    }
-    toks.iter()
-        .map(|t| {
-            t.parse()
-                .map_err(|_| format!("{name}={raw:?} is malformed: expected {expected}"))
-        })
-        .collect()
-}
-
-/// The loss-rate axis of the `fault_study` sweep: `NSCC_LOSS` as a
-/// comma-separated list of per-frame drop probabilities in `[0, 1)`.
-pub fn loss_rates_from_env() -> Vec<f64> {
-    let rates = env_list(
-        &env_lookup,
-        "NSCC_LOSS",
-        &[0.0, 0.01, 0.05],
-        "comma-separated probabilities in [0,1) (e.g. NSCC_LOSS=0.01,0.05)",
-    )
-    .unwrap_or_else(|e| die(&e));
-    if let Some(bad) = rates.iter().find(|p| !(0.0..1.0).contains(*p)) {
-        die(&format!(
-            "NSCC_LOSS contains {bad}: expected comma-separated probabilities in [0,1)"
-        ));
-    }
-    rates
-}
-
-/// The age-bound axis of the `fault_study` sweep: `NSCC_AGES` as a
-/// comma-separated list of `Global_Read` age bounds (iterations).
-pub fn ages_from_env() -> Vec<u64> {
-    env_list(
-        &env_lookup,
-        "NSCC_AGES",
-        &[0, 10, 30],
-        "comma-separated unsigned integers (e.g. NSCC_AGES=0,10,30)",
-    )
-    .unwrap_or_else(|e| die(&e))
-}
-
-/// The fault-plan override: `NSCC_FAULT_PLAN` as a path to a versioned
-/// fault-plan JSON document (the portable format hunt repros carry).
-/// Absent → `None` (the bin derives its own plan); present but
-/// unreadable or malformed → the one-line exit-2 contract, naming the
-/// path and the first parse error.
-pub fn fault_plan_from_env() -> Option<nscc_core::FaultPlan> {
-    let raw = env_lookup("NSCC_FAULT_PLAN")?;
-    let path = raw.trim();
-    if path.is_empty() {
-        die(&format!(
-            "NSCC_FAULT_PLAN={raw:?} is malformed: expected a path to a fault-plan JSON file"
-        ));
-    }
-    match nscc_core::FaultPlan::load(std::path::Path::new(path)) {
-        Ok(plan) => Some(plan),
-        Err(e) => die(&format!("NSCC_FAULT_PLAN: {e}")),
-    }
-}
-
-/// The coherence modes the GA bins should report: the `NSCC_MODES`
-/// restriction when set and non-empty, the full Figure-2 family
-/// otherwise. An unknown label is a hard error (exit 2) — a typo'd mode
-/// silently narrowing a sweep is worse than stopping.
-pub fn modes_from_env() -> Vec<Coherence> {
-    match parse_modes(&env_lookup) {
-        Ok(modes) => modes.unwrap_or_else(nscc_core::GaExperiment::default_modes),
-        Err(e) => die(&e),
-    }
-}
-
-/// Pure parsing core of [`modes_from_env`]. Exposed for tests.
-pub fn parse_modes(get: &dyn Fn(&str) -> Option<String>) -> Result<Option<Vec<Coherence>>, String> {
-    let raw = match get("NSCC_MODES") {
-        None => return Ok(None),
-        Some(raw) => raw,
-    };
-    let mut modes = Vec::new();
-    for tok in raw.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        match Coherence::parse(tok) {
-            Some(m) => modes.push(m),
-            None => {
-                return Err(format!(
-                    "NSCC_MODES contains unknown label {tok:?}: expected \
-                     comma-separated sync, async, or age=N"
-                ))
-            }
-        }
-    }
-    Ok((!modes.is_empty()).then_some(modes))
-}
-
-/// Whether the bin was asked (via `--all-functions`) to sweep the full
-/// eight-function GA test bed instead of the four cheapest.
-pub fn all_functions_flag() -> bool {
-    std::env::args().any(|a| a == "--all-functions")
-}
-
-/// Checkpoint/resume options for the sweep bins, read from the
-/// environment (see module docs).
+/// Checkpoint/resume options for the sweeps (`--ckpt-dir`, `--resume`,
+/// `--ckpt-exit-after`).
 #[derive(Debug, Clone, Default)]
 pub struct ResumeOpts {
-    /// Checkpoint directory (`NSCC_CKPT_DIR`); `None` disables
-    /// checkpointing entirely.
+    /// Checkpoint directory; `None` disables checkpointing entirely.
     pub dir: Option<String>,
-    /// Reuse cells already in the store (`NSCC_RESUME` or `--resume`)
-    /// instead of clearing them.
+    /// Reuse cells already in the store instead of clearing them.
     pub resume: bool,
     /// Exit with code 3 after this many cells have been computed and
-    /// checkpointed by this process (`NSCC_CKPT_EXIT_AFTER`; testing
-    /// hook simulating a mid-sweep kill).
+    /// checkpointed by this process (testing hook simulating a mid-sweep
+    /// kill).
     pub exit_after: Option<u64>,
 }
 
 impl ResumeOpts {
-    /// Parse the options; `resume_arg` is whether `--resume` was on the
-    /// command line.
-    pub fn parse(
-        get: &dyn Fn(&str) -> Option<String>,
-        resume_arg: bool,
+    /// The options, or an error when `--resume` or `--ckpt-exit-after`
+    /// is given without a directory: a resume that silently runs cold is
+    /// worse than stopping.
+    pub fn new(
+        dir: Option<String>,
+        resume: bool,
+        exit_after: Option<u64>,
     ) -> Result<ResumeOpts, String> {
-        let dir = get("NSCC_CKPT_DIR")
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty());
-        let resume = env_flag(get, "NSCC_RESUME")? || resume_arg;
-        let exit_after = env_opt_num(
-            get,
-            "NSCC_CKPT_EXIT_AFTER",
-            "a positive integer (e.g. NSCC_CKPT_EXIT_AFTER=2)",
-        )?;
         if dir.is_none() && (resume || exit_after.is_some()) {
-            return Err(
-                "NSCC_RESUME/NSCC_CKPT_EXIT_AFTER require NSCC_CKPT_DIR to be set".to_string(),
-            );
+            return Err("--resume and --ckpt-exit-after need --ckpt-dir".to_string());
         }
         Ok(ResumeOpts {
             dir,
@@ -563,6 +293,100 @@ impl ResumeOpts {
             exit_after,
         })
     }
+}
+
+/// The argument reader `nscc run` hands its flags through: each flag is
+/// taken by name, so whatever is left over can be refused.
+pub trait Flags {
+    /// Take the bare flag `name`: whether it was given.
+    fn flag(&mut self, name: &str) -> bool;
+    /// Take `name` and its value: the value, if the flag was given.
+    fn value(&mut self, name: &str) -> Option<String>;
+}
+
+/// `name`'s value parsed as a `T` that `ok` accepts, `None` when the flag
+/// is not given; anything else is an error naming the flag and the
+/// `expected` format.
+pub fn parsed<T: FromStr>(
+    f: &mut impl Flags,
+    name: &str,
+    ok: fn(&T) -> bool,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    let Some(raw) = f.value(name) else {
+        return Ok(None);
+    };
+    match raw.parse() {
+        Ok(v) if ok(&v) => Ok(Some(v)),
+        _ => Err(format!("{name} {raw:?} is malformed: expected {expected}")),
+    }
+}
+
+/// Every setting of `nscc run` taken from `f`, each at its default where
+/// its flag is not given. The first malformed value, in the order of
+/// [`Scale`]'s fields, is an error naming its flag.
+pub fn settings(f: &mut impl Flags) -> Result<(Scale, ResumeOpts), String> {
+    let d = Scale::default();
+    let positive = |n: &u64| *n > 0;
+    let path = |p: &String| !p.is_empty();
+    let scale = Scale {
+        runs: (parsed(f, "--runs", |n: &usize| *n > 0, "a positive integer")?).unwrap_or(d.runs),
+        generations: (parsed(f, "--gens", positive, "a positive integer")?)
+            .unwrap_or(d.generations),
+        ci: (parsed(f, "--ci", |c: &f64| *c > 0.0, "a positive decimal")?).unwrap_or(d.ci),
+        seed: (parsed(f, "--seed", |_| true, "an unsigned integer")?).unwrap_or(d.seed),
+        json: f.flag("--json"),
+        trace: f.flag("--trace"),
+        snap_ms: (parsed(f, "--snap-ms", |_| true, "an unsigned millisecond count")?)
+            .unwrap_or(d.snap_ms),
+        mailbox_warn: parsed(f, "--mailbox-warn", positive, "a positive integer")?,
+        folded: parsed(f, "--folded", path, "a file path")?,
+        live: parsed(
+            f,
+            "--live",
+            |_: &LiveTarget| true,
+            "a file path or an open descriptor",
+        )?,
+        wall: f.flag("--wall"),
+        audit: f.flag("--audit"),
+        flight: parsed(f, "--flight", positive, "a positive integer of events")?,
+        inject_stale: (parsed(f, "--inject-stale", |_| true, "an unsigned integer")?)
+            .unwrap_or(d.inject_stale),
+        staleness: f.flag("--staleness"),
+        modes: (parsed(
+            f,
+            "--modes",
+            |l: &List<Coherence>| !l.0.is_empty(),
+            "comma-separated sync, async or age=N",
+        )?)
+        .map_or(d.modes, |l| l.0),
+        all_functions: f.flag("--all-functions"),
+        losses: (parsed(
+            f,
+            "--loss",
+            |l: &List<f64>| !l.0.is_empty() && l.0.iter().all(|p| (0.0..1.0).contains(p)),
+            "comma-separated probabilities in [0,1)",
+        )?)
+        .map_or(d.losses, |l| l.0),
+        ages: (parsed(
+            f,
+            "--ages",
+            |l: &List<u64>| !l.0.is_empty(),
+            "comma-separated integers",
+        )?)
+        .map_or(d.ages, |l| l.0),
+        fault_plan: match parsed(f, "--fault-plan", path, "a fault-plan JSON file")? {
+            Some(p) => Some(
+                FaultPlan::load(std::path::Path::new(&p))
+                    .map_err(|e| format!("--fault-plan: {e}"))?,
+            ),
+            None => None,
+        },
+    };
+    let dir = parsed(f, "--ckpt-dir", path, "a directory")?;
+    let exit_after = parsed(f, "--ckpt-exit-after", positive, "a positive integer")?;
+    let resume = ResumeOpts::new(dir, f.flag("--resume"), exit_after)?;
+    Ok((scale, resume))
 }
 
 /// Per-cell checkpointing of a sweep: each completed cell is one
@@ -577,8 +401,9 @@ struct SweepCkpt {
 }
 
 impl SweepCkpt {
-    /// Open the store for bench `name` under `opts.dir` (a per-binary
-    /// subdirectory, so one `NSCC_CKPT_DIR` serves several bins). `None`
+    /// Open the store for experiment `name` under `opts.dir` (a
+    /// per-experiment subdirectory, so one `--ckpt-dir` serves several).
+    /// `None`
     /// when checkpointing is disabled. A fresh (non-resume) run clears
     /// any stale generations first.
     fn from_opts(opts: &ResumeOpts, name: &str) -> Option<SweepCkpt> {
@@ -621,7 +446,7 @@ impl SweepCkpt {
 
     /// Persist a freshly computed `cell` (`t_ns`/`iters` are the cell's
     /// virtual completion time and per-node iteration vector, shown by
-    /// `nscc inspect --ckpt`). When `NSCC_CKPT_EXIT_AFTER` is reached the
+    /// `nscc inspect --ckpt`). When `--ckpt-exit-after` is reached the
     /// process exits with code 3 — the deterministic "kill" the resume CI
     /// job relies on.
     fn save_cell(&mut self, cell: u64, t_ns: u64, iters: &[u64], payload: &[u8]) {
@@ -632,8 +457,8 @@ impl SweepCkpt {
         if let Some(limit) = self.exit_after {
             if self.computed >= limit {
                 eprintln!(
-                    "NSCC_CKPT_EXIT_AFTER: exiting after {limit} checkpointed cell(s); \
-                     resume with NSCC_RESUME=1"
+                    "--ckpt-exit-after: exiting after {limit} checkpointed cell(s); \
+                     resume with --resume"
                 );
                 std::process::exit(3);
             }
@@ -641,9 +466,9 @@ impl SweepCkpt {
     }
 }
 
-/// Build the observability hub for a bench binary: snapshot cadence from
+/// Build the observability hub for an experiment: snapshot cadence from
 /// the scale (virtual-time milliseconds; 0 is the explicit "disabled"
-/// no-op), wall accounting when the feed or `NSCC_WALL` asks for it,
+/// no-op), wall accounting when the feed or `--wall` asks for it,
 /// everything else at defaults.
 fn make_hub(scale: &Scale) -> Hub {
     let hub = Hub::new();
@@ -663,7 +488,7 @@ fn make_hub(scale: &Scale) -> Hub {
     hub
 }
 
-/// Attach the live telemetry feed to `hub` when `NSCC_LIVE` is set (no-op
+/// Attach the live telemetry feed to `hub` when `--live` is given (no-op
 /// otherwise). Only the main hub carries it — per-cell checkpoint hubs
 /// must not each reopen the feed.
 fn attach_live(scale: &Scale, hub: &Hub, bench: &str) {
@@ -674,21 +499,21 @@ fn attach_live(scale: &Scale, hub: &Hub, bench: &str) {
     let out: Box<dyn std::io::Write> = match target {
         LiveTarget::Path(path) => match std::fs::File::create(path) {
             Ok(f) => Box::new(f),
-            Err(e) => die(&format!("cannot open NSCC_LIVE path {path:?}: {e}")),
+            Err(e) => die(&format!("cannot open --live path {path:?}: {e}")),
         },
         LiveTarget::Fd(fd) => {
             #[cfg(unix)]
             {
                 use std::os::fd::FromRawFd;
                 // SAFETY: the caller handed us this descriptor via
-                // NSCC_LIVE precisely so we take ownership of it; nothing
+                // --live precisely so we take ownership of it; nothing
                 // else in the bench touches raw fds.
                 unsafe { Box::new(std::fs::File::from_raw_fd(*fd)) }
             }
             #[cfg(not(unix))]
             {
                 die(&format!(
-                    "NSCC_LIVE={fd} is a raw file descriptor, which only works on Unix; \
+                    "--live {fd} is a raw file descriptor, which only works on Unix; \
                      use a file path instead"
                 ));
             }
@@ -730,7 +555,7 @@ fn announce(path: &str, res: std::io::Result<()>) {
 }
 
 /// What one sweep cell contributes to a figure — the checkpoint unit of
-/// a resumable sweep, one type and one codec for every binary. Replaying
+/// a resumable sweep, one type and one codec for every experiment. Replaying
 /// stored cells in order reproduces the table, the metric set and every
 /// merged counter exactly.
 #[derive(Debug, Clone, Default, Snapshot)]
@@ -794,7 +619,7 @@ impl CellResult {
 /// that failed to converge in any cell — and the
 /// best-partial-over-best-competitor improvement (competitors: serial =
 /// 1, sync, async; NaN when no `age=N` mode is reported). Modes are
-/// matched by label, not position, so a restricted `NSCC_MODES` list
+/// matched by label, not position, so a restricted `--modes` list
 /// keeps the summary honest.
 pub fn panel_speedups(cells: &[&CellResult]) -> (Vec<f64>, f64) {
     let labels = &cells[0].labels;
@@ -839,7 +664,7 @@ pub fn speedup_cells(speedups: &[f64], improvement: f64) -> Vec<String> {
     row
 }
 
-/// One bench binary's run: the scale and checkpoint options it was
+/// One experiment's run: the scale and checkpoint options it was
 /// started with, the main hub (live feed and auditor attached), and the
 /// report [`finish`](Session::finish) stamps and writes.
 pub struct Session {
@@ -847,7 +672,7 @@ pub struct Session {
     pub scale: Scale,
     /// Checkpoint/resume options.
     pub resume: ResumeOpts,
-    /// The run report: binaries add params, metrics and their own
+    /// The run report: experiments add params, metrics and their own
     /// counters; `finish` adds the rest.
     pub report: RunReport,
     name: &'static str,
@@ -856,32 +681,12 @@ pub struct Session {
 }
 
 impl Session {
-    /// Open bench `name` from the environment and argv (`--json`,
-    /// `--trace`, `--resume`). A misspelled `NSCC_*` name or argument, or
-    /// a malformed value, exits 2 with a one-line error.
-    pub fn open(name: &'static str) -> Session {
-        let flag = |f: &str| std::env::args().any(|a| a == f);
-        let vars = std::env::vars_os().map(|(k, v)| {
-            let s = |o: std::ffi::OsString| o.to_string_lossy().into_owned();
-            (s(k), s(v))
-        });
-        let checked = check_args(std::env::args().skip(1)).and_then(|()| check_names(vars));
-        let parsed = checked.and_then(|()| {
-            Ok((
-                Scale::parse(&env_lookup)?,
-                ResumeOpts::parse(&env_lookup, flag("--resume"))?,
-            ))
-        });
-        let (mut scale, resume) = parsed.unwrap_or_else(|e| die(&e));
-        scale.json |= flag("--json");
-        scale.trace |= flag("--trace");
-        Session::new(name, scale, resume)
-    }
-
+    /// Open experiment `name`'s session on `scale` and `resume`: the
+    /// main hub, with the live feed and the auditor attached when asked.
     fn new(name: &'static str, scale: Scale, resume: ResumeOpts) -> Session {
         let hub = make_hub(&scale);
         attach_live(&scale, &hub, name);
-        // One auditor serves the whole bin: per-cell hubs tap into it too.
+        // One auditor serves the whole run: per-cell hubs tap into it too.
         let auditor = scale.audit.then(|| Arc::new(Auditor::new()));
         if let Some(a) = &auditor {
             hub.set_tap(a.clone());
@@ -910,11 +715,11 @@ impl Session {
             );
         }
         let hooks: Vec<String> = [
-            ("NSCC_CKPT_EXIT_AFTER", self.resume.exit_after),
-            ("NSCC_INJECT_STALE", Some(s.inject_stale).filter(|&n| n > 0)),
+            ("--ckpt-exit-after", self.resume.exit_after),
+            ("--inject-stale", Some(s.inject_stale).filter(|&n| n > 0)),
         ]
         .iter()
-        .filter_map(|(k, v)| v.map(|v| format!("{k}={v}")))
+        .filter_map(|(k, v)| v.map(|v| format!("{k} {v}")))
         .collect();
         if !hooks.is_empty() {
             let _ = writeln!(out, "armed test hooks: {}", hooks.join(" "));
@@ -928,8 +733,7 @@ impl Session {
         self.scale.wants_obs().then(|| self.hub.clone())
     }
 
-    /// The auditor's violation count so far (`None` without
-    /// `NSCC_AUDIT`).
+    /// The auditor's violation count so far (`None` without `--audit`).
     pub fn violations(&self) -> Option<u64> {
         self.auditor.as_ref().map(|a| a.violation_count())
     }
@@ -943,7 +747,7 @@ impl Session {
     /// Unwrap an experiment result; on a simulation error (deadlock —
     /// every live process blocked with nothing left to run) cut the
     /// flight dump from `hub`'s ring first, then exit 1. With
-    /// `NSCC_FLIGHT` set the ring holds the last events before the hang,
+    /// `--flight` the ring holds the last events before the hang,
     /// including the scheduler's per-process deadlock breadcrumbs.
     fn unwrap_or_flight<T>(&self, res: Result<T, SimError>, hub: &Hub) -> T {
         res.unwrap_or_else(|e| {
@@ -955,7 +759,7 @@ impl Session {
 
     /// Write `hub`'s flight ring (plus the auditor's recorded violations)
     /// as `FLIGHT_<name>.json` for `nscc postmortem`; no-op without
-    /// `NSCC_FLIGHT`.
+    /// `--flight`.
     fn write_flight(&self, hub: &Hub, reason: &str) {
         let Some(cap) = self.scale.flight else { return };
         let recorded = self.auditor.as_ref().map(|a| a.recorded());
@@ -976,7 +780,7 @@ impl Session {
     }
 
     /// A per-cell hub: the main hub's configuration, tapped into the
-    /// bin's one auditor, without the live feed.
+    /// run's one auditor, without the live feed.
     fn cell_hub(&self) -> Hub {
         let hub = make_hub(&self.scale);
         if let Some(a) = &self.auditor {
@@ -989,7 +793,7 @@ impl Session {
     /// order. `run` gets the cell and the hub to stream into (`None` when
     /// observability is off).
     ///
-    /// With `NSCC_CKPT_DIR` set each completed cell is checkpointed under
+    /// With `--ckpt-dir` given each completed cell is checkpointed under
     /// its index, a resumed run loads the stored cells instead of
     /// recomputing them, and every computed cell runs on its own hub, so
     /// a stored cell carries its own summary; [`finish`](Session::finish)
@@ -1036,11 +840,11 @@ impl Session {
     }
 
     /// Stamp the report and write every output, in one fixed order:
-    /// `BENCH_<name>.json` (with `NSCC_JSON`), the flight dump (when a
+    /// `BENCH_<name>.json` (with `--json`), the flight dump (when a
     /// monitor fired or a run was cut), `TRACE_<name>.json`, the folded
     /// profile, and the live feed's final line. `cells` is the sweep's
     /// result, whose counters are merged into the report (`None` for
-    /// binaries without a sweep).
+    /// experiments without a sweep).
     ///
     /// A checkpointed sweep's events live in per-cell hubs and only their
     /// summaries are stored, so its report carries the merged summaries
@@ -1089,7 +893,7 @@ impl Session {
         }
         if self.scale.trace && per_cell {
             eprintln!(
-                "note: NSCC_TRACE is unsupported with NSCC_CKPT_DIR (events live in \
+                "note: --trace is unsupported with --ckpt-dir (events live in \
                  per-cell hubs); no TRACE_{}.json written",
                 self.name
             );
@@ -1113,8 +917,8 @@ mod tests {
     use nscc_sim::SimTime;
 
     /// The hand-written plan `tools/offline/same_bytes.sh` hands
-    /// `fault_study` through `NSCC_FAULT_PLAN` reads, optional sections
-    /// and keys left out, as the plan the builder makes.
+    /// `fault_study` through `--fault-plan` reads, optional sections and
+    /// keys left out, as the plan the builder makes.
     #[test]
     fn committed_fault_plan_fixture_loads_as_built() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -1127,16 +931,6 @@ mod tests {
         assert_eq!(FaultPlan::load(&path), Ok(built));
     }
 
-    /// A fake environment for the pure parsers.
-    fn env<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |name| {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
     /// A session on `scale` outside any environment.
     fn session(scale: &Scale, resume: ResumeOpts) -> Session {
         Session::new("unit", scale.clone(), resume)
@@ -1144,133 +938,202 @@ mod tests {
 
     #[test]
     fn env_scale_defaults() {
-        let s = Scale::parse(&env(&[])).unwrap();
-        assert_eq!((s.runs, s.generations, s.seed), (3, 120, 42));
+        let s = Scale::default();
+        assert_eq!(
+            (s.runs, s.generations, s.seed, s.snap_ms),
+            (3, 120, 42, 100)
+        );
         assert!(s.ci > 0.0);
-        assert!(!s.json && !s.trace);
+        assert!(!s.json && !s.trace && !s.wants_obs());
+        assert_eq!(s.modes, nscc_core::GaExperiment::default_modes());
+        let p = Scale::paper();
+        assert_eq!((p.runs, p.generations, p.ci), (25, 1000, 0.01));
+    }
+
+    /// A command line for [`settings`], split on spaces.
+    struct Line(Vec<String>);
+
+    impl Flags for Line {
+        fn flag(&mut self, name: &str) -> bool {
+            let before = self.0.len();
+            self.0.retain(|a| a != name);
+            self.0.len() < before
+        }
+
+        fn value(&mut self, name: &str) -> Option<String> {
+            let i = self.0.iter().position(|a| a == name)?;
+            self.0.drain(i..i + 2).nth(1)
+        }
+    }
+
+    /// The settings `line` gives, or the error naming its bad flag.
+    fn read(line: &str) -> Result<Scale, String> {
+        let mut f = Line(line.split_whitespace().map(String::from).collect());
+        let (scale, _) = settings(&mut f)?;
+        assert!(f.0.is_empty(), "every flag taken: {:?}", f.0);
+        Ok(scale)
     }
 
     #[test]
     fn env_scale_reads_values_and_flags() {
-        let get = env(&[
-            ("NSCC_RUNS", "7"),
-            ("NSCC_JSON", "true"),
-            ("NSCC_CI", " 0.5 "),
-        ]);
-        let s = Scale::parse(&get).unwrap();
+        let s = read("--runs 7 --json --ci 0.5").unwrap();
         assert_eq!(s.runs, 7);
-        assert!(s.json);
+        assert!(s.json && !s.trace);
         assert_eq!(s.ci, 0.5);
+        assert_eq!((s.generations, s.seed), (120, 42), "the rest default");
+        let d = read("").unwrap();
+        assert_eq!((d.runs, d.ci, d.json), (3, 0.02, false));
     }
 
     #[test]
     fn malformed_env_names_the_variable_and_the_format() {
-        let e = Scale::parse(&env(&[("NSCC_GENS", "1OOO")])).unwrap_err();
-        assert!(e.contains("NSCC_GENS=\"1OOO\""), "{e}");
+        let e = read("--gens 1OOO").unwrap_err();
+        assert!(e.contains("--gens \"1OOO\""), "{e}");
         assert!(e.contains("positive integer"), "{e}");
-        let e = Scale::parse(&env(&[("NSCC_JSON", "yes")])).unwrap_err();
-        assert!(e.contains("NSCC_JSON"), "{e}");
-        assert!(e.contains("1 or 0"), "{e}");
+        let e = read("--loss 0.01,1.5").unwrap_err();
+        assert!(e.contains("--loss \"0.01,1.5\""), "{e}");
+        assert!(e.contains("[0,1)"), "{e}");
+        let e = read("--modes sync,bogus").unwrap_err();
+        assert!(e.contains("--modes"), "{e}");
+        let e = read("--resume").unwrap_err();
+        assert!(e.contains("--ckpt-dir"), "{e}");
+    }
+
+    #[test]
+    fn mailbox_warn_parses_and_rejects_junk() {
+        assert_eq!(read("").unwrap().mailbox_warn, None);
+        assert_eq!(read("--mailbox-warn 64").unwrap().mailbox_warn, Some(64));
+        let e = read("--mailbox-warn lots").unwrap_err();
+        assert!(e.contains("--mailbox-warn"), "{e}");
+    }
+
+    #[test]
+    fn audit_and_flight_env_parse_and_reject_junk() {
+        let s = read("").unwrap();
+        assert!(!s.audit);
+        assert_eq!(s.flight, None);
+        assert_eq!(s.inject_stale, 0);
+
+        let s = read("--audit").unwrap();
+        assert!(s.audit);
+        assert!(s.wants_obs(), "the auditor needs an attached hub");
+
+        let s = read("--flight 256").unwrap();
+        assert_eq!(s.flight, Some(256));
+        assert!(s.wants_obs(), "the flight ring needs an attached hub");
+        // Malformed values are hard errors, not silent defaults.
+        let e = read("--flight lots").unwrap_err();
+        assert!(e.contains("--flight \"lots\""), "{e}");
+        assert!(e.contains("positive integer"), "{e}");
+        for junk in ["0", "-5"] {
+            let e = read(&format!("--flight {junk}")).unwrap_err();
+            assert!(e.contains("--flight"), "{e}");
+        }
+
+        let s = read("--inject-stale 4").unwrap();
+        assert_eq!(s.inject_stale, 4);
+        assert!(s.wants_obs(), "stale injection is observe-gated");
+        let e = read("--inject-stale many").unwrap_err();
+        assert!(e.contains("--inject-stale"), "{e}");
     }
 
     #[test]
     fn unknown_nscc_names_are_rejected_and_every_read_name_is_accepted() {
-        let read = std::cell::RefCell::new(Vec::new());
-        let get = |name: &str| -> Option<String> {
-            read.borrow_mut().push(name.to_string());
-            None
-        };
-        Scale::parse(&get).unwrap();
-        ResumeOpts::parse(&get, false).unwrap();
-        parse_modes(&get).unwrap();
-        let names = read.into_inner();
-        assert!(names.len() >= 18, "{names:?}");
         let one = |name: &str| [(name.to_string(), "1".to_string())];
-        let others = [
-            "NSCC_LOSS",
-            "NSCC_AGES",
-            "NSCC_FAULT_PLAN",
-            "NSCC_PERF_ROOT",
-            "HOME",
-        ];
-        for name in names.iter().map(String::as_str).chain(others) {
+        for name in ["NSCC_PERF_ROOT", "NSCC_PERF_RUSTC", "HOME", "PATH"] {
             assert_eq!(check_names(one(name)), Ok(()), "{name}");
         }
-        let e = check_names([("NSCC_GENERATIONS".to_string(), "8".to_string())]).unwrap_err();
-        assert!(
-            e.starts_with("NSCC_GENERATIONS=\"8\" is not a variable"),
-            "{e}"
-        );
-        assert!(e.contains("NSCC_GENS"), "{e}");
-        assert!(
-            check_names(one("NSCC_PROFILE_US")).is_err(),
-            "a deleted option"
-        );
+        assert_eq!(check_names([]), Ok(()));
+        for name in ["NSCC_RUNS", "NSCC_JSON", "NSCC_GENERATIONS", "NSCC_"] {
+            let e = check_names(one(name)).unwrap_err();
+            assert!(e.starts_with(&format!("{name}=\"1\" is set")), "{e}");
+            assert!(e.contains("flags replace them"), "{e}");
+        }
     }
 
     #[test]
     fn unknown_arguments_are_rejected_and_every_read_flag_is_accepted() {
-        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let read = ["--json", "--trace", "--resume", "--all-functions"];
-        assert_eq!(check_args(args(&read)), Ok(()));
-        assert_eq!(check_args(args(&[])), Ok(()));
-        for wrong in ["--all-function", "--jsno", "report.json"] {
-            let e = check_args(args(&["--json", wrong])).unwrap_err();
-            assert!(
-                e.starts_with(&format!("{wrong:?} is not an argument")),
-                "{e}"
-            );
-            assert!(e.contains("--all-functions"), "{e}");
+        let all: Vec<&str> = EXPERIMENTS.iter().flat_map(Experiment::reads).collect();
+        let mut flags = all.clone();
+        flags.sort_unstable();
+        flags.dedup();
+        assert_eq!(flags.len(), 23, "one flag per setting: {flags:?}");
+        for e in &EXPERIMENTS {
+            assert_eq!(Experiment::find(e.name).map(|f| f.name), Some(e.name));
+            let reads: Vec<&str> = e.reads().collect();
+            assert!(reads.contains(&"--json") && reads.contains(&"--staleness"));
+            for wrong in ["--all-function", "--jsno", "report.json"] {
+                assert!(!reads.contains(&wrong), "{} {wrong}", e.name);
+            }
+        }
+        let fig2 = Experiment::find("fig2").expect("fig2");
+        assert!(fig2.reads().any(|f| f == "--modes"));
+        assert!(
+            !fig2.reads().any(|f| f == "--loss"),
+            "the chaos grid is fault_study's"
+        );
+        assert!(Experiment::find("fig5").is_none());
+    }
+
+    /// The flag table in the crate doc names, for each flag, exactly the
+    /// experiments that read it.
+    #[test]
+    fn the_flag_table_states_what_each_experiment_reads() {
+        let rows: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//! | `--"))
+            .collect();
+        assert_eq!(rows.len(), 23, "one row per flag");
+        for row in rows {
+            let cols: Vec<&str> = row.split(" | ").collect();
+            let flag = format!("--{}", cols[0].split([' ', '`']).next().unwrap_or(""));
+            let named: Vec<&str> = match cols[1] {
+                "all" => EXPERIMENTS.iter().map(|e| e.name).collect(),
+                names => names
+                    .split_whitespace()
+                    .map(|n| n.trim_matches('`'))
+                    .collect(),
+            };
+            let readers: Vec<&str> = (EXPERIMENTS.iter())
+                .filter(|e| e.reads().any(|f| f == flag))
+                .map(|e| e.name)
+                .collect();
+            assert_eq!(named, readers, "{flag}");
         }
     }
 
     #[test]
     fn modes_env_parses_labels_and_rejects_junk() {
-        let m = parse_modes(&env(&[("NSCC_MODES", "age=0, age=20")]))
-            .unwrap()
-            .expect("modes parse");
+        let m: List<Coherence> = "age=0, age=20".parse().expect("modes parse");
         assert_eq!(
-            m,
+            m.0,
             vec![
                 Coherence::PartialAsync { age: 0 },
                 Coherence::PartialAsync { age: 20 },
             ]
         );
-        assert!(parse_modes(&env(&[])).unwrap().is_none());
-        let e = parse_modes(&env(&[("NSCC_MODES", "age=0, bogus")])).unwrap_err();
+        let e = "age=0, bogus".parse::<List<Coherence>>().unwrap_err();
         assert!(e.contains("bogus"), "{e}");
-        assert!(e.contains("age=N"), "{e}");
     }
 
     #[test]
     fn list_env_parses_and_defaults() {
-        let v: Vec<f64> = env_list(&env(&[]), "NSCC_LOSS", &[0.5], "probabilities").unwrap();
-        assert_eq!(v, vec![0.5]);
-        let v: Vec<f64> =
-            env_list(&env(&[("NSCC_LOSS", "0.01, 0.05")]), "NSCC_LOSS", &[], "p").unwrap();
-        assert_eq!(v, vec![0.01, 0.05]);
-        let e =
-            env_list::<f64>(&env(&[("NSCC_LOSS", "0.01,x")]), "NSCC_LOSS", &[], "p").unwrap_err();
-        assert!(e.contains("NSCC_LOSS"), "{e}");
-    }
-
-    #[test]
-    fn mailbox_warn_parses_and_rejects_junk() {
-        assert_eq!(Scale::parse(&env(&[])).unwrap().mailbox_warn, None);
-        let s = Scale::parse(&env(&[("NSCC_MAILBOX_WARN", "64")])).unwrap();
-        assert_eq!(s.mailbox_warn, Some(64));
-        let e = Scale::parse(&env(&[("NSCC_MAILBOX_WARN", "lots")])).unwrap_err();
-        assert!(e.contains("NSCC_MAILBOX_WARN"), "{e}");
+        let s = Scale::default();
+        assert_eq!((s.losses, s.ages), (vec![0.0, 0.01, 0.05], vec![0, 10, 30]));
+        assert_eq!("0.01, 0.05".parse(), Ok(List(vec![0.01, 0.05])));
+        assert_eq!(
+            ",".parse(),
+            Ok(List::<f64>(vec![])),
+            "empty items are skipped"
+        );
+        assert!("0.01,x".parse::<List<f64>>().is_err());
     }
 
     #[test]
     fn folded_profile_parses_and_renders() {
-        let s = Scale::parse(&env(&[])).unwrap();
-        assert_eq!(s.folded, None);
+        let mut s = Scale::default();
         assert_eq!(make_hub(&s).profile_period(), 0);
-        assert!(!s.wants_obs());
-        let s = Scale::parse(&env(&[("NSCC_FOLDED", " out.folded ")])).unwrap();
-        assert_eq!(s.folded.as_deref(), Some("out.folded"));
+        s.folded = Some("out.folded".to_string());
         assert_eq!(make_hub(&s).profile_period(), 100_000, "100 virtual µs");
         assert!(s.wants_obs(), "a folded profile needs an attached hub");
 
@@ -1297,77 +1160,41 @@ mod tests {
 
     #[test]
     fn live_env_parses_paths_fds_and_rejects_junk() {
-        let s = Scale::parse(&env(&[])).unwrap();
-        assert_eq!(s.live, None);
-        assert!(!s.wall);
+        assert_eq!(
+            "live.ndjson".parse(),
+            Ok(LiveTarget::Path("live.ndjson".into()))
+        );
+        assert_eq!("3".parse(), Ok(LiveTarget::Fd(3)));
+        // Empty is malformed, not silently off; so is an fd-looking value
+        // too large for a descriptor.
+        assert!("".parse::<LiveTarget>().is_err());
+        assert!("99999999999999999999".parse::<LiveTarget>().is_err());
 
-        let s = Scale::parse(&env(&[("NSCC_LIVE", " live.ndjson ")])).unwrap();
-        assert_eq!(s.live, Some(LiveTarget::Path("live.ndjson".into())));
+        let s = Scale {
+            live: Some(LiveTarget::Path("live.ndjson".into())),
+            ..Scale::default()
+        };
         assert!(s.wants_obs(), "a live feed needs an attached hub");
-
-        let s = Scale::parse(&env(&[("NSCC_LIVE", "3")])).unwrap();
-        assert_eq!(s.live, Some(LiveTarget::Fd(3)));
-
-        // Empty value is malformed, not silently off.
-        let e = Scale::parse(&env(&[("NSCC_LIVE", "  ")])).unwrap_err();
-        assert!(e.contains("NSCC_LIVE"), "{e}");
-        assert!(e.contains("file descriptor"), "{e}");
-
-        // An fd-looking value too large for an fd is malformed.
-        let e = Scale::parse(&env(&[("NSCC_LIVE", "99999999999999999999")])).unwrap_err();
-        assert!(e.contains("NSCC_LIVE"), "{e}");
-
-        let s = Scale::parse(&env(&[("NSCC_WALL", "1")])).unwrap();
-        assert!(s.wall);
-        assert!(s.wants_obs(), "wall accounting needs an attached hub");
-        let e = Scale::parse(&env(&[("NSCC_WALL", "yes")])).unwrap_err();
-        assert!(e.contains("NSCC_WALL"), "{e}");
-    }
-
-    #[test]
-    fn audit_and_flight_env_parse_and_reject_junk() {
-        let s = Scale::parse(&env(&[])).unwrap();
-        assert!(!s.audit);
-        assert_eq!(s.flight, None);
-        assert_eq!(s.inject_stale, 0);
-
-        let s = Scale::parse(&env(&[("NSCC_AUDIT", "1")])).unwrap();
-        assert!(s.audit);
-        assert!(s.wants_obs(), "the auditor needs an attached hub");
-        let e = Scale::parse(&env(&[("NSCC_AUDIT", "on")])).unwrap_err();
-        assert!(e.contains("NSCC_AUDIT"), "{e}");
-
-        let s = Scale::parse(&env(&[("NSCC_FLIGHT", " 256 ")])).unwrap();
-        assert_eq!(s.flight, Some(256));
-        assert!(s.wants_obs(), "the flight ring needs an attached hub");
-        // Malformed values are hard errors, not silent defaults.
-        let e = Scale::parse(&env(&[("NSCC_FLIGHT", "lots")])).unwrap_err();
-        assert!(e.contains("NSCC_FLIGHT=\"lots\""), "{e}");
-        assert!(e.contains("positive integer"), "{e}");
-        let e = Scale::parse(&env(&[("NSCC_FLIGHT", "0")])).unwrap_err();
-        assert!(e.contains("NSCC_FLIGHT"), "{e}");
-        let e = Scale::parse(&env(&[("NSCC_FLIGHT", "-5")])).unwrap_err();
-        assert!(e.contains("NSCC_FLIGHT"), "{e}");
-
-        let s = Scale::parse(&env(&[("NSCC_INJECT_STALE", "4")])).unwrap();
-        assert_eq!(s.inject_stale, 4);
-        assert!(s.wants_obs(), "stale injection is observe-gated");
-        let e = Scale::parse(&env(&[("NSCC_INJECT_STALE", "many")])).unwrap_err();
-        assert!(e.contains("NSCC_INJECT_STALE"), "{e}");
+        let arms: [fn(&mut Scale); 4] = [
+            |s: &mut Scale| s.wall = true,
+            |s: &mut Scale| s.audit = true,
+            |s: &mut Scale| s.flight = Some(256),
+            |s: &mut Scale| s.inject_stale = 4,
+        ];
+        for arm in arms {
+            let mut s = Scale::default();
+            arm(&mut s);
+            assert!(s.wants_obs(), "{s:?} needs an attached hub");
+        }
     }
 
     #[test]
     fn staleness_env_arms_the_tracer_and_stamps_the_section() {
-        let s = Scale::parse(&env(&[])).unwrap();
-        assert!(!s.staleness);
+        let mut s = Scale::default();
         assert!(!make_hub(&s).staleness_enabled());
-
-        let s = Scale::parse(&env(&[("NSCC_STALENESS", "1")])).unwrap();
-        assert!(s.staleness);
+        s.staleness = true;
         assert!(s.wants_obs(), "the hop tracer needs an attached hub");
         assert!(make_hub(&s).staleness_enabled());
-        let e = Scale::parse(&env(&[("NSCC_STALENESS", "armed")])).unwrap_err();
-        assert!(e.contains("NSCC_STALENESS"), "{e}");
 
         // Untraced runs keep the section null; traced runs stamp the
         // main hub's anatomy, and checkpointed sweeps the cells' merged one.
@@ -1459,7 +1286,7 @@ mod tests {
         });
         assert!(
             hub.snapshots().is_empty(),
-            "NSCC_SNAP_MS=0 is an explicit disable"
+            "--snap-ms 0 is an explicit disable"
         );
         assert!(!hub.wants_wall());
 
@@ -1475,27 +1302,18 @@ mod tests {
 
     #[test]
     fn resume_opts_parse() {
-        let o = ResumeOpts::parse(&env(&[]), false).unwrap();
+        let o = ResumeOpts::new(None, false, None).unwrap();
         assert!(o.dir.is_none() && !o.resume && o.exit_after.is_none());
-        let o = ResumeOpts::parse(
-            &env(&[
-                ("NSCC_CKPT_DIR", "ck"),
-                ("NSCC_RESUME", "1"),
-                ("NSCC_CKPT_EXIT_AFTER", "2"),
-            ]),
-            false,
-        )
-        .unwrap();
+        let o = ResumeOpts::new(Some("ck".to_string()), true, Some(2)).unwrap();
         assert_eq!(o.dir.as_deref(), Some("ck"));
         assert!(o.resume);
         assert_eq!(o.exit_after, Some(2));
-        // --resume argument also turns resume on.
-        let o = ResumeOpts::parse(&env(&[("NSCC_CKPT_DIR", "ck")]), true).unwrap();
-        assert!(o.resume);
         // Resume without a directory is a configuration error, not a
-        // silent cold run.
-        let e = ResumeOpts::parse(&env(&[("NSCC_RESUME", "1")]), false).unwrap_err();
-        assert!(e.contains("NSCC_CKPT_DIR"), "{e}");
+        // silent cold run; so is the kill hook.
+        for (resume, exit_after) in [(true, None), (false, Some(2))] {
+            let e = ResumeOpts::new(None, resume, exit_after).unwrap_err();
+            assert!(e.contains("--ckpt-dir"), "{e}");
+        }
     }
 
     #[test]
@@ -1549,7 +1367,7 @@ mod tests {
         };
         assert_eq!(
             session(&scale, resume).banner("T", false),
-            "=== T ===\narmed test hooks: NSCC_CKPT_EXIT_AFTER=3 NSCC_INJECT_STALE=2\n"
+            "=== T ===\narmed test hooks: --ckpt-exit-after 3 --inject-stale 2\n"
         );
     }
 

@@ -86,7 +86,7 @@ pub struct GaExperiment {
     /// Deliberate coherence sabotage for audit-pipeline validation: each
     /// node releases its first `inject_stale` would-block `Global_Read`s
     /// immediately with whatever stale value it has cached, violating the
-    /// age bound on purpose (`NSCC_INJECT_STALE`). The emitted `ReadDone`
+    /// age bound on purpose (`nscc run --inject-stale`). The emitted `ReadDone`
     /// carries the true (excess) staleness, so the audit layer's
     /// staleness monitor must flag every injected release. 0 disables.
     pub inject_stale: u64,

@@ -17,7 +17,7 @@
 //!   frame loss/duplication/delay, degradation windows, node crashes and
 //!   partitions, with runs that wedge cut by a watchdog into structured
 //!   [`FaultReport`]s instead of hung sweeps.
-//! * [`fmt`] — plain-text table rendering shared by the bench binaries.
+//! * [`fmt`] — plain-text table rendering shared by the experiments.
 
 #![warn(missing_docs)]
 

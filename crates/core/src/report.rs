@@ -4,9 +4,8 @@
 //! produced — experiment parameters, headline metrics, aggregate
 //! [`DsmStats`], [`NetStats`] and [`CommStats`], and the observability
 //! hub's [`HubSummary`] (histograms, warp distribution, event counters) —
-//! into one serializable document. The bench binaries write it as
-//! `BENCH_<name>.json` next to the working directory when `NSCC_JSON=1`
-//! (or `--json`) is set, so sweeps can be diffed and plotted without
+//! into one serializable document. `nscc run` writes it as
+//! `BENCH_<name>.json` into the working directory with `--json`, so sweeps can be diffed and plotted without
 //! scraping stdout tables.
 
 use std::collections::BTreeMap;
@@ -59,13 +58,13 @@ pub struct RunReport {
     /// Wall-clock scheduler self-accounting ([`nscc_obs::SchedSummary`]):
     /// events/sec throughput, park/unpark counts, per-process executing
     /// vs. parked time. Real host-clock numbers, so nondeterministic —
-    /// populated only on explicit request (`NSCC_WALL=1`) and serialized
+    /// populated only on explicit request (`--wall`) and serialized
     /// as `null` otherwise, keeping same-seed reports byte-identical.
     pub wall: Option<nscc_obs::SchedSummary>,
     /// The online coherence auditor's findings
     /// ([`nscc_audit::AuditSummary`]): per-monitor checked/violation
     /// counts plus the first recorded violations. Populated only when the
-    /// auditor ran (`NSCC_AUDIT=1`) and serialized as `null` otherwise —
+    /// auditor ran (`--audit`) and serialized as `null` otherwise —
     /// monitors-on runs stay byte-identical to monitors-off runs outside
     /// this one section.
     pub audit: Option<nscc_audit::AuditSummary>,
@@ -74,7 +73,7 @@ pub struct RunReport {
     /// histograms (wait/publish/transit/fault/retrans/queue/apply), broken
     /// down by location and by writer→reader link, plus conservation
     /// counters and Perfetto flow bookkeeping. Populated only when the
-    /// tracer was armed (`NSCC_STALENESS=1`) and serialized as `null`
+    /// tracer was armed (`--staleness`) and serialized as `null`
     /// otherwise — tracer-on runs stay byte-identical to tracer-off runs
     /// outside this one section.
     pub staleness: Option<nscc_obs::StalenessSummary>,

@@ -50,10 +50,14 @@ impl Coherence {
             Coherence::PartialAsync { age } => format!("age={age}"),
         }
     }
+}
 
-    /// Parse a [`Coherence::label`] string back into a mode (`sync`,
-    /// `async`, `age=N`), e.g. for the `NSCC_MODES` environment variable.
-    pub fn parse(label: &str) -> Option<Coherence> {
+/// Parse a [`Coherence::label`] string back into a mode (`sync`, `async`,
+/// `age=N`), e.g. for `nscc run`'s `--modes` list.
+impl std::str::FromStr for Coherence {
+    type Err = String;
+
+    fn from_str(label: &str) -> Result<Coherence, String> {
         match label.trim() {
             "sync" => Some(Coherence::Synchronous),
             "async" => Some(Coherence::ASYNC),
@@ -62,6 +66,7 @@ impl Coherence {
                 .and_then(|n| n.parse().ok())
                 .map(|age| Coherence::PartialAsync { age }),
         }
+        .ok_or_else(|| format!("unknown coherence label {label:?}"))
     }
 }
 
@@ -90,19 +95,19 @@ mod tests {
             Coherence::PartialAsync { age: 0 },
             Coherence::PartialAsync { age: 30 },
         ] {
-            assert_eq!(Coherence::parse(&mode.label()), Some(mode));
+            assert_eq!(mode.label().parse().ok(), Some(mode));
         }
         assert_eq!(
-            Coherence::parse(" age=5 "),
+            " age=5 ".parse().ok(),
             Some(Coherence::PartialAsync { age: 5 })
         );
         // Age ∞ is the asynchronous mode, and it prints as `async`.
-        let unbounded = Coherence::parse("age=18446744073709551615");
+        let unbounded: Option<Coherence> = "age=18446744073709551615".parse().ok();
         assert_eq!(unbounded, Some(Coherence::ASYNC));
         assert_eq!(unbounded.map(Coherence::label).as_deref(), Some("async"));
-        assert_eq!(Coherence::parse("age="), None);
-        assert_eq!(Coherence::parse("age=x"), None);
-        assert_eq!(Coherence::parse("serial"), None);
+        assert!("age=".parse::<Coherence>().is_err());
+        assert!("age=x".parse::<Coherence>().is_err());
+        assert!("serial".parse::<Coherence>().is_err());
     }
 
     #[test]

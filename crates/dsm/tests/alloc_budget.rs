@@ -7,7 +7,9 @@
 //!
 //! This file holds a single test on purpose: the counter is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,32 +17,6 @@ use nscc_dsm::{Directory, DsmWorld};
 use nscc_msg::MsgConfig;
 use nscc_net::{IdealMedium, Network};
 use nscc_sim::{SimBuilder, SimTime};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const RANKS: usize = 8;
 const WARMUP: u64 = 16;
@@ -72,7 +48,7 @@ fn a_round_allocates_the_value_once() {
         let mut start = 0;
         for iter in 1..=WARMUP + MEASURED {
             if iter == WARMUP + 1 {
-                start = ALLOCS.load(Ordering::Relaxed);
+                start = counting::total();
             }
             writer.write(ctx, loc, vec![vec![iter as u8; 16]; 32], iter);
             // Every reader finishes this round (1 ms away) before the
@@ -80,7 +56,7 @@ fn a_round_allocates_the_value_once() {
             // order, so the window below covers whole rounds only.
             ctx.advance(SimTime::from_millis(10));
         }
-        out.store(ALLOCS.load(Ordering::Relaxed) - start, Ordering::Relaxed);
+        out.store(counting::total() - start, Ordering::Relaxed);
     });
     for r in 1..RANKS {
         let mut reader = world.node(r);

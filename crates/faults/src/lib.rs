@@ -210,7 +210,8 @@ pub struct PartitionWindow {
 /// assert!(!plan.is_noop());
 /// ```
 ///
-/// Its JSON document (`NSCC_FAULT_PLAN=<path>`, and the `plan` of a hunt
+/// Its JSON document (`nscc run fault_study --fault-plan <path>`, and the
+/// `plan` of a hunt
 /// repro) is this declaration: every section is written, and all but
 /// `schema` and `seed` may be left out of a hand-written plan.
 #[derive(Debug, Clone, Default, PartialEq, ToJson, FromJson)]

@@ -1,6 +1,6 @@
 //! The fault plan's JSON document — the portable half of the repro
 //! format shared by `nscc-hunt` repros and hand-written
-//! `NSCC_FAULT_PLAN=<path>` plans — and the shrinker's mutation hooks.
+//! `--fault-plan <path>` plans — and the shrinker's mutation hooks.
 //!
 //! The document is `#[derive(ToJson, FromJson)]` on [`FaultPlan`] and its
 //! section types: one canonical compact form (every section present, keys
@@ -67,14 +67,13 @@ impl FaultPlan {
 
     /// Parse a plan from its JSON document. Strict: unsupported schema
     /// versions, unknown or repeated keys, wrong types and trailing
-    /// garbage are all errors (callers honoring the NSCC_* convention exit
-    /// 2 on `Err`). Optional sections (`base`, `links`, …) may be omitted
+    /// garbage are all errors (callers exit 2 on `Err`). Optional sections (`base`, `links`, …) may be omitted
     /// entirely.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         decode(text)
     }
 
-    /// Read a plan from a JSON file (the `NSCC_FAULT_PLAN` loader).
+    /// Read a plan from a JSON file (the `--fault-plan` loader).
     pub fn load(path: &std::path::Path) -> Result<FaultPlan, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         FaultPlan::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))

@@ -17,10 +17,11 @@
 //! cancels. This file holds a single test on purpose: the counter is
 //! process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
+
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,36 +35,10 @@ use nscc_msg::MsgConfig;
 use nscc_net::{IdealMedium, Network};
 use nscc_sim::{SimBuilder, SimTime};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::total();
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (counting::total() - before, out)
 }
 
 const SHORT: u64 = 200;

@@ -164,8 +164,8 @@ impl Repro {
         out
     }
 
-    /// Strict parse of a repro document (the reading half of the NSCC_*
-    /// exit-2 convention: callers treat `Err` as a hard error), then the
+    /// Strict parse of a repro document (callers treat `Err` as a hard
+    /// error and exit 2), then the
     /// checks a scenario must pass to run at all.
     pub fn from_json(text: &str) -> Result<Repro, String> {
         let repro: Repro = decode(text)?;

@@ -35,7 +35,7 @@ pub struct MsgConfig {
     pub reliable: Option<ReliableConfig>,
     /// Mailbox depth at which a one-shot backpressure warning fires per
     /// rank (stderr line + `MailboxHigh` obs event). `None` disables.
-    /// Bench bins set this from `NSCC_MAILBOX_WARN`.
+    /// `nscc run` sets this from `--mailbox-warn`.
     pub mailbox_warn: Option<u64>,
 }
 

@@ -7,38 +7,12 @@
 //!
 //! This file holds a single test on purpose: the counter is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../../tests/support/counting.rs"]
+mod counting;
 
 use nscc_msg::{CommWorld, MsgConfig, ReliableConfig};
 use nscc_net::{DropReason, Medium, MediumStats, Network, NodeId, Transmission, Verdict};
 use nscc_sim::{SimBuilder, SimTime};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// A 1 ms link that loses `drop_in_256`/256 of its data frames on a
 /// SplitMix stream; acks (anything no bigger than `ReliableConfig`'s
@@ -121,9 +95,9 @@ fn run(drop_in_256: u64, msgs: u64) -> (u64, u64) {
         "rx",
         move |ctx| while rx.recv_deadline(ctx, end).is_some() {},
     );
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::total();
     sim.run().unwrap();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting::total() - before;
     let stats = world.stats();
     (allocs, stats.sent + stats.retransmits)
 }

@@ -272,7 +272,7 @@ pub enum ObsEvent {
         retrans_ns: u64,
     },
     /// A mailbox's queue depth crossed its configured warn threshold
-    /// (`NSCC_MAILBOX_WARN`) — backpressure is building.
+    /// (`nscc run --mailbox-warn`) — backpressure is building.
     MailboxHigh {
         /// Crossing time (virtual ns of the receive that noticed it).
         t_ns: u64,

@@ -61,7 +61,7 @@ pub trait EventSink {
     fn on_event(&self, ev: &ObsEvent);
 
     /// Called at each program (run) boundary when one hub observes many
-    /// back-to-back programs, as sweep bins do. Sinks tracking
+    /// back-to-back programs, as sweeps do. Sinks tracking
     /// per-program state (barrier epochs, sequence dedup, write
     /// watermarks) reset it here.
     fn on_run_boundary(&self) {}
@@ -440,7 +440,7 @@ impl Hub {
         self.inner.state.borrow().tap.is_some()
     }
 
-    /// Mark a program (run) boundary: sweep bins that observe many
+    /// Mark a program (run) boundary: sweeps that observe many
     /// back-to-back programs through one hub call this at each run start
     /// so the attached tap can reset per-program monitor state. A no-op
     /// without a tap.
@@ -764,7 +764,7 @@ impl Hub {
     }
 
     /// The anatomy aggregates as a serializable report section. Callers
-    /// decide `null`-ness: bench bins embed this only when the tracer was
+    /// decide `null`-ness: `nscc run` embeds this only when the tracer was
     /// armed, keeping tracer-off report bytes identical.
     pub fn staleness_summary(&self) -> StalenessSummary {
         let st = self.inner.state.borrow();
@@ -996,7 +996,7 @@ impl HubSummary {
     /// exactly, snapshot series concatenate in order. The warp summary is
     /// a distribution digest, so its merge is approximate — sample counts
     /// add, the mean is sample-weighted, and p50/p95/max take the
-    /// pairwise max (pessimistic but deterministic). Used by sweep bins
+    /// pairwise max (pessimistic but deterministic). Used by sweeps
     /// that run each cell on its own hub and need one report-level
     /// aggregate that is identical whether the sweep ran straight through
     /// or was resumed from a checkpoint.
@@ -1213,7 +1213,7 @@ pub struct StalenessSummary {
 }
 
 impl StalenessSummary {
-    /// Fold another summary in (sweep bins merge per-cell sections).
+    /// Fold another summary in (sweeps merge per-cell sections).
     pub fn merge(&mut self, other: &StalenessSummary) {
         self.released += other.released;
         self.conservation_checked += other.conservation_checked;

@@ -3,7 +3,7 @@
 //!
 //! Everything else the hub produces is post-mortem — you learn what a run
 //! did after it ends. When a sink is attached ([`crate::hub::Hub::set_live`],
-//! wired to `NSCC_LIVE=<path|fd>` by the bench harness), each periodic
+//! wired to `nscc run --live <path|fd>` by the bench harness), each periodic
 //! [`MetricSnapshot`] additionally goes out, as it is cut, as one JSON
 //! line a dashboard (`nscc top`) can tail while the run is still going.
 //!

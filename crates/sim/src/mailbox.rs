@@ -40,7 +40,7 @@ impl<T> Inner<T> {
                 self.warn_pending = Some(depth);
                 eprintln!(
                     "warning: mailbox `{name}` depth {depth} crossed warn \
-                     threshold {warn} (NSCC_MAILBOX_WARN) — receiver is \
+                     threshold {warn} (--mailbox-warn) — receiver is \
                      falling behind"
                 );
             }

@@ -12,7 +12,7 @@
 //!
 //! * [`ckpt`] — deterministic, versioned snapshots: the `Snapshot`
 //!   binary encoding, checksummed frames, and on-disk generation stores
-//!   behind crash recovery and resumable sweeps (`NSCC_CKPT_DIR`).
+//!   behind crash recovery and resumable sweeps (`nscc run --ckpt-dir`).
 //! * [`obs`] — the unified observability layer: structured events,
 //!   staleness/block/delay histograms, warp timelines, span traces and
 //!   Perfetto export.

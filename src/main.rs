@@ -1,7 +1,10 @@
-//! `nscc` — the one command-line front door: run-report analysis, the
-//! perf regression gate, and the robustness hunt.
+//! `nscc` — the one command-line front door: the paper's experiments,
+//! run-report analysis, the perf regression gate, and the robustness
+//! hunt.
 //!
-//! The report subcommands render through `nscc-analyze`; `hunt`,
+//! `run` runs one of `nscc-bench`'s experiments in-process, its settings
+//! given as flags (the flag table is `nscc-bench`'s crate doc). The
+//! report subcommands render through `nscc-analyze`; `hunt`,
 //! `shrink` and `replay` run `nscc-hunt` in-process. `hunt` runs `N`
 //! generated trials (same seed + budget → identical findings, regardless
 //! of worker count), then delta-debugs up to `K` findings (default 5) to
@@ -15,8 +18,9 @@
 //! value or a malformed number prints `nscc <cmd>: <msg>` and the usage
 //! text, then exits 2.
 //!
-//! Exit codes: 0 success/pass, 1 regression/violation/divergence, 2
-//! usage or config error.
+//! Exit codes: 0 success/pass, 1 regression/violation/divergence or a
+//! failed run, 2 usage or config error, 3 a sweep stopped by
+//! `--ckpt-exit-after`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -26,12 +30,14 @@ use nscc_analyze::{
     anatomy, audit, diff, drill, follow, gate_all, heat, inspect, inspect_ckpt_dir, postmortem,
     top_file, trend_dir, trend_files, update_baselines, why, GateConfig, Report, TrendConfig,
 };
+use nscc_bench::{check_names, parsed, settings, Experiment, Flags, EXPERIMENTS};
 use nscc_hunt::{hunt, shrink, Envelope, HuntConfig, Repro};
 
 const USAGE: &str = "\
-nscc — NSCC run analysis
+nscc — NSCC experiments and run analysis
 
 usage:
+  nscc run <EXPERIMENT> [FLAG...]
   nscc inspect <FILE...>
   nscc inspect --ckpt <DIR>
   nscc diff <OLD> <NEW>
@@ -48,13 +54,19 @@ usage:
   nscc shrink <repro.json> [--out PATH]
   nscc replay <file-or-dir>...
 
-Artifacts are the BENCH_*.json run reports (NSCC_JSON=1), TRACE_*.json
-event dumps (NSCC_TRACE=1), FLIGHT_*.json flight-recorder dumps (cut
-from the NSCC_FLIGHT ring when a monitored run fails), NSCC_CKPT_DIR
-checkpoint stores and NSCC_LIVE telemetry feeds written by the bench
-binaries; trend points are numbered report copies (BENCH_<name>.<seq>
-.json, e.g. under runs/).
-Exit codes: 0 pass, 1 regression/violation, 2 usage/config error.
+EXPERIMENT is table1, table2, fig2, fig3, fig4, fault_study, warp_study or
+drill. FLAG is one of --json --trace --snap-ms MS --folded PATH --live
+PATH|FD --wall --audit --flight N --staleness --runs N --gens N --ci X
+--seed S --mailbox-warn N --modes LIST --all-functions --loss LIST --ages
+LIST --fault-plan PATH --inject-stale N --ckpt-dir DIR --resume
+--ckpt-exit-after N; an experiment takes only the flags it reads (the
+table is in `cargo doc -p nscc-bench`). The other subcommands read what a
+run writes: BENCH_*.json reports (--json), TRACE_*.json event dumps
+(--trace), FLIGHT_*.json flight dumps (--flight), checkpoint stores
+(--ckpt-dir) and live feeds (--live); trend points are numbered report
+copies (BENCH_<name>.<seq>.json, e.g. under runs/).
+Exit codes: 0 pass, 1 regression/violation/failed run, 2 usage/config
+error, 3 --ckpt-exit-after reached.
 ";
 
 fn main() -> ExitCode {
@@ -68,6 +80,7 @@ fn main() -> ExitCode {
         rest: argv.collect(),
     };
     ExitCode::from(match cmd.as_str() {
+        "run" => cmd_run(a),
         "inspect" => cmd_inspect(a),
         "diff" => cmd_diff(a),
         "heat" => each_report(a, false, |r| (heat(r), 0)),
@@ -111,6 +124,30 @@ impl Args {
         std::process::exit(2)
     }
 
+    /// `name`'s value parsed as a `T` that `ok` accepts; anything else
+    /// fails naming the `expected` format.
+    fn num<T: FromStr>(&mut self, name: &str, ok: fn(&T) -> bool, expected: &str) -> Option<T> {
+        parsed(self, name, ok, expected).unwrap_or_else(|e| self.fail(e))
+    }
+
+    /// What is left once every flag is taken; a leftover flag is unknown.
+    fn positionals(&mut self) -> Vec<String> {
+        if let Some(flag) = self.rest.iter().find(|a| a.starts_with('-')) {
+            self.fail(format_args!("unknown flag `{flag}`"));
+        }
+        std::mem::take(&mut self.rest)
+    }
+
+    /// Exactly one positional, or fail naming what was `wanted`.
+    fn one(&mut self, wanted: &str) -> String {
+        match <[String; 1]>::try_from(self.positionals()) {
+            Ok([p]) => p,
+            Err(_) => self.fail(format_args!("expected exactly one {wanted}")),
+        }
+    }
+}
+
+impl Flags for Args {
     /// Whether the bare flag `name` was given.
     fn flag(&mut self, name: &str) -> bool {
         let before = self.rest.len();
@@ -129,34 +166,42 @@ impl Args {
         }
         last
     }
+}
 
-    /// `name`'s value parsed as a `T` that `ok` accepts; anything else
-    /// fails naming the `expected` format.
-    fn num<T: FromStr>(&mut self, name: &str, ok: fn(&T) -> bool, expected: &str) -> Option<T> {
-        let raw = self.value(name)?;
-        match raw.parse() {
-            Ok(v) if ok(&v) => Some(v),
-            _ => self.fail(format_args!(
-                "{name} {raw:?} is malformed: expected {expected}"
-            )),
-        }
+/// `nscc run <EXPERIMENT> [FLAG...]`: read the settings from the flags
+/// and run the experiment. A flag it does not read is a usage error.
+fn cmd_run(mut a: Args) -> u8 {
+    let vars = std::env::vars_os().map(|(k, v)| {
+        let s = |o: std::ffi::OsString| o.to_string_lossy().into_owned();
+        (s(k), s(v))
+    });
+    if let Err(e) = check_names(vars) {
+        die("run", e);
     }
-
-    /// What is left once every flag is taken; a leftover flag is unknown.
-    fn positionals(&mut self) -> Vec<String> {
-        if let Some(flag) = self.rest.iter().find(|a| a.starts_with('-')) {
-            self.fail(format_args!("unknown flag `{flag}`"));
-        }
-        std::mem::take(&mut self.rest)
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let name = match a.rest.first() {
+        Some(n) if !n.starts_with('-') => a.rest.remove(0),
+        _ => a.fail(format_args!("expected an experiment: {}", names.join(" "))),
+    };
+    let exp = Experiment::find(&name).unwrap_or_else(|| {
+        a.fail(format_args!(
+            "unknown experiment `{name}`: expected one of {}",
+            names.join(" ")
+        ))
+    });
+    let reads: Vec<&str> = exp.reads().collect();
+    let unread = |t: &&String| t.starts_with("--") && !reads.contains(&t.as_str());
+    if let Some(flag) = a.rest.iter().find(unread) {
+        a.fail(format_args!(
+            "{name} does not read `{flag}`: it reads {}",
+            reads.join(" ")
+        ));
     }
-
-    /// Exactly one positional, or fail naming what was `wanted`.
-    fn one(&mut self, wanted: &str) -> String {
-        match <[String; 1]>::try_from(self.positionals()) {
-            Ok([p]) => p,
-            Err(_) => self.fail(format_args!("expected exactly one {wanted}")),
-        }
+    let (scale, resume) = settings(&mut a).unwrap_or_else(|e| a.fail(e));
+    if let Some(extra) = a.positionals().first() {
+        a.fail(format_args!("unexpected argument `{extra}`"));
     }
+    exp.run(scale, resume)
 }
 
 /// A runtime error after the arguments were read: one line, exit 2.
@@ -286,7 +331,7 @@ fn cmd_top(mut a: Args) -> u8 {
         "a positive millisecond count",
     );
     let once = a.flag("--once");
-    let feed = PathBuf::from(a.one("feed file (run a bench with NSCC_LIVE=<path>)"));
+    let feed = PathBuf::from(a.one("feed file (run an experiment with --live <path>)"));
     let result = if once {
         top_file(&feed).map(|frame| print!("{frame}"))
     } else {
@@ -465,6 +510,8 @@ fn cmd_replay(mut a: Args) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::Args;
+    use nscc_bench::{settings, Flags, LiveTarget};
+    use nscc_dsm::Coherence;
 
     fn args(line: &str) -> Args {
         Args {
@@ -482,5 +529,29 @@ mod tests {
         assert!(!a.flag("--check"));
         assert_eq!(a.value("--dir"), None);
         assert_eq!(a.positionals(), ["a.json", "b.json"]);
+    }
+
+    #[test]
+    fn run_flags_fill_the_settings_and_the_rest_keep_their_defaults() {
+        let line = "--runs 7 --json --loss 0.01,0.05 --ages 0,10 --mailbox-warn 64 \
+                    --flight 256 --live 3 --modes age=0,age=20 --ckpt-dir ck --ckpt-exit-after 2";
+        let mut a = args(line);
+        let (s, resume) = settings(&mut a).expect("well-formed flags");
+        assert!(a.positionals().is_empty());
+        assert_eq!((s.runs, s.generations, s.seed, s.ci), (7, 120, 42, 0.02));
+        assert!(s.json && !s.trace && !s.audit && !s.all_functions);
+        assert_eq!((s.losses, s.ages), (vec![0.01, 0.05], vec![0, 10]));
+        assert_eq!((s.mailbox_warn, s.flight), (Some(64), Some(256)));
+        assert_eq!(s.live, Some(LiveTarget::Fd(3)));
+        let ages = [0, 20].map(|age| Coherence::PartialAsync { age });
+        assert_eq!(s.modes, ages);
+        assert_eq!(
+            (resume.dir.as_deref(), resume.exit_after),
+            (Some("ck"), Some(2))
+        );
+        assert!(!resume.resume);
+        let (s, resume) = settings(&mut args("--resume --ckpt-dir ck --all-functions"))
+            .expect("well-formed flags");
+        assert!(resume.resume && s.all_functions && !s.json);
     }
 }

@@ -1,4 +1,4 @@
-//! Live-feed integration tests: the `NSCC_LIVE` stream's contract with
+//! Live-feed integration tests: the `--live` stream's contract with
 //! the deterministic run report.
 //!
 //! Three guarantees, property-tested across seeds and coherence modes:
@@ -170,7 +170,7 @@ fn feed_on_and_off_reports_are_byte_identical() {
             hub.live_final(&rep.obs);
             rep.to_json()
         };
-        assert_eq!(plain, fed, "NSCC_LIVE perturbed the report bytes");
+        assert_eq!(plain, fed, "the live feed perturbed the report bytes");
     });
 }
 

@@ -131,7 +131,7 @@ fn perfetto_export_is_valid_and_lanes_do_not_overlap() {
 
 /// A report built from an instrumented run validates as JSON and carries a
 /// non-empty staleness histogram — the acceptance shape of
-/// `NSCC_JSON=1 fig2`.
+/// `nscc run fig2 --json`.
 #[test]
 fn run_report_carries_staleness_histogram() {
     let hub = instrumented_run(11, 2, 12, Coherence::PartialAsync { age: 1 });
@@ -170,7 +170,7 @@ fn scheduler_spans_and_names_reach_the_hub() {
 
 /// The virtual-time sampling profiler is a pure function of the virtual
 /// clock, so the same seed yields identical rows — the byte-identical
-/// `NSCC_FOLDED` guarantee — and blocked samples are attributed to the
+/// `--folded` guarantee — and blocked samples are attributed to the
 /// phase/location the process was actually stuck in.
 #[test]
 fn profiler_rows_are_deterministic_and_attributed() {

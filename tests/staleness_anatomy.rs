@@ -256,8 +256,8 @@ fn perfetto_export_links_write_apply_release_flows() {
 }
 
 /// Golden rendering: `nscc anatomy` on a captured fig2 report (committed
-/// fixture, `NSCC_STALENESS=1 NSCC_MODES=age=5 NSCC_RUNS=1` with
-/// `NSCC_GENS` unset, i.e. the default 120 generations the fixture's
+/// fixture, `nscc run fig2 --staleness --modes age=5 --runs 1` with
+/// `--gens` left out, i.e. the default 120 generations the fixture's
 /// `params` record). The first output line carries the load path, so
 /// the golden file pins everything after it: conservation verdict,
 /// observed-age quantiles, the ranked stage table and the top

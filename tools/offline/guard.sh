@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Four source checks that need no compiler; run by tools/offline/check.sh
+# Five source checks that need no compiler; run by tools/offline/check.sh
 # and by CI's `test` job.
 #
 # 1. A simulation is single-threaded by construction (DESIGN.md,
@@ -23,6 +23,11 @@
 #    tests of msg and dsm). nscc-obs is the one edge still allowed: sim
 #    re-exports the hub and net, msg, dsm and bayes emit into it, until the
 #    event vocabulary moves below the core (ROADMAP item 13(a)).
+# 5. Settings are flags: no library or binary source reads an environment
+#    variable (`std::env::var`, `var_os`, `vars`, `vars_os`) except
+#    src/main.rs, which only rejects a set NSCC_* name, and crates/perf,
+#    whose NSCC_PERF_* build stamps are frozen with it. An environment
+#    switch added anywhere else would bring the NSCC_* surface back.
 set -u
 cd "$(dirname "$0")/../.."
 fail=0
@@ -65,6 +70,17 @@ hits=$(awk '
 if [ -n "$hits" ]; then
     echo "guard.sh: a core crate depends on a periphery crate (make it a" \
         "dev-dependency, or move the code; see ROADMAP item 13):" >&2
+    echo "$hits" >&2
+    fail=1
+fi
+
+hits=$(grep -rnE 'env::(var|var_os|vars|vars_os)\b|use std::env::\{[^}]*\bvars?(_os)?\b' \
+    src $(ls -d crates/*/src | grep -v '^crates/perf/') |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+    grep -v '^src/main\.rs:')
+if [ -n "$hits" ]; then
+    echo "guard.sh: an environment read outside src/main.rs and crates/perf" \
+        "(make the setting an \`nscc run\` flag; see nscc-bench's flag table):" >&2
     echo "$hits" >&2
     fail=1
 fi
