@@ -14,13 +14,11 @@ use crate::network::{BeliefNetwork, NodeIdx, Value};
 /// underlying draw, so the draw is a pure function of identity rather than
 /// of generator state (SplitMix64 finalizer over the mixed key).
 pub fn node_draw(seed: u64, node: NodeIdx, iter: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(iter.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = rand::rngs::mix(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(iter.wrapping_mul(0x94D0_49BB_1331_11EB)),
+    );
     // 53-bit mantissa to [0, 1).
     (z >> 11) as f64 / (1u64 << 53) as f64
 }

@@ -22,7 +22,8 @@ pub struct Experiment {
     /// writes (`BENCH_<name>.json`, …).
     pub name: &'static str,
     /// The flags it reads besides the nine every experiment reads,
-    /// space-separated (see the [flag table](crate)).
+    /// space-separated (see the [flag table](crate)); the banner's scale
+    /// line and the report's scale params follow them.
     pub flags: &'static str,
     body: fn(Session) -> u8,
 }
@@ -47,7 +48,7 @@ impl Experiment {
     /// Run it on `scale` and `resume`, printing its table and writing its
     /// outputs; the process exit code.
     pub fn run(&self, scale: Scale, resume: ResumeOpts) -> u8 {
-        (self.body)(Session::new(self.name, scale, resume))
+        (self.body)(Session::new(self.name, self.flags, scale, resume))
     }
 }
 

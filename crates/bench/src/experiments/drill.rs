@@ -126,14 +126,12 @@ fn common_checks(checks: &mut Vec<Check>, scenario: &'static str, res: &GaExpRes
 
 pub(super) fn run(mut session: Session) -> u8 {
     let title = "Recovery drill: crash, restore, verify";
-    print!("{}", session.banner(title, true));
+    print!("{}", session.banner(title));
     println!("procs={PROCS} age-bound={AGE} (snapshots + supervision + warm recovery on)");
 
     let seed = session.scale.seed;
     session
         .report
-        .param("generations", session.scale.generations as f64)
-        .param("seed", seed as f64)
         .param("procs", PROCS as f64)
         .param("age", AGE as f64);
     let mut total = RecoverySummary::default();

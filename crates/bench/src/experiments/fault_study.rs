@@ -101,7 +101,7 @@ pub(super) fn run(mut session: Session) -> u8 {
         println!("fault plan override (--fault-plan): {}", plan.describe());
     }
     let title = "Fault study: GA resilience under frame loss";
-    print!("{}", session.banner(title, true));
+    print!("{}", session.banner(title));
     println!("grid: loss={losses:?} age={ages:?} procs={PROCS} (reliable delivery on)");
 
     let grid: Vec<(f64, u64)> = losses
@@ -135,12 +135,7 @@ pub(super) fn run(mut session: Session) -> u8 {
          onto a cached value; cut = runs stopped by the watchdog (see stderr)."
     );
 
-    session
-        .report
-        .param("runs", session.scale.runs as f64)
-        .param("generations", session.scale.generations as f64)
-        .param("seed", session.scale.seed as f64)
-        .param("procs", PROCS as f64);
+    session.report.param("procs", PROCS as f64);
     session.finish(Some(&cells));
     0
 }

@@ -29,7 +29,7 @@ pub(super) fn run(mut session: Session) -> u8 {
         4
     }];
     let title = "Figure 2: GA speedups on the unloaded network";
-    print!("{}", session.banner(title, true));
+    print!("{}", session.banner(title));
 
     let modes = &session.scale.modes;
     let grid: Vec<_> = functions
@@ -60,10 +60,7 @@ pub(super) fn run(mut session: Session) -> u8 {
     print!("{}", render_table(&rows));
 
     let rep = &mut session.report;
-    rep.param("runs", session.scale.runs as f64)
-        .param("generations", session.scale.generations as f64)
-        .param("functions", functions.len() as f64)
-        .param("seed", session.scale.seed as f64);
+    rep.param("functions", functions.len() as f64);
     for (k, v) in metrics {
         rep.metric(k, v);
     }

@@ -16,7 +16,7 @@ use nscc_sim::SimTime;
 
 pub(super) fn run(mut session: Session) -> u8 {
     let title = "Figure 3: Bayesian-network speedups on the unloaded network (2 processors)";
-    print!("{}", session.banner(title, true));
+    print!("{}", session.banner(title));
 
     let scale = &session.scale;
     let cells = session.sweep(&TABLE2, |&netid, obs| {
@@ -91,10 +91,7 @@ pub(super) fn run(mut session: Session) -> u8 {
         footer.join("  ")
     );
 
-    rep.param("runs", session.scale.runs as f64)
-        .param("ci", session.scale.ci)
-        .param("seed", session.scale.seed as f64)
-        .param("procs", 2.0);
+    rep.param("procs", 2.0);
     session.finish(Some(&cells));
     0
 }

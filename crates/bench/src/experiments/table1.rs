@@ -39,7 +39,7 @@ pub(super) fn run(mut session: Session) -> u8 {
     }
     print!(
         "{}",
-        session.banner("Table 1: Eight function test bed for GAs", false)
+        session.banner("Table 1: Eight function test bed for GAs")
     );
     print!("{}", render_table(&rows));
     println!();

@@ -12,7 +12,7 @@ use nscc_core::{run_sequential, BayesExperiment};
 pub(super) fn run(mut session: Session) -> u8 {
     print!(
         "{}",
-        session.banner("Table 2: Four Bayesian belief networks", true)
+        session.banner("Table 2: Four Bayesian belief networks")
     );
 
     let mut rows = vec![["", "A", "AA", "C", "Hailfinder"]
@@ -27,9 +27,6 @@ pub(super) fn run(mut session: Session) -> u8 {
     let mut time_paper = vec!["  (paper)".to_string()];
     let mut samples = vec!["Samples".to_string()];
     let (scale, rep) = (&session.scale, &mut session.report);
-    rep.param("runs", scale.runs as f64)
-        .param("ci", scale.ci)
-        .param("seed", scale.seed as f64);
 
     for (i, netid) in TABLE2.iter().enumerate() {
         let net = netid.build();
@@ -38,12 +35,12 @@ pub(super) fn run(mut session: Session) -> u8 {
             halfwidth: scale.ci,
             ..StopRule::default()
         };
-        let query = exp.standard_query();
+        let query = exp.standard_query(&net);
         let plan = Plan::new(&net, 2, 42, &query);
         let mut t_sum = 0.0;
         let mut s_sum = 0.0;
         for r in 0..scale.runs {
-            let seq = run_sequential(&exp, scale.seed + r as u64);
+            let seq = run_sequential(&exp, &net, &query, scale.seed + r as u64);
             t_sum += seq.time.as_secs_f64();
             s_sum += seq.samples as f64;
         }

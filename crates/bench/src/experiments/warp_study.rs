@@ -19,7 +19,7 @@ use nscc_sim::{SimBuilder, SimError, SimTime};
 
 pub(super) fn run(mut session: Session) -> u8 {
     let title = "Warp metric vs offered background load (10 Mbps Ethernet)";
-    print!("{}", session.banner(title, false));
+    print!("{}", session.banner(title));
     let loads = [0.0, 2.0, 4.0, 6.0, 8.0, 9.5];
     let cells = session.sweep(&loads, |&load, obs| measure(load, obs));
 

@@ -43,6 +43,12 @@
 //! | `--resume` | `fig2` `fig3` `fig4` `fault_study` `warp_study` | off | reuse the cells already in `--ckpt-dir` instead of clearing them; the report comes out byte-identical |
 //! | `--ckpt-exit-after N` | `fig2` `fig3` `fig4` `fault_study` `warp_study` | off | test hook: exit 3 once this process has computed and checkpointed N cells, a mid-sweep kill at a fixed point |
 //!
+//! The banner's `scale:` line and the report's `runs`, `generations`,
+//! `ci` and `seed` params follow this table: each experiment echoes
+//! exactly the ones of those four settings it reads (`drill` prints
+//! `generations` and `seed`; `table1` and `warp_study` print no scale
+//! line).
+//!
 //! The observability sinks are observers: with `--audit`, `--flight`,
 //! `--staleness` or `--live` on, the rest of the report stays
 //! byte-identical. The two test hooks are named in the banner when armed.
@@ -68,7 +74,7 @@ use std::sync::Arc;
 
 use nscc_audit::{render_flight_dump, Auditor, FlightDump};
 use nscc_ckpt::Snapshot;
-use nscc_core::{FaultPlan, GaExpResult, GaExperiment, RunReport};
+use nscc_core::{FaultPlan, GaExpResult, RunReport};
 use nscc_dsm::{Coherence, DsmStats};
 use nscc_msg::CommStats;
 use nscc_net::NetStats;
@@ -156,7 +162,7 @@ impl Default for Scale {
             flight: None,
             inject_stale: 0,
             staleness: false,
-            modes: GaExperiment::default_modes(),
+            modes: nscc_core::paper_modes(),
             all_functions: false,
             losses: vec![0.0, 0.01, 0.05],
             ages: vec![0, 10, 30],
@@ -666,7 +672,10 @@ pub fn speedup_cells(speedups: &[f64], improvement: f64) -> Vec<String> {
 
 /// One experiment's run: the scale and checkpoint options it was
 /// started with, the main hub (live feed and auditor attached), and the
-/// report [`finish`](Session::finish) stamps and writes.
+/// report [`finish`](Session::finish) stamps and writes. The report's
+/// `runs`, `generations`, `ci` and `seed` params, and the banner's scale
+/// line, name exactly the ones of those settings the experiment reads
+/// ([`Experiment::flags`]).
 pub struct Session {
     /// Harness scale (see module docs).
     pub scale: Scale,
@@ -676,14 +685,17 @@ pub struct Session {
     /// counters; `finish` adds the rest.
     pub report: RunReport,
     name: &'static str,
+    /// The flags the experiment reads besides the session's own.
+    flags: &'static str,
     hub: Hub,
     auditor: Option<Arc<Auditor>>,
 }
 
 impl Session {
-    /// Open experiment `name`'s session on `scale` and `resume`: the
-    /// main hub, with the live feed and the auditor attached when asked.
-    fn new(name: &'static str, scale: Scale, resume: ResumeOpts) -> Session {
+    /// Open the session of experiment `name`, which reads `flags`, on
+    /// `scale` and `resume`: the main hub, with the live feed and the
+    /// auditor attached when asked, and the report's scale params.
+    fn new(name: &'static str, flags: &'static str, scale: Scale, resume: ResumeOpts) -> Session {
         let hub = make_hub(&scale);
         attach_live(&scale, &hub, name);
         // One auditor serves the whole run: per-cell hubs tap into it too.
@@ -691,28 +703,55 @@ impl Session {
         if let Some(a) = &auditor {
             hub.set_tap(a.clone());
         }
-        Session {
+        let mut session = Session {
             report: RunReport::new(name, &hub),
             scale,
             resume,
             name,
+            flags,
             hub,
             auditor,
+        };
+        for (key, _, value) in session.scale_echo() {
+            session.report.param(key, value);
         }
+        session
     }
 
-    /// The banner: the title, the scale line when `with_scale`, and — only
+    /// The settings among `--runs`, `--gens`, `--ci` and `--seed` that the
+    /// experiment reads, in that order: each as its report param's key,
+    /// its banner value and its param value.
+    fn scale_echo(&self) -> Vec<(&'static str, String, f64)> {
+        let s = &self.scale;
+        [
+            ("--runs", "runs", s.runs.to_string(), s.runs as f64),
+            (
+                "--gens",
+                "generations",
+                s.generations.to_string(),
+                s.generations as f64,
+            ),
+            ("--ci", "ci", format!("±{}", s.ci), s.ci),
+            ("--seed", "seed", s.seed.to_string(), s.seed as f64),
+        ]
+        .into_iter()
+        .filter(|(flag, ..)| self.flags.split_whitespace().any(|f| f == *flag))
+        .map(|(_, key, shown, value)| (key, shown, value))
+        .collect()
+    }
+
+    /// The banner: the title, a scale line naming the settings among
+    /// `--runs`, `--gens`, `--ci` and `--seed` the experiment reads when
+    /// there are any, and — only
     /// when one is armed — a line naming the testing hooks in force.
-    pub fn banner(&self, title: &str, with_scale: bool) -> String {
+    pub fn banner(&self, title: &str) -> String {
         let s = &self.scale;
         let mut out = format!("=== {title} ===\n");
-        if with_scale {
+        let echo = self.scale_echo();
+        if !echo.is_empty() {
+            let fields: String = echo.iter().map(|(k, v, _)| format!("{k}={v} ")).collect();
             let json = if s.json { "on" } else { "off" };
-            let _ = writeln!(
-                out,
-                "scale: runs={} generations={} ci=±{} seed={} json={json}",
-                s.runs, s.generations, s.ci, s.seed
-            );
+            let _ = writeln!(out, "scale: {fields}json={json}");
         }
         let hooks: Vec<String> = [
             ("--ckpt-exit-after", self.resume.exit_after),
@@ -933,7 +972,7 @@ mod tests {
 
     /// A session on `scale` outside any environment.
     fn session(scale: &Scale, resume: ResumeOpts) -> Session {
-        Session::new("unit", scale.clone(), resume)
+        Session::new("unit", "", scale.clone(), resume)
     }
 
     #[test]
@@ -945,7 +984,7 @@ mod tests {
         );
         assert!(s.ci > 0.0);
         assert!(!s.json && !s.trace && !s.wants_obs());
-        assert_eq!(s.modes, nscc_core::GaExperiment::default_modes());
+        assert_eq!(s.modes, nscc_core::paper_modes());
         let p = Scale::paper();
         assert_eq!((p.runs, p.generations, p.ci), (25, 1000, 0.01));
     }
@@ -1349,11 +1388,54 @@ mod tests {
 
     #[test]
     fn banner_echoes_scale() {
-        let b = session(&Scale::paper(), ResumeOpts::default()).banner("Figure 2", true);
-        assert!(b.contains("Figure 2"));
-        assert!(b.contains("runs=25"));
-        assert!(b.contains("1000"));
-        assert_eq!(b.lines().count(), 2, "no hook line when none is armed");
+        let flags = "--runs --gens --seed --modes";
+        let s = Session::new("unit", flags, Scale::paper(), ResumeOpts::default());
+        assert_eq!(
+            s.banner("Figure 2"),
+            "=== Figure 2 ===\nscale: runs=25 generations=1000 seed=42 json=off\n",
+            "no ci, and no hook line when none is armed"
+        );
+    }
+
+    /// The banner's scale line and the report's params name exactly the
+    /// scale settings each experiment reads: none it ignores (`drill`
+    /// reads no `--runs`), none it leaves out.
+    #[test]
+    fn banner_and_params_echo_what_each_experiment_reads() {
+        let keys = [
+            ("--runs", "runs"),
+            ("--gens", "generations"),
+            ("--ci", "ci"),
+            ("--seed", "seed"),
+        ];
+        let mut wrong = Vec::new();
+        for e in &EXPERIMENTS {
+            let mut read: Vec<&str> = (keys.iter())
+                .filter(|(flag, _)| e.reads().any(|r| r == *flag))
+                .map(|&(_, key)| key)
+                .collect();
+            let s = Session::new(e.name, e.flags, Scale::default(), ResumeOpts::default());
+            let banner = s.banner(e.name);
+            let named: Vec<&str> = (banner.lines())
+                .find_map(|l| l.strip_prefix("scale: "))
+                .into_iter()
+                .flat_map(str::split_whitespace)
+                .filter_map(|field| field.split_once('=').map(|(k, _)| k))
+                .filter(|&k| k != "json")
+                .collect();
+            if named != read {
+                wrong.push(format!(
+                    "{}: banner names {named:?}, reads {read:?}",
+                    e.name
+                ));
+            }
+            let params: Vec<String> = s.finish(None).params.into_keys().collect();
+            read.sort_unstable();
+            if params != read {
+                wrong.push(format!("{}: params {params:?}, reads {read:?}", e.name));
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     }
 
     #[test]
@@ -1366,7 +1448,7 @@ mod tests {
             exit_after: Some(3),
         };
         assert_eq!(
-            session(&scale, resume).banner("T", false),
+            session(&scale, resume).banner("T"),
             "=== T ===\narmed test hooks: --ckpt-exit-after 3 --inject-stale 2\n"
         );
     }
@@ -1387,7 +1469,7 @@ mod tests {
     /// Sweep three tiny GA cells, counting the ones computed; the
     /// finished report as JSON.
     fn tiny_sweep(scale: &Scale, resume: ResumeOpts, computed: &mut usize) -> String {
-        let mut s = Session::new("tiny", scale.clone(), resume);
+        let mut s = Session::new("tiny", "", scale.clone(), resume);
         let cells = s.sweep(&nscc_ga::ALL_FUNCTIONS[..3], |f, obs| {
             *computed += 1;
             tiny_cell(f, obs)

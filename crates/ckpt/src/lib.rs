@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-pub use cut::{load_latest_cut, save_cut, CutFrame, GlobalCut};
+pub use cut::{save_cut, CutFrame, GlobalCut};
 pub use hist::Histogram;
 pub use store::{CkptKind, CkptStore, GenerationInfo};
 pub use wire::{fnv1a, Dec, Enc};

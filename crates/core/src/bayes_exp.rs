@@ -7,13 +7,13 @@ use nscc_bayes::{
     run_planned_inference, sequential_inference, BayesCost, BeliefNetwork, ParallelBayesConfig,
     Plan, Query, SeqResult, StopRule, Table2Net,
 };
-use nscc_dsm::{Coherence, DsmStats};
+use nscc_dsm::DsmStats;
 use nscc_net::NetStats;
 use nscc_obs::Hub;
 use nscc_partition::{edge_cut, partition};
 use nscc_sim::{SimError, SimTime};
 
-use crate::ga_exp::PAPER_AGES;
+use crate::ga_exp::paper_modes;
 use crate::platform::Platform;
 
 /// Configuration of one Bayes experiment cell (network × partitions).
@@ -63,20 +63,15 @@ impl BayesExperiment {
         }
     }
 
-    /// The standard query for this network: evidence on two early nodes
+    /// The standard query for this experiment's network, built as `net`:
+    /// evidence on two early nodes
     /// (their default values, keeping the acceptance rate healthy) and a
     /// late query node chosen to reflect each network's character —
     /// *balanced* posteriors for the random networks (whose Table 2
     /// inference times are long) and a *skewed* diagnostic variable for
     /// the Hailfinder-alike (whose Table 2 time is short: skewed
     /// posteriors satisfy the ±0.01 CI with far fewer samples).
-    pub fn standard_query(&self) -> Query {
-        self.standard_query_on(&self.net.build())
-    }
-
-    /// [`standard_query`](Self::standard_query) over an already built
-    /// copy of this experiment's network.
-    fn standard_query_on(&self, net: &BeliefNetwork) -> Query {
+    pub fn standard_query(&self, net: &BeliefNetwork) -> Query {
         let defaults = net.default_values();
         // Estimate marginals of the last quarter of nodes with a quick
         // deterministic sweep.
@@ -173,14 +168,9 @@ impl BayesExpResult {
     }
 }
 
-/// Run the sequential baseline once (no network, pure virtual compute).
-pub fn run_sequential(exp: &BayesExperiment, seed: u64) -> SeqResult {
-    let net = exp.net.build();
-    run_sequential_on(exp, &net, &exp.standard_query_on(&net), seed)
-}
-
-/// [`run_sequential`] over the cell's already built network and query.
-fn run_sequential_on(
+/// Run the sequential baseline once (no network, pure virtual compute) on
+/// the experiment's network, built as `net`, and its standard `query`.
+pub fn run_sequential(
     exp: &BayesExperiment,
     net: &BeliefNetwork,
     query: &Query,
@@ -199,18 +189,11 @@ fn run_sequential_on(
 /// Run the full cell: sequential baseline plus every parallel mode.
 pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, SimError> {
     let net = Arc::new(exp.net.build());
-    let query = exp.standard_query_on(&net);
+    let query = exp.standard_query(&net);
     let skel = net.skeleton();
     let edge_cut = edge_cut(&skel, &partition(&skel, exp.procs, 42));
 
-    let modes: Vec<Coherence> = [Coherence::Synchronous, Coherence::ASYNC]
-        .into_iter()
-        .chain(
-            PAPER_AGES
-                .iter()
-                .map(|&a| Coherence::PartialAsync { age: a }),
-        )
-        .collect();
+    let modes = paper_modes();
 
     let mut seq_time_sum = SimTime::ZERO;
     let mut seq_samples_sum = 0.0;
@@ -221,7 +204,7 @@ pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, Sim
 
     for r in 0..exp.runs {
         let seed = exp.base_seed + r as u64;
-        let seq = run_sequential_on(exp, &net, &query, seed);
+        let seq = run_sequential(exp, &net, &query, seed);
         seq_time_sum += seq.time;
         seq_samples_sum += seq.samples as f64;
         // One partition per run, shared by every mode (the seed is the
@@ -309,7 +292,8 @@ mod tests {
             cost: BayesCost::deterministic(),
             ..BayesExperiment::new(Table2Net::Hailfinder, 2)
         };
-        let seq = run_sequential(&exp, 1);
+        let net = exp.net.build();
+        let seq = run_sequential(&exp, &net, &exp.standard_query(&net), 1);
         assert!(seq.samples > 0);
         assert!(seq.time > SimTime::ZERO);
     }

@@ -29,8 +29,18 @@ use nscc_sim::{SimBuilder, SimError, SimTime};
 
 use crate::platform::Platform;
 
-/// The five competitor families of Figure 2.
+/// The `Global_Read` ages of Figures 2–4.
 pub const PAPER_AGES: [u64; 5] = [0, 5, 10, 20, 30];
+
+/// The paper's competitor families, in row order: synchronous, fully
+/// asynchronous, and `Global_Read` at each of [`PAPER_AGES`]. Every GA and
+/// Bayes cell reports these unless told otherwise.
+pub fn paper_modes() -> Vec<Coherence> {
+    [Coherence::Synchronous, Coherence::ASYNC]
+        .into_iter()
+        .chain(PAPER_AGES.map(|age| Coherence::PartialAsync { age }))
+        .collect()
+}
 
 /// Configuration of one GA experiment cell (function × processor count ×
 /// platform).
@@ -57,9 +67,7 @@ pub struct GaExperiment {
     /// network (shared across runs: histograms and counters aggregate
     /// over the whole cell).
     pub obs: Option<Hub>,
-    /// Coherence modes reported, in row order (default:
-    /// [`GaExperiment::default_modes`] — sync, async, the paper's five
-    /// ages). The synchronous reference still runs internally to set the
+    /// Coherence modes reported, in row order (default: [`paper_modes`]). The synchronous reference still runs internally to set the
     /// quality bar when `sync` is excluded, but it is then neither
     /// reported nor instrumented — restricting to a single `age=N` mode
     /// yields a report whose histograms describe that mode alone, which
@@ -123,7 +131,7 @@ impl GaExperiment {
             platform: Platform::paper_ethernet(procs),
             cost: CostModel::default(),
             obs: None,
-            modes: Self::default_modes(),
+            modes: paper_modes(),
             read_timeout: None,
             heartbeat: None,
             watchdog: None,
@@ -133,19 +141,6 @@ impl GaExperiment {
             supervision: None,
             snap_dir: None,
         }
-    }
-
-    /// The five competitor families of Figure 2: synchronous, fully
-    /// asynchronous, and `Global_Read` at the paper's five ages.
-    pub fn default_modes() -> Vec<Coherence> {
-        [Coherence::Synchronous, Coherence::ASYNC]
-            .into_iter()
-            .chain(
-                PAPER_AGES
-                    .iter()
-                    .map(|&a| Coherence::PartialAsync { age: a }),
-            )
-            .collect()
     }
 }
 
@@ -253,6 +248,51 @@ struct RunMeasure {
     fault: Option<FaultReport>,
     /// Snapshot/supervision summary (`None` when neither was enabled).
     recovery: Option<RecoverySummary>,
+}
+
+/// What a parallel run's islands achieved, folded once over their
+/// outcomes (an island the watchdog cut short has none).
+struct IslandTotals {
+    /// Islands that finished.
+    done: usize,
+    /// Sum of the islands' best-ever fitness.
+    best: f64,
+    /// Sum of the islands' generations.
+    generations: f64,
+    restores: u64,
+    cut_restores: u64,
+    max_rollback: u64,
+    /// Latest instant at which any island improved its best-ever fitness.
+    last_improve: Option<SimTime>,
+    /// Whether every island that finished reached the target.
+    all_hit: bool,
+}
+
+impl IslandTotals {
+    fn fold(outs: &[Option<IslandOutcome>]) -> IslandTotals {
+        let zero = IslandTotals {
+            done: 0,
+            // `Iterator::sum`'s start: a run cut before any island
+            // finished reports -0.0, as it always has.
+            best: -0.0,
+            generations: -0.0,
+            restores: 0,
+            cut_restores: 0,
+            max_rollback: 0,
+            last_improve: None,
+            all_hit: true,
+        };
+        outs.iter().flatten().fold(zero, |t, o| IslandTotals {
+            done: t.done + 1,
+            best: t.best + o.best,
+            generations: t.generations + o.generations as f64,
+            restores: t.restores + o.restores,
+            cut_restores: t.cut_restores + o.cut_restores,
+            max_rollback: t.max_rollback.max(o.max_rollback),
+            last_improve: t.last_improve.max(Some(o.time_of_last_improvement)),
+            all_hit: t.all_hit && o.time_to_target.is_some(),
+        })
+    }
 }
 
 /// Run one parallel GA configuration once. `observe` gates hub
@@ -379,30 +419,6 @@ fn run_parallel_once(
         snap: snap_cfg.clone(),
         supervisor: supervisor.clone(),
     };
-    let recovery_summary = |outs: &[Option<IslandOutcome>]| -> Option<RecoverySummary> {
-        if snap_cfg.is_none() && supervisor.is_none() {
-            return None;
-        }
-        let mut sum = RecoverySummary::default();
-        if let Some(sc) = &snap_cfg {
-            let c = sc.board.counters();
-            sum.snapshots_started = c.started;
-            sum.snapshots_completed = c.completed;
-            sum.inflight_recorded = c.inflight_recorded;
-        }
-        if let Some(sup) = &supervisor {
-            sup.fill(&mut sum);
-        }
-        sum.cut_restores = outs.iter().flatten().map(|o| o.cut_restores).sum();
-        sum.restores = outs.iter().flatten().map(|o| o.restores).sum();
-        sum.max_rollback = outs
-            .iter()
-            .flatten()
-            .map(|o| o.max_rollback)
-            .max()
-            .unwrap_or(0);
-        Some(sum)
-    };
     // Crash-with-restart windows become per-rank recovery plans on the
     // barrier-free disciplines. The checkpoint cadence is the age bound
     // (min 1), so a warm restore never rolls back further than the
@@ -441,8 +457,20 @@ fn run_parallel_once(
             outcomes.borrow_mut()[r] = Some(out);
         });
     }
-    let report = match sim.run() {
-        Ok(report) => report,
+    let run = sim.run();
+    let isl = IslandTotals::fold(&outcomes.borrow());
+    // The mean is over every island of a completed run (the quality bar is
+    // the mean best-ever across islands, a per-subpopulation criterion, as
+    // the paper uses) and over the islands that finished of a cut one.
+    let (time, last_improve, islands, success, fault) = match run {
+        Ok(report) => {
+            let success = match stop {
+                nscc_ga::StopPolicy::FixedGenerations(_) => true,
+                nscc_ga::StopPolicy::TargetQuality { .. } => isl.all_hit,
+            };
+            let last = isl.last_improve.unwrap_or(report.end_time);
+            (report.end_time, last, p, success, None)
+        }
         Err(err) if chaos => {
             // Under chaos a wedged or over-budget run is data, not a
             // crash: report what the islands achieved before the cut and
@@ -452,69 +480,30 @@ fn run_parallel_once(
                 SimError::TimeLimitExceeded { limit } => *limit,
                 _ => exp.watchdog.unwrap_or(SimTime::ZERO),
             };
-            let outs = outcomes.borrow();
-            let done = outs.iter().flatten().count().max(1) as f64;
-            return Ok(RunMeasure {
-                time: at,
-                last_improve: at,
-                best: outs.iter().flatten().map(|o| o.best).sum::<f64>() / done,
-                generations: outs
-                    .iter()
-                    .flatten()
-                    .map(|o| o.generations as f64)
-                    .sum::<f64>()
-                    / done,
-                success: false,
-                messages: world.comm_stats().sent,
-                warp: warp.mean(),
-                dsm: world.total_stats(),
-                net: net.stats(),
-                comm: world.comm_stats(),
-                restores: outs.iter().flatten().map(|o| o.restores).sum(),
-                max_rollback: outs
-                    .iter()
-                    .flatten()
-                    .map(|o| o.max_rollback)
-                    .max()
-                    .unwrap_or(0),
-                fault: Some(
-                    FaultReport::from_sim_error(seed, &err)
-                        .with_rto_cap(platform.msg.reliable.as_ref().map(|rc| rc.max_rto)),
-                ),
-                recovery: recovery_summary(&outs),
-            });
+            let fault = FaultReport::from_sim_error(seed, &err)
+                .with_rto_cap(platform.msg.reliable.as_ref().map(|rc| rc.max_rto));
+            (at, at, isl.done.max(1), false, Some(fault))
         }
         Err(err) => return Err(err),
     };
-    let outs = outcomes.borrow();
-    // Quality bar: the mean best-ever across islands (a per-subpopulation
-    // criterion, as the paper uses).
-    let best = outs.iter().flatten().map(|o| o.best).sum::<f64>() / p as f64;
-    let gens: f64 = outs
-        .iter()
-        .flatten()
-        .map(|o| o.generations as f64)
-        .sum::<f64>()
-        / p as f64;
-    let success = match stop {
-        nscc_ga::StopPolicy::FixedGenerations(_) => true,
-        nscc_ga::StopPolicy::TargetQuality { .. } => {
-            outs.iter().flatten().all(|o| o.time_to_target.is_some())
+    let recovery = (snap_cfg.is_some() || supervisor.is_some()).then(|| {
+        let mut sum = RecoverySummary {
+            cut_restores: isl.cut_restores,
+            restores: isl.restores,
+            max_rollback: isl.max_rollback,
+            ..RecoverySummary::default()
+        };
+        if let Some(sc) = &snap_cfg {
+            let c = sc.board.counters();
+            sum.snapshots_started = c.started;
+            sum.snapshots_completed = c.completed;
+            sum.inflight_recorded = c.inflight_recorded;
         }
-    };
-    let last_improve = outs
-        .iter()
-        .flatten()
-        .map(|o| o.time_of_last_improvement)
-        .max()
-        .unwrap_or(report.end_time);
-    let restores: u64 = outs.iter().flatten().map(|o| o.restores).sum();
-    let max_rollback = outs
-        .iter()
-        .flatten()
-        .map(|o| o.max_rollback)
-        .max()
-        .unwrap_or(0);
+        if let Some(sup) = &supervisor {
+            sup.fill(&mut sum);
+        }
+        sum
+    });
     // The age-bounded-recovery invariant (§4.1) — under Global_Read a warm
     // restore may never roll a node back further than the staleness bound —
     // is no longer a process-killing assert here. Every Restore event
@@ -522,20 +511,20 @@ fn run_parallel_once(
     // excess into a structured violation (report `audit` section, `nscc
     // gate` exit 2) with flight-recorder context instead of a panic.
     Ok(RunMeasure {
-        time: report.end_time,
+        time,
         last_improve,
-        best,
-        generations: gens,
+        best: isl.best / islands as f64,
+        generations: isl.generations / islands as f64,
         success,
         messages: world.comm_stats().sent,
         warp: warp.mean(),
         dsm: world.total_stats(),
         net: net.stats(),
         comm: world.comm_stats(),
-        restores,
-        max_rollback,
-        fault: None,
-        recovery: recovery_summary(&outs),
+        restores: isl.restores,
+        max_rollback: isl.max_rollback,
+        fault,
+        recovery,
     })
 }
 

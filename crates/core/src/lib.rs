@@ -30,7 +30,9 @@ mod report;
 pub use bayes_exp::{
     run_bayes_experiment, run_sequential, BayesExpResult, BayesExperiment, BayesModeResult,
 };
-pub use ga_exp::{run_ga_experiment, GaExpResult, GaExperiment, ModeResult, PAPER_AGES};
+pub use ga_exp::{
+    paper_modes, run_ga_experiment, GaExpResult, GaExperiment, ModeResult, PAPER_AGES,
+};
 pub use nscc_faults::{FaultPlan, FaultReport};
 pub use nscc_ga::{RecoveryPlan, RecoveryStyle};
 pub use platform::Platform;

@@ -276,10 +276,9 @@ mod tests {
         let board = SnapshotBoard::new(2).with_store(CkptStore::open(&dir).unwrap());
         board.post(4, frame(0, 8), 0, 40);
         board.post(4, frame(1, 8), 0, 41);
-        let back = nscc_ckpt::load_latest_cut(&store)
-            .unwrap()
-            .expect("persisted");
-        assert_eq!(back.id, 4);
+        let gens = store.generations().unwrap();
+        let kinds: Vec<_> = gens.iter().map(|g| (g.gen, g.kind, g.ok())).collect();
+        assert_eq!(kinds, [(4, nscc_ckpt::CkptKind::ConsistentCut, true)]);
         assert_eq!(board.persist_errors(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -62,20 +62,17 @@ impl Default for Envelope {
     }
 }
 
-/// SplitMix64 — the small deterministic PRNG behind the generator. Not
-/// the simulator's RNG: scenario drawing must stay stable even if the
-/// simulator's `rand` dependency changes streams.
+/// SplitMix64 over an open counter — the small deterministic PRNG behind
+/// the generator: `nscc-rand`'s output function over a state the caller
+/// can seed and read. `format_pin` holds the scenarios it draws.
 #[derive(Debug, Clone)]
 pub struct SplitMix(pub u64);
 
 impl SplitMix {
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(rand::rngs::GAMMA);
+        rand::rngs::mix(self.0)
     }
 
     /// Uniform draw in `[0, n)`; `n` must be non-zero. (Modulo bias is

@@ -140,16 +140,8 @@ pub fn judge(spec: &HeadlessSpec, out: &HeadlessOutcome) -> Verdict {
 /// fingerprint replay compares. Two runs of the same scenario produce
 /// the same simulation, hence the same lines, hence the same digest.
 pub fn digest(verdict: &Verdict) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in verdict.lines() {
-        for b in line.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= u64::from(b'\n');
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    let text: String = verdict.lines().into_iter().map(|l| l + "\n").collect();
+    format!("{:016x}", nscc_ckpt::fnv1a(text.as_bytes()))
 }
 
 #[cfg(test)]

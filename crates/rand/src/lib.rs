@@ -154,22 +154,26 @@ pub mod rngs {
     use super::{RngCore, SeedableRng, Threshold};
 
     /// SplitMix64's increment: the state advances by it once per draw.
-    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
     /// SplitMix64's output function up to its last xorshift. That step,
     /// `y ^ (y >> 31)`, leaves the top 31 bits of `y` as they are.
+    #[inline]
     fn premix(z: u64) -> u64 {
         let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB)
     }
 
     /// The last step of the output function.
+    #[inline]
     fn finish(y: u64) -> u64 {
         y ^ (y >> 31)
     }
 
-    /// SplitMix64's output function.
-    fn mix(z: u64) -> u64 {
+    /// SplitMix64's output function: the one finalizer every seeded
+    /// stream and counter-based draw in the workspace goes through.
+    #[inline]
+    pub fn mix(z: u64) -> u64 {
         finish(premix(z))
     }
 

@@ -89,12 +89,9 @@ impl Ctx {
         core: Rc<RefCell<Core>>,
         stepper: Yielder<SimTime, ()>,
     ) -> Self {
-        // Derive a per-process stream from the global seed; SplitMix64-style
-        // mixing keeps the streams decorrelated.
-        let mut z = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(pid.0 as u64 + 1));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // Derive a per-process stream from the global seed; SplitMix64's
+        // output function keeps the streams decorrelated.
+        let z = rand::rngs::mix(seed ^ rand::rngs::GAMMA.wrapping_mul(pid.0 as u64 + 1));
         Ctx {
             pid,
             now: SimTime::ZERO,
