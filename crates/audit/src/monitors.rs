@@ -437,29 +437,25 @@ impl Monitor for ConservationMonitor {
     }
 
     fn on_event(&mut self, ev: &ObsEvent, out: &mut Vec<Violation>) {
-        if let ObsEvent::ReadAnatomy {
-            t_ns,
-            reader,
-            loc,
-            age_ns,
-            wait_ns,
-            publish_ns,
-            transit_ns,
-            fault_ns,
-            retrans_ns,
-            queue_ns,
-            apply_ns,
-            ..
-        } = *ev
+        if let (
+            Some(sum),
+            &ObsEvent::ReadAnatomy {
+                t_ns,
+                reader,
+                loc,
+                age_ns,
+                wait_ns,
+                publish_ns,
+                transit_ns,
+                fault_ns,
+                retrans_ns,
+                queue_ns,
+                apply_ns,
+                ..
+            },
+        ) = (ev.stage_sum(), ev)
         {
             self.checked += 1;
-            let sum = wait_ns
-                .wrapping_add(publish_ns)
-                .wrapping_add(transit_ns)
-                .wrapping_add(fault_ns)
-                .wrapping_add(retrans_ns)
-                .wrapping_add(queue_ns)
-                .wrapping_add(apply_ns);
             if sum != age_ns {
                 out.push(Violation {
                     monitor: self.name(),

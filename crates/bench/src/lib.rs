@@ -27,11 +27,11 @@
 //! | `--wall` | all | off | embed wall-clock scheduler accounting (events/sec, parks, per-process time) as the report's `wall` section; host time, so not deterministic |
 //! | `--audit` | all | off | run the online coherence auditor (`nscc-audit`); its findings fill the report's `audit` section, for `nscc audit` and `nscc gate` |
 //! | `--flight N` | all | off | keep the last N events in a ring and dump them as `FLIGHT_<name>.json` when a run ends badly (a monitor violation, a watchdog cut, a deadlock), for `nscc postmortem` |
-//! | `--staleness` | all | off | arm the per-hop staleness tracer: each released read's age split into seven stage durations, in the report's `staleness` section (for `nscc anatomy`) and as flow arrows in the trace |
+//! | `--staleness` | all | off | arm the per-hop staleness tracer: each released read's age split into seven stage durations, in the report's `staleness` section (for `nscc anatomy`); the write→apply→release flow arrows go only to a Perfetto export a program makes with `Hub::perfetto()` (`examples/quickstart.rs`), since the anatomy is a meta event that `--trace`'s `TRACE_<name>.json` does not hold |
 //! | `--runs N` | `table2` `fig2` `fig3` `fig4` `fault_study` | 3 | repetitions per cell (paper: 25 for GA, 10 for Bayes) |
 //! | `--gens N` | `fig2` `fig4` `fault_study` `drill` | 120 | serial-baseline GA generations (paper: 1000) |
 //! | `--ci X` | `table2` `fig3` | 0.02 | Bayes CI half-width (paper: 0.01) |
-//! | `--seed S` | `table2` `fig2` `fig3` `fig4` `fault_study` `drill` | 42 | base seed |
+//! | `--seed S` | `table2` `fig2` `fig3` `fig4` `fault_study` `drill` | 42 | base seed, at most 2^53 (the report records it as a JSON number) |
 //! | `--mailbox-warn N` | `fig2` `fig3` `fig4` `fault_study` `drill` | off | when a rank's mailbox backlog crosses N messages, warn on stderr and emit an event; the report records the high watermark either way |
 //! | `--modes LIST` | `fig2` `fig4` | all seven | the coherence modes to report, comma-separated `sync`, `async`, `age=N`; a one-mode run's histograms describe that mode alone, the input `nscc diff` is built for |
 //! | `--all-functions` | `fig2` `fig4` | off | sweep all eight GA test functions, not the four cheapest |
@@ -340,7 +340,14 @@ pub fn settings(f: &mut impl Flags) -> Result<(Scale, ResumeOpts), String> {
         generations: (parsed(f, "--gens", positive, "a positive integer")?)
             .unwrap_or(d.generations),
         ci: (parsed(f, "--ci", |c: &f64| *c > 0.0, "a positive decimal")?).unwrap_or(d.ci),
-        seed: (parsed(f, "--seed", |_| true, "an unsigned integer")?).unwrap_or(d.seed),
+        // A report records its seed as a JSON number, exact up to 2^53.
+        seed: (parsed(
+            f,
+            "--seed",
+            |s| *s <= 1 << 53,
+            "an unsigned integer up to 2^53",
+        )?)
+        .unwrap_or(d.seed),
         json: f.flag("--json"),
         trace: f.flag("--trace"),
         snap_ms: (parsed(f, "--snap-ms", |_| true, "an unsigned millisecond count")?)
@@ -1036,6 +1043,10 @@ mod tests {
         assert!(e.contains("--modes"), "{e}");
         let e = read("--resume").unwrap_err();
         assert!(e.contains("--ckpt-dir"), "{e}");
+        let e = read("--seed 9007199254740993").unwrap_err();
+        assert!(e.contains("--seed \"9007199254740993\""), "{e}");
+        assert!(e.contains("up to 2^53"), "{e}");
+        assert_eq!(read("--seed 9007199254740992").unwrap().seed, 1 << 53);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The fault plan's JSON document — the portable half of the repro
 //! format shared by `nscc-hunt` repros and hand-written
-//! `--fault-plan <path>` plans — and the shrinker's mutation hooks.
+//! `--fault-plan <path>` plans — and the shrinker's one plan move,
+//! [`FaultPlan::removals`]: each removable event's label and the plan
+//! without it.
 //!
 //! The document is `#[derive(ToJson, FromJson)]` on [`FaultPlan`] and its
 //! section types: one canonical compact form (every section present, keys
@@ -81,7 +83,7 @@ impl FaultPlan {
 }
 
 // ---------------------------------------------------------------------
-// Mutation hooks (the shrinker's substrate)
+// The shrinker's plan moves
 // ---------------------------------------------------------------------
 
 impl FaultPlan {
@@ -92,98 +94,75 @@ impl FaultPlan {
         self
     }
 
-    /// The number of removable events the shrinker can enumerate: the
-    /// base link faults (when non-noop), then every link override,
-    /// degradation window, crash, stall and partition, in that order.
-    pub fn events(&self) -> usize {
-        usize::from(!self.base.is_noop())
-            + self.links.len()
-            + self.degraded.len()
-            + self.crashes.len()
-            + self.stalls.len()
-            + self.partitions.len()
-    }
-
-    /// One human label per removable event (shrink logs), indexed like
-    /// [`without_event`](FaultPlan::without_event).
-    pub fn event_label(&self, idx: usize) -> String {
-        let mut i = idx;
+    /// Every removable event, each as its shrink-log label and the plan
+    /// without it: the base link faults (when non-noop), then every link
+    /// override, degradation window, crash, stall and partition, in that
+    /// order. Removing them all leaves a no-op plan with the same seed.
+    pub fn removals(&self) -> Vec<(String, FaultPlan)> {
+        let mut out = Vec::new();
         if !self.base.is_noop() {
-            if i == 0 {
-                return format!(
-                    "base loss={} dup={} delay={}",
-                    self.base.drop_prob, self.base.dup_prob, self.base.delay_prob
-                );
-            }
-            i -= 1;
+            let b = &self.base;
+            let label = format!(
+                "base loss={} dup={} delay={}",
+                b.drop_prob, b.dup_prob, b.delay_prob
+            );
+            out.push((
+                label,
+                FaultPlan {
+                    base: LinkFaults::default(),
+                    ..self.clone()
+                },
+            ));
         }
-        if i < self.links.len() {
-            let l = &self.links[i];
-            return format!("link {}->{} override", l.src, l.dst);
-        }
-        i -= self.links.len();
-        if i < self.degraded.len() {
-            let w = &self.degraded[i];
-            return format!("degraded window [{}, {})", w.from, w.until);
-        }
-        i -= self.degraded.len();
-        if i < self.crashes.len() {
-            let c = &self.crashes[i];
-            return match c.restart {
+        self.remove_each(
+            &mut out,
+            &self.links,
+            |p| &mut p.links,
+            |l| format!("link {}->{} override", l.src, l.dst),
+        );
+        self.remove_each(
+            &mut out,
+            &self.degraded,
+            |p| &mut p.degraded,
+            |w| format!("degraded window [{}, {})", w.from, w.until),
+        );
+        self.remove_each(
+            &mut out,
+            &self.crashes,
+            |p| &mut p.crashes,
+            |c| match c.restart {
                 Some(r) => format!("crash node {} at {} restart {}", c.node, c.at, r),
                 None => format!("crash node {} at {}", c.node, c.at),
-            };
-        }
-        i -= self.crashes.len();
-        if i < self.stalls.len() {
-            let s = &self.stalls[i];
-            return format!("stall node {} [{}, {})", s.node, s.from, s.until);
-        }
-        i -= self.stalls.len();
-        if i < self.partitions.len() {
-            let p = &self.partitions[i];
-            return format!("partition {:?} [{}, {})", p.group, p.from, p.until);
-        }
-        format!("event #{idx} (out of range)")
+            },
+        );
+        self.remove_each(
+            &mut out,
+            &self.stalls,
+            |p| &mut p.stalls,
+            |s| format!("stall node {} [{}, {})", s.node, s.from, s.until),
+        );
+        self.remove_each(
+            &mut out,
+            &self.partitions,
+            |p| &mut p.partitions,
+            |p| format!("partition {:?} [{}, {})", p.group, p.from, p.until),
+        );
+        out
     }
 
-    /// The plan with removable event `idx` deleted, or `None` when `idx`
-    /// is out of range. Event order matches [`events`](FaultPlan::events).
-    pub fn without_event(&self, idx: usize) -> Option<FaultPlan> {
-        if idx >= self.events() {
-            return None;
+    /// Push one removal per entry of `items`, the section `section` selects.
+    fn remove_each<T>(
+        &self,
+        out: &mut Vec<(String, FaultPlan)>,
+        items: &[T],
+        section: fn(&mut FaultPlan) -> &mut Vec<T>,
+        label: impl Fn(&T) -> String,
+    ) {
+        for (i, item) in items.iter().enumerate() {
+            let mut plan = self.clone();
+            section(&mut plan).remove(i);
+            out.push((label(item), plan));
         }
-        let mut plan = self.clone();
-        let mut i = idx;
-        if !self.base.is_noop() {
-            if i == 0 {
-                plan.base = LinkFaults::default();
-                return Some(plan);
-            }
-            i -= 1;
-        }
-        if i < plan.links.len() {
-            plan.links.remove(i);
-            return Some(plan);
-        }
-        i -= plan.links.len();
-        if i < plan.degraded.len() {
-            plan.degraded.remove(i);
-            return Some(plan);
-        }
-        i -= plan.degraded.len();
-        if i < plan.crashes.len() {
-            plan.crashes.remove(i);
-            return Some(plan);
-        }
-        i -= plan.crashes.len();
-        if i < plan.stalls.len() {
-            plan.stalls.remove(i);
-            return Some(plan);
-        }
-        i -= plan.stalls.len();
-        plan.partitions.remove(i);
-        Some(plan)
     }
 }
 
@@ -364,22 +343,33 @@ mod tests {
     #[test]
     fn event_enumeration_covers_every_section() {
         let plan = rich_plan();
+        let removals = plan.removals();
+        let labels: Vec<&str> = removals.iter().map(|(l, _)| l.as_str()).collect();
         // base + 1 link + 1 degraded + 2 crashes + 1 stall + 1 partition.
-        assert_eq!(plan.events(), 7);
-        for i in 0..plan.events() {
-            let shrunk = plan.without_event(i).unwrap();
-            assert_eq!(shrunk.events(), plan.events() - 1, "event {i}");
-            assert_ne!(shrunk, plan);
-            assert!(!plan.event_label(i).contains("out of range"));
+        assert_eq!(
+            labels,
+            [
+                "base loss=0.01 dup=0.002 delay=0.05",
+                "link 0->1 override",
+                "degraded window [1.000000s, 2.000000s)",
+                "crash node 2 at 10.000000s",
+                "crash node 1 at 3.000000s restart 4.000000s",
+                "stall node 3 [0ns, 1.000000s)",
+                "partition [0, 1] [5.000000s, 6.000000s)",
+            ]
+        );
+        for (label, shrunk) in &removals {
+            assert_eq!(shrunk.removals().len(), removals.len() - 1, "{label}");
+            assert_ne!(shrunk, &plan, "{label}");
+            assert_eq!(shrunk.seed(), plan.seed(), "{label}");
         }
-        assert!(plan.without_event(plan.events()).is_none());
     }
 
     #[test]
     fn removing_every_event_yields_a_noop_plan() {
         let mut plan = rich_plan();
-        while plan.events() > 0 {
-            plan = plan.without_event(0).unwrap();
+        while let Some((_, shrunk)) = plan.removals().into_iter().next() {
+            plan = shrunk;
         }
         assert!(plan.is_noop());
         assert_eq!(plan.seed(), rich_plan().seed(), "seed is not an event");
@@ -390,7 +380,7 @@ mod tests {
         let plan = rich_plan();
         let reseeded = plan.clone().with_seed(123);
         assert_eq!(reseeded.seed(), 123);
-        assert_eq!(reseeded.events(), plan.events());
+        assert_eq!(reseeded.removals().len(), plan.removals().len());
         assert_eq!(reseeded.crashes(), plan.crashes());
     }
 

@@ -10,10 +10,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use nscc_bench::headless::{run_headless, HeadlessSpec};
+use nscc_bench::headless::HeadlessSpec;
 
 use crate::generate::{generate, Envelope};
-use crate::oracle::{judge, Verdict};
+use crate::oracle::{self, Verdict};
 
 // What crosses a worker's boundary: a scenario in, an outcome and a
 // finding out. Every simulation, hub and world is built, run and dropped
@@ -80,7 +80,7 @@ pub fn hunt(cfg: &HuntConfig, progress: &(dyn Fn(&str) + Sync)) -> Vec<HuntFindi
                     break;
                 }
                 let spec = generate(cfg.master_seed, trial, &cfg.envelope);
-                let verdict = judge(&spec, &run_headless(&spec));
+                let verdict = oracle::trial(&spec);
                 if !verdict.is_clean() {
                     progress(&format!(
                         "trial {trial}: {} ({} finding(s))",

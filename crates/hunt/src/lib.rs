@@ -13,10 +13,11 @@
 //!   oracles come from machinery the repo already trusts: the online
 //!   audit monitors, the watchdog / deadlock detector, the rollback
 //!   bound warm recovery promises, and run-completion checks.
-//! * [`shrink`] — a delta-debugging minimiser: drop fault-plan events
-//!   one at a time and simplify configuration knobs until the scenario
-//!   is locally minimal while still exhibiting the original failure
-//!   kind.
+//! * [`shrink`] — a delta-debugging minimiser over one candidate list:
+//!   every fault-plan event dropped, then every configuration knob
+//!   simplified; the first candidate that still exhibits the original
+//!   failure kind is accepted, until none does and the scenario is
+//!   locally minimal.
 //! * [`Repro`] — a portable, versioned JSON format for the minimised
 //!   scenario plus the expected verdict, replayable forever by
 //!   `nscc replay` (the committed `repros/` corpus runs in CI).

@@ -3,7 +3,7 @@
 //! audit-monitor violations, watchdog cuts and deadlocks, the warm
 //! recovery rollback bound, and run completion.
 
-use nscc_bench::headless::{HeadlessOutcome, HeadlessSpec};
+use nscc_bench::headless::{run_headless, HeadlessOutcome, HeadlessSpec};
 
 /// One oracle hit: a stable `kind` (what class of failure) plus the
 /// concrete `detail` line.
@@ -66,6 +66,12 @@ impl Verdict {
     pub fn lines(&self) -> Vec<String> {
         self.findings.iter().map(Finding::line).collect()
     }
+}
+
+/// Run `spec` once and judge it: the one trial the driver, the shrinker
+/// and replay all make.
+pub(crate) fn trial(spec: &HeadlessSpec) -> Verdict {
+    judge(spec, &run_headless(spec))
 }
 
 /// Judge one trial. Deterministic: the outcome is a pure function of

@@ -20,11 +20,11 @@
 
 use std::fmt::Write as _;
 
-use nscc_bench::headless::{run_headless, HeadlessSpec};
+use nscc_bench::headless::HeadlessSpec;
 use nscc_ckpt::json::{decode, DecodeError, FromJson, Json, Path, Schema, ToJson};
 use nscc_sim::SimTime;
 
-use crate::oracle::{digest, judge, Verdict};
+use crate::oracle::{digest, trial, Verdict};
 
 /// Schema version stamped into (and demanded from) every repro document.
 pub const REPRO_SCHEMA_VERSION: u64 = 1;
@@ -113,7 +113,7 @@ impl Repro {
     /// Re-run the scenario and check the expectation. `Ok` carries a
     /// one-line confirmation; `Err` explains the divergence.
     pub fn replay(&self) -> Result<String, String> {
-        let verdict = judge(&self.scenario, &run_headless(&self.scenario));
+        let verdict = trial(&self.scenario);
         let fresh = digest(&verdict);
         let expect = &self.expect;
         match expect.status {
@@ -335,6 +335,20 @@ mod tests {
         assert_eq!(seen, 3, "repros/*.json");
     }
 
+    /// Each committed repro is already locally minimal: shrinking it
+    /// accepts no step and gives back the scenario and its digest.
+    #[test]
+    fn committed_repros_are_shrink_fixpoints() {
+        for (path, text) in committed() {
+            let repro = Repro::from_json(&text).unwrap();
+            let mut steps = Vec::new();
+            let (min, verdict) = crate::shrink(&repro.scenario, |s| steps.push(s.to_string()));
+            assert!(steps.is_empty(), "{}: {steps:?}", path.display());
+            assert_eq!(format!("{min:?}"), format!("{:?}", repro.scenario));
+            assert_eq!(digest(&verdict), repro.expect.digest, "{}", path.display());
+        }
+    }
+
     #[test]
     fn strict_parser_rejects_bad_documents() {
         let good = rich_repro().to_json();
@@ -388,7 +402,7 @@ mod tests {
             inject_stale: 1,
             ..HeadlessSpec::quick(21)
         };
-        let verdict = judge(&scenario, &run_headless(&scenario));
+        let verdict = trial(&scenario);
         // The injected-stale release trips two oracles: the staleness
         // monitor (age bound broken) and the conservation plane (the
         // sabotaged release has no honest hop stamps to account for its

@@ -1,188 +1,116 @@
 //! Delta-debugging shrinker: reduce a failing scenario to a locally
 //! minimal repro while preserving its most severe failure kind.
 //!
-//! Two reduction moves, applied to fixpoint:
-//!
-//! 1. **Plan events** — drop one fault-plan event (base faults, a link
-//!    override, a degradation window, a crash, a stall, a partition) at
-//!    a time via [`FaultPlan::without_event`]; keep the removal if the
-//!    re-run still exhibits the primary failure kind.
-//! 2. **Knobs** — simplify configuration one knob at a time: fewer
-//!    generations, fewer islands, sabotage off, snapshots off,
-//!    supervision off, heartbeat off, read-timeout off, reliable layer
-//!    off.
+//! One move set, applied to fixpoint. [`candidates`] lists every
+//! one-step reduction of a scenario: each fault-plan event dropped
+//! ([`FaultPlan::removals`]: base faults, a link override, a degradation
+//! window, a crash, a stall, a partition), then each knob simplified
+//! (fewer runs, generations and processes, less sabotage, snapshots,
+//! supervision, heartbeat, read timeout and reliable layer off). The
+//! first candidate that still exhibits the primary failure kind is
+//! accepted and the list is rebuilt from it; a full pass that accepts
+//! nothing ends the search.
 //!
 //! Every candidate is an actual re-run of the deterministic simulation,
 //! so acceptance is exact, not heuristic. The result is locally minimal:
 //! removing any single remaining event or knob loses the failure.
 
-use nscc_bench::headless::{run_headless, HeadlessSpec};
+use nscc_bench::headless::HeadlessSpec;
+use nscc_core::FaultPlan;
 
-use crate::oracle::{judge, Verdict};
+use crate::oracle::{trial, Verdict};
 
-/// Whether `spec` still exhibits failure kind `kind`.
-fn still_fails(spec: &HeadlessSpec, kind: &str) -> bool {
-    judge(spec, &run_headless(spec)).has_kind(kind)
-}
-
-/// The one-knob simplifications applicable to `spec`, most aggressive
-/// first. Each candidate differs from `spec` in exactly one knob.
-fn knob_candidates(spec: &HeadlessSpec) -> Vec<(String, HeadlessSpec)> {
-    let mut out = Vec::new();
+/// Every one-step reduction of `spec` with its log line, in the order
+/// the shrinker tries them: each plan event dropped, then each knob
+/// simplified, most aggressive first.
+fn candidates(spec: &HeadlessSpec) -> Vec<(String, HeadlessSpec)> {
+    let mut out: Vec<(String, HeadlessSpec)> = spec
+        .plan
+        .iter()
+        .flat_map(FaultPlan::removals)
+        .map(|(event, plan)| {
+            let plan = (!plan.is_noop()).then_some(plan);
+            (
+                format!("drop plan event: {event}"),
+                HeadlessSpec {
+                    plan,
+                    ..spec.clone()
+                },
+            )
+        })
+        .collect();
+    let mut knob = |label: String, simplify: &dyn Fn(&mut HeadlessSpec)| {
+        let mut cand = spec.clone();
+        simplify(&mut cand);
+        out.push((format!("simplify knob: {label}"), cand));
+    };
     if spec.runs > 1 {
-        out.push((
-            format!("runs {} -> 1", spec.runs),
-            HeadlessSpec {
-                runs: 1,
-                ..spec.clone()
-            },
-        ));
+        knob(format!("runs {} -> 1", spec.runs), &|s| s.runs = 1);
     }
     if spec.generations > 10 {
         let g = (spec.generations / 2).max(10);
-        out.push((
-            format!("generations {} -> {g}", spec.generations),
-            HeadlessSpec {
-                generations: g,
-                ..spec.clone()
-            },
-        ));
+        knob(format!("generations {} -> {g}", spec.generations), &|s| {
+            s.generations = g
+        });
     }
     if spec.procs > 2 {
-        out.push((
+        knob(
             format!("procs {} -> {}", spec.procs, spec.procs - 1),
-            HeadlessSpec {
-                procs: spec.procs - 1,
-                ..spec.clone()
-            },
-        ));
+            &|s| s.procs -= 1,
+        );
     }
     if spec.inject_stale > 1 {
-        out.push((
-            format!("inject_stale {} -> 1", spec.inject_stale),
-            HeadlessSpec {
-                inject_stale: 1,
-                ..spec.clone()
-            },
-        ));
+        knob(format!("inject_stale {} -> 1", spec.inject_stale), &|s| {
+            s.inject_stale = 1
+        });
     }
     if spec.inject_stale == 1 {
-        out.push((
-            "inject_stale 1 -> 0".to_string(),
-            HeadlessSpec {
-                inject_stale: 0,
-                ..spec.clone()
-            },
-        ));
+        knob("inject_stale 1 -> 0".into(), &|s| s.inject_stale = 0);
     }
     if spec.snapshots.is_some() {
-        out.push((
-            "snapshots off".to_string(),
-            HeadlessSpec {
-                snapshots: None,
-                ..spec.clone()
-            },
-        ));
+        knob("snapshots off".into(), &|s| s.snapshots = None);
     }
     if spec.supervision {
-        out.push((
-            "supervision off".to_string(),
-            HeadlessSpec {
-                supervision: false,
-                ..spec.clone()
-            },
-        ));
+        knob("supervision off".into(), &|s| s.supervision = false);
     }
     if spec.heartbeat.is_some() {
-        out.push((
-            "heartbeat off".to_string(),
-            HeadlessSpec {
-                heartbeat: None,
-                ..spec.clone()
-            },
-        ));
+        knob("heartbeat off".into(), &|s| s.heartbeat = None);
     }
     if spec.read_timeout.is_some() {
-        out.push((
-            "read timeout off".to_string(),
-            HeadlessSpec {
-                read_timeout: None,
-                ..spec.clone()
-            },
-        ));
+        knob("read timeout off".into(), &|s| s.read_timeout = None);
     }
     if spec.reliable.is_some() {
-        out.push((
-            "reliable layer off".to_string(),
-            HeadlessSpec {
-                reliable: None,
-                ..spec.clone()
-            },
-        ));
+        knob("reliable layer off".into(), &|s| s.reliable = None);
     }
     out
 }
 
 /// Shrink `spec0` to a locally minimal scenario preserving its primary
 /// failure kind; `log` receives one line per accepted reduction.
-/// Returns the minimal spec and its fresh verdict. Returns `spec0`
-/// unchanged (with its verdict) when the scenario is clean — there is
-/// nothing to preserve.
+/// Returns the minimal spec and its verdict. Returns `spec0` unchanged
+/// (with its verdict) when the scenario is clean — there is nothing to
+/// preserve.
 pub fn shrink(spec0: &HeadlessSpec, mut log: impl FnMut(&str)) -> (HeadlessSpec, Verdict) {
-    let verdict0 = judge(spec0, &run_headless(spec0));
-    let kind = match verdict0.primary() {
-        Some(k) => k.to_string(),
-        None => return (spec0.clone(), verdict0),
+    let mut best = (spec0.clone(), trial(spec0));
+    let Some(kind) = best.1.primary().map(str::to_string) else {
+        return best;
     };
-    let mut best = spec0.clone();
-    loop {
-        let mut improved = false;
-
-        // Pass 1: drop plan events one at a time until none can go.
-        while let Some(plan) = best.plan.clone() {
-            let mut removed = false;
-            for idx in 0..plan.events() {
-                let shrunk = plan.without_event(idx).expect("idx < events()");
-                let cand = HeadlessSpec {
-                    plan: (!shrunk.is_noop()).then_some(shrunk),
-                    ..best.clone()
-                };
-                if still_fails(&cand, &kind) {
-                    log(&format!("drop plan event: {}", plan.event_label(idx)));
-                    best = cand;
-                    removed = true;
-                    improved = true;
-                    break;
-                }
-            }
-            if !removed {
-                break;
+    'pass: loop {
+        for (step, cand) in candidates(&best.0) {
+            let verdict = trial(&cand);
+            if verdict.has_kind(&kind) {
+                log(&step);
+                best = (cand, verdict);
+                continue 'pass;
             }
         }
-
-        // Pass 2: simplify one knob; restart both passes on success so
-        // the plan gets re-minimised under the simpler configuration.
-        for (label, cand) in knob_candidates(&best) {
-            if still_fails(&cand, &kind) {
-                log(&format!("simplify knob: {label}"));
-                best = cand;
-                improved = true;
-                break;
-            }
-        }
-
-        if !improved {
-            break;
-        }
+        return best;
     }
-    let verdict = judge(&best, &run_headless(&best));
-    (best, verdict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nscc_core::FaultPlan;
     use nscc_sim::SimTime;
 
     /// A sabotage scenario dressed up with irrelevant chaos: the
@@ -201,7 +129,7 @@ mod tests {
             supervision: true,
             ..HeadlessSpec::quick(13)
         };
-        let before = judge(&noisy, &run_headless(&noisy));
+        let before = trial(&noisy);
         // A sabotaged release carries no honest hop stamps, so its
         // anatomy trips the conservation monitor just before the
         // read-done trips the staleness monitor.
@@ -224,7 +152,7 @@ mod tests {
             inject_stale: 0,
             ..min.clone()
         };
-        let v = judge(&without, &run_headless(&without));
+        let v = trial(&without);
         assert!(!v.has_kind("audit:conservation"), "{v:?}");
         assert!(!v.has_kind("audit:staleness"), "{v:?}");
     }

@@ -568,8 +568,9 @@ mod tests {
                 ..LinkFaults::default()
             },
         );
-        assert_eq!(plan.events(), 1, "locally minimal: exactly one event");
-        assert!(plan.without_event(0).unwrap().is_noop());
+        let removals = plan.removals();
+        assert_eq!(removals.len(), 1, "locally minimal: exactly one event");
+        assert!(removals[0].1.is_noop());
 
         let w: CommWorld<u64> = CommWorld::new(
             Network::new(FaultyMedium::new(

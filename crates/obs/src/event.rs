@@ -389,6 +389,29 @@ pub enum ObsEvent {
 }
 
 impl ObsEvent {
+    /// A [`ReadAnatomy`](ObsEvent::ReadAnatomy)'s seven stage durations
+    /// summed (wrapping), the side of the conservation contract that must
+    /// equal its `age_ns`; `None` for every other event.
+    pub fn stage_sum(&self) -> Option<u64> {
+        let &ObsEvent::ReadAnatomy {
+            wait_ns,
+            publish_ns,
+            transit_ns,
+            fault_ns,
+            retrans_ns,
+            queue_ns,
+            apply_ns,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let stages = [
+            publish_ns, transit_ns, fault_ns, retrans_ns, queue_ns, apply_ns,
+        ];
+        Some(stages.into_iter().fold(wait_ns, u64::wrapping_add))
+    }
+
     /// The event's timestamp in virtual nanoseconds.
     pub fn t_ns(&self) -> u64 {
         match *self {

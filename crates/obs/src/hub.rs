@@ -276,17 +276,10 @@ impl HubState {
         else {
             return;
         };
-        let sum = wait_ns
-            .wrapping_add(publish_ns)
-            .wrapping_add(transit_ns)
-            .wrapping_add(fault_ns)
-            .wrapping_add(retrans_ns)
-            .wrapping_add(queue_ns)
-            .wrapping_add(apply_ns);
         let a = &mut self.anatomy;
         a.released += 1;
         a.conservation_checked += 1;
-        if sum != age_ns {
+        if ev.stage_sum() != Some(age_ns) {
             a.conservation_violations += 1;
         }
         a.age_ns.record(age_ns);

@@ -69,7 +69,19 @@ Exit codes: 0 pass, 1 regression/violation/failed run, 2 usage/config
 error, 3 --ckpt-exit-after reached.
 ";
 
+#[cfg(unix)]
+extern "C" {
+    fn signal(signum: i32, handler: usize) -> usize;
+}
+
 fn main() -> ExitCode {
+    // A reader that stops early (`nscc … | head`) ends the process the way
+    // it ends `yes`, by SIGPIPE's default action, instead of a panic on
+    // the next print. SIGPIPE is 13 and SIG_DFL is 0 on every unix.
+    #[cfg(unix)]
+    unsafe {
+        signal(13, 0);
+    }
     let mut argv = std::env::args().skip(1);
     let Some(cmd) = argv.next() else {
         eprint!("{USAGE}");
@@ -415,7 +427,7 @@ fn cmd_hunt(mut a: Args) -> u8 {
         let kind = verdict.primary().unwrap_or("clean").to_string();
         println!(
             "  minimal: {} plan event(s), primary {kind}",
-            min.plan.as_ref().map_or(0, |p| p.events())
+            min.plan.as_ref().map_or(0, |p| p.removals().len())
         );
         if let Some(dir) = &out_dir {
             let slug: String = kind

@@ -5,8 +5,9 @@
 //! `table1` bench binary `nscc run table1` replaced), so a change to any
 //! subcommand's output or exit code fails here.
 
+use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// FNV-1a, 64-bit.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -180,4 +181,29 @@ fn a_sabotaged_hunt_writes_the_pinned_repro() {
             0xb01e_9aaa_60f8_ed31
         )]
     );
+}
+
+/// A reader that stops early ends the run quietly, the way `yes | head`
+/// ends `yes`: no panic on the closed pipe and no exit 101.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nscc"))
+        .args(["run", "table2", "--runs", "1", "--ci", "0.2"])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .env_clear()
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("nscc runs");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.starts_with("=== Table 2"), "{first}");
+    // The reader is dropped: the rows still to come meet a closed pipe.
+    let out = child.wait_with_output().expect("nscc ends");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
