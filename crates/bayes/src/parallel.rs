@@ -70,7 +70,8 @@ pub struct ParallelBayesConfig {
     /// Seed of the counter-based sampling draws (shared by all
     /// partitions so a (node, sample) pair always draws the same value).
     pub sample_seed: u64,
-    /// Optional observability hub: attached to the DSM world, and fed an
+    /// Optional observability hub: attached to the network, the DSM world
+    /// and the scheduler ([`SimBuilder::observe`]), and fed an
     /// `AntiMessage` event for every correction a rollback re-publishes.
     pub obs: Option<Hub>,
 }
@@ -521,8 +522,12 @@ pub fn run_planned_inference(
     }
 
     let mut world: DsmWorld<BatchValues> =
-        DsmWorld::new(network, parts, msg_cfg, dir).with_history(2 * cfg.window + 8);
+        DsmWorld::new(network.clone(), parts, msg_cfg, dir).with_history(2 * cfg.window + 8);
     if let Some(hub) = &cfg.obs {
+        // Per-program boundary for any attached audit tap (epochs and
+        // sequence numbers legitimately restart here).
+        hub.note_run_boundary();
+        network.attach_obs(hub.clone());
         world = world.with_obs(hub.clone());
     }
     for &l in batch_locs.iter().chain(hb_locs.iter()) {
@@ -533,16 +538,8 @@ pub fn run_planned_inference(
     let results: Rc<RefCell<Vec<Option<PartOutcome>>>> = Rc::new(RefCell::new(vec![None; parts]));
 
     let mut sim = SimBuilder::new(sim_seed);
-    // The sampling profiler is driven by the scheduler; only attach it
-    // there when profiling is on, so plain json/trace runs keep their
-    // span-free reports byte-for-byte.
-    // Wall-clock scheduler accounting is span-free and kept outside the
-    // deterministic report sections, so it attaches whenever requested.
-    if let Some(hub) = cfg.obs.as_ref().filter(|h| h.wants_wall()) {
-        sim.attach_wall(hub.clone());
-    }
-    if let Some(hub) = cfg.obs.as_ref().filter(|h| h.profile_period() > 0) {
-        sim.attach_obs(hub.clone());
+    if let Some(hub) = &cfg.obs {
+        sim.observe(hub);
     }
     for rank in 0..parts {
         let node = world.node(rank);

@@ -26,9 +26,9 @@
 //! `recovery` section merges all scenarios — the input of `nscc drill`.
 
 use crate::headless::HeadlessSpec;
-use crate::Session;
+use crate::{CellResult, Session};
 use nscc_core::fmt::render_table;
-use nscc_core::{run_ga_experiment, FaultPlan, GaExpResult, GaExperiment, RunReport};
+use nscc_core::{run_ga_experiment, FaultPlan, GaExpResult, GaExperiment};
 use nscc_ga::{RecoverySummary, SupervisorPolicy};
 use nscc_obs::Hub;
 use nscc_sim::SimTime;
@@ -63,9 +63,9 @@ fn drill_exp(
         snapshots,
         ..HeadlessSpec::quick(session.scale.seed)
     };
-    let mut exp = spec.experiment(obs);
-    exp.platform.msg.mailbox_warn = session.scale.mailbox_warn;
+    let exp = spec.experiment(obs);
     GaExperiment {
+        platform: session.scale.platform(exp.platform),
         supervision,
         // With --ckpt-dir given, completed cuts also land on disk as
         // consistent-cut generations (`nscc inspect --ckpt` shows them
@@ -76,22 +76,33 @@ fn drill_exp(
     }
 }
 
-/// Fold one scenario's recovery summary into the drill report.
-fn absorb(rep: &mut RunReport, total: &mut RecoverySummary, scenario: &str, res: &GaExpResult) {
+/// One scenario as a cell, folded into the report as a sweep's cells are:
+/// its counters, its fault lines and its `{scenario}_*` metrics. Its
+/// recovery summary is merged into the drill's `total`. The cells do not
+/// go through `finish`: with `--ckpt-dir` (drill's cut store) it would
+/// read them as a per-cell-hub sweep and replace `obs` with an empty
+/// merge.
+fn scenario_cell(total: &mut RecoverySummary, scenario: &str, res: &GaExpResult) -> CellResult {
     let m = &res.modes[0];
-    rep.dsm.merge(&m.dsm);
-    rep.net.get_or_insert_with(Default::default).merge(&res.net);
-    rep.comm.get_or_insert_with(Default::default).merge(&m.comm);
-    rep.fault_reports += res.fault_reports.len() as u64;
     let key = |metric: &str| format!("{scenario}_{metric}");
-    rep.metric(key("restores"), m.restores as f64);
-    rep.metric(key("max_rollback"), m.max_rollback as f64);
-    rep.metric(key("fault_reports"), res.fault_reports.len() as f64);
+    let mut metrics = vec![
+        (key("restores"), m.restores as f64),
+        (key("max_rollback"), m.max_rollback as f64),
+        (key("fault_reports"), res.fault_reports.len() as f64),
+    ];
     if let Some(rec) = &res.recovery {
-        rep.metric(key("snapshots_completed"), rec.snapshots_completed as f64);
-        rep.metric(key("cut_restores"), rec.cut_restores as f64);
-        rep.metric(key("give_ups"), rec.give_ups as f64);
+        metrics.push((key("snapshots_completed"), rec.snapshots_completed as f64));
+        metrics.push((key("cut_restores"), rec.cut_restores as f64));
+        metrics.push((key("give_ups"), rec.give_ups as f64));
         total.merge(rec);
+    }
+    CellResult {
+        metrics,
+        fault_lines: res.fault_reports.iter().map(|f| f.summary()).collect(),
+        dsm: m.dsm,
+        net: Some(res.net),
+        comm: Some(m.comm),
+        ..CellResult::default()
     }
 }
 
@@ -163,7 +174,7 @@ pub(super) fn run(mut session: Session) -> u8 {
         rec.give_ups == 0,
         format!("{} give-up(s)", rec.give_ups),
     ));
-    absorb(&mut session.report, &mut total, "single_crash", &res);
+    scenario_cell(&mut total, "single_crash", &res).fold_into(&mut session.report);
 
     // --- double-crash: two islands die in separate windows. ---
     let plan = FaultPlan::new(seed ^ 0xD21)
@@ -182,7 +193,7 @@ pub(super) fn run(mut session: Session) -> u8 {
             rec.restores, rec.restarts_approved, rec.give_ups
         ),
     ));
-    absorb(&mut session.report, &mut total, "double_crash", &res);
+    scenario_cell(&mut total, "double_crash", &res).fold_into(&mut session.report);
 
     // --- budget-exhausted: two crashes against a budget of one. ---
     // The windows sit late in the run: a consistent cut needs every
@@ -215,7 +226,7 @@ pub(super) fn run(mut session: Session) -> u8 {
         rec.max_backoff_ns > 0,
         format!("max backoff {} ns", rec.max_backoff_ns),
     ));
-    absorb(&mut session.report, &mut total, "budget_exhausted", &res);
+    scenario_cell(&mut total, "budget_exhausted", &res).fold_into(&mut session.report);
 
     // --- identity: snapshots must not perturb a crash-free run. ---
     // The marker plane is out-of-band (no frames on the wire, no virtual
@@ -271,7 +282,7 @@ pub(super) fn run(mut session: Session) -> u8 {
         off.recovery.is_none(),
         format!("off.recovery = {:?}", off.recovery),
     ));
-    absorb(&mut session.report, &mut total, "identity", &on);
+    scenario_cell(&mut total, "identity", &on).fold_into(&mut session.report);
 
     // --- audit verdict: the monitors saw every scenario's events. ---
     if let Some(v) = session.violations() {

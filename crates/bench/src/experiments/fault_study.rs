@@ -26,7 +26,7 @@
 use crate::headless::HeadlessSpec;
 use crate::{CellResult, Scale, Session};
 use nscc_core::fmt::{f2, render_table};
-use nscc_core::{run_ga_experiment, FaultPlan};
+use nscc_core::{run_ga_experiment, FaultPlan, GaExperiment};
 use nscc_obs::Hub;
 use nscc_sim::SimError;
 
@@ -60,9 +60,11 @@ fn run_cell(
         inject_stale: scale.inject_stale,
         ..HeadlessSpec::quick(scale.seed)
     };
-    let mut exp = spec.experiment(obs);
-    exp.platform.msg.mailbox_warn = scale.mailbox_warn;
-    let res = run_ga_experiment(&exp)?;
+    let exp = spec.experiment(obs);
+    let res = run_ga_experiment(&GaExperiment {
+        platform: scale.platform(exp.platform),
+        ..exp
+    })?;
     let m = &res.modes[0];
     let key = |metric: &str| format!("loss={loss}_age={age}_{metric}");
     // The table row renders these, in this order, after loss and age.
@@ -123,9 +125,6 @@ pub(super) fn run(mut session: Session) -> u8 {
         let mut row = vec![format!("{loss}"), format!("{age}"), f2(v[0]), f2(v[1])];
         row.extend(v[2..7].iter().map(f64::to_string));
         rows.push(row);
-        for (k, v) in &c.metrics {
-            session.report.metric(k.clone(), *v);
-        }
     }
     println!("\n{}", render_table(&rows));
     println!(

@@ -13,41 +13,25 @@
 //! checkpointed; a killed sweep rerun with `--resume` skips the finished
 //! cells and produces a byte-identical report.
 
-use crate::{panel_speedups, speedup_cells, CellResult, Session};
+use crate::{panel_row, CellResult, Session};
 use nscc_core::fmt::render_table;
-use nscc_core::{run_ga_experiment, GaExperiment};
-use nscc_ga::ALL_FUNCTIONS;
+use nscc_core::Platform;
 
 const PROCS: [usize; 4] = [2, 4, 8, 16];
 
 pub(super) fn run(mut session: Session) -> u8 {
     // The averaged panel still needs every function; quick mode restricts
     // it to the four cheapest.
-    let functions = &ALL_FUNCTIONS[..if session.scale.all_functions {
-        ALL_FUNCTIONS.len()
-    } else {
-        4
-    }];
+    let functions = session.scale.functions();
     let title = "Figure 2: GA speedups on the unloaded network";
     print!("{}", session.banner(title));
 
-    let modes = &session.scale.modes;
     let grid: Vec<_> = functions
         .iter()
         .flat_map(|&f| PROCS.map(|p| (f, p)))
         .collect();
-    let scale = &session.scale;
     let cells = session.sweep(&grid, |&(func, p), obs| {
-        let mut exp = GaExperiment {
-            generations: scale.generations,
-            runs: scale.runs,
-            base_seed: scale.seed,
-            obs,
-            modes: modes.clone(),
-            ..GaExperiment::new(func, p)
-        };
-        exp.platform.msg.mailbox_warn = scale.mailbox_warn;
-        Ok(CellResult::from_ga(&run_ga_experiment(&exp)?))
+        session.ga_cell(func, p, Platform::paper_ethernet(p), obs)
     });
 
     // Panel 1: best case (function 1). Panel 2: average over all
@@ -78,14 +62,9 @@ fn panel(cells: &[CellResult], funcs: usize) -> (Vec<Vec<String>>, Vec<(String, 
     let (mut rows, mut metrics) = (vec![header], Vec::new());
     for (pi, p) in PROCS.iter().enumerate() {
         let group: Vec<&CellResult> = (0..funcs).map(|f| &cells[f * PROCS.len() + pi]).collect();
-        let (speedups, improvement) = panel_speedups(&group);
-        rows.push([vec![p.to_string()], speedup_cells(&speedups, improvement)].concat());
-        for (label, s) in labels.iter().zip(&speedups) {
-            metrics.push((format!("p{p}_{label}"), *s));
-        }
-        if improvement.is_finite() {
-            metrics.push((format!("p{p}_improvement"), improvement));
-        }
+        let (row, m) = panel_row(&group, &format!("p{p}"));
+        rows.push([vec![p.to_string()], row].concat());
+        metrics.extend(m);
     }
     (rows, metrics)
 }

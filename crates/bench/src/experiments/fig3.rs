@@ -8,10 +8,10 @@
 //! killed sweep rerun with `--resume` skips the finished cells and
 //! produces a byte-identical report.
 
-use crate::{panel_speedups, speedup_cells, CellResult, Session};
+use crate::{panel_row, CellResult, Session};
 use nscc_bayes::{StopRule, TABLE2};
 use nscc_core::fmt::render_table;
-use nscc_core::{run_bayes_experiment, BayesExperiment};
+use nscc_core::{run_bayes_experiment, BayesExperiment, Platform};
 use nscc_sim::SimTime;
 
 pub(super) fn run(mut session: Session) -> u8 {
@@ -20,17 +20,17 @@ pub(super) fn run(mut session: Session) -> u8 {
 
     let scale = &session.scale;
     let cells = session.sweep(&TABLE2, |&netid, obs| {
-        let mut exp = BayesExperiment {
+        let exp = BayesExperiment {
             stop: StopRule {
                 halfwidth: scale.ci,
                 ..StopRule::default()
             },
             runs: scale.runs,
             base_seed: scale.seed,
+            platform: scale.platform(Platform::paper_ethernet(2)),
             obs,
             ..BayesExperiment::new(netid, 2)
         };
-        exp.platform.msg.mailbox_warn = scale.mailbox_warn;
         let r = run_bayes_experiment(&exp)?;
         Ok(CellResult {
             t_ns: r.seq_time.as_nanos(),
@@ -54,37 +54,25 @@ pub(super) fn run(mut session: Session) -> u8 {
     for (netid, c) in TABLE2.iter().zip(&cells) {
         let name = netid.name();
         let seq_s = SimTime::from_nanos(c.t_ns).as_secs_f64();
-        let (speedups, improvement) = panel_speedups(&[c]);
-        rows.push(
-            [
-                vec![name.to_string(), format!("{seq_s:.2}")],
-                speedup_cells(&speedups, improvement),
-            ]
-            .concat(),
-        );
+        let (row, metrics) = panel_row(&[c], name);
+        rows.push([vec![name.to_string(), format!("{seq_s:.2}")], row].concat());
+        // The metrics open with one speedup per mode, in mode order.
         let best = (0..labels.len())
             .filter(|&i| labels[i].starts_with("age="))
-            .max_by(|&a, &b| speedups[a].total_cmp(&speedups[b]))
+            .max_by(|&a, &b| metrics[a].1.total_cmp(&metrics[b].1))
             .expect("age rows exist");
         footer.push(format!(
             "{name}: async={:.0} best-age={:.0}",
             c.rollbacks[1], c.rollbacks[best]
         ));
         rep.metric(format!("{name}_seq_s"), seq_s);
-        rep.metric(format!("{name}_improvement"), improvement);
-        for (label, s) in labels.iter().zip(&speedups) {
-            rep.metric(format!("{name}_{label}"), *s);
+        for (key, value) in metrics {
+            rep.metric(key, value);
         }
     }
     // Average panel: ratio of summed sequential to summed parallel times.
-    let (speedups, improvement) = panel_speedups(&cells.iter().collect::<Vec<_>>());
-    rows.push(
-        [
-            vec!["average".to_string(), String::new()],
-            speedup_cells(&speedups, improvement),
-        ]
-        .concat(),
-    );
+    let (row, _) = panel_row(&cells.iter().collect::<Vec<_>>(), "average");
+    rows.push([vec!["average".to_string(), String::new()], row].concat());
     print!("{}", render_table(&rows));
     println!(
         "\nrollbacks per converged run (mean): {}",

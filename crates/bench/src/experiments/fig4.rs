@@ -12,40 +12,23 @@
 //! checkpointed; a killed sweep rerun with `--resume` skips the finished
 //! cells and produces a byte-identical report.
 
-use crate::{panel_speedups, speedup_cells, CellResult, Session};
+use crate::{panel_row, CellResult, Session};
 use nscc_core::fmt::render_table;
-use nscc_core::{run_ga_experiment, GaExperiment, Platform};
-use nscc_ga::ALL_FUNCTIONS;
+use nscc_core::Platform;
 
 const LOADS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
 
 pub(super) fn run(mut session: Session) -> u8 {
-    let functions = &ALL_FUNCTIONS[..if session.scale.all_functions {
-        ALL_FUNCTIONS.len()
-    } else {
-        4
-    }];
+    let functions = session.scale.functions();
     let title = "Figure 4: GA speedups on the loaded network (4 processors)";
     print!("{}", session.banner(title));
 
-    let modes = &session.scale.modes;
     let grid: Vec<_> = LOADS
         .iter()
         .flat_map(|&load| functions.iter().map(move |&f| (load, f)))
         .collect();
-    let scale = &session.scale;
     let cells = session.sweep(&grid, |&(load, func), obs| {
-        let mut exp = GaExperiment {
-            generations: scale.generations,
-            runs: scale.runs,
-            base_seed: scale.seed,
-            platform: Platform::loaded_ethernet(4, load),
-            obs,
-            modes: modes.clone(),
-            ..GaExperiment::new(func, 4)
-        };
-        exp.platform.msg.mailbox_warn = scale.mailbox_warn;
-        Ok(CellResult::from_ga(&run_ga_experiment(&exp)?))
+        session.ga_cell(func, 4, Platform::loaded_ethernet(4, load), obs)
     });
 
     println!("\n-- best case: function 1 (sphere) --");
@@ -80,26 +63,16 @@ fn panel(
     let (mut rows, mut metrics) = (vec![header], Vec::new());
     for (li, load) in LOADS.iter().enumerate() {
         let group: Vec<&CellResult> = cells[li * stride..][..funcs].iter().collect();
-        let (speedups, improvement) = panel_speedups(&group);
+        let (row, m) = panel_row(&group, &format!("load{load}"));
         // Warp of the fully-async mode, averaged over functions (only
         // reported when `async` is in the mode set).
         let warp = labels
             .iter()
             .position(|l| l == "async")
             .map(|ai| group.iter().map(|c| c.warps[ai]).sum::<f64>() / group.len() as f64);
-        let mut row = [
-            vec![format!("{load}")],
-            speedup_cells(&speedups, improvement),
-        ]
-        .concat();
-        row.push(warp.map_or("n/a".to_string(), |w| format!("{w:.2}")));
-        rows.push(row);
-        for (label, s) in labels.iter().zip(&speedups) {
-            metrics.push((format!("load{load}_{label}"), *s));
-        }
-        if improvement.is_finite() {
-            metrics.push((format!("load{load}_improvement"), improvement));
-        }
+        let shown = warp.map_or("n/a".to_string(), |w| format!("{w:.2}"));
+        rows.push([vec![format!("{load}")], row, vec![shown]].concat());
+        metrics.extend(m);
         if let Some(w) = warp {
             metrics.push((format!("load{load}_warp_async"), w));
         }

@@ -12,12 +12,13 @@
 
 use crate::{CellResult, Session};
 use nscc_core::fmt::render_table;
+use nscc_core::Platform;
 use nscc_msg::{CommWorld, MsgConfig};
-use nscc_net::{spawn_loaders, EthernetBus, LoaderConfig, Network, NodeId, WarpMeter};
+use nscc_net::WarpMeter;
 use nscc_obs::Hub;
 use nscc_sim::{SimBuilder, SimError, SimTime};
 
-pub(super) fn run(mut session: Session) -> u8 {
+pub(super) fn run(session: Session) -> u8 {
     let title = "Warp metric vs offered background load (10 Mbps Ethernet)";
     print!("{}", session.banner(title));
     let loads = [0.0, 2.0, 4.0, 6.0, 8.0, 9.5];
@@ -41,9 +42,6 @@ pub(super) fn run(mut session: Session) -> u8 {
             format!("{:.2}", v[2]),
             format!("{:.2}", v[3]),
         ]);
-        for (k, v) in &c.metrics {
-            session.report.metric(k.clone(), *v);
-        }
     }
     print!("{}", render_table(&rows));
     println!("\nwarp ≈ 1: stable network; warp ≫ 1: load is building up (§4.3).");
@@ -57,32 +55,16 @@ pub(super) fn run(mut session: Session) -> u8 {
 /// layer are instrumented so warp samples and delivery delays land in
 /// the hub as well.
 fn measure(load: f64, hub: Option<Hub>) -> Result<CellResult, SimError> {
-    let net = Network::new(EthernetBus::ten_mbps(7));
+    let mut sim = SimBuilder::new(7);
+    // Two ranks; the loader pair, when `load` > 0, on nodes 2 and 3.
+    let net = Platform::loaded_ethernet(2, load).build(&mut sim, 7);
     let warp = WarpMeter::new();
     let mut world: CommWorld<u64> =
         CommWorld::new(net.clone(), 2, MsgConfig::default()).with_warp(warp.clone());
-    let mut sim = SimBuilder::new(7);
     if let Some(hub) = hub {
         net.attach_obs(hub.clone());
-        // The sampling profiler is driven by the scheduler; only attach
-        // it there when profiling is on, so plain json/trace runs keep
-        // their span-free reports byte-for-byte.
-        if hub.profile_period() > 0 {
-            sim.attach_obs(hub.clone());
-        }
-        // Wall-clock accounting is span-free, so it attaches whenever
-        // requested without perturbing report bytes.
-        if hub.wants_wall() {
-            sim.attach_wall(hub.clone());
-        }
+        sim.observe(&hub);
         world = world.with_obs(hub);
-    }
-    if load > 0.0 {
-        spawn_loaders(
-            &mut sim,
-            &net,
-            &LoaderConfig::mbps(load, NodeId(2), NodeId(3)),
-        );
     }
     let tx = world.endpoint(0);
     let rx = world.endpoint(1);

@@ -1,7 +1,7 @@
 //! Library-level headless experiment entrypoint for the fuzz hunter.
 //!
-//! The bench binaries print tables, write reports and `exit(1)` on a
-//! simulation error — none of which a fuzzing driver can use. This
+//! `nscc run`'s experiments print tables, write reports and `exit(1)` on
+//! a simulation error — none of which a fuzzing driver can use. This
 //! module runs the same chaos-study experiment cell as `fault_study`
 //! (island GA, `Global_Read` at one age bound, full robustness stack,
 //! watchdog always armed) but returns every verdict as data:
@@ -65,7 +65,7 @@ pub struct HeadlessSpec {
     #[json(rename = "watchdog_ns")]
     pub watchdog: SimTime,
     /// Deliberately release this many would-block reads stale (the
-    /// `NSCC_INJECT_STALE` sabotage; the staleness oracle must catch it).
+    /// `--inject-stale` sabotage; the staleness oracle must catch it).
     #[json(default)]
     pub inject_stale: u64,
     /// Chandy–Lamport snapshot cadence in generations (`None` = off).

@@ -74,8 +74,9 @@ use std::sync::Arc;
 
 use nscc_audit::{render_flight_dump, Auditor, FlightDump};
 use nscc_ckpt::Snapshot;
-use nscc_core::{FaultPlan, GaExpResult, RunReport};
+use nscc_core::{run_ga_experiment, FaultPlan, GaExpResult, GaExperiment, Platform, RunReport};
 use nscc_dsm::{Coherence, DsmStats};
+use nscc_ga::TestFn;
 use nscc_msg::CommStats;
 use nscc_net::NetStats;
 use nscc_obs::{Hub, HubSummary, StalenessSummary};
@@ -185,6 +186,20 @@ impl Scale {
             || self.flight.is_some()
             || self.inject_stale > 0
             || self.staleness
+    }
+
+    /// `platform` with the settings a cell's message layer reads applied:
+    /// `--mailbox-warn`, copied here for GA, Bayes and chaos cells alike.
+    pub fn platform(&self, mut platform: Platform) -> Platform {
+        platform.msg.mailbox_warn = self.mailbox_warn;
+        platform
+    }
+
+    /// The GA figures' test functions: all eight with `--all-functions`,
+    /// else the four cheapest.
+    pub fn functions(&self) -> &'static [TestFn] {
+        let all = &nscc_ga::ALL_FUNCTIONS;
+        &all[..if self.all_functions { all.len() } else { 4 }]
     }
 
     /// The paper's full scale (25 GA runs, 1000 generations, CI ±0.01).
@@ -588,7 +603,8 @@ pub struct CellResult {
     pub warps: Vec<f64>,
     /// Mean rollbacks per mode (Bayes cells).
     pub rollbacks: Vec<f64>,
-    /// Named per-cell numbers (chaos and warp cells).
+    /// Named per-cell numbers (chaos and warp cells, drill scenarios),
+    /// each a report metric under its own name.
     pub metrics: Vec<(String, f64)>,
     /// One line per watchdog-cut run: printed to stderr as the cell lands
     /// and counted into the report's `fault_reports`.
@@ -625,6 +641,24 @@ impl CellResult {
             ..CellResult::default()
         }
     }
+
+    /// Fold the cell into `rep`: its DSM, network and message counters
+    /// merged, its fault lines counted and its metrics inserted — the one
+    /// way a cell reaches the report, for a sweep's cells and `drill`'s
+    /// scenarios alike.
+    pub fn fold_into(&self, rep: &mut RunReport) {
+        rep.dsm.merge(&self.dsm);
+        if let Some(net) = &self.net {
+            rep.net.get_or_insert_with(NetStats::default).merge(net);
+        }
+        if let Some(comm) = &self.comm {
+            rep.comm.get_or_insert_with(CommStats::default).merge(comm);
+        }
+        rep.fault_reports += self.fault_lines.len() as u64;
+        for (key, value) in &self.metrics {
+            rep.metric(key.clone(), *value);
+        }
+    }
 }
 
 /// The speedup per mode of a group of cells at one grid point — sum of
@@ -656,11 +690,15 @@ pub fn panel_speedups(cells: &[&CellResult]) -> (Vec<f64>, f64) {
     (speedups, improvement)
 }
 
-/// A GA panel row's cells after its key column: each speedup (`DNF` for
-/// 0.0) and the improvement as `+N%` (`n/a` when undefined).
-pub fn speedup_cells(speedups: &[f64], improvement: f64) -> Vec<String> {
-    let mut row: Vec<String> = speedups
-        .iter()
+/// The panel row of the `cells` at one grid point (fig2's processor
+/// count, fig3's network, fig4's load), named `key` in the metrics: the
+/// row's cells after its key column — each speedup of
+/// [`panel_speedups`] (`DNF` for 0.0) and the improvement as `+N%` (`n/a`
+/// when undefined) — and its metrics, `{key}_{label}` per mode, in mode
+/// order, then `{key}_improvement` when it is finite.
+pub fn panel_row(cells: &[&CellResult], key: &str) -> (Vec<String>, Vec<(String, f64)>) {
+    let (speedups, improvement) = panel_speedups(cells);
+    let mut row: Vec<String> = (speedups.iter())
         .map(|&s| {
             if s == 0.0 {
                 "DNF".to_string()
@@ -669,12 +707,16 @@ pub fn speedup_cells(speedups: &[f64], improvement: f64) -> Vec<String> {
             }
         })
         .collect();
-    row.push(if improvement.is_finite() {
-        format!("{:+.0}%", improvement * 100.0)
+    let mut metrics: Vec<(String, f64)> = (cells[0].labels.iter().zip(speedups))
+        .map(|(label, s)| (format!("{key}_{label}"), s))
+        .collect();
+    if improvement.is_finite() {
+        row.push(format!("{:+.0}%", improvement * 100.0));
+        metrics.push((format!("{key}_improvement"), improvement));
     } else {
-        "n/a".to_string()
-    });
-    row
+        row.push("n/a".to_string());
+    }
+    (row, metrics)
 }
 
 /// One experiment's run: the scale and checkpoint options it was
@@ -771,6 +813,29 @@ impl Session {
             let _ = writeln!(out, "armed test hooks: {}", hooks.join(" "));
         }
         out
+    }
+
+    /// A GA figure's cell (fig2, fig4): `func` on `procs` islands over
+    /// `platform`, at the settings' generations, runs, seed and modes,
+    /// streaming into `obs`.
+    pub fn ga_cell(
+        &self,
+        func: TestFn,
+        procs: usize,
+        platform: Platform,
+        obs: Option<Hub>,
+    ) -> Result<CellResult, SimError> {
+        let s = &self.scale;
+        let exp = GaExperiment {
+            generations: s.generations,
+            runs: s.runs,
+            base_seed: s.seed,
+            platform: s.platform(platform),
+            obs,
+            modes: s.modes.clone(),
+            ..GaExperiment::new(func, procs)
+        };
+        Ok(CellResult::from_ga(&run_ga_experiment(&exp)?))
     }
 
     /// The hub an experiment streams into: the main hub when any
@@ -889,8 +954,8 @@ impl Session {
     /// `BENCH_<name>.json` (with `--json`), the flight dump (when a
     /// monitor fired or a run was cut), `TRACE_<name>.json`, the folded
     /// profile, and the live feed's final line. `cells` is the sweep's
-    /// result, whose counters are merged into the report (`None` for
-    /// experiments without a sweep).
+    /// result, each folded into the report ([`CellResult::fold_into`];
+    /// `None` for experiments without a sweep).
     ///
     /// A checkpointed sweep's events live in per-cell hubs and only their
     /// summaries are stored, so its report carries the merged summaries
@@ -901,14 +966,7 @@ impl Session {
         let rep = &mut self.report;
         let mut merged = (HubSummary::default(), StalenessSummary::default());
         for c in cells.unwrap_or_default() {
-            rep.dsm.merge(&c.dsm);
-            if let Some(net) = &c.net {
-                rep.net.get_or_insert_with(NetStats::default).merge(net);
-            }
-            if let Some(comm) = &c.comm {
-                rep.comm.get_or_insert_with(CommStats::default).merge(comm);
-            }
-            rep.fault_reports += c.fault_lines.len() as u64;
+            c.fold_into(rep);
             c.obs.iter().for_each(|o| merged.0.merge(o));
             c.staleness.iter().for_each(|s| merged.1.merge(s));
         }
@@ -1462,6 +1520,41 @@ mod tests {
             session(&scale, resume).banner("T"),
             "=== T ===\narmed test hooks: --ckpt-exit-after 3 --inject-stale 2\n"
         );
+    }
+
+    /// Folding a cell inserts its metrics, merges its counters and
+    /// counts its fault lines; a cell without a network or message layer
+    /// leaves those sections absent.
+    #[test]
+    fn folding_a_cell_copies_its_metrics_counters_and_fault_lines() {
+        let mut cell = CellResult {
+            metrics: vec![("a_x".to_string(), 1.5), ("a_y".to_string(), -2.0)],
+            fault_lines: vec!["cut".to_string(); 2],
+            net: Some(NetStats {
+                messages: 4,
+                ..NetStats::default()
+            }),
+            comm: Some(CommStats {
+                retransmits: 3,
+                ..CommStats::default()
+            }),
+            ..CellResult::default()
+        };
+        cell.dsm.writes = 5;
+        let mut rep = RunReport::new("unit", &Hub::new());
+        rep.metric("kept", 9.0);
+        cell.fold_into(&mut rep);
+        cell.fold_into(&mut rep);
+        let metrics: Vec<(&str, f64)> = rep.metrics.iter().map(|(k, v)| (&k[..], *v)).collect();
+        assert_eq!(metrics, [("a_x", 1.5), ("a_y", -2.0), ("kept", 9.0)]);
+        assert_eq!(rep.dsm.writes, 10);
+        assert_eq!(rep.net.map(|n| n.messages), Some(8));
+        assert_eq!(rep.comm.map(|c| c.retransmits), Some(6));
+        assert_eq!(rep.fault_reports, 4);
+
+        let mut bare = RunReport::new("unit", &Hub::new());
+        CellResult::default().fold_into(&mut bare);
+        assert!(bare.net.is_none() && bare.comm.is_none() && bare.metrics.is_empty());
     }
 
     /// A tiny real GA cell: one run, a few generations, two modes.

@@ -216,12 +216,6 @@ pub fn run_bayes_experiment(exp: &BayesExperiment) -> Result<BayesExpResult, Sim
             // builds its own, so loaded Bayes runs use the network-only
             // build (the paper's loaded experiments are GA-only anyway).
             let network = exp.platform.build_network_only(seed);
-            if let Some(hub) = &exp.obs {
-                // Per-program boundary for any attached audit tap (epochs
-                // and sequence numbers legitimately restart here).
-                hub.note_run_boundary();
-                network.attach_obs(hub.clone());
-            }
             let cfg = ParallelBayesConfig {
                 stop: exp.stop,
                 cost: exp.cost.clone(),

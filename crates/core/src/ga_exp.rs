@@ -331,26 +331,24 @@ fn run_parallel_once(
     let locs = dir.add_per_rank("best", p);
     let mut world: DsmWorld<MigrantBatch> =
         DsmWorld::new(net.clone(), p, platform.msg.clone(), dir).with_warp(warp.clone());
-    if let Some(hub) = exp.obs.as_ref().filter(|_| observe) {
-        // One hub often observes many back-to-back programs (sweeps);
-        // mark the boundary so an attached audit tap can reset its
-        // per-program monitor state (barrier epochs, seq dedup, write
-        // watermarks all legitimately restart here).
-        hub.note_run_boundary();
-        net.attach_obs(hub.clone());
-        world = world.with_obs(hub.clone());
-        // The sampling profiler is driven by the scheduler; only attach
-        // it there when profiling is on, so plain json/trace runs keep
-        // their span-free reports byte-for-byte.
-        if hub.profile_period() > 0 {
-            sim.attach_obs(hub.clone());
+    match &exp.obs {
+        Some(hub) if observe => {
+            // One hub often observes many back-to-back programs (sweeps);
+            // mark the boundary so an attached audit tap can reset its
+            // per-program monitor state (barrier epochs, seq dedup, write
+            // watermarks all legitimately restart here).
+            hub.note_run_boundary();
+            net.attach_obs(hub.clone());
+            world = world.with_obs(hub.clone());
+            sim.observe(hub);
         }
-    }
-    // Wall-clock scheduler accounting is span-free and outside the report's
-    // deterministic sections, so it attaches whenever requested — even on
-    // unobserved reference runs, whose real cost is still real cost.
-    if let Some(hub) = exp.obs.as_ref().filter(|h| h.wants_wall()) {
-        sim.attach_wall(hub.clone());
+        // Wall accounting is span-free and outside the report's
+        // deterministic sections, so even an unobserved reference run
+        // gets it when asked: its real cost is still real cost.
+        Some(hub) if hub.wants_wall() => {
+            sim.attach_wall(hub.clone());
+        }
+        _ => {}
     }
     if exp.inject_stale > 0 && observe {
         world = world.with_stale_injection(exp.inject_stale);

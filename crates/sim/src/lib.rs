@@ -191,6 +191,32 @@ mod tests {
         assert_eq!(sum.spans, 0);
     }
 
+    /// `observe` attaches the profiler (and its spans) only when the hub
+    /// samples, and wall accounting only when the hub wants it.
+    #[test]
+    fn observe_attaches_what_the_hub_asks_for() {
+        let run = |hub: &Hub| {
+            let mut sim = SimBuilder::new(0);
+            sim.observe(hub);
+            sim.spawn("p", |ctx| ctx.advance(SimTime::from_millis(1)));
+            sim.run().unwrap();
+            (hub.summary().spans, hub.sched().unparks)
+        };
+        assert_eq!(run(&Hub::new()), (0, 0), "nothing asked, nothing recorded");
+
+        let profiled = Hub::new();
+        profiled.profile_every(100_000);
+        let (spans, unparks) = run(&profiled);
+        assert!(spans > 0, "profiling records spans");
+        assert_eq!(unparks, 0, "no wall accounting unasked");
+
+        let walled = Hub::new();
+        walled.enable_wall();
+        let (spans, unparks) = run(&walled);
+        assert_eq!(spans, 0, "wall accounting records no span");
+        assert!(unparks > 0, "wall accounting fills Hub::sched");
+    }
+
     #[test]
     fn deadlock_is_detected_with_diagnostics() {
         let mb: Mailbox<()> = Mailbox::new("never");

@@ -133,11 +133,28 @@ impl SimBuilder {
     /// total, flushing [`SchedDelta`] batches into `hub` (see `Hub::sched`).
     /// Unlike [`attach_obs`](SimBuilder::attach_obs) this records **no**
     /// spans or events, so it never perturbs deterministic report output —
-    /// but its times are real and differ run to run, which is why callers
-    /// gate it on `Hub::wants_wall` rather than attaching unconditionally.
+    /// but its times are real and differ run to run, which is why
+    /// [`observe`](SimBuilder::observe) gates it on `Hub::wants_wall`.
     /// Detached (the default) costs one `Option` check per entry.
     pub fn attach_wall(&mut self, hub: Hub) -> &mut Self {
         self.wall = Some(hub);
+        self
+    }
+
+    /// Observe the run through `hub` as far as its settings ask — the one
+    /// rule every runner follows. The sampling profiler, and with it the
+    /// spans of [`attach_obs`](SimBuilder::attach_obs), attaches only when
+    /// `hub.profile_period() > 0`, so plain json/trace runs keep their
+    /// span-free reports byte-for-byte; wall accounting
+    /// ([`attach_wall`](SimBuilder::attach_wall)) only when
+    /// `hub.wants_wall()`.
+    pub fn observe(&mut self, hub: &Hub) -> &mut Self {
+        if hub.profile_period() > 0 {
+            self.attach_obs(hub.clone());
+        }
+        if hub.wants_wall() {
+            self.attach_wall(hub.clone());
+        }
         self
     }
 
